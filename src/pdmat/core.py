@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.signal
 
 TRUNCATED = "truncated"
 PERIODIC = "periodic"
@@ -222,7 +221,7 @@ def rough_samples(block: IndexBlock, s: float, n_samples: int, seed: int,
 
 @dataclass(frozen=True, eq=False)
 class OpMatrix:
-    """Dense complex matrix over a block, with advisory structure hints.
+    """Dense complex matrix over a block.
 
     ``defined`` is None when every entry is meaningful; after truncated-mode
     shifts it marks the surviving interior.  Instances are immutable values;
@@ -232,9 +231,6 @@ class OpMatrix:
     block: IndexBlock
     entries: np.ndarray
     defined: np.ndarray | None = None
-    hermitian_hint: bool = False
-    diagonal_hint: bool = False
-    toeplitz_hint: bool = False
 
     def __post_init__(self):
         e = np.ascontiguousarray(self.entries, dtype=complex)
@@ -267,9 +263,7 @@ class OpMatrix:
                         _combine_masks(self.defined, other.defined))
 
     def __mul__(self, scalar) -> "OpMatrix":
-        return OpMatrix(self.block, scalar * self.entries, self.defined,
-                        diagonal_hint=self.diagonal_hint,
-                        toeplitz_hint=self.toeplitz_hint)
+        return OpMatrix(self.block, scalar * self.entries, self.defined)
 
     __rmul__ = __mul__
 
@@ -292,21 +286,18 @@ def _combine_masks(a, b):
 
 
 def zeros(block: IndexBlock) -> OpMatrix:
-    return OpMatrix(block, np.zeros((block.n, block.n), dtype=complex),
-                    diagonal_hint=True, toeplitz_hint=True, hermitian_hint=True)
+    return OpMatrix(block, np.zeros((block.n, block.n), dtype=complex))
 
 
 def identity(block: IndexBlock) -> OpMatrix:
-    return OpMatrix(block, np.eye(block.n, dtype=complex),
-                    diagonal_hint=True, toeplitz_hint=True, hermitian_hint=True)
+    return OpMatrix(block, np.eye(block.n, dtype=complex))
 
 
 def diagonal_matrix(block: IndexBlock, diag) -> OpMatrix:
     d = np.asarray(diag, dtype=complex)
     if d.shape != (block.n,):
         raise ValueError(f"diagonal must have shape ({block.n},)")
-    return OpMatrix(block, np.diag(d), diagonal_hint=True,
-                    hermitian_hint=bool(np.all(np.abs(d.imag) == 0.0)))
+    return OpMatrix(block, np.diag(d))
 
 
 def is_diagonal(A: OpMatrix, tol: float = 1e-12) -> bool:
@@ -447,10 +438,7 @@ def matmul(A: OpMatrix, B: OpMatrix) -> OpMatrix:
     _check_same_block(A, B)
     if not (A.fully_defined and B.fully_defined):
         raise ValueError("matmul requires fully defined matrices")
-    return OpMatrix(A.block, A.entries @ B.entries,
-                    diagonal_hint=A.diagonal_hint and B.diagonal_hint,
-                    toeplitz_hint=A.toeplitz_hint and B.toeplitz_hint
-                    and A.block.mode == PERIODIC)
+    return OpMatrix(A.block, A.entries @ B.entries)
 
 
 def commutator(A: OpMatrix, B: OpMatrix) -> OpMatrix:
@@ -582,7 +570,13 @@ def convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y)
     if x.ndim != y.ndim or x.ndim not in (1, 2):
         raise ValueError("sequences must both be 1d or both 2d")
-    return scipy.signal.convolve(x, y, mode="full", method="direct")
+    if x.ndim == 1:
+        return np.convolve(x, y)
+    out = np.zeros((len(x) + len(y) - 1, x.shape[1] + y.shape[1] - 1),
+                   dtype=np.result_type(x, y))
+    for i, j in itertools.product(range(len(x)), range(len(y))):
+        out[i + j] += np.convolve(x[i], y[j])
+    return out
 
 
 def lp_norm(x: np.ndarray, p: float) -> float:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -80,6 +81,8 @@ class WaterWaveOperators:
     block: object
     omega: np.ndarray            # per-frequency rotation speeds, 0 at k = 0
     coupling: np.ndarray         # the single nonzero block of the nilpotent part
+    mult: np.ndarray             # topography multiplication matrix
+    deriv: np.ndarray            # derivative diagonal, coupling = deriv mult deriv
     _exact_cache: dict = field(default_factory=dict)
 
     @property
@@ -115,20 +118,6 @@ class WaterWaveOperators:
             self._exact_cache[t] = scipy.linalg.expm(t * self.generator())
         return self._exact_cache[t]
 
-    def split_prop(self, scheme: flows.SplitScheme, tau: float) -> np.ndarray:
-        """One splitting step; rotation halves go outside the Strang step."""
-        def strang(dt):
-            half = self.rotation_prop(dt / 2)
-            return half @ self.coupling_prop(dt) @ half
-        if scheme.kind == "lie":
-            return self.rotation_prop(tau) @ self.coupling_prop(tau)
-        if scheme.kind == "strang":
-            return strang(tau)
-        out = np.eye(2 * self.n, dtype=complex)
-        for g in scheme.coefficients:
-            out = strang(g * tau) @ out
-        return out
-
     def weights(self, s: float) -> np.ndarray:
         w = core.sobolev_weights(self.block, s)
         return np.concatenate([w, w])
@@ -145,23 +134,10 @@ class WaterWaveOperators:
         # term enters with a minus because the divergence-form coupling block
         # is negative semi-definite in these variables
         xi, v = state[:self.n], state[self.n:]
-        mult = self._mult_matrix()
-        deriv = self._deriv_diag() * v
+        deriv = self.deriv * v
         val = np.vdot(xi, self.omega * xi) + np.vdot(v, self.omega * v) \
-            - np.vdot(deriv, mult @ deriv)
+            - np.vdot(deriv, self.mult @ deriv)
         return 0.5 * float(val.real)
-
-    def _deriv_diag(self) -> np.ndarray:
-        k = self.block.indices()[:, 0].astype(float)
-        om = self.omega
-        inv_sqrt = np.zeros_like(om)
-        nz = om > 0
-        inv_sqrt[nz] = om[nz] ** -0.5
-        return 1j * k * self.model.gain(k) * inv_sqrt
-
-    def _mult_matrix(self) -> np.ndarray:
-        return spectral.mult_matrix_from_coeffs(
-            self.model.b_coeffs, self.block.size).entries
 
 
 def waterwave_assemble(model: WaterWaveModel, period: int) -> WaterWaveOperators:
@@ -181,7 +157,7 @@ def waterwave_assemble(model: WaterWaveModel, period: int) -> WaterWaveOperators
     d = 1j * k * gain * inv_sqrt
     mult = spectral.mult_matrix_from_coeffs(model.b_coeffs, period).entries
     coupling = (d[:, None] * mult) * d[None, :]
-    return WaterWaveOperators(model, block, omega, coupling)
+    return WaterWaveOperators(model, block, omega, coupling, mult, d)
 
 
 def coupling_entry_formula(ops: WaterWaveOperators, n_idx: int, m_idx: int) -> complex:
@@ -197,14 +173,23 @@ def coupling_entry_formula(ops: WaterWaveOperators, n_idx: int, m_idx: int) -> c
             model.gain(np.array([km]))[0] * om ** -0.5 * (1j * kn) * (1j * km))
 
 
+def _waterwave_step(ops: WaterWaveOperators, scheme: flows.SplitScheme):
+    """The splitting step tau -> matrix of the assembled system, with the
+    coupling as the a flow and the rotation as the b flow of flows.compose."""
+    return partial(flows.compose, scheme, ops.coupling_prop, ops.rotation_prop)
+
+
+def _waterwave_level(ops: WaterWaveOperators, scheme: flows.SplitScheme,
+                     tau_star: float) -> flows.RefinementLevel:
+    return flows.refinement_level(ops.block.size, _waterwave_step(ops, scheme),
+                                  ops.exact_prop, tau_star, ops.weights,
+                                  ops.sampler)
+
+
 def waterwave_levels(model: WaterWaveModel, periods, scheme: flows.SplitScheme,
                      tau_star: float) -> list[flows.RefinementLevel]:
-    levels = []
-    for K in periods:
-        ops = waterwave_assemble(model, K)
-        E = ops.split_prop(scheme, tau_star) - ops.exact_prop(tau_star)
-        levels.append(flows.RefinementLevel(K, E, ops.weights, ops.sampler))
-    return levels
+    return [_waterwave_level(waterwave_assemble(model, K), scheme, tau_star)
+            for K in periods]
 
 
 def waterwave_noloss_study(model: WaterWaveModel, schemes, periods, tau_list,
@@ -236,7 +221,7 @@ def waterwave_noloss_study(model: WaterWaveModel, schemes, periods, tau_list,
             warnings.warn(msg)
             out["warnings"].append(msg)
     K_ref = max(periods)
-    ops = waterwave_assemble(model, K_ref)
+    ops = level_ops[K_ref]
     scheme_map = {"lie": flows.LIE, "strang": flows.STRANG}
     out["slopes"] = {}
     out["loss"] = {}
@@ -244,35 +229,29 @@ def waterwave_noloss_study(model: WaterWaveModel, schemes, periods, tau_list,
     out["energy_drift"] = {}
     for name in schemes:
         scheme = scheme_map[name]
+        step = _waterwave_step(ops, scheme)
         for s in s_list:
-            samples = ops.sampler(s, n_samples, seed)
-            w = ops.weights(s)
-            errs = []
-            for tau in tau_list:
-                E = ops.split_prop(scheme, tau) - ops.exact_prop(tau)
-                errs.append(max(float(np.linalg.norm(w * (E @ x))) for x in samples))
-            ref = max(float(np.linalg.norm(w * x)) for x in samples)
-            floor = 100 * np.finfo(float).eps * ref
-            fit = flows.fit_loglog(tau_list, [max(e, 1e-300) for e in errs],
-                                   drop=[e <= floor for e in errs])
-            out["slopes"][(name, s)] = fit
+            tab = flows.error_table(step, ops.exact_prop, tau_list, s,
+                                    ops.weights(s), ops.sampler(s, n_samples, seed))
+            out["slopes"][(name, s)] = tab.fit
             out.setdefault("error_rows", []).extend(
-                {"scheme": name, "s": s, "tau": t, "error": e, "level": K_ref}
-                for t, e in zip(tau_list, errs))
-        levels = waterwave_levels(model, periods, scheme, tau_star)
+                {"scheme": name, "s": s, "tau": r["tau"], "error": r["error"],
+                 "level": K_ref} for r in tab.rows)
+        levels = [_waterwave_level(level_ops[K], scheme, tau_star) for K in periods]
         rep = flows.loss_scan(levels, s_list[0], sigma_grid, n_samples, seed)
         rep.tau_order = out["slopes"][(name, s_list[0])]
         out["loss"][name] = rep
-        step = ops.split_prop(scheme, tau_list[0])
-        out["symplectic_defect"][name] = operators.symplectic_defect(step)
+        P = step(tau_list[0])
+        out["symplectic_defect"][name] = operators.symplectic_defect(P)
         x0 = ops.sampler(max(s_list), 1, seed)[0]
-        x1 = step @ x0
+        x1 = P @ x0
         e0, e1 = ops.energy(x0), ops.energy(x1)
         out["energy_drift"][name] = abs(e1 - e0) / max(abs(e0), 1e-300)
     flat = WaterWaveModel(mu=model.mu, b_coeffs=lambda *k: 0.0, label="b0",
                           stvenant=model.stvenant)
     flat_ops = waterwave_assemble(flat, min(periods))
-    E0 = flat_ops.split_prop(flows.STRANG, tau_list[0]) - flat_ops.exact_prop(tau_list[0])
+    E0 = _waterwave_step(flat_ops, flows.STRANG)(tau_list[0]) - \
+        flat_ops.exact_prop(tau_list[0])
     out["b0_control"] = float(np.max(np.abs(E0)))
     return out
 
@@ -317,8 +296,9 @@ class PreconditionedSchroedinger:
         return flows.exact_flow(flows.FlowSpec(self.R, flows.HERMITIAN, "i"), tau)
 
     def preconditioned_prop(self, tau: float) -> np.ndarray:
-        return self.exp_x_minus @ self.block_diag_prop(tau) @ \
-            self.smoothing_prop(tau) @ self.exp_x_plus
+        return self.exp_x_minus @ flows.compose(
+            flows.LIE, self.block_diag_prop, self.smoothing_prop, tau) @ \
+            self.exp_x_plus
 
     def lie_baseline_prop(self, tau: float) -> np.ndarray:
         fa = flows.FlowSpec(self.A, flows.DIAGONAL, "i")
@@ -347,8 +327,8 @@ def schroedinger_assemble(v_coeffs, radius: int) -> PreconditionedSchroedinger:
                 Z[i, j] = B.entries[i, j]
             else:
                 X[i, j] = B.entries[i, j] / (1j * float(m * m - nn * nn))
-    Xm = OpMatrix(block, X, hermitian_hint=True)
-    Zm = OpMatrix(block, Z, hermitian_hint=True)
+    Xm = OpMatrix(block, X)
+    Zm = OpMatrix(block, Z)
     w, V = np.linalg.eigh(Xm.entries)
     exp_plus = (V * np.exp(1j * w)) @ V.conj().T
     exp_minus = (V * np.exp(-1j * w)) @ V.conj().T
@@ -383,7 +363,8 @@ def off_resonant_identity_defect(model: PreconditionedSchroedinger) -> float:
 def telescoping_defect(model: PreconditionedSchroedinger, tau: float,
                        n_steps: int) -> float:
     """The conjugation commutes with iterating the inner step exactly."""
-    inner = model.block_diag_prop(tau) @ model.smoothing_prop(tau)
+    inner = flows.compose(flows.LIE, model.block_diag_prop,
+                          model.smoothing_prop, tau)
     lhs = np.linalg.matrix_power(model.exp_x_minus @ inner @ model.exp_x_plus,
                                  n_steps)
     rhs = model.exp_x_minus @ np.linalg.matrix_power(inner, n_steps) @ \
@@ -416,15 +397,10 @@ def schroedinger_levels(v_coeffs, radii, preconditioned: bool,
     levels = []
     for M in radii:
         model = schroedinger_assemble(v_coeffs, M)
-        if preconditioned:
-            E = model.preconditioned_prop(tau_star) - model.exact_prop(tau_star)
-        else:
-            E = model.lie_baseline_prop(tau_star) - model.exact_prop(tau_star)
-        block = model.block
-        levels.append(flows.RefinementLevel(
-            M, E, lambda s, b=block: core.sobolev_weights(b, s),
-            lambda reg, n, seed, b=block: [x.coeffs for x in
-                                           core.rough_samples(b, reg, n, seed)]))
+        step = model.preconditioned_prop if preconditioned else \
+            model.lie_baseline_prop
+        levels.append(flows.refinement_level(M, step, model.exact_prop, tau_star,
+                                             *flows.sobolev_space(model.block)))
     return levels
 
 
@@ -442,22 +418,15 @@ def preconditioned_lie_study(v_coeffs, tau_list, s_list, radii, seed: int = 0,
     out["remainder_order"] = core.estimate_order(
         smoothing_remainder_family(v_coeffs, radii)).r_hat
     out["slopes"] = {}
+    weights, sampler = flows.sobolev_space(model.block)
     for s in s_list:
-        samples = core.rough_samples(model.block, s + 3.0, n_samples, seed)
-        w = core.sobolev_weights(model.block, s)
-        errs = []
-        for tau in tau_list:
-            E = model.preconditioned_prop(tau) - model.exact_prop(tau)
-            errs.append(max(float(np.linalg.norm(w * (E @ x.coeffs)))
-                            for x in samples))
-        ref = max(float(np.linalg.norm(w * x.coeffs)) for x in samples)
-        fit = flows.fit_loglog(tau_list, [max(e, 1e-300) for e in errs],
-                               drop=[e <= 100 * np.finfo(float).eps * ref
-                                     for e in errs])
-        out["slopes"][s] = fit
+        tab = flows.error_table(model.preconditioned_prop, model.exact_prop,
+                                tau_list, s, weights(s),
+                                sampler(s + 3.0, n_samples, seed))
+        out["slopes"][s] = tab.fit
         out.setdefault("error_rows", []).extend(
-            {"scheme": "precond_lie", "s": s, "tau": t, "error": e, "level": M_ref}
-            for t, e in zip(tau_list, errs))
+            {"scheme": "precond_lie", "s": s, "tau": r["tau"], "error": r["error"],
+             "level": M_ref} for r in tab.rows)
     s0 = s_list[0]
     out["loss_preconditioned"] = flows.loss_scan(
         schroedinger_levels(v_coeffs, radii, True, tau_star), s0, sigma_grid,

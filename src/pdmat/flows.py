@@ -11,7 +11,7 @@ multiplicatively stable as the block refines.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import scipy.linalg
@@ -24,6 +24,8 @@ HERMITIAN = "hermitian"
 GENERIC = "generic"
 
 TRIPLE_JUMP_GAMMA = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+TAU_MAX = 0.5           # largest step size a splitting step accepts
+FLOOR_FACTOR = 100.0    # roundoff floor of error tables, in eps times the data
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,25 +122,37 @@ def composition_scheme(k: int) -> SplitScheme:
     raise ValueError(f"unsupported composition order {k}")
 
 
-def split_step(scheme: SplitScheme, flowA: FlowSpec, flowB: FlowSpec,
-               tau: float, tau_max: float = 0.5) -> np.ndarray:
-    """Matrix of one splitting step of size tau."""
-    if abs(tau) > tau_max:
-        raise ValueError(f"|tau| must be at most {tau_max}")
-    core._check_same_block(flowA.generator, flowB.generator)
+def compose(scheme: SplitScheme, a, b, tau: float) -> np.ndarray:
+    """Matrix of one splitting step of size tau built from the sub-flows
+    ``a`` and ``b``, callables t -> propagator matrix.
 
+    Ordering convention (matrices act on column vectors, so the right-most
+    factor acts first): Lie is a(tau) @ b(tau), so b acts first; Strang is
+    b(tau/2) @ a(tau) @ b(tau/2), with b's half steps outside; composition
+    chains Strang steps of size g*tau, the first coefficient acting first.
+    """
     def strang(dt):
-        return exact_flow(flowB, dt / 2) @ exact_flow(flowA, dt) @ \
-            exact_flow(flowB, dt / 2)
+        half = b(dt / 2)
+        return half @ a(dt) @ half
 
     if scheme.kind == "lie":
-        return exact_flow(flowA, tau) @ exact_flow(flowB, tau)
+        return a(tau) @ b(tau)
     if scheme.kind == "strang":
         return strang(tau)
-    out = np.eye(flowA.generator.block.n, dtype=complex)
-    for g in scheme.coefficients:
+    out = strang(scheme.coefficients[0] * tau)
+    for g in scheme.coefficients[1:]:
         out = strang(g * tau) @ out
     return out
+
+
+def split_step(scheme: SplitScheme, flowA: FlowSpec, flowB: FlowSpec,
+               tau: float) -> np.ndarray:
+    """Matrix of one splitting step of size tau of the exact flows A and B."""
+    if abs(tau) > TAU_MAX:
+        raise ValueError(f"|tau| must be at most {TAU_MAX}")
+    core._check_same_block(flowA.generator, flowB.generator)
+    return compose(scheme, partial(exact_flow, flowA), partial(exact_flow, flowB),
+                   tau)
 
 
 def summed_flow(flowA: FlowSpec, flowB: FlowSpec) -> FlowSpec:
@@ -189,7 +203,6 @@ def fit_loglog(xs, ys, drop=None) -> FitResult | None:
 class LocalErrorTable:
     rows: list                  # dicts: tau, s, error, floored
     fit: FitResult | None       # slope of log error vs log tau
-    floor: float
 
 
 def default_tau_list(base: float = 0.1, count: int = 7):
@@ -197,27 +210,31 @@ def default_tau_list(base: float = 0.1, count: int = 7):
 
 
 def local_error(scheme: SplitScheme, flowA: FlowSpec, flowB: FlowSpec,
-                tau_list, s: float, samples, exact: FlowSpec | None = None,
-                floor_factor: float = 100.0) -> LocalErrorTable:
-    """Sup over the data of the one-step error in the h^s norm, per step size,
-    with a log-log slope over the points above the roundoff floor."""
-    if exact is None:
-        exact = summed_flow(flowA, flowB)
-    block = flowA.generator.block
-    w = core.sobolev_weights(block, s)
-    xs = [x.coeffs for x in samples]
-    ref = max(float(np.linalg.norm(w * x)) for x in xs)
-    floor = floor_factor * np.finfo(float).eps * ref
+                tau_list, s: float, samples) -> LocalErrorTable:
+    """Error table of a split pair of exact flows against their summed flow,
+    in the h^s norm of their block."""
+    return error_table(partial(split_step, scheme, flowA, flowB),
+                       partial(exact_flow, summed_flow(flowA, flowB)),
+                       tau_list, s, core.sobolev_weights(flowA.generator.block, s),
+                       [x.coeffs for x in samples])
+
+
+def error_table(step, exact, tau_list, s: float, weights,
+                xs) -> LocalErrorTable:
+    """Sup over the data vectors xs of the one-step error
+    ||weights * (step(tau) - exact(tau)) x||, per step size, with a log-log
+    slope over the points above the roundoff floor, FLOOR_FACTOR * eps times
+    the largest weighted datum.  ``s`` labels the rows."""
+    ref = max(float(np.linalg.norm(weights * x)) for x in xs)
+    floor = FLOOR_FACTOR * np.finfo(float).eps * ref
     rows = []
     for tau in tau_list:
-        E = split_step(scheme, flowA, flowB, tau) - exact_flow(exact, tau)
-        err = max(float(np.linalg.norm(w * (E @ x))) for x in xs)
+        E = step(tau) - exact(tau)
+        err = max(float(np.linalg.norm(weights * (E @ x))) for x in xs)
         rows.append({"tau": tau, "s": s, "error": err, "floored": err <= floor})
     fit = fit_loglog([r["tau"] for r in rows], [max(r["error"], 1e-300) for r in rows],
                      drop=[r["floored"] for r in rows])
-    if all(r["floored"] for r in rows):
-        fit = None
-    return LocalErrorTable(rows, fit, floor)
+    return LocalErrorTable(rows, fit)
 
 
 # ---------------------------------------------------------------------------
@@ -297,24 +314,19 @@ def loss_scan(levels, s: float, sigma_grid=None, n_samples: int = 6,
     return report
 
 
-def flow_levels(flow_builder, labels, scheme: SplitScheme, tau_star: float,
-                zero_mean: bool = False) -> list[RefinementLevel]:
-    """Refinement levels for scalar flows: flow_builder(label) must return
-    (flowA, flowB) or (flowA, flowB, exact_spec) on the label's block."""
-    levels = []
-    for label in labels:
-        built = flow_builder(label)
-        flowA, flowB = built[0], built[1]
-        exact = built[2] if len(built) > 2 else summed_flow(flowA, flowB)
-        E = split_step(scheme, flowA, flowB, tau_star) - exact_flow(exact, tau_star)
-        block = flowA.generator.block
-        levels.append(RefinementLevel(
-            label, E,
-            weights=lambda s, block=block: core.sobolev_weights(block, s),
-            sampler=lambda reg, n, seed, block=block: [
-                x.coeffs for x in core.rough_samples(block, reg, n, seed,
-                                                     zero_mean=zero_mean)]))
-    return levels
+def refinement_level(label, step, exact, tau_star: float, weights,
+                     sampler) -> RefinementLevel:
+    """Level whose error matrix is the one-step error step(tau_star) -
+    exact(tau_star), with step and exact callables tau -> matrix."""
+    return RefinementLevel(label, step(tau_star) - exact(tau_star), weights,
+                           sampler)
+
+
+def sobolev_space(block):
+    """(weights, sampler) of a scalar block: its h^s weights and rough samples."""
+    return (partial(core.sobolev_weights, block),
+            lambda reg, n, seed: [x.coeffs for x in
+                                  core.rough_samples(block, reg, n, seed)])
 
 
 def loss_estimator(scheme: SplitScheme, flow_builder, labels, s: float,
@@ -322,8 +334,16 @@ def loss_estimator(scheme: SplitScheme, flow_builder, labels, s: float,
                    n_samples: int = 6, seed: int = 0,
                    stability_factor: float = 1.5, growth_tol: float = 0.125,
                    noise_floor: float = 1e-11) -> LossReport:
-    """Loss scan for a scalar split system across block refinement levels."""
-    levels = flow_levels(flow_builder, labels, scheme, tau_star)
+    """Loss scan for a scalar split system across block refinement levels:
+    flow_builder(label) returns (flowA, flowB) on the label's block, and each
+    level's reference is the summed flow."""
+    levels = []
+    for label in labels:
+        flowA, flowB = flow_builder(label)
+        levels.append(refinement_level(
+            label, partial(split_step, scheme, flowA, flowB),
+            partial(exact_flow, summed_flow(flowA, flowB)), tau_star,
+            *sobolev_space(flowA.generator.block)))
     return loss_scan(levels, s, sigma_grid, n_samples, seed,
                      stability_factor, growth_tol, noise_floor)
 

@@ -68,9 +68,9 @@ def sech_smoothing_symbol(mu: float = 1.0) -> SymbolSpec:
                       f"sech_gain(mu={mu})")
 
 
-def symbol_catalog(name: str, mu: float = 1.0, power: float = 1.0) -> SymbolSpec:
-    """Built-in symbols addressable from experiment configs."""
-    table = {
+def symbol_table(mu: float = 1.0, power: float = 1.0) -> dict:
+    """Built-in symbols addressable from experiment configs, by name."""
+    return {
         "one": SymbolSpec(lambda *x: 1.0, 0.0, "one"),
         "laplacian": SymbolSpec(lambda *x: sum(c * c for c in x), 2.0, "laplacian"),
         "first_derivative": SymbolSpec(lambda *x: 1j * x[0], 1.0, "first_derivative"),
@@ -81,6 +81,11 @@ def symbol_catalog(name: str, mu: float = 1.0, power: float = 1.0) -> SymbolSpec
         "ww_omega2": dispersion_squared_symbol(mu),
         "ww_gain": sech_smoothing_symbol(mu),
     }
+
+
+def symbol_catalog(name: str, mu: float = 1.0, power: float = 1.0) -> SymbolSpec:
+    """Built-in symbol by name."""
+    table = symbol_table(mu, power)
     if name not in table:
         raise KeyError(f"unknown symbol {name!r}; known: {sorted(table)}")
     return table[name]
@@ -124,15 +129,20 @@ def rough_even_coeff(seed: int = 7, bound: float = 1.0, cutoff: int = 32):
     return coeff
 
 
-def potential_catalog(name: str, seed: int = 7):
-    """Fourier-coefficient rules for the built-in potentials."""
-    table = {
+def potential_table(seed: int = 7) -> dict:
+    """Fourier-coefficient rules for the built-in potentials, by name."""
+    return {
         "cos": cos_coeff,
         "sin": sin_coeff,
         "two_cos": two_cos_coeff,
         "exp_decay": exp_decay_coeff,
         "rough_even": rough_even_coeff(seed),
     }
+
+
+def potential_catalog(name: str, seed: int = 7):
+    """Built-in potential's coefficient rule by name."""
+    table = potential_table(seed)
     if name not in table:
         raise KeyError(f"unknown potential {name!r}; known: {sorted(table)}")
     return table[name]
@@ -161,7 +171,7 @@ def toeplitz_potential(coeff_fn, block: IndexBlock) -> OpMatrix:
     diff = idx[:, None, :] - idx[None, :, :]
     ent = np.array([coeff_fn(*row) for row in diff.reshape(-1, block.d)],
                    dtype=complex).reshape(block.n, block.n)
-    return OpMatrix(block, ent, toeplitz_hint=True)
+    return OpMatrix(block, ent)
 
 
 def compose(factors, declared_orders=None) -> tuple[OpMatrix, float]:

@@ -125,7 +125,7 @@ def fd_matrix(j: int, sign: int, period: int, d: int = 1) -> OpMatrix:
         ent[np.arange(n), pos] -= 1.0 / h
     else:
         raise ValueError("sign must be +1 or -1")
-    return OpMatrix(block, ent, toeplitz_hint=True)
+    return OpMatrix(block, ent)
 
 
 def fd_symbol(j: int, sign: int, period: int, d: int = 1) -> OpMatrix:
@@ -165,7 +165,7 @@ def mult_matrix_from_samples(v_samples: GridFunction) -> OpMatrix:
     diff = representative(block.size, idx[:, None, :] - idx[None, :, :])
     pos, _ = core._positions(block, diff.reshape(-1, block.d))
     ent = vhat[pos].reshape(block.n, block.n)
-    return OpMatrix(block, ent, toeplitz_hint=True)
+    return OpMatrix(block, ent)
 
 
 def mult_matrix_from_coeffs(coeff_fn, period: int, d: int = 1,
@@ -189,7 +189,7 @@ def mult_matrix_from_coeffs(coeff_fn, period: int, d: int = 1,
             added = max(added, float(np.max(np.abs(term))))
         if shell and added < tail_tol:
             break
-    return OpMatrix(block, ent, toeplitz_hint=True)
+    return OpMatrix(block, ent)
 
 
 def mult_matrix_fourier(period: int, d: int = 1, samples: GridFunction | None = None,

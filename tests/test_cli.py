@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from pdmat import cli, reporting
+from pdmat import cli, experiments, flows, reporting
 
 
 def test_parse_config_scalars_and_arrays():
@@ -48,6 +48,38 @@ def test_invalid_values_rejected():
         cli.parse_config('experiment = "nope"')
     with pytest.raises(cli.ConfigError, match="workers"):
         cli.parse_config('experiment = "order_gain"\nworkers = 0')
+
+
+@pytest.mark.parametrize("line,key", [
+    ("M_list = [8, 8, 16]", "M_list"),
+    ("K_list = [32, 32]", "K_list"),
+    ("K_list = [2, 32]", "K_list"),
+    ("tau_list = [0.1, 0.0]", "tau_list"),
+    ("tau_list = [0.6]", "tau_list"),
+    ("n_samples = 0", "n_samples"),
+    ("sigma_max = -0.5", "sigma_max"),
+])
+def test_bad_config_values_rejected_by_name(line, key):
+    with pytest.raises(cli.ConfigError, match=key):
+        cli.parse_config(f'experiment = "waterwave"\n{line}')
+
+
+def test_stability_warning_keeps_waterwave_gates(monkeypatch):
+    fit = flows.FitResult(3.0, 0.0, 0.0, 7)
+    loss = flows.LossReport(0.0, True, (0.0,), (32, 64, 128), {0.0: [1.0]})
+
+    def study(model, schemes, *args, **kwargs):
+        return {"warnings": ["propagator norm bound at s=1 not stable across "
+                             "periods: [1.0, 1.2]"],
+                "slopes": {("strang", 1.0): fit}, "loss": {"strang": loss},
+                "symplectic_defect": {"strang": 0.0},
+                "energy_drift": {"strang": 0.0}, "b0_control": 0.0}
+    monkeypatch.setattr(experiments, "waterwave_noloss_study", study)
+    cfg = cli.parse_config('experiment = "waterwave"\ns_list = [1.0]')
+    _, _, passes, warns = cli.run_waterwave(cfg)
+    assert warns
+    assert passes["waterwave_strang_s1_slope"]
+    assert passes["waterwave_strang_no_loss"]
 
 
 def test_csv_round_trip(tmp_path):

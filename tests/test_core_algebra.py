@@ -31,7 +31,7 @@ def diag_from(block, fn):
 def toeplitz_from(block, coeff):
     ii = axis(block)
     ent = np.array([[coeff(m - n) for n in ii] for m in ii], dtype=complex)
-    return OpMatrix(block, ent, toeplitz_hint=True)
+    return OpMatrix(block, ent)
 
 
 def cos_coeff(k):
@@ -303,7 +303,7 @@ def test_matmul_identity_and_diagonals():
     P = core.matmul(D1, D2)
     np.testing.assert_allclose(np.diag(P.entries),
                                np.array([m / (1 + m * m) for m in axis(block)]))
-    assert P.diagonal_hint
+    assert core.is_diagonal(P)
 
 
 def test_matmul_block_mismatch():
@@ -520,6 +520,12 @@ def test_convolve_identities():
     db = np.zeros(5); db[2] = 1.0   # delta at offset 2
     z = core.convolve(da, db)
     assert z[3] == 1.0 and np.count_nonzero(z) == 1
+    x2 = np.arange(6.0).reshape(2, 3)
+    d2 = np.zeros((3, 2)); d2[1, 1] = 1.0   # delta at offset (1, 1)
+    z2 = core.convolve(x2, d2)
+    assert z2.shape == (4, 4)
+    np.testing.assert_array_equal(z2[1:3, 1:4], x2)
+    assert np.count_nonzero(z2) == np.count_nonzero(x2)
 
 
 @pytest.mark.parametrize("p,q,r", [(1, 1, 1), (2, 1, 2), (2, 2, math.inf)])

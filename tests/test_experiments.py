@@ -31,7 +31,8 @@ def test_flat_bottom_splitting_is_exact():
     ops = experiments.waterwave_assemble(model, 32)
     assert np.max(np.abs(ops.coupling)) == 0.0
     for scheme in (flows.LIE, flows.STRANG):
-        E = ops.split_prop(scheme, 0.1) - ops.exact_prop(0.1)
+        E = flows.compose(scheme, ops.coupling_prop, ops.rotation_prop, 0.1) - \
+            ops.exact_prop(0.1)
         assert np.max(np.abs(E)) < 1e-12
 
 
@@ -70,7 +71,7 @@ def test_rotation_flow_is_isometry(ww_ops):
 
 def test_split_steps_preserve_canonical_form(ww_ops):
     for scheme in (flows.LIE, flows.STRANG):
-        P = ww_ops.split_prop(scheme, 0.05)
+        P = flows.compose(scheme, ww_ops.coupling_prop, ww_ops.rotation_prop, 0.05)
         assert operators.symplectic_defect(P) <= 1e-10
 
 

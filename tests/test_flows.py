@@ -72,6 +72,24 @@ def test_exact_flow_structure_claims_verified():
 # split steps
 
 
+def test_compose_ordering_convention():
+    def a(t):   # shear: does not commute with b
+        return np.array([[1.0, t], [0.0, 1.0]], dtype=complex)
+
+    def b(t):
+        return np.array([[math.cos(t), math.sin(t)],
+                         [-math.sin(t), math.cos(t)]], dtype=complex)
+    tau = 0.3
+    assert np.array_equal(flows.compose(flows.LIE, a, b, tau), a(tau) @ b(tau))
+    assert np.array_equal(flows.compose(flows.STRANG, a, b, tau),
+                          b(tau / 2) @ a(tau) @ b(tau / 2))
+    scheme = flows.composition_scheme(4)
+    expected = np.eye(2, dtype=complex)
+    for g in scheme.coefficients:
+        expected = flows.compose(flows.STRANG, a, b, g * tau) @ expected
+    assert np.array_equal(flows.compose(scheme, a, b, tau), expected)
+
+
 def test_split_step_identity_at_zero():
     fa, fb = schrodinger_pair(8)
     for scheme in (flows.LIE, flows.STRANG, flows.composition_scheme(4)):

@@ -24,7 +24,7 @@ def test_fourier_multiplier_basics():
     Q = operators.fourier_multiplier(operators.symbol_catalog("laplacian"), block)
     p, _ = core._positions(block, [[3]])
     assert Q.entries[p[0], p[0]] == 9.0
-    assert Q.diagonal_hint
+    assert core.is_diagonal(Q)
 
 
 def test_fourier_multiplier_rejects_nonfinite():
