@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import time
+import traceback
 import warnings as _warnings
 from dataclasses import dataclass, asdict
 
@@ -129,11 +130,22 @@ def _parse_scalar(token: str):
         return token
 
 
+def _strip_comment(line: str) -> str:
+    """The line up to the first # outside double quotes."""
+    quoted = False
+    for i, ch in enumerate(line):
+        if ch == '"':
+            quoted = not quoted
+        elif ch == "#" and not quoted:
+            return line[:i]
+    return line
+
+
 def parse_config(text: str) -> ExperimentConfig:
-    """Flat key = value lines; arrays in brackets; # comments."""
+    """Flat key = value lines; arrays in brackets; # comments outside quotes."""
     values: dict = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _strip_comment(raw).strip()
         if not line:
             continue
         if "=" not in line:
@@ -492,7 +504,7 @@ RUNNERS = {
 def run(cfg: ExperimentConfig, outdir) -> int:
     cfg.validate()
     os.makedirs(outdir, exist_ok=True)
-    status, warns = "ok", []
+    status, warns, tb = "ok", [], None
     try:
         with _warnings.catch_warnings(record=True) as caught:
             _warnings.simplefilter("always")
@@ -501,7 +513,7 @@ def run(cfg: ExperimentConfig, outdir) -> int:
                                        [str(w.message) for w in caught]))
     except Exception as exc:  # job marked failed, manifest still written
         rows, fits, passes = [], {}, {}
-        status = f"failed: {exc}"
+        status, tb = f"failed: {exc}", traceback.format_exc()
     notes = []
     if "runtime_seconds" in fits:
         # wall-clock time goes to the manifest, keeping fits.json deterministic
@@ -510,7 +522,8 @@ def run(cfg: ExperimentConfig, outdir) -> int:
                         CSV_COLUMNS[cfg.experiment], rows, cfg.experiment)
     reporting.write_json(os.path.join(outdir, "fits.json"), fits)
     reporting.write_manifest(outdir, cfg.experiment, asdict(cfg), passes,
-                             status, __version__, warnings=warns, notes=notes)
+                             status, __version__, warnings=warns, notes=notes,
+                             traceback=tb)
     if status != "ok":
         print(f"FAILED {cfg.experiment}: {status}", file=sys.stderr)
         return 1

@@ -13,7 +13,10 @@ the plain Lie baseline.
 Sobolev growth: for a diagonal generator plus a time-dependent Hermitian
 perturbation of order rho < 1, the h^s norms grow at most polynomially with
 exponent s/(1-rho); trajectories use exact frozen-coefficient steps so only
-that bound is measured, not integrator error.
+that bound is measured, not integrator error. The generator is real,
+nearest-neighbour on Z_K and even under k -> -k, which is checked: in the
+basis of even, then odd, sequences it is one symmetric tridiagonal matrix,
+and each step diagonalizes that matrix exactly.
 """
 
 from __future__ import annotations
@@ -266,11 +269,13 @@ class PreconditionedSchroedinger:
 
     The change of variable solves the homological identity exactly at finite
     dimension: A + B + i[X, A] = A + Z with Z supported on the resonant pairs
-    {n, -n}, and R is defined as the exact conjugation remainder."""
+    {n, -n}, and R is defined as the exact conjugation remainder. H = A + B
+    is built once, so the reference flow's eigendecomposition is cached."""
 
     block: object
     A: OpMatrix
     B: OpMatrix
+    H: OpMatrix
     X: OpMatrix
     Z: OpMatrix
     R: OpMatrix
@@ -279,8 +284,7 @@ class PreconditionedSchroedinger:
     pairs: list
 
     def exact_prop(self, tau: float) -> np.ndarray:
-        return flows.exact_flow(flows.FlowSpec(self.A + self.B, flows.HERMITIAN,
-                                               "i"), tau)
+        return flows.exact_flow(flows.FlowSpec(self.H, flows.HERMITIAN, "i"), tau)
 
     def block_diag_prop(self, tau: float) -> np.ndarray:
         """Exponential of the resonant part via per-pair 2x2 Hermitian blocks."""
@@ -318,6 +322,7 @@ def schroedinger_assemble(v_coeffs, radius: int) -> PreconditionedSchroedinger:
             raise ValueError("potential must be real (conjugate-even coefficients)")
     A = core.diagonal_matrix(block, (idx.astype(float)) ** 2)
     B = operators.toeplitz_potential(v_coeffs, block)
+    H = A + B
     n = block.n
     X = np.zeros((n, n), dtype=complex)
     Z = np.zeros((n, n), dtype=complex)
@@ -332,7 +337,7 @@ def schroedinger_assemble(v_coeffs, radius: int) -> PreconditionedSchroedinger:
     w, V = np.linalg.eigh(Xm.entries)
     exp_plus = (V * np.exp(1j * w)) @ V.conj().T
     exp_minus = (V * np.exp(-1j * w)) @ V.conj().T
-    conj = exp_plus @ (A.entries + B.entries) @ exp_minus
+    conj = exp_plus @ H.entries @ exp_minus
     R = OpMatrix(block, conj - A.entries - Zm.entries)
     pairs = []
     origin = block.origin()
@@ -341,7 +346,7 @@ def schroedinger_assemble(v_coeffs, radius: int) -> PreconditionedSchroedinger:
         p_pos, _ = core._positions(block, [[m]])
         p_neg, _ = core._positions(block, [[-m]])
         pairs.append([p_neg[0], p_pos[0]])
-    return PreconditionedSchroedinger(block, A, B, Xm, Zm, R,
+    return PreconditionedSchroedinger(block, A, B, H, Xm, Zm, R,
                                       exp_plus, exp_minus, pairs)
 
 
@@ -458,39 +463,70 @@ class GrowthModel:
             base = (j[:, None] * base) * j[None, :]
         return base
 
-    def perturbation(self, t: float, block) -> np.ndarray:
-        return math.cos(t) * self.perturbation_base(block)
-
     def validity_horizon(self, period: int) -> float:
         return float(period) ** (1.0 - self.rho)
+
+
+def _parity_basis(block) -> tuple[np.ndarray, np.ndarray]:
+    """Real orthogonal Q from the reflection k -> -k on Z_K: the even unit
+    sequences, then the odd ones, each ordered by |k|; with the position of
+    one index k of each column."""
+    idx = block.indices()
+    partner, _ = core._positions(block, -idx)
+    rep = np.flatnonzero(partner <= np.arange(block.n))
+    rep = rep[np.argsort(np.abs(idx[rep, 0]), kind="stable")]
+    pair = rep[partner[rep] != rep]
+    even, odd = np.arange(len(rep)), np.arange(len(rep), block.n)
+    Q = np.zeros((block.n, block.n))
+    Q[rep, even] = Q[partner[rep], even] = np.where(partner[rep] == rep, 1.0,
+                                                    math.sqrt(0.5))
+    Q[pair, odd], Q[partner[pair], odd] = math.sqrt(0.5), -math.sqrt(0.5)
+    return Q, np.concatenate([rep, pair])
 
 
 def growth_trajectory(model: GrowthModel, period: int, horizon: float,
                       s_list, delta: float, seed: int,
                       x0: np.ndarray | None = None) -> dict:
     """Exact frozen-coefficient evolution; the perturbation is held constant
-    at the step midpoint over each step."""
+    at the step midpoint over each step.
+
+    Steps are exact in the parity basis Q of ``_parity_basis``, where
+    diag(phi) + cos(t) base is one symmetric tridiagonal matrix and the h^s
+    weights (even in k) stay diagonal. This needs a real ``perturbation_base``
+    and an even ``phi``; a ValueError names the structure that fails."""
     block = periodic_block(1, period)
-    a_diag = np.array([model.phi(float(k)) for k in block.indices()[:, 0]])
-    a_mat = np.diag(a_diag)
+    Q, cols = _parity_basis(block)
+    phi = np.array([model.phi(float(k)) for k in block.indices()[:, 0]])
     base = model.perturbation_base(block)
-    x = core.rough_samples(block, max(s_list), 1, seed)[0].coeffs.copy() \
-        if x0 is None else np.asarray(x0, dtype=complex).copy()
-    weights = {s: core.sobolev_weights(block, s) for s in s_list}
+    D, T = Q.T @ (phi[:, None] * Q), Q.T @ base.real @ Q
+    tol = 16 * np.finfo(float).eps
+    for failed, what in (
+            (np.any(base.imag), "perturbation_base is not real"),
+            (np.max(np.abs(D - np.diag(np.diag(D)))) > tol * np.max(np.abs(phi)),
+             "Q^T diag(phi) Q is not diagonal: phi is not even in k"),
+            (np.max(np.abs(np.triu(T, 2) + np.tril(T, -2))) >
+             tol * np.max(np.abs(base)), "Q^T perturbation_base Q is not tridiagonal")):
+        if failed:
+            raise ValueError(f"{model.label}: {what}")
+    x = core.rough_samples(block, max(s_list), 1, seed)[0].coeffs \
+        if x0 is None else np.asarray(x0, dtype=complex)
+    # the state is kept as real (re, im) columns, so V and Q stay real
+    y = Q.T @ np.column_stack([x.real, x.imag])
+    a, b, e = np.diag(D), np.diag(T), np.diag(T, -1)
+    weights = {s: core.sobolev_weights(block, s)[cols, None] for s in s_list}
     n_steps = int(round(horizon / delta))
     times = [0.0]
-    norms = {s: [float(np.linalg.norm(weights[s] * x))] for s in s_list}
+    norms = {s: [float(np.linalg.norm(weights[s] * y))] for s in s_list}
     for j in range(n_steps):
-        t_mid = (j + 0.5) * delta
-        H = a_mat + math.cos(t_mid) * base
-        w, V = np.linalg.eigh(H)
-        x = (V * np.exp(1j * delta * w)) @ (V.conj().T @ x)
+        c = math.cos((j + 0.5) * delta)
+        w, V = scipy.linalg.eigh_tridiagonal(a + c * b, c * e)
+        y = V @ (np.exp(1j * delta * w)[:, None] * (V.T @ y).view(complex)).view(float)
         times.append((j + 1) * delta)
         for s in s_list:
-            norms[s].append(float(np.linalg.norm(weights[s] * x)))
+            norms[s].append(float(np.linalg.norm(weights[s] * y)))
     return {"times": np.array(times), "norms": {s: np.array(v) for s, v in
                                                 norms.items()},
-            "final_state": x}
+            "final_state": (Q @ y).view(complex).ravel()}
 
 
 def sobolev_growth_study(model: GrowthModel, horizon: float, s_list, periods,

@@ -75,8 +75,10 @@ def sha256_file(path) -> str:
 
 
 def write_manifest(outdir, experiment: str, config: dict, passes: dict,
-                   status: str, code_version: str, warnings=(), notes=()):
-    """Run manifest with a content hash for every other artifact file."""
+                   status: str, code_version: str, warnings=(), notes=(),
+                   traceback: str | None = None):
+    """Run manifest with a content hash for every other artifact file; the
+    traceback of a failed run sits next to its status."""
     files = {}
     for name in sorted(os.listdir(outdir)):
         if name == "manifest.json" or not os.path.isfile(os.path.join(outdir, name)):
@@ -89,6 +91,7 @@ def write_manifest(outdir, experiment: str, config: dict, passes: dict,
         "files": files,
         "passes": _jsonable(passes),
         "status": status,
+        "traceback": traceback,
         "warnings": list(warnings),
         "notes": list(notes),
     }

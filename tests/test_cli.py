@@ -18,8 +18,10 @@ M_list = [8, 16]
 seed = 7
 tau_star = 0.01
 probes = ["waterwave"]
+output_dir = "runs/#3"  # the third run
 """)
     assert cfg.experiment == "order_gain"
+    assert cfg.output_dir == "runs/#3"
     assert cfg.M_list == (8, 16)
     assert cfg.seed == 7
     assert cfg.tau_star == 0.01
@@ -183,5 +185,8 @@ def test_failed_job_marked_in_manifest(tmp_path, monkeypatch):
     rc = cli.run(cfg, tmp_path)
     assert rc == 1
     manifest = reporting.read_manifest(tmp_path)
-    assert manifest["status"].startswith("failed")
+    assert manifest["status"] == "failed: synthetic numerical failure"
+    assert manifest["traceback"].startswith("Traceback")
+    assert "in boom" in manifest["traceback"]
+    assert "ArithmeticError: synthetic numerical failure" in manifest["traceback"]
     assert (tmp_path / "results.csv").exists()

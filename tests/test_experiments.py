@@ -188,6 +188,16 @@ def test_complex_potential_rejected():
         experiments.schroedinger_assemble(bad, 8)
 
 
+def test_exact_prop_reuses_one_eigendecomposition():
+    model = experiments.schroedinger_assemble(operators.two_cos_coeff, 8)
+    misses = flows._eigh_cached.cache_info().misses
+    first = model.exact_prop(0.01)
+    for tau in (0.01, 0.02, 0.04):
+        model.exact_prop(tau)
+    assert flows._eigh_cached.cache_info().misses == misses + 1
+    assert np.array_equal(model.exact_prop(0.01), first)
+
+
 # ---------------------------------------------------------------------------
 # growth study
 
@@ -199,6 +209,52 @@ def test_diagonal_only_growth_is_isometric():
                                            richardson=False)
     assert res["ratio"][(1.0, 16)]["max_valid"] <= 1.0 + 1e-12
     assert res["conservation"][16] <= 1e-10
+
+
+def _dense_growth(model, period, horizon, s_list, delta, x0):
+    """The dense complex step: eigh(diag(phi) + cos(t_mid) base) per step."""
+    block = core.periodic_block(1, period)
+    phi = np.array([model.phi(float(k)) for k in block.indices()[:, 0]])
+    base = model.perturbation_base(block)
+    weights = {s: core.sobolev_weights(block, s) for s in s_list}
+    x = np.asarray(x0, dtype=complex)
+    norms = {s: [np.linalg.norm(weights[s] * x)] for s in s_list}
+    for j in range(int(round(horizon / delta))):
+        w, V = np.linalg.eigh(np.diag(phi) + math.cos((j + 0.5) * delta) * base)
+        x = (V * np.exp(1j * delta * w)) @ (V.conj().T @ x)
+        for s in s_list:
+            norms[s].append(np.linalg.norm(weights[s] * x))
+    return x, {s: np.array(v) for s, v in norms.items()}
+
+
+@pytest.mark.parametrize("probe", ["growth_rho0", "growth_rhom1"])
+@pytest.mark.parametrize("period", [16, 32, 64])
+def test_parity_step_matches_dense_eigh(probe, period):
+    model = experiments.growth_model(probe)
+    x0 = core.rough_samples(core.periodic_block(1, period), 2.0, 1, SEED)[0].coeffs
+    s_list = (0.0, 1.0, 2.0)
+    tr = experiments.growth_trajectory(model, period, 2.0, s_list, 0.01, SEED,
+                                       x0=x0)
+    x, norms = _dense_growth(model, period, 2.0, s_list, 0.01, x0)
+    assert len(tr["times"]) == 201
+    assert np.linalg.norm(tr["final_state"] - x) <= 1e-12 * np.linalg.norm(x)
+    for s in s_list:
+        assert np.all(np.abs(tr["norms"][s] - norms[s]) <= 1e-12 * norms[s])
+
+
+def test_growth_rejects_structure_it_cannot_step():
+    odd_phi = experiments.GrowthModel(phi=lambda x: x ** 3, label="cubic")
+    with pytest.raises(ValueError, match="phi is not even"):
+        experiments.growth_trajectory(odd_phi, 16, 0.1, (0.0,), 0.01, SEED)
+    wide = experiments.GrowthModel(label="wide")
+    wide.perturbation_base = lambda block: \
+        np.roll(np.eye(block.n), 2, 1) + np.roll(np.eye(block.n), -2, 1)
+    with pytest.raises(ValueError, match="not tridiagonal"):
+        experiments.growth_trajectory(wide, 16, 0.1, (0.0,), 0.01, SEED)
+    imaginary = experiments.GrowthModel(label="imaginary")
+    imaginary.perturbation_base = lambda block: 1j * np.eye(block.n)
+    with pytest.raises(ValueError, match="not real"):
+        experiments.growth_trajectory(imaginary, 16, 0.1, (0.0,), 0.01, SEED)
 
 
 def test_growth_rho0_bounded_and_conservative():
