@@ -91,6 +91,10 @@ class ExperimentConfig:
             values = getattr(self, name)
             if any(a >= b for a, b in zip(values, values[1:])):
                 raise ConfigError(f"{name} must be strictly increasing")
+        if self.experiment in ("order_gain", "schroedinger_precond") and \
+                len(self.M_list) < 2:
+            raise ConfigError("M_list must have at least 2 radii for "
+                              f"{self.experiment} (order certification)")
         if any(k % 2 or k < 4 for k in self.K_list):
             raise ConfigError("K_list entries must be even and at least 4")
         if any(not 0 < t <= flows.TAU_MAX for t in self.tau_list):

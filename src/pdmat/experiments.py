@@ -377,7 +377,18 @@ def telescoping_defect(model: PreconditionedSchroedinger, tau: float,
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def smoothing_remainder_family(v_coeffs, radii, margin: int = 2) -> list[OpMatrix]:
+def _schroedinger_model(v_coeffs, radius: int, models: dict | None):
+    """schroedinger_assemble(v_coeffs, radius), kept in ``models`` (a dict
+    keyed by radius) when one is given, so each radius is built once."""
+    if models is None:
+        return schroedinger_assemble(v_coeffs, radius)
+    if radius not in models:
+        models[radius] = schroedinger_assemble(v_coeffs, radius)
+    return models[radius]
+
+
+def smoothing_remainder_family(v_coeffs, radii, margin: int = 2,
+                               models: dict | None = None) -> list[OpMatrix]:
     """Remainder family prepared for order certification.
 
     Each member is computed exactly on a block enlarged by ``margin`` and then
@@ -385,10 +396,11 @@ def smoothing_remainder_family(v_coeffs, radii, margin: int = 2) -> list[OpMatri
     cutting the change-of-variable band) stays outside the certified window;
     entries below the backward-error scale of the conjugation (eps times the
     generator norm) are zeroed, since they are roundoff, not structure.
+    ``models`` shares assembled radii between calls (see _schroedinger_model).
     """
     fam = []
     for M in radii:
-        big = schroedinger_assemble(v_coeffs, margin * M)
+        big = _schroedinger_model(v_coeffs, margin * M, models)
         scale = float(np.max(np.abs(big.A.entries)) + np.max(np.abs(big.B.entries)))
         thresh = 100 * np.finfo(float).eps * scale
         Rr = periodic.restrict(big.R, M)
@@ -397,11 +409,11 @@ def smoothing_remainder_family(v_coeffs, radii, margin: int = 2) -> list[OpMatri
     return fam
 
 
-def schroedinger_levels(v_coeffs, radii, preconditioned: bool,
-                        tau_star: float) -> list[flows.RefinementLevel]:
+def schroedinger_levels(v_coeffs, radii, preconditioned: bool, tau_star: float,
+                        models: dict | None = None) -> list[flows.RefinementLevel]:
     levels = []
     for M in radii:
-        model = schroedinger_assemble(v_coeffs, M)
+        model = _schroedinger_model(v_coeffs, M, models)
         step = model.preconditioned_prop if preconditioned else \
             model.lie_baseline_prop
         levels.append(flows.refinement_level(M, step, model.exact_prop, tau_star,
@@ -413,15 +425,17 @@ def preconditioned_lie_study(v_coeffs, tau_list, s_list, radii, seed: int = 0,
                              tau_star: float = 0.005, sigma_grid=None,
                              n_samples: int = 6) -> dict:
     """Local-order fit and loss scan of the pre/post-processed Lie step, with
-    the plain Lie baseline for contrast."""
+    the plain Lie baseline for contrast.  Each radius is assembled once, in
+    the order of first use."""
     out: dict = {}
+    models: dict = {}
     M_ref = max(radii)
-    model = schroedinger_assemble(v_coeffs, M_ref)
+    model = _schroedinger_model(v_coeffs, M_ref, models)
     out["homological_defect"] = homological_defect(model)
     out["off_resonant_defect"] = off_resonant_identity_defect(model)
     out["telescoping_defect"] = telescoping_defect(model, 0.01, 10)
     out["remainder_order"] = core.estimate_order(
-        smoothing_remainder_family(v_coeffs, radii)).r_hat
+        smoothing_remainder_family(v_coeffs, radii, models=models)).r_hat
     out["slopes"] = {}
     weights, sampler = flows.sobolev_space(model.block)
     for s in s_list:
@@ -434,12 +448,12 @@ def preconditioned_lie_study(v_coeffs, tau_list, s_list, radii, seed: int = 0,
              "level": M_ref} for r in tab.rows)
     s0 = s_list[0]
     out["loss_preconditioned"] = flows.loss_scan(
-        schroedinger_levels(v_coeffs, radii, True, tau_star), s0, sigma_grid,
-        n_samples, seed)
+        schroedinger_levels(v_coeffs, radii, True, tau_star, models), s0,
+        sigma_grid, n_samples, seed)
     out["loss_preconditioned"].tau_order = out["slopes"][s0]
     out["loss_baseline"] = flows.loss_scan(
-        schroedinger_levels(v_coeffs, radii, False, tau_star), s0, sigma_grid,
-        n_samples, seed)
+        schroedinger_levels(v_coeffs, radii, False, tau_star, models), s0,
+        sigma_grid, n_samples, seed)
     return out
 
 

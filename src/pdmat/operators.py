@@ -163,15 +163,18 @@ def fourier_multiplier(phi, block: IndexBlock) -> OpMatrix:
 
 
 def toeplitz_potential(coeff_fn, block: IndexBlock) -> OpMatrix:
-    """Toeplitz matrix of Fourier coefficients: entry(m, n) = coeff(m - n)."""
+    """Toeplitz matrix of Fourier coefficients: entry(m, n) = coeff(m - n).
+
+    coeff_fn is called once per distinct difference m - n, in the order in
+    which the differences first appear in row-major order over (m, n), and
+    its values are gathered into the matrix.
+    """
     if block.mode != core.TRUNCATED:
         raise ValueError("toeplitz_potential builds the truncated-side matrix; "
                          "use spectral.mult_matrix_fourier on periodic blocks")
     idx = block.indices()
     diff = idx[:, None, :] - idx[None, :, :]
-    ent = np.array([coeff_fn(*row) for row in diff.reshape(-1, block.d)],
-                   dtype=complex).reshape(block.n, block.n)
-    return OpMatrix(block, ent)
+    return OpMatrix(block, core._per_distinct(coeff_fn, diff))
 
 
 def compose(factors, declared_orders=None) -> tuple[OpMatrix, float]:

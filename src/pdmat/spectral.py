@@ -13,6 +13,7 @@ kept as test oracles.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,20 +172,24 @@ def mult_matrix_from_samples(v_samples: GridFunction) -> OpMatrix:
 def mult_matrix_from_coeffs(coeff_fn, period: int, d: int = 1,
                             tail_tol: float = 1e-18, max_shells: int = 64) -> OpMatrix:
     """Fourier-side multiplication matrix from exact coefficients, folded as
-    the alias sum over coeff(diff + l K); shells are added until negligible."""
+    the alias sum over coeff(diff + l K); shells are added until negligible.
+
+    For each alias offset l (shell by shell, offsets in lexicographic order)
+    coeff_fn is called once per distinct diff + l K, in the order in which
+    those first appear in row-major order over the entries, and its values
+    are gathered.
+    """
     block = periodic_block(d, period)
     idx = block.indices()
     diff = representative(period, idx[:, None, :] - idx[None, :, :])
     ent = np.zeros((block.n, block.n), dtype=complex)
-    import itertools as _it
     for shell in range(max_shells):
         added = 0.0
-        offs = [l for l in _it.product(range(-shell, shell + 1), repeat=d)
-                if max(abs(c) for c in l) == shell] if shell else [(0,) * d]
-        for l in offs:
-            k = diff + period * np.asarray(l, dtype=np.int64)
-            term = np.array([coeff_fn(*row) for row in k.reshape(-1, d)],
-                            dtype=complex).reshape(block.n, block.n)
+        for l in itertools.product(range(-shell, shell + 1), repeat=d):
+            if max(abs(c) for c in l) != shell:
+                continue
+            term = core._per_distinct(
+                coeff_fn, diff + period * np.asarray(l, dtype=np.int64))
             ent += term
             added = max(added, float(np.max(np.abs(term))))
         if shell and added < tail_tol:

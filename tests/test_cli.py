@@ -66,6 +66,12 @@ def test_bad_config_values_rejected_by_name(line, key):
         cli.parse_config(f'experiment = "waterwave"\n{line}')
 
 
+@pytest.mark.parametrize("experiment", ["order_gain", "schroedinger_precond"])
+def test_single_radius_rejected_for_order_certification(experiment):
+    with pytest.raises(cli.ConfigError, match="M_list"):
+        cli.parse_config(f'experiment = "{experiment}"\nM_list = [16]')
+
+
 def test_stability_warning_keeps_waterwave_gates(monkeypatch):
     fit = flows.FitResult(3.0, 0.0, 0.0, 7)
     loss = flows.LossReport(0.0, True, (0.0,), (32, 64, 128), {0.0: [1.0]})

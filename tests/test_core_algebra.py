@@ -453,6 +453,78 @@ def test_estimate_order_sentinel_when_nothing_certifies():
     assert core.estimate_order(fam).r_hat == math.inf
 
 
+def test_estimate_order_rejects_single_member_family():
+    with pytest.raises(ValueError, match="at least 2"):
+        core.estimate_order([core.identity(truncated_block(1, 8))])
+
+
+def entrywise_order_scan(family, alpha_grid, decay_grid, order_grid):
+    """Seminorm table of an order scan evaluated over every entry:
+    |D| (1+dist)^decay / (1+size)^(r-|alpha|), dist and size read per entry
+    from the indices, sup over the defined entries.  The two powers are taken
+    on whole arrays, as the library takes them: vectorized and scalar pow may
+    differ in the last place."""
+    out = np.zeros((len(order_grid), len(alpha_grid), len(decay_grid), len(family)))
+    for i_m, A in enumerate(family):
+        block = A.block
+        idx = block.indices()
+        n = block.n
+        dist = np.zeros((n, n))
+        size = np.zeros((n, n))
+        for i in range(n):
+            for j in range(n):
+                gap = idx[i] - idx[j]
+                if block.mode == core.PERIODIC:
+                    gap = core.representative(block.size, gap)
+                dist[i, j] = np.abs(gap).sum()
+                size[i, j] = np.abs(idx[i]).sum() + np.abs(idx[j]).sum()
+        for i_a, alpha in enumerate(alpha_grid):
+            D = core.delta(A, alpha)
+            defined = np.ones((n, n), bool) if D.defined is None else D.defined
+            for i_n, decay in enumerate(decay_grid):
+                for i_r, r in enumerate(order_grid):
+                    ratio = np.abs(D.entries) * (1.0 + dist) ** decay / \
+                        (1.0 + size) ** (r - sum(abs(a) for a in alpha))
+                    out[i_r, i_a, i_n, i_m] = ratio[defined].max()
+    return out
+
+
+@pytest.mark.parametrize("case", ["truncated_1d", "periodic_1d", "truncated_2d"])
+def test_estimate_order_matches_entrywise_scan(case):
+    rng = np.random.default_rng(RNG_SEED + 11)
+    if case == "truncated_1d":
+        fam = [core.commutator(diag_from(truncated_block(1, M), lambda m: m * m),
+                               toeplitz_from(truncated_block(1, M),
+                                             lambda k: math.exp(-abs(k))))
+               for M in (6, 10, 16)]
+        alpha_grid = ((0,), (1,), (-1,), (2,))
+    elif case == "periodic_1d":
+        fam = [random_periodic(periodic_block(1, K), rng) for K in (8, 12, 16)]
+        alpha_grid = ((0,), (1,), (-2,))
+    else:
+        fam = []
+        for M in (3, 4, 5):
+            block = truncated_block(2, M)
+            idx = block.indices()
+            fam.append(core.diagonal_matrix(
+                block, (idx[:, 0] ** 2 + idx[:, 1] ** 2).astype(complex)) +
+                OpMatrix(block, 1e-3 * rng.standard_normal((block.n, block.n))))
+        alpha_grid = ((0, 0), (1, 0), (0, -1), (1, 1))
+    decay_grid = (0, 2, 5)
+    order_grid = core.default_order_grid(-1.0, 3.0)
+    est = core.estimate_order(fam, alpha_grid, decay_grid, order_grid)
+    oracle = entrywise_order_scan(fam, alpha_grid, decay_grid, order_grid)
+    assert np.array_equal(est.max_ratios, oracle)
+    certified = np.array([[[core._stable_family(oracle[i_r, i_a, i_n], est.sizes,
+                                                2.0, 0.125)
+                            for i_n in range(len(decay_grid))]
+                           for i_a in range(len(alpha_grid))]
+                          for i_r in range(len(order_grid))])
+    assert np.array_equal(est.certified, certified)
+    full = [r for r, c in zip(order_grid, certified) if c.all()]
+    assert est.r_hat == (full[0] if full else math.inf)
+
+
 # ---------------------------------------------------------------------------
 # algebraic identities (periodic mode, no boundary)
 

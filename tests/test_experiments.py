@@ -169,6 +169,21 @@ def test_telescoping_identity(schro_model):
     assert experiments.telescoping_defect(schro_model, 0.01, 10) <= 1e-10
 
 
+def test_preconditioned_study_assembles_each_radius_once(monkeypatch):
+    built = []
+    assemble = experiments.schroedinger_assemble
+
+    def counting(v_coeffs, radius):
+        built.append(radius)
+        return assemble(v_coeffs, radius)
+    monkeypatch.setattr(experiments, "schroedinger_assemble", counting)
+    experiments.preconditioned_lie_study(
+        operators.two_cos_coeff, flows.default_tau_list()[:3], (2.0,), (8, 12, 16),
+        seed=SEED, n_samples=2)
+    # M_ref, then the margin-2 remainder radii, then the remaining level
+    assert built == [16, 24, 32, 8, 12]
+
+
 def test_preconditioned_study_orders_and_loss():
     res = experiments.preconditioned_lie_study(
         operators.two_cos_coeff, flows.default_tau_list(), (2.0,), (16, 32, 64),

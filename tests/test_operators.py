@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from pdmat import core, operators
+from pdmat import core, operators, spectral
 from pdmat.core import SobolevVec, truncated_block
 
 SEED = 1789
@@ -49,6 +49,64 @@ def test_toeplitz_potential_constant_and_cos():
     for i, m in enumerate(idx):
         for j, n in enumerate(idx):
             assert B.entries[i, j] == (0.5 if abs(m - n) == 1 else 0.0)
+
+
+def entrywise_toeplitz(coeff, block):
+    """coeff(m - n) evaluated entry by entry, in row-major order."""
+    idx = block.indices()
+    return np.array([[coeff(*(m - n)) for n in idx] for m in idx], dtype=complex)
+
+
+@pytest.mark.parametrize("d,M", [(1, 12), (2, 4)])
+def test_toeplitz_potential_matches_entrywise(d, M):
+    block = truncated_block(d, M)
+    for make in (lambda: operators.exp_decay_coeff, lambda: operators.sin_coeff,
+                 lambda: operators.rough_even_coeff(SEED, cutoff=5)):
+        # a fresh lazily drawn rule on each side pins down the call order
+        B = operators.toeplitz_potential(make(), block)
+        assert np.array_equal(B.entries, entrywise_toeplitz(make(), block))
+
+
+def test_toeplitz_potential_calls_rule_once_per_difference():
+    calls = []
+
+    def rule(*k):
+        calls.append(k)
+        return 1.0
+    block = truncated_block(2, 3)
+    operators.toeplitz_potential(rule, block)
+    assert len(calls) == len(set(calls)) == (4 * 3 + 1) ** 2
+
+
+def entrywise_alias_sum(coeff, period, d, tail_tol=1e-18):
+    """Alias sum over coeff(diff + l K), shell by shell, entry by entry."""
+    idx = core.periodic_block(d, period).indices()
+    n = len(idx)
+    diff = [[core.representative(period, m - k) for k in idx] for m in idx]
+    ent = np.zeros((n, n), dtype=complex)
+    for shell in range(64):
+        added = 0.0
+        for l in np.ndindex(*(2 * shell + 1,) * d):
+            l = np.array(l) - shell
+            if np.abs(l).max() != shell:
+                continue
+            term = np.array([[coeff(*(gap + period * l)) for gap in row]
+                             for row in diff], dtype=complex)
+            ent += term
+            added = max(added, float(np.max(np.abs(term))))
+        if shell and added < tail_tol:
+            break
+    return ent
+
+
+@pytest.mark.parametrize("d,K,make", [
+    (1, 16, lambda: operators.exp_decay_coeff),
+    (1, 16, lambda: operators.rough_even_coeff(SEED)),
+    (2, 8, lambda: operators.rough_even_coeff(SEED, cutoff=6)),
+])
+def test_mult_matrix_from_coeffs_matches_entrywise(d, K, make):
+    P = spectral.mult_matrix_from_coeffs(make(), K, d)
+    assert np.array_equal(P.entries, entrywise_alias_sum(make(), K, d))
 
 
 def test_toeplitz_decay_constant():
