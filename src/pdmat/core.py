@@ -165,7 +165,7 @@ def _weight_arrays(block: IndexBlock) -> tuple[np.ndarray, tuple]:
         diff = representative(block.size, diff)
     dist = np.abs(diff).sum(axis=2).astype(float)
     dist.setflags(write=False)
-    l1 = np.abs(idx).sum(axis=1)
+    l1 = _l1_sizes(block).astype(np.int64)
     perm = np.argsort(l1, kind="stable")
     starts = np.flatnonzero(np.diff(l1[perm], prepend=-1))
     values = l1[perm][starts]
@@ -187,23 +187,24 @@ def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     flat = keys.reshape(-1, keys.shape[-1])
     lo = flat.min(axis=0)
     code = np.ravel_multi_index(tuple((flat - lo).T), flat.max(axis=0) - lo + 1)
-    first = np.full(code.max() + 1, code.size)
-    np.minimum.at(first, code, np.arange(code.size))
-    first = np.sort(first[first < code.size])
-    rank = np.empty_like(first)
+    n = code.size
+    earliest = np.full(code.max() + 1, n)
+    np.minimum.at(earliest, code, np.arange(n))
+    # codes that no row has keep the sentinel n, which the mark drops
+    opens = np.zeros(n + 1, dtype=bool)
+    opens[earliest] = True
+    first = np.flatnonzero(opens[:n])
+    rank = np.empty(code.max() + 1, dtype=np.intp)
     rank[code[first]] = np.arange(first.size)
     return first, rank[code]
 
 
-def _per_distinct(rule, keys: np.ndarray) -> np.ndarray:
-    """rule(*row) for every row of keys (..., d), as a complex array of shape
-    keys.shape[:-1].  The rule is called once per distinct row, in order of
-    first appearance, so a rule that draws values lazily
+def _per_distinct(rule, rows: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+    """rule(*row) for each of the distinct rows (r, d), in order, gathered
+    by ``inverse`` (from _distinct_rows) into a flat complex array.  With the
+    rows in order of first appearance, a rule that draws values lazily
     (``operators.rough_even_coeff``) draws them as an entry loop would."""
-    first, inverse = _distinct_rows(keys)
-    rows = keys.reshape(-1, keys.shape[-1])[first]
-    vals = np.array([rule(*row) for row in rows], dtype=complex)
-    return vals[inverse].reshape(keys.shape[:-1])
+    return np.array([rule(*row) for row in rows], dtype=complex)[inverse]
 
 
 # ---------------------------------------------------------------------------

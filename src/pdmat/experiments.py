@@ -377,11 +377,9 @@ def telescoping_defect(model: PreconditionedSchroedinger, tau: float,
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def _schroedinger_model(v_coeffs, radius: int, models: dict | None):
+def _schroedinger_model(v_coeffs, radius: int, models: dict):
     """schroedinger_assemble(v_coeffs, radius), kept in ``models`` (a dict
-    keyed by radius) when one is given, so each radius is built once."""
-    if models is None:
-        return schroedinger_assemble(v_coeffs, radius)
+    keyed by radius), so each radius is built once."""
     if radius not in models:
         models[radius] = schroedinger_assemble(v_coeffs, radius)
     return models[radius]
@@ -398,6 +396,7 @@ def smoothing_remainder_family(v_coeffs, radii, margin: int = 2,
     generator norm) are zeroed, since they are roundoff, not structure.
     ``models`` shares assembled radii between calls (see _schroedinger_model).
     """
+    models = {} if models is None else models
     fam = []
     for M in radii:
         big = _schroedinger_model(v_coeffs, margin * M, models)
@@ -411,6 +410,7 @@ def smoothing_remainder_family(v_coeffs, radii, margin: int = 2,
 
 def schroedinger_levels(v_coeffs, radii, preconditioned: bool, tau_star: float,
                         models: dict | None = None) -> list[flows.RefinementLevel]:
+    models = {} if models is None else models
     levels = []
     for M in radii:
         model = _schroedinger_model(v_coeffs, M, models)

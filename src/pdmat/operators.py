@@ -174,7 +174,9 @@ def toeplitz_potential(coeff_fn, block: IndexBlock) -> OpMatrix:
                          "use spectral.mult_matrix_fourier on periodic blocks")
     idx = block.indices()
     diff = idx[:, None, :] - idx[None, :, :]
-    return OpMatrix(block, core._per_distinct(coeff_fn, diff))
+    first, inverse = core._distinct_rows(diff)
+    ent = core._per_distinct(coeff_fn, diff.reshape(-1, block.d)[first], inverse)
+    return OpMatrix(block, ent.reshape(block.n, block.n))
 
 
 def compose(factors, declared_orders=None) -> tuple[OpMatrix, float]:

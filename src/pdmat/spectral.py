@@ -177,19 +177,26 @@ def mult_matrix_from_coeffs(coeff_fn, period: int, d: int = 1,
     For each alias offset l (shell by shell, offsets in lexicographic order)
     coeff_fn is called once per distinct diff + l K, in the order in which
     those first appear in row-major order over the entries, and its values
-    are gathered.
+    are gathered.  Adding l K maps distinct differences to distinct values in
+    the same order of first appearance, so the differences are grouped once
+    and every offset reuses the grouping.
     """
     block = periodic_block(d, period)
+    # allocated before the grouping's temporaries, so that freeing them
+    # leaves no hole in the heap below the result
+    ent = np.zeros((block.n, block.n), dtype=complex)
     idx = block.indices()
     diff = representative(period, idx[:, None, :] - idx[None, :, :])
-    ent = np.zeros((block.n, block.n), dtype=complex)
+    first, inverse = core._distinct_rows(diff)
+    rows = diff.reshape(-1, d)[first]
     for shell in range(max_shells):
         added = 0.0
         for l in itertools.product(range(-shell, shell + 1), repeat=d):
             if max(abs(c) for c in l) != shell:
                 continue
             term = core._per_distinct(
-                coeff_fn, diff + period * np.asarray(l, dtype=np.int64))
+                coeff_fn, rows + period * np.asarray(l, dtype=np.int64),
+                inverse).reshape(block.n, block.n)
             ent += term
             added = max(added, float(np.max(np.abs(term))))
         if shell and added < tail_tol:

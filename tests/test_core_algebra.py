@@ -458,6 +458,14 @@ def test_estimate_order_rejects_single_member_family():
         core.estimate_order([core.identity(truncated_block(1, 8))])
 
 
+def test_distinct_rows_accepts_sparse_keys():
+    # keys whose bounding box is mostly empty: 3 distinct rows, codes up to 47
+    keys = np.array([[5, 0], [0, 7], [5, 0], [3, 3], [0, 7]])
+    first, inverse = core._distinct_rows(keys)
+    assert first.tolist() == [0, 1, 3]
+    assert inverse.tolist() == [0, 1, 0, 2, 1]
+
+
 def entrywise_order_scan(family, alpha_grid, decay_grid, order_grid):
     """Seminorm table of an order scan evaluated over every entry:
     |D| (1+dist)^decay / (1+size)^(r-|alpha|), dist and size read per entry
