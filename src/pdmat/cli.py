@@ -50,40 +50,50 @@ CSV_COLUMNS = {
 }
 
 
+# Gate bounds and sampling sizes used by more than one runner.  They are
+# fixed here rather than read from the config, so that no config can set the
+# bound its own gates are judged by; a bound used at one gate is written there.
+FIT_BAND = 0.25         # |fitted slope or rate - theory| at every slope gate
+ALGEBRA_TOL = 1e-12     # identities that hold exactly up to roundoff
+UNITARY_TOL = 1e-10     # symplectic and telescoping defects of one step
+N_SAMPLES = 6           # rough data vectors in each error sup
+TAU_STAR = 0.005        # reference step of a loss level, as in the library
+TAU_LIST = flows.default_tau_list()
+
+# experiments whose gates compare refinement levels, and the grids that hold
+# those levels; a single level makes such a gate unable to fail
+_REFINED_GRIDS = {"order_gain": ("M_list",), "schroedinger_precond": ("M_list",),
+                  "loss_scan": ("M_list", "K_list"), "waterwave": ("K_list",)}
+
+
+def _study_periods(K_list) -> tuple:
+    """Periods of the approximation and growth studies: those at least 32,
+    or every period when none is."""
+    return tuple(k for k in K_list if k >= 32) or tuple(K_list)
+
+
 @dataclass
 class ExperimentConfig:
-    """All grids, probes, seeds and tolerances of one batch run."""
+    """What one batch run sweeps: experiment, probes, grids, seed, output
+    directory, worker threads, and the growth horizon and step.  Gate bounds
+    are module constants and cannot be set from a config."""
 
     experiment: str
     probes: tuple = ()
     M_list: tuple = (16, 32, 64)
     K_list: tuple = (16, 32, 64, 128)
-    tau_list: tuple = flows.default_tau_list()
     s_list: tuple = (0.0, 1.0, 2.0)
-    sigma_max: float = 2.0
     seed: int = 1
     output_dir: str = ""
     workers: int = 1
-    algebra_tol: float = 1e-12
-    unitary_tol: float = 1e-10
-    fit_band: float = 0.25
-    stability_factor: float = 1.5
-    order_theta: float = 2.0
-    growth_tol: float = 0.125
-    tau_star: float = 0.005
     horizon: float = 50.0
     delta: float = 0.01
-    mu: float = 1.0
-    n_samples: int = 6
-
-    def sigma_grid(self):
-        return flows.default_sigma_grid(self.sigma_max)
 
     def validate(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"experiment must be one of {EXPERIMENTS}, "
                               f"got {self.experiment!r}")
-        for name in ("M_list", "K_list", "tau_list", "s_list"):
+        for name in ("M_list", "K_list", "s_list"):
             values = getattr(self, name)
             if not values:
                 raise ConfigError(f"{name} must be nonempty")
@@ -91,19 +101,17 @@ class ExperimentConfig:
             values = getattr(self, name)
             if any(a >= b for a, b in zip(values, values[1:])):
                 raise ConfigError(f"{name} must be strictly increasing")
-        if self.experiment in ("order_gain", "schroedinger_precond") and \
-                len(self.M_list) < 2:
-            raise ConfigError("M_list must have at least 2 radii for "
-                              f"{self.experiment} (order certification)")
+        for name in _REFINED_GRIDS.get(self.experiment, ()):
+            if len(getattr(self, name)) < 2:
+                raise ConfigError(f"{name} must have at least 2 entries for "
+                                  f"{self.experiment} (refinement levels)")
+        if self.experiment in ("approx_rates", "sobolev_growth") and \
+                len(_study_periods(self.K_list)) < 2:
+            raise ConfigError(f"K_list must give {self.experiment} at least 2 "
+                              "periods (entries >= 32, or all when none is)")
         if any(k % 2 or k < 4 for k in self.K_list):
             raise ConfigError("K_list entries must be even and at least 4")
-        if any(not 0 < t <= flows.TAU_MAX for t in self.tau_list):
-            raise ConfigError(f"tau_list entries must be in (0, {flows.TAU_MAX}]")
-        if self.sigma_max < 0:
-            raise ConfigError("sigma_max must be nonnegative")
-        for name in ("algebra_tol", "unitary_tol", "fit_band",
-                     "stability_factor", "order_theta", "growth_tol",
-                     "tau_star", "horizon", "delta", "n_samples"):
+        for name in ("horizon", "delta"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         if self.workers < 1:
@@ -113,8 +121,8 @@ class ExperimentConfig:
         return self
 
 
-_LIST_FIELDS = {"probes", "M_list", "K_list", "tau_list", "s_list"}
-_INT_FIELDS = {"seed", "workers", "n_samples"}
+_LIST_FIELDS = {"probes", "M_list", "K_list", "s_list"}
+_INT_FIELDS = {"seed", "workers"}
 _STR_FIELDS = {"experiment", "output_dir"}
 
 
@@ -217,8 +225,7 @@ def run_order_gain(cfg: ExperimentConfig):
         comm_fam.append(core.commutator(A, B))
     rows, fits = [], {}
     for label, fam in (("product", prod_fam), ("commutator", comm_fam)):
-        est = core.estimate_order(fam, theta=cfg.order_theta,
-                                  growth_tol=cfg.growth_tol)
+        est = core.estimate_order(fam)
         fits[label] = {"r_hat": est.r_hat}
         for i_r, r in enumerate(est.order_grid):
             for i_a, alpha in enumerate(est.alpha_grid):
@@ -239,7 +246,7 @@ def run_order_gain(cfg: ExperimentConfig):
 
 
 def run_approx_rates(cfg: ExperimentConfig):
-    periods = tuple(k for k in cfg.K_list if k >= 32) or cfg.K_list
+    periods = _study_periods(cfg.K_list)
     master = max(periods)
     block = core.truncated_block(1, master)
     s = 2.0
@@ -247,20 +254,20 @@ def run_approx_rates(cfg: ExperimentConfig):
                                      periods, "fd")
     fd_limit = operators.fourier_multiplier(lambda x: 1j * x, block)
     fd = periodic.approx_error(fd_limit, fd_fam, s=s, s_prime=s, data_s=s + 2.0,
-                               n_samples=cfg.n_samples, seed=cfg.seed, probe="fd")
+                               n_samples=N_SAMPLES, seed=cfg.seed, probe="fd")
     mult_fam = periodic.PeriodicFamily(
         lambda k: spectral.mult_matrix_fourier(k, coeff_fn=operators.exp_decay_coeff),
         periods, "mult")
     mult_limit = operators.toeplitz_potential(operators.exp_decay_coeff, block)
     mult = periodic.approx_error(mult_limit, mult_fam, s=4.0, s_prime=2.0,
-                                 data_s=4.0, n_samples=cfg.n_samples,
+                                 data_s=4.0, n_samples=N_SAMPLES,
                                  seed=cfg.seed, probe="mult")
     rows = fd.rows + mult.rows
     fits = {"fd_rate": fd.decay_rate, "fd_residual": fd.residual,
             "mult_rate": mult.decay_rate, "mult_residual": mult.residual}
     passes = {
-        "fd_rate_near_1": abs(fd.decay_rate - 1.0) <= cfg.fit_band,
-        "mult_rate_near_2": abs(mult.decay_rate - 2.0) <= cfg.fit_band,
+        "fd_rate_near_1": abs(fd.decay_rate - 1.0) <= FIT_BAND,
+        "mult_rate_near_2": abs(mult.decay_rate - 2.0) <= FIT_BAND,
     }
     return rows, fits, passes, []
 
@@ -274,8 +281,8 @@ def run_splitting_orders(cfg: ExperimentConfig):
 
     def one(scheme_name, s):
         scheme = flows.LIE if scheme_name == "lie" else flows.STRANG
-        samples = core.rough_samples(block, s + 3.0, cfg.n_samples, cfg.seed)
-        return flows.local_error(scheme, fa, fb, cfg.tau_list, s, samples)
+        samples = core.rough_samples(block, s + 3.0, N_SAMPLES, cfg.seed)
+        return flows.local_error(scheme, fa, fb, TAU_LIST, s, samples)
 
     jobs = [(f"{name}_s{s:g}", lambda n=name, ss=s: one(n, ss))
             for name in ("lie", "strang") for s in cfg.s_list]
@@ -287,7 +294,7 @@ def run_splitting_orders(cfg: ExperimentConfig):
                        "residual": tab.fit.residual if tab.fit else None,
                        "target": target}
         passes[f"{label}_slope"] = tab.fit is not None and \
-            abs(tab.fit.slope - target) <= cfg.fit_band
+            abs(tab.fit.slope - target) <= FIT_BAND
         for r in tab.rows:
             rows.append({"probe": "schrodinger", "scheme": scheme_name,
                          "level": M, "tau": r["tau"], "s": r["s"],
@@ -301,11 +308,7 @@ def run_splitting_orders(cfg: ExperimentConfig):
 def run_loss_scan(cfg: ExperimentConfig):
     rows, fits, passes = [], {}, {}
     rep = flows.loss_estimator(flows.LIE, _schrodinger_builder, cfg.M_list,
-                               s=2.0, sigma_grid=cfg.sigma_grid(),
-                               tau_star=cfg.tau_star, n_samples=cfg.n_samples,
-                               seed=cfg.seed,
-                               stability_factor=cfg.stability_factor,
-                               growth_tol=cfg.growth_tol)
+                               s=2.0, seed=cfg.seed)
     fits["lie_schrodinger"] = {"sigma_hat": rep.sigma_hat,
                                "certified": rep.certified}
     passes["lie_schrodinger_sigma_1"] = rep.certified and rep.sigma_hat == 1.0
@@ -315,9 +318,8 @@ def run_loss_scan(cfg: ExperimentConfig):
                      "norm_ratio": r["norm_ratio"]})
     model = experiments.waterwave_model("waterwave")
     levels = experiments.waterwave_levels(model, cfg.K_list[-3:], flows.STRANG,
-                                          cfg.tau_star)
-    rep_ww = flows.loss_scan(levels, 2.0, cfg.sigma_grid(), cfg.n_samples,
-                             cfg.seed, cfg.stability_factor, cfg.growth_tol)
+                                          TAU_STAR)
+    rep_ww = flows.loss_scan(levels, 2.0, seed=cfg.seed)
     fits["strang_waterwave"] = {"sigma_hat": rep_ww.sigma_hat,
                                 "certified": rep_ww.certified}
     passes["strang_waterwave_sigma_0"] = rep_ww.certified and rep_ww.sigma_hat == 0.0
@@ -333,14 +335,9 @@ def run_waterwave(cfg: ExperimentConfig):
     rows, fits, passes, warns = [], {}, {}, []
     for probe in probes:
         model = experiments.waterwave_model(probe, seed=cfg.seed)
-        if probe == "waterwave" and cfg.mu != 1.0:
-            model = experiments.WaterWaveModel(cfg.mu, operators.cos_coeff,
-                                               f"waterwave_mu{cfg.mu:g}")
         res = experiments.waterwave_noloss_study(
-            model, ["lie", "strang"], cfg.K_list[-3:], cfg.tau_list,
-            [s for s in cfg.s_list if s > 0] or [1.0, 2.0, 3.0],
-            seed=cfg.seed, tau_star=cfg.tau_star, sigma_grid=cfg.sigma_grid(),
-            n_samples=cfg.n_samples)
+            model, ["lie", "strang"], cfg.K_list[-3:], TAU_LIST,
+            [s for s in cfg.s_list if s > 0] or [1.0, 2.0, 3.0], seed=cfg.seed)
         warns.extend(res["warnings"])
         # only the documented order warning (St-Venant) voids the theory
         # bands; the propagator-norm stability message stays a warning
@@ -351,7 +348,7 @@ def run_waterwave(cfg: ExperimentConfig):
             fits[key] = {"slope": fit.slope if fit else None, "target": target}
             if asserted and scheme == "strang":
                 passes[f"{key}_slope"] = fit is not None and \
-                    abs(fit.slope - target) <= cfg.fit_band
+                    abs(fit.slope - target) <= FIT_BAND
         for scheme, rep in res["loss"].items():
             fits[f"{model.label}_{scheme}_sigma"] = {"sigma_hat": rep.sigma_hat,
                                                      "certified": rep.certified}
@@ -360,23 +357,21 @@ def run_waterwave(cfg: ExperimentConfig):
                     rep.sigma_hat == 0.0
         for scheme, defect in res["symplectic_defect"].items():
             fits[f"{model.label}_{scheme}_symplectic_defect"] = defect
-            passes[f"{model.label}_{scheme}_symplectic"] = defect <= cfg.unitary_tol
+            passes[f"{model.label}_{scheme}_symplectic"] = defect <= UNITARY_TOL
             rows.append({"probe": model.label, "scheme": scheme,
-                         "level": max(cfg.K_list), "tau": cfg.tau_list[0],
+                         "level": max(cfg.K_list), "tau": TAU_LIST[0],
                          "error": defect, "sigma": "", "s": "",
                          "norm_ratio": res["energy_drift"][scheme]})
         passes[f"{model.label}_flat_bottom_exact"] = \
-            res["b0_control"] <= cfg.algebra_tol
+            res["b0_control"] <= ALGEBRA_TOL
         rows.extend({"probe": model.label, **r} for r in res.get("error_rows", []))
     return rows, fits, passes, warns
 
 
 def run_schroedinger_precond(cfg: ExperimentConfig):
     res = experiments.preconditioned_lie_study(
-        operators.two_cos_coeff, cfg.tau_list,
-        [s for s in cfg.s_list if s > 0] or [2.0], cfg.M_list, seed=cfg.seed,
-        tau_star=cfg.tau_star, sigma_grid=cfg.sigma_grid(),
-        n_samples=cfg.n_samples)
+        operators.two_cos_coeff, TAU_LIST,
+        [s for s in cfg.s_list if s > 0] or [2.0], cfg.M_list, seed=cfg.seed)
     rows = [{"probe": "schrodinger", **r} for r in res.get("error_rows", [])]
     fits = {
         "homological_defect": res["homological_defect"],
@@ -389,14 +384,14 @@ def run_schroedinger_precond(cfg: ExperimentConfig):
     for s, fit in res["slopes"].items():
         fits[f"precond_slope_s{s:g}"] = fit.slope
     passes = {
-        "homological_identity": res["homological_defect"] <= cfg.algebra_tol,
+        "homological_identity": res["homological_defect"] <= ALGEBRA_TOL,
         "remainder_order_le_m2": res["remainder_order"] <= -2.0,
-        "telescoping": res["telescoping_defect"] <= cfg.unitary_tol,
+        "telescoping": res["telescoping_defect"] <= UNITARY_TOL,
         "preconditioned_no_loss": res["loss_preconditioned"].sigma_hat == 0.0,
         "baseline_loses_one": res["loss_baseline"].sigma_hat == 1.0,
     }
     for s, fit in res["slopes"].items():
-        passes[f"precond_slope_s{s:g}"] = abs(fit.slope - 2.0) <= cfg.fit_band
+        passes[f"precond_slope_s{s:g}"] = abs(fit.slope - 2.0) <= FIT_BAND
     return rows, fits, passes, []
 
 
@@ -406,7 +401,7 @@ def run_sobolev_growth(cfg: ExperimentConfig):
 
     def one(probe):
         model = experiments.growth_model(probe)
-        periods = tuple(k for k in cfg.K_list if k >= 32) or cfg.K_list
+        periods = _study_periods(cfg.K_list)
         if model.rho < 0:
             periods = periods[:2]
         s_list = [s for s in cfg.s_list if s > 0] or [1.0, 2.0]
@@ -455,8 +450,8 @@ def run_invariants_suite(cfg: ExperimentConfig):
         block = core.periodic_block(d, period)
         Q = period ** (d / 2) * spectral.dft_matrix(block)
         defect = float(np.max(np.abs(Q.conj().T @ Q - np.eye(block.n))))
-        record("dft_unitarity", f"d{d}_K{period}", defect, cfg.algebra_tol,
-               defect <= cfg.algebra_tol)
+        record("dft_unitarity", f"d{d}_K{period}", defect, ALGEBRA_TOL,
+               defect <= ALGEBRA_TOL)
         F, Finv = spectral.dft_matrix(block), spectral.idft_matrix(block)
         worst = 0.0
         for j in range(1, d + 1):
@@ -464,7 +459,7 @@ def run_invariants_suite(cfg: ExperimentConfig):
                 lhs = spectral.fd_matrix(j, sign, period, d).entries
                 rhs = Finv @ spectral.fd_symbol(j, sign, period, d).entries @ F
                 worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-        bound = cfg.algebra_tol * period
+        bound = ALGEBRA_TOL * period
         record("fd_conjugation", f"d{d}_K{period}", worst, bound, worst <= bound)
     for K in (16, 32, 64):
         M_samp = spectral.mult_matrix_fourier(

@@ -242,7 +242,6 @@ def waterwave_noloss_study(model: WaterWaveModel, schemes, periods, tau_list,
                  "level": K_ref} for r in tab.rows)
         levels = [_waterwave_level(level_ops[K], scheme, tau_star) for K in periods]
         rep = flows.loss_scan(levels, s_list[0], sigma_grid, n_samples, seed)
-        rep.tau_order = out["slopes"][(name, s_list[0])]
         out["loss"][name] = rep
         P = step(tau_list[0])
         out["symplectic_defect"][name] = operators.symplectic_defect(P)
@@ -450,7 +449,6 @@ def preconditioned_lie_study(v_coeffs, tau_list, s_list, radii, seed: int = 0,
     out["loss_preconditioned"] = flows.loss_scan(
         schroedinger_levels(v_coeffs, radii, True, tau_star, models), s0,
         sigma_grid, n_samples, seed)
-    out["loss_preconditioned"].tau_order = out["slopes"][s0]
     out["loss_baseline"] = flows.loss_scan(
         schroedinger_levels(v_coeffs, radii, False, tau_star, models), s0,
         sigma_grid, n_samples, seed)

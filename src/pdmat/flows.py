@@ -96,7 +96,6 @@ class SplitScheme:
 
     kind: str
     coefficients: tuple = (1.0,)
-    order: int = 0
 
     def __post_init__(self):
         if self.kind not in ("lie", "strang", "composition"):
@@ -105,8 +104,8 @@ class SplitScheme:
             raise ValueError("composition coefficients must sum to 1")
 
 
-LIE = SplitScheme("lie", (1.0,), order=1)
-STRANG = SplitScheme("strang", (1.0,), order=2)
+LIE = SplitScheme("lie", (1.0,))
+STRANG = SplitScheme("strang", (1.0,))
 
 
 def composition_scheme(k: int) -> SplitScheme:
@@ -118,7 +117,7 @@ def composition_scheme(k: int) -> SplitScheme:
         return STRANG
     if k == 4:
         g1 = TRIPLE_JUMP_GAMMA
-        return SplitScheme("composition", (g1, 1.0 - 2.0 * g1, g1), order=4)
+        return SplitScheme("composition", (g1, 1.0 - 2.0 * g1, g1))
     raise ValueError(f"unsupported composition order {k}")
 
 
@@ -263,7 +262,6 @@ class LossReport:
     sigma_grid: tuple
     levels: tuple
     stability: dict             # sigma -> list of per-level sup ratios
-    tau_order: FitResult | None = None
     rows: list = field(default_factory=list)
 
 
@@ -281,8 +279,10 @@ def loss_scan(levels, s: float, sigma_grid=None, n_samples: int = 6,
     with every unit frequency vector (weighted column ratios): a genuine loss
     makes the concentrated ratios grow across levels and rejects too-small
     candidates, while the grid maximum is reported (uncertified) when nothing
-    stabilizes.
+    stabilizes.  Stability needs a refinement, so at least 2 levels.
     """
+    if len(levels) < 2:
+        raise ValueError(f"loss scan needs at least 2 levels, got {len(levels)}")
     if sigma_grid is None:
         sigma_grid = default_sigma_grid()
     sigma_grid = tuple(float(v) for v in sigma_grid)

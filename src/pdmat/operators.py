@@ -31,7 +31,6 @@ class SymbolSpec:
     evaluator: object          # callable on d floats -> complex
     declared_order: float
     name: str = ""
-    derivative: object = None  # optional d/dx evaluator along each axis
 
     def __call__(self, *x) -> complex:
         return self.evaluator(*x)
@@ -226,8 +225,7 @@ def is_odd(x: SobolevVec, tol: float = 1e-12) -> bool:
 
 def symbol_difference_growth(phi, alpha: int, radius: int) -> float:
     """Max of |finite difference of order alpha of phi| (1+|x|)^(alpha - r)
-    over integer points, a direct probe of the symbol-derivative bounds when
-    no derivative evaluator is available."""
+    over integer points, a direct probe of the symbol-derivative bounds."""
     ev = phi.evaluator if isinstance(phi, SymbolSpec) else phi
     r = phi.declared_order if isinstance(phi, SymbolSpec) else 0.0
     worst = 0.0

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import core
+from . import core, flows
 from .core import (OpMatrix, SeminormSpec, PERIODIC, TRUNCATED,
                    periodic_block, representative, truncated_block)
 
@@ -205,15 +205,12 @@ def approx_error(A_limit: OpMatrix, family: PeriodicFamily, s: float,
             worst = max(worst, err / x.norm(data_s))
         rows.append({"probe": probe, "K": K, "s": s, "s_prime": s_prime,
                      "error": worst})
-    ks = np.array([r["K"] for r in rows], dtype=float)
-    errs = np.array([max(r["error"], 1e-300) for r in rows])
-    if len(rows) >= 2:
-        slope, intercept = np.polyfit(np.log(ks), np.log(errs), 1)
-        fit = np.polyval([slope, intercept], np.log(ks))
-        residual = float(np.sqrt(np.mean((np.log(errs) - fit) ** 2)))
-        rate = -float(slope)
-    else:
+    fit = flows.fit_loglog([r["K"] for r in rows],
+                           [max(r["error"], 1e-300) for r in rows])
+    if fit is None:
         rate, intercept, residual = math.nan, math.nan, math.nan
+    else:
+        rate, intercept, residual = -fit.slope, fit.intercept, fit.residual
     for r in rows:
         r["fitted_rate"] = rate
-    return ApproxErrorTable(rows, rate, float(intercept), residual)
+    return ApproxErrorTable(rows, rate, intercept, residual)

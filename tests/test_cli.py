@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +17,7 @@ def test_parse_config_scalars_and_arrays():
 experiment = "order_gain"
 M_list = [8, 16]
 seed = 7
-tau_star = 0.01
+horizon = 25.5
 probes = ["waterwave"]
 output_dir = "runs/#3"  # the third run
 """)
@@ -24,7 +25,7 @@ output_dir = "runs/#3"  # the third run
     assert cfg.output_dir == "runs/#3"
     assert cfg.M_list == (8, 16)
     assert cfg.seed == 7
-    assert cfg.tau_star == 0.01
+    assert cfg.horizon == 25.5
     assert cfg.probes == ("waterwave",)
 
 
@@ -70,6 +71,38 @@ def test_bad_config_values_rejected_by_name(line, key):
 def test_single_radius_rejected_for_order_certification(experiment):
     with pytest.raises(cli.ConfigError, match="M_list"):
         cli.parse_config(f'experiment = "{experiment}"\nM_list = [16]')
+
+
+@pytest.mark.parametrize("experiment,line,key", [
+    ("loss_scan", "M_list = [16]", "M_list"),
+    ("loss_scan", "K_list = [32]", "K_list"),
+    ("waterwave", "K_list = [32]", "K_list"),
+    ("sobolev_growth", "K_list = [32]", "K_list"),
+    ("sobolev_growth", "K_list = [16, 32]", "K_list"),
+    ("approx_rates", "K_list = [16, 64]", "K_list"),
+])
+def test_single_refinement_level_rejected_by_name(experiment, line, key):
+    with pytest.raises(cli.ConfigError, match=key):
+        cli.parse_config(f'experiment = "{experiment}"\n{line}')
+
+
+@pytest.mark.parametrize("line", [
+    "fit_band = 100.0", "algebra_tol = 1.0", "unitary_tol = 1.0",
+    "stability_factor = 100.0", "order_theta = 100.0", "growth_tol = 10.0",
+    "tau_star = 0.01", "mu = 0.5",
+])
+def test_gate_bounds_cannot_be_set_from_config(line):
+    key = line.split()[0]
+    with pytest.raises(cli.ConfigError, match=f"unknown key '{key}'"):
+        cli.parse_config(f'experiment = "splitting_orders"\n{line}')
+
+
+@pytest.mark.parametrize("path", sorted(
+    (Path(__file__).parents[1] / "configs").glob("*.cfg")), ids=lambda p: p.stem)
+def test_shipped_config_loads_and_validates(path):
+    cfg = cli.load_config(path)
+    assert cfg.experiment == path.stem
+    assert cfg.validate() is cfg
 
 
 def test_stability_warning_keeps_waterwave_gates(monkeypatch):
@@ -132,10 +165,11 @@ def test_run_splitting_orders_small(tmp_path):
     assert abs(fits["strang_s1"]["slope"] - 3.0) <= 0.25
 
 
-def test_broken_tolerance_fails_with_measured_slope(tmp_path, capsys):
+def test_broken_tolerance_fails_with_measured_slope(tmp_path, capsys,
+                                                   monkeypatch):
+    monkeypatch.setattr(cli, "FIT_BAND", 0.001)
     cfg = cli.parse_config(
-        'experiment = "splitting_orders"\nM_list = [16]\ns_list = [1.0]\n'
-        'fit_band = 0.001\n')
+        'experiment = "splitting_orders"\nM_list = [16]\ns_list = [1.0]\n')
     rc = cli.run(cfg, tmp_path)
     assert rc == 1
     assert "FAIL" in capsys.readouterr().out

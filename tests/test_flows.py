@@ -268,6 +268,11 @@ def test_loss_estimator_sentinel_when_uncertified():
     assert not rep.certified and rep.sigma_hat == 0.5
 
 
+def test_loss_scan_rejects_single_level():
+    with pytest.raises(ValueError, match="at least 2 levels"):
+        flows.loss_estimator(flows.LIE, schrodinger_pair, (16,), s=2.0)
+
+
 def test_fit_loglog_recovers_slope():
     xs = np.array([1.0, 0.5, 0.25, 0.125])
     ys = 3.0 * xs ** 2.5
