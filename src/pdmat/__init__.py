@@ -15,8 +15,8 @@ spectral
     diagonal Fourier forms, alias-summed multiplication matrices, and
     pseudo-spectral compositions.
 operators
-    Symbol and potential constructors on truncated blocks, parity and
-    Hermitian structure checks, symplectic block systems.
+    Symbol and potential constructors on truncated blocks, and the
+    symplectic defect of a propagator.
 flows
     Reference propagators, Lie/Strang/composition splitting steps, local
     error tables with log-log order fits, and the derivative-loss estimator.

@@ -50,20 +50,27 @@ CSV_COLUMNS = {
 }
 
 
-# Gate bounds and sampling sizes used by more than one runner.  They are
-# fixed here rather than read from the config, so that no config can set the
-# bound its own gates are judged by; a bound used at one gate is written there.
+# Gate bounds used by more than one runner.  They are fixed here rather than
+# read from the config, so that no config can set the bound its own gates are
+# judged by; a bound used at one gate is written there.  Sample counts and
+# the loss step are the library's (flows.N_SAMPLES, flows.TAU_STAR).
 FIT_BAND = 0.25         # |fitted slope or rate - theory| at every slope gate
 ALGEBRA_TOL = 1e-12     # identities that hold exactly up to roundoff
 UNITARY_TOL = 1e-10     # symplectic and telescoping defects of one step
-N_SAMPLES = 6           # rough data vectors in each error sup
-TAU_STAR = 0.005        # reference step of a loss level, as in the library
 TAU_LIST = flows.default_tau_list()
 
 # experiments whose gates compare refinement levels, and the grids that hold
 # those levels; a single level makes such a gate unable to fail
 _REFINED_GRIDS = {"order_gain": ("M_list",), "schroedinger_precond": ("M_list",),
                   "loss_scan": ("M_list", "K_list"), "waterwave": ("K_list",)}
+
+
+# the runners that take probes, with the model factory that accepts each name
+_PROBE_MODELS = {"waterwave": experiments.waterwave_model,
+                 "sobolev_growth": experiments.growth_model}
+# smallest radius a runner can build: order certification takes second
+# differences, and the preconditioner is assembled from radius 4 on
+_MIN_RADIUS = {"order_gain": 3, "schroedinger_precond": 4}
 
 
 def _study_periods(K_list) -> tuple:
@@ -93,14 +100,31 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"experiment must be one of {EXPERIMENTS}, "
                               f"got {self.experiment!r}")
+        model = _PROBE_MODELS.get(self.experiment)
+        if self.probes and model is None:
+            raise ConfigError(f"probes: {self.experiment} takes no probes")
+        for probe in self.probes:
+            try:
+                model(probe)
+            except KeyError:
+                raise ConfigError(f"probes: {probe!r} is not a {self.experiment} "
+                                  "probe (see pdmat list-probes)") from None
         for name in ("M_list", "K_list", "s_list"):
             values = getattr(self, name)
             if not values:
                 raise ConfigError(f"{name} must be nonempty")
         for name in ("M_list", "K_list"):
             values = getattr(self, name)
+            if not all(_is_int(v) for v in values):
+                raise ConfigError(f"{name} entries must be integers")
             if any(a >= b for a, b in zip(values, values[1:])):
                 raise ConfigError(f"{name} must be strictly increasing")
+        if not all(_is_number(v) for v in self.s_list):
+            raise ConfigError("s_list entries must be numbers")
+        min_radius = _MIN_RADIUS.get(self.experiment, 1)
+        if self.M_list[0] < min_radius:
+            raise ConfigError(f"M_list entries must be at least {min_radius} "
+                              f"for {self.experiment}")
         for name in _REFINED_GRIDS.get(self.experiment, ()):
             if len(getattr(self, name)) < 2:
                 raise ConfigError(f"{name} must have at least 2 entries for "
@@ -112,8 +136,11 @@ class ExperimentConfig:
         if any(k % 2 or k < 4 for k in self.K_list):
             raise ConfigError("K_list entries must be even and at least 4")
         for name in ("horizon", "delta"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+            if not _is_number(getattr(self, name)) or getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be a positive number")
+        for name in ("seed", "workers"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
         if self.seed < 0:
@@ -121,8 +148,16 @@ class ExperimentConfig:
         return self
 
 
+def _is_int(v) -> bool:
+    # bool subclasses int, but true and false are no counts or radii
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return _is_int(v) or isinstance(v, float)
+
+
 _LIST_FIELDS = {"probes", "M_list", "K_list", "s_list"}
-_INT_FIELDS = {"seed", "workers"}
 _STR_FIELDS = {"experiment", "output_dir"}
 
 
@@ -155,6 +190,11 @@ def _strip_comment(line: str) -> str:
 
 def parse_config(text: str) -> ExperimentConfig:
     """Flat key = value lines; arrays in brackets; # comments outside quotes."""
+    return _read_config(text).validate()
+
+
+def _read_config(text: str) -> ExperimentConfig:
+    """The config that the text sets, not yet validated."""
     values: dict = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
@@ -178,13 +218,10 @@ def parse_config(text: str) -> ExperimentConfig:
     for key in _LIST_FIELDS & set(values):
         if not isinstance(values[key], tuple):
             values[key] = (values[key],)
-    for key in _INT_FIELDS & set(values):
-        if not isinstance(values[key], int):
-            raise ConfigError(f"{key} must be an integer")
     for key in _STR_FIELDS & set(values):
         if not isinstance(values[key], str):
             raise ConfigError(f"{key} must be a string")
-    return ExperimentConfig(**values).validate()
+    return ExperimentConfig(**values)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -210,8 +247,8 @@ def _schrodinger_builder(M):
     block = core.truncated_block(1, M)
     A = operators.fourier_multiplier(lambda x: x * x, block)
     B = operators.toeplitz_potential(operators.two_cos_coeff, block)
-    return (flows.FlowSpec(A, flows.DIAGONAL, "i"),
-            flows.FlowSpec(B, flows.HERMITIAN, "i"))
+    return (flows.FlowSpec(A, flows.DIAGONAL),
+            flows.FlowSpec(B, flows.HERMITIAN))
 
 
 def run_order_gain(cfg: ExperimentConfig):
@@ -254,14 +291,13 @@ def run_approx_rates(cfg: ExperimentConfig):
                                      periods, "fd")
     fd_limit = operators.fourier_multiplier(lambda x: 1j * x, block)
     fd = periodic.approx_error(fd_limit, fd_fam, s=s, s_prime=s, data_s=s + 2.0,
-                               n_samples=N_SAMPLES, seed=cfg.seed, probe="fd")
+                               seed=cfg.seed, probe="fd")
     mult_fam = periodic.PeriodicFamily(
         lambda k: spectral.mult_matrix_fourier(k, coeff_fn=operators.exp_decay_coeff),
         periods, "mult")
     mult_limit = operators.toeplitz_potential(operators.exp_decay_coeff, block)
     mult = periodic.approx_error(mult_limit, mult_fam, s=4.0, s_prime=2.0,
-                                 data_s=4.0, n_samples=N_SAMPLES,
-                                 seed=cfg.seed, probe="mult")
+                                 data_s=4.0, seed=cfg.seed, probe="mult")
     rows = fd.rows + mult.rows
     fits = {"fd_rate": fd.decay_rate, "fd_residual": fd.residual,
             "mult_rate": mult.decay_rate, "mult_residual": mult.residual}
@@ -281,7 +317,7 @@ def run_splitting_orders(cfg: ExperimentConfig):
 
     def one(scheme_name, s):
         scheme = flows.LIE if scheme_name == "lie" else flows.STRANG
-        samples = core.rough_samples(block, s + 3.0, N_SAMPLES, cfg.seed)
+        samples = core.rough_samples(block, s + 3.0, flows.N_SAMPLES, cfg.seed)
         return flows.local_error(scheme, fa, fb, TAU_LIST, s, samples)
 
     jobs = [(f"{name}_s{s:g}", lambda n=name, ss=s: one(n, ss))
@@ -318,7 +354,7 @@ def run_loss_scan(cfg: ExperimentConfig):
                      "norm_ratio": r["norm_ratio"]})
     model = experiments.waterwave_model("waterwave")
     levels = experiments.waterwave_levels(model, cfg.K_list[-3:], flows.STRANG,
-                                          TAU_STAR)
+                                          flows.TAU_STAR)
     rep_ww = flows.loss_scan(levels, 2.0, seed=cfg.seed)
     fits["strang_waterwave"] = {"sigma_hat": rep_ww.sigma_hat,
                                 "certified": rep_ww.certified}
@@ -610,12 +646,14 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     try:
-        cfg = load_config(args.config)
+        with open(args.config) as fh:
+            cfg = _read_config(fh.read())
+        if args.workers is not None:
+            cfg.workers = args.workers
+        cfg.validate()
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.workers is not None:
-        cfg.workers = args.workers
     outdir = args.output or cfg.output_dir or \
         os.environ.get("PDMAT_OUTPUT_DIR") or "pdmat-out"
     return run(cfg, outdir)

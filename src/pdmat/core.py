@@ -36,6 +36,10 @@ TRUNCATED = "truncated"
 PERIODIC = "periodic"
 
 _TINY = 1e-300
+GRID_STEP = 0.25        # step of the order and loss grids
+# largest log-log growth exponent of a stable seminorm sequence: half the
+# grid step, so that a deficit of one grid step is rejected
+GROWTH_TOL = GRID_STEP / 2
 
 
 # ---------------------------------------------------------------------------
@@ -231,15 +235,6 @@ class SobolevVec:
         return float(np.linalg.norm(sobolev_weights(self.block, s) * self.coeffs))
 
 
-def basis_vector(block: IndexBlock, index) -> SobolevVec:
-    c = np.zeros(block.n, dtype=complex)
-    pos, valid = _positions(block, np.atleast_2d(index))
-    if not valid[0]:
-        raise ValueError(f"index {index} outside block")
-    c[pos[0]] = 1.0
-    return SobolevVec(block, c)
-
-
 def rough_samples(block: IndexBlock, s: float, n_samples: int, seed: int,
                   zero_mean: bool = False) -> list[SobolevVec]:
     """Seeded near-extremal h^s data: |x_k| = (1+|k|)^(-s-0.51), random phases.
@@ -328,10 +323,6 @@ def _combine_masks(a, b):
     return a if b is None else a & b
 
 
-def zeros(block: IndexBlock) -> OpMatrix:
-    return OpMatrix(block, np.zeros((block.n, block.n), dtype=complex))
-
-
 def identity(block: IndexBlock) -> OpMatrix:
     return OpMatrix(block, np.eye(block.n, dtype=complex))
 
@@ -351,19 +342,6 @@ def is_diagonal(A: OpMatrix, tol: float = 1e-12) -> bool:
 def is_hermitian(A: OpMatrix, tol: float = 1e-12) -> bool:
     scale = max(1.0, float(np.max(np.abs(A.entries))))
     return bool(np.max(np.abs(A.entries - A.entries.conj().T)) <= tol * scale)
-
-
-def is_toeplitz(A: OpMatrix, tol: float = 1e-12) -> bool:
-    """True when entries depend only on m-n (difference in block arithmetic)."""
-    block = A.block
-    idx = _indices(block)
-    diff = idx[:, None, :] - idx[None, :, :]
-    if block.mode == PERIODIC:
-        diff = representative(block.size, diff)
-    first, inverse = _distinct_rows(diff)
-    flat = A.entries.ravel()
-    scale = max(1.0, float(np.max(np.abs(A.entries))))
-    return bool(np.max(np.abs(flat - flat[first][inverse])) <= tol * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -541,14 +519,14 @@ class OrderEstimate:
     certified: np.ndarray
 
 
-def _stable_family(values, sizes, theta: float, growth_tol: float) -> bool:
+def _stable_family(values, sizes, theta: float) -> bool:
     """Multiplicative stability of a seminorm sequence across refinement.
 
     Requires boundedness within factor theta of the first value, and a growth
-    trend consistent with an order deficit below growth_tol: either the fitted
-    log-log slope stays under growth_tol, or the per-step growth exponents are
+    trend consistent with an order deficit below GROWTH_TOL: either the fitted
+    log-log slope stays under GROWTH_TOL, or the per-step growth exponents are
     non-increasing (a dying transient, typical of sups converging from below)
-    with the final one under growth_tol.  A genuine power-law deficit keeps a
+    with the final one under GROWTH_TOL.  A genuine power-law deficit keeps a
     constant per-step exponent equal to the deficit and is rejected.
     """
     v = np.asarray(values, dtype=float)
@@ -560,27 +538,26 @@ def _stable_family(values, sizes, theta: float, growth_tol: float) -> bool:
         return False
     logs = np.log(np.asarray(sizes, float))
     slope = np.polyfit(logs, np.log(v), 1)[0]
-    if slope <= growth_tol:
+    if slope <= GROWTH_TOL:
         return True
     g = np.diff(np.log(v)) / np.diff(logs)
-    transient = bool(np.all(np.diff(g) <= 1e-9)) and g[-1] <= growth_tol
+    transient = bool(np.all(np.diff(g) <= 1e-9)) and g[-1] <= GROWTH_TOL
     return transient
 
 
-def default_order_grid(lo: float = -3.0, hi: float = 3.0, step: float = 0.25):
-    return tuple(np.round(np.arange(lo, hi + step / 2, step), 6))
+def default_order_grid(lo: float = -3.0, hi: float = 3.0):
+    return tuple(np.round(np.arange(lo, hi + GRID_STEP / 2, GRID_STEP), 6))
 
 
 def estimate_order(family, alpha_grid=None, decay_grid=(0, 2, 4, 8),
-                   order_grid=None, theta: float = 2.0,
-                   growth_tol: float = 0.125) -> OrderEstimate:
+                   order_grid=None, theta: float = 2.0) -> OrderEstimate:
     """Certify the effective order of a family built at increasing M (or K).
 
     A grid order r is certified for one probe (alpha, decay) when the
     seminorm sequence across the family (a) stays within factor theta of its
     first value and (b) shows a fitted log-log growth exponent at most
-    growth_tol (half the grid step by default, so that a deficit of one grid
-    step is rejected).  r_hat is the smallest r certified for every probe.
+    GROWTH_TOL (see _stable_family).  r_hat is the smallest r certified for
+    every probe.
 
     The family needs at least 2 members.  Per member and (alpha, decay), one
     size envelope (the max of |D| (1+dist)^decay for each |m|+|n|) yields
@@ -619,7 +596,7 @@ def estimate_order(family, alpha_grid=None, decay_grid=(0, 2, 4, 8),
                                             for r in order_grid]
     certified = np.zeros((n_r, n_a, n_n), dtype=bool)
     for idx in np.ndindex(n_r, n_a, n_n):
-        certified[idx] = _stable_family(ratios[idx], sizes, theta, growth_tol)
+        certified[idx] = _stable_family(ratios[idx], sizes, theta)
     r_hat = math.inf
     for i_r, r in enumerate(order_grid):
         if certified[i_r].all():
@@ -654,23 +631,3 @@ def lp_norm(x: np.ndarray, p: float) -> float:
         return float(a.max()) if a.size else 0.0
     return float((a ** p).sum() ** (1.0 / p))
 
-
-# ---------------------------------------------------------------------------
-# debug serialization
-
-
-def dump_matrix(A: OpMatrix, path):
-    """Write a debug CSV dump: header (d, mode, size), then row-major re,im."""
-    with open(path, "w") as fh:
-        fh.write(f"{A.block.d},{A.block.mode},{A.block.size}\n")
-        for v in A.entries.ravel():
-            fh.write(f"{float(v.real)!r},{float(v.imag)!r}\n")
-
-
-def load_matrix(path) -> OpMatrix:
-    with open(path) as fh:
-        d, mode, size = fh.readline().strip().split(",")
-        block = IndexBlock(int(d), mode, int(size))
-        data = np.loadtxt(fh, delimiter=",", dtype=float).reshape(-1, 2)
-    entries = (data[:, 0] + 1j * data[:, 1]).reshape(block.n, block.n)
-    return OpMatrix(block, entries)

@@ -163,19 +163,6 @@ def waterwave_assemble(model: WaterWaveModel, period: int) -> WaterWaveOperators
     return WaterWaveOperators(model, block, omega, coupling, mult, d)
 
 
-def coupling_entry_formula(ops: WaterWaveOperators, n_idx: int, m_idx: int) -> complex:
-    """Closed-form coupling entry: gain * omega^{-1/2} at both ends, the
-    topography coefficient at the index difference, and i*k factors."""
-    model, block = ops.model, ops.block
-    kn, km = float(n_idx), float(m_idx)
-    on, om = model.dispersion(np.array([kn]))[0], model.dispersion(np.array([km]))[0]
-    if on == 0.0 or om == 0.0:
-        return 0.0
-    bhat = model.b_coeffs(int(core.representative(block.size, n_idx - m_idx)))
-    return (model.gain(np.array([kn]))[0] * on ** -0.5 * bhat *
-            model.gain(np.array([km]))[0] * om ** -0.5 * (1j * kn) * (1j * km))
-
-
 def _waterwave_step(ops: WaterWaveOperators, scheme: flows.SplitScheme):
     """The splitting step tau -> matrix of the assembled system, with the
     coupling as the a flow and the rotation as the b flow of flows.compose."""
@@ -196,10 +183,10 @@ def waterwave_levels(model: WaterWaveModel, periods, scheme: flows.SplitScheme,
 
 
 def waterwave_noloss_study(model: WaterWaveModel, schemes, periods, tau_list,
-                           s_list, seed: int = 0, tau_star: float = 0.005,
-                           sigma_grid=None, n_samples: int = 6) -> dict:
+                           s_list, seed: int = 0) -> dict:
     """Order slopes, loss scan, per-step symplectic defect and energy drift
-    for the split water-wave system."""
+    for the split water-wave system, with flows.N_SAMPLES data vectors per
+    error sup and loss levels at flows.TAU_STAR."""
     out: dict = {"model": model.label, "warnings": []}
     warn = model.order_warning()
     if warn:
@@ -214,7 +201,7 @@ def waterwave_noloss_study(model: WaterWaveModel, schemes, periods, tau_list,
         bounds = []
         for K in periods:
             ops_k = level_ops[K]
-            samples = ops_k.sampler(s, max(2, n_samples // 2), seed)
+            samples = ops_k.sampler(s, flows.N_SAMPLES // 2, seed)
             bounds.append(flows.propagator_norm_bound(
                 ops_k.exact_prop, (0.25, 0.5, 1.0), s, samples, ops_k.weights(s)))
         out["stability_bounds"][s] = bounds
@@ -234,14 +221,15 @@ def waterwave_noloss_study(model: WaterWaveModel, schemes, periods, tau_list,
         scheme = scheme_map[name]
         step = _waterwave_step(ops, scheme)
         for s in s_list:
-            tab = flows.error_table(step, ops.exact_prop, tau_list, s,
-                                    ops.weights(s), ops.sampler(s, n_samples, seed))
+            tab = flows.error_table(step, ops.exact_prop, tau_list, s, ops.weights(s),
+                                    ops.sampler(s, flows.N_SAMPLES, seed))
             out["slopes"][(name, s)] = tab.fit
             out.setdefault("error_rows", []).extend(
                 {"scheme": name, "s": s, "tau": r["tau"], "error": r["error"],
                  "level": K_ref} for r in tab.rows)
-        levels = [_waterwave_level(level_ops[K], scheme, tau_star) for K in periods]
-        rep = flows.loss_scan(levels, s_list[0], sigma_grid, n_samples, seed)
+        levels = [_waterwave_level(level_ops[K], scheme, flows.TAU_STAR)
+                  for K in periods]
+        rep = flows.loss_scan(levels, s_list[0], seed=seed)
         out["loss"][name] = rep
         P = step(tau_list[0])
         out["symplectic_defect"][name] = operators.symplectic_defect(P)
@@ -260,6 +248,10 @@ def waterwave_noloss_study(model: WaterWaveModel, schemes, periods, tau_list,
 
 # ---------------------------------------------------------------------------
 # Schroedinger normal-form preconditioner
+
+# remainder members are computed on a block this many times larger, then
+# restricted (see smoothing_remainder_family)
+REMAINDER_MARGIN = 2
 
 
 @dataclass(eq=False)
@@ -283,7 +275,7 @@ class PreconditionedSchroedinger:
     pairs: list
 
     def exact_prop(self, tau: float) -> np.ndarray:
-        return flows.exact_flow(flows.FlowSpec(self.H, flows.HERMITIAN, "i"), tau)
+        return flows.exact_flow(flows.FlowSpec(self.H, flows.HERMITIAN), tau)
 
     def block_diag_prop(self, tau: float) -> np.ndarray:
         """Exponential of the resonant part via per-pair 2x2 Hermitian blocks."""
@@ -296,7 +288,7 @@ class PreconditionedSchroedinger:
         return out
 
     def smoothing_prop(self, tau: float) -> np.ndarray:
-        return flows.exact_flow(flows.FlowSpec(self.R, flows.HERMITIAN, "i"), tau)
+        return flows.exact_flow(flows.FlowSpec(self.R, flows.HERMITIAN), tau)
 
     def preconditioned_prop(self, tau: float) -> np.ndarray:
         return self.exp_x_minus @ flows.compose(
@@ -304,8 +296,8 @@ class PreconditionedSchroedinger:
             self.exp_x_plus
 
     def lie_baseline_prop(self, tau: float) -> np.ndarray:
-        fa = flows.FlowSpec(self.A, flows.DIAGONAL, "i")
-        fb = flows.FlowSpec(self.B, flows.HERMITIAN, "i")
+        fa = flows.FlowSpec(self.A, flows.DIAGONAL)
+        fb = flows.FlowSpec(self.B, flows.HERMITIAN)
         return flows.split_step(flows.LIE, fa, fb, tau)
 
 
@@ -384,21 +376,22 @@ def _schroedinger_model(v_coeffs, radius: int, models: dict):
     return models[radius]
 
 
-def smoothing_remainder_family(v_coeffs, radii, margin: int = 2,
+def smoothing_remainder_family(v_coeffs, radii,
                                models: dict | None = None) -> list[OpMatrix]:
     """Remainder family prepared for order certification.
 
-    Each member is computed exactly on a block enlarged by ``margin`` and then
-    restricted, so the truncation boundary layer (an O(1/size) artifact of
-    cutting the change-of-variable band) stays outside the certified window;
-    entries below the backward-error scale of the conjugation (eps times the
-    generator norm) are zeroed, since they are roundoff, not structure.
+    Each member is computed exactly on a block REMAINDER_MARGIN times larger
+    and then restricted, so the truncation boundary layer (an O(1/size)
+    artifact of cutting the change-of-variable band) stays outside the
+    certified window; entries below the backward-error scale of the
+    conjugation (eps times the generator norm) are zeroed, since they are
+    roundoff, not structure.
     ``models`` shares assembled radii between calls (see _schroedinger_model).
     """
     models = {} if models is None else models
     fam = []
     for M in radii:
-        big = _schroedinger_model(v_coeffs, margin * M, models)
+        big = _schroedinger_model(v_coeffs, REMAINDER_MARGIN * M, models)
         scale = float(np.max(np.abs(big.A.entries)) + np.max(np.abs(big.B.entries)))
         thresh = 100 * np.finfo(float).eps * scale
         Rr = periodic.restrict(big.R, M)
@@ -407,7 +400,7 @@ def smoothing_remainder_family(v_coeffs, radii, margin: int = 2,
     return fam
 
 
-def schroedinger_levels(v_coeffs, radii, preconditioned: bool, tau_star: float,
+def schroedinger_levels(v_coeffs, radii, preconditioned: bool,
                         models: dict | None = None) -> list[flows.RefinementLevel]:
     models = {} if models is None else models
     levels = []
@@ -415,17 +408,18 @@ def schroedinger_levels(v_coeffs, radii, preconditioned: bool, tau_star: float,
         model = _schroedinger_model(v_coeffs, M, models)
         step = model.preconditioned_prop if preconditioned else \
             model.lie_baseline_prop
-        levels.append(flows.refinement_level(M, step, model.exact_prop, tau_star,
+        levels.append(flows.refinement_level(M, step, model.exact_prop,
+                                             flows.TAU_STAR,
                                              *flows.sobolev_space(model.block)))
     return levels
 
 
-def preconditioned_lie_study(v_coeffs, tau_list, s_list, radii, seed: int = 0,
-                             tau_star: float = 0.005, sigma_grid=None,
-                             n_samples: int = 6) -> dict:
+def preconditioned_lie_study(v_coeffs, tau_list, s_list, radii,
+                             seed: int = 0) -> dict:
     """Local-order fit and loss scan of the pre/post-processed Lie step, with
-    the plain Lie baseline for contrast.  Each radius is assembled once, in
-    the order of first use."""
+    the plain Lie baseline for contrast, with flows.N_SAMPLES data vectors
+    per error sup and loss levels at flows.TAU_STAR.  Each radius is
+    assembled once, in the order of first use."""
     out: dict = {}
     models: dict = {}
     M_ref = max(radii)
@@ -440,18 +434,16 @@ def preconditioned_lie_study(v_coeffs, tau_list, s_list, radii, seed: int = 0,
     for s in s_list:
         tab = flows.error_table(model.preconditioned_prop, model.exact_prop,
                                 tau_list, s, weights(s),
-                                sampler(s + 3.0, n_samples, seed))
+                                sampler(s + 3.0, flows.N_SAMPLES, seed))
         out["slopes"][s] = tab.fit
         out.setdefault("error_rows", []).extend(
             {"scheme": "precond_lie", "s": s, "tau": r["tau"], "error": r["error"],
              "level": M_ref} for r in tab.rows)
     s0 = s_list[0]
     out["loss_preconditioned"] = flows.loss_scan(
-        schroedinger_levels(v_coeffs, radii, True, tau_star, models), s0,
-        sigma_grid, n_samples, seed)
+        schroedinger_levels(v_coeffs, radii, True, models), s0, seed=seed)
     out["loss_baseline"] = flows.loss_scan(
-        schroedinger_levels(v_coeffs, radii, False, tau_star, models), s0,
-        sigma_grid, n_samples, seed)
+        schroedinger_levels(v_coeffs, radii, False, models), s0, seed=seed)
     return out
 
 

@@ -26,29 +26,24 @@ GENERIC = "generic"
 TRIPLE_JUMP_GAMMA = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 TAU_MAX = 0.5           # largest step size a splitting step accepts
 FLOOR_FACTOR = 100.0    # roundoff floor of error tables, in eps times the data
+TAU_STAR = 0.005        # reference step size of a loss level's error matrix
+N_SAMPLES = 6           # rough data vectors in each error sup
+NOISE_FLOOR = 1e-11     # loss ratios at or below this certify at once
 
 
 @dataclass(frozen=True, eq=False)
 class FlowSpec:
-    """Generator plus how to exponentiate it.
+    """Generator G of the flow e^{i t G}, plus how to exponentiate it.
 
-    scale 'i' produces e^{i t G}; 'plain' produces e^{t G}.  The structure
-    claim is verified on first use and an invalid claim raises.
+    The structure claim is verified on first use and an invalid claim raises.
     """
 
     generator: OpMatrix
     structure: str = GENERIC
-    scale: str = "i"
 
     def __post_init__(self):
         if self.structure not in (DIAGONAL, HERMITIAN, GENERIC):
             raise ValueError(f"unknown structure {self.structure!r}")
-        if self.scale not in ("i", "plain"):
-            raise ValueError("scale must be 'i' or 'plain'")
-
-    @property
-    def factor(self) -> complex:
-        return 1j if self.scale == "i" else 1.0
 
 
 @lru_cache(maxsize=64)
@@ -59,26 +54,21 @@ def _eigh_cached(A: OpMatrix):
 
 
 def exact_flow(spec: FlowSpec, t: float) -> np.ndarray:
-    """Propagator e^{c t G} with c from the scale flag."""
+    """Propagator e^{i t G}."""
     if not np.isfinite(t):
         raise ValueError("t must be finite")
     G = spec.generator
-    c = spec.factor
     if spec.structure == DIAGONAL:
         if not core.is_diagonal(G, 1e-12):
             raise ValueError("matrix fails the diagonal scan")
-        return np.diag(np.exp(c * t * np.diag(G.entries)))
+        return np.diag(np.exp(1j * t * np.diag(G.entries)))
     if spec.structure == HERMITIAN:
         w, V = _eigh_cached(G)
-        return (V * np.exp(c * t * w)) @ V.conj().T
-    out = scipy.linalg.expm(c * t * G.entries)
+        return (V * np.exp(1j * t * w)) @ V.conj().T
+    out = scipy.linalg.expm(1j * t * G.entries)
     if not np.all(np.isfinite(out)):
         raise ArithmeticError("matrix exponential produced non-finite values")
     return out
-
-
-def unitarity_defect(P: np.ndarray) -> float:
-    return float(np.max(np.abs(P @ P.conj().T - np.eye(P.shape[0]))))
 
 
 # ---------------------------------------------------------------------------
@@ -156,16 +146,14 @@ def split_step(scheme: SplitScheme, flowA: FlowSpec, flowB: FlowSpec,
 
 def summed_flow(flowA: FlowSpec, flowB: FlowSpec) -> FlowSpec:
     """Reference flow of the summed generator, with the best usable structure."""
-    if flowA.scale != flowB.scale:
-        raise ValueError("scale mismatch")
     G = flowA.generator + flowB.generator
     if core.is_diagonal(G, 1e-14):
         structure = DIAGONAL
-    elif flowA.scale == "i" and core.is_hermitian(G, 1e-12):
+    elif core.is_hermitian(G, 1e-12):
         structure = HERMITIAN
     else:
         structure = GENERIC
-    return FlowSpec(G, structure, flowA.scale)
+    return FlowSpec(G, structure)
 
 
 # ---------------------------------------------------------------------------
@@ -265,21 +253,34 @@ class LossReport:
     rows: list = field(default_factory=list)
 
 
-def default_sigma_grid(hi: float = 2.0, step: float = 0.25):
+def default_sigma_grid(hi: float = 2.0):
+    step = core.GRID_STEP
     return tuple(np.round(np.arange(0.0, hi + step / 2, step), 6))
 
 
-def loss_scan(levels, s: float, sigma_grid=None, n_samples: int = 6,
-              seed: int = 0, stability_factor: float = 1.5,
-              growth_tol: float = 0.125, noise_floor: float = 1e-11) -> LossReport:
+def _ratio_sup(E: np.ndarray, w_out: np.ndarray, w_in: np.ndarray, xs) -> float:
+    """sup_x ||w_out * (E x)|| / ||w_in * x|| over every unit frequency vector
+    (the weighted column norms of E) and over the data vectors xs."""
+    cols = np.sqrt(((w_out[:, None] * np.abs(E)) ** 2).sum(axis=0))
+    worst = float(np.max(cols / w_in))
+    for x in xs:
+        num = float(np.linalg.norm(w_out * (E @ x)))
+        den = float(np.linalg.norm(w_in * x))
+        worst = max(worst, num / den)
+    return worst
+
+
+def loss_scan(levels, s: float, sigma_grid=None, seed: int = 0,
+              stability_factor: float = 1.5) -> LossReport:
     """Smallest extra regularity sigma on the grid for which the ratio
     sup_x ||E x||_s / ||x||_{s+sigma} is stable across the refinement levels.
 
-    The data family joins rough spread samples drawn at regularity s+sigma
-    with every unit frequency vector (weighted column ratios): a genuine loss
-    makes the concentrated ratios grow across levels and rejects too-small
-    candidates, while the grid maximum is reported (uncertified) when nothing
-    stabilizes.  Stability needs a refinement, so at least 2 levels.
+    The data family joins N_SAMPLES rough spread samples drawn at regularity
+    s+sigma with every unit frequency vector (weighted column ratios): a
+    genuine loss makes the concentrated ratios grow across levels and rejects
+    too-small candidates, while the grid maximum is reported (uncertified)
+    when nothing stabilizes.  Stability needs a refinement, so at least 2
+    levels.
     """
     if len(levels) < 2:
         raise ValueError(f"loss scan needs at least 2 levels, got {len(levels)}")
@@ -290,20 +291,12 @@ def loss_scan(levels, s: float, sigma_grid=None, n_samples: int = 6,
     stability: dict = {}
     sigma_hat, certified = sigma_grid[-1], False
     for sigma in sigma_grid:
-        vals = []
-        for lv in levels:
-            w_out = lv.weights(s)
-            w_in = lv.weights(s + sigma)
-            cols = np.sqrt(((w_out[:, None] * np.abs(lv.error_op)) ** 2).sum(axis=0))
-            worst = float(np.max(cols / w_in))
-            for x in lv.sampler(s + sigma, n_samples, seed):
-                num = float(np.linalg.norm(w_out * (lv.error_op @ x)))
-                den = float(np.linalg.norm(w_in * x))
-                worst = max(worst, num / den)
-            vals.append(worst)
+        vals = [_ratio_sup(lv.error_op, lv.weights(s), lv.weights(s + sigma),
+                           lv.sampler(s + sigma, N_SAMPLES, seed))
+                for lv in levels]
         stability[sigma] = vals
-        if max(vals) <= noise_floor or \
-                core._stable_family(vals, labels, stability_factor, growth_tol):
+        if max(vals) <= NOISE_FLOOR or \
+                core._stable_family(vals, labels, stability_factor):
             sigma_hat, certified = sigma, True
             break
     report = LossReport(sigma_hat, certified, sigma_grid, tuple(labels), stability)
@@ -330,22 +323,20 @@ def sobolev_space(block):
 
 
 def loss_estimator(scheme: SplitScheme, flow_builder, labels, s: float,
-                   sigma_grid=None, tau_star: float = 0.005,
-                   n_samples: int = 6, seed: int = 0,
-                   stability_factor: float = 1.5, growth_tol: float = 0.125,
-                   noise_floor: float = 1e-11) -> LossReport:
+                   sigma_grid=None, seed: int = 0,
+                   stability_factor: float = 1.5) -> LossReport:
     """Loss scan for a scalar split system across block refinement levels:
     flow_builder(label) returns (flowA, flowB) on the label's block, and each
-    level's reference is the summed flow."""
+    level's error matrix is the split step against the summed flow at
+    TAU_STAR."""
     levels = []
     for label in labels:
         flowA, flowB = flow_builder(label)
         levels.append(refinement_level(
             label, partial(split_step, scheme, flowA, flowB),
-            partial(exact_flow, summed_flow(flowA, flowB)), tau_star,
+            partial(exact_flow, summed_flow(flowA, flowB)), TAU_STAR,
             *sobolev_space(flowA.generator.block)))
-    return loss_scan(levels, s, sigma_grid, n_samples, seed,
-                     stability_factor, growth_tol, noise_floor)
+    return loss_scan(levels, s, sigma_grid, seed, stability_factor)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,8 @@
-"""Operator constructors and structure classes on truncated blocks.
+"""Operator constructors on truncated blocks.
 
-Diagonal symbol multipliers, Toeplitz multiplication operators built from
-Fourier coefficients, ordered compositions with declared-order bookkeeping,
-the parity class that preserves odd sequences (Dirichlet conditions on the
-torus), Hermitian entry scans, and 2x2 block generators whose flow preserves
-the canonical symplectic form.
+Symbols with a declared order, diagonal symbol multipliers, Toeplitz
+multiplication operators built from Fourier coefficients, and the defect of a
+propagator from preserving the canonical symplectic form.
 """
 
 from __future__ import annotations
@@ -13,10 +11,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import core
-from .core import IndexBlock, OpMatrix, SobolevVec
+from .core import IndexBlock, OpMatrix
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +109,9 @@ def exp_decay_coeff(*k) -> float:
     return math.exp(-sum(abs(c) for c in k))
 
 
-def rough_even_coeff(seed: int = 7, bound: float = 1.0, cutoff: int = 32):
-    """Bounded random real even coefficients with no decay up to the cutoff,
-    zero beyond: a rough truncated profile."""
+def rough_even_coeff(seed: int = 7, cutoff: int = 32):
+    """Random real even coefficients, uniform in [-1, 1] with no decay up to
+    the cutoff and zero beyond: a rough truncated profile."""
     rng = np.random.default_rng(seed)
     cache: dict = {}
 
@@ -123,28 +120,20 @@ def rough_even_coeff(seed: int = 7, bound: float = 1.0, cutoff: int = 32):
         if max(key) > cutoff:
             return 0.0
         if key not in cache:
-            cache[key] = float(rng.uniform(-bound, bound))
+            cache[key] = float(rng.uniform(-1.0, 1.0))
         return cache[key]
     return coeff
 
 
-def potential_table(seed: int = 7) -> dict:
+def potential_table() -> dict:
     """Fourier-coefficient rules for the built-in potentials, by name."""
     return {
         "cos": cos_coeff,
         "sin": sin_coeff,
         "two_cos": two_cos_coeff,
         "exp_decay": exp_decay_coeff,
-        "rough_even": rough_even_coeff(seed),
+        "rough_even": rough_even_coeff(),
     }
-
-
-def potential_catalog(name: str, seed: int = 7):
-    """Built-in potential's coefficient rule by name."""
-    table = potential_table(seed)
-    if name not in table:
-        raise KeyError(f"unknown potential {name!r}; known: {sorted(table)}")
-    return table[name]
 
 
 # ---------------------------------------------------------------------------
@@ -178,95 +167,8 @@ def toeplitz_potential(coeff_fn, block: IndexBlock) -> OpMatrix:
     return OpMatrix(block, ent.reshape(block.n, block.n))
 
 
-def compose(factors, declared_orders=None) -> tuple[OpMatrix, float]:
-    """Ordered product of matrices with the predicted order as the sum of the
-    declared factor orders."""
-    factors = list(factors)
-    if not factors:
-        raise ValueError("factor list must be nonempty")
-    out = factors[0]
-    for f in factors[1:]:
-        out = core.matmul(out, f)
-    order = float(sum(declared_orders)) if declared_orders is not None else math.nan
-    return out, order
-
-
 # ---------------------------------------------------------------------------
-# structure checks
-
-
-def hermitian_check(A: OpMatrix, tol: float = 1e-12) -> bool:
-    return core.is_hermitian(A, tol)
-
-
-def dirichlet_check(A: OpMatrix, tol: float = 1e-12) -> bool:
-    """True when entry(-m, -n) = entry(m, n) for every active pair."""
-    block = A.block
-    neg = -block.indices()
-    pos, valid = core._positions(block, neg)
-    if not valid.all():
-        raise AssertionError("symmetric blocks always contain -m")
-    mirrored = A.entries[np.ix_(pos, pos)]
-    scale = max(1.0, float(np.max(np.abs(A.entries))))
-    return bool(np.max(np.abs(mirrored - A.entries)) <= tol * scale)
-
-
-def project_odd(x: SobolevVec) -> SobolevVec:
-    """Projection onto odd sequences x_{-k} = -x_k."""
-    pos, _ = core._positions(x.block, -x.block.indices())
-    return SobolevVec(x.block, 0.5 * (x.coeffs - x.coeffs[pos]))
-
-
-def is_odd(x: SobolevVec, tol: float = 1e-12) -> bool:
-    pos, _ = core._positions(x.block, -x.block.indices())
-    scale = max(1.0, float(np.max(np.abs(x.coeffs))))
-    return bool(np.max(np.abs(x.coeffs + x.coeffs[pos])) <= tol * scale)
-
-
-def symbol_difference_growth(phi, alpha: int, radius: int) -> float:
-    """Max of |finite difference of order alpha of phi| (1+|x|)^(alpha - r)
-    over integer points, a direct probe of the symbol-derivative bounds."""
-    ev = phi.evaluator if isinstance(phi, SymbolSpec) else phi
-    r = phi.declared_order if isinstance(phi, SymbolSpec) else 0.0
-    worst = 0.0
-    for m in range(-radius, radius + 1):
-        val = sum((-1) ** (alpha - j) * math.comb(alpha, j) * ev(float(m + j))
-                  for j in range(alpha + 1))
-        worst = max(worst, abs(val) * (1.0 + abs(m)) ** (alpha - r))
-    return worst
-
-
-# ---------------------------------------------------------------------------
-# symplectic block systems
-
-
-@dataclass(frozen=True, eq=False)
-class SymplecticBlock:
-    """Generator [[A, B], [C, -A^T]] with symmetric real B and C; its flow
-    preserves the canonical form J = [[0, I], [-I, 0]]."""
-
-    A: OpMatrix
-    B: OpMatrix
-    C: OpMatrix
-
-    def __post_init__(self):
-        core._check_same_block(self.A, self.B)
-        core._check_same_block(self.A, self.C)
-        for M, sym in ((self.A, False), (self.B, True), (self.C, True)):
-            if np.max(np.abs(M.entries.imag)) > 1e-12 * max(1.0, np.max(np.abs(M.entries))):
-                raise ValueError("blocks must have real entries")
-            if sym and np.max(np.abs(M.entries - M.entries.T)) > \
-                    1e-12 * max(1.0, np.max(np.abs(M.entries))):
-                raise ValueError("off-diagonal blocks must be symmetric")
-
-    @property
-    def block(self) -> IndexBlock:
-        return self.A.block
-
-    def dense(self) -> np.ndarray:
-        a = self.A.entries.real
-        return np.block([[a, self.B.entries.real],
-                         [self.C.entries.real, -a.T]])
+# symplectic structure
 
 
 def canonical_form(n: int) -> np.ndarray:
@@ -280,14 +182,3 @@ def symplectic_defect(propagator: np.ndarray) -> float:
     n = propagator.shape[0] // 2
     J = canonical_form(n)
     return float(np.max(np.abs(propagator.T @ J @ propagator - J)))
-
-
-def symplectic_flow(S: SymplecticBlock, t: float) -> tuple[np.ndarray, float]:
-    """Dense exponential of the assembled block generator and the measured
-    canonical-form defect of the resulting propagator."""
-    if not np.isfinite(t):
-        raise ValueError("t must be finite")
-    prop = scipy.linalg.expm(t * S.dense())
-    if not np.all(np.isfinite(prop)):
-        raise ArithmeticError("matrix exponential produced non-finite values")
-    return prop, symplectic_defect(prop)

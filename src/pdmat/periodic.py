@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core, flows
-from .core import (OpMatrix, SeminormSpec, PERIODIC, TRUNCATED,
-                   periodic_block, representative, truncated_block)
+from .core import (OpMatrix, SeminormSpec, PERIODIC, TRUNCATED, bracket_norm,
+                   periodic_block, truncated_block)
 
 
 # ---------------------------------------------------------------------------
@@ -30,16 +30,12 @@ def _all_residues(period: int, d: int) -> np.ndarray:
     return np.array(list(itertools.product(range(period), repeat=d)), dtype=np.int64)
 
 
-def _brackets(period: int, idx: np.ndarray) -> np.ndarray:
-    return np.abs(representative(period, idx)).sum(axis=-1)
-
-
 def bracket_triangle_holds(period: int, d: int) -> bool:
     """Exhaustive check of [a+b] <= [a]+[b] over Z_K^d x Z_K^d."""
     idx = _all_residues(period, d)
-    br = _brackets(period, idx)
+    br = bracket_norm(period, idx)
     for ia, a in enumerate(idx):
-        rab = _brackets(period, a[None, :] + idx)
+        rab = bracket_norm(period, a[None, :] + idx)
         if np.any(rab > br[ia] + br):
             return False
     return True
@@ -54,10 +50,10 @@ def bracket_peetre_holds(period: int, d: int) -> bool:
     covering every index triple without enumerating K^(3d) of them.
     """
     idx = _all_residues(period, d)
-    br = _brackets(period, idx)
+    br = bracket_norm(period, idx)
     t_max = d * (period // 2)
     for ib, b in enumerate(idx):
-        rcb = _brackets(period, idx - b[None, :])
+        rcb = bracket_norm(period, idx - b[None, :])
         rb = int(br[ib])
         for ra in (0, t_max):
             lhs = 1 + ra + br
@@ -171,8 +167,8 @@ class ApproxErrorTable:
 
 def approx_error(A_limit: OpMatrix, family: PeriodicFamily, s: float,
                  s_prime: float, data_s: float | None = None,
-                 n_samples: int = 8, seed: int = 0, probe: str = "",
-                 zero_mean: bool = False) -> ApproxErrorTable:
+                 n_samples: int = flows.N_SAMPLES, seed: int = 0,
+                 probe: str = "") -> ApproxErrorTable:
     """Measured operator distance sup_x ||(A_limit - embed(A^K)) x||_s' / ||x||_data
     per period, with a fitted decay exponent in K.
 
@@ -184,27 +180,22 @@ def approx_error(A_limit: OpMatrix, family: PeriodicFamily, s: float,
     is what carries the sharp loss rates.  The embedded matrix is zero beyond
     the representative box, so the spectral tail contributes at every period.
     """
-    if A_limit.block.mode != TRUNCATED:
-        raise ValueError("A_limit must be truncated")
+    if A_limit.block.mode != TRUNCATED or not A_limit.fully_defined:
+        raise ValueError("A_limit must be a fully defined truncated matrix")
     master = A_limit.block.size
     if master < max(family.periods) // 2:
         raise ValueError("master block must cover every embedded period")
     if data_s is None:
         data_s = s
-    samples = core.rough_samples(A_limit.block, data_s, n_samples, seed,
-                                 zero_mean=zero_mean)
+    xs = [x.coeffs for x in core.rough_samples(A_limit.block, data_s,
+                                                n_samples, seed)]
     w_out = core.sobolev_weights(A_limit.block, s_prime)
     w_data = core.sobolev_weights(A_limit.block, data_s)
     rows = []
     for K in family.periods:
         E = A_limit - embed(family.matrix(K), radius=master)
-        col_norms = np.sqrt(((w_out[:, None] * np.abs(E.entries)) ** 2).sum(axis=0))
-        worst = float(np.max(col_norms / w_data))
-        for x in samples:
-            err = core.apply(E, x).norm(s_prime)
-            worst = max(worst, err / x.norm(data_s))
         rows.append({"probe": probe, "K": K, "s": s, "s_prime": s_prime,
-                     "error": worst})
+                     "error": flows._ratio_sup(E.entries, w_out, w_data, xs)})
     fit = flows.fit_loglog([r["K"] for r in rows],
                            [max(r["error"], 1e-300) for r in rows])
     if fit is None:

@@ -7,8 +7,8 @@ The transform pair is
     (F u)_a = K^{-d} sum_b exp(-2 pi i a.b / K) u_b,
     (F^{-1} v)_a =      sum_b exp(+2 pi i a.b / K) v_b,
 
-so K^{d/2} F is unitary.  FFTs implement the pair; direct O(K^{2d}) sums are
-kept as test oracles.
+so K^{d/2} F is unitary.  :func:`dft` applies F by FFT; :func:`dft_matrix`
+and :func:`idft_matrix` are the dense matrices of the pair.
 """
 
 from __future__ import annotations
@@ -20,6 +20,11 @@ import numpy as np
 
 from . import core
 from .core import IndexBlock, OpMatrix, PERIODIC, periodic_block, representative
+
+# alias sums of mult_matrix_from_coeffs stop after the first shell whose
+# largest term is below ALIAS_TAIL_TOL, and after ALIAS_MAX_SHELLS at most
+ALIAS_TAIL_TOL = 1e-18
+ALIAS_MAX_SHELLS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,13 +59,6 @@ class GridFunction:
         return core.SobolevVec(self.block, self.values).norm(s)
 
 
-def from_residues(period: int, values, d: int = 1, space: str = "grid") -> GridFunction:
-    """Build from values listed in residue order a = 0..K-1 per axis."""
-    block = periodic_block(d, period)
-    cube = np.asarray(values, dtype=complex).reshape((period,) * d)
-    return GridFunction(block, np.fft.fftshift(cube).reshape(-1), space)
-
-
 def sample(period: int, fn, d: int = 1) -> GridFunction:
     """Sample a 2pi-periodic function at the grid points x_a = 2 pi a / K."""
     block = periodic_block(d, period)
@@ -74,21 +72,6 @@ def dft(u: GridFunction) -> GridFunction:
     k = u.period
     cube = np.fft.fftshift(np.fft.fftn(u.to_residues())) / k ** u.block.d
     return GridFunction(u.block, cube.reshape(-1), "freq")
-
-
-def idft(v: GridFunction) -> GridFunction:
-    k = v.period
-    cube = np.fft.fftshift(np.fft.ifftn(v.to_residues())) * k ** v.block.d
-    return GridFunction(v.block, cube.reshape(-1), "grid")
-
-
-def dft_direct(u: GridFunction) -> GridFunction:
-    """O(K^{2d}) summation oracle for the transform."""
-    return GridFunction(u.block, dft_matrix(u.block) @ u.values, "freq")
-
-
-def idft_direct(v: GridFunction) -> GridFunction:
-    return GridFunction(v.block, idft_matrix(v.block) @ v.values, "grid")
 
 
 def dft_matrix(block: IndexBlock) -> np.ndarray:
@@ -150,13 +133,6 @@ def fd_symbol(j: int, sign: int, period: int, d: int = 1) -> OpMatrix:
 # multiplication operators
 
 
-def mult_grid(v_samples: GridFunction, u: GridFunction) -> GridFunction:
-    """Pointwise multiplication (V u)_a = V(a h) u_a on the grid side."""
-    if v_samples.block != u.block:
-        raise ValueError("period mismatch")
-    return GridFunction(u.block, v_samples.values * u.values, "grid")
-
-
 def mult_matrix_from_samples(v_samples: GridFunction) -> OpMatrix:
     """Fourier-side matrix of pointwise multiplication: entries are the
     discrete Fourier coefficients of the samples at the wrapped difference."""
@@ -169,10 +145,10 @@ def mult_matrix_from_samples(v_samples: GridFunction) -> OpMatrix:
     return OpMatrix(block, ent)
 
 
-def mult_matrix_from_coeffs(coeff_fn, period: int, d: int = 1,
-                            tail_tol: float = 1e-18, max_shells: int = 64) -> OpMatrix:
+def mult_matrix_from_coeffs(coeff_fn, period: int, d: int = 1) -> OpMatrix:
     """Fourier-side multiplication matrix from exact coefficients, folded as
-    the alias sum over coeff(diff + l K); shells are added until negligible.
+    the alias sum over coeff(diff + l K); shells are added until negligible
+    (ALIAS_TAIL_TOL, ALIAS_MAX_SHELLS).
 
     For each alias offset l (shell by shell, offsets in lexicographic order)
     coeff_fn is called once per distinct diff + l K, in the order in which
@@ -189,7 +165,7 @@ def mult_matrix_from_coeffs(coeff_fn, period: int, d: int = 1,
     diff = representative(period, idx[:, None, :] - idx[None, :, :])
     first, inverse = core._distinct_rows(diff)
     rows = diff.reshape(-1, d)[first]
-    for shell in range(max_shells):
+    for shell in range(ALIAS_MAX_SHELLS):
         added = 0.0
         for l in itertools.product(range(-shell, shell + 1), repeat=d):
             if max(abs(c) for c in l) != shell:
@@ -199,23 +175,20 @@ def mult_matrix_from_coeffs(coeff_fn, period: int, d: int = 1,
                 inverse).reshape(block.n, block.n)
             ent += term
             added = max(added, float(np.max(np.abs(term))))
-        if shell and added < tail_tol:
+        if shell and added < ALIAS_TAIL_TOL:
             break
     return OpMatrix(block, ent)
 
 
-def mult_matrix_fourier(period: int, d: int = 1, samples: GridFunction | None = None,
-                        fn=None, coeff_fn=None) -> OpMatrix:
-    """Multiplication matrix from grid samples, a sampled function, or exact
-    coefficients (alias-summed).  Exactly one input path must be given."""
-    paths = [p is not None for p in (samples, fn, coeff_fn)]
-    if sum(paths) != 1:
-        raise ValueError("give exactly one of samples, fn, coeff_fn")
+def mult_matrix_fourier(period: int, d: int = 1, fn=None,
+                        coeff_fn=None) -> OpMatrix:
+    """Multiplication matrix from a sampled function or from exact
+    coefficients (alias-summed).  Exactly one of the two must be given."""
+    if (fn is None) == (coeff_fn is None):
+        raise ValueError("give exactly one of fn, coeff_fn")
     if coeff_fn is not None:
         return mult_matrix_from_coeffs(coeff_fn, period, d)
-    if fn is not None:
-        samples = sample(period, fn, d)
-    return mult_matrix_from_samples(samples)
+    return mult_matrix_from_samples(sample(period, fn, d))
 
 
 # ---------------------------------------------------------------------------
@@ -262,31 +235,3 @@ def compose_pseudo_spectral(factors, period: int, d: int = 1) -> tuple[OpMatrix,
             raise ValueError(f"unknown factor kind {kind!r}")
     return out, order
 
-
-# ---------------------------------------------------------------------------
-# CSV import/export
-
-
-def grid_to_csv(u: GridFunction, path):
-    idx = u.block.indices()
-    with open(path, "w") as fh:
-        cols = ",".join(f"a_{k+1}" for k in range(u.block.d))
-        fh.write(f"{cols},re,im\n")
-        for row, v in zip(idx, u.values):
-            lead = ",".join(str(int(a)) for a in row)
-            fh.write(f"{lead},{float(v.real)!r},{float(v.imag)!r}\n")
-
-
-def grid_from_csv(path, period: int, d: int = 1, space: str = "grid") -> GridFunction:
-    block = periodic_block(d, period)
-    vals = np.zeros(block.n, dtype=complex)
-    with open(path) as fh:
-        fh.readline()
-        for line in fh:
-            parts = line.strip().split(",")
-            idx = [int(p) for p in parts[:d]]
-            pos, valid = core._positions(block, [idx])
-            if not valid[0]:
-                raise ValueError(f"index {idx} outside block")
-            vals[pos[0]] = float(parts[d]) + 1j * float(parts[d + 1])
-    return GridFunction(block, vals, space)

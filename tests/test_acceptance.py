@@ -123,9 +123,9 @@ def test_criterion_07_splitting_local_orders():
     t0 = time.monotonic()
     block = truncated_block(1, 64)
     fa = flows.FlowSpec(operators.fourier_multiplier(lambda x: x * x, block),
-                        flows.DIAGONAL, "i")
+                        flows.DIAGONAL)
     fb = flows.FlowSpec(operators.toeplitz_potential(operators.two_cos_coeff, block),
-                        flows.HERMITIAN, "i")
+                        flows.HERMITIAN)
     tau_list = flows.default_tau_list(0.1, 7)
     ok, details = True, []
     for s in (0.0, 1.0, 2.0):
@@ -145,9 +145,9 @@ def test_criterion_08_derivative_loss():
     def schrodinger(M):
         block = truncated_block(1, M)
         return (flows.FlowSpec(operators.fourier_multiplier(lambda x: x * x, block),
-                               flows.DIAGONAL, "i"),
+                               flows.DIAGONAL),
                 flows.FlowSpec(operators.toeplitz_potential(
-                    operators.two_cos_coeff, block), flows.HERMITIAN, "i"))
+                    operators.two_cos_coeff, block), flows.HERMITIAN))
     lie = flows.loss_estimator(flows.LIE, schrodinger, (16, 32, 64), s=2.0,
                                seed=SEED, stability_factor=1.5)
     model = experiments.waterwave_model("waterwave")

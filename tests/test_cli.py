@@ -14,14 +14,14 @@ from pdmat import cli, experiments, flows, reporting
 def test_parse_config_scalars_and_arrays():
     cfg = cli.parse_config("""
 # a comment
-experiment = "order_gain"
+experiment = "waterwave"
 M_list = [8, 16]
 seed = 7
 horizon = 25.5
 probes = ["waterwave"]
 output_dir = "runs/#3"  # the third run
 """)
-    assert cfg.experiment == "order_gain"
+    assert cfg.experiment == "waterwave"
     assert cfg.output_dir == "runs/#3"
     assert cfg.M_list == (8, 16)
     assert cfg.seed == 7
@@ -61,10 +61,30 @@ def test_invalid_values_rejected():
     ("tau_list = [0.6]", "tau_list"),
     ("n_samples = 0", "n_samples"),
     ("sigma_max = -0.5", "sigma_max"),
+    ("seed = true", "seed"),
+    ("workers = true", "workers"),
+    ('probes = ["waterwave_typo"]', "probes"),
+    ('probes = ["growth_rho0"]', "probes"),
+    ("M_list = [8.5, 16]", "M_list"),
+    ("K_list = [32, 64.0]", "K_list"),
+    ('s_list = ["one"]', "s_list"),
+    ('horizon = "long"', "horizon"),
 ])
 def test_bad_config_values_rejected_by_name(line, key):
     with pytest.raises(cli.ConfigError, match=key):
         cli.parse_config(f'experiment = "waterwave"\n{line}')
+
+
+@pytest.mark.parametrize("experiment,line,key", [
+    ("order_gain", 'probes = ["waterwave"]', "probes"),
+    ("sobolev_growth", 'probes = ["waterwave"]', "probes"),
+    ("order_gain", "M_list = [2, 4]", "M_list"),
+    ("schroedinger_precond", "M_list = [2, 3]", "M_list"),
+    ("splitting_orders", "M_list = [0, 16]", "M_list"),
+])
+def test_values_an_experiment_cannot_run_rejected_by_name(experiment, line, key):
+    with pytest.raises(cli.ConfigError, match=key):
+        cli.parse_config(f'experiment = "{experiment}"\n{line}')
 
 
 @pytest.mark.parametrize("experiment", ["order_gain", "schroedinger_precond"])
@@ -206,6 +226,15 @@ def test_main_entry_points(tmp_path, capsys, monkeypatch):
     assert cli.main(["run", str(cfg_path)]) == 0
     assert (tmp_path / "envout" / "manifest.json").exists()
     assert cli.main(["run", str(tmp_path / "missing.cfg")]) == 2
+
+
+def test_workers_flag_validated_as_config(tmp_path, capsys):
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text('experiment = "order_gain"\nM_list = [8, 16]\n')
+    assert cli.main(["run", str(cfg_path), "--workers", "0",
+                     "--output", str(tmp_path / "out")]) == 2
+    assert "config error: workers must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_workers_do_not_change_results(tmp_path):

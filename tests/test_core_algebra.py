@@ -46,6 +46,12 @@ def sin_coeff(k):
     return 0.0
 
 
+def basis_vector(block, index):
+    c = np.zeros(block.n, dtype=complex)
+    c[core._positions(block, [index])[0][0]] = 1.0
+    return SobolevVec(block, c)
+
+
 def random_periodic(block, rng):
     e = rng.standard_normal((block.n, block.n)) + 1j * rng.standard_normal((block.n, block.n))
     return OpMatrix(block, e)
@@ -248,7 +254,8 @@ def test_seminorm_matches_brute_force_on_random_matrix():
 
 def test_seminorm_zero_matrix():
     block = truncated_block(1, 5)
-    assert core.seminorm(core.zeros(block), SeminormSpec((0,), 3, 0.0)) == 0.0
+    zero = 0.0 * core.identity(block)
+    assert core.seminorm(zero, SeminormSpec((0,), 3, 0.0)) == 0.0
 
 
 def test_seminorm_identity_attained_at_origin():
@@ -380,7 +387,7 @@ def test_apply_identity_and_basis():
     y = core.apply(core.identity(block), x)
     np.testing.assert_array_equal(y.coeffs, x.coeffs)
     Phi = diag_from(block, lambda m: m * m + 1)
-    e3 = core.basis_vector(block, [3])
+    e3 = basis_vector(block, [3])
     y = core.apply(Phi, e3)
     p = core._positions(block, [[3]])[0][0]
     assert y.coeffs[p] == 10.0
@@ -524,7 +531,7 @@ def test_estimate_order_matches_entrywise_scan(case):
     oracle = entrywise_order_scan(fam, alpha_grid, decay_grid, order_grid)
     assert np.array_equal(est.max_ratios, oracle)
     certified = np.array([[[core._stable_family(oracle[i_r, i_a, i_n], est.sizes,
-                                                2.0, 0.125)
+                                                2.0)
                             for i_n in range(len(decay_grid))]
                            for i_a in range(len(alpha_grid))]
                           for i_r in range(len(order_grid))])
@@ -584,8 +591,6 @@ def test_hermitian_scan_for_real_symbol():
     block = truncated_block(1, 12)
     assert core.is_hermitian(diag_from(block, lambda m: m * m))
     assert core.is_diagonal(diag_from(block, lambda m: m))
-    assert core.is_toeplitz(toeplitz_from(block, cos_coeff))
-    assert not core.is_toeplitz(diag_from(block, lambda m: m))
 
 
 # ---------------------------------------------------------------------------
@@ -632,17 +637,3 @@ def test_young_inequality_2d():
         rhs = core.lp_norm(x, 1) * core.lp_norm(y, 1)
         assert lhs <= rhs * (1 + 1e-12)
 
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_dump_load_round_trip(tmp_path):
-    block = periodic_block(1, 8)
-    rng = np.random.default_rng(RNG_SEED)
-    A = random_periodic(block, rng)
-    path = tmp_path / "mat.csv"
-    core.dump_matrix(A, path)
-    B = core.load_matrix(path)
-    assert B.block == A.block
-    np.testing.assert_array_equal(B.entries, A.entries)

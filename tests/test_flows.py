@@ -17,8 +17,12 @@ def schrodinger_pair(M):
     block = truncated_block(1, M)
     A = operators.fourier_multiplier(lambda x: x * x, block)
     B = operators.toeplitz_potential(operators.two_cos_coeff, block)
-    return (flows.FlowSpec(A, flows.DIAGONAL, "i"),
-            flows.FlowSpec(B, flows.HERMITIAN, "i"))
+    return (flows.FlowSpec(A, flows.DIAGONAL),
+            flows.FlowSpec(B, flows.HERMITIAN))
+
+
+def unitarity_defect(P):
+    return float(np.max(np.abs(P @ P.conj().T - np.eye(P.shape[0]))))
 
 
 def random_hermitian_flow(block, rng, scale):
@@ -26,7 +30,7 @@ def random_hermitian_flow(block, rng, scale):
         1j * rng.standard_normal((block.n, block.n))
     H = (X + X.conj().T) / 2
     return flows.FlowSpec(OpMatrix(block, scale * H / np.linalg.norm(H, 2)),
-                          flows.HERMITIAN, "i")
+                          flows.HERMITIAN)
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +59,7 @@ def test_exact_flow_unitary_for_hermitian_sum():
     assert exact.structure == flows.HERMITIAN
     for t in (0.1, 0.5, 1.0):
         P = flows.exact_flow(exact, t)
-        assert flows.unitarity_defect(P) <= 1e-10
+        assert unitarity_defect(P) <= 1e-10
         x = core.rough_samples(fa.generator.block, 1.0, 1, SEED)[0]
         assert np.linalg.norm(P @ x.coeffs) == pytest.approx(
             np.linalg.norm(x.coeffs), rel=1e-10)
@@ -63,7 +67,7 @@ def test_exact_flow_unitary_for_hermitian_sum():
 
 def test_exact_flow_structure_claims_verified():
     _, fb = schrodinger_pair(8)
-    bad = flows.FlowSpec(fb.generator, flows.DIAGONAL, "i")
+    bad = flows.FlowSpec(fb.generator, flows.DIAGONAL)
     with pytest.raises(ValueError):
         flows.exact_flow(bad, 0.1)
 
@@ -100,9 +104,9 @@ def test_split_step_identity_at_zero():
 def test_split_step_exact_for_commuting_generators():
     block = truncated_block(1, 8)
     fa = flows.FlowSpec(operators.fourier_multiplier(lambda x: x * x, block),
-                        flows.DIAGONAL, "i")
+                        flows.DIAGONAL)
     fb = flows.FlowSpec(operators.fourier_multiplier(lambda x: abs(x), block),
-                        flows.DIAGONAL, "i")
+                        flows.DIAGONAL)
     exact = flows.summed_flow(fa, fb)
     for tau in (0.5, 0.05):
         E = flows.split_step(flows.LIE, fa, fb, tau) - flows.exact_flow(exact, tau)
@@ -118,9 +122,9 @@ def test_split_step_rejects_large_tau():
 def test_lie_step_error_scales_quadratically():
     K = 32
     fa = flows.FlowSpec(spectral.spectral_multiplier(lambda x: x * x, K),
-                        flows.DIAGONAL, "i")
+                        flows.DIAGONAL)
     fb = flows.FlowSpec(spectral.mult_matrix_fourier(K, fn=np.cos),
-                        flows.HERMITIAN, "i")
+                        flows.HERMITIAN)
     exact = flows.summed_flow(fa, fb)
     x = core.rough_samples(fa.generator.block, 3.0, 1, SEED)[0].coeffs
     errs = []
@@ -163,7 +167,7 @@ def test_fourth_order_composition_local_order():
 
 def test_local_error_zero_generator_flagged():
     fa, _ = schrodinger_pair(8)
-    zero = flows.FlowSpec(core.zeros(fa.generator.block), flows.DIAGONAL, "i")
+    zero = flows.FlowSpec(0.0 * core.identity(fa.generator.block), flows.DIAGONAL)
     samples = core.rough_samples(fa.generator.block, 2.0, 3, SEED)
     tab = flows.local_error(flows.LIE, fa, zero, flows.default_tau_list(), 0.0,
                             samples)
@@ -186,14 +190,14 @@ def test_periodic_and_truncated_measurements_agree():
     # band-limited potential: same Lie error on both sides within 10%
     K, s = 32, 1.0
     pa = flows.FlowSpec(spectral.spectral_multiplier(lambda x: x * x, K),
-                        flows.DIAGONAL, "i")
+                        flows.DIAGONAL)
     pb = flows.FlowSpec(spectral.mult_matrix_fourier(K, fn=np.cos),
-                        flows.HERMITIAN, "i")
+                        flows.HERMITIAN)
     tb = truncated_block(1, K // 2)
     ta = flows.FlowSpec(operators.fourier_multiplier(lambda x: x * x, tb),
-                        flows.DIAGONAL, "i")
+                        flows.DIAGONAL)
     tpot = flows.FlowSpec(operators.toeplitz_potential(operators.cos_coeff, tb),
-                          flows.HERMITIAN, "i")
+                          flows.HERMITIAN)
     per = flows.local_error(flows.LIE, pa, pb, (0.01,), s,
                             core.rough_samples(pa.generator.block, s, 6, 21))
     tru = flows.local_error(flows.LIE, ta, tpot, (0.01,), s,
@@ -231,9 +235,9 @@ def test_loss_estimator_commuting_pair_no_loss():
     def builder(M):
         block = truncated_block(1, M)
         return (flows.FlowSpec(operators.fourier_multiplier(lambda x: x * x, block),
-                               flows.DIAGONAL, "i"),
+                               flows.DIAGONAL),
                 flows.FlowSpec(operators.fourier_multiplier(lambda x: abs(x), block),
-                               flows.DIAGONAL, "i"))
+                               flows.DIAGONAL))
     rep = flows.loss_estimator(flows.LIE, builder, (8, 16, 32), s=1.0, seed=3)
     assert rep.sigma_hat == 0.0 and rep.certified
 

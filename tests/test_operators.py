@@ -6,11 +6,67 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from pdmat import core, operators, spectral
 from pdmat.core import SobolevVec, truncated_block
 
 SEED = 1789
+
+
+# ---------------------------------------------------------------------------
+# oracles: the parity class, symbol differences, symplectic block flows
+
+
+def dirichlet_check(A, tol=1e-12):
+    """True when entry(-m, -n) = entry(m, n) for every active pair."""
+    pos, _ = core._positions(A.block, -A.block.indices())
+    mirrored = A.entries[np.ix_(pos, pos)]
+    scale = max(1.0, float(np.max(np.abs(A.entries))))
+    return bool(np.max(np.abs(mirrored - A.entries)) <= tol * scale)
+
+
+def project_odd(x):
+    """Projection onto odd sequences x_{-k} = -x_k."""
+    pos, _ = core._positions(x.block, -x.block.indices())
+    return SobolevVec(x.block, 0.5 * (x.coeffs - x.coeffs[pos]))
+
+
+def is_odd(x, tol=1e-12):
+    pos, _ = core._positions(x.block, -x.block.indices())
+    scale = max(1.0, float(np.max(np.abs(x.coeffs))))
+    return bool(np.max(np.abs(x.coeffs + x.coeffs[pos])) <= tol * scale)
+
+
+def symbol_difference_growth(spec, alpha, radius):
+    """Max of |finite difference of order alpha of the symbol|
+    (1+|x|)^(alpha - r) over integer points, r the declared order."""
+    worst = 0.0
+    for m in range(-radius, radius + 1):
+        val = sum((-1) ** (alpha - j) * math.comb(alpha, j) * spec(float(m + j))
+                  for j in range(alpha + 1))
+        worst = max(worst, abs(val) * (1.0 + abs(m)) ** (alpha - spec.declared_order))
+    return worst
+
+
+def symplectic_generator(A, B, C):
+    """Dense generator [[A, B], [C, -A^T]] of real blocks with B and C
+    symmetric, whose flow preserves the canonical form."""
+    for M, sym in ((A, False), (B, True), (C, True)):
+        scale = max(1.0, np.max(np.abs(M.entries)))
+        if np.max(np.abs(M.entries.imag)) > 1e-12 * scale:
+            raise ValueError("blocks must have real entries")
+        if sym and np.max(np.abs(M.entries - M.entries.T)) > 1e-12 * scale:
+            raise ValueError("off-diagonal blocks must be symmetric")
+    a = A.entries.real
+    return np.block([[a, B.entries.real], [C.entries.real, -a.T]])
+
+
+def symplectic_flow(S, t):
+    """Dense exponential of a block generator and its measured
+    canonical-form defect."""
+    prop = scipy.linalg.expm(t * S)
+    return prop, operators.symplectic_defect(prop)
 
 
 # ---------------------------------------------------------------------------
@@ -119,16 +175,6 @@ def test_toeplitz_decay_constant():
     assert c4 == pytest.approx(math.exp(-3) * 4 ** 4, rel=1e-12)  # worst at |m-n| = 3
 
 
-def test_compose_orders():
-    block = truncated_block(1, 16)
-    A = operators.fourier_multiplier(operators.symbol_catalog("laplacian"), block)
-    B = operators.toeplitz_potential(operators.cos_coeff, block)
-    I = core.identity(block)
-    P, order = operators.compose([I, A, I, B], declared_orders=(0, 2, 0, 0))
-    assert order == 2.0
-    np.testing.assert_allclose(P.entries, core.matmul(A, B).entries)
-
-
 def test_compose_certified_orders_match_declared():
     two_factor, three_factor = [], []
     for M in (16, 32, 64):
@@ -148,10 +194,10 @@ def test_compose_certified_orders_match_declared():
 
 def test_dirichlet_identity_and_even_potential():
     block = truncated_block(1, 8)
-    assert operators.dirichlet_check(core.identity(block))
-    assert operators.dirichlet_check(
+    assert dirichlet_check(core.identity(block))
+    assert dirichlet_check(
         operators.toeplitz_potential(operators.cos_coeff, block))
-    assert not operators.dirichlet_check(
+    assert not dirichlet_check(
         operators.toeplitz_potential(operators.sin_coeff, block))
 
 
@@ -160,21 +206,21 @@ def test_parity_class_preserves_odd_sequences():
     rng = np.random.default_rng(SEED)
     A = operators.toeplitz_potential(operators.cos_coeff, block) + \
         operators.fourier_multiplier(lambda x: x * x, block)
-    assert operators.dirichlet_check(A)
+    assert dirichlet_check(A)
     for _ in range(5):
         x = SobolevVec(block, rng.standard_normal(block.n)
                        + 1j * rng.standard_normal(block.n))
-        xo = operators.project_odd(x)
-        assert operators.is_odd(xo)
-        assert operators.is_odd(core.apply(A, xo))
+        xo = project_odd(x)
+        assert is_odd(xo)
+        assert is_odd(core.apply(A, xo))
 
 
 def test_parity_class_stable_under_product_and_bracket():
     block = truncated_block(1, 10)
     A = operators.fourier_multiplier(lambda x: x * x, block)
     B = operators.toeplitz_potential(operators.cos_coeff, block)
-    assert operators.dirichlet_check(core.matmul(A, B))
-    assert operators.dirichlet_check(core.commutator(A, B))
+    assert dirichlet_check(core.matmul(A, B))
+    assert dirichlet_check(core.commutator(A, B))
 
 
 # ---------------------------------------------------------------------------
@@ -183,12 +229,12 @@ def test_parity_class_stable_under_product_and_bracket():
 
 def test_hermitian_examples():
     block = truncated_block(1, 10)
-    assert operators.hermitian_check(
+    assert core.is_hermitian(
         operators.fourier_multiplier(lambda x: x * x, block))
-    assert operators.hermitian_check(
+    assert core.is_hermitian(
         operators.toeplitz_potential(operators.cos_coeff, block))
     imag_cos = lambda k: 1j * operators.cos_coeff(k)
-    assert not operators.hermitian_check(
+    assert not core.is_hermitian(
         operators.toeplitz_potential(imag_cos, block))
 
 
@@ -196,7 +242,7 @@ def test_hermitian_closure_under_scaled_bracket():
     block = truncated_block(1, 10)
     A = operators.fourier_multiplier(lambda x: x * x, block)
     B = operators.toeplitz_potential(operators.exp_decay_coeff, block)
-    assert operators.hermitian_check(1j * core.commutator(A, B))
+    assert core.is_hermitian(1j * core.commutator(A, B))
 
 
 def test_diagonal_toeplitz_commutator_entry_formula():
@@ -218,7 +264,7 @@ def test_symbol_difference_growth_probe():
     # derivative-normalized scale
     spec = operators.symbol_catalog("bracket_power", power=0.5)
     for alpha in (1, 2):
-        assert operators.symbol_difference_growth(spec, alpha, 64) < 4.0
+        assert symbol_difference_growth(spec, alpha, 64) < 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -231,24 +277,24 @@ def test_symplectic_block_validation():
     skew = core.OpMatrix(block, np.triu(np.ones((block.n, block.n))) -
                          np.tril(np.ones((block.n, block.n))))
     with pytest.raises(ValueError):
-        operators.SymplecticBlock(core.zeros(block), skew, sym)
+        symplectic_generator(0.0 * core.identity(block), skew, sym)
 
 
 def test_symplectic_flow_identity_at_zero():
     block = truncated_block(1, 6)
-    S = operators.SymplecticBlock(core.zeros(block), core.identity(block),
-                                  -1.0 * core.identity(block))
-    prop, defect = operators.symplectic_flow(S, 0.0)
+    S = symplectic_generator(0.0 * core.identity(block), core.identity(block),
+                             -1.0 * core.identity(block))
+    prop, defect = symplectic_flow(S, 0.0)
     assert np.max(np.abs(prop - np.eye(2 * block.n))) == 0.0
     assert defect == 0.0
 
 
 def test_symplectic_flow_harmonic_rotation():
     block = truncated_block(1, 6)
-    S = operators.SymplecticBlock(core.zeros(block), core.identity(block),
-                                  -1.0 * core.identity(block))
+    S = symplectic_generator(0.0 * core.identity(block), core.identity(block),
+                             -1.0 * core.identity(block))
     t = 0.7
-    prop, defect = operators.symplectic_flow(S, t)
+    prop, defect = symplectic_flow(S, t)
     n = block.n
     np.testing.assert_allclose(prop[:n, :n], np.cos(t) * np.eye(n), atol=1e-12)
     np.testing.assert_allclose(prop[:n, n:], np.sin(t) * np.eye(n), atol=1e-12)
@@ -261,14 +307,12 @@ def test_symplectic_flow_wave_system():
     block = truncated_block(1, M)
     lap = operators.fourier_multiplier(lambda x: -x * x, block)
     V = operators.toeplitz_potential(operators.cos_coeff, block)
-    S = operators.SymplecticBlock(core.zeros(block), lap + V, core.identity(block))
+    S = symplectic_generator(0.0 * core.identity(block), lap + V, core.identity(block))
     for t in (0.25, 0.5, 1.0):
-        _, defect = operators.symplectic_flow(S, t)
+        _, defect = symplectic_flow(S, t)
         assert defect <= 1e-8
 
 
 def test_catalog_lookup_errors():
     with pytest.raises(KeyError):
         operators.symbol_catalog("no_such_symbol")
-    with pytest.raises(KeyError):
-        operators.potential_catalog("no_such_potential")

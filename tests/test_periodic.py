@@ -56,7 +56,7 @@ def test_bracket_range():
 
 
 def test_dnorm_zero_family():
-    fam = periodic.PeriodicFamily(lambda k: core.zeros(periodic_block(1, k)),
+    fam = periodic.PeriodicFamily(lambda k: 0.0 * core.identity(periodic_block(1, k)),
                                   (8, 16), "0")
     assert periodic.dnorm(fam, SeminormSpec((0,), 2, 0.0)) == 0.0
 
@@ -116,7 +116,7 @@ def test_family_period_mismatch():
 
 def test_embed_zero_and_diagonal():
     K = 8
-    Z = core.zeros(periodic_block(1, K))
+    Z = 0.0 * core.identity(periodic_block(1, K))
     assert np.max(np.abs(periodic.embed(Z).entries)) == 0.0
     D = spectral.fd_symbol(1, 1, K)
     E = periodic.embed(D)
