@@ -1,0 +1,83 @@
+"""Run experiment configs over a range of seeds and summarize every gate.
+
+    PYTHONPATH=src python scripts/seed_sweep.py CONFIG [CONFIG ...] --seeds 1-30
+
+Each config runs once per seed, with the config's seed replaced, into a
+temporary directory that is removed at the end; nothing is written anywhere
+else.  For each gate one line gives how many seeds it passed and the seeds
+where it failed; a run that did not finish is listed as a ``run_status``
+failure.  The exit status is 1 when any gate failed or any run did not
+finish, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import os
+import sys
+import tempfile
+
+from pdmat import cli, reporting
+
+
+def parse_seeds(text: str) -> list:
+    """'N' or 'A-B' (inclusive) as a list of seeds."""
+    first, _, last = text.partition("-")
+    first, last = int(first), int(last or first)
+    if first < 0 or last < first:
+        raise argparse.ArgumentTypeError(f"bad seed range {text!r}")
+    return list(range(first, last + 1))
+
+
+def sweep(paths, seeds, workdir: str) -> dict:
+    """{(config stem, gate): [seeds where it failed]}.  A gate fails at a
+    seed where it reads false or, because the run stopped early, is missing
+    while some other seed has it."""
+    failures: dict = {}
+    for path in paths:
+        stem = os.path.splitext(os.path.basename(path))[0]
+        cfg = cli.load_config(path)
+        runs = {}
+        for seed in seeds:
+            cfg.seed = seed
+            outdir = os.path.join(workdir, f"{stem}-{seed}")
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.run(cfg, outdir)
+            manifest = reporting.read_manifest(outdir)
+            runs[seed] = {**manifest["passes"],
+                          "run_status": manifest["status"] == "ok"}
+        for gate in set().union(*runs.values()):
+            failures[(stem, gate)] = [seed for seed in seeds
+                                      if not runs[seed].get(gate, False)]
+    return failures
+
+
+def summary(failures: dict, n_seeds: int) -> list:
+    width = max(len(f"{stem}.{gate}") for stem, gate in failures)
+    lines = []
+    for (stem, gate), failed in sorted(failures.items()):
+        line = f"{stem + '.' + gate:<{width}}  passed {n_seeds - len(failed)}/{n_seeds}"
+        if failed:
+            line += f"  failed at seeds {failed}"
+        lines.append(line)
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("configs", nargs="+", help="config file paths")
+    parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("1-30"),
+                        help="seed or inclusive seed range A-B (default 1-30)")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="pdmat-seed-sweep-") as workdir:
+        failures = sweep(args.configs, args.seeds, workdir)
+    print(f"seeds {args.seeds[0]}-{args.seeds[-1]} ({len(args.seeds)} runs per config)")
+    for line in summary(failures, len(args.seeds)):
+        print(line)
+    return 1 if any(failures.values()) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

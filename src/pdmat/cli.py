@@ -138,6 +138,12 @@ class ExperimentConfig:
         for name in ("horizon", "delta"):
             if not _is_number(getattr(self, name)) or getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be a positive number")
+        # the growth exponent is fitted on the steps at t >= 1 and needs two
+        if self.experiment == "sobolev_growth" and \
+                (round(self.horizon / self.delta) - 1) * self.delta < 1.0:
+            raise ConfigError(f"horizon {self.horizon:g} leaves fewer than two "
+                              f"steps of delta {self.delta:g} at t >= 1 for "
+                              "sobolev_growth (it needs 1 + delta or more)")
         for name in ("seed", "workers"):
             if not _is_int(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer")

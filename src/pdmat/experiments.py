@@ -3,7 +3,13 @@
 Water waves: the linearized surface system with topography is split into a
 per-frequency rotation and a nilpotent coupling; both substeps are exact and
 symplectic, and the splitting converges at full order without extra
-regularity on the data.
+regularity on the data.  The reference flow of the unsplit system comes from
+its Hamiltonian structure: with S = omega^{1/2}, the operator
+S (omega + coupling) S is Hermitian, and one eigendecomposition of it per
+assembled system gives the flow at every time as a rotation at the square
+roots of its eigenvalues (a growing mode where an eigenvalue is negative).
+That structure is checked first, and a failed check raises a ValueError
+naming the model.
 
 Schroedinger preconditioner: a bounded change of variable conjugates the
 stiff generator into a block-diagonal part plus a smoothing remainder, so a
@@ -24,7 +30,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.linalg
@@ -116,9 +122,54 @@ class WaterWaveOperators:
         gen[:self.n, self.n:] += self.coupling
         return gen
 
+    @cached_property
+    def normal_modes(self) -> tuple:
+        """Factors of the exact flow from one Hermitian eigendecomposition.
+
+        On the modes p where omega > 0, with S = omega^{1/2} and
+        A = omega + coupling, L = S A S = V diag(lam) V^* is Hermitian, and
+        the flow rotates at mu = sqrt(lam).  A negative lam (an indefinite
+        energy, as a rough bottom of large amplitude gives) makes mu
+        imaginary and the mode grow; the flow stays exact, since it needs only
+        cos(mu t), mu sin(mu t) and sin(mu t) / mu, which are entire in lam.
+        Returns (p, mu, S^-1 V, V^* S, S V, V^* S^-1).  A ValueError names the
+        model and the measured value when the coupling is not Hermitian or
+        touches a mode with omega = 0."""
+        label, C = self.model.label, self.coupling
+        scale = float(np.max(np.abs(C)))
+        defect = float(np.max(np.abs(C - C.conj().T)))
+        if defect > 1e-12 * scale:
+            raise ValueError(f"{label}: coupling is not Hermitian (relative "
+                             f"defect {defect / scale:.3g} > 1e-12)")
+        p, z = np.flatnonzero(self.omega > 0), np.flatnonzero(self.omega <= 0)
+        leak = float(max(np.max(np.abs(C[z, :]), initial=0.0),
+                         np.max(np.abs(C[:, z]), initial=0.0)))
+        if leak != 0.0:
+            raise ValueError(f"{label}: coupling reaches a mode with omega = 0 "
+                             f"(max entry {leak:.3g})")
+        S = np.sqrt(self.omega[p])
+        L = S[:, None] * (np.diag(self.omega[p]) + C[np.ix_(p, p)]) * S[None, :]
+        lam, V = np.linalg.eigh(L)
+        Vh = V.conj().T
+        return (p, np.sqrt(lam.astype(complex)), V / S[:, None], Vh * S[None, :],
+                V * S[:, None], Vh / S[None, :])
+
     def exact_prop(self, t: float) -> np.ndarray:
+        """e^{t G} of generator(): the blocks in (xi, v) order are
+        S^-1 V c V^* S, S^-1 V (mu s) V^* S^-1, -S V (s/mu) V^* S and
+        S V c V^* S^-1, with c = cos(mu t), s = sin(mu t) and s/mu = t at
+        mu = 0 (see normal_modes); the identity on the modes with omega = 0."""
         if t not in self._exact_cache:
-            self._exact_cache[t] = scipy.linalg.expm(t * self.generator())
+            p, mu, xl, xr, yl, yr = self.normal_modes
+            c, s = np.cos(mu * t), np.sin(mu * t)
+            s_mu = np.divide(s, mu, out=np.full_like(s, t), where=mu != 0)
+            q = p + self.n
+            out = np.eye(2 * self.n, dtype=complex)
+            out[np.ix_(p, p)] = (xl * c) @ xr
+            out[np.ix_(p, q)] = (xl * (mu * s)) @ yr
+            out[np.ix_(q, p)] = -(yl * s_mu) @ xr
+            out[np.ix_(q, q)] = (yl * c) @ yr
+            self._exact_cache[t] = out
         return self._exact_cache[t]
 
     def weights(self, s: float) -> np.ndarray:

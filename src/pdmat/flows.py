@@ -1,8 +1,10 @@
 """Reference propagators, splitting steps, and convergence measurements.
 
-The reference flow is always the dense matrix exponential (or an
-eigendecomposition for Hermitian generators) at finite dimension: exact up to
-roundoff, so order fits see only the splitting error.  Local-error tables fit
+The reference flow is exact at finite dimension up to roundoff, so order
+fits see only the splitting error: ``exact_flow`` diagonalizes diagonal and
+Hermitian generators and takes the dense matrix exponential of any other, and
+the water-wave study brings its own Hermitian normal-mode flow
+(``experiments.WaterWaveOperators.exact_prop``).  Local-error tables fit
 the step-size order; the loss estimator scans a grid of extra-regularity
 exponents and certifies the smallest one for which the error-to-data ratio is
 multiplicatively stable as the block refines.

@@ -33,38 +33,7 @@ class SymbolSpec:
         return self.evaluator(*x)
 
 
-def _sech(y: float) -> float:
-    # avoid overflow of cosh for large arguments
-    return 2.0 * math.exp(-abs(y)) / (1.0 + math.exp(-2.0 * abs(y)))
-
-
-def dispersion_symbol(mu: float = 1.0) -> SymbolSpec:
-    """Square root of |k| tanh(sqrt(mu) |k|) / sqrt(mu); order 1/2."""
-    rmu = math.sqrt(mu)
-
-    def omega(*x):
-        k = sum(abs(c) for c in x)
-        return math.sqrt(k * math.tanh(rmu * k) / rmu)
-    return SymbolSpec(omega, 0.5, f"omega(mu={mu})")
-
-
-def dispersion_squared_symbol(mu: float = 1.0) -> SymbolSpec:
-    rmu = math.sqrt(mu)
-
-    def omega2(*x):
-        k = sum(abs(c) for c in x)
-        return k * math.tanh(rmu * k) / rmu
-    return SymbolSpec(omega2, 1.0, f"omega2(mu={mu})")
-
-
-def sech_smoothing_symbol(mu: float = 1.0) -> SymbolSpec:
-    """Exponentially decaying depth factor sech(sqrt(mu) |k|); order 0."""
-    rmu = math.sqrt(mu)
-    return SymbolSpec(lambda *x: _sech(rmu * sum(abs(c) for c in x)), 0.0,
-                      f"sech_gain(mu={mu})")
-
-
-def symbol_table(mu: float = 1.0, power: float = 1.0) -> dict:
+def symbol_table(power: float = 1.0) -> dict:
     """Built-in symbols addressable from experiment configs, by name."""
     return {
         "one": SymbolSpec(lambda *x: 1.0, 0.0, "one"),
@@ -73,15 +42,12 @@ def symbol_table(mu: float = 1.0, power: float = 1.0) -> dict:
         "bracket_power": SymbolSpec(
             lambda *x: (1.0 + sum(c * c for c in x)) ** (power / 2.0),
             power, f"bracket^{power}"),
-        "ww_omega": dispersion_symbol(mu),
-        "ww_omega2": dispersion_squared_symbol(mu),
-        "ww_gain": sech_smoothing_symbol(mu),
     }
 
 
-def symbol_catalog(name: str, mu: float = 1.0, power: float = 1.0) -> SymbolSpec:
+def symbol_catalog(name: str, power: float = 1.0) -> SymbolSpec:
     """Built-in symbol by name."""
-    table = symbol_table(mu, power)
+    table = symbol_table(power)
     if name not in table:
         raise KeyError(f"unknown symbol {name!r}; known: {sorted(table)}")
     return table[name]

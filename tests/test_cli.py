@@ -81,6 +81,7 @@ def test_bad_config_values_rejected_by_name(line, key):
     ("order_gain", "M_list = [2, 4]", "M_list"),
     ("schroedinger_precond", "M_list = [2, 3]", "M_list"),
     ("splitting_orders", "M_list = [0, 16]", "M_list"),
+    ("sobolev_growth", "horizon = 1.0", "horizon"),
 ])
 def test_values_an_experiment_cannot_run_rejected_by_name(experiment, line, key):
     with pytest.raises(cli.ConfigError, match=key):

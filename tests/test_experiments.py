@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from pdmat import core, experiments, flows, operators, periodic
 
@@ -121,6 +122,68 @@ def test_waterwave_energy_measured(ww_ops):
     assert math.isfinite(e0) and e0 > 0
     exact = ww_ops.exact_prop(0.5)
     assert ww_ops.energy(exact @ x) == pytest.approx(e0, rel=1e-8)
+
+
+@pytest.mark.parametrize("K", [32, 64])
+@pytest.mark.parametrize("probe", ["waterwave", "waterwave_mu01",
+                                   "waterwave_rough", "waterwave_stvenant"])
+def test_waterwave_exact_prop_matches_dense_expm(probe, K):
+    _assert_exact_prop_matches_expm(
+        experiments.waterwave_assemble(experiments.waterwave_model(probe), K))
+
+
+def _assert_exact_prop_matches_expm(ops):
+    G = ops.generator()
+    for t in (flows.TAU_STAR, 0.1, 0.5, 1.0):
+        ref = scipy.linalg.expm(t * G)
+        err = np.max(np.abs(ops.exact_prop(t) - ref))
+        assert err <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_waterwave_exact_prop_reuses_one_eigendecomposition(monkeypatch):
+    ops = experiments.waterwave_assemble(experiments.waterwave_model("waterwave"), 16)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+    first = ops.exact_prop(0.01)
+    for t in (0.01, 0.02, 0.04):
+        ops.exact_prop(t)
+    assert len(calls) == 1
+    assert np.array_equal(ops.exact_prop(0.01), first)
+
+
+def _with_coupling(ops, coupling):
+    return experiments.WaterWaveOperators(ops.model, ops.block, ops.omega,
+                                          coupling, ops.mult, ops.deriv)
+
+
+def test_waterwave_exact_prop_rejects_non_hermitian_coupling(ww_ops):
+    C = ww_ops.coupling.copy()
+    C[1, 2] += 1e-6
+    with pytest.raises(ValueError, match="waterwave: coupling is not Hermitian"):
+        _with_coupling(ww_ops, C).exact_prop(0.1)
+
+
+def test_waterwave_exact_prop_rejects_coupling_on_zero_mode(ww_ops):
+    C = ww_ops.coupling.copy()
+    p0 = ww_ops.block.origin()
+    C[p0, 1] = C[1, p0] = 0.5
+    with pytest.raises(ValueError, match="waterwave: coupling reaches a mode "
+                                         r"with omega = 0 \(max entry 0.5\)"):
+        _with_coupling(ww_ops, C).exact_prop(0.1)
+
+
+@pytest.mark.parametrize("model", [
+    # a constant bottom b = 10 makes omega + coupling negative at |k| = 1
+    experiments.WaterWaveModel(1.0, lambda *k: 10.0 if k[0] == 0 else 0.0,
+                               "constant_bottom"),
+    experiments.waterwave_model("waterwave_rough", seed=4),
+], ids=["constant_bottom", "rough_seed4"])
+def test_waterwave_exact_prop_with_indefinite_energy_matches_dense_expm(model):
+    ops = experiments.waterwave_assemble(model, 32)
+    mu = ops.normal_modes[1]
+    assert np.min((mu ** 2).real) < 0
+    _assert_exact_prop_matches_expm(ops)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from pdmat import core, operators, periodic, spectral
+from pdmat import core, experiments, operators, periodic, spectral
 from pdmat.core import periodic_block
 
 SEED = 424242
@@ -247,8 +247,9 @@ def test_spectral_multiplier_values():
 
 
 def test_water_wave_dispersion_value():
-    om2 = operators.dispersion_squared_symbol(mu=1.0)
-    Q = spectral.spectral_multiplier(om2.evaluator, 8)
+    model = experiments.WaterWaveModel(1.0)
+    Q = spectral.spectral_multiplier(
+        lambda x: float(model.dispersion(np.array([x]))[0]) ** 2, 8)
     p, _ = core._positions(Q.block, [[2]])
     assert Q.entries[p[0], p[0]] == pytest.approx(2 * math.tanh(2.0), rel=1e-15)
 
