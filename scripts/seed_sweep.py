@@ -6,14 +6,17 @@ Each config runs once per seed, with the config's seed replaced, into a
 temporary directory that is removed at the end; nothing is written anywhere
 else.  For each gate one line gives how many seeds it passed and the seeds
 where it failed; a run that did not finish is listed as a ``run_status``
-failure.  The exit status is 1 when any gate failed or any run did not
-finish, else 0.
+failure.  After the gate lines, one line per (config, seed) gives the sha256
+of that run's results.csv followed by its fits.json, so two checkouts produce
+byte-identical outputs exactly when a diff of their sweep outputs is empty.
+The exit status is 1 when any gate failed or any run did not finish, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import os
 import sys
@@ -31,11 +34,22 @@ def parse_seeds(text: str) -> list:
     return list(range(first, last + 1))
 
 
-def sweep(paths, seeds, workdir: str) -> dict:
-    """{(config stem, gate): [seeds where it failed]}.  A gate fails at a
-    seed where it reads false or, because the run stopped early, is missing
-    while some other seed has it."""
+def output_digest(outdir: str) -> str:
+    """sha256 of results.csv followed by fits.json."""
+    h = hashlib.sha256()
+    for name in ("results.csv", "fits.json"):
+        with open(os.path.join(outdir, name), "rb") as fh:
+            h.update(fh.read())
+    return h.hexdigest()
+
+
+def sweep(paths, seeds, workdir: str) -> tuple:
+    """({(config stem, gate): [seeds where it failed]},
+    {(config stem, seed): output digest}).  A gate fails at a seed where it
+    reads false or, because the run stopped early, is missing while some
+    other seed has it."""
     failures: dict = {}
+    digests: dict = {}
     for path in paths:
         stem = os.path.splitext(os.path.basename(path))[0]
         cfg = cli.load_config(path)
@@ -46,12 +60,13 @@ def sweep(paths, seeds, workdir: str) -> dict:
             with contextlib.redirect_stdout(io.StringIO()):
                 cli.run(cfg, outdir)
             manifest = reporting.read_manifest(outdir)
+            digests[(stem, seed)] = output_digest(outdir)
             runs[seed] = {**manifest["passes"],
                           "run_status": manifest["status"] == "ok"}
         for gate in set().union(*runs.values()):
             failures[(stem, gate)] = [seed for seed in seeds
                                       if not runs[seed].get(gate, False)]
-    return failures
+    return failures, digests
 
 
 def summary(failures: dict, n_seeds: int) -> list:
@@ -72,10 +87,12 @@ def main(argv=None) -> int:
                         help="seed or inclusive seed range A-B (default 1-30)")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="pdmat-seed-sweep-") as workdir:
-        failures = sweep(args.configs, args.seeds, workdir)
+        failures, digests = sweep(args.configs, args.seeds, workdir)
     print(f"seeds {args.seeds[0]}-{args.seeds[-1]} ({len(args.seeds)} runs per config)")
     for line in summary(failures, len(args.seeds)):
         print(line)
+    for (stem, seed), digest in digests.items():
+        print(f"sha256 {stem} seed {seed} {digest}")
     return 1 if any(failures.values()) else 0
 
 

@@ -10,7 +10,6 @@ requested suite fails.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import math
 import os
 import sys
@@ -82,8 +81,8 @@ def _study_periods(K_list) -> tuple:
 @dataclass
 class ExperimentConfig:
     """What one batch run sweeps: experiment, probes, grids, seed, output
-    directory, worker threads, and the growth horizon and step.  Gate bounds
-    are module constants and cannot be set from a config."""
+    directory, and the growth horizon and step.  Gate bounds are module
+    constants and cannot be set from a config."""
 
     experiment: str
     probes: tuple = ()
@@ -92,7 +91,6 @@ class ExperimentConfig:
     s_list: tuple = (0.0, 1.0, 2.0)
     seed: int = 1
     output_dir: str = ""
-    workers: int = 1
     horizon: float = 50.0
     delta: float = 0.01
 
@@ -144,11 +142,8 @@ class ExperimentConfig:
             raise ConfigError(f"horizon {self.horizon:g} leaves fewer than two "
                               f"steps of delta {self.delta:g} at t >= 1 for "
                               "sobolev_growth (it needs 1 + delta or more)")
-        for name in ("seed", "workers"):
-            if not _is_int(getattr(self, name)):
-                raise ConfigError(f"{name} must be an integer")
-        if self.workers < 1:
-            raise ConfigError("workers must be at least 1")
+        if not _is_int(self.seed):
+            raise ConfigError("seed must be an integer")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
         return self
@@ -196,11 +191,6 @@ def _strip_comment(line: str) -> str:
 
 def parse_config(text: str) -> ExperimentConfig:
     """Flat key = value lines; arrays in brackets; # comments outside quotes."""
-    return _read_config(text).validate()
-
-
-def _read_config(text: str) -> ExperimentConfig:
-    """The config that the text sets, not yet validated."""
     values: dict = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
@@ -227,22 +217,12 @@ def _read_config(text: str) -> ExperimentConfig:
     for key in _STR_FIELDS & set(values):
         if not isinstance(values[key], str):
             raise ConfigError(f"{key} must be a string")
-    return ExperimentConfig(**values)
+    return ExperimentConfig(**values).validate()
 
 
 def load_config(path) -> ExperimentConfig:
     with open(path) as fh:
         return parse_config(fh.read())
-
-
-def run_jobs(jobs, workers: int):
-    """Evaluate (name, callable) pairs, in declaration order, optionally on a
-    thread pool; results are reduced in declaration order either way."""
-    if workers <= 1 or len(jobs) <= 1:
-        return [(name, fn()) for name, fn in jobs]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [(name, pool.submit(fn)) for name, fn in jobs]
-        return [(name, fut.result()) for name, fut in futures]
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +233,7 @@ def _schrodinger_builder(M):
     block = core.truncated_block(1, M)
     A = operators.fourier_multiplier(lambda x: x * x, block)
     B = operators.toeplitz_potential(operators.two_cos_coeff, block)
-    return (flows.FlowSpec(A, flows.DIAGONAL),
-            flows.FlowSpec(B, flows.HERMITIAN))
+    return A, B
 
 
 def run_order_gain(cfg: ExperimentConfig):
@@ -317,30 +296,25 @@ def run_approx_rates(cfg: ExperimentConfig):
 def run_splitting_orders(cfg: ExperimentConfig):
     t0 = time.monotonic()
     M = max(cfg.M_list)
-    fa, fb = _schrodinger_builder(M)
-    block = fa.generator.block
+    A, B = _schrodinger_builder(M)
+    block = A.block
     rows, fits, passes = [], {}, {}
-
-    def one(scheme_name, s):
-        scheme = flows.LIE if scheme_name == "lie" else flows.STRANG
-        samples = core.rough_samples(block, s + 3.0, flows.N_SAMPLES, cfg.seed)
-        return flows.local_error(scheme, fa, fb, TAU_LIST, s, samples)
-
-    jobs = [(f"{name}_s{s:g}", lambda n=name, ss=s: one(n, ss))
-            for name in ("lie", "strang") for s in cfg.s_list]
-    for label, tab in run_jobs(jobs, cfg.workers):
-        scheme_name, s_label = label.split("_s")
-        target = 2.0 if scheme_name == "lie" else 3.0
-        fits[label] = {"slope": tab.fit.slope if tab.fit else None,
-                       "intercept": tab.fit.intercept if tab.fit else None,
-                       "residual": tab.fit.residual if tab.fit else None,
-                       "target": target}
-        passes[f"{label}_slope"] = tab.fit is not None and \
-            abs(tab.fit.slope - target) <= FIT_BAND
-        for r in tab.rows:
-            rows.append({"probe": "schrodinger", "scheme": scheme_name,
-                         "level": M, "tau": r["tau"], "s": r["s"],
-                         "error": r["error"]})
+    for scheme_name, scheme, target in (("lie", flows.LIE, 2.0),
+                                        ("strang", flows.STRANG, 3.0)):
+        for s in cfg.s_list:
+            label = f"{scheme_name}_s{s:g}"
+            samples = core.rough_samples(block, s + 3.0, flows.N_SAMPLES, cfg.seed)
+            tab = flows.local_error(scheme, A, B, TAU_LIST, s, samples)
+            fits[label] = {"slope": tab.fit.slope if tab.fit else None,
+                           "intercept": tab.fit.intercept if tab.fit else None,
+                           "residual": tab.fit.residual if tab.fit else None,
+                           "target": target}
+            passes[f"{label}_slope"] = tab.fit is not None and \
+                abs(tab.fit.slope - target) <= FIT_BAND
+            for r in tab.rows:
+                rows.append({"probe": "schrodinger", "scheme": scheme_name,
+                             "level": M, "tau": r["tau"], "s": r["s"],
+                             "error": r["error"]})
     elapsed = time.monotonic() - t0
     fits["runtime_seconds"] = elapsed
     passes["runtime_lt_120s"] = elapsed < 120.0
@@ -440,18 +414,14 @@ def run_schroedinger_precond(cfg: ExperimentConfig):
 def run_sobolev_growth(cfg: ExperimentConfig):
     probes = cfg.probes or ("growth_rho0", "growth_rhom1")
     rows, fits, passes = [], {}, {}
-
-    def one(probe):
+    s_list = [s for s in cfg.s_list if s > 0] or [1.0, 2.0]
+    for probe in probes:
         model = experiments.growth_model(probe)
         periods = _study_periods(cfg.K_list)
         if model.rho < 0:
             periods = periods[:2]
-        s_list = [s for s in cfg.s_list if s > 0] or [1.0, 2.0]
-        return experiments.sobolev_growth_study(
+        res = experiments.sobolev_growth_study(
             model, cfg.horizon, s_list, periods, delta=cfg.delta, seed=cfg.seed)
-
-    for probe, res in run_jobs([(p, lambda p=p: one(p)) for p in probes],
-                               cfg.workers):
         for r in res["rows"]:
             rows.append({"probe": probe, **r, "s": r["s"]})
         worst_drift = max(res["conservation"].values())
@@ -634,8 +604,6 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="run one experiment from a config file")
     p_run.add_argument("config", help="flat key = value config path")
-    p_run.add_argument("--workers", type=int, default=None,
-                       help="thread workers for independent jobs")
     p_run.add_argument("--output", default=None,
                        help="output directory (default from config, then "
                             "PDMAT_OUTPUT_DIR, then ./pdmat-out)")
@@ -652,11 +620,7 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     try:
-        with open(args.config) as fh:
-            cfg = _read_config(fh.read())
-        if args.workers is not None:
-            cfg.workers = args.workers
-        cfg.validate()
+        cfg = load_config(args.config)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

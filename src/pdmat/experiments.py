@@ -248,6 +248,15 @@ def waterwave_noloss_study(model: WaterWaveModel, schemes, periods, tau_list,
     # uniformly in K on the probed time window
     out["stability_bounds"] = {}
     level_ops = {K: waterwave_assemble(model, K) for K in periods}
+    # a negative eigenvalue of S (omega + coupling) S is a growing mode,
+    # outside the positive-energy setting of the no-loss theory
+    for K, ops_k in level_ops.items():
+        lam_min = float(np.min((ops_k.normal_modes[1] ** 2).real))
+        if lam_min < 0:
+            msg = (f"{model.label}: energy is indefinite at K={K} (min "
+                   f"eigenvalue of S(omega+C)S {lam_min:.3g})")
+            warnings.warn(msg)
+            out["warnings"].append(msg)
     for s in s_list:
         bounds = []
         for K in periods:
@@ -326,7 +335,7 @@ class PreconditionedSchroedinger:
     pairs: list
 
     def exact_prop(self, tau: float) -> np.ndarray:
-        return flows.exact_flow(flows.FlowSpec(self.H, flows.HERMITIAN), tau)
+        return flows.exact_flow(self.H, tau)
 
     def block_diag_prop(self, tau: float) -> np.ndarray:
         """Exponential of the resonant part via per-pair 2x2 Hermitian blocks."""
@@ -339,7 +348,7 @@ class PreconditionedSchroedinger:
         return out
 
     def smoothing_prop(self, tau: float) -> np.ndarray:
-        return flows.exact_flow(flows.FlowSpec(self.R, flows.HERMITIAN), tau)
+        return flows.exact_flow(self.R, tau)
 
     def preconditioned_prop(self, tau: float) -> np.ndarray:
         return self.exp_x_minus @ flows.compose(
@@ -347,9 +356,7 @@ class PreconditionedSchroedinger:
             self.exp_x_plus
 
     def lie_baseline_prop(self, tau: float) -> np.ndarray:
-        fa = flows.FlowSpec(self.A, flows.DIAGONAL)
-        fb = flows.FlowSpec(self.B, flows.HERMITIAN)
-        return flows.split_step(flows.LIE, fa, fb, tau)
+        return flows.split_step(flows.LIE, self.A, self.B, tau)
 
 
 def schroedinger_assemble(v_coeffs, radius: int) -> PreconditionedSchroedinger:

@@ -1,9 +1,10 @@
 """Reference propagators, splitting steps, and convergence measurements.
 
 The reference flow is exact at finite dimension up to roundoff, so order
-fits see only the splitting error: ``exact_flow`` diagonalizes diagonal and
-Hermitian generators and takes the dense matrix exponential of any other, and
-the water-wave study brings its own Hermitian normal-mode flow
+fits see only the splitting error: ``exact_flow`` reads the generator's
+structure, exponentiating an exactly diagonal generator entrywise and any
+other through its Hermitian eigendecomposition (a generator that is neither
+raises), and the water-wave study brings its own Hermitian normal-mode flow
 (``experiments.WaterWaveOperators.exact_prop``).  Local-error tables fit
 the step-size order; the loss estimator scans a grid of extra-regularity
 exponents and certifies the smallest one for which the error-to-data ratio is
@@ -16,14 +17,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 import numpy as np
-import scipy.linalg
 
 from . import core
 from .core import OpMatrix
-
-DIAGONAL = "diagonal"
-HERMITIAN = "hermitian"
-GENERIC = "generic"
 
 TRIPLE_JUMP_GAMMA = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 TAU_MAX = 0.5           # largest step size a splitting step accepts
@@ -33,21 +29,6 @@ N_SAMPLES = 6           # rough data vectors in each error sup
 NOISE_FLOOR = 1e-11     # loss ratios at or below this certify at once
 
 
-@dataclass(frozen=True, eq=False)
-class FlowSpec:
-    """Generator G of the flow e^{i t G}, plus how to exponentiate it.
-
-    The structure claim is verified on first use and an invalid claim raises.
-    """
-
-    generator: OpMatrix
-    structure: str = GENERIC
-
-    def __post_init__(self):
-        if self.structure not in (DIAGONAL, HERMITIAN, GENERIC):
-            raise ValueError(f"unknown structure {self.structure!r}")
-
-
 @lru_cache(maxsize=64)
 def _eigh_cached(A: OpMatrix):
     if not core.is_hermitian(A, 1e-12):
@@ -55,22 +36,16 @@ def _eigh_cached(A: OpMatrix):
     return np.linalg.eigh(A.entries)
 
 
-def exact_flow(spec: FlowSpec, t: float) -> np.ndarray:
-    """Propagator e^{i t G}."""
+def exact_flow(G: OpMatrix, t: float) -> np.ndarray:
+    """Propagator e^{i t G}: entrywise when G is exactly diagonal (a
+    tolerance would drop off-diagonal entries), else from its Hermitian
+    eigendecomposition, which raises ValueError for a non-Hermitian G."""
     if not np.isfinite(t):
         raise ValueError("t must be finite")
-    G = spec.generator
-    if spec.structure == DIAGONAL:
-        if not core.is_diagonal(G, 1e-12):
-            raise ValueError("matrix fails the diagonal scan")
+    if core.is_diagonal(G, 0.0):
         return np.diag(np.exp(1j * t * np.diag(G.entries)))
-    if spec.structure == HERMITIAN:
-        w, V = _eigh_cached(G)
-        return (V * np.exp(1j * t * w)) @ V.conj().T
-    out = scipy.linalg.expm(1j * t * G.entries)
-    if not np.all(np.isfinite(out)):
-        raise ArithmeticError("matrix exponential produced non-finite values")
-    return out
+    w, V = _eigh_cached(G)
+    return (V * np.exp(1j * t * w)) @ V.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -136,26 +111,14 @@ def compose(scheme: SplitScheme, a, b, tau: float) -> np.ndarray:
     return out
 
 
-def split_step(scheme: SplitScheme, flowA: FlowSpec, flowB: FlowSpec,
+def split_step(scheme: SplitScheme, A: OpMatrix, B: OpMatrix,
                tau: float) -> np.ndarray:
-    """Matrix of one splitting step of size tau of the exact flows A and B."""
+    """Matrix of one splitting step of size tau of the exact flows of the
+    generators A and B."""
     if abs(tau) > TAU_MAX:
         raise ValueError(f"|tau| must be at most {TAU_MAX}")
-    core._check_same_block(flowA.generator, flowB.generator)
-    return compose(scheme, partial(exact_flow, flowA), partial(exact_flow, flowB),
-                   tau)
-
-
-def summed_flow(flowA: FlowSpec, flowB: FlowSpec) -> FlowSpec:
-    """Reference flow of the summed generator, with the best usable structure."""
-    G = flowA.generator + flowB.generator
-    if core.is_diagonal(G, 1e-14):
-        structure = DIAGONAL
-    elif core.is_hermitian(G, 1e-12):
-        structure = HERMITIAN
-    else:
-        structure = GENERIC
-    return FlowSpec(G, structure)
+    core._check_same_block(A, B)
+    return compose(scheme, partial(exact_flow, A), partial(exact_flow, B), tau)
 
 
 # ---------------------------------------------------------------------------
@@ -198,13 +161,13 @@ def default_tau_list(base: float = 0.1, count: int = 7):
     return tuple(base * 2.0 ** (-j) for j in range(count))
 
 
-def local_error(scheme: SplitScheme, flowA: FlowSpec, flowB: FlowSpec,
+def local_error(scheme: SplitScheme, A: OpMatrix, B: OpMatrix,
                 tau_list, s: float, samples) -> LocalErrorTable:
-    """Error table of a split pair of exact flows against their summed flow,
+    """Error table of the split flows of A and B against the flow of A + B,
     in the h^s norm of their block."""
-    return error_table(partial(split_step, scheme, flowA, flowB),
-                       partial(exact_flow, summed_flow(flowA, flowB)),
-                       tau_list, s, core.sobolev_weights(flowA.generator.block, s),
+    return error_table(partial(split_step, scheme, A, B),
+                       partial(exact_flow, A + B),
+                       tau_list, s, core.sobolev_weights(A.block, s),
                        [x.coeffs for x in samples])
 
 
@@ -324,20 +287,19 @@ def sobolev_space(block):
                                   core.rough_samples(block, reg, n, seed)])
 
 
-def loss_estimator(scheme: SplitScheme, flow_builder, labels, s: float,
+def loss_estimator(scheme: SplitScheme, builder, labels, s: float,
                    sigma_grid=None, seed: int = 0,
                    stability_factor: float = 1.5) -> LossReport:
     """Loss scan for a scalar split system across block refinement levels:
-    flow_builder(label) returns (flowA, flowB) on the label's block, and each
-    level's error matrix is the split step against the summed flow at
+    builder(label) returns the generators (A, B) on the label's block, and
+    each level's error matrix is the split step against the flow of A + B at
     TAU_STAR."""
     levels = []
     for label in labels:
-        flowA, flowB = flow_builder(label)
+        A, B = builder(label)
         levels.append(refinement_level(
-            label, partial(split_step, scheme, flowA, flowB),
-            partial(exact_flow, summed_flow(flowA, flowB)), TAU_STAR,
-            *sobolev_space(flowA.generator.block)))
+            label, partial(split_step, scheme, A, B),
+            partial(exact_flow, A + B), TAU_STAR, *sobolev_space(A.block)))
     return loss_scan(levels, s, sigma_grid, seed, stability_factor)
 
 

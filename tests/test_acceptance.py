@@ -122,16 +122,14 @@ def test_criterion_06_approximation_rates():
 def test_criterion_07_splitting_local_orders():
     t0 = time.monotonic()
     block = truncated_block(1, 64)
-    fa = flows.FlowSpec(operators.fourier_multiplier(lambda x: x * x, block),
-                        flows.DIAGONAL)
-    fb = flows.FlowSpec(operators.toeplitz_potential(operators.two_cos_coeff, block),
-                        flows.HERMITIAN)
+    A = operators.fourier_multiplier(lambda x: x * x, block)
+    B = operators.toeplitz_potential(operators.two_cos_coeff, block)
     tau_list = flows.default_tau_list(0.1, 7)
     ok, details = True, []
     for s in (0.0, 1.0, 2.0):
         samples = core.rough_samples(block, s + 3.0, 6, SEED)
-        lie = flows.local_error(flows.LIE, fa, fb, tau_list, s, samples)
-        strang = flows.local_error(flows.STRANG, fa, fb, tau_list, s, samples)
+        lie = flows.local_error(flows.LIE, A, B, tau_list, s, samples)
+        strang = flows.local_error(flows.STRANG, A, B, tau_list, s, samples)
         ok &= abs(lie.fit.slope - 2.0) <= 0.25
         ok &= abs(strang.fit.slope - 3.0) <= 0.25
         details.append(f"s={s:g}: lie={lie.fit.slope:.3f} strang={strang.fit.slope:.3f}")
@@ -144,10 +142,8 @@ def test_criterion_07_splitting_local_orders():
 def test_criterion_08_derivative_loss():
     def schrodinger(M):
         block = truncated_block(1, M)
-        return (flows.FlowSpec(operators.fourier_multiplier(lambda x: x * x, block),
-                               flows.DIAGONAL),
-                flows.FlowSpec(operators.toeplitz_potential(
-                    operators.two_cos_coeff, block), flows.HERMITIAN))
+        return (operators.fourier_multiplier(lambda x: x * x, block),
+                operators.toeplitz_potential(operators.two_cos_coeff, block))
     lie = flows.loss_estimator(flows.LIE, schrodinger, (16, 32, 64), s=2.0,
                                seed=SEED, stability_factor=1.5)
     model = experiments.waterwave_model("waterwave")

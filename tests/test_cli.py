@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -49,8 +51,8 @@ def test_invalid_values_rejected():
         cli.parse_config('experiment = "order_gain"\nK_list = [8, 7]')
     with pytest.raises(cli.ConfigError, match="experiment"):
         cli.parse_config('experiment = "nope"')
-    with pytest.raises(cli.ConfigError, match="workers"):
-        cli.parse_config('experiment = "order_gain"\nworkers = 0')
+    with pytest.raises(cli.ConfigError, match="unknown key 'workers'"):
+        cli.parse_config('experiment = "order_gain"\nworkers = 2')
 
 
 @pytest.mark.parametrize("line,key", [
@@ -124,6 +126,14 @@ def test_shipped_config_loads_and_validates(path):
     cfg = cli.load_config(path)
     assert cfg.experiment == path.stem
     assert cfg.validate() is cfg
+
+
+def test_readme_key_table_lists_exactly_the_config_fields():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    keys = re.findall(r"^\| `(\w+)` \|", readme, flags=re.MULTILINE)
+    fields = [f.name for f in dataclasses.fields(cli.ExperimentConfig)]
+    assert keys == fields
+    assert f"exactly these {len(fields)} keys" in readme
 
 
 def test_stability_warning_keeps_waterwave_gates(monkeypatch):
@@ -229,21 +239,21 @@ def test_main_entry_points(tmp_path, capsys, monkeypatch):
     assert cli.main(["run", str(tmp_path / "missing.cfg")]) == 2
 
 
-def test_workers_flag_validated_as_config(tmp_path, capsys):
-    cfg_path = tmp_path / "c.cfg"
-    cfg_path.write_text('experiment = "order_gain"\nM_list = [8, 16]\n')
-    assert cli.main(["run", str(cfg_path), "--workers", "0",
-                     "--output", str(tmp_path / "out")]) == 2
-    assert "config error: workers must be at least 1" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
-def test_workers_do_not_change_results(tmp_path):
-    base = 'experiment = "splitting_orders"\nM_list = [16]\ns_list = [0.0, 1.0]\nseed = 3\n'
-    out1, out2 = tmp_path / "w1", tmp_path / "w2"
-    cli.run(cli.parse_config(base + "workers = 1\n"), out1)
-    cli.run(cli.parse_config(base + "workers = 4\n"), out2)
-    assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
+@pytest.mark.parametrize("seed,warned", [(4, True), (1, False)])
+def test_indefinite_waterwave_energy_warned_in_manifest(tmp_path, seed, warned):
+    # the rough bottom of seed 4 makes S(omega+C)S indefinite at every K
+    cfg = cli.parse_config('experiment = "waterwave"\n'
+                           'probes = ["waterwave_rough"]\nK_list = [32, 64]\n'
+                           f's_list = [1.0]\nseed = {seed}\n')
+    cli.run(cfg, tmp_path)
+    warns = [w for w in reporting.read_manifest(tmp_path)["warnings"]
+             if "energy is indefinite" in w]
+    if warned:
+        assert [w.split(" (")[0] for w in warns] == [
+            f"waterwave_rough: energy is indefinite at K={K}" for K in (32, 64)]
+        assert all("-0.0798)" in w for w in warns)
+    else:
+        assert warns == []
 
 
 def test_failed_job_marked_in_manifest(tmp_path, monkeypatch):

@@ -230,7 +230,7 @@ def test_block_diag_prop_matches_dense_exponential():
     model = experiments.schroedinger_assemble(operators.exp_decay_coeff, 8)
     tau = 0.03
     fast = model.block_diag_prop(tau)
-    slow = flows.exact_flow(flows.FlowSpec(model.A + model.Z, flows.HERMITIAN), tau)
+    slow = flows.exact_flow(model.A + model.Z, tau)
     assert np.max(np.abs(fast - slow)) < 1e-12
 
 

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from pdmat import core, flows, operators, spectral
 from pdmat.core import OpMatrix, truncated_block
@@ -17,20 +18,18 @@ def schrodinger_pair(M):
     block = truncated_block(1, M)
     A = operators.fourier_multiplier(lambda x: x * x, block)
     B = operators.toeplitz_potential(operators.two_cos_coeff, block)
-    return (flows.FlowSpec(A, flows.DIAGONAL),
-            flows.FlowSpec(B, flows.HERMITIAN))
+    return A, B
 
 
 def unitarity_defect(P):
     return float(np.max(np.abs(P @ P.conj().T - np.eye(P.shape[0]))))
 
 
-def random_hermitian_flow(block, rng, scale):
+def random_hermitian(block, rng, scale):
     X = rng.standard_normal((block.n, block.n)) + \
         1j * rng.standard_normal((block.n, block.n))
     H = (X + X.conj().T) / 2
-    return flows.FlowSpec(OpMatrix(block, scale * H / np.linalg.norm(H, 2)),
-                          flows.HERMITIAN)
+    return OpMatrix(block, scale * H / np.linalg.norm(H, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -38,38 +37,54 @@ def random_hermitian_flow(block, rng, scale):
 
 
 def test_exact_flow_identity_at_zero():
-    fa, _ = schrodinger_pair(8)
-    P = flows.exact_flow(fa, 0.0)
-    assert np.max(np.abs(P - np.eye(fa.generator.block.n))) == 0.0
+    A, _ = schrodinger_pair(8)
+    P = flows.exact_flow(A, 0.0)
+    assert np.max(np.abs(P - np.eye(A.block.n))) == 0.0
 
 
 def test_exact_flow_diagonal_signs_at_pi():
-    fa, _ = schrodinger_pair(8)
-    P = flows.exact_flow(fa, math.pi)
+    A, _ = schrodinger_pair(8)
+    P = flows.exact_flow(A, math.pi)
     diag = np.diag(P)
     np.testing.assert_allclose(np.abs(diag), 1.0, atol=1e-14)
-    idx = fa.generator.block.indices()[:, 0]
+    idx = A.block.indices()[:, 0]
     expected = np.exp(1j * math.pi * idx.astype(float) ** 2)
     np.testing.assert_allclose(diag, expected, atol=1e-12)
 
 
 def test_exact_flow_unitary_for_hermitian_sum():
-    fa, fb = schrodinger_pair(16)
-    exact = flows.summed_flow(fa, fb)
-    assert exact.structure == flows.HERMITIAN
+    A, B = schrodinger_pair(16)
     for t in (0.1, 0.5, 1.0):
-        P = flows.exact_flow(exact, t)
+        P = flows.exact_flow(A + B, t)
         assert unitarity_defect(P) <= 1e-10
-        x = core.rough_samples(fa.generator.block, 1.0, 1, SEED)[0]
+        x = core.rough_samples(A.block, 1.0, 1, SEED)[0]
         assert np.linalg.norm(P @ x.coeffs) == pytest.approx(
             np.linalg.norm(x.coeffs), rel=1e-10)
 
 
-def test_exact_flow_structure_claims_verified():
-    _, fb = schrodinger_pair(8)
-    bad = flows.FlowSpec(fb.generator, flows.DIAGONAL)
-    with pytest.raises(ValueError):
-        flows.exact_flow(bad, 0.1)
+def test_exact_flow_nearly_diagonal_hermitian_keeps_off_diagonal():
+    # off-diagonal entries at about 3e-13 of the largest entry pass the
+    # default diagonal scan; the flow must still come from the eigenvectors,
+    # since the entrywise exponential misses the dense oracle by more than
+    # the tolerance
+    block = truncated_block(1, 8)
+    rng = np.random.default_rng(7)
+    d = np.diag(rng.uniform(1.0, 10.0, block.n))
+    G = OpMatrix(block, d + random_hermitian(block, rng, 1e-11).entries)
+    assert core.is_diagonal(G, 1e-12)
+    for t in (1.0, 10.0):
+        ref = scipy.linalg.expm(1j * t * G.entries)
+        assert np.max(np.abs(flows.exact_flow(G, t) - ref)) <= 1e-12
+        entrywise = np.diag(np.exp(1j * t * np.diag(G.entries)))
+        assert np.max(np.abs(entrywise - ref)) > 1e-12
+
+
+def test_exact_flow_rejects_non_hermitian_generator():
+    block = truncated_block(1, 8)
+    shear = np.diag(np.arange(block.n, dtype=complex))
+    shear[0, 1] = 1.0
+    with pytest.raises(ValueError, match="Hermitian"):
+        flows.exact_flow(OpMatrix(block, shear), 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -95,41 +110,35 @@ def test_compose_ordering_convention():
 
 
 def test_split_step_identity_at_zero():
-    fa, fb = schrodinger_pair(8)
+    A, B = schrodinger_pair(8)
     for scheme in (flows.LIE, flows.STRANG, flows.composition_scheme(4)):
-        P = flows.split_step(scheme, fa, fb, 0.0)
-        assert np.max(np.abs(P - np.eye(fa.generator.block.n))) < 1e-14
+        P = flows.split_step(scheme, A, B, 0.0)
+        assert np.max(np.abs(P - np.eye(A.block.n))) < 1e-14
 
 
 def test_split_step_exact_for_commuting_generators():
     block = truncated_block(1, 8)
-    fa = flows.FlowSpec(operators.fourier_multiplier(lambda x: x * x, block),
-                        flows.DIAGONAL)
-    fb = flows.FlowSpec(operators.fourier_multiplier(lambda x: abs(x), block),
-                        flows.DIAGONAL)
-    exact = flows.summed_flow(fa, fb)
+    A = operators.fourier_multiplier(lambda x: x * x, block)
+    B = operators.fourier_multiplier(lambda x: abs(x), block)
     for tau in (0.5, 0.05):
-        E = flows.split_step(flows.LIE, fa, fb, tau) - flows.exact_flow(exact, tau)
+        E = flows.split_step(flows.LIE, A, B, tau) - flows.exact_flow(A + B, tau)
         assert np.max(np.abs(E)) <= 1e-12
 
 
 def test_split_step_rejects_large_tau():
-    fa, fb = schrodinger_pair(8)
+    A, B = schrodinger_pair(8)
     with pytest.raises(ValueError):
-        flows.split_step(flows.LIE, fa, fb, 0.7)
+        flows.split_step(flows.LIE, A, B, 0.7)
 
 
 def test_lie_step_error_scales_quadratically():
     K = 32
-    fa = flows.FlowSpec(spectral.spectral_multiplier(lambda x: x * x, K),
-                        flows.DIAGONAL)
-    fb = flows.FlowSpec(spectral.mult_matrix_fourier(K, fn=np.cos),
-                        flows.HERMITIAN)
-    exact = flows.summed_flow(fa, fb)
-    x = core.rough_samples(fa.generator.block, 3.0, 1, SEED)[0].coeffs
+    A = spectral.spectral_multiplier(lambda x: x * x, K)
+    B = spectral.mult_matrix_fourier(K, fn=np.cos)
+    x = core.rough_samples(A.block, 3.0, 1, SEED)[0].coeffs
     errs = []
     for tau in (0.01, 0.005):
-        E = flows.split_step(flows.LIE, fa, fb, tau) - flows.exact_flow(exact, tau)
+        E = flows.split_step(flows.LIE, A, B, tau) - flows.exact_flow(A + B, tau)
         errs.append(np.linalg.norm(E @ x))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
 
@@ -152,10 +161,10 @@ def test_composition_scheme_mapping():
 def test_fourth_order_composition_local_order():
     block = truncated_block(1, 8)
     rng = np.random.default_rng(5)
-    fa = random_hermitian_flow(block, rng, 2.0)
-    fb = random_hermitian_flow(block, rng, 2.0)
+    A = random_hermitian(block, rng, 2.0)
+    B = random_hermitian(block, rng, 2.0)
     samples = core.rough_samples(block, 2.0, 4, 11)
-    tab = flows.local_error(flows.composition_scheme(4), fa, fb,
+    tab = flows.local_error(flows.composition_scheme(4), A, B,
                             flows.default_tau_list(), 0.0, samples)
     assert 4.6 <= tab.fit.slope <= 5.4
     assert tab.fit.n_dropped >= 1  # smallest steps hit the roundoff floor
@@ -166,10 +175,10 @@ def test_fourth_order_composition_local_order():
 
 
 def test_local_error_zero_generator_flagged():
-    fa, _ = schrodinger_pair(8)
-    zero = flows.FlowSpec(0.0 * core.identity(fa.generator.block), flows.DIAGONAL)
-    samples = core.rough_samples(fa.generator.block, 2.0, 3, SEED)
-    tab = flows.local_error(flows.LIE, fa, zero, flows.default_tau_list(), 0.0,
+    A, _ = schrodinger_pair(8)
+    zero = 0.0 * core.identity(A.block)
+    samples = core.rough_samples(A.block, 2.0, 3, SEED)
+    tab = flows.local_error(flows.LIE, A, zero, flows.default_tau_list(), 0.0,
                             samples)
     assert all(r["error"] <= 1e-12 for r in tab.rows)
     assert tab.fit is None
@@ -177,10 +186,10 @@ def test_local_error_zero_generator_flagged():
 
 @pytest.mark.parametrize("s", [0.0, 1.0, 2.0])
 def test_lie_and_strang_slopes(s):
-    fa, fb = schrodinger_pair(32)
-    samples = core.rough_samples(fa.generator.block, s + 3.0, 5, SEED)
-    lie = flows.local_error(flows.LIE, fa, fb, flows.default_tau_list(), s, samples)
-    strang = flows.local_error(flows.STRANG, fa, fb, flows.default_tau_list(), s,
+    A, B = schrodinger_pair(32)
+    samples = core.rough_samples(A.block, s + 3.0, 5, SEED)
+    lie = flows.local_error(flows.LIE, A, B, flows.default_tau_list(), s, samples)
+    strang = flows.local_error(flows.STRANG, A, B, flows.default_tau_list(), s,
                                samples)
     assert lie.fit.slope == pytest.approx(2.0, abs=0.25)
     assert strang.fit.slope == pytest.approx(3.0, abs=0.25)
@@ -189,17 +198,13 @@ def test_lie_and_strang_slopes(s):
 def test_periodic_and_truncated_measurements_agree():
     # band-limited potential: same Lie error on both sides within 10%
     K, s = 32, 1.0
-    pa = flows.FlowSpec(spectral.spectral_multiplier(lambda x: x * x, K),
-                        flows.DIAGONAL)
-    pb = flows.FlowSpec(spectral.mult_matrix_fourier(K, fn=np.cos),
-                        flows.HERMITIAN)
+    pa = spectral.spectral_multiplier(lambda x: x * x, K)
+    pb = spectral.mult_matrix_fourier(K, fn=np.cos)
     tb = truncated_block(1, K // 2)
-    ta = flows.FlowSpec(operators.fourier_multiplier(lambda x: x * x, tb),
-                        flows.DIAGONAL)
-    tpot = flows.FlowSpec(operators.toeplitz_potential(operators.cos_coeff, tb),
-                          flows.HERMITIAN)
+    ta = operators.fourier_multiplier(lambda x: x * x, tb)
+    tpot = operators.toeplitz_potential(operators.cos_coeff, tb)
     per = flows.local_error(flows.LIE, pa, pb, (0.01,), s,
-                            core.rough_samples(pa.generator.block, s, 6, 21))
+                            core.rough_samples(pa.block, s, 6, 21))
     tru = flows.local_error(flows.LIE, ta, tpot, (0.01,), s,
                             core.rough_samples(tb, s, 6, 21))
     ep, et = per.rows[0]["error"], tru.rows[0]["error"]
@@ -216,13 +221,11 @@ def test_propagator_norms_stable_across_refinement():
     s = 2.0
     bounds = []
     for M in (16, 32, 64):
-        fa, fb = schrodinger_pair(M)
-        exact = flows.summed_flow(fa, fb)
-        block = fa.generator.block
-        samples = [x.coeffs for x in core.rough_samples(block, s, 5, SEED)]
-        w = core.sobolev_weights(block, s)
+        A, B = schrodinger_pair(M)
+        samples = [x.coeffs for x in core.rough_samples(A.block, s, 5, SEED)]
+        w = core.sobolev_weights(A.block, s)
         bounds.append(flows.propagator_norm_bound(
-            lambda t: flows.exact_flow(exact, t), (0.25, 0.5, 1.0), s,
+            lambda t, G=A + B: flows.exact_flow(G, t), (0.25, 0.5, 1.0), s,
             samples, w))
     assert all(b <= 1.1 * bounds[0] for b in bounds)
 
@@ -234,10 +237,8 @@ def test_propagator_norms_stable_across_refinement():
 def test_loss_estimator_commuting_pair_no_loss():
     def builder(M):
         block = truncated_block(1, M)
-        return (flows.FlowSpec(operators.fourier_multiplier(lambda x: x * x, block),
-                               flows.DIAGONAL),
-                flows.FlowSpec(operators.fourier_multiplier(lambda x: abs(x), block),
-                               flows.DIAGONAL))
+        return (operators.fourier_multiplier(lambda x: x * x, block),
+                operators.fourier_multiplier(lambda x: abs(x), block))
     rep = flows.loss_estimator(flows.LIE, builder, (8, 16, 32), s=1.0, seed=3)
     assert rep.sigma_hat == 0.0 and rep.certified
 

@@ -18,8 +18,6 @@ SRC = ROOT / "src" / "pdmat"
 # public names that no run reaches and that stay, because a claim of the
 # paper or the benchmark rests on them: each with the test that covers it
 KEEP = {
-    "cli.load_config":
-        "tests/test_cli.py::test_shipped_config_loads_and_validates",
     "core.apply":
         "tests/test_core_algebra.py::test_apply_operator_norm_bound_uniform_over_radii",
     "flows.composition_scheme":

@@ -1,8 +1,10 @@
-"""scripts/seed_sweep.py: per-gate pass counts over a seed range."""
+"""scripts/seed_sweep.py: per-gate pass counts and output digests over a
+seed range."""
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -26,14 +28,22 @@ def test_parse_seeds():
         seed_sweep.parse_seeds("5-2")
 
 
-def test_every_gate_counted_over_the_seeds(capsys):
+def test_every_gate_counted_over_the_seeds(tmp_path, capsys):
     assert seed_sweep.main([CONFIG, "--seeds", "1-2"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "seeds 1-2 (2 runs per config)"
-    assert [line.split()[0] for line in out[1:]] == [
+    assert [line.split()[0] for line in out[1:4]] == [
         "approx_rates.fd_rate_near_1", "approx_rates.mult_rate_near_2",
         "approx_rates.run_status"]
-    assert all(line.endswith("passed 2/2") for line in out[1:])
+    assert all(line.endswith("passed 2/2") for line in out[1:4])
+    assert [line.split()[:4] for line in out[4:]] == [
+        ["sha256", "approx_rates", "seed", "1"],
+        ["sha256", "approx_rates", "seed", "2"]]
+    # the digest covers results.csv, then fits.json, of the seed's run
+    cli.run(cli.load_config(CONFIG), tmp_path)
+    expected = hashlib.sha256((tmp_path / "results.csv").read_bytes() +
+                              (tmp_path / "fits.json").read_bytes()).hexdigest()
+    assert out[4].split()[-1] == expected
 
 
 def test_a_run_that_stops_fails_every_gate_at_its_seed(monkeypatch, capsys):
@@ -47,5 +57,6 @@ def test_a_run_that_stops_fails_every_gate_at_its_seed(monkeypatch, capsys):
     monkeypatch.setitem(cli.RUNNERS, "approx_rates", flaky)
     assert seed_sweep.main([CONFIG, "--seeds", "1-3"]) == 1
     out = capsys.readouterr().out.splitlines()[1:]
-    assert len(out) == 3
-    assert all(line.endswith("passed 2/3  failed at seeds [2]") for line in out)
+    assert len(out) == 6
+    assert all(line.endswith("passed 2/3  failed at seeds [2]") for line in out[:3])
+    assert [line.split()[3] for line in out[3:]] == ["1", "2", "3"]
