@@ -118,7 +118,7 @@ class ExperimentConfig:
             if any(a >= b for a, b in zip(values, values[1:])):
                 raise ConfigError(f"{name} must be strictly increasing")
         if not all(_is_number(v) for v in self.s_list):
-            raise ConfigError("s_list entries must be numbers")
+            raise ConfigError("s_list entries must be finite numbers")
         min_radius = _MIN_RADIUS.get(self.experiment, 1)
         if self.M_list[0] < min_radius:
             raise ConfigError(f"M_list entries must be at least {min_radius} "
@@ -135,7 +135,7 @@ class ExperimentConfig:
             raise ConfigError("K_list entries must be even and at least 4")
         for name in ("horizon", "delta"):
             if not _is_number(getattr(self, name)) or getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be a positive number")
+                raise ConfigError(f"{name} must be a positive finite number")
         # the growth exponent is fitted on the steps at t >= 1 and needs two
         if self.experiment == "sobolev_growth" and \
                 (round(self.horizon / self.delta) - 1) * self.delta < 1.0:
@@ -155,7 +155,8 @@ def _is_int(v) -> bool:
 
 
 def _is_number(v) -> bool:
-    return _is_int(v) or isinstance(v, float)
+    # nan and inf parse as floats, but no grid or time is made of them
+    return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
 
 
 _LIST_FIELDS = {"probes", "M_list", "K_list", "s_list"}
@@ -192,6 +193,7 @@ def _strip_comment(line: str) -> str:
 def parse_config(text: str) -> ExperimentConfig:
     """Flat key = value lines; arrays in brackets; # comments outside quotes."""
     values: dict = {}
+    lines: dict = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
         if not line:
@@ -202,6 +204,10 @@ def parse_config(text: str) -> ExperimentConfig:
         key, rhs = key.strip(), rhs.strip()
         if key not in ExperimentConfig.__dataclass_fields__:
             raise ConfigError(f"line {ln}: unknown key {key!r}")
+        if key in lines:
+            raise ConfigError(f"line {ln}: repeated key {key!r} "
+                              f"(first set on line {lines[key]})")
+        lines[key] = ln
         if rhs.startswith("["):
             if not rhs.endswith("]"):
                 raise ConfigError(f"line {ln}: unterminated array for {key!r}")

@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -86,7 +86,49 @@ class IndexBlock:
 
     def indices(self) -> np.ndarray:
         """All active multi-indices, shape (n, d), in canonical order."""
-        return _indices(self)
+        return self._indices
+
+    # Arrays derived from the index set alone.  Each is computed on first use
+    # and kept in the instance dict (cached_property writes there directly,
+    # past the frozen __setattr__), so it lives exactly as long as the block.
+
+    @cached_property
+    def _indices(self) -> np.ndarray:
+        idx = np.array(list(itertools.product(self.axis_range, repeat=self.d)),
+                       dtype=np.int64)
+        idx.setflags(write=False)
+        return idx
+
+    @cached_property
+    def _l1_sizes(self) -> np.ndarray:
+        out = np.abs(self._indices).sum(axis=1).astype(float)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def _weight_arrays(self) -> tuple[np.ndarray, tuple]:
+        """(dist, groups): what the weighted sups need over position pairs.
+
+        dist(m, n) is |m-n| (truncated) or the bracket norm of m-n (periodic),
+        an n x n matrix.  The other weight factor depends on size(m, n) =
+        |m|+|n| alone, so only O(n) is kept for it: groups = (perm, starts,
+        values), where ``perm`` sorts the positions by |k|, ``starts`` opens
+        each run of equal |k| in that order, and ``values`` lists the
+        distinct |k| (ints).
+        """
+        idx = self._indices
+        diff = idx[:, None, :] - idx[None, :, :]
+        if self.mode == PERIODIC:
+            diff = representative(self.size, diff)
+        dist = np.abs(diff).sum(axis=2).astype(float)
+        dist.setflags(write=False)
+        l1 = self._l1_sizes.astype(np.int64)
+        perm = np.argsort(l1, kind="stable")
+        starts = np.flatnonzero(np.diff(l1[perm], prepend=-1))
+        values = l1[perm][starts]
+        for a in (perm, starts, values):
+            a.setflags(write=False)
+        return dist, (perm, starts, values)
 
     def origin(self) -> int:
         """Position of the zero index."""
@@ -103,14 +145,6 @@ def truncated_block(d: int, radius: int) -> IndexBlock:
 
 def periodic_block(d: int, period: int) -> IndexBlock:
     return IndexBlock(d, PERIODIC, period)
-
-
-@lru_cache(maxsize=None)
-def _indices(block: IndexBlock) -> np.ndarray:
-    idx = np.array(list(itertools.product(block.axis_range, repeat=block.d)),
-                   dtype=np.int64)
-    idx.setflags(write=False)
-    return idx
 
 
 def _positions(block: IndexBlock, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -146,41 +180,9 @@ def bracket_norm(period: int, a) -> np.ndarray:
     return np.abs(r).sum(axis=-1) if r.ndim > 0 else np.abs(r)
 
 
-@lru_cache(maxsize=None)
-def _l1_sizes(block: IndexBlock) -> np.ndarray:
-    out = np.abs(_indices(block)).sum(axis=1).astype(float)
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _weight_arrays(block: IndexBlock) -> tuple[np.ndarray, tuple]:
-    """(dist, groups): what the weighted sups need over position pairs.
-
-    dist(m, n) is |m-n| (truncated) or the bracket norm of m-n (periodic), an
-    n x n matrix.  The other weight factor depends on size(m, n) = |m|+|n|
-    alone, so only O(n) is kept for it: groups = (perm, starts, values),
-    where ``perm`` sorts the positions by |k|, ``starts`` opens each run of
-    equal |k| in that order, and ``values`` lists the distinct |k| (ints).
-    """
-    idx = _indices(block)
-    diff = idx[:, None, :] - idx[None, :, :]
-    if block.mode == PERIODIC:
-        diff = representative(block.size, diff)
-    dist = np.abs(diff).sum(axis=2).astype(float)
-    dist.setflags(write=False)
-    l1 = _l1_sizes(block).astype(np.int64)
-    perm = np.argsort(l1, kind="stable")
-    starts = np.flatnonzero(np.diff(l1[perm], prepend=-1))
-    values = l1[perm][starts]
-    for a in (perm, starts, values):
-        a.setflags(write=False)
-    return dist, (perm, starts, values)
-
-
 def sobolev_weights(block: IndexBlock, s: float) -> np.ndarray:
     """Diagonal h^s weights (1+|k|)^s over the active indices."""
-    return (1.0 + _l1_sizes(block)) ** s
+    return (1.0 + block._l1_sizes) ** s
 
 
 def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -243,7 +245,7 @@ def rough_samples(block: IndexBlock, s: float, n_samples: int, seed: int,
     detection sharp when these vectors feed the sup in an error estimate.
     """
     rng = np.random.default_rng(seed)
-    amp = (1.0 + _l1_sizes(block)) ** (-s - 0.51)
+    amp = (1.0 + block._l1_sizes) ** (-s - 0.51)
     out = []
     for _ in range(n_samples):
         coeffs = amp * np.exp(2j * np.pi * rng.uniform(size=block.n))
@@ -359,7 +361,7 @@ def shift(A: OpMatrix, j: int, sign: int) -> OpMatrix:
         raise ValueError(f"axis j must be in 1..{block.d}")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    idx = _indices(block).copy()
+    idx = block._indices.copy()
     idx[:, j - 1] += sign
     pos, valid = _positions(block, idx)
     entries = A.entries[np.ix_(pos, pos)]
@@ -434,7 +436,7 @@ def _size_envelope(weighted: np.ndarray, block: IndexBlock) -> np.ndarray:
     maxima are folded onto their sums.  Sizes that no entry has read 0, which
     leaves every sup of the nonnegative ratios unchanged.
     """
-    _, (perm, starts, values) = _weight_arrays(block)
+    _, (perm, starts, values) = block._weight_arrays
     groups = np.maximum.reduceat(weighted[perm], starts, axis=0)
     groups = np.maximum.reduceat(groups[:, perm], starts, axis=1)
     env = np.zeros(2 * int(values[-1]) + 1)
@@ -450,7 +452,7 @@ def _envelope_sup(env: np.ndarray, order_minus_alpha: float) -> float:
 
 
 def _decay_weight(block: IndexBlock, decay: int) -> np.ndarray:
-    return (1.0 + _weight_arrays(block)[0]) ** decay
+    return (1.0 + block._weight_arrays[0]) ** decay
 
 
 def _weighted_sup(absval: np.ndarray, mask, block: IndexBlock,

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 
 import numpy as np
 import scipy.linalg
@@ -92,7 +92,7 @@ class WaterWaveOperators:
     coupling: np.ndarray         # the single nonzero block of the nilpotent part
     mult: np.ndarray             # topography multiplication matrix
     deriv: np.ndarray            # derivative diagonal, coupling = deriv mult deriv
-    _exact_cache: dict = field(default_factory=dict)
+    _exact_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -426,30 +426,20 @@ def telescoping_defect(model: PreconditionedSchroedinger, tau: float,
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def _schroedinger_model(v_coeffs, radius: int, models: dict):
-    """schroedinger_assemble(v_coeffs, radius), kept in ``models`` (a dict
-    keyed by radius), so each radius is built once."""
-    if radius not in models:
-        models[radius] = schroedinger_assemble(v_coeffs, radius)
-    return models[radius]
-
-
-def smoothing_remainder_family(v_coeffs, radii,
-                               models: dict | None = None) -> list[OpMatrix]:
+def smoothing_remainder_family(assemble, radii) -> list[OpMatrix]:
     """Remainder family prepared for order certification.
 
-    Each member is computed exactly on a block REMAINDER_MARGIN times larger
-    and then restricted, so the truncation boundary layer (an O(1/size)
-    artifact of cutting the change-of-variable band) stays outside the
-    certified window; entries below the backward-error scale of the
-    conjugation (eps times the generator norm) are zeroed, since they are
-    roundoff, not structure.
-    ``models`` shares assembled radii between calls (see _schroedinger_model).
+    ``assemble(radius)`` returns the PreconditionedSchroedinger system of one
+    radius (schroedinger_assemble with the potential bound).  Each member is
+    computed exactly on a block REMAINDER_MARGIN times larger and then
+    restricted, so the truncation boundary layer (an O(1/size) artifact of
+    cutting the change-of-variable band) stays outside the certified window;
+    entries below the backward-error scale of the conjugation (eps times the
+    generator norm) are zeroed, since they are roundoff, not structure.
     """
-    models = {} if models is None else models
     fam = []
     for M in radii:
-        big = _schroedinger_model(v_coeffs, REMAINDER_MARGIN * M, models)
+        big = assemble(REMAINDER_MARGIN * M)
         scale = float(np.max(np.abs(big.A.entries)) + np.max(np.abs(big.B.entries)))
         thresh = 100 * np.finfo(float).eps * scale
         Rr = periodic.restrict(big.R, M)
@@ -458,12 +448,11 @@ def smoothing_remainder_family(v_coeffs, radii,
     return fam
 
 
-def schroedinger_levels(v_coeffs, radii, preconditioned: bool,
-                        models: dict | None = None) -> list[flows.RefinementLevel]:
-    models = {} if models is None else models
+def schroedinger_levels(assemble, radii,
+                        preconditioned: bool) -> list[flows.RefinementLevel]:
     levels = []
     for M in radii:
-        model = _schroedinger_model(v_coeffs, M, models)
+        model = assemble(M)
         step = model.preconditioned_prop if preconditioned else \
             model.lie_baseline_prop
         levels.append(flows.refinement_level(M, step, model.exact_prop,
@@ -477,16 +466,17 @@ def preconditioned_lie_study(v_coeffs, tau_list, s_list, radii,
     """Local-order fit and loss scan of the pre/post-processed Lie step, with
     the plain Lie baseline for contrast, with flows.N_SAMPLES data vectors
     per error sup and loss levels at flows.TAU_STAR.  Each radius is
-    assembled once, in the order of first use."""
+    assembled once, in the order of first use, by a memo that lives as long
+    as this call."""
+    assemble = cache(partial(schroedinger_assemble, v_coeffs))
     out: dict = {}
-    models: dict = {}
     M_ref = max(radii)
-    model = _schroedinger_model(v_coeffs, M_ref, models)
+    model = assemble(M_ref)
     out["homological_defect"] = homological_defect(model)
     out["off_resonant_defect"] = off_resonant_identity_defect(model)
     out["telescoping_defect"] = telescoping_defect(model, 0.01, 10)
     out["remainder_order"] = core.estimate_order(
-        smoothing_remainder_family(v_coeffs, radii, models=models)).r_hat
+        smoothing_remainder_family(assemble, radii)).r_hat
     out["slopes"] = {}
     weights, sampler = flows.sobolev_space(model.block)
     for s in s_list:
@@ -499,9 +489,9 @@ def preconditioned_lie_study(v_coeffs, tau_list, s_list, radii,
              "level": M_ref} for r in tab.rows)
     s0 = s_list[0]
     out["loss_preconditioned"] = flows.loss_scan(
-        schroedinger_levels(v_coeffs, radii, True, models), s0, seed=seed)
+        schroedinger_levels(assemble, radii, True), s0, seed=seed)
     out["loss_baseline"] = flows.loss_scan(
-        schroedinger_levels(v_coeffs, radii, False, models), s0, seed=seed)
+        schroedinger_levels(assemble, radii, False), s0, seed=seed)
     return out
 
 

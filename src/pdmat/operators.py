@@ -34,7 +34,8 @@ class SymbolSpec:
 
 
 def symbol_table(power: float = 1.0) -> dict:
-    """Built-in symbols addressable from experiment configs, by name."""
+    """Built-in symbols by name, for code and tests (no config key selects
+    one); ``pdmat list-probes`` prints the names."""
     return {
         "one": SymbolSpec(lambda *x: 1.0, 0.0, "one"),
         "laplacian": SymbolSpec(lambda *x: sum(c * c for c in x), 2.0, "laplacian"),
@@ -108,8 +109,7 @@ def potential_table() -> dict:
 
 def fourier_multiplier(phi, block: IndexBlock) -> OpMatrix:
     """Diagonal matrix phi(m) over the active indices."""
-    ev = phi.evaluator if isinstance(phi, SymbolSpec) else phi
-    vals = np.array([ev(*row) for row in block.indices().astype(float)],
+    vals = np.array([phi(*row) for row in block.indices().astype(float)],
                     dtype=complex)
     if not np.all(np.isfinite(vals)):
         raise ValueError("symbol returned a non-finite value on the block")

@@ -74,7 +74,7 @@ class PeriodicFamily:
     generator: object          # callable K -> OpMatrix (periodic block K)
     periods: tuple
     label: str = ""
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.periods = tuple(int(k) for k in self.periods)
@@ -137,7 +137,7 @@ def embed(AK: OpMatrix, radius: int | None = None) -> OpMatrix:
         raise ValueError("radius must cover the representative box")
     tblock = truncated_block(AK.block.d, radius)
     entries = np.zeros((tblock.n, tblock.n), dtype=complex)
-    pos, valid = core._positions(tblock, core._indices(AK.block))
+    pos, valid = core._positions(tblock, AK.block.indices())
     if not valid.all():
         raise AssertionError("representative box must fit in target block")
     entries[np.ix_(pos, pos)] = AK.entries
@@ -149,7 +149,7 @@ def restrict(A: OpMatrix, radius: int) -> OpMatrix:
     if A.block.mode != TRUNCATED or radius > A.block.size:
         raise ValueError("restrict needs a truncated matrix and smaller radius")
     sub = truncated_block(A.block.d, radius)
-    pos, _ = core._positions(A.block, core._indices(sub))
+    pos, _ = core._positions(A.block, sub.indices())
     return OpMatrix(sub, A.entries[np.ix_(pos, pos)])
 
 

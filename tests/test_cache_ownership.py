@@ -1,0 +1,67 @@
+"""Every cache of src/pdmat lives as long as the value it describes.
+
+Arrays derived from an index set are attributes of its IndexBlock, memos of a
+study are local to the call that fills them, and per-object dicts are no
+constructor arguments.  The one module-level cache left is flows._eigh_cached,
+whose cache_info() the benchmark's tracer reads.
+"""
+
+from __future__ import annotations
+
+import ast
+import dataclasses
+import gc
+import weakref
+from pathlib import Path
+
+from pdmat import core, experiments, operators, periodic
+from pdmat.core import truncated_block
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "pdmat"
+MODULE_CACHES = {"flows._eigh_cached"}
+CACHE_DECORATORS = {"cache", "lru_cache"}
+
+
+def _is_cache(decorator) -> bool:
+    """cache or lru_cache, bare, called, or as functools.name."""
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    name = decorator.attr if isinstance(decorator, ast.Attribute) \
+        else getattr(decorator, "id", "")
+    return name in CACHE_DECORATORS
+
+
+def module_level_caches() -> set:
+    """Functions of src/pdmat under a cache decorator at module or class
+    level: such a cache outlives every call and every instance."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scopes = [("", tree.body)] + [(f"{node.name}.", node.body) for node in tree.body
+                                      if isinstance(node, ast.ClassDef)]
+        for prefix, body in scopes:
+            found.update(f"{path.stem}.{prefix}{node.name}" for node in body
+                         if isinstance(node, ast.FunctionDef)
+                         and any(_is_cache(d) for d in node.decorator_list))
+    return found
+
+
+def test_only_module_level_cache_is_eigh_cached():
+    assert module_level_caches() == MODULE_CACHES
+
+
+def test_dropped_block_is_freed_after_order_certification():
+    laplacian = operators.symbol_catalog("laplacian")
+    family = [operators.fourier_multiplier(laplacian, truncated_block(2, M))
+              for M in (4, 6, 8)]
+    core.estimate_order(family)
+    ref = weakref.ref(family[-1].block)
+    del family
+    gc.collect()
+    assert ref() is None
+
+
+def test_no_constructor_takes_a_cache():
+    for cls in (periodic.PeriodicFamily, experiments.WaterWaveOperators):
+        assert [f.name for f in dataclasses.fields(cls)
+                if "cache" in f.name and f.init] == []

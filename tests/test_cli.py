@@ -71,6 +71,13 @@ def test_invalid_values_rejected():
     ("K_list = [32, 64.0]", "K_list"),
     ('s_list = ["one"]', "s_list"),
     ('horizon = "long"', "horizon"),
+    ("horizon = nan", "horizon"),
+    ("horizon = inf", "horizon"),
+    ("delta = nan", "delta"),
+    ("delta = inf", "delta"),
+    ("s_list = [nan]", "s_list"),
+    ("s_list = [1.0, inf]", "s_list"),
+    ("seed = 1\nseed = 2", "line 3: repeated key 'seed'"),
 ])
 def test_bad_config_values_rejected_by_name(line, key):
     with pytest.raises(cli.ConfigError, match=key):
@@ -84,6 +91,8 @@ def test_bad_config_values_rejected_by_name(line, key):
     ("schroedinger_precond", "M_list = [2, 3]", "M_list"),
     ("splitting_orders", "M_list = [0, 16]", "M_list"),
     ("sobolev_growth", "horizon = 1.0", "horizon"),
+    ("sobolev_growth", "horizon = nan", "horizon"),
+    ("sobolev_growth", "horizon = inf", "horizon"),
 ])
 def test_values_an_experiment_cannot_run_rejected_by_name(experiment, line, key):
     with pytest.raises(cli.ConfigError, match=key):

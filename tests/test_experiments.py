@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -235,8 +236,8 @@ def test_block_diag_prop_matches_dense_exponential():
 
 
 def test_remainder_is_two_smoothing():
-    fam = experiments.smoothing_remainder_family(operators.two_cos_coeff,
-                                                 (16, 32, 64))
+    assemble = partial(experiments.schroedinger_assemble, operators.two_cos_coeff)
+    fam = experiments.smoothing_remainder_family(assemble, (16, 32, 64))
     assert core.estimate_order(fam).r_hat <= -2.0
 
 
