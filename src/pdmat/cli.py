@@ -70,6 +70,8 @@ _PROBE_MODELS = {"waterwave": experiments.waterwave_model,
 # smallest radius a runner can build: order certification takes second
 # differences, and the preconditioner is assembled from radius 4 on
 _MIN_RADIUS = {"order_gain": 3, "schroedinger_precond": 4}
+# runners that keep only the s > 0 entries of s_list
+_POSITIVE_S = ("waterwave", "schroedinger_precond", "sobolev_growth")
 
 
 def _study_periods(K_list) -> tuple:
@@ -119,6 +121,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be strictly increasing")
         if not all(_is_number(v) for v in self.s_list):
             raise ConfigError("s_list entries must be finite numbers")
+        if self.experiment in _POSITIVE_S and not any(s > 0 for s in self.s_list):
+            raise ConfigError(f"s_list needs a positive entry for {self.experiment}, "
+                              "which runs only the s > 0 ones")
         min_radius = _MIN_RADIUS.get(self.experiment, 1)
         if self.M_list[0] < min_radius:
             raise ConfigError(f"M_list entries must be at least {min_radius} "
@@ -359,7 +364,7 @@ def run_waterwave(cfg: ExperimentConfig):
         model = experiments.waterwave_model(probe, seed=cfg.seed)
         res = experiments.waterwave_noloss_study(
             model, ["lie", "strang"], cfg.K_list[-3:], TAU_LIST,
-            [s for s in cfg.s_list if s > 0] or [1.0, 2.0, 3.0], seed=cfg.seed)
+            [s for s in cfg.s_list if s > 0], seed=cfg.seed)
         warns.extend(res["warnings"])
         # only the documented order warning (St-Venant) voids the theory
         # bands; the propagator-norm stability message stays a warning
@@ -393,7 +398,7 @@ def run_waterwave(cfg: ExperimentConfig):
 def run_schroedinger_precond(cfg: ExperimentConfig):
     res = experiments.preconditioned_lie_study(
         operators.two_cos_coeff, TAU_LIST,
-        [s for s in cfg.s_list if s > 0] or [2.0], cfg.M_list, seed=cfg.seed)
+        [s for s in cfg.s_list if s > 0], cfg.M_list, seed=cfg.seed)
     rows = [{"probe": "schrodinger", **r} for r in res.get("error_rows", [])]
     fits = {
         "homological_defect": res["homological_defect"],
@@ -420,7 +425,7 @@ def run_schroedinger_precond(cfg: ExperimentConfig):
 def run_sobolev_growth(cfg: ExperimentConfig):
     probes = cfg.probes or ("growth_rho0", "growth_rhom1")
     rows, fits, passes = [], {}, {}
-    s_list = [s for s in cfg.s_list if s > 0] or [1.0, 2.0]
+    s_list = [s for s in cfg.s_list if s > 0]
     for probe in probes:
         model = experiments.growth_model(probe)
         periods = _study_periods(cfg.K_list)

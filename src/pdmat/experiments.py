@@ -545,7 +545,13 @@ def growth_trajectory(model: GrowthModel, period: int, horizon: float,
     Steps are exact in the parity basis Q of ``_parity_basis``, where
     diag(phi) + cos(t) base is one symmetric tridiagonal matrix and the h^s
     weights (even in k) stay diagonal. This needs a real ``perturbation_base``
-    and an even ``phi``; a ValueError names the structure that fails."""
+    and an even ``phi``; a ValueError names the structure that fails.
+
+    Each step is one call of LAPACK ``stevd`` (divide and conquer), the
+    driver ``scipy.linalg.eigh_tridiagonal`` picks for a full spectrum; it
+    is resolved once per trajectory. Finiteness of the tridiagonal parts is
+    checked once, before the first step (|cos| <= 1 keeps every step's input
+    finite), and a nonzero ``info`` raises LinAlgError naming the step."""
     block = periodic_block(1, period)
     Q, cols = _parity_basis(block)
     phi = np.array([model.phi(float(k)) for k in block.indices()[:, 0]])
@@ -565,19 +571,29 @@ def growth_trajectory(model: GrowthModel, period: int, horizon: float,
     # the state is kept as real (re, im) columns, so V and Q stay real
     y = Q.T @ np.column_stack([x.real, x.imag])
     a, b, e = np.diag(D), np.diag(T), np.diag(T, -1)
-    weights = {s: core.sobolev_weights(block, s)[cols, None] for s in s_list}
+    if not all(np.isfinite(v).all() for v in (a, b, e)):
+        raise ValueError(f"{model.label}: phi or perturbation_base is not finite")
+    stevd, = scipy.linalg.get_lapack_funcs(("stevd",), (a, e))
+    W = np.stack([core.sobolev_weights(block, s)[cols, None] for s in s_list])
     n_steps = int(round(horizon / delta))
-    times = [0.0]
-    norms = {s: [float(np.linalg.norm(weights[s] * y))] for s in s_list}
+    norms = np.empty((len(s_list), n_steps + 1))
+
+    def record(j):
+        # the ddot and correctly rounded sqrt of np.linalg.norm on a real array
+        for i, z in enumerate((W * y).reshape(len(s_list), -1)):
+            norms[i, j] = math.sqrt(z.dot(z))
+
+    record(0)
     for j in range(n_steps):
         c = math.cos((j + 0.5) * delta)
-        w, V = scipy.linalg.eigh_tridiagonal(a + c * b, c * e)
+        w, V, info = stevd(a + c * b, c * e)
+        if info != 0:
+            raise np.linalg.LinAlgError(
+                f"{model.label}: stevd failed at step {j} (info {info})")
         y = V @ (np.exp(1j * delta * w)[:, None] * (V.T @ y).view(complex)).view(float)
-        times.append((j + 1) * delta)
-        for s in s_list:
-            norms[s].append(float(np.linalg.norm(weights[s] * y)))
-    return {"times": np.array(times), "norms": {s: np.array(v) for s, v in
-                                                norms.items()},
+        record(j + 1)
+    return {"times": np.arange(n_steps + 1) * delta,
+            "norms": dict(zip(s_list, norms)),
             "final_state": (Q @ y).view(complex).ravel()}
 
 

@@ -93,6 +93,9 @@ def test_bad_config_values_rejected_by_name(line, key):
     ("sobolev_growth", "horizon = 1.0", "horizon"),
     ("sobolev_growth", "horizon = nan", "horizon"),
     ("sobolev_growth", "horizon = inf", "horizon"),
+    ("sobolev_growth", "s_list = [-1.0, 0.0]", "s_list"),
+    ("waterwave", "s_list = [-1.0, 0.0]", "s_list"),
+    ("schroedinger_precond", "s_list = [-1.0, 0.0]", "s_list"),
 ])
 def test_values_an_experiment_cannot_run_rejected_by_name(experiment, line, key):
     with pytest.raises(cli.ConfigError, match=key):

@@ -333,6 +333,61 @@ def test_parity_step_matches_dense_eigh(probe, period):
         assert np.all(np.abs(tr["norms"][s] - norms[s]) <= 1e-12 * norms[s])
 
 
+def _eigh_tridiagonal_growth(model, period, horizon, s_list, delta, x0):
+    """The parity step through scipy.linalg.eigh_tridiagonal and
+    np.linalg.norm: the bit-exact oracle of growth_trajectory's direct
+    LAPACK stevd call and in-place norms."""
+    block = core.periodic_block(1, period)
+    Q, cols = experiments._parity_basis(block)
+    phi = np.array([model.phi(float(k)) for k in block.indices()[:, 0]])
+    D = Q.T @ (phi[:, None] * Q)
+    T = Q.T @ model.perturbation_base(block).real @ Q
+    x = np.asarray(x0, dtype=complex)
+    y = Q.T @ np.column_stack([x.real, x.imag])
+    a, b, e = np.diag(D), np.diag(T), np.diag(T, -1)
+    weights = {s: core.sobolev_weights(block, s)[cols, None] for s in s_list}
+    times = [0.0]
+    norms = {s: [float(np.linalg.norm(weights[s] * y))] for s in s_list}
+    for j in range(int(round(horizon / delta))):
+        c = math.cos((j + 0.5) * delta)
+        w, V = scipy.linalg.eigh_tridiagonal(a + c * b, c * e)
+        y = V @ (np.exp(1j * delta * w)[:, None] * (V.T @ y).view(complex)).view(float)
+        times.append((j + 1) * delta)
+        for s in s_list:
+            norms[s].append(float(np.linalg.norm(weights[s] * y)))
+    return {"times": np.array(times),
+            "norms": {s: np.array(v) for s, v in norms.items()},
+            "final_state": (Q @ y).view(complex).ravel()}
+
+
+@pytest.mark.parametrize("probe", ["growth_rho0", "growth_rhom1"])
+@pytest.mark.parametrize("period", [16, 32, 64])
+@pytest.mark.parametrize("delta", [0.01, 0.005])
+def test_growth_step_bit_identical_to_eigh_tridiagonal(probe, period, delta):
+    model = experiments.growth_model(probe)
+    x0 = core.rough_samples(core.periodic_block(1, period), 2.0, 1, SEED)[0].coeffs
+    s_list = (0.0, 1.0, 2.0)
+    tr = experiments.growth_trajectory(model, period, 0.5, s_list, delta, SEED,
+                                       x0=x0)
+    ref = _eigh_tridiagonal_growth(model, period, 0.5, s_list, delta, x0)
+    assert np.array_equal(tr["times"], ref["times"])
+    assert list(tr["norms"]) == list(s_list)
+    for s in s_list:
+        assert tr["norms"][s].dtype == np.float64
+        assert np.array_equal(tr["norms"][s], ref["norms"][s])
+    assert np.array_equal(tr["final_state"], ref["final_state"])
+
+
+def test_growth_step_failure_raises_linalg_error(monkeypatch):
+    def failing_stevd(d, e):
+        return np.zeros_like(d), np.eye(len(d)), 1
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs",
+                        lambda names, arrays: (failing_stevd,))
+    with pytest.raises(np.linalg.LinAlgError, match="step 0"):
+        experiments.growth_trajectory(experiments.growth_model("growth_rho0"),
+                                      16, 0.1, (0.0,), 0.01, SEED)
+
+
 def test_growth_rejects_structure_it_cannot_step():
     odd_phi = experiments.GrowthModel(phi=lambda x: x ** 3, label="cubic")
     with pytest.raises(ValueError, match="phi is not even"):
@@ -346,6 +401,10 @@ def test_growth_rejects_structure_it_cannot_step():
     imaginary.perturbation_base = lambda block: 1j * np.eye(block.n)
     with pytest.raises(ValueError, match="not real"):
         experiments.growth_trajectory(imaginary, 16, 0.1, (0.0,), 0.01, SEED)
+    not_finite = experiments.GrowthModel(
+        phi=lambda x: math.nan if abs(x) == 5 else x * x, label="nan_at_5")
+    with pytest.raises(ValueError, match="nan_at_5: .* not finite"):
+        experiments.growth_trajectory(not_finite, 16, 0.1, (0.0,), 0.01, SEED)
 
 
 def test_growth_rho0_bounded_and_conservative():
