@@ -334,26 +334,19 @@ def run_splitting_orders(cfg: ExperimentConfig):
 
 def run_loss_scan(cfg: ExperimentConfig):
     rows, fits, passes = [], {}, {}
-    rep = flows.loss_estimator(flows.LIE, _schrodinger_builder, cfg.M_list,
-                               s=2.0, seed=cfg.seed)
-    fits["lie_schrodinger"] = {"sigma_hat": rep.sigma_hat,
-                               "certified": rep.certified}
-    passes["lie_schrodinger_sigma_1"] = rep.certified and rep.sigma_hat == 1.0
-    for r in rep.rows:
-        rows.append({"probe": "schrodinger", "scheme": "lie", "level": r["level"],
-                     "s": r["s"], "sigma": r["sigma"],
-                     "norm_ratio": r["norm_ratio"]})
-    model = experiments.waterwave_model("waterwave")
-    levels = experiments.waterwave_levels(model, cfg.K_list[-3:], flows.STRANG,
-                                          flows.TAU_STAR)
-    rep_ww = flows.loss_scan(levels, 2.0, seed=cfg.seed)
-    fits["strang_waterwave"] = {"sigma_hat": rep_ww.sigma_hat,
-                                "certified": rep_ww.certified}
-    passes["strang_waterwave_sigma_0"] = rep_ww.certified and rep_ww.sigma_hat == 0.0
-    for r in rep_ww.rows:
-        rows.append({"probe": "waterwave", "scheme": "strang", "level": r["level"],
-                     "s": r["s"], "sigma": r["sigma"],
-                     "norm_ratio": r["norm_ratio"]})
+    for probe, scheme, rep, target in (
+            ("schrodinger", "lie", flows.loss_estimator(
+                flows.LIE, _schrodinger_builder, cfg.M_list, s=2.0,
+                seed=cfg.seed), 1.0),
+            ("waterwave", "strang", flows.loss_scan(
+                experiments.waterwave_levels(
+                    experiments.waterwave_model("waterwave"), cfg.K_list[-3:],
+                    flows.STRANG, flows.TAU_STAR), 2.0, seed=cfg.seed), 0.0)):
+        fits[f"{scheme}_{probe}"] = {"sigma_hat": rep.sigma_hat,
+                                     "certified": rep.certified}
+        passes[f"{scheme}_{probe}_sigma_{target:g}"] = rep.certified and \
+            rep.sigma_hat == target
+        rows.extend({"probe": probe, "scheme": scheme, **r} for r in rep.rows)
     return rows, fits, passes, []
 
 
@@ -434,11 +427,11 @@ def run_sobolev_growth(cfg: ExperimentConfig):
         res = experiments.sobolev_growth_study(
             model, cfg.horizon, s_list, periods, delta=cfg.delta, seed=cfg.seed)
         for r in res["rows"]:
-            rows.append({"probe": probe, **r, "s": r["s"]})
+            rows.append({"probe": probe, **r})
         worst_drift = max(res["conservation"].values())
         fits[f"{probe}_conservation"] = worst_drift
         passes[f"{probe}_l2_conservation"] = worst_drift <= 1e-8
-        if res["rho"] == 0.0:
+        if model.rho == 0.0:
             for s in {r["s"] for r in res["rows"]}:
                 cs = [res["ratio"][(s, K)]["max_common"]
                       for K in res["conservation"]]
@@ -447,7 +440,7 @@ def run_sobolev_growth(cfg: ExperimentConfig):
                     max(cs) <= 1.2 * min(cs)
         else:
             for (s, K), exp in res["exponent"].items():
-                bound = s / (1.0 - res["rho"]) + 0.1
+                bound = s / (1.0 - model.rho) + 0.1
                 fits[f"{probe}_exponent_s{s:g}_K{K}"] = exp
                 passes[f"{probe}_exponent_s{s:g}_K{K}"] = exp <= bound
         if "richardson" in res:

@@ -341,9 +341,14 @@ def is_diagonal(A: OpMatrix, tol: float = 1e-12) -> bool:
     return bool(np.max(np.abs(off)) <= tol * max(1.0, np.max(np.abs(A.entries))))
 
 
-def is_hermitian(A: OpMatrix, tol: float = 1e-12) -> bool:
+def hermitian_defect(A: OpMatrix) -> float:
+    """max |A - A^H| relative to max(1, max |A|)."""
     scale = max(1.0, float(np.max(np.abs(A.entries))))
-    return bool(np.max(np.abs(A.entries - A.entries.conj().T)) <= tol * scale)
+    return float(np.max(np.abs(A.entries - A.entries.conj().T))) / scale
+
+
+def is_hermitian(A: OpMatrix, tol: float = 1e-12) -> bool:
+    return hermitian_defect(A) <= tol
 
 
 # ---------------------------------------------------------------------------

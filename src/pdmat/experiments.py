@@ -12,9 +12,9 @@ That structure is checked first, and a failed check raises a ValueError
 naming the model.
 
 Schroedinger preconditioner: a bounded change of variable conjugates the
-stiff generator into a block-diagonal part plus a smoothing remainder, so a
-pre- and post-processed Lie step converges without loss of derivative, unlike
-the plain Lie baseline.
+stiff generator into a resonant part plus a Hermitian smoothing remainder,
+both flowed by flows.exact_flow, so a pre- and post-processed Lie step
+converges without loss of derivative, unlike the plain Lie baseline.
 
 Sobolev growth: for a diagonal generator plus a time-dependent Hermitian
 perturbation of order rho < 1, the h^s norms grow at most polynomially with
@@ -320,8 +320,12 @@ class PreconditionedSchroedinger:
 
     The change of variable solves the homological identity exactly at finite
     dimension: A + B + i[X, A] = A + Z with Z supported on the resonant pairs
-    {n, -n}, and R is defined as the exact conjugation remainder. H = A + B
-    is built once, so the reference flow's eigendecomposition is cached."""
+    {n, -n}.  R is the remainder e^{iX} H e^{-iX} - A - Z, made Hermitian
+    from its lower triangle, since its roundoff eps |H| ~ eps M^2 fails the
+    Hermitian scan of its flow from M = 64 or 96 on.  H = A + B and the
+    resonant generator A + Z are built once, so their flows' factorizations
+    are cached; A + Z is diagonal, and flows entrywise, for a potential with
+    no modes at nonzero even frequencies (2cos x, sin x)."""
 
     block: object
     A: OpMatrix
@@ -332,20 +336,17 @@ class PreconditionedSchroedinger:
     R: OpMatrix
     exp_x_plus: np.ndarray
     exp_x_minus: np.ndarray
-    pairs: list
+
+    @cached_property
+    def resonant(self) -> OpMatrix:
+        """The resonant generator A + Z."""
+        return self.A + self.Z
 
     def exact_prop(self, tau: float) -> np.ndarray:
         return flows.exact_flow(self.H, tau)
 
     def block_diag_prop(self, tau: float) -> np.ndarray:
-        """Exponential of the resonant part via per-pair 2x2 Hermitian blocks."""
-        H = self.A + self.Z
-        out = np.zeros((self.block.n, self.block.n), dtype=complex)
-        for positions in self.pairs:
-            sub = H.entries[np.ix_(positions, positions)]
-            w, V = np.linalg.eigh(sub)
-            out[np.ix_(positions, positions)] = (V * np.exp(1j * tau * w)) @ V.conj().T
-        return out
+        return flows.exact_flow(self.resonant, tau)
 
     def smoothing_prop(self, tau: float) -> np.ndarray:
         return flows.exact_flow(self.R, tau)
@@ -359,9 +360,16 @@ class PreconditionedSchroedinger:
         return flows.split_step(flows.LIE, self.A, self.B, tau)
 
 
+def resonant_mask(block) -> np.ndarray:
+    """Boolean (n, n) mask of the resonant pairs |m| == |n| of a 1d block."""
+    a = np.abs(block.indices()[:, 0])
+    return a[:, None] == a[None, :]
+
+
 def schroedinger_assemble(v_coeffs, radius: int) -> PreconditionedSchroedinger:
     """Build A (squared frequencies), B (potential), the Hermitian change of
-    variable X, the resonant part Z, and the exact remainder R."""
+    variable X = B / (i(m^2 - n^2)) off the resonant pairs, the resonant part
+    Z = B on them, and the Hermitian remainder R."""
     if radius < 4:
         raise ValueError("radius must be at least 4")
     block = truncated_block(1, radius)
@@ -373,30 +381,27 @@ def schroedinger_assemble(v_coeffs, radius: int) -> PreconditionedSchroedinger:
     B = operators.toeplitz_potential(v_coeffs, block)
     H = A + B
     n = block.n
-    X = np.zeros((n, n), dtype=complex)
-    Z = np.zeros((n, n), dtype=complex)
-    for i, m in enumerate(idx):
-        for j, nn in enumerate(idx):
-            if m == nn or m == -nn:
-                Z[i, j] = B.entries[i, j]
-            else:
-                X[i, j] = B.entries[i, j] / (1j * float(m * m - nn * nn))
-    Xm = OpMatrix(block, X)
-    Zm = OpMatrix(block, Z)
-    w, V = np.linalg.eigh(Xm.entries)
+    resonant = resonant_mask(block)
+    sq = idx * idx
+    # B / (i d) = -i (B / d) bit for bit, and the integer d casts in buffers
+    X = np.divide(B.entries, sq[:, None] - sq[None, :], where=~resonant,
+                  out=np.zeros((n, n), dtype=complex))
+    X *= -1j
+    Z = np.where(resonant, B.entries, 0.0)
+    w, V = np.linalg.eigh(X)
     exp_plus = (V * np.exp(1j * w)) @ V.conj().T
     exp_minus = (V * np.exp(-1j * w)) @ V.conj().T
-    conj = exp_plus @ H.entries @ exp_minus
-    R = OpMatrix(block, conj - A.entries - Zm.entries)
-    pairs = []
-    origin = block.origin()
-    pairs.append([origin])
-    for m in range(1, radius + 1):
-        p_pos, _ = core._positions(block, [[m]])
-        p_neg, _ = core._positions(block, [[-m]])
-        pairs.append([p_neg[0], p_pos[0]])
-    return PreconditionedSchroedinger(block, A, B, H, Xm, Zm, R,
-                                      exp_plus, exp_minus, pairs)
+    R = exp_plus @ H.entries @ exp_minus
+    R -= A.entries
+    R -= Z
+    # eigh reads the lower triangle and the real diagonal; mirror them
+    lower = np.tri(n, k=-1, dtype=bool)
+    mirrored = R[lower]
+    R.T[lower] = np.conjugate(mirrored, out=mirrored)
+    np.fill_diagonal(R.imag, 0.0)
+    return PreconditionedSchroedinger(block, A, B, H, OpMatrix(block, X),
+                                      OpMatrix(block, Z), OpMatrix(block, R),
+                                      exp_plus, exp_minus)
 
 
 def homological_defect(model: PreconditionedSchroedinger) -> float:
@@ -409,9 +414,7 @@ def homological_defect(model: PreconditionedSchroedinger) -> float:
 def off_resonant_identity_defect(model: PreconditionedSchroedinger) -> float:
     """Max entry of i[X, A] + B away from the resonant pairs m = +-n."""
     comb = 1j * core.commutator(model.X, model.A).entries + model.B.entries
-    idx = model.block.indices()[:, 0]
-    mask = np.abs(idx[:, None]) != np.abs(idx[None, :])
-    return float(np.max(np.abs(np.where(mask, comb, 0.0))))
+    return float(np.max(np.abs(np.where(resonant_mask(model.block), 0.0, comb))))
 
 
 def telescoping_defect(model: PreconditionedSchroedinger, tau: float,
@@ -602,7 +605,7 @@ def sobolev_growth_study(model: GrowthModel, horizon: float, s_list, periods,
                          richardson: bool = True) -> dict:
     """Conservation drift, bound ratios on the validity window, and the
     fitted growth exponent of the h^s norms against the time bracket."""
-    out: dict = {"model": model.label, "rho": model.rho, "ratio": {},
+    out: dict = {"model": model.label, "ratio": {},
                  "conservation": {}, "exponent": {}, "rows": []}
     s_all = sorted(set(list(s_list) + [0.0]))
     common_valid = min(min(model.validity_horizon(K) for K in periods), horizon)

@@ -27,12 +27,15 @@ FLOOR_FACTOR = 100.0    # roundoff floor of error tables, in eps times the data
 TAU_STAR = 0.005        # reference step size of a loss level's error matrix
 N_SAMPLES = 6           # rough data vectors in each error sup
 NOISE_FLOOR = 1e-11     # loss ratios at or below this certify at once
+HERMITIAN_TOL = 1e-12   # relative defect a generator's eigendecomposition accepts
 
 
 @lru_cache(maxsize=64)
 def _eigh_cached(A: OpMatrix):
-    if not core.is_hermitian(A, 1e-12):
-        raise ValueError("matrix fails the Hermitian scan")
+    if not core.is_hermitian(A, HERMITIAN_TOL):
+        raise ValueError(f"matrix fails the Hermitian scan: n = {A.block.n}, "
+                         f"relative defect {core.hermitian_defect(A):.3g} > "
+                         f"tolerance {HERMITIAN_TOL:g}")
     return np.linalg.eigh(A.entries)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import core
+from . import core, operators
 from .core import IndexBlock, OpMatrix, PERIODIC, periodic_block, representative
 
 # alias sums of mult_matrix_from_coeffs stop after the first shell whose
@@ -197,12 +197,7 @@ def mult_matrix_fourier(period: int, d: int = 1, fn=None,
 
 def spectral_multiplier(phi, period: int, d: int = 1) -> OpMatrix:
     """Diagonal matrix phi(a) over the representatives a in {-K/2..K/2-1}^d."""
-    block = periodic_block(d, period)
-    vals = np.array([phi(*row) for row in block.indices().astype(float)],
-                    dtype=complex)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("symbol returned a non-finite value on the block")
-    return core.diagonal_matrix(block, vals)
+    return operators.fourier_multiplier(phi, periodic_block(d, period))
 
 
 def compose_pseudo_spectral(factors, period: int, d: int = 1) -> tuple[OpMatrix, float]:

@@ -226,13 +226,67 @@ def test_resonant_part_structure():
     assert core.is_hermitian(model.Z)
 
 
-def test_block_diag_prop_matches_dense_exponential():
-    # resonant pairs include genuine 2x2 blocks for a full-spectrum potential
-    model = experiments.schroedinger_assemble(operators.exp_decay_coeff, 8)
-    tau = 0.03
-    fast = model.block_diag_prop(tau)
-    slow = flows.exact_flow(model.A + model.Z, tau)
-    assert np.max(np.abs(fast - slow)) < 1e-12
+def loop_change_of_variable(model):
+    """(X, Z) entry by entry: B / (i(m^2 - n^2)) off the resonant pairs
+    m = +-n, B on them."""
+    idx = model.block.indices()[:, 0]
+    n = model.block.n
+    X = np.zeros((n, n), dtype=complex)
+    Z = np.zeros((n, n), dtype=complex)
+    for i, m in enumerate(idx):
+        for j, nn in enumerate(idx):
+            if m == nn or m == -nn:
+                Z[i, j] = model.B.entries[i, j]
+            else:
+                X[i, j] = model.B.entries[i, j] / (1j * float(m * m - nn * nn))
+    return X, Z
+
+
+def per_pair_resonant_flow(model, tau):
+    """e^{i tau (A + Z)} from one Hermitian eigendecomposition per resonant
+    block: the origin alone, then each pair {-m, m}."""
+    H = (model.A + model.Z).entries
+    radius = model.block.size
+    out = np.zeros((model.block.n, model.block.n), dtype=complex)
+    pairs = [[model.block.origin()]]
+    for m in range(1, radius + 1):
+        pairs.append([core._positions(model.block, [[-m]])[0][0],
+                      core._positions(model.block, [[m]])[0][0]])
+    for positions in pairs:
+        w, V = np.linalg.eigh(H[np.ix_(positions, positions)])
+        out[np.ix_(positions, positions)] = (V * np.exp(1j * tau * w)) @ V.conj().T
+    return out
+
+
+@pytest.mark.parametrize("radius", [8, 32])
+@pytest.mark.parametrize("potential", ["two_cos", "sin", "exp_decay"])
+def test_change_of_variable_matches_entry_loop(potential, radius):
+    model = experiments.schroedinger_assemble(
+        getattr(operators, f"{potential}_coeff"), radius)
+    X, Z = loop_change_of_variable(model)
+    assert np.array_equal(model.X.entries, X)
+    assert np.array_equal(model.Z.entries, Z)
+
+
+@pytest.mark.parametrize("potential, tol", [("two_cos", 0.0), ("exp_decay", 1e-12)])
+def test_block_diag_prop_matches_per_pair_flow(potential, tol):
+    # exp_decay has even modes, so its resonant pairs are genuine 2x2 blocks
+    model = experiments.schroedinger_assemble(
+        getattr(operators, f"{potential}_coeff"), 8)
+    for tau in (0.03, 0.5):
+        err = np.max(np.abs(model.block_diag_prop(tau) -
+                            per_pair_resonant_flow(model, tau)))
+        assert err <= tol
+
+
+@pytest.mark.parametrize("potential, radius", [("two_cos", 96), ("exp_decay", 64)])
+def test_remainder_flow_at_large_radius(potential, radius):
+    # the conjugation's roundoff grows like eps M^2, past the Hermitian scan's
+    # tolerance relative to |R| ~ 1
+    model = experiments.schroedinger_assemble(
+        getattr(operators, f"{potential}_coeff"), radius)
+    assert core.is_hermitian(model.R)
+    model.smoothing_prop(0.01)
 
 
 def test_remainder_is_two_smoothing():

@@ -83,7 +83,8 @@ def test_exact_flow_rejects_non_hermitian_generator():
     block = truncated_block(1, 8)
     shear = np.diag(np.arange(block.n, dtype=complex))
     shear[0, 1] = 1.0
-    with pytest.raises(ValueError, match="Hermitian"):
+    with pytest.raises(ValueError, match=r"Hermitian scan: n = 17, relative "
+                                         r"defect 0\.0625 > tolerance 1e-12"):
         flows.exact_flow(OpMatrix(block, shear), 0.1)
 
 
