@@ -292,6 +292,10 @@ class OpMatrix:
     def fully_defined(self) -> bool:
         return self.defined is None or bool(self.defined.all())
 
+    @cached_property
+    def exactly_diagonal(self) -> bool:  # scanned once per matrix
+        return is_diagonal(self, 0.0)
+
     def __add__(self, other: "OpMatrix") -> "OpMatrix":
         _check_same_block(self, other)
         return OpMatrix(self.block, self.entries + other.entries,

@@ -28,12 +28,12 @@ and each step diagonalizes that matrix exactly.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 
 import numpy as np
-import scipy.linalg
 
 from . import core, flows, operators, periodic, spectral
 from .core import OpMatrix, periodic_block, truncated_block
@@ -500,6 +500,7 @@ def preconditioned_lie_study(v_coeffs, tau_list, s_list, radii,
 
 # ---------------------------------------------------------------------------
 # growth of Sobolev norms
+_JOBS: list = []  # a growth pool child's trajectories, filled by its initializer
 
 
 @dataclass(eq=False)
@@ -555,6 +556,7 @@ def growth_trajectory(model: GrowthModel, period: int, horizon: float,
     is resolved once per trajectory. Finiteness of the tridiagonal parts is
     checked once, before the first step (|cos| <= 1 keeps every step's input
     finite), and a nonzero ``info`` raises LinAlgError naming the step."""
+    import scipy.linalg
     block = periodic_block(1, period)
     Q, cols = _parity_basis(block)
     phi = np.array([model.phi(float(k)) for k in block.indices()[:, 0]])
@@ -600,11 +602,36 @@ def growth_trajectory(model: GrowthModel, period: int, horizon: float,
             "final_state": (Q @ y).view(complex).ravel()}
 
 
+def _usable_cores() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _run_job(i: int) -> dict:
+    return growth_trajectory(*_JOBS[i])
+
+
+def _trajectories(jobs) -> list:
+    """growth_trajectory(*job) for each job, in order: longest (steps x K) first in
+    one fork pool whose children inherit the jobs (none is pickled), or serially."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    workers = min(_usable_cores(), len(jobs))
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return [growth_trajectory(*job) for job in jobs]
+    import scipy.linalg  # noqa: F401  (once here, not once per child)
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_JOBS.extend, initargs=(jobs,)) as pool:
+        done = {i: pool.submit(_run_job, i) for i in sorted(
+            range(len(jobs)), key=lambda i: -jobs[i][1] * jobs[i][2] / jobs[i][4])}
+    return [done[i].result() for i in range(len(jobs))]
+
+
 def sobolev_growth_study(model: GrowthModel, horizon: float, s_list, periods,
                          delta: float = 1e-2, seed: int = 0,
                          richardson: bool = True) -> dict:
     """Conservation drift, bound ratios on the validity window, and the
-    fitted growth exponent of the h^s norms against the time bracket."""
+    fitted growth exponent of the h^s norms against the time bracket. The
+    trajectories run through one ``_trajectories`` pool, sized by the cores."""
     out: dict = {"model": model.label, "ratio": {},
                  "conservation": {}, "exponent": {}, "rows": []}
     s_all = sorted(set(list(s_list) + [0.0]))
@@ -613,13 +640,14 @@ def sobolev_growth_study(model: GrowthModel, horizon: float, s_list, periods,
     # cross-K stability measures the dynamics and not data variance
     big = periodic_block(1, max(periods))
     x_big = core.rough_samples(big, max(s_all), 1, seed)[0].coeffs
-    trajs = {}
-    for K in periods:
-        block = periodic_block(1, K)
-        pos, _ = core._positions(big, block.indices())
-        tr = growth_trajectory(model, K, horizon, s_all, delta, seed + K,
-                               x0=x_big[pos])
-        trajs[K] = tr
+    jobs = [(model, K, horizon, s_all, delta, seed + K,
+             x_big[core._positions(big, periodic_block(1, K).indices())[0]])
+            for K in periods]
+    if richardson:
+        jobs += [(model, min(periods), min(2.0, horizon), s_all, step,
+                  seed + min(periods)) for step in (delta / 2, delta)]
+    trajs = _trajectories(jobs)
+    for K, tr in zip(periods, trajs):
         t = tr["times"]
         l2 = tr["norms"][0.0]
         drift = np.abs(l2[1:] / l2[0] - 1.0) / np.maximum(t[1:], delta)
@@ -642,13 +670,8 @@ def sobolev_growth_study(model: GrowthModel, horizon: float, s_list, periods,
                                 "exponent": fit.slope,
                                 "conservation": out["conservation"][K]})
     if richardson:
-        K0 = min(periods)
-        fine = growth_trajectory(model, K0, min(2.0, horizon), s_all, delta / 2,
-                                 seed + K0)
-        coarse = growth_trajectory(model, K0, min(2.0, horizon), s_all, delta,
-                                   seed + K0)
-        diff = np.linalg.norm(fine["final_state"] - coarse["final_state"])
-        out["richardson"] = float(diff / np.linalg.norm(coarse["final_state"]))
+        fine, coarse = (tr["final_state"] for tr in trajs[-2:])
+        out["richardson"] = float(np.linalg.norm(fine - coarse) / np.linalg.norm(coarse))
     return out
 
 

@@ -45,7 +45,7 @@ def exact_flow(G: OpMatrix, t: float) -> np.ndarray:
     eigendecomposition, which raises ValueError for a non-Hermitian G."""
     if not np.isfinite(t):
         raise ValueError("t must be finite")
-    if core.is_diagonal(G, 0.0):
+    if G.exactly_diagonal:
         return np.diag(np.exp(1j * t * np.diag(G.entries)))
     w, V = _eigh_cached(G)
     return (V * np.exp(1j * t * w)) @ V.conj().T

@@ -24,21 +24,32 @@ from .core import (OpMatrix, SeminormSpec, PERIODIC, TRUNCATED, bracket_norm,
 
 # ---------------------------------------------------------------------------
 # bracket-norm inequalities (exact integer arithmetic)
+PAIR_BLOCK = 1 << 17  # entries of each pair-bracket block, 1 MiB of int64
 
 
 def _all_residues(period: int, d: int) -> np.ndarray:
     return np.array(list(itertools.product(range(period), repeat=d)), dtype=np.int64)
 
 
+def _pair_brackets(period: int, d: int, sign: int):
+    """(rows, P) for blocks of residues r, P[i, c] = [sign*r_i + c] for all c
+    in order: outer sums of 1d brackets, at most PAIR_BLOCK entries each."""
+    idx = _all_residues(period, d)
+    table = bracket_norm(period, np.arange(-period, 2 * period)[:, None])
+    near = table[period + sign * idx[:, :, None] + np.arange(period)]
+    step = max(1, PAIR_BLOCK // len(idx))
+    for lo in range(0, len(idx), step):
+        out = near[lo:lo + step, 0]
+        for j in range(1, d):
+            out = (out[:, :, None] + near[lo:lo + step, j, None, :]).reshape(len(out), -1)
+        yield slice(lo, lo + step), out
+
+
 def bracket_triangle_holds(period: int, d: int) -> bool:
     """Exhaustive check of [a+b] <= [a]+[b] over Z_K^d x Z_K^d."""
-    idx = _all_residues(period, d)
-    br = bracket_norm(period, idx)
-    for ia, a in enumerate(idx):
-        rab = bracket_norm(period, a[None, :] + idx)
-        if np.any(rab > br[ia] + br):
-            return False
-    return True
+    br = bracket_norm(period, _all_residues(period, d))
+    return not any(np.any(rab > br[a, None] + br)
+                   for a, rab in _pair_brackets(period, d, 1))
 
 
 def bracket_peetre_holds(period: int, d: int) -> bool:
@@ -49,18 +60,10 @@ def bracket_peetre_holds(period: int, d: int) -> bool:
     attainable bracket values t in {0, d*K/2}.  This is an exact reduction
     covering every index triple without enumerating K^(3d) of them.
     """
-    idx = _all_residues(period, d)
-    br = bracket_norm(period, idx)
-    t_max = d * (period // 2)
-    for ib, b in enumerate(idx):
-        rcb = bracket_norm(period, idx - b[None, :])
-        rb = int(br[ib])
-        for ra in (0, t_max):
-            lhs = 1 + ra + br
-            rhs = 2 * (1 + ra + rb) * (1 + rcb)
-            if np.any(lhs > rhs):
-                return False
-    return True
+    br = bracket_norm(period, _all_residues(period, d))
+    return not any(np.any(1 + ra + br > 2 * (1 + ra + br[b, None]) * (1 + rcb))
+                   for b, rcb in _pair_brackets(period, d, -1)
+                   for ra in (0, d * (period // 2)))
 
 
 # ---------------------------------------------------------------------------

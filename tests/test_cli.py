@@ -6,6 +6,8 @@ import dataclasses
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -177,13 +179,32 @@ def test_csv_round_trip(tmp_path):
     assert parsed[1]["b"] == ""
 
 
-def test_run_is_deterministic(tmp_path):
-    cfg_text = 'experiment = "order_gain"\nseed = 1\nM_list = [8, 16, 32]\n'
-    out1, out2 = tmp_path / "r1", tmp_path / "r2"
-    assert cli.run(cli.parse_config(cfg_text), out1) == 0
-    assert cli.run(cli.parse_config(cfg_text), out2) == 0
-    assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
-    assert (out1 / "fits.json").read_bytes() == (out2 / "fits.json").read_bytes()
+@pytest.mark.parametrize("cfg_text", [
+    'experiment = "order_gain"\nseed = 1\nM_list = [8, 16, 32]\n',
+    'experiment = "sobolev_growth"\nseed = 1\nK_list = [32, 64]\nhorizon = 2.0\n'],
+    ids=["order_gain", "sobolev_growth"])
+def test_run_is_deterministic(tmp_path, monkeypatch, cfg_text):
+    """Two runs on two cores, where the growth study forks its pool, and one
+    forced serial write the same bytes."""
+    outs = [tmp_path / "r1", tmp_path / "r2", tmp_path / "serial"]
+    for out, n in zip(outs, (2, 2, 1)):
+        monkeypatch.setattr(experiments, "_usable_cores", lambda: n)
+        assert cli.run(cli.parse_config(cfg_text), out) == 0
+    for name in ("results.csv", "fits.json"):
+        assert len({(out / name).read_bytes() for out in outs}) == 1
+
+
+def test_importing_the_cli_loads_no_scipy_and_no_process_pool():
+    """scipy and the process pool modules load only when a growth study runs."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, pdmat.cli; print(sorted(m for m in sys.modules if m.split('.')[0]"
+            " in ('scipy', 'multiprocessing', 'concurrent')))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_manifest_lists_all_files_with_hashes(tmp_path):

@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import subprocess
+import sys
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -479,6 +484,88 @@ def test_growth_rhom1_exponent_bounded():
                                            seed=SEED, richardson=False)
     for s in (1.0, 2.0):
         assert res["exponent"][(s, 32)] <= s / 2.0 + 0.1
+
+
+# ---------------------------------------------------------------------------
+# the growth pool
+
+
+@pytest.fixture
+def cores(monkeypatch):
+    """Sets the core count the growth pool is sized by."""
+    return lambda n: monkeypatch.setattr(experiments, "_usable_cores", lambda: n)
+
+
+def test_growth_pool_matches_serial_bit_for_bit(cores):
+    model = experiments.growth_model("growth_rho0")
+    jobs = [(model, K, 1.0, [0.0, 1.0], 0.01, SEED + K) for K in (16, 32)]
+    trajs, studies = {}, {}
+    for n in (2, 1):
+        cores(n)
+        trajs[n] = experiments._trajectories(jobs)
+        studies[n] = experiments.sobolev_growth_study(model, 4.0, (1.0, 2.0),
+                                                      (16, 32), seed=SEED)
+    for pooled, serial in zip(trajs[2], trajs[1]):
+        assert np.array_equal(pooled["times"], serial["times"])
+        assert np.array_equal(pooled["final_state"], serial["final_state"])
+        for s in (0.0, 1.0):
+            assert np.array_equal(pooled["norms"][s], serial["norms"][s])
+    assert "richardson" in studies[2]
+    assert studies[2] == studies[1]
+
+
+def test_growth_pool_runs_lambdas_it_never_pickles(cores, monkeypatch):
+    """An instance-attribute lambda cannot be pickled, so the model reaches
+    the children only through fork; the trajectories come back from them."""
+    model = experiments.GrowthModel(rho=0.0, label="free")
+    model.perturbation_base = lambda block: np.zeros((block.n, block.n))
+    with pytest.raises((pickle.PicklingError, AttributeError, TypeError)):
+        pickle.dumps(model)
+    trajectory = experiments.growth_trajectory
+    monkeypatch.setattr(experiments, "growth_trajectory", lambda *args: {
+        **trajectory(*args), "pid": os.getpid()})
+    cores(2)
+    out = experiments._trajectories([(model, K, 1.0, [0.0, 1.0], 0.01, SEED)
+                                     for K in (16, 32, 64)])
+    assert os.getpid() not in {tr["pid"] for tr in out}
+    for tr in out:
+        assert np.max(np.abs(tr["norms"][1.0] / tr["norms"][1.0][0] - 1)) <= 1e-12
+
+
+def test_growth_step_failure_in_a_pool_child_raises_linalg_error(cores,
+                                                                 monkeypatch):
+    def stevd(d, e):
+        return np.zeros_like(d), np.eye(len(d)), 1
+    lookup = scipy.linalg.get_lapack_funcs
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", lambda names, arrays: (
+        stevd,) if len(arrays[0]) == 32 else lookup(names, arrays))
+    cores(2)
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=r"growth_rho0: stevd failed at step 0 \(info 1\)"):
+        experiments.sobolev_growth_study(experiments.growth_model("growth_rho0"),
+                                         2.0, (1.0,), (16, 32), seed=SEED)
+
+
+FORK_AFTER_BLAS = """
+import numpy as np
+from pdmat import experiments
+a = np.random.default_rng(0).standard_normal((512, 512))
+a @ a
+experiments._usable_cores = lambda: 2
+res = experiments.sobolev_growth_study(experiments.growth_model("growth_rho0"),
+                                       2.0, (1.0,), (16, 32), seed=1)
+print(res["richardson"])
+"""
+
+
+def test_growth_pool_forks_after_blas_threads_start():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", FORK_AFTER_BLAS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert 0.0 < float(done.stdout) < 1e-4
 
 
 def test_validity_horizon():

@@ -79,6 +79,24 @@ def test_exact_flow_nearly_diagonal_hermitian_keeps_off_diagonal():
         assert np.max(np.abs(entrywise - ref)) > 1e-12
 
 
+def test_exact_flow_scans_each_generator_once(monkeypatch):
+    scans, scan = [], core.is_diagonal
+
+    def counted(A, tol=1e-12):
+        scans.append(A)
+        return scan(A, tol)
+
+    monkeypatch.setattr(core, "is_diagonal", counted)
+    A, B = schrodinger_pair(8)
+    for G in (A, A + B):
+        first = flows.exact_flow(G, 0.3)
+        for t in (0.1, 0.2, 0.3):
+            flows.exact_flow(G, t)
+        assert np.array_equal(flows.exact_flow(G, 0.3), first)
+    assert [G.exactly_diagonal for G in scans] == [True, False]
+    assert len(scans) == 2
+
+
 def test_exact_flow_rejects_non_hermitian_generator():
     block = truncated_block(1, 8)
     shear = np.diag(np.arange(block.n, dtype=complex))

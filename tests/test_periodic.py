@@ -44,6 +44,62 @@ def test_bracket_peetre_exhaustive(period, d):
     assert periodic.bracket_peetre_holds(period, d)
 
 
+def triangle_loop(period, d):
+    """Oracle: one residue a at a time, as the checks were first written."""
+    idx = periodic._all_residues(period, d)
+    br = periodic.bracket_norm(period, idx)
+    for ia, a in enumerate(idx):
+        rab = periodic.bracket_norm(period, a[None, :] + idx)
+        if np.any(rab > br[ia] + br):
+            return False
+    return True
+
+
+def peetre_loop(period, d):
+    """Oracle: one residue b and one extreme [a] at a time."""
+    idx = periodic._all_residues(period, d)
+    br = periodic.bracket_norm(period, idx)
+    for ib, b in enumerate(idx):
+        rcb = periodic.bracket_norm(period, idx - b[None, :])
+        for ra in (0, d * (period // 2)):
+            if np.any(1 + ra + br > 2 * (1 + ra + int(br[ib])) * (1 + rcb)):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("period", [4, 8, 16, 32])
+@pytest.mark.parametrize("d", [1, 2])
+def test_blocked_bracket_checks_match_loops(period, d):
+    assert periodic.bracket_triangle_holds(period, d) == triangle_loop(period, d)
+    assert periodic.bracket_peetre_holds(period, d) == peetre_loop(period, d)
+
+
+@pytest.mark.parametrize("entries", [64, 1000, 1 << 17])
+@pytest.mark.parametrize("d", [1, 2])
+def test_bracket_pair_blocks_match_direct_brackets(monkeypatch, d, entries):
+    monkeypatch.setattr(periodic, "PAIR_BLOCK", entries)
+    idx = periodic._all_residues(8, d)
+    for sign in (1, -1):
+        blocks = list(periodic._pair_brackets(8, d, sign))
+        assert [rows.start for rows, _ in blocks] == list(
+            range(0, len(idx), max(1, entries // len(idx))))
+        direct = periodic.bracket_norm(8, sign * idx[:, None, :] + idx[None, :, :])
+        assert np.array_equal(np.concatenate([p for _, p in blocks]), direct)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_broken_bracket_fails_both_checks(monkeypatch, d):
+    """A bracket 1000 too large on coordinates congruent to 1 breaks both
+    inequalities; the blocked checks and the loops must both see it."""
+    def broken(period, a):
+        r = core.representative(period, a)
+        return (np.abs(r) + 1000 * (r == 1)).sum(axis=-1)
+    monkeypatch.setattr(periodic, "bracket_norm", broken)
+    for check in (periodic.bracket_triangle_holds, periodic.bracket_peetre_holds,
+                  triangle_loop, peetre_loop):
+        assert check(8, d) is False
+
+
 def test_bracket_range():
     assert core.bracket_norm(8, [4]) == 4
     assert core.bracket_norm(8, [8]) == 0
