@@ -121,6 +121,10 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be strictly increasing")
         if not all(_is_number(v) for v in self.s_list):
             raise ConfigError("s_list entries must be finite numbers")
+        # a repeated entry would run twice and overwrite its own fits and gates
+        for name in ("probes", "s_list"):
+            if len(set(getattr(self, name))) < len(getattr(self, name)):
+                raise ConfigError(f"{name} entries must not repeat")
         if self.experiment in _POSITIVE_S and not any(s > 0 for s in self.s_list):
             raise ConfigError(f"s_list needs a positive entry for {self.experiment}, "
                               "which runs only the s > 0 ones")
@@ -237,7 +241,25 @@ def load_config(path) -> ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# experiment runners: each returns (rows, fits, passes, warnings)
+# experiment runners: each returns (rows, fits, gates) and warns by warnings.warn
+
+
+def _gate(measured, bound, cmp="<="):
+    """Gate record: ``ok`` is ``measured cmp bound`` (cmp <=, < or ==).  The
+    margin, bound - measured or -|measured - bound| for ==, is negative when an
+    inequality fails; no measured value (no fit) fails with no margin."""
+    if measured is None:
+        return {"measured": None, "bound": bound, "margin": None, "ok": False}
+    ok = {"<=": measured <= bound, "<": measured < bound, "==": measured == bound}
+    margin = -abs(measured - bound) if cmp == "==" else bound - measured
+    # + 0.0 turns the -0.0 of an equality that holds into 0.0
+    return {"measured": measured, "bound": bound, "margin": margin + 0.0,
+            "ok": bool(ok[cmp])}
+
+
+def _band(fit, target):
+    """Gate of a fitted slope within FIT_BAND of its theory value."""
+    return _gate(abs(fit.slope - target) if fit is not None else None, FIT_BAND)
 
 
 def _schrodinger_builder(M):
@@ -268,14 +290,12 @@ def run_order_gain(cfg: ExperimentConfig):
                                      "alpha": alpha[0], "decay": decay,
                                      "order": r,
                                      "seminorm": float(est.max_ratios[i_r, i_a, i_n, i_m])})
-    elapsed = time.monotonic() - t0
-    fits["runtime_seconds"] = elapsed
-    passes = {
-        "product_order_is_2": fits["product"]["r_hat"] == 2.0,
-        "commutator_order_le_1": fits["commutator"]["r_hat"] <= 1.0,
-        "runtime_lt_10s": elapsed < 10.0,
+    gates = {
+        "product_order_is_2": _gate(fits["product"]["r_hat"], 2.0, "=="),
+        "commutator_order_le_1": _gate(fits["commutator"]["r_hat"], 1.0),
+        "runtime_lt_10s": _gate(time.monotonic() - t0, 10.0, "<"),
     }
-    return rows, fits, passes, []
+    return rows, fits, gates
 
 
 def run_approx_rates(cfg: ExperimentConfig):
@@ -297,11 +317,11 @@ def run_approx_rates(cfg: ExperimentConfig):
     rows = fd.rows + mult.rows
     fits = {"fd_rate": fd.decay_rate, "fd_residual": fd.residual,
             "mult_rate": mult.decay_rate, "mult_residual": mult.residual}
-    passes = {
-        "fd_rate_near_1": abs(fd.decay_rate - 1.0) <= FIT_BAND,
-        "mult_rate_near_2": abs(mult.decay_rate - 2.0) <= FIT_BAND,
+    gates = {
+        "fd_rate_near_1": _gate(abs(fd.decay_rate - 1.0), FIT_BAND),
+        "mult_rate_near_2": _gate(abs(mult.decay_rate - 2.0), FIT_BAND),
     }
-    return rows, fits, passes, []
+    return rows, fits, gates
 
 
 def run_splitting_orders(cfg: ExperimentConfig):
@@ -309,7 +329,7 @@ def run_splitting_orders(cfg: ExperimentConfig):
     M = max(cfg.M_list)
     A, B = _schrodinger_builder(M)
     block = A.block
-    rows, fits, passes = [], {}, {}
+    rows, fits, gates = [], {}, {}
     for scheme_name, scheme, target in (("lie", flows.LIE, 2.0),
                                         ("strang", flows.STRANG, 3.0)):
         for s in cfg.s_list:
@@ -320,20 +340,17 @@ def run_splitting_orders(cfg: ExperimentConfig):
                            "intercept": tab.fit.intercept if tab.fit else None,
                            "residual": tab.fit.residual if tab.fit else None,
                            "target": target}
-            passes[f"{label}_slope"] = tab.fit is not None and \
-                abs(tab.fit.slope - target) <= FIT_BAND
+            gates[f"{label}_slope"] = _band(tab.fit, target)
             for r in tab.rows:
                 rows.append({"probe": "schrodinger", "scheme": scheme_name,
                              "level": M, "tau": r["tau"], "s": r["s"],
                              "error": r["error"]})
-    elapsed = time.monotonic() - t0
-    fits["runtime_seconds"] = elapsed
-    passes["runtime_lt_120s"] = elapsed < 120.0
-    return rows, fits, passes, []
+    gates["runtime_lt_120s"] = _gate(time.monotonic() - t0, 120.0, "<")
+    return rows, fits, gates
 
 
 def run_loss_scan(cfg: ExperimentConfig):
-    rows, fits, passes = [], {}, {}
+    rows, fits, gates = [], {}, {}
     for probe, scheme, rep, target in (
             ("schrodinger", "lie", flows.loss_estimator(
                 flows.LIE, _schrodinger_builder, cfg.M_list, s=2.0,
@@ -344,21 +361,20 @@ def run_loss_scan(cfg: ExperimentConfig):
                     flows.STRANG, flows.TAU_STAR), 2.0, seed=cfg.seed), 0.0)):
         fits[f"{scheme}_{probe}"] = {"sigma_hat": rep.sigma_hat,
                                      "certified": rep.certified}
-        passes[f"{scheme}_{probe}_sigma_{target:g}"] = rep.certified and \
-            rep.sigma_hat == target
+        gates[f"{scheme}_{probe}_sigma_{target:g}"] = \
+            _gate(rep.sigma_hat if rep.certified else None, target, "==")
         rows.extend({"probe": probe, "scheme": scheme, **r} for r in rep.rows)
-    return rows, fits, passes, []
+    return rows, fits, gates
 
 
 def run_waterwave(cfg: ExperimentConfig):
     probes = cfg.probes or ("waterwave",)
-    rows, fits, passes, warns = [], {}, {}, []
+    rows, fits, gates = [], {}, {}
     for probe in probes:
         model = experiments.waterwave_model(probe, seed=cfg.seed)
         res = experiments.waterwave_noloss_study(
             model, ["lie", "strang"], cfg.K_list[-3:], TAU_LIST,
             [s for s in cfg.s_list if s > 0], seed=cfg.seed)
-        warns.extend(res["warnings"])
         # only the documented order warning (St-Venant) voids the theory
         # bands; the propagator-norm stability message stays a warning
         asserted = model.order_warning() is None
@@ -367,25 +383,24 @@ def run_waterwave(cfg: ExperimentConfig):
             target = 2.0 if scheme == "lie" else 3.0
             fits[key] = {"slope": fit.slope if fit else None, "target": target}
             if asserted and scheme == "strang":
-                passes[f"{key}_slope"] = fit is not None and \
-                    abs(fit.slope - target) <= FIT_BAND
+                gates[f"{key}_slope"] = _band(fit, target)
         for scheme, rep in res["loss"].items():
             fits[f"{model.label}_{scheme}_sigma"] = {"sigma_hat": rep.sigma_hat,
                                                      "certified": rep.certified}
             if asserted:
-                passes[f"{model.label}_{scheme}_no_loss"] = rep.certified and \
-                    rep.sigma_hat == 0.0
+                gates[f"{model.label}_{scheme}_no_loss"] = \
+                    _gate(rep.sigma_hat if rep.certified else None, 0.0, "==")
         for scheme, defect in res["symplectic_defect"].items():
             fits[f"{model.label}_{scheme}_symplectic_defect"] = defect
-            passes[f"{model.label}_{scheme}_symplectic"] = defect <= UNITARY_TOL
+            gates[f"{model.label}_{scheme}_symplectic"] = _gate(defect, UNITARY_TOL)
             rows.append({"probe": model.label, "scheme": scheme,
                          "level": max(cfg.K_list), "tau": TAU_LIST[0],
                          "error": defect, "sigma": "", "s": "",
                          "norm_ratio": res["energy_drift"][scheme]})
-        passes[f"{model.label}_flat_bottom_exact"] = \
-            res["b0_control"] <= ALGEBRA_TOL
+        gates[f"{model.label}_flat_bottom_exact"] = \
+            _gate(res["b0_control"], ALGEBRA_TOL)
         rows.extend({"probe": model.label, **r} for r in res.get("error_rows", []))
-    return rows, fits, passes, warns
+    return rows, fits, gates
 
 
 def run_schroedinger_precond(cfg: ExperimentConfig):
@@ -401,23 +416,23 @@ def run_schroedinger_precond(cfg: ExperimentConfig):
         "sigma_hat_preconditioned": res["loss_preconditioned"].sigma_hat,
         "sigma_hat_baseline": res["loss_baseline"].sigma_hat,
     }
-    for s, fit in res["slopes"].items():
-        fits[f"precond_slope_s{s:g}"] = fit.slope
-    passes = {
-        "homological_identity": res["homological_defect"] <= ALGEBRA_TOL,
-        "remainder_order_le_m2": res["remainder_order"] <= -2.0,
-        "telescoping": res["telescoping_defect"] <= UNITARY_TOL,
-        "preconditioned_no_loss": res["loss_preconditioned"].sigma_hat == 0.0,
-        "baseline_loses_one": res["loss_baseline"].sigma_hat == 1.0,
+    gates = {
+        "homological_identity": _gate(res["homological_defect"], ALGEBRA_TOL),
+        "remainder_order_le_m2": _gate(res["remainder_order"], -2.0),
+        "telescoping": _gate(res["telescoping_defect"], UNITARY_TOL),
+        "preconditioned_no_loss": _gate(res["loss_preconditioned"].sigma_hat,
+                                        0.0, "=="),
+        "baseline_loses_one": _gate(res["loss_baseline"].sigma_hat, 1.0, "=="),
     }
     for s, fit in res["slopes"].items():
-        passes[f"precond_slope_s{s:g}"] = abs(fit.slope - 2.0) <= FIT_BAND
-    return rows, fits, passes, []
+        fits[f"precond_slope_s{s:g}"] = fit.slope
+        gates[f"precond_slope_s{s:g}"] = _band(fit, 2.0)
+    return rows, fits, gates
 
 
 def run_sobolev_growth(cfg: ExperimentConfig):
     probes = cfg.probes or ("growth_rho0", "growth_rhom1")
-    rows, fits, passes = [], {}, {}
+    rows, fits, gates = [], {}, {}
     s_list = [s for s in cfg.s_list if s > 0]
     for probe in probes:
         model = experiments.growth_model(probe)
@@ -430,44 +445,42 @@ def run_sobolev_growth(cfg: ExperimentConfig):
             rows.append({"probe": probe, **r})
         worst_drift = max(res["conservation"].values())
         fits[f"{probe}_conservation"] = worst_drift
-        passes[f"{probe}_l2_conservation"] = worst_drift <= 1e-8
+        gates[f"{probe}_l2_conservation"] = _gate(worst_drift, 1e-8)
         if model.rho == 0.0:
             for s in {r["s"] for r in res["rows"]}:
                 cs = [res["ratio"][(s, K)]["max_common"]
                       for K in res["conservation"]]
                 fits[f"{probe}_ratio_span_s{s:g}"] = max(cs) / min(cs)
-                passes[f"{probe}_ratio_stable_s{s:g}"] = \
-                    max(cs) <= 1.2 * min(cs)
+                gates[f"{probe}_ratio_stable_s{s:g}"] = _gate(max(cs), 1.2 * min(cs))
         else:
             for (s, K), exp in res["exponent"].items():
                 bound = s / (1.0 - model.rho) + 0.1
                 fits[f"{probe}_exponent_s{s:g}_K{K}"] = exp
-                passes[f"{probe}_exponent_s{s:g}_K{K}"] = exp <= bound
+                gates[f"{probe}_exponent_s{s:g}_K{K}"] = _gate(exp, bound)
         if "richardson" in res:
             fits[f"{probe}_richardson"] = res["richardson"]
-    return rows, fits, passes, []
+    return rows, fits, gates
 
 
 def run_invariants_suite(cfg: ExperimentConfig):
-    rows, passes = [], {}
+    rows, gates = [], {}
 
-    def record(invariant, probe, measured, bound, ok):
+    def record(invariant, probe, measured, bound, cmp="<="):
+        gate = gates[f"{invariant}_{probe}"] = _gate(measured, bound, cmp)
         rows.append({"invariant": invariant, "probe": probe,
                      "measured": measured, "bound": bound,
-                     "status": "pass" if ok else "fail"})
-        passes[f"{invariant}_{probe}"] = bool(ok)
+                     "status": "pass" if gate["ok"] else "fail"})
 
     for d in (1, 2):
         for K in (4, 8, 16, 32):
             ok = periodic.bracket_triangle_holds(K, d) and \
                 periodic.bracket_peetre_holds(K, d)
-            record("bracket_inequalities", f"d{d}_K{K}", int(ok), 1, ok)
+            record("bracket_inequalities", f"d{d}_K{K}", int(ok), 1, "==")
     for period, d in ((16, 1), (64, 1), (128, 1), (8, 2), (16, 2)):
         block = core.periodic_block(d, period)
         Q = period ** (d / 2) * spectral.dft_matrix(block)
         defect = float(np.max(np.abs(Q.conj().T @ Q - np.eye(block.n))))
-        record("dft_unitarity", f"d{d}_K{period}", defect, ALGEBRA_TOL,
-               defect <= ALGEBRA_TOL)
+        record("dft_unitarity", f"d{d}_K{period}", defect, ALGEBRA_TOL)
         F, Finv = spectral.dft_matrix(block), spectral.idft_matrix(block)
         worst = 0.0
         for j in range(1, d + 1):
@@ -475,15 +488,14 @@ def run_invariants_suite(cfg: ExperimentConfig):
                 lhs = spectral.fd_matrix(j, sign, period, d).entries
                 rhs = Finv @ spectral.fd_symbol(j, sign, period, d).entries @ F
                 worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-        bound = ALGEBRA_TOL * period
-        record("fd_conjugation", f"d{d}_K{period}", worst, bound, worst <= bound)
+        record("fd_conjugation", f"d{d}_K{period}", worst, ALGEBRA_TOL * period)
     for K in (16, 32, 64):
         M_samp = spectral.mult_matrix_fourier(
             K, fn=lambda x: sum(math.exp(-abs(j)) * np.exp(1j * j * x)
                                 for j in range(-50, 51)))
         M_alias = spectral.mult_matrix_from_coeffs(operators.exp_decay_coeff, K)
         diff = float(np.max(np.abs(M_samp.entries - M_alias.entries)))
-        record("alias_identity", f"K{K}", diff, 1e-10, diff <= 1e-10)
+        record("alias_identity", f"K{K}", diff, 1e-10)
     rng = np.random.default_rng(cfg.seed)
     for p, q, r in ((1, 1, 1), (2, 1, 2), (2, 2, math.inf)):
         violations = 0
@@ -495,9 +507,8 @@ def run_invariants_suite(cfg: ExperimentConfig):
             rhs = core.lp_norm(x, p) * core.lp_norm(y, q)
             if lhs > rhs * (1 + 1e-12):
                 violations += 1
-        record("young_inequality", f"p{p}_q{q}_r{r}", violations, 0,
-               violations == 0)
-    return rows, {}, passes, []
+        record("young_inequality", f"p{p}_q{q}_r{r}", violations, 0, "==")
+    return rows, {}, gates
 
 
 RUNNERS = {
@@ -519,33 +530,34 @@ RUNNERS = {
 def run(cfg: ExperimentConfig, outdir) -> int:
     cfg.validate()
     os.makedirs(outdir, exist_ok=True)
-    status, warns, tb = "ok", [], None
-    try:
-        with _warnings.catch_warnings(record=True) as caught:
-            _warnings.simplefilter("always")
-            rows, fits, passes, warns = RUNNERS[cfg.experiment](cfg)
-            warns = list(dict.fromkeys(list(warns) +
-                                       [str(w.message) for w in caught]))
-    except Exception as exc:  # job marked failed, manifest still written
-        rows, fits, passes = [], {}, {}
-        status, tb = f"failed: {exc}", traceback.format_exc()
-    notes = []
-    if "runtime_seconds" in fits:
-        # wall-clock time goes to the manifest, keeping fits.json deterministic
-        notes.append(f"runtime_seconds: {fits.pop('runtime_seconds'):.3f}")
+    status, tb = "ok", None
+    with _warnings.catch_warnings(record=True) as caught:
+        _warnings.simplefilter("always")
+        try:
+            rows, fits, gates = RUNNERS[cfg.experiment](cfg)
+        except Exception as exc:  # job marked failed, manifest still written
+            rows, fits, gates = [], {}, {}
+            status, tb = f"failed: {exc}", traceback.format_exc()
+    warns = list(dict.fromkeys(str(w.message) for w in caught))
+    # runtime gates measure wall-clock time, so gates go to the manifest only
+    passes = {name: gate["ok"] for name, gate in gates.items()}
     reporting.write_csv(os.path.join(outdir, "results.csv"),
                         CSV_COLUMNS[cfg.experiment], rows, cfg.experiment)
     reporting.write_json(os.path.join(outdir, "fits.json"), fits)
     reporting.write_manifest(outdir, cfg.experiment, asdict(cfg), passes,
-                             status, __version__, warnings=warns, notes=notes,
+                             status, __version__, warnings=warns, gates=gates,
                              traceback=tb)
     if status != "ok":
         print(f"FAILED {cfg.experiment}: {status}", file=sys.stderr)
         return 1
-    n_fail = sum(not ok for ok in passes.values())
     for name in sorted(passes):
         print(f"{'PASS' if passes[name] else 'FAIL'} {cfg.experiment}.{name}")
-    return 1 if n_fail else 0
+    return 0 if all(passes.values()) else 1
+
+
+def _number(value) -> str:
+    # the manifest stores nan and inf as strings and no value as null
+    return f"{value:.6g}" if isinstance(value, (int, float)) else str(value)
 
 
 def report(outdir) -> int:
@@ -553,21 +565,11 @@ def report(outdir) -> int:
     experiment = manifest["experiment"]
     print(f"experiment: {experiment}  code: {manifest['code_version']}  "
           f"status: {manifest['status']}")
-    fits_path = os.path.join(outdir, "fits.json")
-    fits = {}
-    if os.path.exists(fits_path):
-        import json
-        with open(fits_path) as fh:
-            fits = json.load(fh)
     all_ok = manifest["status"] == "ok"
-    for name, ok in sorted(manifest["passes"].items()):
-        detail = ""
-        for key in (name, name.rsplit("_", 1)[0]):
-            if key in fits:
-                detail = f"  ({fits[key]})"
-                break
-        print(f"{'PASS' if ok else 'FAIL'} {name}{detail}")
-        all_ok &= bool(ok)
+    for name, gate in sorted(manifest["gates"].items()):
+        print(f"{'PASS' if gate['ok'] else 'FAIL'} {name}  " + "  ".join(
+            f"{k} {_number(gate[k])}" for k in ("measured", "bound", "margin")))
+        all_ok &= gate["ok"]
     _, _, rows = reporting.read_csv(os.path.join(outdir, "results.csv"))
     series: dict = {}
     for row in rows:

@@ -237,12 +237,13 @@ def waterwave_noloss_study(model: WaterWaveModel, schemes, periods, tau_list,
                            s_list, seed: int = 0) -> dict:
     """Order slopes, loss scan, per-step symplectic defect and energy drift
     for the split water-wave system, with flows.N_SAMPLES data vectors per
-    error sup and loss levels at flows.TAU_STAR."""
-    out: dict = {"model": model.label, "warnings": []}
+    error sup and loss levels at flows.TAU_STAR.  The order warning of the
+    model, an indefinite energy and unstable propagator norms are reported
+    through warnings.warn."""
+    out: dict = {"model": model.label}
     warn = model.order_warning()
     if warn:
         warnings.warn(warn)
-        out["warnings"].append(warn)
     # propagator-norm stability across periods comes before any error run:
     # the error analysis is vacuous if the flows themselves are not bounded
     # uniformly in K on the probed time window
@@ -253,10 +254,8 @@ def waterwave_noloss_study(model: WaterWaveModel, schemes, periods, tau_list,
     for K, ops_k in level_ops.items():
         lam_min = float(np.min((ops_k.normal_modes[1] ** 2).real))
         if lam_min < 0:
-            msg = (f"{model.label}: energy is indefinite at K={K} (min "
-                   f"eigenvalue of S(omega+C)S {lam_min:.3g})")
-            warnings.warn(msg)
-            out["warnings"].append(msg)
+            warnings.warn(f"{model.label}: energy is indefinite at K={K} (min "
+                          f"eigenvalue of S(omega+C)S {lam_min:.3g})")
     for s in s_list:
         bounds = []
         for K in periods:
@@ -266,10 +265,8 @@ def waterwave_noloss_study(model: WaterWaveModel, schemes, periods, tau_list,
                 ops_k.exact_prop, (0.25, 0.5, 1.0), s, samples, ops_k.weights(s)))
         out["stability_bounds"][s] = bounds
         if max(bounds) > 1.1 * bounds[0]:
-            msg = (f"propagator norm bound at s={s} not stable across "
-                   f"periods: {bounds}")
-            warnings.warn(msg)
-            out["warnings"].append(msg)
+            warnings.warn(f"propagator norm bound at s={s} not stable across "
+                          f"periods: {bounds}")
     K_ref = max(periods)
     ops = level_ops[K_ref]
     scheme_map = {"lie": flows.LIE, "strang": flows.STRANG}

@@ -75,10 +75,10 @@ def sha256_file(path) -> str:
 
 
 def write_manifest(outdir, experiment: str, config: dict, passes: dict,
-                   status: str, code_version: str, warnings=(), notes=(),
+                   status: str, code_version: str, warnings=(), gates=None,
                    traceback: str | None = None):
-    """Run manifest with a content hash for every other artifact file; the
-    traceback of a failed run sits next to its status."""
+    """Run manifest with a content hash for every other artifact file, the
+    traceback of a failed run, and each gate's record and its ``ok``."""
     files = {}
     for name in sorted(os.listdir(outdir)):
         if name == "manifest.json" or not os.path.isfile(os.path.join(outdir, name)):
@@ -90,10 +90,10 @@ def write_manifest(outdir, experiment: str, config: dict, passes: dict,
         "code_version": code_version,
         "files": files,
         "passes": _jsonable(passes),
+        "gates": _jsonable(gates or {}),
         "status": status,
         "traceback": traceback,
         "warnings": list(warnings),
-        "notes": list(notes),
     }
     write_json(os.path.join(outdir, "manifest.json"), payload)
     return payload

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pdmat import cli, experiments, flows, reporting
@@ -79,6 +82,8 @@ def test_invalid_values_rejected():
     ("delta = inf", "delta"),
     ("s_list = [nan]", "s_list"),
     ("s_list = [1.0, inf]", "s_list"),
+    ("s_list = [1.0, 1.0]", "s_list entries must not repeat"),
+    ('probes = ["waterwave", "waterwave"]', "probes entries must not repeat"),
     ("seed = 1\nseed = 2", "line 3: repeated key 'seed'"),
 ])
 def test_bad_config_values_rejected_by_name(line, key):
@@ -155,17 +160,54 @@ def test_stability_warning_keeps_waterwave_gates(monkeypatch):
     loss = flows.LossReport(0.0, True, (0.0,), (32, 64, 128), {0.0: [1.0]})
 
     def study(model, schemes, *args, **kwargs):
-        return {"warnings": ["propagator norm bound at s=1 not stable across "
-                             "periods: [1.0, 1.2]"],
-                "slopes": {("strang", 1.0): fit}, "loss": {"strang": loss},
+        warnings.warn("propagator norm bound at s=1 not stable across "
+                      "periods: [1.0, 1.2]")
+        return {"slopes": {("strang", 1.0): fit}, "loss": {"strang": loss},
                 "symplectic_defect": {"strang": 0.0},
                 "energy_drift": {"strang": 0.0}, "b0_control": 0.0}
     monkeypatch.setattr(experiments, "waterwave_noloss_study", study)
     cfg = cli.parse_config('experiment = "waterwave"\ns_list = [1.0]')
-    _, _, passes, warns = cli.run_waterwave(cfg)
-    assert warns
-    assert passes["waterwave_strang_s1_slope"]
-    assert passes["waterwave_strang_no_loss"]
+    with pytest.warns(UserWarning, match="propagator norm bound at s=1"):
+        _, _, gates = cli.run_waterwave(cfg)
+    assert gates["waterwave_strang_s1_slope"]["ok"]
+    assert gates["waterwave_strang_no_loss"]["ok"]
+
+
+def test_gate_records_measured_bound_margin_and_ok():
+    assert cli._gate(None, 0.25) == {"measured": None, "bound": 0.25,
+                                     "margin": None, "ok": False}
+    assert cli._gate(1.0, 1.0)["ok"] and not cli._gate(1.0, 1.0, "<")["ok"]
+    assert cli._gate(1.0, 1.0, "<")["margin"] == 0.0
+    held = cli._gate(2.0, 2.0, "==")
+    assert held["ok"] and math.copysign(1.0, held["margin"]) == 1.0
+    missed = cli._gate(1.5, 2.0, "==")
+    assert not missed["ok"] and missed["margin"] == -0.5
+    failed = cli._gate(0.3, 0.25)
+    assert not failed["ok"] and failed["margin"] == pytest.approx(-0.05)
+    assert cli._gate(0.2, 0.25) == {"measured": 0.2, "bound": 0.25,
+                                    "margin": 0.25 - 0.2, "ok": True}
+    # approx_rates gates abs(nan - 1) when the fd rate has no fit
+    nan = cli._gate(abs(math.nan - 1.0), 0.25)
+    assert not nan["ok"] and math.isnan(nan["margin"])
+    assert type(cli._gate(np.float64(0.1), 0.25)["ok"]) is bool
+
+
+@pytest.mark.parametrize("cfg_text,band", [
+    ('experiment = "order_gain"\nM_list = [8, 16]\n', 0.25),
+    ('experiment = "splitting_orders"\nM_list = [16]\ns_list = [0.0, 1.0]\n',
+     0.001)], ids=["order_gain", "splitting_orders_broken_band"])
+def test_manifest_passes_are_the_gate_records_ok(tmp_path, monkeypatch,
+                                                 cfg_text, band):
+    monkeypatch.setattr(cli, "FIT_BAND", band)
+    cli.run(cli.parse_config(cfg_text), tmp_path)
+    manifest = reporting.read_manifest(tmp_path)
+    gates = manifest["gates"]
+    assert gates and manifest["passes"] == {n: g["ok"] for n, g in gates.items()}
+    for gate in gates.values():
+        assert set(gate) == {"measured", "bound", "margin", "ok"}
+        assert (gate["margin"] is not None and gate["margin"] >= 0) == gate["ok"]
+    if band < 0.25:
+        assert not all(manifest["passes"].values())
 
 
 def test_csv_round_trip(tmp_path):
@@ -240,7 +282,10 @@ def test_broken_tolerance_fails_with_measured_slope(tmp_path, capsys,
     rc = cli.report(tmp_path)
     assert rc == 1
     out = capsys.readouterr().out
-    assert "FAIL" in out and "slope" in out
+    gate = reporting.read_manifest(tmp_path)["gates"]["lie_s1_slope"]
+    assert gate["bound"] == 0.001 and gate["margin"] < 0 and not gate["ok"]
+    assert (f"FAIL lie_s1_slope  measured {gate['measured']:.6g}  bound 0.001  "
+            f"margin {gate['margin']:.6g}") in out
 
 
 def test_report_missing_dir_errors(tmp_path):
@@ -293,12 +338,15 @@ def test_failed_job_marked_in_manifest(tmp_path, monkeypatch):
     cfg = cli.parse_config('experiment = "order_gain"\nM_list = [8, 16]\n')
 
     def boom(_cfg):
+        warnings.warn("synthetic warning before the failure")
         raise ArithmeticError("synthetic numerical failure")
     monkeypatch.setitem(cli.RUNNERS, "order_gain", boom)
     rc = cli.run(cfg, tmp_path)
     assert rc == 1
     manifest = reporting.read_manifest(tmp_path)
     assert manifest["status"] == "failed: synthetic numerical failure"
+    assert manifest["warnings"] == ["synthetic warning before the failure"]
+    assert manifest["gates"] == manifest["passes"] == {}
     assert manifest["traceback"].startswith("Traceback")
     assert "in boom" in manifest["traceback"]
     assert "ArithmeticError: synthetic numerical failure" in manifest["traceback"]

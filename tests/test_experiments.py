@@ -7,6 +7,7 @@ import os
 import pickle
 import subprocess
 import sys
+import warnings
 from functools import partial
 from pathlib import Path
 
@@ -97,14 +98,17 @@ def test_split_steps_preserve_canonical_form(ww_ops):
 
 def test_waterwave_strang_slope_and_no_loss():
     model = experiments.waterwave_model("waterwave")
-    res = experiments.waterwave_noloss_study(
-        model, ["strang"], (32, 64), (0.1, 0.05, 0.025, 0.0125), (2.0,), seed=SEED)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = experiments.waterwave_noloss_study(
+            model, ["strang"], (32, 64), (0.1, 0.05, 0.025, 0.0125), (2.0,),
+            seed=SEED)
     assert res["slopes"][("strang", 2.0)].slope == pytest.approx(3.0, abs=0.25)
     assert res["loss"]["strang"].sigma_hat == 0.0
     assert res["b0_control"] <= 1e-12
     bounds = res["stability_bounds"][2.0]
     assert max(bounds) <= 1.1 * bounds[0]
-    assert not res["warnings"]
+    assert not [w for w in caught if issubclass(w.category, UserWarning)]
 
 
 def test_waterwave_rough_bottom_no_loss():
@@ -116,10 +120,10 @@ def test_waterwave_rough_bottom_no_loss():
 
 def test_waterwave_stvenant_warns():
     model = experiments.waterwave_model("waterwave_stvenant")
-    with pytest.warns(UserWarning):
-        res = experiments.waterwave_noloss_study(
+    with pytest.warns(UserWarning) as caught:
+        experiments.waterwave_noloss_study(
             model, ["lie"], (16, 32), (0.1, 0.05), (1.0,), seed=SEED)
-    assert res["warnings"]
+    assert model.order_warning() in [str(w.message) for w in caught]
 
 
 def test_waterwave_energy_measured(ww_ops):
