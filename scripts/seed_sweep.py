@@ -61,7 +61,8 @@ def sweep(paths, seeds, workdir: str) -> tuple:
                 cli.run(cfg, outdir)
             manifest = reporting.read_manifest(outdir)
             digests[(stem, seed)] = output_digest(outdir)
-            runs[seed] = {**manifest["passes"],
+            runs[seed] = {**{name: gate["ok"]
+                             for name, gate in manifest["gates"].items()},
                           "run_status": manifest["status"] == "ok"}
         for gate in set().union(*runs.values()):
             failures[(stem, gate)] = [seed for seed in seeds

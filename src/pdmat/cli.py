@@ -408,21 +408,23 @@ def run_schroedinger_precond(cfg: ExperimentConfig):
         operators.two_cos_coeff, TAU_LIST,
         [s for s in cfg.s_list if s > 0], cfg.M_list, seed=cfg.seed)
     rows = [{"probe": "schrodinger", **r} for r in res.get("error_rows", [])]
+    pre, base = res["loss_preconditioned"], res["loss_baseline"]
     fits = {
         "homological_defect": res["homological_defect"],
         "off_resonant_defect": res["off_resonant_defect"],
         "telescoping_defect": res["telescoping_defect"],
         "remainder_order": res["remainder_order"],
-        "sigma_hat_preconditioned": res["loss_preconditioned"].sigma_hat,
-        "sigma_hat_baseline": res["loss_baseline"].sigma_hat,
+        "sigma_hat_preconditioned": pre.sigma_hat,
+        "sigma_hat_baseline": base.sigma_hat,
     }
     gates = {
         "homological_identity": _gate(res["homological_defect"], ALGEBRA_TOL),
         "remainder_order_le_m2": _gate(res["remainder_order"], -2.0),
         "telescoping": _gate(res["telescoping_defect"], UNITARY_TOL),
-        "preconditioned_no_loss": _gate(res["loss_preconditioned"].sigma_hat,
+        "preconditioned_no_loss": _gate(pre.sigma_hat if pre.certified else None,
                                         0.0, "=="),
-        "baseline_loses_one": _gate(res["loss_baseline"].sigma_hat, 1.0, "=="),
+        "baseline_loses_one": _gate(base.sigma_hat if base.certified else None,
+                                    1.0, "=="),
     }
     for s, fit in res["slopes"].items():
         fits[f"precond_slope_s{s:g}"] = fit.slope

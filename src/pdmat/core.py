@@ -13,14 +13,14 @@ the diagonal, decay away from it).  :func:`estimate_order` turns them into a
 falsifiable certification: an order value is accepted when the seminorms stay
 multiplicatively stable as the block is refined.
 
-The weight (1+dist)^decay / (1+size)^(order-|alpha|) depends on the order only
-through size = |m|+|n|, which takes at most 2L + 1 values (L the largest |k|
-on the block, d*M or d*K/2).  So every sup first builds the size envelope,
-the max of |D| (1+dist)^decay over the defined entries of each size, and then
-divides it by (1+size)^(order-|alpha|) for each order.  Division by a positive
-constant is monotone under IEEE rounding, so the result equals the entrywise
-max bit for bit; a scan over many orders costs one O(n^2) pass per (alpha,
-decay, member) instead of one per grid point.
+The weight (1+dist)^decay / (1+size)^(order-|alpha|) reads a position pair
+only through size = |m|+|n| and dist, and a block has few distinct (size,
+dist) bins.  So every sup takes the max of |D| over the defined entries of each
+bin once per (alpha, member), multiplies it by (1+dist)^decay per decay and
+folds it onto sizes, then divides by (1+size)^(order-|alpha|) per order.
+Multiplication and division by a positive constant are monotone under IEEE
+rounding, so the max of the products is the product of the max: the result
+equals the entrywise sup bit for bit, at one O(n^2) pass per (alpha, member).
 """
 
 from __future__ import annotations
@@ -106,29 +106,28 @@ class IndexBlock:
         return out
 
     @cached_property
-    def _weight_arrays(self) -> tuple[np.ndarray, tuple]:
-        """(dist, groups): what the weighted sups need over position pairs.
-
-        dist(m, n) is |m-n| (truncated) or the bracket norm of m-n (periodic),
-        an n x n matrix.  The other weight factor depends on size(m, n) =
-        |m|+|n| alone, so only O(n) is kept for it: groups = (perm, starts,
-        values), where ``perm`` sorts the positions by |k|, ``starts`` opens
-        each run of equal |k| in that order, and ``values`` lists the
-        distinct |k| (ints).
-        """
+    def _pair_bins(self) -> tuple:
+        """(order, starts, size, dist): the n^2 position pairs, flattened
+        row-major, binned by size(m, n) = |m|+|n| and dist(m, n), which is
+        |m-n| (truncated) or the bracket norm of m-n (periodic).  ``order``
+        sorts the pairs by (size, dist), ``starts`` opens each bin in that
+        order, and size[b], dist[b] are the ints of bin b."""
         idx = self._indices
         diff = idx[:, None, :] - idx[None, :, :]
         if self.mode == PERIODIC:
             diff = representative(self.size, diff)
-        dist = np.abs(diff).sum(axis=2).astype(float)
-        dist.setflags(write=False)
-        l1 = self._l1_sizes.astype(np.int64)
-        perm = np.argsort(l1, kind="stable")
-        starts = np.flatnonzero(np.diff(l1[perm], prepend=-1))
-        values = l1[perm][starts]
-        for a in (perm, starts, values):
+        dist = np.abs(diff).sum(axis=2).ravel()
+        l1 = np.abs(idx).sum(axis=1)
+        span = dist.max() + 1
+        key = (l1[:, None] + l1[None, :]).ravel() * span + dist
+        # the smallest unsigned type makes the stable sort a radix sort
+        order = np.argsort(key.astype(np.min_scalar_type(key.max())), kind="stable")
+        key = key[order]
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        out = (order, starts, *np.divmod(key[starts], span))
+        for a in out:
             a.setflags(write=False)
-        return dist, (perm, starts, values)
+        return out
 
     def origin(self) -> int:
         """Position of the zero index."""
@@ -324,9 +323,7 @@ def _check_same_block(a: OpMatrix, b: OpMatrix):
 
 
 def _combine_masks(a, b):
-    if a is None:
-        return None if b is None else b
-    return a if b is None else a & b
+    return b if a is None else (a if b is None else a & b)
 
 
 def identity(block: IndexBlock) -> OpMatrix:
@@ -370,32 +367,46 @@ def shift(A: OpMatrix, j: int, sign: int) -> OpMatrix:
         raise ValueError(f"axis j must be in 1..{block.d}")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    idx = block._indices.copy()
-    idx[:, j - 1] += sign
-    pos, valid = _positions(block, idx)
-    entries = A.entries[np.ix_(pos, pos)]
+    return OpMatrix(block, *_shift_arrays(block, A.entries, A.defined, j, sign))
+
+
+def _shift_arrays(block: IndexBlock, entries: np.ndarray, mask, j: int,
+                  sign: int) -> tuple:
+    """(entries, mask) of :func:`shift` on the (side,)*2d view, where axes j-1
+    and d+j-1 move together.  Periodic mode rolls them; truncated mode copies
+    the surviving window into zeros, defined where the source was."""
+    d, n, shape = block.d, block.n, (block.side,) * (2 * block.d)
+    axes = (j - 1, d + j - 1)
     if block.mode == PERIODIC:
-        mask = None if A.defined is None else A.defined[np.ix_(pos, pos)]
-    else:
-        mask = np.outer(valid, valid)
-        if A.defined is not None:
-            mask = mask & A.defined[np.ix_(pos, pos)]
-        entries = np.where(mask, entries, 0.0)
-    return OpMatrix(block, entries, mask)
+        return tuple(None if a is None else
+                     np.roll(a.reshape(shape), (-sign, -sign), axes).reshape(n, n)
+                     for a in (entries, mask))
+    src, dst = [slice(None)] * (2 * d), [slice(None)] * (2 * d)
+    head, tail = slice(None, -1), slice(1, None)
+    for ax in axes:
+        src[ax], dst[ax] = (tail, head) if sign > 0 else (head, tail)
+    src, dst = tuple(src), tuple(dst)
+    window = np.zeros(shape, dtype=bool)
+    window[dst] = True if mask is None else mask.reshape(shape)[src]
+    out = np.zeros(shape, dtype=complex)
+    np.copyto(out[dst], entries.reshape(shape)[src], where=window[dst])
+    return out.reshape(n, n), window.reshape(n, n)
 
 
 def delta(A: OpMatrix, alpha) -> OpMatrix:
     """Iterated diagonal difference: per axis, alpha_j >= 0 composes the
     forward difference shift(.,j,+1) - id, alpha_j <= 0 the backward one."""
-    alpha = _normalize_alpha(A.block.d, alpha)
-    if A.block.mode == TRUNCATED and _l1(alpha) >= A.block.size:
+    block = A.block
+    alpha = _normalize_alpha(block.d, alpha)
+    if block.mode == TRUNCATED and _l1(alpha) >= block.size:
         raise ValueError("|alpha| >= radius leaves an empty interior")
-    out = A
+    out, mask = A.entries, A.defined
     for j, a in enumerate(alpha, start=1):
         sign = 1 if a >= 0 else -1
         for _ in range(abs(a)):
-            out = shift(out, j, sign) - out
-    return out
+            shifted, shifted_mask = _shift_arrays(block, out, mask, j, sign)
+            out, mask = shifted - out, _combine_masks(shifted_mask, mask)
+    return A if out is A.entries else OpMatrix(block, out, mask)
 
 
 def _normalize_alpha(d: int, alpha) -> tuple[int, ...]:
@@ -428,46 +439,27 @@ class SeminormSpec:
             raise ValueError("decay exponent must be >= 0")
 
 
-def _defined_abs(absval: np.ndarray, mask) -> np.ndarray:
-    """absval with the entries outside the defined interior set to 0."""
-    if mask is None:
-        return absval
-    if not mask.any():
-        raise ValueError("empty interior: no defined entries")
-    return np.where(mask, absval, 0.0)
+def _bin_maxima(A: OpMatrix, alpha) -> np.ndarray:
+    """Max of |delta(A, alpha)| over the defined entries of each (size, dist)
+    bin of the block (see IndexBlock._pair_bins).  Bins with no defined entry
+    read 0, which leaves every sup of the nonnegative ratios unchanged."""
+    D = delta(A, alpha)
+    absval = np.abs(D.entries)
+    if D.defined is not None:
+        if not D.defined.any():
+            raise ValueError("empty interior: no defined entries")
+        absval[~D.defined] = 0.0
+    order, starts = A.block._pair_bins[:2]
+    return np.maximum.reduceat(absval.ravel()[order], starts)
 
 
-def _size_envelope(weighted: np.ndarray, block: IndexBlock) -> np.ndarray:
-    """env[s] = max of ``weighted`` over the entries with |m|+|n| = s.
-
-    Entries are grouped by |m| along rows, then by |n| along columns (one
-    ``maximum.reduceat`` each over the cached sort by |k|), and the group
-    maxima are folded onto their sums.  Sizes that no entry has read 0, which
-    leaves every sup of the nonnegative ratios unchanged.
-    """
-    _, (perm, starts, values) = block._weight_arrays
-    groups = np.maximum.reduceat(weighted[perm], starts, axis=0)
-    groups = np.maximum.reduceat(groups[:, perm], starts, axis=1)
-    env = np.zeros(2 * int(values[-1]) + 1)
-    for row, v in zip(groups, values):
-        env[v + values] = np.maximum(env[v + values], row)
+def _size_envelope(bin_max: np.ndarray, block: IndexBlock, decay: int) -> np.ndarray:
+    """env[s] = max of |D| (1+dist)^decay over the entries with |m|+|n| = s,
+    from the bin maxima, bit for bit (see the module docstring)."""
+    _, _, size, dist = block._pair_bins
+    env = np.zeros(int(size[-1]) + 1)
+    np.maximum.at(env, size, bin_max * (1.0 + dist) ** decay)
     return env
-
-
-def _envelope_sup(env: np.ndarray, order_minus_alpha: float) -> float:
-    """max over s of env[s] / (1+s)^(order-|alpha|): the weighted sup, bit
-    for bit (see the module docstring)."""
-    return float(np.max(env / (1.0 + np.arange(env.size)) ** order_minus_alpha))
-
-
-def _decay_weight(block: IndexBlock, decay: int) -> np.ndarray:
-    return (1.0 + block._weight_arrays[0]) ** decay
-
-
-def _weighted_sup(absval: np.ndarray, mask, block: IndexBlock,
-                  decay: int, order_minus_alpha: float) -> float:
-    weighted = _defined_abs(absval, mask) * _decay_weight(block, decay)
-    return _envelope_sup(_size_envelope(weighted, block), order_minus_alpha)
 
 
 def seminorm(A: OpMatrix, spec: SeminormSpec) -> float:
@@ -476,9 +468,9 @@ def seminorm(A: OpMatrix, spec: SeminormSpec) -> float:
     The weight is (1+dist)^decay / (1+size)^(order-|alpha|) with dist and
     size in the block's arithmetic; the sup runs over the defined interior.
     """
-    D = delta(A, spec.alpha)
-    return _weighted_sup(np.abs(D.entries), D.defined, A.block,
-                         spec.decay, spec.order - _l1(spec.alpha))
+    env = _size_envelope(_bin_maxima(A, spec.alpha), A.block, spec.decay)
+    return float(np.max(env / (1.0 + np.arange(env.size))
+                        ** (spec.order - _l1(spec.alpha))))
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +483,17 @@ def matmul(A: OpMatrix, B: OpMatrix) -> OpMatrix:
     _check_same_block(A, B)
     if not (A.fully_defined and B.fully_defined):
         raise ValueError("matmul requires fully defined matrices")
+    # a real diagonal factor scales rows or columns: every other term of the
+    # dense product is an exact zero, so the result is the same bit for bit
+    if _real_diagonal(A):
+        return OpMatrix(A.block, np.diagonal(A.entries)[:, None] * B.entries)
+    if _real_diagonal(B):
+        return OpMatrix(A.block, A.entries * np.diagonal(B.entries))
     return OpMatrix(A.block, A.entries @ B.entries)
+
+
+def _real_diagonal(A: OpMatrix) -> bool:
+    return A.exactly_diagonal and not np.diagonal(A.entries).imag.any()
 
 
 def commutator(A: OpMatrix, B: OpMatrix) -> OpMatrix:
@@ -570,10 +572,11 @@ def estimate_order(family, alpha_grid=None, decay_grid=(0, 2, 4, 8),
     GROWTH_TOL (see _stable_family).  r_hat is the smallest r certified for
     every probe.
 
-    The family needs at least 2 members.  Per member and (alpha, decay), one
-    size envelope (the max of |D| (1+dist)^decay for each |m|+|n|) yields
-    the seminorms of every grid order, bit-identical to the entrywise sups
-    (see the module docstring).
+    The family needs at least 2 members.  Per member and alpha, one pass
+    bins |D| by (size, dist); per decay, the bins fold onto one size envelope
+    (the max of |D| (1+dist)^decay for each |m|+|n|), which yields the
+    seminorms of every grid order, bit-identical to the entrywise sups (see
+    the module docstring).
     """
     family = list(family)
     if len(family) < 2:
@@ -584,10 +587,8 @@ def estimate_order(family, alpha_grid=None, decay_grid=(0, 2, 4, 8),
     if sorted(sizes) != list(sizes) or len(set(sizes)) != len(sizes):
         raise ValueError("family must be built at strictly increasing sizes")
     if alpha_grid is None:
-        if d == 1:
-            alpha_grid = ((0,), (1,), (-1,), (2,))
-        else:
-            alpha_grid = ((0, 0), (1, 0), (0, 1), (-1, 0), (0, -1))
+        alpha_grid = ((0,), (1,), (-1,), (2,)) if d == 1 else \
+            ((0, 0), (1, 0), (0, 1), (-1, 0), (0, -1))
     alpha_grid = tuple(tuple(a) for a in alpha_grid)
     decay_grid = tuple(int(n) for n in decay_grid)
     if order_grid is None:
@@ -597,22 +598,18 @@ def estimate_order(family, alpha_grid=None, decay_grid=(0, 2, 4, 8),
     n_r, n_a, n_n, n_m = len(order_grid), len(alpha_grid), len(decay_grid), len(family)
     ratios = np.zeros((n_r, n_a, n_n, n_m))
     for i_m, A in enumerate(family):
-        weights = [_decay_weight(A.block, decay) for decay in decay_grid]
+        s = 1.0 + np.arange(A.block._pair_bins[2][-1] + 1)   # all sizes
+        powers = {la: np.array([s ** (r - la) for r in order_grid])
+                  for la in {_l1(alpha) for alpha in alpha_grid}}
         for i_a, alpha in enumerate(alpha_grid):
-            D = delta(A, alpha)
-            absval, la = _defined_abs(np.abs(D.entries), D.defined), _l1(alpha)
-            for i_n, weight in enumerate(weights):
-                env = _size_envelope(absval * weight, A.block)
-                ratios[:, i_a, i_n, i_m] = [_envelope_sup(env, r - la)
-                                            for r in order_grid]
+            bin_max, la = _bin_maxima(A, alpha), _l1(alpha)
+            for i_n, decay in enumerate(decay_grid):
+                env = _size_envelope(bin_max, A.block, decay)
+                ratios[:, i_a, i_n, i_m] = np.max(env / powers[la], axis=1)
     certified = np.zeros((n_r, n_a, n_n), dtype=bool)
     for idx in np.ndindex(n_r, n_a, n_n):
         certified[idx] = _stable_family(ratios[idx], sizes, theta)
-    r_hat = math.inf
-    for i_r, r in enumerate(order_grid):
-        if certified[i_r].all():
-            r_hat = r
-            break
+    r_hat = next((r for r, c in zip(order_grid, certified) if c.all()), math.inf)
     return OrderEstimate(r_hat, order_grid, alpha_grid, decay_grid, sizes,
                          ratios, certified)
 

@@ -173,6 +173,26 @@ def test_stability_warning_keeps_waterwave_gates(monkeypatch):
     assert gates["waterwave_strang_no_loss"]["ok"]
 
 
+def test_uncertified_schroedinger_loss_fails_at_the_target_sigma(monkeypatch):
+    # both scans stop at their target sigma but are not certified
+    def study(*args, **kwargs):
+        def loss(sigma):
+            return flows.LossReport(sigma, False, (0.0, 1.0), (16, 32), {})
+        return {"homological_defect": 0.0, "off_resonant_defect": 0.0,
+                "telescoping_defect": 0.0, "remainder_order": -3.0,
+                "loss_preconditioned": loss(0.0), "loss_baseline": loss(1.0),
+                "slopes": {}}
+    monkeypatch.setattr(experiments, "preconditioned_lie_study", study)
+    cfg = cli.parse_config('experiment = "schroedinger_precond"\ns_list = [2.0]')
+    _, fits, gates = cli.run_schroedinger_precond(cfg)
+    assert fits["sigma_hat_preconditioned"] == 0.0
+    assert fits["sigma_hat_baseline"] == 1.0
+    for name in ("preconditioned_no_loss", "baseline_loses_one"):
+        assert gates[name] == {"measured": None, "bound": gates[name]["bound"],
+                               "margin": None, "ok": False}
+    assert gates["remainder_order_le_m2"]["ok"]
+
+
 def test_gate_records_measured_bound_margin_and_ok():
     assert cli._gate(None, 0.25) == {"measured": None, "bound": 0.25,
                                      "margin": None, "ok": False}

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pdmat import core
+from pdmat import core, experiments, operators
 from pdmat.core import (IndexBlock, OpMatrix, SeminormSpec, SobolevVec,
                         periodic_block, truncated_block)
 
@@ -230,6 +230,58 @@ def test_delta_matches_brute_force_oracle_2d(mode, alpha):
                                np.where(ref_defined, ref, 0.0), atol=1e-12)
 
 
+def gather_shift(A, j, sign):
+    """Oracle for core.shift that gathers every entry from its source
+    position, through the index arithmetic of the block."""
+    block = A.block
+    idx = block.indices().copy()
+    idx[:, j - 1] += sign
+    pos, valid = core._positions(block, idx)
+    entries = A.entries[np.ix_(pos, pos)]
+    if block.mode == core.PERIODIC:
+        mask = None if A.defined is None else A.defined[np.ix_(pos, pos)]
+    else:
+        mask = np.outer(valid, valid)
+        if A.defined is not None:
+            mask = mask & A.defined[np.ix_(pos, pos)]
+        entries = np.where(mask, entries, 0.0)
+    return OpMatrix(block, entries, mask)
+
+
+def gather_delta(A, alpha):
+    out = A
+    for j, a in enumerate(alpha, start=1):
+        for _ in range(abs(a)):
+            out = gather_shift(out, j, 1 if a >= 0 else -1) - out
+    return out
+
+
+def assert_same_matrix(got, ref):
+    assert np.array_equal(got.entries, ref.entries)
+    assert (got.defined is None) == (ref.defined is None)
+    if ref.defined is not None:
+        assert np.array_equal(got.defined, ref.defined)
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+@pytest.mark.parametrize("block,alphas", [
+    (truncated_block(1, 5), [(2,), (-1,)]),
+    (periodic_block(1, 8), [(2,), (-1,)]),
+    (truncated_block(2, 3), [(1, -1), (-1, 0)]),
+    (periodic_block(2, 6), [(1, -1), (-1, 0)]),
+], ids=["truncated_1d", "periodic_1d", "truncated_2d", "periodic_2d"])
+def test_shift_and_delta_match_gather_oracle(block, alphas, masked):
+    rng = np.random.default_rng(RNG_SEED + 3)
+    n = block.n
+    A = OpMatrix(block, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
+                 rng.uniform(size=(n, n)) < 0.8 if masked else None)
+    for j in range(1, block.d + 1):
+        for sign in (1, -1):
+            assert_same_matrix(core.shift(A, j, sign), gather_shift(A, j, sign))
+    for alpha in alphas:
+        assert_same_matrix(core.delta(A, alpha), gather_delta(A, alpha))
+
+
 def test_seminorm_matches_brute_force_on_random_matrix():
     block = periodic_block(1, 12)
     rng = np.random.default_rng(RNG_SEED + 5)
@@ -282,8 +334,8 @@ def test_seminorm_empty_interior_raises():
     A = core.identity(block)
     D = core.delta(A, (2,))
     masked = OpMatrix(block, D.entries, np.zeros((block.n, block.n), dtype=bool))
-    with pytest.raises(ValueError):
-        core._weighted_sup(np.abs(masked.entries), masked.defined, block, 0, 0.0)
+    with pytest.raises(ValueError, match="empty interior"):
+        core.seminorm(masked, SeminormSpec((0,), 0, 0.0))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -504,6 +556,15 @@ def entrywise_order_scan(family, alpha_grid, decay_grid, order_grid):
     return out
 
 
+def stable_table(ratios, sizes, theta=2.0):
+    """Multiplicative stability of each (order, alpha, decay) row of a
+    seminorm table across the family."""
+    return np.array([[[core._stable_family(ratios[i_r, i_a, i_n], sizes, theta)
+                       for i_n in range(ratios.shape[2])]
+                      for i_a in range(ratios.shape[1])]
+                     for i_r in range(ratios.shape[0])])
+
+
 @pytest.mark.parametrize("case", ["truncated_1d", "periodic_1d", "truncated_2d"])
 def test_estimate_order_matches_entrywise_scan(case):
     rng = np.random.default_rng(RNG_SEED + 11)
@@ -530,14 +591,101 @@ def test_estimate_order_matches_entrywise_scan(case):
     est = core.estimate_order(fam, alpha_grid, decay_grid, order_grid)
     oracle = entrywise_order_scan(fam, alpha_grid, decay_grid, order_grid)
     assert np.array_equal(est.max_ratios, oracle)
-    certified = np.array([[[core._stable_family(oracle[i_r, i_a, i_n], est.sizes,
-                                                2.0)
-                            for i_n in range(len(decay_grid))]
-                           for i_a in range(len(alpha_grid))]
-                          for i_r in range(len(order_grid))])
+    certified = stable_table(oracle, est.sizes)
     assert np.array_equal(est.certified, certified)
     full = [r for r, c in zip(order_grid, certified) if c.all()]
     assert est.r_hat == (full[0] if full else math.inf)
+
+
+def envelope_order_scan(family, alpha_grid, decay_grid, order_grid):
+    """Seminorm table of an order scan by one size envelope per decay: the
+    n x n matrix |D| (1+dist)^decay over the defined entries, its max for
+    each size |m|+|n|, divided per order by (1+size)^(r-|alpha|)."""
+    out = np.zeros((len(order_grid), len(alpha_grid), len(decay_grid), len(family)))
+    for i_m, A in enumerate(family):
+        block = A.block
+        idx = block.indices()
+        diff = idx[:, None] - idx[None]
+        if block.mode == core.PERIODIC:
+            diff = core.representative(block.size, diff)
+        dist = np.abs(diff).sum(axis=2).astype(float)
+        l1 = np.abs(idx).sum(axis=1)
+        size = (l1[:, None] + l1[None]).ravel()
+        for i_a, alpha in enumerate(alpha_grid):
+            D = gather_delta(A, alpha)
+            absval = np.abs(D.entries)
+            if D.defined is not None:
+                absval = np.where(D.defined, absval, 0.0)
+            for i_n, decay in enumerate(decay_grid):
+                env = np.zeros(size.max() + 1)
+                np.maximum.at(env, size, (absval * (1.0 + dist) ** decay).ravel())
+                for i_r, r in enumerate(order_grid):
+                    out[i_r, i_a, i_n, i_m] = np.max(
+                        env / (1.0 + np.arange(env.size)) ** (r - sum(map(abs, alpha))))
+    return out
+
+
+@pytest.mark.parametrize("case", ["truncated_1d", "periodic_1d", "truncated_2d",
+                                  "periodic_2d"])
+def test_estimate_order_matches_envelope_oracle(case):
+    rng = np.random.default_rng(RNG_SEED + 17)
+    d = 1 if case.endswith("1d") else 2
+    if case.startswith("truncated"):
+        blocks = [truncated_block(d, M) for M in ((6, 10, 16) if d == 1 else (3, 4, 6))]
+    else:
+        blocks = [periodic_block(d, K) for K in ((8, 12, 16) if d == 1 else (4, 6, 8))]
+    fam = []
+    for block in blocks:
+        l1 = np.abs(block.indices()).sum(axis=1)
+        fam.append(core.diagonal_matrix(block, (l1 ** 2).astype(complex)) +
+                   OpMatrix(block, 1e-3 * rng.standard_normal((block.n, block.n))))
+    alpha_grid = ((0,), (1,), (-1,), (2,)) if d == 1 else \
+        ((0, 0), (1, 0), (0, -1), (-1, 1))
+    decay_grid = (0, 2, 4, 8)
+    order_grid = core.default_order_grid(-1.0, 3.0)
+    est = core.estimate_order(fam, alpha_grid, decay_grid, order_grid)
+    oracle = envelope_order_scan(fam, alpha_grid, decay_grid, order_grid)
+    assert np.array_equal(est.max_ratios, oracle)
+    certified = stable_table(oracle, est.sizes)
+    assert np.array_equal(est.certified, certified)
+
+
+def laplacian_cos_2d(M):
+    block = truncated_block(2, M)
+    return (operators.fourier_multiplier(operators.symbol_catalog("laplacian"), block),
+            operators.toeplitz_potential(operators.cos_coeff, block))
+
+
+def schroedinger_x_a(M):
+    model = experiments.schroedinger_assemble(operators.two_cos_coeff, M)
+    return model.X, model.A
+
+
+def square_cos_1d(M):
+    block = truncated_block(1, M)
+    return (operators.fourier_multiplier(lambda x: x * x, block),
+            operators.toeplitz_potential(operators.cos_coeff, block))
+
+
+@pytest.mark.parametrize("build,M", [
+    *[(square_cos_1d, M) for M in (16, 32, 64)],
+    *[(schroedinger_x_a, M) for M in (16, 32, 64)],
+    *[(laplacian_cos_2d, M) for M in (4, 8, 12)],
+], ids=lambda v: getattr(v, "__name__", v))
+def test_matmul_with_real_diagonal_factor_is_the_dense_product(build, M):
+    A, B = build(M)
+    assert sum(core._real_diagonal(F) for F in (A, B)) == 1
+    for P, Q in ((A, B), (B, A)):
+        assert np.array_equal(core.matmul(P, Q).entries, P.entries @ Q.entries)
+
+
+def test_matmul_complex_diagonal_takes_the_dense_product():
+    block = truncated_block(1, 8)
+    k = axis(block).astype(float)
+    D = core.diagonal_matrix(block, np.exp(1j * k))
+    B = toeplitz_from(block, lambda j: 1.0 / (1 + j * j))
+    assert D.exactly_diagonal and not core._real_diagonal(D)
+    assert np.array_equal(core.matmul(D, B).entries, D.entries @ B.entries)
 
 
 # ---------------------------------------------------------------------------

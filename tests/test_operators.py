@@ -168,7 +168,8 @@ def test_mult_matrix_from_coeffs_matches_entrywise(d, K, make):
 def test_toeplitz_decay_constant():
     block = truncated_block(1, 32)
     B = operators.toeplitz_potential(operators.exp_decay_coeff, block)
-    dist, _ = block._weight_arrays
+    k = block.indices()[:, 0]
+    dist = np.abs(k[:, None] - k[None, :])
     c4 = float(np.max(np.abs(B.entries) * (1 + dist) ** 4))
     oracle = max(math.exp(-j) * (1 + j) ** 4 for j in range(65))
     assert c4 == pytest.approx(oracle, rel=1e-12)

@@ -20,6 +20,8 @@ SRC = ROOT / "src" / "pdmat"
 KEEP = {
     "core.apply":
         "tests/test_core_algebra.py::test_apply_operator_norm_bound_uniform_over_radii",
+    "core.shift":
+        "tests/test_core_algebra.py::test_product_difference_rule",
     "flows.composition_scheme":
         "tests/test_flows.py::test_fourth_order_composition_local_order",
     "operators.symbol_catalog":

@@ -214,7 +214,8 @@ def test_mult_matrix_decay_constants_stable():
         consts = []
         for K in (16, 32, 64, 128):
             M = spectral.mult_matrix_fourier(K, coeff_fn=operators.exp_decay_coeff)
-            dist, _ = M.block._weight_arrays
+            idx = M.block.indices()
+            dist = core.bracket_norm(K, idx[:, None] - idx[None])
             consts.append(float(np.max(np.abs(M.entries) * (1 + dist) ** decay)))
         assert all(c <= 2.0 * consts[0] for c in consts)
 
