@@ -258,8 +258,9 @@ def _gate(measured, bound, cmp="<="):
 
 
 def _band(fit, target):
-    """Gate of a fitted slope within FIT_BAND of its theory value."""
-    return _gate(abs(fit.slope - target) if fit is not None else None, FIT_BAND)
+    """FIT_BAND gate of a slope against theory, with its fit's health (or None)."""
+    return _gate(abs(fit.slope - target) if fit is not None else None, FIT_BAND) | {
+        k: getattr(fit, k, None) for k in ("residual", "n_points", "n_dropped")}
 
 
 def _schrodinger_builder(M):
@@ -332,10 +333,11 @@ def run_splitting_orders(cfg: ExperimentConfig):
     rows, fits, gates = [], {}, {}
     for scheme_name, scheme, target in (("lie", flows.LIE, 2.0),
                                         ("strang", flows.STRANG, 3.0)):
-        for s in cfg.s_list:
+        tables = flows.local_error(scheme, A, B, TAU_LIST, [
+            (s, core.rough_samples(block, s + 3.0, flows.N_SAMPLES, cfg.seed))
+            for s in cfg.s_list])
+        for s, tab in zip(cfg.s_list, tables):
             label = f"{scheme_name}_s{s:g}"
-            samples = core.rough_samples(block, s + 3.0, flows.N_SAMPLES, cfg.seed)
-            tab = flows.local_error(scheme, A, B, TAU_LIST, s, samples)
             fits[label] = {"slope": tab.fit.slope if tab.fit else None,
                            "intercept": tab.fit.intercept if tab.fit else None,
                            "residual": tab.fit.residual if tab.fit else None,
@@ -435,14 +437,13 @@ def run_schroedinger_precond(cfg: ExperimentConfig):
 def run_sobolev_growth(cfg: ExperimentConfig):
     probes = cfg.probes or ("growth_rho0", "growth_rhom1")
     rows, fits, gates = [], {}, {}
-    s_list = [s for s in cfg.s_list if s > 0]
-    for probe in probes:
-        model = experiments.growth_model(probe)
-        periods = _study_periods(cfg.K_list)
-        if model.rho < 0:
-            periods = periods[:2]
-        res = experiments.sobolev_growth_study(
-            model, cfg.horizon, s_list, periods, delta=cfg.delta, seed=cfg.seed)
+    models = [experiments.growth_model(probe) for probe in probes]
+    periods = _study_periods(cfg.K_list)
+    results = experiments.sobolev_growth_study(
+        [(model, periods[:2] if model.rho < 0 else periods, True)
+         for model in models], cfg.horizon, [s for s in cfg.s_list if s > 0],
+        delta=cfg.delta, seed=cfg.seed)
+    for probe, model, res in zip(probes, models, results):
         for r in res["rows"]:
             rows.append({"probe": probe, **r})
         worst_drift = max(res["conservation"].values())
@@ -570,7 +571,9 @@ def report(outdir) -> int:
     all_ok = manifest["status"] == "ok"
     for name, gate in sorted(manifest["gates"].items()):
         print(f"{'PASS' if gate['ok'] else 'FAIL'} {name}  " + "  ".join(
-            f"{k} {_number(gate[k])}" for k in ("measured", "bound", "margin")))
+            f"{k} {_number(gate[k])}" for k in ("measured", "bound", "margin",
+                                                "residual", "n_points", "n_dropped")
+            if k in gate))
         all_ok &= gate["ok"]
     _, _, rows = reporting.read_csv(os.path.join(outdir, "results.csv"))
     series: dict = {}

@@ -338,8 +338,11 @@ def diagonal_matrix(block: IndexBlock, diag) -> OpMatrix:
 
 
 def is_diagonal(A: OpMatrix, tol: float = 1e-12) -> bool:
-    off = A.entries - np.diag(np.diag(A.entries))
-    return bool(np.max(np.abs(off)) <= tol * max(1.0, np.max(np.abs(A.entries))))
+    """Off-diagonal |A_ij| <= tol * max(1, max |A|), and a finite diagonal."""
+    mag = np.abs(A.entries)
+    bound = tol * max(1.0, np.max(mag))
+    np.fill_diagonal(mag, 0.0)
+    return bool(np.isfinite(np.diagonal(A.entries)).all() and np.max(mag) <= bound)
 
 
 def hermitian_defect(A: OpMatrix) -> float:

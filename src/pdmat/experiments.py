@@ -277,9 +277,10 @@ def waterwave_noloss_study(model: WaterWaveModel, schemes, periods, tau_list,
     for name in schemes:
         scheme = scheme_map[name]
         step = _waterwave_step(ops, scheme)
-        for s in s_list:
-            tab = flows.error_table(step, ops.exact_prop, tau_list, s, ops.weights(s),
-                                    ops.sampler(s, flows.N_SAMPLES, seed))
+        tables = flows.error_table(step, ops.exact_prop, tau_list, [
+            (s, ops.weights(s), ops.sampler(s, flows.N_SAMPLES, seed))
+            for s in s_list])
+        for s, tab in zip(s_list, tables):
             out["slopes"][(name, s)] = tab.fit
             out.setdefault("error_rows", []).extend(
                 {"scheme": name, "s": s, "tau": r["tau"], "error": r["error"],
@@ -479,10 +480,10 @@ def preconditioned_lie_study(v_coeffs, tau_list, s_list, radii,
         smoothing_remainder_family(assemble, radii)).r_hat
     out["slopes"] = {}
     weights, sampler = flows.sobolev_space(model.block)
-    for s in s_list:
-        tab = flows.error_table(model.preconditioned_prop, model.exact_prop,
-                                tau_list, s, weights(s),
-                                sampler(s + 3.0, flows.N_SAMPLES, seed))
+    tables = flows.error_table(
+        model.preconditioned_prop, model.exact_prop, tau_list,
+        [(s, weights(s), sampler(s + 3.0, flows.N_SAMPLES, seed)) for s in s_list])
+    for s, tab in zip(s_list, tables):
         out["slopes"][s] = tab.fit
         out.setdefault("error_rows", []).extend(
             {"scheme": "precond_lie", "s": s, "tau": r["tau"], "error": r["error"],
@@ -623,27 +624,39 @@ def _trajectories(jobs) -> list:
     return [done[i].result() for i in range(len(jobs))]
 
 
-def sobolev_growth_study(model: GrowthModel, horizon: float, s_list, periods,
-                         delta: float = 1e-2, seed: int = 0,
-                         richardson: bool = True) -> dict:
-    """Conservation drift, bound ratios on the validity window, and the
-    fitted growth exponent of the h^s norms against the time bracket. The
-    trajectories run through one ``_trajectories`` pool, sized by the cores."""
+def sobolev_growth_study(studies, horizon: float, s_list, delta: float = 1e-2,
+                         seed: int = 0) -> list[dict]:
+    """One result per (model, periods, richardson) study of the list, in order:
+    conservation drift, bound ratios on the validity window, the fitted growth
+    exponent of the h^s norms against the time bracket, and the step-halving
+    check where asked.  Every study's trajectories run in one
+    ``_trajectories`` pool, sized by the cores, longest first."""
+    s_all = sorted(set(list(s_list) + [0.0]))
+    jobs, counts = [], []
+    for model, periods, richardson in studies:
+        # one draw on the finest block, projected to each coarser one, so the
+        # cross-K stability measures the dynamics and not data variance
+        big = periodic_block(1, max(periods))
+        x_big = core.rough_samples(big, max(s_all), 1, seed)[0].coeffs
+        own = [(model, K, horizon, s_all, delta, seed + K,
+                x_big[core._positions(big, periodic_block(1, K).indices())[0]])
+               for K in periods]
+        if richardson:
+            own += [(model, min(periods), min(2.0, horizon), s_all, step,
+                     seed + min(periods)) for step in (delta / 2, delta)]
+        jobs += own
+        counts.append(len(own))
+    trajs = iter(_trajectories(jobs))
+    return [_growth_result(model, horizon, s_list, periods, delta, richardson,
+                           [next(trajs) for _ in range(n)])
+            for (model, periods, richardson), n in zip(studies, counts)]
+
+
+def _growth_result(model: GrowthModel, horizon: float, s_list, periods,
+                   delta: float, richardson: bool, trajs) -> dict:
     out: dict = {"model": model.label, "ratio": {},
                  "conservation": {}, "exponent": {}, "rows": []}
-    s_all = sorted(set(list(s_list) + [0.0]))
     common_valid = min(min(model.validity_horizon(K) for K in periods), horizon)
-    # one draw on the finest block, projected to each coarser one, so the
-    # cross-K stability measures the dynamics and not data variance
-    big = periodic_block(1, max(periods))
-    x_big = core.rough_samples(big, max(s_all), 1, seed)[0].coeffs
-    jobs = [(model, K, horizon, s_all, delta, seed + K,
-             x_big[core._positions(big, periodic_block(1, K).indices())[0]])
-            for K in periods]
-    if richardson:
-        jobs += [(model, min(periods), min(2.0, horizon), s_all, step,
-                  seed + min(periods)) for step in (delta / 2, delta)]
-    trajs = _trajectories(jobs)
     for K, tr in zip(periods, trajs):
         t = tr["times"]
         l2 = tr["norms"][0.0]

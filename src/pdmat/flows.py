@@ -165,31 +165,32 @@ def default_tau_list(base: float = 0.1, count: int = 7):
 
 
 def local_error(scheme: SplitScheme, A: OpMatrix, B: OpMatrix,
-                tau_list, s: float, samples) -> LocalErrorTable:
-    """Error table of the split flows of A and B against the flow of A + B,
-    in the h^s norm of their block."""
+                tau_list, cases) -> list[LocalErrorTable]:
+    """Error tables of the split flows of A and B against the flow of A + B,
+    one per (s, samples) case, in the h^s norm of their block."""
     return error_table(partial(split_step, scheme, A, B),
-                       partial(exact_flow, A + B),
-                       tau_list, s, core.sobolev_weights(A.block, s),
-                       [x.coeffs for x in samples])
+                       partial(exact_flow, A + B), tau_list,
+                       [(s, core.sobolev_weights(A.block, s),
+                         [x.coeffs for x in samples]) for s, samples in cases])
 
 
-def error_table(step, exact, tau_list, s: float, weights,
-                xs) -> LocalErrorTable:
-    """Sup over the data vectors xs of the one-step error
-    ||weights * (step(tau) - exact(tau)) x||, per step size, with a log-log
-    slope over the points above the roundoff floor, FLOOR_FACTOR * eps times
-    the largest weighted datum.  ``s`` labels the rows."""
-    ref = max(float(np.linalg.norm(weights * x)) for x in xs)
-    floor = FLOOR_FACTOR * np.finfo(float).eps * ref
-    rows = []
+def error_table(step, exact, tau_list, cases) -> list[LocalErrorTable]:
+    """One table per (s, weights, xs) case in the list: the sup over the data
+    vectors xs of ||weights * (step(tau) - exact(tau)) x|| per step size, with
+    a log-log slope over the points above the roundoff floor, FLOOR_FACTOR *
+    eps times the largest weighted datum.  Each error matrix is built once,
+    serves every case and is dropped before the next; ``s`` labels the rows."""
+    floors = [FLOOR_FACTOR * np.finfo(float).eps * max(
+        float(np.linalg.norm(weights * x)) for x in xs) for _, weights, xs in cases]
+    rows = [[] for _ in cases]
     for tau in tau_list:
         E = step(tau) - exact(tau)
-        err = max(float(np.linalg.norm(weights * (E @ x))) for x in xs)
-        rows.append({"tau": tau, "s": s, "error": err, "floored": err <= floor})
-    fit = fit_loglog([r["tau"] for r in rows], [max(r["error"], 1e-300) for r in rows],
-                     drop=[r["floored"] for r in rows])
-    return LocalErrorTable(rows, fit)
+        for (s, weights, xs), floor, out in zip(cases, floors, rows):
+            err = max(float(np.linalg.norm(weights * (E @ x))) for x in xs)
+            out.append({"tau": tau, "s": s, "error": err, "floored": err <= floor})
+    return [LocalErrorTable(out, fit_loglog(
+        [r["tau"] for r in out], [max(r["error"], 1e-300) for r in out],
+        drop=[r["floored"] for r in out])) for out in rows]
 
 
 # ---------------------------------------------------------------------------

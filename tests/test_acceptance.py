@@ -128,8 +128,8 @@ def test_criterion_07_splitting_local_orders():
     ok, details = True, []
     for s in (0.0, 1.0, 2.0):
         samples = core.rough_samples(block, s + 3.0, 6, SEED)
-        lie = flows.local_error(flows.LIE, A, B, tau_list, s, samples)
-        strang = flows.local_error(flows.STRANG, A, B, tau_list, s, samples)
+        lie, = flows.local_error(flows.LIE, A, B, tau_list, [(s, samples)])
+        strang, = flows.local_error(flows.STRANG, A, B, tau_list, [(s, samples)])
         ok &= abs(lie.fit.slope - 2.0) <= 0.25
         ok &= abs(strang.fit.slope - 3.0) <= 0.25
         details.append(f"s={s:g}: lie={lie.fit.slope:.3f} strang={strang.fit.slope:.3f}")
@@ -200,18 +200,16 @@ def test_criterion_10_normal_form_preconditioner():
 
 
 def test_criterion_11_sobolev_growth():
-    rho0 = experiments.sobolev_growth_study(
-        experiments.growth_model("growth_rho0"), 50.0, (1.0, 2.0),
-        (32, 64, 128), seed=SEED)
+    rho0, rhom1 = experiments.sobolev_growth_study(
+        [(experiments.growth_model("growth_rho0"), (32, 64, 128), True),
+         (experiments.growth_model("growth_rhom1"), (32, 64), False)],
+        50.0, (1.0, 2.0), seed=SEED)
     ok = all(v <= 1e-8 for v in rho0["conservation"].values())
     spans = []
     for s in (1.0, 2.0):
         cs = [rho0["ratio"][(s, K)]["max_common"] for K in (32, 64, 128)]
         spans.append(max(cs) / min(cs))
         ok &= max(cs) <= 1.2 * min(cs)
-    rhom1 = experiments.sobolev_growth_study(
-        experiments.growth_model("growth_rhom1"), 50.0, (1.0, 2.0), (32, 64),
-        seed=SEED, richardson=False)
     ok &= all(v <= 1e-8 for v in rhom1["conservation"].values())
     worst_exp = -math.inf
     for (s, K), exp in rhom1["exponent"].items():

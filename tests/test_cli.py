@@ -212,6 +212,28 @@ def test_gate_records_measured_bound_margin_and_ok():
     assert type(cli._gate(np.float64(0.1), 0.25)["ok"]) is bool
 
 
+def test_slope_gates_carry_the_fit_health():
+    fit = flows.FitResult(2.1, -0.5, 0.03, 6, 1)
+    gate = cli._band(fit, 2.0)
+    assert gate == {**cli._gate(abs(2.1 - 2.0), cli.FIT_BAND), "residual": 0.03,
+                    "n_points": 6, "n_dropped": 1}
+    assert cli._band(None, 2.0) == {**cli._gate(None, cli.FIT_BAND),
+                                    "residual": None, "n_points": None,
+                                    "n_dropped": None}
+
+
+def test_manifest_slope_gates_match_the_fits(tmp_path):
+    cfg = cli.parse_config(
+        'experiment = "splitting_orders"\nM_list = [16]\ns_list = [0.0, 1.0]\n')
+    cli.run(cfg, tmp_path)
+    gates = reporting.read_manifest(tmp_path)["gates"]
+    fits = json.loads((tmp_path / "fits.json").read_text())
+    for label in ("lie_s0", "lie_s1", "strang_s0", "strang_s1"):
+        gate = gates[f"{label}_slope"]
+        assert gate["residual"] == fits[label]["residual"]
+        assert gate["n_points"] + gate["n_dropped"] == len(cli.TAU_LIST)
+
+
 @pytest.mark.parametrize("cfg_text,band", [
     ('experiment = "order_gain"\nM_list = [8, 16]\n', 0.25),
     ('experiment = "splitting_orders"\nM_list = [16]\ns_list = [0.0, 1.0]\n',
@@ -223,8 +245,11 @@ def test_manifest_passes_are_the_gate_records_ok(tmp_path, monkeypatch,
     manifest = reporting.read_manifest(tmp_path)
     gates = manifest["gates"]
     assert gates and manifest["passes"] == {n: g["ok"] for n, g in gates.items()}
-    for gate in gates.values():
-        assert set(gate) == {"measured", "bound", "margin", "ok"}
+    health = {"residual", "n_points", "n_dropped"}
+    for name, gate in gates.items():
+        slope = name.endswith("_slope")
+        assert set(gate) == {"measured", "bound", "margin", "ok"} | \
+            (health if slope else set())
         assert (gate["margin"] is not None and gate["margin"] >= 0) == gate["ok"]
     if band < 0.25:
         assert not all(manifest["passes"].values())
@@ -305,7 +330,8 @@ def test_broken_tolerance_fails_with_measured_slope(tmp_path, capsys,
     gate = reporting.read_manifest(tmp_path)["gates"]["lie_s1_slope"]
     assert gate["bound"] == 0.001 and gate["margin"] < 0 and not gate["ok"]
     assert (f"FAIL lie_s1_slope  measured {gate['measured']:.6g}  bound 0.001  "
-            f"margin {gate['margin']:.6g}") in out
+            f"margin {gate['margin']:.6g}  residual {gate['residual']:.6g}  "
+            f"n_points {gate['n_points']}  n_dropped {gate['n_dropped']}") in out
 
 
 def test_report_missing_dir_errors(tmp_path):

@@ -8,6 +8,7 @@ closed-form entries).
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -739,6 +740,61 @@ def test_hermitian_scan_for_real_symbol():
     block = truncated_block(1, 12)
     assert core.is_hermitian(diag_from(block, lambda m: m * m))
     assert core.is_diagonal(diag_from(block, lambda m: m))
+
+
+def is_diagonal_by_difference(A, tol=1e-12):
+    """The diagonal scan through A - diag(diag(A)), as the oracle."""
+    off = A.entries - np.diag(np.diag(A.entries))
+    return bool(np.max(np.abs(off)) <= tol * max(1.0, np.max(np.abs(A.entries))))
+
+
+def structure_cases():
+    block = truncated_block(1, 4)
+    n = block.n
+    diag = np.diag(np.arange(1.0, n + 1) + 0.5j).astype(complex)
+    cases = {"diagonal": diag, "zero": np.zeros((n, n), dtype=complex)}
+    for name, (i, j), value in (
+            ("nan_on_diagonal", (2, 2), math.nan),
+            ("inf_on_diagonal", (2, 2), math.inf),
+            ("complex_inf_on_diagonal", (2, 2), complex(1.0, -math.inf)),
+            ("nan_off_diagonal", (1, 3), math.nan),
+            ("inf_off_diagonal", (1, 3), math.inf),
+            ("tiny_off_diagonal", (3, 1), 1e-14),
+            ("small_off_diagonal", (3, 1), 1e-9),
+            ("large_off_diagonal", (0, 4), 2.0)):
+        entries = diag.copy()
+        entries[i, j] = value
+        cases[name] = entries
+    big = diag.copy()
+    big[0, 0] = 1e6
+    big[4, 0] = 1e-7  # below 1e-12 * max |A| = 1e-6
+    cases["off_diagonal_relative_to_scale"] = big
+    # OpMatrix rejects non-finite entries, and the scan reads only .entries
+    return {name: SimpleNamespace(entries=e) for name, e in cases.items()}
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-8])
+def test_is_diagonal_matches_difference_oracle(tol):
+    for name, A in structure_cases().items():
+        with np.errstate(invalid="ignore"):
+            want = is_diagonal_by_difference(A, tol)
+            assert core.is_diagonal(A, tol) is want, name
+
+
+@np.errstate(invalid="ignore")
+def test_is_diagonal_rejects_non_finite_diagonal():
+    cases = structure_cases()
+    for tol in (0.0, 1e-12):
+        for name in ("nan_on_diagonal", "inf_on_diagonal",
+                     "complex_inf_on_diagonal", "nan_off_diagonal"):
+            assert core.is_diagonal(cases[name], tol) is False, (name, tol)
+        assert core.is_diagonal(cases["diagonal"], tol) is True
+    assert core.is_diagonal(cases["tiny_off_diagonal"], 1e-12)
+    assert not core.is_diagonal(cases["tiny_off_diagonal"], 0.0)
+    assert core.is_diagonal(cases["off_diagonal_relative_to_scale"], 1e-12)
+    # an infinite off-diagonal entry sets its own scale when tol > 0
+    assert core.is_diagonal(cases["inf_off_diagonal"], 1e-12)
+    assert not core.is_diagonal(cases["inf_off_diagonal"], 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from pdmat import core, experiments, flows, operators, periodic
+from pdmat import cli, core, experiments, flows, operators, periodic
 
 SEED = 2718
 
@@ -124,6 +124,25 @@ def test_waterwave_stvenant_warns():
         experiments.waterwave_noloss_study(
             model, ["lie"], (16, 32), (0.1, 0.05), (1.0,), seed=SEED)
     assert model.order_warning() in [str(w.message) for w in caught]
+
+
+def test_waterwave_study_builds_each_step_once_per_scheme(monkeypatch):
+    builds = []
+    table = flows.error_table
+
+    def counted(step, exact, tau_list, cases):
+        taus = []
+        tables = table(lambda tau: taus.append(tau) or step(tau), exact, tau_list,
+                       cases)
+        builds.append((taus, len(tables)))
+        return tables
+    monkeypatch.setattr(flows, "error_table", counted)
+    tau_list = flows.default_tau_list()
+    res = experiments.waterwave_noloss_study(
+        experiments.waterwave_model("waterwave"), ["lie", "strang"], (16, 32),
+        tau_list, (1.0, 2.0, 3.0), seed=SEED)
+    assert builds == [(list(tau_list), 3)] * 2
+    assert len(res["error_rows"]) == 2 * 3 * len(tau_list)
 
 
 def test_waterwave_energy_measured(ww_ops):
@@ -359,8 +378,8 @@ def test_exact_prop_reuses_one_eigendecomposition():
 def test_diagonal_only_growth_is_isometric():
     model = experiments.GrowthModel(rho=0.0, label="free")
     model.perturbation_base = lambda block: np.zeros((block.n, block.n))
-    res = experiments.sobolev_growth_study(model, 5.0, (1.0,), (16,), seed=SEED,
-                                           richardson=False)
+    res, = experiments.sobolev_growth_study([(model, (16,), False)], 5.0, (1.0,),
+                                            seed=SEED)
     assert res["ratio"][(1.0, 16)]["max_valid"] <= 1.0 + 1e-12
     assert res["conservation"][16] <= 1e-10
 
@@ -472,8 +491,8 @@ def test_growth_rejects_structure_it_cannot_step():
 
 def test_growth_rho0_bounded_and_conservative():
     model = experiments.growth_model("growth_rho0")
-    res = experiments.sobolev_growth_study(model, 10.0, (1.0, 2.0), (16, 32),
-                                           seed=SEED)
+    res, = experiments.sobolev_growth_study([(model, (16, 32), True)], 10.0,
+                                            (1.0, 2.0), seed=SEED)
     assert all(v <= 1e-8 for v in res["conservation"].values())
     for s in (1.0, 2.0):
         c16 = res["ratio"][(s, 16)]["max_common"]
@@ -484,8 +503,8 @@ def test_growth_rho0_bounded_and_conservative():
 
 def test_growth_rhom1_exponent_bounded():
     model = experiments.growth_model("growth_rhom1")
-    res = experiments.sobolev_growth_study(model, 20.0, (1.0, 2.0), (32,),
-                                           seed=SEED, richardson=False)
+    res, = experiments.sobolev_growth_study([(model, (32,), False)], 20.0,
+                                            (1.0, 2.0), seed=SEED)
     for s in (1.0, 2.0):
         assert res["exponent"][(s, 32)] <= s / 2.0 + 0.1
 
@@ -507,8 +526,8 @@ def test_growth_pool_matches_serial_bit_for_bit(cores):
     for n in (2, 1):
         cores(n)
         trajs[n] = experiments._trajectories(jobs)
-        studies[n] = experiments.sobolev_growth_study(model, 4.0, (1.0, 2.0),
-                                                      (16, 32), seed=SEED)
+        studies[n], = experiments.sobolev_growth_study(
+            [(model, (16, 32), True)], 4.0, (1.0, 2.0), seed=SEED)
     for pooled, serial in zip(trajs[2], trajs[1]):
         assert np.array_equal(pooled["times"], serial["times"])
         assert np.array_equal(pooled["final_state"], serial["final_state"])
@@ -546,8 +565,40 @@ def test_growth_step_failure_in_a_pool_child_raises_linalg_error(cores,
     cores(2)
     with pytest.raises(np.linalg.LinAlgError,
                        match=r"growth_rho0: stevd failed at step 0 \(info 1\)"):
-        experiments.sobolev_growth_study(experiments.growth_model("growth_rho0"),
-                                         2.0, (1.0,), (16, 32), seed=SEED)
+        experiments.sobolev_growth_study(
+            [(experiments.growth_model("growth_rho0"), (16, 32), True)], 2.0, (1.0,),
+            seed=SEED)
+
+
+def test_growth_studies_in_one_pool_match_each_study_alone(cores):
+    studies = [(experiments.growth_model("growth_rho0"), (16, 32), True),
+               (experiments.growth_model("growth_rhom1"), (16,), False)]
+    results = {}
+    for n in (2, 1):
+        cores(n)
+        together = experiments.sobolev_growth_study(studies, 4.0, (1.0, 2.0),
+                                                    seed=SEED)
+        alone = [experiments.sobolev_growth_study([study], 4.0, (1.0, 2.0),
+                                                  seed=SEED)[0]
+                 for study in studies]
+        assert together == alone
+        assert "richardson" in together[0] and "richardson" not in together[1]
+        results[n] = together
+    assert results[2] == results[1]
+
+
+def test_growth_runner_makes_one_trajectories_call(monkeypatch):
+    calls = []
+    trajectories = experiments._trajectories
+    monkeypatch.setattr(experiments, "_trajectories",
+                        lambda jobs: calls.append(len(jobs)) or trajectories(jobs))
+    cfg = cli.parse_config('experiment = "sobolev_growth"\nK_list = [32, 64]\n'
+                           'horizon = 2.0\n')
+    rows, _, gates = cli.run_sobolev_growth(cfg)
+    # per probe: both periods plus the Richardson pair
+    assert calls == [8]
+    assert {r["probe"] for r in rows} == {"growth_rho0", "growth_rhom1"}
+    assert all(g["ok"] for g in gates.values())
 
 
 FORK_AFTER_BLAS = """
@@ -556,8 +607,8 @@ from pdmat import experiments
 a = np.random.default_rng(0).standard_normal((512, 512))
 a @ a
 experiments._usable_cores = lambda: 2
-res = experiments.sobolev_growth_study(experiments.growth_model("growth_rho0"),
-                                       2.0, (1.0,), (16, 32), seed=1)
+res, = experiments.sobolev_growth_study(
+    [(experiments.growth_model("growth_rho0"), (16, 32), True)], 2.0, (1.0,), seed=1)
 print(res["richardson"])
 """
 

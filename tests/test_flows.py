@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from pdmat import core, flows, operators, spectral
+from pdmat import core, experiments, flows, operators, spectral
 from pdmat.core import OpMatrix, truncated_block
 
 SEED = 31415
@@ -183,8 +184,8 @@ def test_fourth_order_composition_local_order():
     A = random_hermitian(block, rng, 2.0)
     B = random_hermitian(block, rng, 2.0)
     samples = core.rough_samples(block, 2.0, 4, 11)
-    tab = flows.local_error(flows.composition_scheme(4), A, B,
-                            flows.default_tau_list(), 0.0, samples)
+    tab, = flows.local_error(flows.composition_scheme(4), A, B,
+                             flows.default_tau_list(), [(0.0, samples)])
     assert 4.6 <= tab.fit.slope <= 5.4
     assert tab.fit.n_dropped >= 1  # smallest steps hit the roundoff floor
 
@@ -197,8 +198,8 @@ def test_local_error_zero_generator_flagged():
     A, _ = schrodinger_pair(8)
     zero = 0.0 * core.identity(A.block)
     samples = core.rough_samples(A.block, 2.0, 3, SEED)
-    tab = flows.local_error(flows.LIE, A, zero, flows.default_tau_list(), 0.0,
-                            samples)
+    tab, = flows.local_error(flows.LIE, A, zero, flows.default_tau_list(),
+                             [(0.0, samples)])
     assert all(r["error"] <= 1e-12 for r in tab.rows)
     assert tab.fit is None
 
@@ -207,9 +208,10 @@ def test_local_error_zero_generator_flagged():
 def test_lie_and_strang_slopes(s):
     A, B = schrodinger_pair(32)
     samples = core.rough_samples(A.block, s + 3.0, 5, SEED)
-    lie = flows.local_error(flows.LIE, A, B, flows.default_tau_list(), s, samples)
-    strang = flows.local_error(flows.STRANG, A, B, flows.default_tau_list(), s,
-                               samples)
+    lie, = flows.local_error(flows.LIE, A, B, flows.default_tau_list(),
+                             [(s, samples)])
+    strang, = flows.local_error(flows.STRANG, A, B, flows.default_tau_list(),
+                                [(s, samples)])
     assert lie.fit.slope == pytest.approx(2.0, abs=0.25)
     assert strang.fit.slope == pytest.approx(3.0, abs=0.25)
 
@@ -222,12 +224,110 @@ def test_periodic_and_truncated_measurements_agree():
     tb = truncated_block(1, K // 2)
     ta = operators.fourier_multiplier(lambda x: x * x, tb)
     tpot = operators.toeplitz_potential(operators.cos_coeff, tb)
-    per = flows.local_error(flows.LIE, pa, pb, (0.01,), s,
-                            core.rough_samples(pa.block, s, 6, 21))
-    tru = flows.local_error(flows.LIE, ta, tpot, (0.01,), s,
-                            core.rough_samples(tb, s, 6, 21))
+    per, = flows.local_error(flows.LIE, pa, pb, (0.01,),
+                             [(s, core.rough_samples(pa.block, s, 6, 21))])
+    tru, = flows.local_error(flows.LIE, ta, tpot, (0.01,),
+                             [(s, core.rough_samples(tb, s, 6, 21))])
     ep, et = per.rows[0]["error"], tru.rows[0]["error"]
     assert abs(ep - et) <= 0.10 * max(ep, et)
+
+
+def per_s_error_table(step, exact, tau_list, s, weights, xs):
+    """The one-s error table, which builds every E again for each s, as the
+    oracle of the shared-E table."""
+    ref = max(float(np.linalg.norm(weights * x)) for x in xs)
+    floor = flows.FLOOR_FACTOR * np.finfo(float).eps * ref
+    rows = []
+    for tau in tau_list:
+        E = step(tau) - exact(tau)
+        err = max(float(np.linalg.norm(weights * (E @ x))) for x in xs)
+        rows.append({"tau": tau, "s": s, "error": err, "floored": err <= floor})
+    fit = flows.fit_loglog([r["tau"] for r in rows],
+                           [max(r["error"], 1e-300) for r in rows],
+                           drop=[r["floored"] for r in rows])
+    return flows.LocalErrorTable(rows, fit)
+
+
+def assert_matches_per_s_oracle(tables, step, exact, tau_list, cases):
+    assert len(tables) == len(cases)
+    for tab, case in zip(tables, cases):
+        want = per_s_error_table(step, exact, tau_list, *case)
+        assert tab.rows == want.rows
+        assert tab.fit == want.fit
+
+
+def waterwave_cases(K, s_list):
+    ops = experiments.waterwave_assemble(experiments.waterwave_model("waterwave"), K)
+    return ops, [(s, ops.weights(s), ops.sampler(s, flows.N_SAMPLES, SEED))
+                 for s in s_list]
+
+
+@pytest.mark.parametrize("scheme", [flows.LIE, flows.STRANG], ids=["lie", "strang"])
+def test_waterwave_error_tables_match_per_s_oracle(scheme):
+    ops, cases = waterwave_cases(32, (1.0, 2.0, 3.0))
+    step = experiments._waterwave_step(ops, scheme)
+    tau_list = flows.default_tau_list()
+    tables = flows.error_table(step, ops.exact_prop, tau_list, cases)
+    assert_matches_per_s_oracle(tables, step, ops.exact_prop, tau_list, cases)
+    assert [r["s"] for tab in tables for r in tab.rows] == \
+        [s for s in (1.0, 2.0, 3.0) for _ in tau_list]
+
+
+@pytest.mark.parametrize("scheme", [flows.LIE, flows.STRANG], ids=["lie", "strang"])
+def test_local_error_tables_match_per_s_oracle(scheme):
+    A, B = schrodinger_pair(16)
+    cases = [(s, core.rough_samples(A.block, s + 3.0, flows.N_SAMPLES, SEED))
+             for s in (0.0, 1.0, 2.0)]
+    tau_list = flows.default_tau_list()
+    tables = flows.local_error(scheme, A, B, tau_list, cases)
+    assert_matches_per_s_oracle(
+        tables, partial(flows.split_step, scheme, A, B),
+        partial(flows.exact_flow, A + B), tau_list,
+        [(s, core.sobolev_weights(A.block, s), [x.coeffs for x in samples])
+         for s, samples in cases])
+
+
+def test_single_s_error_table_matches_per_s_oracle():
+    ops, cases = waterwave_cases(32, (2.0,))
+    step = experiments._waterwave_step(ops, flows.STRANG)
+    tau_list = flows.default_tau_list(0.1, 5)
+    tables = flows.error_table(step, ops.exact_prop, tau_list, cases)
+    assert_matches_per_s_oracle(tables, step, ops.exact_prop, tau_list, cases)
+
+
+def test_error_table_floors_each_case_by_its_own_data():
+    # the error tau^4 sits on the lowest mode only, while the roundoff floor
+    # grows with the weight 10^(4s) of the highest mode
+    def step(tau):
+        return np.diag([tau ** 4, 0.0, 0.0, 0.0])
+
+    def exact(tau):
+        return np.zeros((4, 4))
+    tau_list = flows.default_tau_list()
+    cases = [(s, np.array([1.0, 1.0, 1.0, 10.0 ** (4 * s)]), [np.ones(4)])
+             for s in (0.0, 1.0, 2.0)]
+    tables = flows.error_table(step, exact, tau_list, cases)
+    assert_matches_per_s_oracle(tables, step, exact, tau_list, cases)
+    assert [sum(r["floored"] for r in tab.rows) for tab in tables] == [0, 2, 5]
+    assert [tab.fit.n_dropped for tab in tables[:2]] == [0, 2]
+    assert tables[2].fit.slope == pytest.approx(4.0)
+
+
+def test_error_table_builds_each_step_once_for_every_s():
+    A, B = schrodinger_pair(8)
+    built = []
+
+    def step(tau):
+        built.append(tau)
+        return flows.split_step(flows.STRANG, A, B, tau)
+    tau_list = flows.default_tau_list()
+    cases = [(s, core.sobolev_weights(A.block, s),
+              [x.coeffs for x in core.rough_samples(A.block, s + 3.0, 4, SEED)])
+             for s in (0.0, 1.0, 2.0)]
+    tables = flows.error_table(step, partial(flows.exact_flow, A + B), tau_list,
+                               cases)
+    assert built == list(tau_list)
+    assert [tab.rows[0]["s"] for tab in tables] == [0.0, 1.0, 2.0]
 
 
 # ---------------------------------------------------------------------------
