@@ -1,6 +1,8 @@
 """Run experiment configs over a range of seeds and summarize every gate.
 
     PYTHONPATH=src python scripts/seed_sweep.py CONFIG [CONFIG ...] --seeds 1-30
+    PYTHONPATH=src python scripts/seed_sweep.py configs/*.cfg --seeds 1 \
+        --check scripts/golden_digests.json
 
 Each config runs once per seed, with the config's seed replaced, into a
 temporary directory that is removed at the end; nothing is written anywhere
@@ -9,7 +11,15 @@ where it failed; a run that did not finish is listed as a ``run_status``
 failure.  After the gate lines, one line per (config, seed) gives the sha256
 of that run's results.csv followed by its fits.json, so two checkouts produce
 byte-identical outputs exactly when a diff of their sweep outputs is empty.
-The exit status is 1 when any gate failed or any run did not finish, else 0.
+
+``--record FILE`` merges the digests of the sweep into a JSON file of golden
+digests, with the numpy and scipy versions, the BLAS and the processor count
+they were made with, and refuses to merge into a file recorded with others
+(re-record into a new file instead); ``--check FILE`` compares each digest with that file and
+prints one MISMATCH line naming the config and seed of each that differs (or
+is missing), followed by the recorded and the current environment.
+The exit status is 1 when any gate failed, any run did not finish, any
+checked digest differs or a record was refused, else 0.
 """
 
 from __future__ import annotations
@@ -17,10 +27,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import importlib.metadata
 import io
+import json
 import os
 import sys
 import tempfile
+
+import numpy as np
 
 from pdmat import cli, reporting
 
@@ -41,6 +55,55 @@ def output_digest(outdir: str) -> str:
         with open(os.path.join(outdir, name), "rb") as fh:
             h.update(fh.read())
     return h.hexdigest()
+
+
+def environment() -> dict:
+    """What a digest depends on besides the code: numpy, scipy, the BLAS
+    numpy was built with, and the processors this process may use."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__,
+            "scipy": importlib.metadata.version("scipy"),
+            "blas": f"{blas['name']} {blas.get('version', '')}".strip(),
+            "nproc": len(os.sched_getaffinity(0))}
+
+
+def record(path: str, digests: dict) -> list:
+    """Merge the digests into the golden file at path, creating it, and
+    return no lines.  A file recorded in another environment is left as it
+    is, and the lines say so and give the two environments, since its one
+    environment entry must hold for every digest in it."""
+    golden = {"digests": {}, "environment": environment()}
+    if os.path.exists(path):
+        with open(path) as fh:
+            golden = json.load(fh)
+        if golden["environment"] != environment():
+            return [f"NOT MERGED: {path} was recorded in another environment",
+                    f"golden environment  {golden['environment']}",
+                    f"current environment {environment()}"]
+    for (stem, seed), digest in digests.items():
+        golden["digests"].setdefault(stem, {})[str(seed)] = digest
+    with open(path, "w") as fh:
+        json.dump(golden, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return []
+
+
+def check(path: str, digests: dict) -> list:
+    """One line per digest that differs from, or is missing in, the golden
+    file at path, then the two environments when any does; empty when all
+    match."""
+    with open(path) as fh:
+        golden = json.load(fh)
+    lines = []
+    for (stem, seed), digest in digests.items():
+        want = golden["digests"].get(stem, {}).get(str(seed))
+        if want != digest:
+            lines.append(f"MISMATCH {stem} seed {seed}: golden {want or 'none'}, "
+                         f"got {digest}")
+    if lines:
+        lines += [f"golden environment  {golden['environment']}",
+                  f"current environment {environment()}"]
+    return lines
 
 
 def sweep(paths, seeds, workdir: str) -> tuple:
@@ -86,6 +149,11 @@ def main(argv=None) -> int:
     parser.add_argument("configs", nargs="+", help="config file paths")
     parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("1-30"),
                         help="seed or inclusive seed range A-B (default 1-30)")
+    golden = parser.add_mutually_exclusive_group()
+    golden.add_argument("--check", metavar="FILE",
+                        help="compare the digests with a golden digest file")
+    golden.add_argument("--record", metavar="FILE",
+                        help="merge the digests into a golden digest file")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="pdmat-seed-sweep-") as workdir:
         failures, digests = sweep(args.configs, args.seeds, workdir)
@@ -94,7 +162,16 @@ def main(argv=None) -> int:
         print(line)
     for (stem, seed), digest in digests.items():
         print(f"sha256 {stem} seed {seed} {digest}")
-    return 1 if any(failures.values()) else 0
+    problems = []
+    if args.record:
+        problems = record(args.record, digests)
+        for line in problems:
+            print(line)
+    elif args.check:
+        problems = check(args.check, digests)
+        for line in problems or [f"{len(digests)} digests match {args.check}"]:
+            print(line)
+    return 1 if any(failures.values()) or problems else 0
 
 
 if __name__ == "__main__":

@@ -18,8 +18,9 @@ operators
     Symbol and potential constructors on truncated blocks, and the
     symplectic defect of a propagator.
 flows
-    Reference propagators, Lie/Strang/composition splitting steps, local
-    error tables with log-log order fits, and the derivative-loss estimator.
+    Reference propagators, Lie/Strang/composition splitting steps, and the
+    split-system record that local error tables (with log-log order fits)
+    and the derivative-loss scan both measure.
 experiments
     Water-wave no-loss splitting, the normal-form preconditioner for the
     potential Schroedinger equation, and Sobolev-norm growth studies.

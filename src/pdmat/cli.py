@@ -328,44 +328,39 @@ def run_approx_rates(cfg: ExperimentConfig):
 def run_splitting_orders(cfg: ExperimentConfig):
     t0 = time.monotonic()
     M = max(cfg.M_list)
-    A, B = _schrodinger_builder(M)
-    block = A.block
+    system = flows.scalar_system(M, *_schrodinger_builder(M), (flows.LIE, flows.STRANG))
+    tables = flows.error_table(system, TAU_LIST, [
+        (s, system.weights(s), system.sampler(s + 3.0, flows.N_SAMPLES, cfg.seed))
+        for s in cfg.s_list])
     rows, fits, gates = [], {}, {}
-    for scheme_name, scheme, target in (("lie", flows.LIE, 2.0),
-                                        ("strang", flows.STRANG, 3.0)):
-        tables = flows.local_error(scheme, A, B, TAU_LIST, [
-            (s, core.rough_samples(block, s + 3.0, flows.N_SAMPLES, cfg.seed))
-            for s in cfg.s_list])
-        for s, tab in zip(cfg.s_list, tables):
-            label = f"{scheme_name}_s{s:g}"
-            fits[label] = {"slope": tab.fit.slope if tab.fit else None,
-                           "intercept": tab.fit.intercept if tab.fit else None,
-                           "residual": tab.fit.residual if tab.fit else None,
-                           "target": target}
-            gates[f"{label}_slope"] = _band(tab.fit, target)
-            for r in tab.rows:
-                rows.append({"probe": "schrodinger", "scheme": scheme_name,
-                             "level": M, "tau": r["tau"], "s": r["s"],
-                             "error": r["error"]})
+    for (scheme, s), tab in tables.items():
+        label, target = f"{scheme}_s{s:g}", {"lie": 2.0, "strang": 3.0}[scheme]
+        fits[label] = {"slope": tab.fit.slope if tab.fit else None,
+                       "intercept": tab.fit.intercept if tab.fit else None,
+                       "residual": tab.fit.residual if tab.fit else None,
+                       "target": target}
+        gates[f"{label}_slope"] = _band(tab.fit, target)
+        rows.extend({"probe": "schrodinger", **r} for r in tab.rows)
     gates["runtime_lt_120s"] = _gate(time.monotonic() - t0, 120.0, "<")
     return rows, fits, gates
 
 
 def run_loss_scan(cfg: ExperimentConfig):
+    model = experiments.waterwave_model("waterwave")
     rows, fits, gates = [], {}, {}
-    for probe, scheme, rep, target in (
-            ("schrodinger", "lie", flows.loss_estimator(
-                flows.LIE, _schrodinger_builder, cfg.M_list, s=2.0,
-                seed=cfg.seed), 1.0),
-            ("waterwave", "strang", flows.loss_scan(
-                experiments.waterwave_levels(
-                    experiments.waterwave_model("waterwave"), cfg.K_list[-3:],
-                    flows.STRANG, flows.TAU_STAR), 2.0, seed=cfg.seed), 0.0)):
-        fits[f"{scheme}_{probe}"] = {"sigma_hat": rep.sigma_hat,
-                                     "certified": rep.certified}
-        gates[f"{scheme}_{probe}_sigma_{target:g}"] = \
+    for probe, scheme, systems, target in (
+            ("schrodinger", flows.LIE,
+             [flows.scalar_system(M, *_schrodinger_builder(M), (flows.LIE,))
+              for M in cfg.M_list], 1.0),
+            ("waterwave", flows.STRANG,
+             [experiments.waterwave_assemble(model, K).system((flows.STRANG,))
+              for K in cfg.K_list[-3:]], 0.0)):
+        rep = flows.loss_scan(systems, 2.0, seed=cfg.seed)[scheme.kind]
+        name = f"{scheme.kind}_{probe}"
+        fits[name] = {"sigma_hat": rep.sigma_hat, "certified": rep.certified}
+        gates[f"{name}_sigma_{target:g}"] = \
             _gate(rep.sigma_hat if rep.certified else None, target, "==")
-        rows.extend({"probe": probe, "scheme": scheme, **r} for r in rep.rows)
+        rows.extend({"probe": probe, **r} for r in rep.rows)
     return rows, fits, gates
 
 

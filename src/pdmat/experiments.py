@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import cache, cached_property, partial
 
 import numpy as np
@@ -92,7 +92,6 @@ class WaterWaveOperators:
     coupling: np.ndarray         # the single nonzero block of the nilpotent part
     mult: np.ndarray             # topography multiplication matrix
     deriv: np.ndarray            # derivative diagonal, coupling = deriv mult deriv
-    _exact_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -159,18 +158,26 @@ class WaterWaveOperators:
         S^-1 V c V^* S, S^-1 V (mu s) V^* S^-1, -S V (s/mu) V^* S and
         S V c V^* S^-1, with c = cos(mu t), s = sin(mu t) and s/mu = t at
         mu = 0 (see normal_modes); the identity on the modes with omega = 0."""
-        if t not in self._exact_cache:
-            p, mu, xl, xr, yl, yr = self.normal_modes
-            c, s = np.cos(mu * t), np.sin(mu * t)
-            s_mu = np.divide(s, mu, out=np.full_like(s, t), where=mu != 0)
-            q = p + self.n
-            out = np.eye(2 * self.n, dtype=complex)
-            out[np.ix_(p, p)] = (xl * c) @ xr
-            out[np.ix_(p, q)] = (xl * (mu * s)) @ yr
-            out[np.ix_(q, p)] = -(yl * s_mu) @ xr
-            out[np.ix_(q, q)] = (yl * c) @ yr
-            self._exact_cache[t] = out
-        return self._exact_cache[t]
+        p, mu, xl, xr, yl, yr = self.normal_modes
+        c, s = np.cos(mu * t), np.sin(mu * t)
+        s_mu = np.divide(s, mu, out=np.full_like(s, t), where=mu != 0)
+        q = p + self.n
+        out = np.eye(2 * self.n, dtype=complex)
+        out[np.ix_(p, p)] = (xl * c) @ xr
+        out[np.ix_(p, q)] = (xl * (mu * s)) @ yr
+        out[np.ix_(q, p)] = -(yl * s_mu) @ xr
+        out[np.ix_(q, q)] = (yl * c) @ yr
+        return out
+
+    def system(self, schemes) -> flows.SplitSystem:
+        """The split system of this block, one step per scheme named by its
+        kind, with the coupling as the a flow and the rotation as the b flow
+        of flows.compose."""
+        return flows.SplitSystem(
+            self.block.size, self.exact_prop,
+            {scheme.kind: partial(flows.compose, scheme, self.coupling_prop,
+                                  self.rotation_prop) for scheme in schemes},
+            self.weights, self.sampler)
 
     def weights(self, s: float) -> np.ndarray:
         w = core.sobolev_weights(self.block, s)
@@ -214,25 +221,6 @@ def waterwave_assemble(model: WaterWaveModel, period: int) -> WaterWaveOperators
     return WaterWaveOperators(model, block, omega, coupling, mult, d)
 
 
-def _waterwave_step(ops: WaterWaveOperators, scheme: flows.SplitScheme):
-    """The splitting step tau -> matrix of the assembled system, with the
-    coupling as the a flow and the rotation as the b flow of flows.compose."""
-    return partial(flows.compose, scheme, ops.coupling_prop, ops.rotation_prop)
-
-
-def _waterwave_level(ops: WaterWaveOperators, scheme: flows.SplitScheme,
-                     tau_star: float) -> flows.RefinementLevel:
-    return flows.refinement_level(ops.block.size, _waterwave_step(ops, scheme),
-                                  ops.exact_prop, tau_star, ops.weights,
-                                  ops.sampler)
-
-
-def waterwave_levels(model: WaterWaveModel, periods, scheme: flows.SplitScheme,
-                     tau_star: float) -> list[flows.RefinementLevel]:
-    return [_waterwave_level(waterwave_assemble(model, K), scheme, tau_star)
-            for K in periods]
-
-
 def waterwave_noloss_study(model: WaterWaveModel, schemes, periods, tau_list,
                            s_list, seed: int = 0) -> dict:
     """Order slopes, loss scan, per-step symplectic defect and energy drift
@@ -244,10 +232,6 @@ def waterwave_noloss_study(model: WaterWaveModel, schemes, periods, tau_list,
     warn = model.order_warning()
     if warn:
         warnings.warn(warn)
-    # propagator-norm stability across periods comes before any error run:
-    # the error analysis is vacuous if the flows themselves are not bounded
-    # uniformly in K on the probed time window
-    out["stability_bounds"] = {}
     level_ops = {K: waterwave_assemble(model, K) for K in periods}
     # a negative eigenvalue of S (omega + coupling) S is a growing mode,
     # outside the positive-energy setting of the no-loss theory
@@ -256,50 +240,39 @@ def waterwave_noloss_study(model: WaterWaveModel, schemes, periods, tau_list,
         if lam_min < 0:
             warnings.warn(f"{model.label}: energy is indefinite at K={K} (min "
                           f"eigenvalue of S(omega+C)S {lam_min:.3g})")
-    for s in s_list:
-        bounds = []
-        for K in periods:
-            ops_k = level_ops[K]
-            samples = ops_k.sampler(s, flows.N_SAMPLES // 2, seed)
+    # propagator-norm stability across periods comes before any error run:
+    # the error analysis is vacuous if the flows themselves are not bounded
+    # uniformly in K on the probed time window
+    out["stability_bounds"] = {s: [] for s in s_list}
+    for ops_k in level_ops.values():
+        props = [ops_k.exact_prop(t) for t in (0.25, 0.5, 1.0)]
+        for s, bounds in out["stability_bounds"].items():
             bounds.append(flows.propagator_norm_bound(
-                ops_k.exact_prop, (0.25, 0.5, 1.0), s, samples, ops_k.weights(s)))
-        out["stability_bounds"][s] = bounds
+                props, ops_k.sampler(s, flows.N_SAMPLES // 2, seed), ops_k.weights(s)))
+    for s, bounds in out["stability_bounds"].items():
         if max(bounds) > 1.1 * bounds[0]:
             warnings.warn(f"propagator norm bound at s={s} not stable across "
                           f"periods: {bounds}")
-    K_ref = max(periods)
-    ops = level_ops[K_ref]
     scheme_map = {"lie": flows.LIE, "strang": flows.STRANG}
-    out["slopes"] = {}
-    out["loss"] = {}
-    out["symplectic_defect"] = {}
-    out["energy_drift"] = {}
-    for name in schemes:
-        scheme = scheme_map[name]
-        step = _waterwave_step(ops, scheme)
-        tables = flows.error_table(step, ops.exact_prop, tau_list, [
-            (s, ops.weights(s), ops.sampler(s, flows.N_SAMPLES, seed))
-            for s in s_list])
-        for s, tab in zip(s_list, tables):
-            out["slopes"][(name, s)] = tab.fit
-            out.setdefault("error_rows", []).extend(
-                {"scheme": name, "s": s, "tau": r["tau"], "error": r["error"],
-                 "level": K_ref} for r in tab.rows)
-        levels = [_waterwave_level(level_ops[K], scheme, flows.TAU_STAR)
-                  for K in periods]
-        rep = flows.loss_scan(levels, s_list[0], seed=seed)
-        out["loss"][name] = rep
+    systems = {K: ops_k.system([scheme_map[name] for name in schemes])
+               for K, ops_k in level_ops.items()}
+    ops, system = level_ops[max(periods)], systems[max(periods)]
+    tables = flows.error_table(system, tau_list, [
+        (s, ops.weights(s), ops.sampler(s, flows.N_SAMPLES, seed)) for s in s_list])
+    out["slopes"] = {key: tab.fit for key, tab in tables.items()}
+    out["error_rows"] = [r for tab in tables.values() for r in tab.rows]
+    out["loss"] = flows.loss_scan(list(systems.values()), s_list[0], seed=seed)
+    out["symplectic_defect"], out["energy_drift"] = {}, {}
+    x0 = ops.sampler(max(s_list), 1, seed)[0]
+    e0 = ops.energy(x0)
+    for name, step in system.steps.items():
         P = step(tau_list[0])
         out["symplectic_defect"][name] = operators.symplectic_defect(P)
-        x0 = ops.sampler(max(s_list), 1, seed)[0]
-        x1 = P @ x0
-        e0, e1 = ops.energy(x0), ops.energy(x1)
-        out["energy_drift"][name] = abs(e1 - e0) / max(abs(e0), 1e-300)
+        out["energy_drift"][name] = abs(ops.energy(P @ x0) - e0) / max(abs(e0), 1e-300)
     flat = WaterWaveModel(mu=model.mu, b_coeffs=lambda *k: 0.0, label="b0",
                           stvenant=model.stvenant)
-    flat_ops = waterwave_assemble(flat, min(periods))
-    E0 = _waterwave_step(flat_ops, flows.STRANG)(tau_list[0]) - \
-        flat_ops.exact_prop(tau_list[0])
+    flat_sys = waterwave_assemble(flat, min(periods)).system((flows.STRANG,))
+    E0 = flat_sys.steps["strang"](tau_list[0]) - flat_sys.exact(tau_list[0])
     out["b0_control"] = float(np.max(np.abs(E0)))
     return out
 
@@ -353,9 +326,6 @@ class PreconditionedSchroedinger:
         return self.exp_x_minus @ flows.compose(
             flows.LIE, self.block_diag_prop, self.smoothing_prop, tau) @ \
             self.exp_x_plus
-
-    def lie_baseline_prop(self, tau: float) -> np.ndarray:
-        return flows.split_step(flows.LIE, self.A, self.B, tau)
 
 
 def resonant_mask(block) -> np.ndarray:
@@ -449,19 +419,6 @@ def smoothing_remainder_family(assemble, radii) -> list[OpMatrix]:
     return fam
 
 
-def schroedinger_levels(assemble, radii,
-                        preconditioned: bool) -> list[flows.RefinementLevel]:
-    levels = []
-    for M in radii:
-        model = assemble(M)
-        step = model.preconditioned_prop if preconditioned else \
-            model.lie_baseline_prop
-        levels.append(flows.refinement_level(M, step, model.exact_prop,
-                                             flows.TAU_STAR,
-                                             *flows.sobolev_space(model.block)))
-    return levels
-
-
 def preconditioned_lie_study(v_coeffs, tau_list, s_list, radii,
                              seed: int = 0) -> dict:
     """Local-order fit and loss scan of the pre/post-processed Lie step, with
@@ -478,21 +435,26 @@ def preconditioned_lie_study(v_coeffs, tau_list, s_list, radii,
     out["telescoping_defect"] = telescoping_defect(model, 0.01, 10)
     out["remainder_order"] = core.estimate_order(
         smoothing_remainder_family(assemble, radii)).r_hat
-    out["slopes"] = {}
-    weights, sampler = flows.sobolev_space(model.block)
+
+    def system(M) -> flows.SplitSystem:
+        """Radius M's preconditioned step, then the plain Lie step of A and
+        B, against the flow of the model's H = A + B."""
+        level = assemble(M)
+        lie = flows.scalar_system(M, level.A, level.B, (flows.LIE,))
+        return replace(lie, exact=level.exact_prop,
+                       steps={"precond_lie": level.preconditioned_prop, **lie.steps})
+
+    systems = {M: system(M) for M in radii}
+    ref = systems[M_ref]
     tables = flows.error_table(
-        model.preconditioned_prop, model.exact_prop, tau_list,
-        [(s, weights(s), sampler(s + 3.0, flows.N_SAMPLES, seed)) for s in s_list])
-    for s, tab in zip(s_list, tables):
-        out["slopes"][s] = tab.fit
-        out.setdefault("error_rows", []).extend(
-            {"scheme": "precond_lie", "s": s, "tau": r["tau"], "error": r["error"],
-             "level": M_ref} for r in tab.rows)
-    s0 = s_list[0]
-    out["loss_preconditioned"] = flows.loss_scan(
-        schroedinger_levels(assemble, radii, True), s0, seed=seed)
-    out["loss_baseline"] = flows.loss_scan(
-        schroedinger_levels(assemble, radii, False), s0, seed=seed)
+        replace(ref, steps={"precond_lie": ref.steps["precond_lie"]}), tau_list,
+        [(s, ref.weights(s), ref.sampler(s + 3.0, flows.N_SAMPLES, seed))
+         for s in s_list])
+    out["slopes"] = {s: tab.fit for (_, s), tab in tables.items()}
+    out["error_rows"] = [r for tab in tables.values() for r in tab.rows]
+    reports = flows.loss_scan(list(systems.values()), s_list[0], seed=seed)
+    out["loss_preconditioned"], out["loss_baseline"] = \
+        reports["precond_lie"], reports["lie"]
     return out
 
 

@@ -6,9 +6,11 @@ structure, exponentiating an exactly diagonal generator entrywise and any
 other through its Hermitian eigendecomposition (a generator that is neither
 raises), and the water-wave study brings its own Hermitian normal-mode flow
 (``experiments.WaterWaveOperators.exact_prop``).  Local-error tables fit
-the step-size order; the loss estimator scans a grid of extra-regularity
-exponents and certifies the smallest one for which the error-to-data ratio is
-multiplicatively stable as the block refines.
+the step-size order; the loss scan takes the error-to-data ratio over a
+grid of extra-regularity exponents and certifies the smallest one for which
+it is multiplicatively stable as the block refines.  Both measure one-step
+errors of a ``SplitSystem``: the exact flow of one refinement level, the
+split steps approximating it by name, and its h^s weights and rough data.
 """
 
 from __future__ import annotations
@@ -154,9 +156,34 @@ def fit_loglog(xs, ys, drop=None) -> FitResult | None:
 # local error in the step size
 
 
+@dataclass(frozen=True, eq=False)
+class SplitSystem:
+    """One refinement level of a split evolution: ``exact`` is its exact flow
+    and ``steps`` maps each split step's name to the step approximating it,
+    all callables tau -> matrix; ``weights(s)`` gives the h^s weights and
+    ``sampler(regularity, n, seed)`` rough data vectors of its state space."""
+
+    label: object
+    exact: object
+    steps: dict
+    weights: object
+    sampler: object
+
+
+def scalar_system(label, A: OpMatrix, B: OpMatrix, schemes) -> SplitSystem:
+    """The split flows of A and B on their scalar block, one step per scheme
+    named by its kind, against the flow of A + B."""
+    block = A.block
+    return SplitSystem(
+        label, partial(exact_flow, A + B),
+        {scheme.kind: partial(split_step, scheme, A, B) for scheme in schemes},
+        partial(core.sobolev_weights, block),
+        lambda reg, n, seed: [x.coeffs for x in core.rough_samples(block, reg, n, seed)])
+
+
 @dataclass(eq=False)
 class LocalErrorTable:
-    rows: list                  # dicts: tau, s, error, floored
+    rows: list                  # dicts: scheme, level, tau, s, error, floored
     fit: FitResult | None       # slope of log error vs log tau
 
 
@@ -164,52 +191,34 @@ def default_tau_list(base: float = 0.1, count: int = 7):
     return tuple(base * 2.0 ** (-j) for j in range(count))
 
 
-def local_error(scheme: SplitScheme, A: OpMatrix, B: OpMatrix,
-                tau_list, cases) -> list[LocalErrorTable]:
-    """Error tables of the split flows of A and B against the flow of A + B,
-    one per (s, samples) case, in the h^s norm of their block."""
-    return error_table(partial(split_step, scheme, A, B),
-                       partial(exact_flow, A + B), tau_list,
-                       [(s, core.sobolev_weights(A.block, s),
-                         [x.coeffs for x in samples]) for s, samples in cases])
-
-
-def error_table(step, exact, tau_list, cases) -> list[LocalErrorTable]:
-    """One table per (s, weights, xs) case in the list: the sup over the data
-    vectors xs of ||weights * (step(tau) - exact(tau)) x|| per step size, with
-    a log-log slope over the points above the roundoff floor, FLOOR_FACTOR *
-    eps times the largest weighted datum.  Each error matrix is built once,
-    serves every case and is dropped before the next; ``s`` labels the rows."""
+def error_table(system: SplitSystem, tau_list, cases) -> dict:
+    """One table per (step name, s) for the (s, weights, xs) cases: the sup
+    over the data vectors xs of ||weights * (step(tau) - exact(tau)) x|| per
+    step size, with a log-log slope over the points above the roundoff floor,
+    FLOOR_FACTOR * eps times the largest weighted datum.  exact(tau) is built
+    once for every step and each error matrix once for every case; both are
+    dropped before the next step size."""
+    if len({s for s, _, _ in cases}) < len(cases):
+        raise ValueError("error table cases must have distinct s")
     floors = [FLOOR_FACTOR * np.finfo(float).eps * max(
         float(np.linalg.norm(weights * x)) for x in xs) for _, weights, xs in cases]
-    rows = [[] for _ in cases]
+    rows = {(name, s): [] for name in system.steps for s, _, _ in cases}
     for tau in tau_list:
-        E = step(tau) - exact(tau)
-        for (s, weights, xs), floor, out in zip(cases, floors, rows):
-            err = max(float(np.linalg.norm(weights * (E @ x))) for x in xs)
-            out.append({"tau": tau, "s": s, "error": err, "floored": err <= floor})
-    return [LocalErrorTable(out, fit_loglog(
+        exact = system.exact(tau)
+        for name, step in system.steps.items():
+            E = step(tau) - exact
+            for (s, weights, xs), floor in zip(cases, floors):
+                err = max(float(np.linalg.norm(weights * (E @ x))) for x in xs)
+                rows[name, s].append({"scheme": name, "level": system.label,
+                                      "tau": tau, "s": s, "error": err,
+                                      "floored": err <= floor})
+    return {key: LocalErrorTable(out, fit_loglog(
         [r["tau"] for r in out], [max(r["error"], 1e-300) for r in out],
-        drop=[r["floored"] for r in out])) for out in rows]
+        drop=[r["floored"] for r in out])) for key, out in rows.items()}
 
 
 # ---------------------------------------------------------------------------
 # derivative-loss estimation
-
-
-@dataclass(eq=False)
-class RefinementLevel:
-    """One block refinement level for the loss scan.
-
-    ``error_op`` is the one-step error matrix at the reference step size;
-    ``weights(s)`` gives the norm weights of the level's state space;
-    ``sampler(regularity, n, seed)`` draws coefficient vectors.
-    """
-
-    label: float
-    error_op: np.ndarray
-    weights: object
-    sampler: object
 
 
 @dataclass(eq=False)
@@ -219,7 +228,7 @@ class LossReport:
     sigma_grid: tuple
     levels: tuple
     stability: dict             # sigma -> list of per-level sup ratios
-    rows: list = field(default_factory=list)
+    rows: list = field(default_factory=list)  # dicts: scheme, level, s, sigma, norm_ratio
 
 
 def default_sigma_grid(hi: float = 2.0):
@@ -239,10 +248,13 @@ def _ratio_sup(E: np.ndarray, w_out: np.ndarray, w_in: np.ndarray, xs) -> float:
     return worst
 
 
-def loss_scan(levels, s: float, sigma_grid=None, seed: int = 0,
-              stability_factor: float = 1.5) -> LossReport:
-    """Smallest extra regularity sigma on the grid for which the ratio
-    sup_x ||E x||_s / ||x||_{s+sigma} is stable across the refinement levels.
+def loss_scan(systems, s: float, sigma_grid=None, seed: int = 0,
+              stability_factor: float = 1.5) -> dict:
+    """One LossReport per step name of the systems, one system per refinement
+    level: the smallest extra regularity sigma on the grid for which the ratio
+    sup_x ||E x||_s / ||x||_{s+sigma} is stable across the levels, with E the
+    step's one-step error at TAU_STAR (exact(TAU_STAR) is built once per level
+    for every step).
 
     The data family joins N_SAMPLES rough spread samples drawn at regularity
     s+sigma with every unit frequency vector (weighted column ratios): a
@@ -251,71 +263,47 @@ def loss_scan(levels, s: float, sigma_grid=None, seed: int = 0,
     when nothing stabilizes.  Stability needs a refinement, so at least 2
     levels.
     """
-    if len(levels) < 2:
-        raise ValueError(f"loss scan needs at least 2 levels, got {len(levels)}")
+    if len(systems) < 2:
+        raise ValueError(f"loss scan needs at least 2 levels, got {len(systems)}")
     if sigma_grid is None:
         sigma_grid = default_sigma_grid()
     sigma_grid = tuple(float(v) for v in sigma_grid)
-    labels = [lv.label for lv in levels]
-    stability: dict = {}
-    sigma_hat, certified = sigma_grid[-1], False
-    for sigma in sigma_grid:
-        vals = [_ratio_sup(lv.error_op, lv.weights(s), lv.weights(s + sigma),
-                           lv.sampler(s + sigma, N_SAMPLES, seed))
-                for lv in levels]
-        stability[sigma] = vals
-        if max(vals) <= NOISE_FLOOR or \
-                core._stable_family(vals, labels, stability_factor):
-            sigma_hat, certified = sigma, True
-            break
-    report = LossReport(sigma_hat, certified, sigma_grid, tuple(labels), stability)
-    for sigma, vals in stability.items():
-        for label, v in zip(labels, vals):
-            report.rows.append({"level": label, "s": s, "sigma": sigma,
-                                "norm_ratio": v})
-    return report
-
-
-def refinement_level(label, step, exact, tau_star: float, weights,
-                     sampler) -> RefinementLevel:
-    """Level whose error matrix is the one-step error step(tau_star) -
-    exact(tau_star), with step and exact callables tau -> matrix."""
-    return RefinementLevel(label, step(tau_star) - exact(tau_star), weights,
-                           sampler)
-
-
-def sobolev_space(block):
-    """(weights, sampler) of a scalar block: its h^s weights and rough samples."""
-    return (partial(core.sobolev_weights, block),
-            lambda reg, n, seed: [x.coeffs for x in
-                                  core.rough_samples(block, reg, n, seed)])
-
-
-def loss_estimator(scheme: SplitScheme, builder, labels, s: float,
-                   sigma_grid=None, seed: int = 0,
-                   stability_factor: float = 1.5) -> LossReport:
-    """Loss scan for a scalar split system across block refinement levels:
-    builder(label) returns the generators (A, B) on the label's block, and
-    each level's error matrix is the split step against the flow of A + B at
-    TAU_STAR."""
-    levels = []
-    for label in labels:
-        A, B = builder(label)
-        levels.append(refinement_level(
-            label, partial(split_step, scheme, A, B),
-            partial(exact_flow, A + B), TAU_STAR, *sobolev_space(A.block)))
-    return loss_scan(levels, s, sigma_grid, seed, stability_factor)
+    labels = [system.label for system in systems]
+    errors = []
+    for system in systems:
+        exact = system.exact(TAU_STAR)
+        errors.append({name: step(TAU_STAR) - exact
+                       for name, step in system.steps.items()})
+    reports = {}
+    for name in systems[0].steps:
+        stability: dict = {}
+        sigma_hat, certified = sigma_grid[-1], False
+        for sigma in sigma_grid:
+            vals = [_ratio_sup(E[name], system.weights(s), system.weights(s + sigma),
+                               system.sampler(s + sigma, N_SAMPLES, seed))
+                    for system, E in zip(systems, errors)]
+            stability[sigma] = vals
+            if max(vals) <= NOISE_FLOOR or \
+                    core._stable_family(vals, labels, stability_factor):
+                sigma_hat, certified = sigma, True
+                break
+        rows = [{"scheme": name, "level": label, "s": s, "sigma": sigma,
+                 "norm_ratio": v}
+                for sigma, vals in stability.items() for label, v in zip(labels, vals)]
+        reports[name] = LossReport(sigma_hat, certified, sigma_grid, tuple(labels),
+                                   stability, rows)
+    return reports
 
 
 # ---------------------------------------------------------------------------
 # propagator norm stability
 
 
-def propagator_norm_bound(prop_builder, t_grid, s: float, samples, weights) -> float:
-    """Measured sup over the time grid and data of ||P(t) x||_s / ||x||_s."""
+def propagator_norm_bound(props, samples, weights) -> float:
+    """Measured sup over the propagators P and the data of
+    ||weights * P x|| / ||weights * x||."""
     worst = 0.0
-    for t in t_grid:
-        P = prop_builder(t)
+    for P in props:
         for x in samples:
             worst = max(worst, float(np.linalg.norm(weights * (P @ x))) /
                         float(np.linalg.norm(weights * x)))

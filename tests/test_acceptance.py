@@ -125,11 +125,13 @@ def test_criterion_07_splitting_local_orders():
     A = operators.fourier_multiplier(lambda x: x * x, block)
     B = operators.toeplitz_potential(operators.two_cos_coeff, block)
     tau_list = flows.default_tau_list(0.1, 7)
+    system = flows.scalar_system(64, A, B, (flows.LIE, flows.STRANG))
     ok, details = True, []
     for s in (0.0, 1.0, 2.0):
         samples = core.rough_samples(block, s + 3.0, 6, SEED)
-        lie, = flows.local_error(flows.LIE, A, B, tau_list, [(s, samples)])
-        strang, = flows.local_error(flows.STRANG, A, B, tau_list, [(s, samples)])
+        tables = flows.error_table(system, tau_list, [
+            (s, core.sobolev_weights(block, s), [x.coeffs for x in samples])])
+        lie, strang = tables["lie", s], tables["strang", s]
         ok &= abs(lie.fit.slope - 2.0) <= 0.25
         ok &= abs(strang.fit.slope - 3.0) <= 0.25
         details.append(f"s={s:g}: lie={lie.fit.slope:.3f} strang={strang.fit.slope:.3f}")
@@ -144,11 +146,13 @@ def test_criterion_08_derivative_loss():
         block = truncated_block(1, M)
         return (operators.fourier_multiplier(lambda x: x * x, block),
                 operators.toeplitz_potential(operators.two_cos_coeff, block))
-    lie = flows.loss_estimator(flows.LIE, schrodinger, (16, 32, 64), s=2.0,
-                               seed=SEED, stability_factor=1.5)
+    lie = flows.loss_scan(
+        [flows.scalar_system(M, *schrodinger(M), (flows.LIE,)) for M in (16, 32, 64)],
+        2.0, seed=SEED, stability_factor=1.5)["lie"]
     model = experiments.waterwave_model("waterwave")
-    levels = experiments.waterwave_levels(model, (32, 64, 128), flows.STRANG, 0.005)
-    ww = flows.loss_scan(levels, 2.0, seed=SEED, stability_factor=1.5)
+    ww = flows.loss_scan(
+        [experiments.waterwave_assemble(model, K).system((flows.STRANG,))
+         for K in (32, 64, 128)], 2.0, seed=SEED, stability_factor=1.5)["strang"]
     announce(8, "derivative loss exponents",
              lie.certified and lie.sigma_hat == 1.0 and
              ww.certified and ww.sigma_hat == 0.0,
@@ -162,13 +166,14 @@ def test_criterion_09_waterwave_no_loss():
         (1.0, 2.0, 3.0), seed=SEED)
     ok = True
     details = []
-    levels = experiments.waterwave_levels(model, (32, 64, 128), flows.STRANG, 0.005)
+    systems = [experiments.waterwave_assemble(model, K).system((flows.STRANG,))
+               for K in (32, 64, 128)]
     sigmas = []
     for s in (1.0, 2.0, 3.0):
         slope = res["slopes"][("strang", s)].slope
         ok &= abs(slope - 3.0) <= 0.25
         details.append(f"strang_s{s:g}={slope:.3f}")
-        rep = flows.loss_scan(levels, s, seed=SEED)
+        rep = flows.loss_scan(systems, s, seed=SEED)["strang"]
         sigmas.append(rep.sigma_hat)
         ok &= rep.certified and rep.sigma_hat == 0.0
     defect = max(res["symplectic_defect"].values())

@@ -1,9 +1,12 @@
 """Every cache of src/pdmat lives as long as the value it describes.
 
 Arrays derived from an index set are attributes of its IndexBlock, memos of a
-study are local to the call that fills them, and per-object dicts are no
-constructor arguments.  The one module-level cache left is flows._eigh_cached,
-whose cache_info() the benchmark's tracer reads.
+study are local to the call that fills them, and the one per-object dict, a
+PeriodicFamily's matrices, is no constructor argument.  A WaterWaveOperators
+keeps its normal modes and no propagator: a study builds each propagator it
+needs once (tests/test_experiments.py counts them).  The one module-level
+cache left is flows._eigh_cached, whose cache_info() the benchmark's tracer
+reads.
 """
 
 from __future__ import annotations

@@ -316,6 +316,17 @@ def test_run_splitting_orders_small(tmp_path):
     assert abs(fits["strang_s1"]["slope"] - 3.0) <= 0.25
 
 
+def test_shipped_splitting_orders_factors_each_generator_once(monkeypatch):
+    # B for the split flows and A + B for the exact flow, shared by both
+    # schemes; A is diagonal and flows entrywise
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    cli.run_splitting_orders(cli.load_config(
+        Path(__file__).parents[1] / "configs" / "splitting_orders.cfg"))
+    assert calls == [(129, 129)] * 2
+
+
 def test_broken_tolerance_fails_with_measured_slope(tmp_path, capsys,
                                                    monkeypatch):
     monkeypatch.setattr(cli, "FIT_BAND", 0.001)

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import pickle
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from functools import partial
 from pathlib import Path
 
@@ -113,8 +115,8 @@ def test_waterwave_strang_slope_and_no_loss():
 
 def test_waterwave_rough_bottom_no_loss():
     model = experiments.waterwave_model("waterwave_rough")
-    levels = experiments.waterwave_levels(model, (32, 64, 128), flows.STRANG, 0.005)
-    rep = flows.loss_scan(levels, 2.0, seed=SEED)
+    rep = flows.loss_scan([experiments.waterwave_assemble(model, K).system((flows.STRANG,))
+                           for K in (32, 64, 128)], 2.0, seed=SEED)["strang"]
     assert rep.sigma_hat == 0.0 and rep.certified
 
 
@@ -127,22 +129,43 @@ def test_waterwave_stvenant_warns():
 
 
 def test_waterwave_study_builds_each_step_once_per_scheme(monkeypatch):
-    builds = []
+    builds, n_tables = [], []
     table = flows.error_table
 
-    def counted(step, exact, tau_list, cases):
-        taus = []
-        tables = table(lambda tau: taus.append(tau) or step(tau), exact, tau_list,
-                       cases)
-        builds.append((taus, len(tables)))
+    def counted(system, tau_list, cases):
+        steps = {name: lambda tau, name=name, step=step:
+                 builds.append((name, tau)) or step(tau)
+                 for name, step in system.steps.items()}
+        tables = table(dataclasses.replace(system, steps=steps), tau_list, cases)
+        n_tables.append(len(tables))
         return tables
     monkeypatch.setattr(flows, "error_table", counted)
     tau_list = flows.default_tau_list()
     res = experiments.waterwave_noloss_study(
         experiments.waterwave_model("waterwave"), ["lie", "strang"], (16, 32),
         tau_list, (1.0, 2.0, 3.0), seed=SEED)
-    assert builds == [(list(tau_list), 3)] * 2
+    assert builds == [(name, tau) for tau in tau_list for name in ("lie", "strang")]
+    assert n_tables == [2 * 3]
     assert len(res["error_rows"]) == 2 * 3 * len(tau_list)
+
+
+def test_waterwave_study_builds_each_exact_propagator_once(monkeypatch):
+    # K_ref: 3 norm-check times, 7 table steps and the loss step; every other
+    # K: the 3 norm-check times and the loss step; the flat bottom: 1
+    calls = []
+    exact_prop = experiments.WaterWaveOperators.exact_prop
+
+    def counted(ops, t):
+        calls.append((ops.model.label, ops.block.size, t))
+        return exact_prop(ops, t)
+    monkeypatch.setattr(experiments.WaterWaveOperators, "exact_prop", counted)
+    experiments.waterwave_noloss_study(
+        experiments.waterwave_model("waterwave"), ["lie", "strang"], (32, 64, 128),
+        flows.default_tau_list(), (1.0, 2.0, 3.0), seed=SEED)
+    assert len(calls) == len(set(calls))
+    assert Counter((label, K) for label, K, _ in calls) == {
+        ("waterwave", 128): 11, ("waterwave", 64): 4, ("waterwave", 32): 4,
+        ("b0", 32): 1}
 
 
 def test_waterwave_energy_measured(ww_ops):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -178,14 +179,22 @@ def test_composition_scheme_mapping():
         flows.composition_scheme(3)
 
 
+def scalar_tables(A, B, schemes, tau_list, cases) -> dict:
+    """Error tables of the scalar split system of A and B, one per (step,
+    s) for the (s, samples) cases."""
+    system = flows.scalar_system(A.block.size, A, B, schemes)
+    return flows.error_table(system, tau_list, [
+        (s, system.weights(s), [x.coeffs for x in samples]) for s, samples in cases])
+
+
 def test_fourth_order_composition_local_order():
     block = truncated_block(1, 8)
     rng = np.random.default_rng(5)
     A = random_hermitian(block, rng, 2.0)
     B = random_hermitian(block, rng, 2.0)
     samples = core.rough_samples(block, 2.0, 4, 11)
-    tab, = flows.local_error(flows.composition_scheme(4), A, B,
-                             flows.default_tau_list(), [(0.0, samples)])
+    tab = scalar_tables(A, B, (flows.composition_scheme(4),),
+                        flows.default_tau_list(), [(0.0, samples)])["composition", 0.0]
     assert 4.6 <= tab.fit.slope <= 5.4
     assert tab.fit.n_dropped >= 1  # smallest steps hit the roundoff floor
 
@@ -194,12 +203,12 @@ def test_fourth_order_composition_local_order():
 # local error tables
 
 
-def test_local_error_zero_generator_flagged():
+def test_error_table_zero_generator_flagged():
     A, _ = schrodinger_pair(8)
     zero = 0.0 * core.identity(A.block)
     samples = core.rough_samples(A.block, 2.0, 3, SEED)
-    tab, = flows.local_error(flows.LIE, A, zero, flows.default_tau_list(),
-                             [(0.0, samples)])
+    tab, = scalar_tables(A, zero, (flows.LIE,), flows.default_tau_list(),
+                         [(0.0, samples)]).values()
     assert all(r["error"] <= 1e-12 for r in tab.rows)
     assert tab.fit is None
 
@@ -208,12 +217,10 @@ def test_local_error_zero_generator_flagged():
 def test_lie_and_strang_slopes(s):
     A, B = schrodinger_pair(32)
     samples = core.rough_samples(A.block, s + 3.0, 5, SEED)
-    lie, = flows.local_error(flows.LIE, A, B, flows.default_tau_list(),
-                             [(s, samples)])
-    strang, = flows.local_error(flows.STRANG, A, B, flows.default_tau_list(),
-                                [(s, samples)])
-    assert lie.fit.slope == pytest.approx(2.0, abs=0.25)
-    assert strang.fit.slope == pytest.approx(3.0, abs=0.25)
+    tables = scalar_tables(A, B, (flows.LIE, flows.STRANG), flows.default_tau_list(),
+                           [(s, samples)])
+    assert tables["lie", s].fit.slope == pytest.approx(2.0, abs=0.25)
+    assert tables["strang", s].fit.slope == pytest.approx(3.0, abs=0.25)
 
 
 def test_periodic_and_truncated_measurements_agree():
@@ -224,10 +231,10 @@ def test_periodic_and_truncated_measurements_agree():
     tb = truncated_block(1, K // 2)
     ta = operators.fourier_multiplier(lambda x: x * x, tb)
     tpot = operators.toeplitz_potential(operators.cos_coeff, tb)
-    per, = flows.local_error(flows.LIE, pa, pb, (0.01,),
-                             [(s, core.rough_samples(pa.block, s, 6, 21))])
-    tru, = flows.local_error(flows.LIE, ta, tpot, (0.01,),
-                             [(s, core.rough_samples(tb, s, 6, 21))])
+    per, = scalar_tables(pa, pb, (flows.LIE,), (0.01,),
+                         [(s, core.rough_samples(pa.block, s, 6, 21))]).values()
+    tru, = scalar_tables(ta, tpot, (flows.LIE,), (0.01,),
+                         [(s, core.rough_samples(tb, s, 6, 21))]).values()
     ep, et = per.rows[0]["error"], tru.rows[0]["error"]
     assert abs(ep - et) <= 0.10 * max(ep, et)
 
@@ -248,12 +255,20 @@ def per_s_error_table(step, exact, tau_list, s, weights, xs):
     return flows.LocalErrorTable(rows, fit)
 
 
-def assert_matches_per_s_oracle(tables, step, exact, tau_list, cases):
-    assert len(tables) == len(cases)
-    for tab, case in zip(tables, cases):
-        want = per_s_error_table(step, exact, tau_list, *case)
-        assert tab.rows == want.rows
-        assert tab.fit == want.fit
+def assert_matches_per_s_oracle(tables, label, steps, exact, tau_list, cases):
+    """One table per (step, s) in that order, each equal row for row and fit
+    for fit to the oracle of the reference step steps[name] and flow exact,
+    which the caller builds apart from the system under test, its rows
+    labelled with the step and the level."""
+    assert list(tables) == [(name, case[0]) for name in steps for case in cases]
+    for name, step in steps.items():
+        for case in cases:
+            tab = tables[name, case[0]]
+            want = per_s_error_table(step, exact, tau_list, *case)
+            assert [{k: r[k] for k in ("tau", "s", "error", "floored")}
+                    for r in tab.rows] == want.rows
+            assert {(r["scheme"], r["level"]) for r in tab.rows} == {(name, label)}
+            assert tab.fit == want.fit
 
 
 def waterwave_cases(K, s_list):
@@ -262,37 +277,54 @@ def waterwave_cases(K, s_list):
                  for s in s_list]
 
 
+def waterwave_oracle(ops, schemes):
+    """Each scheme's composition of the coupling flow with the rotation, by
+    name, and the exact propagator: the reference of ops.system(schemes)."""
+    return {scheme.kind: partial(flows.compose, scheme, ops.coupling_prop,
+                                 ops.rotation_prop) for scheme in schemes}, ops.exact_prop
+
+
 @pytest.mark.parametrize("scheme", [flows.LIE, flows.STRANG], ids=["lie", "strang"])
 def test_waterwave_error_tables_match_per_s_oracle(scheme):
     ops, cases = waterwave_cases(32, (1.0, 2.0, 3.0))
-    step = experiments._waterwave_step(ops, scheme)
     tau_list = flows.default_tau_list()
-    tables = flows.error_table(step, ops.exact_prop, tau_list, cases)
-    assert_matches_per_s_oracle(tables, step, ops.exact_prop, tau_list, cases)
-    assert [r["s"] for tab in tables for r in tab.rows] == \
+    tables = flows.error_table(ops.system((scheme,)), tau_list, cases)
+    assert_matches_per_s_oracle(tables, 32, *waterwave_oracle(ops, (scheme,)),
+                                tau_list, cases)
+    assert [r["s"] for tab in tables.values() for r in tab.rows] == \
         [s for s in (1.0, 2.0, 3.0) for _ in tau_list]
 
 
 @pytest.mark.parametrize("scheme", [flows.LIE, flows.STRANG], ids=["lie", "strang"])
-def test_local_error_tables_match_per_s_oracle(scheme):
+def test_scalar_error_tables_match_per_s_oracle(scheme):
     A, B = schrodinger_pair(16)
-    cases = [(s, core.rough_samples(A.block, s + 3.0, flows.N_SAMPLES, SEED))
+    system = flows.scalar_system(16, A, B, (scheme,))
+    cases = [(s, core.sobolev_weights(A.block, s),
+              [x.coeffs for x in core.rough_samples(A.block, s + 3.0,
+                                                    flows.N_SAMPLES, SEED)])
              for s in (0.0, 1.0, 2.0)]
     tau_list = flows.default_tau_list()
-    tables = flows.local_error(scheme, A, B, tau_list, cases)
+    tables = flows.error_table(system, tau_list, cases)
     assert_matches_per_s_oracle(
-        tables, partial(flows.split_step, scheme, A, B),
-        partial(flows.exact_flow, A + B), tau_list,
-        [(s, core.sobolev_weights(A.block, s), [x.coeffs for x in samples])
-         for s, samples in cases])
+        tables, 16, {scheme.kind: partial(flows.split_step, scheme, A, B)},
+        partial(flows.exact_flow, A + B), tau_list, cases)
+
+
+def test_two_step_error_tables_match_per_s_oracle():
+    ops, cases = waterwave_cases(32, (1.0, 2.0))
+    schemes = (flows.LIE, flows.STRANG)
+    tau_list = flows.default_tau_list(0.1, 5)
+    tables = flows.error_table(ops.system(schemes), tau_list, cases)
+    assert_matches_per_s_oracle(tables, 32, *waterwave_oracle(ops, schemes),
+                                tau_list, cases)
 
 
 def test_single_s_error_table_matches_per_s_oracle():
     ops, cases = waterwave_cases(32, (2.0,))
-    step = experiments._waterwave_step(ops, flows.STRANG)
     tau_list = flows.default_tau_list(0.1, 5)
-    tables = flows.error_table(step, ops.exact_prop, tau_list, cases)
-    assert_matches_per_s_oracle(tables, step, ops.exact_prop, tau_list, cases)
+    tables = flows.error_table(ops.system((flows.STRANG,)), tau_list, cases)
+    assert_matches_per_s_oracle(tables, 32, *waterwave_oracle(ops, (flows.STRANG,)),
+                                tau_list, cases)
 
 
 def test_error_table_floors_each_case_by_its_own_data():
@@ -303,31 +335,46 @@ def test_error_table_floors_each_case_by_its_own_data():
 
     def exact(tau):
         return np.zeros((4, 4))
+    system = flows.SplitSystem("toy", exact, {"toy": step}, None, None)
     tau_list = flows.default_tau_list()
     cases = [(s, np.array([1.0, 1.0, 1.0, 10.0 ** (4 * s)]), [np.ones(4)])
              for s in (0.0, 1.0, 2.0)]
-    tables = flows.error_table(step, exact, tau_list, cases)
-    assert_matches_per_s_oracle(tables, step, exact, tau_list, cases)
+    tables = flows.error_table(system, tau_list, cases)
+    assert_matches_per_s_oracle(tables, "toy", {"toy": step}, exact, tau_list, cases)
+    tables = list(tables.values())
     assert [sum(r["floored"] for r in tab.rows) for tab in tables] == [0, 2, 5]
     assert [tab.fit.n_dropped for tab in tables[:2]] == [0, 2]
     assert tables[2].fit.slope == pytest.approx(4.0)
 
 
+def test_error_table_rejects_a_repeated_s():
+    # tables are keyed by (step, s), so a repeated s would merge two cases
+    system = flows.SplitSystem("toy", np.zeros, {"toy": np.zeros}, None, None)
+    cases = [(1.0, np.ones(2), [np.ones(2)]), (1.0, np.ones(2), [np.ones(2)])]
+    with pytest.raises(ValueError, match="distinct s"):
+        flows.error_table(system, (0.1,), cases)
+
+
 def test_error_table_builds_each_step_once_for_every_s():
+    # every step and the exact flow once per tau, for every s and every step
     A, B = schrodinger_pair(8)
     built = []
+    scalar = flows.scalar_system(8, A, B, (flows.LIE, flows.STRANG))
 
-    def step(tau):
-        built.append(tau)
-        return flows.split_step(flows.STRANG, A, B, tau)
+    def counted(name, fn):
+        return lambda tau: built.append((name, tau)) or fn(tau)
+    system = flows.SplitSystem(
+        8, counted("exact", scalar.exact),
+        {name: counted(name, step) for name, step in scalar.steps.items()},
+        scalar.weights, scalar.sampler)
     tau_list = flows.default_tau_list()
     cases = [(s, core.sobolev_weights(A.block, s),
               [x.coeffs for x in core.rough_samples(A.block, s + 3.0, 4, SEED)])
              for s in (0.0, 1.0, 2.0)]
-    tables = flows.error_table(step, partial(flows.exact_flow, A + B), tau_list,
-                               cases)
-    assert built == list(tau_list)
-    assert [tab.rows[0]["s"] for tab in tables] == [0.0, 1.0, 2.0]
+    tables = flows.error_table(system, tau_list, cases)
+    assert built == [(name, tau) for tau in tau_list
+                     for name in ("exact", "lie", "strang")]
+    assert [tab.rows[0]["s"] for tab in tables.values()] == [0.0, 1.0, 2.0] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +391,7 @@ def test_propagator_norms_stable_across_refinement():
         samples = [x.coeffs for x in core.rough_samples(A.block, s, 5, SEED)]
         w = core.sobolev_weights(A.block, s)
         bounds.append(flows.propagator_norm_bound(
-            lambda t, G=A + B: flows.exact_flow(G, t), (0.25, 0.5, 1.0), s,
-            samples, w))
+            [flows.exact_flow(A + B, t) for t in (0.25, 0.5, 1.0)], samples, w))
     assert all(b <= 1.1 * bounds[0] for b in bounds)
 
 
@@ -353,48 +399,78 @@ def test_propagator_norms_stable_across_refinement():
 # loss estimation
 
 
-def test_loss_estimator_commuting_pair_no_loss():
+def scalar_systems(builder, labels, schemes) -> list:
+    return [flows.scalar_system(M, *builder(M), schemes) for M in labels]
+
+
+def test_loss_scan_commuting_pair_no_loss():
     def builder(M):
         block = truncated_block(1, M)
         return (operators.fourier_multiplier(lambda x: x * x, block),
                 operators.fourier_multiplier(lambda x: abs(x), block))
-    rep = flows.loss_estimator(flows.LIE, builder, (8, 16, 32), s=1.0, seed=3)
+    rep = flows.loss_scan(scalar_systems(builder, (8, 16, 32), (flows.LIE,)),
+                          s=1.0, seed=3)["lie"]
     assert rep.sigma_hat == 0.0 and rep.certified
 
 
-def test_loss_estimator_lie_schrodinger_one_derivative():
-    rep = flows.loss_estimator(flows.LIE, schrodinger_pair, (16, 32, 64), s=2.0,
-                               seed=3)
+def test_loss_scan_lie_schrodinger_one_derivative():
+    rep = flows.loss_scan(scalar_systems(schrodinger_pair, (16, 32, 64), (flows.LIE,)),
+                          s=2.0, seed=3)["lie"]
     assert rep.sigma_hat == 1.0 and rep.certified
 
 
-def test_loss_estimator_strang_schrodinger_upper_bound():
-    rep = flows.loss_estimator(flows.STRANG, schrodinger_pair, (16, 32, 64),
-                               s=2.0, sigma_grid=flows.default_sigma_grid(2.5),
-                               seed=3)
+def test_loss_scan_strang_schrodinger_upper_bound():
+    rep = flows.loss_scan(
+        scalar_systems(schrodinger_pair, (16, 32, 64), (flows.STRANG,)), s=2.0,
+        sigma_grid=flows.default_sigma_grid(2.5), seed=3)["strang"]
     assert rep.certified and rep.sigma_hat <= 2.0
 
 
-def test_loss_estimator_sentinel_when_uncertified():
+def test_loss_scan_reports_each_step_as_a_scan_of_it_alone():
+    # one scan of two steps builds each level's exact flow once and reports
+    # each step as its own scan does, rows labelled with the step
+    built = []
+    systems = []
+    for system in scalar_systems(schrodinger_pair, (16, 32, 64),
+                                 (flows.LIE, flows.STRANG)):
+        exact = system.exact
+        systems.append(replace(system, exact=lambda tau, e=exact, M=system.label:
+                               built.append((M, tau)) or e(tau)))
+    both = flows.loss_scan(systems, s=2.0, seed=3)
+    assert built == [(M, flows.TAU_STAR) for M in (16, 32, 64)]
+    assert list(both) == ["lie", "strang"]
+    for name, rep in both.items():
+        alone, = flows.loss_scan(
+            [replace(system, steps={name: system.steps[name]}) for system in systems],
+            s=2.0, seed=3).values()
+        assert (rep.sigma_hat, rep.certified, rep.stability, rep.levels) == \
+            (alone.sigma_hat, alone.certified, alone.stability, alone.levels)
+        assert rep.rows == alone.rows
+        assert {r["scheme"] for r in rep.rows} == {name}
+
+
+def test_loss_scan_sentinel_when_uncertified():
     # a genuinely unstable artificial family: error operator growing like the
     # full order of the generator at every level
-    def levels():
+    def systems():
         out = []
         for M in (8, 16, 32):
             block = truncated_block(1, M)
             E = operators.fourier_multiplier(lambda x: x * x, block).entries
-            out.append(flows.RefinementLevel(
-                M, E, lambda s, b=block: core.sobolev_weights(b, s),
+            out.append(flows.SplitSystem(
+                M, lambda tau, n=block.n: np.zeros((n, n)),
+                {"full_order": lambda tau, E=E: E},
+                lambda s, b=block: core.sobolev_weights(b, s),
                 lambda reg, n, seed, b=block: [x.coeffs for x in
                                                core.rough_samples(b, reg, n, seed)]))
         return out
-    rep = flows.loss_scan(levels(), s=0.0, sigma_grid=(0.0, 0.25, 0.5))
+    rep = flows.loss_scan(systems(), s=0.0, sigma_grid=(0.0, 0.25, 0.5))["full_order"]
     assert not rep.certified and rep.sigma_hat == 0.5
 
 
 def test_loss_scan_rejects_single_level():
     with pytest.raises(ValueError, match="at least 2 levels"):
-        flows.loss_estimator(flows.LIE, schrodinger_pair, (16,), s=2.0)
+        flows.loss_scan(scalar_systems(schrodinger_pair, (16,), (flows.LIE,)), s=2.0)
 
 
 def test_fit_loglog_recovers_slope():

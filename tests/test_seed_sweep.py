@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -60,3 +61,44 @@ def test_a_run_that_stops_fails_every_gate_at_its_seed(monkeypatch, capsys):
     assert len(out) == 6
     assert all(line.endswith("passed 2/3  failed at seeds [2]") for line in out[:3])
     assert [line.split()[3] for line in out[3:]] == ["1", "2", "3"]
+
+
+def test_check_passes_a_matching_digest_and_names_a_wrong_one(tmp_path, capsys):
+    cli.run(cli.load_config(CONFIG), tmp_path / "run")
+    digest = seed_sweep.output_digest(tmp_path / "run")
+    wrong = "0" * 64
+    golden = tmp_path / "golden.json"
+    golden.write_text(json.dumps({"digests": {"approx_rates": {"1": digest, "2": wrong}},
+                                  "environment": seed_sweep.environment()}))
+    assert seed_sweep.main([CONFIG, "--seeds", "1", "--check", str(golden)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"1 digests match {golden}"
+    assert seed_sweep.main([CONFIG, "--seeds", "1-2", "--check", str(golden)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("MISMATCH")] == [
+        f"MISMATCH approx_rates seed 2: golden {wrong}, got {out[-4].split()[-1]}"]
+    assert out[-2].startswith("golden environment ")
+    assert out[-1].startswith("current environment ")
+
+
+def test_record_merges_digests_with_the_environment(tmp_path, capsys):
+    golden = tmp_path / "golden.json"
+    assert seed_sweep.main([CONFIG, "--seeds", "1", "--record", str(golden)]) == 0
+    assert seed_sweep.main([CONFIG, "--seeds", "3", "--record", str(golden)]) == 0
+    recorded = json.loads(golden.read_text())
+    assert list(recorded["digests"]["approx_rates"]) == ["1", "3"]
+    assert set(recorded["environment"]) == {"numpy", "scipy", "blas", "nproc"}
+    assert seed_sweep.main([CONFIG, "--seeds", "3", "--check", str(golden)]) == 0
+    # digests made elsewhere are not merged under this environment's name
+    recorded["environment"]["numpy"] = "0.0"
+    golden.write_text(json.dumps(recorded))
+    assert seed_sweep.main([CONFIG, "--seeds", "5", "--record", str(golden)]) == 1
+    assert json.loads(golden.read_text()) == recorded
+    assert "NOT MERGED" in capsys.readouterr().out
+
+
+def test_golden_file_covers_every_config_at_seeds_1_and_17():
+    golden = json.loads((ROOT / "scripts" / "golden_digests.json").read_text())
+    stems = sorted(path.stem for path in (ROOT / "configs").glob("*.cfg"))
+    assert sorted(golden["digests"]) == stems
+    assert all(sorted(by_seed) == ["1", "17"] for by_seed in golden["digests"].values())
+    assert set(golden["environment"]) == {"numpy", "scipy", "blas", "nproc"}
