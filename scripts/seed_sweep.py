@@ -7,9 +7,11 @@
 Each config runs once per seed, with the config's seed replaced, into a
 temporary directory that is removed at the end; nothing is written anywhere
 else.  For each gate one line gives how many seeds it passed and the seeds
-where it failed; a run that did not finish is listed as a ``run_status``
-failure.  After the gate lines, one line per (config, seed) gives the sha256
-of that run's results.csv followed by its fits.json, so two checkouts produce
+where it failed, and its margin over the seeds (the smallest, the seed where
+it occurs, and the median), as ``manifest["gates"]`` records it; a run that
+did not finish is listed as a ``run_status`` failure, with no margin.  After
+the gate lines, one line per (config, seed) gives the sha256 of that run's
+results.csv followed by its fits.json, so two checkouts produce
 byte-identical outputs exactly when a diff of their sweep outputs is empty.
 
 ``--record FILE`` merges the digests of the sweep into a JSON file of golden
@@ -31,6 +33,7 @@ import importlib.metadata
 import io
 import json
 import os
+import statistics
 import sys
 import tempfile
 
@@ -108,10 +111,12 @@ def check(path: str, digests: dict) -> list:
 
 def sweep(paths, seeds, workdir: str) -> tuple:
     """({(config stem, gate): [seeds where it failed]},
-    {(config stem, seed): output digest}).  A gate fails at a seed where it
-    reads false or, because the run stopped early, is missing while some
-    other seed has it."""
+    {(config stem, gate): {seed: margin}}, {(config stem, seed): output
+    digest}).  A gate fails at a seed where it reads false or, because the
+    run stopped early, is missing while some other seed has it; its margins
+    are those of the seeds where it was measured."""
     failures: dict = {}
+    margins: dict = {}
     digests: dict = {}
     for path in paths:
         stem = os.path.splitext(os.path.basename(path))[0]
@@ -124,20 +129,36 @@ def sweep(paths, seeds, workdir: str) -> tuple:
                 cli.run(cfg, outdir)
             manifest = reporting.read_manifest(outdir)
             digests[(stem, seed)] = output_digest(outdir)
-            runs[seed] = {**{name: gate["ok"]
+            runs[seed] = {**{name: (gate["ok"], gate["margin"])
                              for name, gate in manifest["gates"].items()},
-                          "run_status": manifest["status"] == "ok"}
+                          "run_status": (manifest["status"] == "ok", None)}
         for gate in set().union(*runs.values()):
             failures[(stem, gate)] = [seed for seed in seeds
-                                      if not runs[seed].get(gate, False)]
-    return failures, digests
+                                      if not runs[seed].get(gate, (False,))[0]]
+            margins[(stem, gate)] = {
+                seed: runs[seed][gate][1] for seed in seeds
+                if runs[seed].get(gate, (False, None))[1] is not None}
+    return failures, margins, digests
 
 
-def summary(failures: dict, n_seeds: int) -> list:
+def margin_text(by_seed: dict) -> str:
+    """The smallest margin with the first seed where it occurs, and the
+    median, or 'margin -' when no seed measured one."""
+    if not by_seed:
+        return "margin -"
+    low = min(by_seed, key=by_seed.get)
+    return (f"margin min {by_seed[low]:.4g} (seed {low}) "
+            f"median {statistics.median(by_seed.values()):.4g}")
+
+
+def summary(failures: dict, margins: dict, n_seeds: int) -> list:
     width = max(len(f"{stem}.{gate}") for stem, gate in failures)
+    texts = {key: margin_text(margins[key]) for key in failures}
+    m_width = max(len(text) for text in texts.values())
     lines = []
     for (stem, gate), failed in sorted(failures.items()):
-        line = f"{stem + '.' + gate:<{width}}  passed {n_seeds - len(failed)}/{n_seeds}"
+        line = (f"{stem + '.' + gate:<{width}}  {texts[stem, gate]:<{m_width}}  "
+                f"passed {n_seeds - len(failed)}/{n_seeds}")
         if failed:
             line += f"  failed at seeds {failed}"
         lines.append(line)
@@ -156,9 +177,9 @@ def main(argv=None) -> int:
                         help="merge the digests into a golden digest file")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="pdmat-seed-sweep-") as workdir:
-        failures, digests = sweep(args.configs, args.seeds, workdir)
+        failures, margins, digests = sweep(args.configs, args.seeds, workdir)
     print(f"seeds {args.seeds[0]}-{args.seeds[-1]} ({len(args.seeds)} runs per config)")
-    for line in summary(failures, len(args.seeds)):
+    for line in summary(failures, margins, len(args.seeds)):
         print(line)
     for (stem, seed), digest in digests.items():
         print(f"sha256 {stem} seed {seed} {digest}")

@@ -6,14 +6,14 @@ Modules
 core
     Index blocks, dense operator matrices, the diagonal difference calculus,
     weighted order seminorms, Sobolev vectors, and order certification across
-    refinement families.
+    refinement families (lists of matrices at increasing sizes).
 periodic
-    K-indexed families of periodic matrices, bracket-norm inequalities, the
-    family seminorm, embedding into truncated blocks, approximation rates.
+    Bracket-norm inequalities, the family seminorm of a list of K-periodic
+    matrices, embedding into truncated blocks, approximation rates.
 spectral
     Discrete Fourier transform, finite-difference circulants and their
-    diagonal Fourier forms, alias-summed multiplication matrices, and
-    pseudo-spectral compositions.
+    diagonal Fourier forms, and multiplication matrices from grid samples or
+    alias-summed coefficients.
 operators
     Symbol and potential constructors on truncated blocks, and the
     symplectic defect of a propagator.

@@ -304,17 +304,15 @@ def run_approx_rates(cfg: ExperimentConfig):
     master = max(periods)
     block = core.truncated_block(1, master)
     s = 2.0
-    fd_fam = periodic.PeriodicFamily(lambda k: spectral.fd_symbol(1, 1, k),
-                                     periods, "fd")
     fd_limit = operators.fourier_multiplier(lambda x: 1j * x, block)
-    fd = periodic.approx_error(fd_limit, fd_fam, s=s, s_prime=s, data_s=s + 2.0,
-                               seed=cfg.seed, probe="fd")
-    mult_fam = periodic.PeriodicFamily(
-        lambda k: spectral.mult_matrix_fourier(k, coeff_fn=operators.exp_decay_coeff),
-        periods, "mult")
+    fd = periodic.approx_error(
+        fd_limit, [spectral.fd_symbol(1, 1, k) for k in periods],
+        s=s, s_prime=s, data_s=s + 2.0, seed=cfg.seed, probe="fd")
     mult_limit = operators.toeplitz_potential(operators.exp_decay_coeff, block)
-    mult = periodic.approx_error(mult_limit, mult_fam, s=4.0, s_prime=2.0,
-                                 data_s=4.0, seed=cfg.seed, probe="mult")
+    mult = periodic.approx_error(
+        mult_limit, [spectral.mult_matrix_from_coeffs(operators.exp_decay_coeff, k)
+                     for k in periods],
+        s=4.0, s_prime=2.0, data_s=4.0, seed=cfg.seed, probe="mult")
     rows = fd.rows + mult.rows
     fits = {"fd_rate": fd.decay_rate, "fd_residual": fd.residual,
             "mult_rate": mult.decay_rate, "mult_residual": mult.residual}
@@ -488,9 +486,9 @@ def run_invariants_suite(cfg: ExperimentConfig):
                 worst = max(worst, float(np.max(np.abs(lhs - rhs))))
         record("fd_conjugation", f"d{d}_K{period}", worst, ALGEBRA_TOL * period)
     for K in (16, 32, 64):
-        M_samp = spectral.mult_matrix_fourier(
-            K, fn=lambda x: sum(math.exp(-abs(j)) * np.exp(1j * j * x)
-                                for j in range(-50, 51)))
+        M_samp = spectral.mult_matrix_from_samples(spectral.sample(
+            K, lambda x: sum(math.exp(-abs(j)) * np.exp(1j * j * x)
+                             for j in range(-50, 51))))
         M_alias = spectral.mult_matrix_from_coeffs(operators.exp_decay_coeff, K)
         diff = float(np.max(np.abs(M_samp.entries - M_alias.entries)))
         record("alias_identity", f"K{K}", diff, 1e-10)

@@ -254,7 +254,8 @@ def loss_scan(systems, s: float, sigma_grid=None, seed: int = 0,
     level: the smallest extra regularity sigma on the grid for which the ratio
     sup_x ||E x||_s / ||x||_{s+sigma} is stable across the levels, with E the
     step's one-step error at TAU_STAR (exact(TAU_STAR) is built once per level
-    for every step).
+    for every step, and each level's weights and data once per sigma for
+    every step that reaches it).
 
     The data family joins N_SAMPLES rough spread samples drawn at regularity
     s+sigma with every unit frequency vector (weighted column ratios): a
@@ -274,14 +275,17 @@ def loss_scan(systems, s: float, sigma_grid=None, seed: int = 0,
         exact = system.exact(TAU_STAR)
         errors.append({name: step(TAU_STAR) - exact
                        for name, step in system.steps.items()})
+    data: dict = {}     # (level, sigma) -> weights and samples, drawn once
     reports = {}
     for name in systems[0].steps:
         stability: dict = {}
         sigma_hat, certified = sigma_grid[-1], False
         for sigma in sigma_grid:
-            vals = [_ratio_sup(E[name], system.weights(s), system.weights(s + sigma),
-                               system.sampler(s + sigma, N_SAMPLES, seed))
-                    for system, E in zip(systems, errors)]
+            for i, system in enumerate(systems):
+                if (i, sigma) not in data:
+                    data[i, sigma] = (system.weights(s), system.weights(s + sigma),
+                                      system.sampler(s + sigma, N_SAMPLES, seed))
+            vals = [_ratio_sup(E[name], *data[i, sigma]) for i, E in enumerate(errors)]
             stability[sigma] = vals
             if max(vals) <= NOISE_FLOOR or \
                     core._stable_family(vals, labels, stability_factor):

@@ -125,7 +125,7 @@ def toeplitz_potential(coeff_fn, block: IndexBlock) -> OpMatrix:
     """
     if block.mode != core.TRUNCATED:
         raise ValueError("toeplitz_potential builds the truncated-side matrix; "
-                         "use spectral.mult_matrix_fourier on periodic blocks")
+                         "use spectral.mult_matrix_from_coeffs on periodic blocks")
     idx = block.indices()
     diff = idx[:, None, :] - idx[None, :, :]
     first, inverse = core._distinct_rows(diff)

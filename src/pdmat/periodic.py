@@ -1,25 +1,27 @@
 """Families of periodic matrices indexed by the grid period K.
 
-A family holds one K-periodic matrix per even period and is the discrete
+A family is a list of K-periodic matrices at strictly increasing even
+periods, the list ``core.estimate_order`` certifies, and is the discrete
 stand-in for an operator class membership that must be uniform in K: the
 family seminorm (sup over the evaluated periods of the per-matrix weighted
-sup, taken with bracket norms) is the measurable surrogate.  Embedding a
-K-periodic matrix into a truncated block (entries kept on the representative
-box, zero outside) connects the two worlds and exposes the aliasing error
-of grid discretizations, which is measured by :func:`approx_error`.
+sup, taken with bracket norms) is the measurable surrogate.  Products and
+commutators of families are taken member by member.  Embedding a K-periodic
+matrix into a truncated block (entries kept on the representative box, zero
+outside) connects the two worlds and exposes the aliasing error of grid
+discretizations, which is measured by :func:`approx_error`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import core, flows
 from .core import (OpMatrix, SeminormSpec, PERIODIC, TRUNCATED, bracket_norm,
-                   periodic_block, truncated_block)
+                   truncated_block)
 
 
 # ---------------------------------------------------------------------------
@@ -70,55 +72,11 @@ def bracket_peetre_holds(period: int, d: int) -> bool:
 # families
 
 
-@dataclass(eq=False)
-class PeriodicFamily:
-    """Generator of K-periodic matrices over a list of even periods."""
-
-    generator: object          # callable K -> OpMatrix (periodic block K)
-    periods: tuple
-    label: str = ""
-    _cache: dict = field(default_factory=dict, init=False, repr=False)
-
-    def __post_init__(self):
-        self.periods = tuple(int(k) for k in self.periods)
-        if not self.periods:
-            raise ValueError("periods must be nonempty")
-
-    def matrix(self, period: int) -> OpMatrix:
-        if period not in self._cache:
-            A = self.generator(period)
-            if A.block != periodic_block(A.block.d, period):
-                raise ValueError(f"generator returned wrong block for K={period}")
-            self._cache[period] = A
-        return self._cache[period]
-
-    def matrices(self) -> list[OpMatrix]:
-        return [self.matrix(k) for k in self.periods]
-
-
-def dnorm(family: PeriodicFamily, spec: SeminormSpec) -> float:
-    """Family seminorm: sup over the evaluated periods of the per-K seminorm
-    (finite-sample surrogate of the sup over all K)."""
-    return max(core.seminorm(A, spec) for A in family.matrices())
-
-
-def _combine(a: PeriodicFamily, b: PeriodicFamily, op, label: str) -> PeriodicFamily:
-    if a.periods != b.periods:
-        raise ValueError("period list mismatch")
-    return PeriodicFamily(lambda k: op(a.matrix(k), b.matrix(k)), a.periods, label)
-
-
-def family_product(a: PeriodicFamily, b: PeriodicFamily) -> PeriodicFamily:
-    return _combine(a, b, core.matmul, f"({a.label})({b.label})")
-
-
-def family_commutator(a: PeriodicFamily, b: PeriodicFamily) -> PeriodicFamily:
-    return _combine(a, b, core.commutator, f"[{a.label},{b.label}]")
-
-
-def family_order(family: PeriodicFamily, **kwargs) -> core.OrderEstimate:
-    """Order certification of the family across its evaluated periods."""
-    return core.estimate_order(family.matrices(), **kwargs)
+def dnorm(family, spec: SeminormSpec) -> float:
+    """Family seminorm: sup over the family's matrices, one per evaluated
+    period, of the per-K seminorm (finite-sample surrogate of the sup over
+    all K)."""
+    return max(core.seminorm(A, spec) for A in family)
 
 
 # ---------------------------------------------------------------------------
@@ -164,47 +122,46 @@ def restrict(A: OpMatrix, radius: int) -> OpMatrix:
 class ApproxErrorTable:
     rows: list              # dicts: probe, K, s, s_prime, error, fitted_rate
     decay_rate: float       # least-squares exponent of error ~ K^(-rate)
-    intercept: float
     residual: float
 
 
-def approx_error(A_limit: OpMatrix, family: PeriodicFamily, s: float,
-                 s_prime: float, data_s: float | None = None,
-                 n_samples: int = flows.N_SAMPLES, seed: int = 0,
+def approx_error(A_limit: OpMatrix, family, s: float, s_prime: float,
+                 data_s: float | None = None, seed: int = 0,
                  probe: str = "") -> ApproxErrorTable:
     """Measured operator distance sup_x ||(A_limit - embed(A^K)) x||_s' / ||x||_data
-    per period, with a fitted decay exponent in K.
+    per K-periodic matrix A^K of the family, K its block size, with a fitted
+    decay exponent in K.
 
     ``A_limit`` lives on a master truncated block covering every embedded
     period; the same data family (regularity ``data_s``, default s) is used
-    for all K so the rows are comparable.  The family joins rough spread-out
-    samples with every unit frequency vector: for these near-diagonal error
-    operators the concentrated vectors realize the operator-norm ratio, which
-    is what carries the sharp loss rates.  The embedded matrix is zero beyond
-    the representative box, so the spectral tail contributes at every period.
+    for all K so the rows are comparable.  The family joins flows.N_SAMPLES
+    rough spread-out samples with every unit frequency vector: for these
+    near-diagonal error operators the concentrated vectors realize the
+    operator-norm ratio, which is what carries the sharp loss rates.  The
+    embedded matrix is zero beyond the representative box, so the spectral
+    tail contributes at every period.
     """
+    if not family:
+        raise ValueError("approx_error needs a nonempty family of periodic matrices")
     if A_limit.block.mode != TRUNCATED or not A_limit.fully_defined:
         raise ValueError("A_limit must be a fully defined truncated matrix")
     master = A_limit.block.size
-    if master < max(family.periods) // 2:
+    if master < max(A.block.size for A in family) // 2:
         raise ValueError("master block must cover every embedded period")
     if data_s is None:
         data_s = s
     xs = [x.coeffs for x in core.rough_samples(A_limit.block, data_s,
-                                                n_samples, seed)]
+                                                flows.N_SAMPLES, seed)]
     w_out = core.sobolev_weights(A_limit.block, s_prime)
     w_data = core.sobolev_weights(A_limit.block, data_s)
     rows = []
-    for K in family.periods:
-        E = A_limit - embed(family.matrix(K), radius=master)
-        rows.append({"probe": probe, "K": K, "s": s, "s_prime": s_prime,
+    for A in family:
+        E = A_limit - embed(A, radius=master)
+        rows.append({"probe": probe, "K": A.block.size, "s": s, "s_prime": s_prime,
                      "error": flows._ratio_sup(E.entries, w_out, w_data, xs)})
     fit = flows.fit_loglog([r["K"] for r in rows],
                            [max(r["error"], 1e-300) for r in rows])
-    if fit is None:
-        rate, intercept, residual = math.nan, math.nan, math.nan
-    else:
-        rate, intercept, residual = -fit.slope, fit.intercept, fit.residual
+    rate, residual = (math.nan, math.nan) if fit is None else (-fit.slope, fit.residual)
     for r in rows:
         r["fitted_rate"] = rate
-    return ApproxErrorTable(rows, rate, intercept, residual)
+    return ApproxErrorTable(rows, rate, residual)

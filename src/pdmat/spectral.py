@@ -8,7 +8,8 @@ The transform pair is
     (F^{-1} v)_a =      sum_b exp(+2 pi i a.b / K) v_b,
 
 so K^{d/2} F is unitary.  :func:`dft` applies F by FFT; :func:`dft_matrix`
-and :func:`idft_matrix` are the dense matrices of the pair.
+and :func:`idft_matrix` are the dense matrices of the pair.  A spectral
+multiplier phi(a) on a periodic block is ``operators.fourier_multiplier``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import core, operators
+from . import core
 from .core import IndexBlock, OpMatrix, PERIODIC, periodic_block, representative
 
 # alias sums of mult_matrix_from_coeffs stop after the first shell whose
@@ -178,55 +179,3 @@ def mult_matrix_from_coeffs(coeff_fn, period: int, d: int = 1) -> OpMatrix:
         if shell and added < ALIAS_TAIL_TOL:
             break
     return OpMatrix(block, ent)
-
-
-def mult_matrix_fourier(period: int, d: int = 1, fn=None,
-                        coeff_fn=None) -> OpMatrix:
-    """Multiplication matrix from a sampled function or from exact
-    coefficients (alias-summed).  Exactly one of the two must be given."""
-    if (fn is None) == (coeff_fn is None):
-        raise ValueError("give exactly one of fn, coeff_fn")
-    if coeff_fn is not None:
-        return mult_matrix_from_coeffs(coeff_fn, period, d)
-    return mult_matrix_from_samples(sample(period, fn, d))
-
-
-# ---------------------------------------------------------------------------
-# spectral multipliers and compositions
-
-
-def spectral_multiplier(phi, period: int, d: int = 1) -> OpMatrix:
-    """Diagonal matrix phi(a) over the representatives a in {-K/2..K/2-1}^d."""
-    return operators.fourier_multiplier(phi, periodic_block(d, period))
-
-
-def compose_pseudo_spectral(factors, period: int, d: int = 1) -> tuple[OpMatrix, float]:
-    """Ordered Fourier-side product of multiplier / potential / difference
-    factors, with the predicted order (sum of the factor orders).
-
-    Factor forms: ("multiplier", phi, order), ("potential", fn_or_samples),
-    ("fd", axis, sign), ("identity",).
-    """
-    if not factors:
-        raise ValueError("factor list must be nonempty")
-    out = core.identity(periodic_block(d, period))
-    order = 0.0
-    for f in factors:
-        kind = f[0]
-        if kind == "multiplier":
-            out = core.matmul(out, spectral_multiplier(f[1], period, d))
-            order += float(f[2])
-        elif kind == "potential":
-            v = f[1]
-            mat = mult_matrix_from_samples(v) if isinstance(v, GridFunction) \
-                else mult_matrix_fourier(period, d, fn=v)
-            out = core.matmul(out, mat)
-        elif kind == "fd":
-            out = core.matmul(out, fd_symbol(f[1], f[2], period, d))
-            order += 1.0
-        elif kind == "identity":
-            pass
-        else:
-            raise ValueError(f"unknown factor kind {kind!r}")
-    return out, order
-

@@ -8,13 +8,17 @@ factor 2.0, loss grids at step 0.25 with stability factor 1.5, fit bands of
 
 from __future__ import annotations
 
+import json
 import math
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pdmat import core, experiments, flows, operators, periodic, spectral
+from pdmat import (cli, core, experiments, flows, operators, periodic, reporting,
+                   spectral)
 from pdmat.core import periodic_block, truncated_block
 
 SEED = 1
@@ -48,13 +52,12 @@ def test_criterion_01_commutator_order_gain():
 
 def test_criterion_02_periodic_commutator_gain():
     t0 = time.monotonic()
-    periods = (16, 32, 64, 128)
-    dplus = periodic.PeriodicFamily(lambda k: spectral.fd_symbol(1, 1, k),
-                                    periods, "D+")
-    mcos = periodic.PeriodicFamily(
-        lambda k: spectral.mult_matrix_fourier(k, fn=np.cos), periods, "M_cos")
-    comm = periodic.family_commutator(dplus, mcos)
-    r_hat = periodic.family_order(comm, theta=2.0).r_hat
+    # [D+, M_cos], one commutator per period
+    comm = [core.commutator(
+        spectral.fd_symbol(1, 1, k),
+        spectral.mult_matrix_from_samples(spectral.sample(k, np.cos)))
+        for k in (16, 32, 64, 128)]
+    r_hat = core.estimate_order(comm, theta=2.0).r_hat
     elapsed = time.monotonic() - t0
     announce(2, "periodic commutator gain", r_hat <= 0.0 and elapsed < 10.0,
              f"r_hat={r_hat} runtime={elapsed:.2f}s")
@@ -90,9 +93,9 @@ def test_criterion_04_dft_unitarity_and_conjugation():
 def test_criterion_05_alias_identity():
     worst = 0.0
     for K in (16, 32, 64):
-        sampled = spectral.mult_matrix_fourier(
-            K, fn=lambda x: sum(math.exp(-abs(j)) * np.exp(1j * j * x)
-                                for j in range(-50, 51)))
+        sampled = spectral.mult_matrix_from_samples(spectral.sample(
+            K, lambda x: sum(math.exp(-abs(j)) * np.exp(1j * j * x)
+                             for j in range(-50, 51))))
         alias = spectral.mult_matrix_from_coeffs(operators.exp_decay_coeff, K)
         worst = max(worst, float(np.max(np.abs(sampled.entries - alias.entries))))
     announce(5, "aliasing identity", worst <= 1e-10, f"entrywise={worst:.2e}")
@@ -103,17 +106,15 @@ def test_criterion_06_approximation_rates():
     master = max(periods)
     block = truncated_block(1, master)
     s = 2.0
-    fd_fam = periodic.PeriodicFamily(lambda k: spectral.fd_symbol(1, 1, k),
-                                     periods, "fd")
     fd = periodic.approx_error(
-        operators.fourier_multiplier(lambda x: 1j * x, block), fd_fam,
-        s=s, s_prime=s, data_s=s + 2.0, n_samples=6, seed=SEED, probe="fd")
-    mult_fam = periodic.PeriodicFamily(
-        lambda k: spectral.mult_matrix_fourier(k, coeff_fn=operators.exp_decay_coeff),
-        periods, "mult")
+        operators.fourier_multiplier(lambda x: 1j * x, block),
+        [spectral.fd_symbol(1, 1, k) for k in periods],
+        s=s, s_prime=s, data_s=s + 2.0, seed=SEED, probe="fd")
     mult = periodic.approx_error(
-        operators.toeplitz_potential(operators.exp_decay_coeff, block), mult_fam,
-        s=4.0, s_prime=2.0, data_s=4.0, n_samples=6, seed=SEED, probe="mult")
+        operators.toeplitz_potential(operators.exp_decay_coeff, block),
+        [spectral.mult_matrix_from_coeffs(operators.exp_decay_coeff, k)
+         for k in periods],
+        s=4.0, s_prime=2.0, data_s=4.0, seed=SEED, probe="mult")
     announce(6, "approximation rates",
              abs(fd.decay_rate - 1.0) <= 0.25 and abs(mult.decay_rate - 2.0) <= 0.25,
              f"fd_rate={fd.decay_rate:.3f} mult_rate={mult.decay_rate:.3f}")
@@ -239,3 +240,69 @@ def test_criterion_12_young_inequality():
             violations += lhs > rhs * (1 + 1e-12)
     announce(12, "Young convolution inequality", violations == 0,
              f"violations={violations}/3000")
+
+
+# ---------------------------------------------------------------------------
+# the CLI gates of the shipped configs hold the same bounds
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+# (criterion, config, gate name pattern, gates it matches, bound): the bounds
+# written in the criteria above.  Criterion 2 has no CLI gate.  Criterion 4's
+# conjugation bound is 1e-12 here and 1e-12 K at the invariants_suite
+# fd_conjugation gates, so only its unitarity gates are listed.
+ACCEPTANCE_GATES = [
+    (1, "order_gain", r"product_order_is_2", 1, 2.0),
+    (1, "order_gain", r"commutator_order_le_1", 1, 1.0),
+    (1, "order_gain", r"runtime_lt_10s", 1, 10.0),
+    (3, "invariants_suite", r"bracket_inequalities_d[12]_K(4|8|16|32)", 8, 1),
+    (4, "invariants_suite", r"dft_unitarity_d\d_K\d+", 5, 1e-12),
+    (5, "invariants_suite", r"alias_identity_K(16|32|64)", 3, 1e-10),
+    (6, "approx_rates", r"fd_rate_near_1|mult_rate_near_2", 2, 0.25),
+    (7, "splitting_orders", r"(lie|strang)_s[012]_slope", 6, 0.25),
+    (7, "splitting_orders", r"runtime_lt_120s", 1, 120.0),
+    (8, "loss_scan", r"lie_schrodinger_sigma_1", 1, 1.0),
+    (8, "loss_scan", r"strang_waterwave_sigma_0", 1, 0.0),
+    (9, "waterwave", r"waterwave_strang_s[123]_slope", 3, 0.25),
+    (9, "waterwave", r"waterwave_(lie|strang)_no_loss", 2, 0.0),
+    (9, "waterwave", r"waterwave_(lie|strang)_symplectic", 2, 1e-10),
+    (9, "waterwave", r"waterwave_flat_bottom_exact", 1, 1e-12),
+    (10, "schroedinger_precond", r"homological_identity", 1, 1e-12),
+    (10, "schroedinger_precond", r"remainder_order_le_m2", 1, -2.0),
+    (10, "schroedinger_precond", r"precond_slope_s2", 1, 0.25),
+    (10, "schroedinger_precond", r"preconditioned_no_loss", 1, 0.0),
+    (10, "schroedinger_precond", r"baseline_loses_one", 1, 1.0),
+    (10, "schroedinger_precond", r"telescoping", 1, 1e-10),
+    (11, "sobolev_growth", r"growth_rho(0|m1)_l2_conservation", 2, 1e-8),
+    (11, "sobolev_growth", r"growth_rhom1_exponent_s1_K(32|64)", 2, 1.0 / 2.0 + 0.1),
+    (11, "sobolev_growth", r"growth_rhom1_exponent_s2_K(32|64)", 2, 2.0 / 2.0 + 0.1),
+    (12, "invariants_suite", r"young_inequality_p\d_q\d_r(\d|inf)", 3, 0),
+]
+
+
+@pytest.fixture(scope="module")
+def shipped_runs(tmp_path_factory):
+    """{config: (manifest gates, fits)} of one run of each shipped config
+    that an acceptance criterion covers."""
+    runs = {}
+    for stem in sorted({config for _, config, _, _, _ in ACCEPTANCE_GATES}):
+        outdir = tmp_path_factory.mktemp(stem)
+        cli.run(cli.load_config(CONFIGS / f"{stem}.cfg"), outdir)
+        runs[stem] = (reporting.read_manifest(outdir)["gates"],
+                      json.loads((outdir / "fits.json").read_text()))
+    return runs
+
+
+def test_cli_gates_hold_the_acceptance_bounds(shipped_runs):
+    for criterion, config, pattern, count, bound in ACCEPTANCE_GATES:
+        gates = shipped_runs[config][0]
+        matched = {name: gate["bound"] for name, gate in gates.items()
+                   if re.fullmatch(pattern, name)}
+        assert len(matched) == count, (criterion, config, pattern, sorted(matched))
+        assert matched == dict.fromkeys(matched, bound), (criterion, config, matched)
+    # criterion 11's ratio bound is relative: max over K <= 1.2 min over K
+    gates, fits = shipped_runs["sobolev_growth"]
+    for s in (1, 2):
+        gate = gates[f"growth_rho0_ratio_stable_s{s}"]
+        span = fits[f"growth_rho0_ratio_span_s{s}"]
+        assert gate["bound"] == pytest.approx(1.2 * gate["measured"] / span, rel=1e-12)

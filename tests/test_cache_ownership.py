@@ -1,10 +1,11 @@
 """Every cache of src/pdmat lives as long as the value it describes.
 
 Arrays derived from an index set are attributes of its IndexBlock, memos of a
-study are local to the call that fills them, and the one per-object dict, a
-PeriodicFamily's matrices, is no constructor argument.  A WaterWaveOperators
-keeps its normal modes and no propagator: a study builds each propagator it
-needs once (tests/test_experiments.py counts them).  The one module-level
+study or a loss scan are local to the call that fills them, and a refinement
+family is a plain list of matrices that its caller holds.  A
+WaterWaveOperators keeps its normal modes and no propagator, and takes no
+cache as a constructor argument: a study builds each propagator it needs once
+(tests/test_experiments.py counts them).  The one module-level
 cache left is flows._eigh_cached, whose cache_info() the benchmark's tracer
 reads.
 """
@@ -17,7 +18,7 @@ import gc
 import weakref
 from pathlib import Path
 
-from pdmat import core, experiments, operators, periodic
+from pdmat import core, experiments, operators
 from pdmat.core import truncated_block
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pdmat"
@@ -65,6 +66,5 @@ def test_dropped_block_is_freed_after_order_certification():
 
 
 def test_no_constructor_takes_a_cache():
-    for cls in (periodic.PeriodicFamily, experiments.WaterWaveOperators):
-        assert [f.name for f in dataclasses.fields(cls)
-                if "cache" in f.name and f.init] == []
+    assert [f.name for f in dataclasses.fields(experiments.WaterWaveOperators)
+            if "cache" in f.name and f.init] == []

@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg
 
 from pdmat import core, experiments, flows, operators, spectral
-from pdmat.core import OpMatrix, truncated_block
+from pdmat.core import OpMatrix, periodic_block, truncated_block
 
 SEED = 31415
 
@@ -154,8 +154,8 @@ def test_split_step_rejects_large_tau():
 
 def test_lie_step_error_scales_quadratically():
     K = 32
-    A = spectral.spectral_multiplier(lambda x: x * x, K)
-    B = spectral.mult_matrix_fourier(K, fn=np.cos)
+    A = operators.fourier_multiplier(lambda x: x * x, periodic_block(1, K))
+    B = spectral.mult_matrix_from_samples(spectral.sample(K, np.cos))
     x = core.rough_samples(A.block, 3.0, 1, SEED)[0].coeffs
     errs = []
     for tau in (0.01, 0.005):
@@ -226,8 +226,8 @@ def test_lie_and_strang_slopes(s):
 def test_periodic_and_truncated_measurements_agree():
     # band-limited potential: same Lie error on both sides within 10%
     K, s = 32, 1.0
-    pa = spectral.spectral_multiplier(lambda x: x * x, K)
-    pb = spectral.mult_matrix_fourier(K, fn=np.cos)
+    pa = operators.fourier_multiplier(lambda x: x * x, periodic_block(1, K))
+    pb = spectral.mult_matrix_from_samples(spectral.sample(K, np.cos))
     tb = truncated_block(1, K // 2)
     ta = operators.fourier_multiplier(lambda x: x * x, tb)
     tpot = operators.toeplitz_potential(operators.cos_coeff, tb)
@@ -447,6 +447,30 @@ def test_loss_scan_reports_each_step_as_a_scan_of_it_alone():
             (alone.sigma_hat, alone.certified, alone.stability, alone.levels)
         assert rep.rows == alone.rows
         assert {r["scheme"] for r in rep.rows} == {name}
+
+
+def test_loss_scan_draws_each_level_data_once_for_every_step():
+    # the lie and strang steps of a water-wave scan read the same weights and
+    # rough data at each (level, sigma): one sampler call serves both steps,
+    # where one call per step made twice as many, and each step still
+    # reports as a scan of it alone does
+    model = experiments.waterwave_model("waterwave")
+    drawn, systems = [], []
+    for K in (16, 32, 64):
+        system = experiments.waterwave_assemble(model, K).system(
+            (flows.LIE, flows.STRANG))
+        systems.append(replace(system, sampler=lambda reg, n, seed, f=system.sampler,
+                               K=K: drawn.append((K, reg)) or f(reg, n, seed)))
+    both = flows.loss_scan(systems, s=2.0, seed=3)
+    sigmas = [list(rep.stability) for rep in both.values()]
+    assert sigmas == [sigmas[0]] * 2
+    assert drawn == [(K, 2.0 + sigma) for sigma in sigmas[0] for K in (16, 32, 64)]
+    for name, rep in both.items():
+        alone, = flows.loss_scan(
+            [replace(system, steps={name: system.steps[name]}) for system in systems],
+            s=2.0, seed=3).values()
+        assert (rep.sigma_hat, rep.certified, rep.stability, rep.rows) == \
+            (alone.sigma_hat, alone.certified, alone.stability, alone.rows)
 
 
 def test_loss_scan_sentinel_when_uncertified():

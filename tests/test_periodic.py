@@ -1,5 +1,6 @@
-"""Periodic family machinery: bracket inequalities, family seminorms,
-embedding, and the with-loss approximation rates."""
+"""Periodic families, lists of K-periodic matrices at increasing periods:
+bracket inequalities, family seminorms, member-by-member products and
+commutators, embedding, and the with-loss approximation rates."""
 
 from __future__ import annotations
 
@@ -13,19 +14,19 @@ from pdmat.core import SeminormSpec, periodic_block, truncated_block
 
 
 def d_plus_family(periods):
-    return periodic.PeriodicFamily(lambda k: spectral.fd_symbol(1, 1, k),
-                                   periods, "D+")
+    return [spectral.fd_symbol(1, 1, k) for k in periods]
 
 
 def d_minus_family(periods):
-    return periodic.PeriodicFamily(lambda k: spectral.fd_symbol(1, -1, k),
-                                   periods, "D-")
+    return [spectral.fd_symbol(1, -1, k) for k in periods]
+
+
+def mult_cos(period):
+    return spectral.mult_matrix_from_samples(spectral.sample(period, np.cos))
 
 
 def mult_cos_family(periods):
-    return periodic.PeriodicFamily(
-        lambda k: spectral.mult_matrix_fourier(k, fn=lambda x: np.cos(x)),
-        periods, "M_cos")
+    return [mult_cos(k) for k in periods]
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +113,7 @@ def test_bracket_range():
 
 
 def test_dnorm_zero_family():
-    fam = periodic.PeriodicFamily(lambda k: 0.0 * core.identity(periodic_block(1, k)),
-                                  (8, 16), "0")
+    fam = [0.0 * core.identity(periodic_block(1, k)) for k in (8, 16)]
     assert periodic.dnorm(fam, SeminormSpec((0,), 2, 0.0)) == 0.0
 
 
@@ -125,45 +125,35 @@ def test_dnorm_forward_difference_bounded_by_one():
 def test_dnorm_mult_cos_non_increasing():
     fam = mult_cos_family((16, 32, 64, 128))
     spec = SeminormSpec((0,), 4, 0.0)
-    vals = [core.seminorm(A, spec) for A in fam.matrices()]
+    vals = [core.seminorm(A, spec) for A in fam]
     assert all(math.isfinite(v) for v in vals)
     assert all(vals[i + 1] <= vals[i] + 1e-12 for i in range(len(vals) - 1))
 
 
-def test_family_product_with_identity():
+def test_product_with_identity_family():
+    for M in mult_cos_family((8, 16)):
+        prod = core.matmul(M, core.identity(M.block))
+        np.testing.assert_array_equal(prod.entries, M.entries)
+
+
+def test_commutator_of_diagonal_families_vanishes():
     periods = (8, 16)
-    fam = mult_cos_family(periods)
-    ident = periodic.PeriodicFamily(lambda k: core.identity(periodic_block(1, k)),
-                                    periods, "I")
-    prod = periodic.family_product(fam, ident)
-    for k in periods:
-        np.testing.assert_array_equal(prod.matrix(k).entries, fam.matrix(k).entries)
+    for P, Q in zip(d_plus_family(periods), d_minus_family(periods)):
+        assert np.max(np.abs(core.commutator(P, Q).entries)) < 1e-14
 
 
-def test_family_commutator_of_diagonals_vanishes():
-    periods = (8, 16)
-    comm = periodic.family_commutator(d_plus_family(periods), d_minus_family(periods))
-    for k in periods:
-        assert np.max(np.abs(comm.matrix(k).entries)) < 1e-14
-
-
-def test_family_product_order_adds():
+def test_product_of_families_adds_orders():
     periods = (16, 32, 64, 128)
-    prod = periodic.family_product(d_plus_family(periods), mult_cos_family(periods))
-    est = periodic.family_order(prod)
-    assert est.r_hat <= 1.0
+    prod = [core.matmul(P, M)
+            for P, M in zip(d_plus_family(periods), mult_cos_family(periods))]
+    assert core.estimate_order(prod).r_hat <= 1.0
 
 
-def test_family_commutator_order_gain():
+def test_commutator_of_families_gains_an_order():
     periods = (16, 32, 64, 128)
-    comm = periodic.family_commutator(d_plus_family(periods), mult_cos_family(periods))
-    est = periodic.family_order(comm)
-    assert est.r_hat <= 0.0
-
-
-def test_family_period_mismatch():
-    with pytest.raises(ValueError):
-        periodic.family_product(d_plus_family((8,)), d_plus_family((8, 16)))
+    comm = [core.commutator(P, M)
+            for P, M in zip(d_plus_family(periods), mult_cos_family(periods))]
+    assert core.estimate_order(comm).r_hat <= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +180,7 @@ def test_embed_mult_cos_differs_from_toeplitz_by_alias_tail():
     # closed form: the embedded matrix minus the coefficient Toeplitz matrix
     # equals the sum of the coefficients shifted by +-K on the box
     K = 16
-    M = spectral.mult_matrix_fourier(K, fn=lambda x: np.cos(x))
-    E = periodic.embed(M)
+    E = periodic.embed(mult_cos(K))
     B = operators.toeplitz_potential(operators.cos_coeff, E.block)
     idx = E.block.indices()[:, 0]
     tail = np.zeros((E.block.n, E.block.n), dtype=complex)
@@ -209,8 +198,7 @@ def test_embed_mult_cos_differs_from_toeplitz_by_alias_tail():
 def test_aliasing_corner_does_not_vanish():
     # negative control: the corner entry keeps the first cosine coefficient
     for K in (8, 16, 32, 64):
-        Mk = spectral.mult_matrix_fourier(K, fn=lambda x: np.cos(x))
-        E = periodic.embed(Mk)
+        E = periodic.embed(mult_cos(K))
         B = operators.toeplitz_potential(operators.cos_coeff, E.block)
         pm, _ = core._positions(E.block, [[-K // 2]])
         pn, _ = core._positions(E.block, [[K // 2 - 1]])
@@ -226,9 +214,17 @@ def test_approx_error_zero_for_self():
     K = 16
     fam = mult_cos_family((K,))
     master = K // 2
-    A_limit = periodic.embed(fam.matrix(K), radius=master)
+    A_limit = periodic.embed(fam[0], radius=master)
     table = periodic.approx_error(A_limit, fam, s=2.0, s_prime=2.0, seed=3)
     assert table.rows[0]["error"] == 0.0
+
+
+def test_approx_error_rejects_an_empty_or_truncated_family():
+    A_limit = operators.fourier_multiplier(lambda x: 1j * x, truncated_block(1, 16))
+    with pytest.raises(ValueError, match="nonempty family"):
+        periodic.approx_error(A_limit, [], s=2.0, s_prime=2.0)
+    with pytest.raises(ValueError, match="periodic matrix"):
+        periodic.approx_error(A_limit, [A_limit], s=2.0, s_prime=2.0)
 
 
 def test_finite_difference_rate_one_with_two_extra_derivatives():
@@ -239,20 +235,20 @@ def test_finite_difference_rate_one_with_two_extra_derivatives():
     block = truncated_block(1, master)
     A_limit = operators.fourier_multiplier(lambda x: 1j * x, block)
     table = periodic.approx_error(A_limit, fam, s=s, s_prime=s, data_s=s + 2.0,
-                                  n_samples=6, seed=11, probe="fd")
+                                  seed=11, probe="fd")
+    assert [r["K"] for r in table.rows] == list(periods)
     assert table.decay_rate == pytest.approx(1.0, abs=0.25)
 
 
-def test_spectral_multiplier_rate_matches_gap_minus_order():
+def test_periodic_multiplier_rate_matches_gap_minus_order():
     # diagonal symbol of order 1: the windowing error decays at rate s-s'-r
     periods = (32, 64, 128)
-    fam = periodic.PeriodicFamily(
-        lambda k: spectral.spectral_multiplier(lambda x: 1j * x, k),
-        periods, "A_phi")
+    fam = [operators.fourier_multiplier(lambda x: 1j * x, periodic_block(1, k))
+           for k in periods]
     block = truncated_block(1, max(periods))
     A_limit = operators.fourier_multiplier(lambda x: 1j * x, block)
     table = periodic.approx_error(A_limit, fam, s=4.0, s_prime=2.0, data_s=4.0,
-                                  n_samples=6, seed=13, probe="spectral")
+                                  seed=13, probe="spectral")
     assert table.decay_rate == pytest.approx(1.0, abs=0.25)
 
 
@@ -260,14 +256,13 @@ def test_multiplication_rate_matches_regularity_gap():
     # fitted from K = 32 on: at K = 16 the in-box aliasing of the e^{-|k|}
     # coefficients is still exponentially large and pollutes the fit
     periods = (32, 64, 128)
-    fam = periodic.PeriodicFamily(
-        lambda k: spectral.mult_matrix_fourier(k, coeff_fn=operators.exp_decay_coeff),
-        periods, "M_exp")
+    fam = [spectral.mult_matrix_from_coeffs(operators.exp_decay_coeff, k)
+           for k in periods]
     master = max(periods)
     block = truncated_block(1, master)
     A_limit = operators.toeplitz_potential(operators.exp_decay_coeff, block)
     table = periodic.approx_error(A_limit, fam, s=4.0, s_prime=2.0, data_s=4.0,
-                                  n_samples=6, seed=12, probe="mult")
+                                  seed=12, probe="mult")
     assert table.decay_rate == pytest.approx(2.0, abs=0.25)
 
 
@@ -279,8 +274,7 @@ def measured_action_constants(fam, order, s=2.0):
     decay = int(abs(s) + abs(order)) + 1 + 1
     dn = periodic.dnorm(fam, SeminormSpec((0,), decay, order))
     consts = []
-    for K in fam.periods:
-        A = fam.matrix(K)
+    for A in fam:
         worst = max(core.apply(A, x).norm(s - order) / (dn * x.norm(s))
                     for x in core.rough_samples(A.block, s, 20, 99))
         consts.append(worst)

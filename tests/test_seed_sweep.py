@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from pdmat import cli
+from pdmat import cli, reporting
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG = str(ROOT / "configs" / "approx_rates.cfg")
@@ -61,6 +61,33 @@ def test_a_run_that_stops_fails_every_gate_at_its_seed(monkeypatch, capsys):
     assert len(out) == 6
     assert all(line.endswith("passed 2/3  failed at seeds [2]") for line in out[:3])
     assert [line.split()[3] for line in out[3:]] == ["1", "2", "3"]
+
+
+def test_gate_lines_give_the_margin_distribution_over_the_seeds(tmp_path, monkeypatch,
+                                                               capsys):
+    runner = cli.RUNNERS["approx_rates"]
+
+    def with_probe(cfg):
+        rows, fits, gates = runner(cfg)
+        margin = {1: 0.5, 2: -0.25, 3: 2.0, 4: -0.25}[cfg.seed]
+        gates["probe"] = {"measured": 1.0 - margin, "bound": 1.0,
+                          "margin": margin, "ok": margin >= 0}
+        return rows, fits, gates
+
+    monkeypatch.setitem(cli.RUNNERS, "approx_rates", with_probe)
+    assert seed_sweep.main([CONFIG, "--seeds", "1-4"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    lines = {line.split()[0]: line for line in out[1:5]}
+    # the smallest margin, the first seed with it, and the median of all four
+    assert " margin min -0.25 (seed 2) median 0.125 " in lines["approx_rates.probe"]
+    assert lines["approx_rates.probe"].endswith("passed 2/4  failed at seeds [2, 4]")
+    assert " margin - " in lines["approx_rates.run_status"]
+    # a real gate reports the margin its manifest records (the fd rate reads
+    # the same at every seed, so its minimum is first met at seed 1)
+    cli.run(cli.load_config(CONFIG), tmp_path)
+    fd = reporting.read_manifest(tmp_path)["gates"]["fd_rate_near_1"]["margin"]
+    assert f" margin min {fd:.4g} (seed 1) median {fd:.4g} " in \
+        lines["approx_rates.fd_rate_near_1"]
 
 
 def test_check_passes_a_matching_digest_and_names_a_wrong_one(tmp_path, capsys):

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from pdmat import core, experiments, operators, periodic, spectral
+from pdmat import core, experiments, operators, spectral
 from pdmat.core import periodic_block
 
 SEED = 424242
@@ -147,9 +147,8 @@ def test_conjugation_identity(period, d, sign):
 
 
 def test_fd_symbol_family_first_difference_bounded():
-    fam = periodic.PeriodicFamily(lambda k: spectral.fd_symbol(1, 1, k),
-                                  (16, 32, 64, 128), "D+")
-    vals = [core.seminorm(A, core.SeminormSpec((1,), 0, 1.0)) for A in fam.matrices()]
+    fam = [spectral.fd_symbol(1, 1, k) for k in (16, 32, 64, 128)]
+    vals = [core.seminorm(A, core.SeminormSpec((1,), 0, 1.0)) for A in fam]
     assert max(vals) <= 1.2  # |e^{ih} - 1| / h <= 1 plus wrap contribution
 
 
@@ -169,13 +168,13 @@ def test_grid_side_difference_family_not_certifiable():
 
 
 def test_mult_matrix_of_one_is_identity():
-    M = spectral.mult_matrix_fourier(8, fn=lambda x: 1.0)
+    M = spectral.mult_matrix_from_samples(spectral.sample(8, lambda x: 1.0))
     assert np.max(np.abs(M.entries - np.eye(8))) < 1e-14
 
 
 def test_mult_matrix_cos_band():
     K = 8
-    M = spectral.mult_matrix_fourier(K, fn=lambda x: np.cos(x))
+    M = spectral.mult_matrix_from_samples(spectral.sample(K, np.cos))
     idx = M.block.indices()[:, 0]
     for i, a in enumerate(idx):
         for j, b in enumerate(idx):
@@ -189,8 +188,8 @@ def test_mult_matrix_two_paths_agree():
     def v_fn(x):
         ks = np.arange(-60, 61)
         return np.sum(np.exp(-np.abs(ks)) * np.exp(1j * ks * x))
-    M_samples = spectral.mult_matrix_fourier(K, fn=v_fn)
-    M_coeffs = spectral.mult_matrix_fourier(K, coeff_fn=operators.exp_decay_coeff)
+    M_samples = spectral.mult_matrix_from_samples(spectral.sample(K, v_fn))
+    M_coeffs = spectral.mult_matrix_from_coeffs(operators.exp_decay_coeff, K)
     assert np.max(np.abs(M_samples.entries - M_coeffs.entries)) < 1e-12
     p1, _ = core._positions(M_samples.block, [[1]])
     p0, _ = core._positions(M_samples.block, [[0]])
@@ -201,9 +200,9 @@ def test_mult_matrix_two_paths_agree():
 @pytest.mark.parametrize("period", [16, 32, 64])
 def test_alias_sum_identity(period):
     # entrywise identity between the sampled-DFT matrix and the alias sum
-    M_samples = spectral.mult_matrix_fourier(
-        period, fn=lambda x: sum(math.exp(-abs(k)) * np.exp(1j * k * x)
-                                 for k in range(-50, 51)))
+    M_samples = spectral.mult_matrix_from_samples(spectral.sample(
+        period, lambda x: sum(math.exp(-abs(k)) * np.exp(1j * k * x)
+                              for k in range(-50, 51))))
     M_alias = spectral.mult_matrix_from_coeffs(operators.exp_decay_coeff, period)
     assert np.max(np.abs(M_samples.entries - M_alias.entries)) < 1e-10
 
@@ -213,7 +212,7 @@ def test_mult_matrix_decay_constants_stable():
     for decay in (2, 4, 8):
         consts = []
         for K in (16, 32, 64, 128):
-            M = spectral.mult_matrix_fourier(K, coeff_fn=operators.exp_decay_coeff)
+            M = spectral.mult_matrix_from_coeffs(operators.exp_decay_coeff, K)
             idx = M.block.indices()
             dist = core.bracket_norm(K, idx[:, None] - idx[None])
             consts.append(float(np.max(np.abs(M.entries) * (1 + dist) ** decay)))
@@ -239,47 +238,44 @@ def test_mult_grid_and_conjugation():
 # spectral multipliers and compositions
 
 
-def test_spectral_multiplier_values():
-    I = spectral.spectral_multiplier(lambda x: 1.0, 8)
+def test_periodic_multiplier_values():
+    I = operators.fourier_multiplier(lambda x: 1.0, periodic_block(1, 8))
     assert np.max(np.abs(I.entries - np.eye(8))) < 1e-15
-    Q = spectral.spectral_multiplier(lambda x: abs(x) ** 2, 8)
+    Q = operators.fourier_multiplier(lambda x: abs(x) ** 2, periodic_block(1, 8))
     p, _ = core._positions(Q.block, [[-3]])
     assert Q.entries[p[0], p[0]] == 9.0
 
 
 def test_water_wave_dispersion_value():
     model = experiments.WaterWaveModel(1.0)
-    Q = spectral.spectral_multiplier(
-        lambda x: float(model.dispersion(np.array([x]))[0]) ** 2, 8)
+    Q = operators.fourier_multiplier(
+        lambda x: float(model.dispersion(np.array([x]))[0]) ** 2, periodic_block(1, 8))
     p, _ = core._positions(Q.block, [[2]])
     assert Q.entries[p[0], p[0]] == pytest.approx(2 * math.tanh(2.0), rel=1e-15)
 
 
-def test_spectral_multiplier_nonfinite_rejected():
+def test_periodic_multiplier_nonfinite_rejected():
     with pytest.raises(ValueError):
-        spectral.spectral_multiplier(lambda x: 1.0 / x if x else math.inf, 8)
+        operators.fourier_multiplier(lambda x: 1.0 / x if x else math.inf,
+                                     periodic_block(1, 8))
 
 
-def test_compose_single_identity():
-    A, order = spectral.compose_pseudo_spectral([("identity",)], 8)
-    assert order == 0.0
-    assert np.max(np.abs(A.entries - np.eye(8))) == 0.0
+def divergence_form(period):
+    """D+ M_{2 + cos} D-, the Fourier-side product of a forward difference,
+    a potential and a backward difference."""
+    potential = spectral.mult_matrix_from_samples(
+        spectral.sample(period, lambda x: 2.0 + np.cos(x)))
+    return core.matmul(core.matmul(spectral.fd_symbol(1, 1, period), potential),
+                       spectral.fd_symbol(1, -1, period))
 
 
 def test_compose_divergence_form_order_two():
-    factors = [("fd", 1, 1), ("potential", lambda x: 2.0 + np.cos(x)), ("fd", 1, -1)]
-    fam = []
-    for K in (16, 32, 64, 128):
-        A, order = spectral.compose_pseudo_spectral(factors, K)
-        assert order == 2.0
-        fam.append(A)
+    fam = [divergence_form(K) for K in (16, 32, 64, 128)]
     assert core.estimate_order(fam).r_hat <= 2.0
 
 
 def test_compose_divergence_form_hermitian():
-    A, _ = spectral.compose_pseudo_spectral(
-        [("fd", 1, 1), ("potential", lambda x: 2.0 + np.cos(x)), ("fd", 1, -1)], 32)
-    assert core.is_hermitian(A, 1e-12)
+    assert core.is_hermitian(divergence_form(32), 1e-12)
 
 
 def test_mult_matrix_2d_conjugation():
@@ -293,8 +289,8 @@ def test_mult_matrix_2d_conjugation():
     assert np.max(np.abs(direct - conj)) < 1e-12 * np.max(np.abs(direct))
 
 
-def test_spectral_multiplier_2d_values():
-    Q = spectral.spectral_multiplier(lambda x, y: x * x + abs(y), 8, d=2)
+def test_periodic_multiplier_2d_values():
+    Q = operators.fourier_multiplier(lambda x, y: x * x + abs(y), periodic_block(2, 8))
     p, _ = core._positions(Q.block, [[-3, 2]])
     assert Q.entries[p[0], p[0]] == 11.0
 
