@@ -5,8 +5,9 @@ Modules
 
 core
     Index blocks, dense operator matrices, the diagonal difference calculus,
-    weighted order seminorms, Sobolev vectors, and order certification across
-    refinement families (lists of matrices at increasing sizes).
+    weighted order seminorms, h^s weights and rough data (vectors are flat
+    arrays), and order certification across refinement families (lists of
+    matrices at increasing sizes).
 periodic
     Bracket-norm inequalities, the family seminorm of a list of K-periodic
     matrices, embedding into truncated blocks, approximation rates.

@@ -484,11 +484,11 @@ def run_invariants_suite(cfg: ExperimentConfig):
                 lhs = spectral.fd_matrix(j, sign, period, d).entries
                 rhs = Finv @ spectral.fd_symbol(j, sign, period, d).entries @ F
                 worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-        record("fd_conjugation", f"d{d}_K{period}", worst, ALGEBRA_TOL * period)
+        record("fd_conjugation", f"d{d}_K{period}", worst, ALGEBRA_TOL)
     for K in (16, 32, 64):
         M_samp = spectral.mult_matrix_from_samples(spectral.sample(
             K, lambda x: sum(math.exp(-abs(j)) * np.exp(1j * j * x)
-                             for j in range(-50, 51))))
+                             for j in range(-50, 51))), K)
         M_alias = spectral.mult_matrix_from_coeffs(operators.exp_decay_coeff, K)
         diff = float(np.max(np.abs(M_samp.entries - M_alias.entries)))
         record("alias_identity", f"K{K}", diff, 1e-10)

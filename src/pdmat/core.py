@@ -5,7 +5,9 @@ block {-M..M}^d of Z^d, or the cyclic group Z_K^d with representatives taken
 in {-K/2..K/2-1}^d (K even).  :class:`OpMatrix` stores one dense complex
 matrix over the active index set, plus a definedness mask: in truncated mode,
 diagonal shifts lose boundary rows and columns, and weighted sups only run
-over entries whose full shift stencil stayed inside the block.
+over entries whose full shift stencil stayed inside the block.  A vector is
+a flat complex array over the same index order; its h^s norm is the l2 norm
+of its product with :func:`sobolev_weights`.
 
 The weighted sups computed by :func:`seminorm` quantify the order of an
 operator (growth of entries and of their iterated diagonal differences along
@@ -216,41 +218,19 @@ def _per_distinct(rule, rows: np.ndarray, inverse: np.ndarray) -> np.ndarray:
 # vectors
 
 
-@dataclass(frozen=True, eq=False)
-class SobolevVec:
-    """Complex sequence over the active index set with h^s norms."""
-
-    block: IndexBlock
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.ascontiguousarray(self.coeffs, dtype=complex)
-        if c.shape != (self.block.n,):
-            raise ValueError(f"coeffs must have shape ({self.block.n},)")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coeffs must be finite")
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-    def norm(self, s: float = 0.0) -> float:
-        return float(np.linalg.norm(sobolev_weights(self.block, s) * self.coeffs))
-
-
 def rough_samples(block: IndexBlock, s: float, n_samples: int, seed: int,
-                  zero_mean: bool = False) -> list[SobolevVec]:
-    """Seeded near-extremal h^s data: |x_k| = (1+|k|)^(-s-0.51), random phases.
+                  zero_mean: bool = False) -> np.ndarray:
+    """Seeded near-extremal h^s data, one sample per row of an (n_samples, n)
+    array: |x_k| = (1+|k|)^(-s-0.51), random phases.
 
     Such x lies in h^s but in no h^(s+e) for e > 0.01, which makes loss
     detection sharp when these vectors feed the sup in an error estimate.
     """
     rng = np.random.default_rng(seed)
     amp = (1.0 + block._l1_sizes) ** (-s - 0.51)
-    out = []
-    for _ in range(n_samples):
-        coeffs = amp * np.exp(2j * np.pi * rng.uniform(size=block.n))
-        if zero_mean:
-            coeffs[block.origin()] = 0.0
-        out.append(SobolevVec(block, coeffs))
+    out = amp * np.exp(2j * np.pi * rng.uniform(size=(n_samples, block.n)))
+    if zero_mean:
+        out[:, block.origin()] = 0.0
     return out
 
 
@@ -477,7 +457,7 @@ def seminorm(A: OpMatrix, spec: SeminormSpec) -> float:
 
 
 # ---------------------------------------------------------------------------
-# products, commutators, application
+# products and commutators
 
 
 def matmul(A: OpMatrix, B: OpMatrix) -> OpMatrix:
@@ -501,14 +481,6 @@ def _real_diagonal(A: OpMatrix) -> bool:
 
 def commutator(A: OpMatrix, B: OpMatrix) -> OpMatrix:
     return matmul(A, B) - matmul(B, A)
-
-
-def apply(A: OpMatrix, x: SobolevVec) -> SobolevVec:
-    if A.block != x.block:
-        raise ValueError("block mismatch between matrix and vector")
-    if not A.fully_defined:
-        raise ValueError("apply requires a fully defined matrix")
-    return SobolevVec(x.block, A.entries @ x.coeffs)
 
 
 # ---------------------------------------------------------------------------

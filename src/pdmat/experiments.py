@@ -183,12 +183,12 @@ class WaterWaveOperators:
         w = core.sobolev_weights(self.block, s)
         return np.concatenate([w, w])
 
-    def sampler(self, regularity: float, n_samples: int, seed: int) -> list:
+    def sampler(self, regularity: float, n_samples: int, seed: int) -> np.ndarray:
         xi = core.rough_samples(self.block, regularity, n_samples, seed,
                                 zero_mean=True)
         v = core.rough_samples(self.block, regularity, n_samples, seed + 1,
                                zero_mean=True)
-        return [np.concatenate([a.coeffs, b.coeffs]) for a, b in zip(xi, v)]
+        return np.concatenate([xi, v], axis=1)
 
     def energy(self, state: np.ndarray) -> float:
         # conserved quadratic form of the assembled system; the topography
@@ -531,7 +531,7 @@ def growth_trajectory(model: GrowthModel, period: int, horizon: float,
              tol * np.max(np.abs(base)), "Q^T perturbation_base Q is not tridiagonal")):
         if failed:
             raise ValueError(f"{model.label}: {what}")
-    x = core.rough_samples(block, max(s_list), 1, seed)[0].coeffs \
+    x = core.rough_samples(block, max(s_list), 1, seed)[0] \
         if x0 is None else np.asarray(x0, dtype=complex)
     # the state is kept as real (re, im) columns, so V and Q stay real
     y = Q.T @ np.column_stack([x.real, x.imag])
@@ -599,7 +599,7 @@ def sobolev_growth_study(studies, horizon: float, s_list, delta: float = 1e-2,
         # one draw on the finest block, projected to each coarser one, so the
         # cross-K stability measures the dynamics and not data variance
         big = periodic_block(1, max(periods))
-        x_big = core.rough_samples(big, max(s_all), 1, seed)[0].coeffs
+        x_big = core.rough_samples(big, max(s_all), 1, seed)[0]
         own = [(model, K, horizon, s_all, delta, seed + K,
                 x_big[core._positions(big, periodic_block(1, K).indices())[0]])
                for K in periods]

@@ -161,7 +161,8 @@ class SplitSystem:
     """One refinement level of a split evolution: ``exact`` is its exact flow
     and ``steps`` maps each split step's name to the step approximating it,
     all callables tau -> matrix; ``weights(s)`` gives the h^s weights and
-    ``sampler(regularity, n, seed)`` rough data vectors of its state space."""
+    ``sampler(regularity, n, seed)`` n rough data vectors of its state space,
+    one per row."""
 
     label: object
     exact: object
@@ -177,8 +178,7 @@ def scalar_system(label, A: OpMatrix, B: OpMatrix, schemes) -> SplitSystem:
     return SplitSystem(
         label, partial(exact_flow, A + B),
         {scheme.kind: partial(split_step, scheme, A, B) for scheme in schemes},
-        partial(core.sobolev_weights, block),
-        lambda reg, n, seed: [x.coeffs for x in core.rough_samples(block, reg, n, seed)])
+        partial(core.sobolev_weights, block), partial(core.rough_samples, block))
 
 
 @dataclass(eq=False)
@@ -225,7 +225,6 @@ def error_table(system: SplitSystem, tau_list, cases) -> dict:
 class LossReport:
     sigma_hat: float
     certified: bool
-    sigma_grid: tuple
     levels: tuple
     stability: dict             # sigma -> list of per-level sup ratios
     rows: list = field(default_factory=list)  # dicts: scheme, level, s, sigma, norm_ratio
@@ -294,8 +293,8 @@ def loss_scan(systems, s: float, sigma_grid=None, seed: int = 0,
         rows = [{"scheme": name, "level": label, "s": s, "sigma": sigma,
                  "norm_ratio": v}
                 for sigma, vals in stability.items() for label, v in zip(labels, vals)]
-        reports[name] = LossReport(sigma_hat, certified, sigma_grid, tuple(labels),
-                                   stability, rows)
+        reports[name] = LossReport(sigma_hat, certified, tuple(labels), stability,
+                                   rows)
     return reports
 
 

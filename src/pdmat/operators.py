@@ -27,7 +27,6 @@ class SymbolSpec:
 
     evaluator: object          # callable on d floats -> complex
     declared_order: float
-    name: str = ""
 
     def __call__(self, *x) -> complex:
         return self.evaluator(*x)
@@ -37,12 +36,11 @@ def symbol_table(power: float = 1.0) -> dict:
     """Built-in symbols by name, for code and tests (no config key selects
     one); ``pdmat list-probes`` prints the names."""
     return {
-        "one": SymbolSpec(lambda *x: 1.0, 0.0, "one"),
-        "laplacian": SymbolSpec(lambda *x: sum(c * c for c in x), 2.0, "laplacian"),
-        "first_derivative": SymbolSpec(lambda *x: 1j * x[0], 1.0, "first_derivative"),
+        "one": SymbolSpec(lambda *x: 1.0, 0.0),
+        "laplacian": SymbolSpec(lambda *x: sum(c * c for c in x), 2.0),
+        "first_derivative": SymbolSpec(lambda *x: 1j * x[0], 1.0),
         "bracket_power": SymbolSpec(
-            lambda *x: (1.0 + sum(c * c for c in x)) ** (power / 2.0),
-            power, f"bracket^{power}"),
+            lambda *x: (1.0 + sum(c * c for c in x)) ** (power / 2.0), power),
     }
 
 

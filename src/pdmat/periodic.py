@@ -150,8 +150,7 @@ def approx_error(A_limit: OpMatrix, family, s: float, s_prime: float,
         raise ValueError("master block must cover every embedded period")
     if data_s is None:
         data_s = s
-    xs = [x.coeffs for x in core.rough_samples(A_limit.block, data_s,
-                                                flows.N_SAMPLES, seed)]
+    xs = core.rough_samples(A_limit.block, data_s, flows.N_SAMPLES, seed)
     w_out = core.sobolev_weights(A_limit.block, s_prime)
     w_data = core.sobolev_weights(A_limit.block, data_s)
     rows = []

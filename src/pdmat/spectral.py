@@ -2,7 +2,9 @@
 
 Everything is stored in centered order: position p along an axis holds index
 a = p - K/2 with a in {-K/2..K/2-1}, matching the periodic matrix blocks.
-The transform pair is
+Grid values and their transforms are flat complex arrays in that order, and
+every function takes the period K and the dimension d beside them.  The
+transform pair is
 
     (F u)_a = K^{-d} sum_b exp(-2 pi i a.b / K) u_b,
     (F^{-1} v)_a =      sum_b exp(+2 pi i a.b / K) v_b,
@@ -15,12 +17,11 @@ multiplier phi(a) on a periodic block is ``operators.fourier_multiplier``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import core
-from .core import IndexBlock, OpMatrix, PERIODIC, periodic_block, representative
+from .core import IndexBlock, OpMatrix, periodic_block, representative
 
 # alias sums of mult_matrix_from_coeffs stop after the first shell whose
 # largest term is below ALIAS_TAIL_TOL, and after ALIAS_MAX_SHELLS at most
@@ -28,51 +29,17 @@ ALIAS_TAIL_TOL = 1e-18
 ALIAS_MAX_SHELLS = 64
 
 
-@dataclass(frozen=True, eq=False)
-class GridFunction:
-    """Complex values over Z_K^d, flat in canonical centered order."""
-
-    block: IndexBlock
-    values: np.ndarray
-    space: str = "grid"      # 'grid' (samples u_a) or 'freq' (coefficients)
-
-    def __post_init__(self):
-        if self.block.mode != PERIODIC:
-            raise ValueError("grid functions live on periodic blocks")
-        v = np.ascontiguousarray(self.values, dtype=complex).reshape(self.block.n)
-        if not np.all(np.isfinite(v)):
-            raise ValueError("values must be finite")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def period(self) -> int:
-        return self.block.size
-
-    def cube(self) -> np.ndarray:
-        k, d = self.block.size, self.block.d
-        return self.values.reshape((k,) * d)
-
-    def to_residues(self) -> np.ndarray:
-        return np.fft.ifftshift(self.cube())
-
-    def norm(self, s: float = 0.0) -> float:
-        return core.SobolevVec(self.block, self.values).norm(s)
+def sample(period: int, fn, d: int = 1) -> np.ndarray:
+    """Values of a 2pi-periodic function at the grid points x_a = 2 pi a / K,
+    flat in centered order."""
+    xs = periodic_block(d, period).indices() * (2 * np.pi / period)
+    return np.array([fn(*x) for x in xs], dtype=complex)
 
 
-def sample(period: int, fn, d: int = 1) -> GridFunction:
-    """Sample a 2pi-periodic function at the grid points x_a = 2 pi a / K."""
-    block = periodic_block(d, period)
-    h = 2 * np.pi / period
-    xs = block.indices() * h
-    vals = np.array([fn(*x) for x in xs], dtype=complex)
-    return GridFunction(block, vals, "grid")
-
-
-def dft(u: GridFunction) -> GridFunction:
-    k = u.period
-    cube = np.fft.fftshift(np.fft.fftn(u.to_residues())) / k ** u.block.d
-    return GridFunction(u.block, cube.reshape(-1), "freq")
+def dft(u: np.ndarray, period: int, d: int = 1) -> np.ndarray:
+    """F u for grid values u, flat in centered order."""
+    residues = np.fft.ifftshift(np.reshape(u, (period,) * d))
+    return (np.fft.fftshift(np.fft.fftn(residues)) / period ** d).reshape(-1)
 
 
 def dft_matrix(block: IndexBlock) -> np.ndarray:
@@ -134,16 +101,17 @@ def fd_symbol(j: int, sign: int, period: int, d: int = 1) -> OpMatrix:
 # multiplication operators
 
 
-def mult_matrix_from_samples(v_samples: GridFunction) -> OpMatrix:
-    """Fourier-side matrix of pointwise multiplication: entries are the
-    discrete Fourier coefficients of the samples at the wrapped difference."""
-    block = v_samples.block
-    vhat = dft(v_samples).values
+def mult_matrix_from_samples(v: np.ndarray, period: int, d: int = 1) -> OpMatrix:
+    """Fourier-side matrix of pointwise multiplication by the grid values v:
+    entries are the discrete Fourier coefficients of v at the wrapped
+    difference.  Non-finite values leave non-finite entries, which OpMatrix
+    rejects."""
+    block = periodic_block(d, period)
+    vhat = dft(v, period, d)
     idx = block.indices()
-    diff = representative(block.size, idx[:, None, :] - idx[None, :, :])
-    pos, _ = core._positions(block, diff.reshape(-1, block.d))
-    ent = vhat[pos].reshape(block.n, block.n)
-    return OpMatrix(block, ent)
+    diff = representative(period, idx[:, None, :] - idx[None, :, :])
+    pos, _ = core._positions(block, diff.reshape(-1, d))
+    return OpMatrix(block, vhat[pos].reshape(block.n, block.n))
 
 
 def mult_matrix_from_coeffs(coeff_fn, period: int, d: int = 1) -> OpMatrix:

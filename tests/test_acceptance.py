@@ -55,7 +55,7 @@ def test_criterion_02_periodic_commutator_gain():
     # [D+, M_cos], one commutator per period
     comm = [core.commutator(
         spectral.fd_symbol(1, 1, k),
-        spectral.mult_matrix_from_samples(spectral.sample(k, np.cos)))
+        spectral.mult_matrix_from_samples(spectral.sample(k, np.cos), k))
         for k in (16, 32, 64, 128)]
     r_hat = core.estimate_order(comm, theta=2.0).r_hat
     elapsed = time.monotonic() - t0
@@ -95,7 +95,7 @@ def test_criterion_05_alias_identity():
     for K in (16, 32, 64):
         sampled = spectral.mult_matrix_from_samples(spectral.sample(
             K, lambda x: sum(math.exp(-abs(j)) * np.exp(1j * j * x)
-                             for j in range(-50, 51))))
+                             for j in range(-50, 51))), K)
         alias = spectral.mult_matrix_from_coeffs(operators.exp_decay_coeff, K)
         worst = max(worst, float(np.max(np.abs(sampled.entries - alias.entries))))
     announce(5, "aliasing identity", worst <= 1e-10, f"entrywise={worst:.2e}")
@@ -131,7 +131,7 @@ def test_criterion_07_splitting_local_orders():
     for s in (0.0, 1.0, 2.0):
         samples = core.rough_samples(block, s + 3.0, 6, SEED)
         tables = flows.error_table(system, tau_list, [
-            (s, core.sobolev_weights(block, s), [x.coeffs for x in samples])])
+            (s, core.sobolev_weights(block, s), samples)])
         lie, strang = tables["lie", s], tables["strang", s]
         ok &= abs(lie.fit.slope - 2.0) <= 0.25
         ok &= abs(strang.fit.slope - 3.0) <= 0.25
@@ -248,15 +248,14 @@ def test_criterion_12_young_inequality():
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 # (criterion, config, gate name pattern, gates it matches, bound): the bounds
-# written in the criteria above.  Criterion 2 has no CLI gate.  Criterion 4's
-# conjugation bound is 1e-12 here and 1e-12 K at the invariants_suite
-# fd_conjugation gates, so only its unitarity gates are listed.
+# written in the criteria above.  Criterion 2 has no CLI gate.
 ACCEPTANCE_GATES = [
     (1, "order_gain", r"product_order_is_2", 1, 2.0),
     (1, "order_gain", r"commutator_order_le_1", 1, 1.0),
     (1, "order_gain", r"runtime_lt_10s", 1, 10.0),
     (3, "invariants_suite", r"bracket_inequalities_d[12]_K(4|8|16|32)", 8, 1),
     (4, "invariants_suite", r"dft_unitarity_d\d_K\d+", 5, 1e-12),
+    (4, "invariants_suite", r"fd_conjugation_d\d_K\d+", 5, 1e-12),
     (5, "invariants_suite", r"alias_identity_K(16|32|64)", 3, 1e-10),
     (6, "approx_rates", r"fd_rate_near_1|mult_rate_near_2", 2, 0.25),
     (7, "splitting_orders", r"(lie|strang)_s[012]_slope", 6, 0.25),

@@ -168,6 +168,15 @@ def test_waterwave_study_builds_each_exact_propagator_once(monkeypatch):
         ("b0", 32): 1}
 
 
+def test_waterwave_sampler_rows_concatenate_xi_and_v_draws(ww_ops):
+    out = ww_ops.sampler(2.0, 3, SEED)
+    xi = core.rough_samples(ww_ops.block, 2.0, 3, SEED, zero_mean=True)
+    v = core.rough_samples(ww_ops.block, 2.0, 3, SEED + 1, zero_mean=True)
+    assert out.shape == (3, 2 * ww_ops.n)
+    for row, a, b in zip(out, xi, v):
+        np.testing.assert_array_equal(row, np.concatenate([a, b]))
+
+
 def test_waterwave_energy_measured(ww_ops):
     x = ww_ops.sampler(2.0, 1, SEED)[0]
     e0 = ww_ops.energy(x)
@@ -427,7 +436,7 @@ def _dense_growth(model, period, horizon, s_list, delta, x0):
 @pytest.mark.parametrize("period", [16, 32, 64])
 def test_parity_step_matches_dense_eigh(probe, period):
     model = experiments.growth_model(probe)
-    x0 = core.rough_samples(core.periodic_block(1, period), 2.0, 1, SEED)[0].coeffs
+    x0 = core.rough_samples(core.periodic_block(1, period), 2.0, 1, SEED)[0]
     s_list = (0.0, 1.0, 2.0)
     tr = experiments.growth_trajectory(model, period, 2.0, s_list, 0.01, SEED,
                                        x0=x0)
@@ -470,7 +479,7 @@ def _eigh_tridiagonal_growth(model, period, horizon, s_list, delta, x0):
 @pytest.mark.parametrize("delta", [0.01, 0.005])
 def test_growth_step_bit_identical_to_eigh_tridiagonal(probe, period, delta):
     model = experiments.growth_model(probe)
-    x0 = core.rough_samples(core.periodic_block(1, period), 2.0, 1, SEED)[0].coeffs
+    x0 = core.rough_samples(core.periodic_block(1, period), 2.0, 1, SEED)[0]
     s_list = (0.0, 1.0, 2.0)
     tr = experiments.growth_trajectory(model, period, 0.5, s_list, delta, SEED,
                                        x0=x0)

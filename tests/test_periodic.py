@@ -22,7 +22,7 @@ def d_minus_family(periods):
 
 
 def mult_cos(period):
-    return spectral.mult_matrix_from_samples(spectral.sample(period, np.cos))
+    return spectral.mult_matrix_from_samples(spectral.sample(period, np.cos), period)
 
 
 def mult_cos_family(periods):
@@ -275,7 +275,10 @@ def measured_action_constants(fam, order, s=2.0):
     dn = periodic.dnorm(fam, SeminormSpec((0,), decay, order))
     consts = []
     for A in fam:
-        worst = max(core.apply(A, x).norm(s - order) / (dn * x.norm(s))
+        w_out = core.sobolev_weights(A.block, s - order)
+        w_in = core.sobolev_weights(A.block, s)
+        worst = max(np.linalg.norm(w_out * (A.entries @ x)) /
+                    (dn * np.linalg.norm(w_in * x))
                     for x in core.rough_samples(A.block, s, 20, 99))
         consts.append(worst)
     return consts
@@ -301,7 +304,9 @@ def test_action_bound_equilibrates_for_difference_family():
 def test_rough_data_is_marginal():
     # the generator produces data in h^s whose h^{s+1/4} norm grows with K
     s = 1.0
-    n16 = core.rough_samples(periodic_block(1, 16), s, 1, 5)[0]
-    n256 = core.rough_samples(periodic_block(1, 256), s, 1, 5)[0]
-    assert n256.norm(s) < 1.6 * n16.norm(s)
-    assert n256.norm(s + 0.25) > 1.8 * n16.norm(s + 0.25)
+    def norm(period, s_norm):
+        block = periodic_block(1, period)
+        x = core.rough_samples(block, s, 1, 5)[0]
+        return np.linalg.norm(core.sobolev_weights(block, s_norm) * x)
+    assert norm(256, s) < 1.6 * norm(16, s)
+    assert norm(256, s + 0.25) > 1.8 * norm(16, s + 0.25)

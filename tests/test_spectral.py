@@ -14,40 +14,36 @@ SEED = 424242
 
 
 def random_grid(period, d, seed):
-    block = periodic_block(d, period)
+    n = periodic_block(d, period).n
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(block.n) + 1j * rng.standard_normal(block.n)
-    return spectral.GridFunction(block, v)
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
 # oracles: the inverse transform by FFT and both transforms by direct
 # O(K^{2d}) summation, residue-order input, and grid-side multiplication
 
 
-def idft(v):
-    cube = np.fft.fftshift(np.fft.ifftn(v.to_residues())) * v.period ** v.block.d
-    return spectral.GridFunction(v.block, cube.reshape(-1), "grid")
+def idft(v, period, d=1):
+    residues = np.fft.ifftshift(v.reshape((period,) * d))
+    return (np.fft.fftshift(np.fft.ifftn(residues)) * period ** d).reshape(-1)
 
 
-def dft_direct(u):
-    return spectral.GridFunction(u.block, spectral.dft_matrix(u.block) @ u.values,
-                                 "freq")
+def dft_direct(u, period, d=1):
+    return spectral.dft_matrix(periodic_block(d, period)) @ u
 
 
-def idft_direct(v):
-    return spectral.GridFunction(v.block, spectral.idft_matrix(v.block) @ v.values,
-                                 "grid")
+def idft_direct(v, period, d=1):
+    return spectral.idft_matrix(periodic_block(d, period)) @ v
 
 
-def from_residues(period, values):
-    """1d grid function from values listed in residue order a = 0..K-1."""
-    return spectral.GridFunction(periodic_block(1, period),
-                                 np.fft.fftshift(np.asarray(values, dtype=complex)))
+def from_residues(values):
+    """1d grid values from values listed in residue order a = 0..K-1."""
+    return np.fft.fftshift(np.asarray(values, dtype=complex))
 
 
 def mult_grid(v_samples, u):
     """Pointwise product (V u)_a = V(a h) u_a on the grid side."""
-    return spectral.GridFunction(u.block, v_samples.values * u.values, "grid")
+    return v_samples * u
 
 
 # ---------------------------------------------------------------------------
@@ -56,41 +52,41 @@ def mult_grid(v_samples, u):
 
 def test_dft_of_constant_is_delta_at_zero():
     u = spectral.sample(16, lambda x: 1.0)
-    v = spectral.dft(u)
-    p0 = u.block.origin()
-    assert v.values[p0] == pytest.approx(1.0, abs=1e-14)
-    rest = np.delete(v.values, p0)
+    v = spectral.dft(u, 16)
+    p0 = periodic_block(1, 16).origin()
+    assert v[p0] == pytest.approx(1.0, abs=1e-14)
+    rest = np.delete(v, p0)
     assert np.max(np.abs(rest)) < 1e-14
 
 
 def test_dft_of_first_mode_is_delta_at_one():
     u = spectral.sample(16, lambda x: np.exp(1j * x))
-    v = spectral.dft(u)
-    p1, _ = core._positions(u.block, [[1]])
-    assert v.values[p1[0]] == pytest.approx(1.0, abs=1e-13)
-    rest = np.delete(v.values, p1[0])
+    v = spectral.dft(u, 16)
+    p1, _ = core._positions(periodic_block(1, 16), [[1]])
+    assert v[p1[0]] == pytest.approx(1.0, abs=1e-13)
+    rest = np.delete(v, p1[0])
     assert np.max(np.abs(rest)) < 1e-13
 
 
 @pytest.mark.parametrize("period", [8, 32, 128, 256])
 def test_round_trip_and_unitarity(period):
     u = random_grid(period, 1, SEED + period)
-    w = idft(spectral.dft(u))
-    assert np.max(np.abs(w.values - u.values)) < 1e-12
-    w2 = spectral.dft(idft(u))
-    assert np.max(np.abs(w2.values - u.values)) < 1e-12
-    scaled = period ** 0.5 * np.linalg.norm(spectral.dft(u).values)
-    assert scaled == pytest.approx(np.linalg.norm(u.values), rel=1e-12)
+    w = idft(spectral.dft(u, period), period)
+    assert np.max(np.abs(w - u)) < 1e-12
+    w2 = spectral.dft(idft(u, period), period)
+    assert np.max(np.abs(w2 - u)) < 1e-12
+    scaled = period ** 0.5 * np.linalg.norm(spectral.dft(u, period))
+    assert scaled == pytest.approx(np.linalg.norm(u), rel=1e-12)
 
 
 @pytest.mark.parametrize("period,d", [(8, 1), (16, 1), (4, 2), (8, 2)])
 def test_fft_matches_direct_oracle(period, d):
     u = random_grid(period, d, SEED + 10 * period + d)
-    fast = spectral.dft(u).values
-    slow = dft_direct(u).values
+    fast = spectral.dft(u, period, d)
+    slow = dft_direct(u, period, d)
     assert np.max(np.abs(fast - slow)) < 1e-12
-    fast_i = idft(u).values
-    slow_i = idft_direct(u).values
+    fast_i = idft(u, period, d)
+    slow_i = idft_direct(u, period, d)
     assert np.max(np.abs(fast_i - slow_i)) < 1e-10
 
 
@@ -109,18 +105,18 @@ def test_unitarity_of_scaled_transform_matrix():
 def test_fd_matrix_kills_constants():
     u = spectral.sample(8, lambda x: 1.0)
     D = spectral.fd_matrix(1, 1, 8)
-    out = D.entries @ u.values
+    out = D.entries @ u
     assert np.max(np.abs(out)) < 1e-14
 
 
 def test_fd_matrix_stencil_with_wrap():
     K = 4
-    u = from_residues(K, [0.0, 1.0, 2.0, 3.0])
+    u = from_residues([0.0, 1.0, 2.0, 3.0])
     h = 2 * np.pi / K
     for sign, expected in ((1, [1.0, 1.0, 1.0, -3.0]),):
         D = spectral.fd_matrix(1, sign, K)
-        out = spectral.GridFunction(u.block, D.entries @ u.values)
-        np.testing.assert_allclose(out.to_residues().real, np.array(expected) / h,
+        out = D.entries @ u
+        np.testing.assert_allclose(np.fft.ifftshift(out).real, np.array(expected) / h,
                                    atol=1e-14)
 
 
@@ -168,13 +164,13 @@ def test_grid_side_difference_family_not_certifiable():
 
 
 def test_mult_matrix_of_one_is_identity():
-    M = spectral.mult_matrix_from_samples(spectral.sample(8, lambda x: 1.0))
+    M = spectral.mult_matrix_from_samples(spectral.sample(8, lambda x: 1.0), 8)
     assert np.max(np.abs(M.entries - np.eye(8))) < 1e-14
 
 
 def test_mult_matrix_cos_band():
     K = 8
-    M = spectral.mult_matrix_from_samples(spectral.sample(K, np.cos))
+    M = spectral.mult_matrix_from_samples(spectral.sample(K, np.cos), K)
     idx = M.block.indices()[:, 0]
     for i, a in enumerate(idx):
         for j, b in enumerate(idx):
@@ -188,7 +184,7 @@ def test_mult_matrix_two_paths_agree():
     def v_fn(x):
         ks = np.arange(-60, 61)
         return np.sum(np.exp(-np.abs(ks)) * np.exp(1j * ks * x))
-    M_samples = spectral.mult_matrix_from_samples(spectral.sample(K, v_fn))
+    M_samples = spectral.mult_matrix_from_samples(spectral.sample(K, v_fn), K)
     M_coeffs = spectral.mult_matrix_from_coeffs(operators.exp_decay_coeff, K)
     assert np.max(np.abs(M_samples.entries - M_coeffs.entries)) < 1e-12
     p1, _ = core._positions(M_samples.block, [[1]])
@@ -202,9 +198,16 @@ def test_alias_sum_identity(period):
     # entrywise identity between the sampled-DFT matrix and the alias sum
     M_samples = spectral.mult_matrix_from_samples(spectral.sample(
         period, lambda x: sum(math.exp(-abs(k)) * np.exp(1j * k * x)
-                              for k in range(-50, 51))))
+                              for k in range(-50, 51))), period)
     M_alias = spectral.mult_matrix_from_coeffs(operators.exp_decay_coeff, period)
     assert np.max(np.abs(M_samples.entries - M_alias.entries)) < 1e-10
+
+
+def test_mult_matrix_nonfinite_samples_rejected():
+    samples = spectral.sample(8, lambda x: 1.0)
+    samples[3] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        spectral.mult_matrix_from_samples(samples, 8)
 
 
 def test_mult_matrix_decay_constants_stable():
@@ -223,14 +226,13 @@ def test_mult_grid_and_conjugation():
     K = 32
     u = random_grid(K, 1, SEED)
     v1 = spectral.sample(K, lambda x: 1.0)
-    np.testing.assert_array_equal(mult_grid(v1, u).values, u.values)
+    np.testing.assert_array_equal(mult_grid(v1, u), u)
     v2 = spectral.sample(K, lambda x: 2.0)
-    np.testing.assert_allclose(mult_grid(v2, u).values, 2 * u.values)
+    np.testing.assert_allclose(mult_grid(v2, u), 2 * u)
     vc = spectral.sample(K, np.cos)
-    direct = mult_grid(vc, u).values
-    M = spectral.mult_matrix_from_samples(vc)
-    conj = idft(spectral.GridFunction(
-        u.block, M.entries @ spectral.dft(u).values, "freq")).values
+    direct = mult_grid(vc, u)
+    M = spectral.mult_matrix_from_samples(vc, K)
+    conj = idft(M.entries @ spectral.dft(u, K), K)
     assert np.max(np.abs(direct - conj)) < 1e-12 * np.max(np.abs(direct))
 
 
@@ -264,7 +266,7 @@ def divergence_form(period):
     """D+ M_{2 + cos} D-, the Fourier-side product of a forward difference,
     a potential and a backward difference."""
     potential = spectral.mult_matrix_from_samples(
-        spectral.sample(period, lambda x: 2.0 + np.cos(x)))
+        spectral.sample(period, lambda x: 2.0 + np.cos(x)), period)
     return core.matmul(core.matmul(spectral.fd_symbol(1, 1, period), potential),
                        spectral.fd_symbol(1, -1, period))
 
@@ -282,10 +284,9 @@ def test_mult_matrix_2d_conjugation():
     K, d = 8, 2
     v = spectral.sample(K, lambda x, y: np.cos(x) * np.cos(y) + 2.0, d=d)
     u = random_grid(K, d, SEED + 3)
-    direct = mult_grid(v, u).values
-    M = spectral.mult_matrix_from_samples(v)
-    conj = idft(spectral.GridFunction(
-        u.block, M.entries @ spectral.dft(u).values, "freq")).values
+    direct = mult_grid(v, u)
+    M = spectral.mult_matrix_from_samples(v, K, d)
+    conj = idft(M.entries @ spectral.dft(u, K, d), K, d)
     assert np.max(np.abs(direct - conj)) < 1e-12 * np.max(np.abs(direct))
 
 
