@@ -97,20 +97,18 @@ class WaterWaveOperators:
     def n(self) -> int:
         return self.block.n
 
-    def rotation_prop(self, t: float) -> np.ndarray:
-        c, s = np.cos(self.omega * t), np.sin(self.omega * t)
-        out = np.zeros((2 * self.n, 2 * self.n), dtype=complex)
-        rng = np.arange(self.n)
-        out[rng, rng] = c
-        out[rng, rng + self.n] = s
-        out[rng + self.n, rng] = -s
-        out[rng + self.n, rng + self.n] = c
-        return out
+    def rotation_prop(self, t: float, X: np.ndarray | None = None) -> np.ndarray:
+        # per frequency, the 2x2 rotation of (xi_k, v_k) by omega_k t
+        c, s = np.cos(self.omega * t)[:, None], np.sin(self.omega * t)[:, None]
+        X = np.eye(2 * self.n, dtype=complex) if X is None else X
+        xi, v = X[:self.n], X[self.n:]
+        return np.concatenate([c * xi + s * v, c * v - s * xi])
 
-    def coupling_prop(self, t: float) -> np.ndarray:
+    def coupling_prop(self, t: float, X: np.ndarray | None = None) -> np.ndarray:
         # the coupling generator is nilpotent of degree 2: e^{tS} = I + tS
-        out = np.eye(2 * self.n, dtype=complex)
-        out[:self.n, self.n:] += t * self.coupling
+        X = np.eye(2 * self.n, dtype=complex) if X is None else X
+        out = X.astype(complex)
+        out[:self.n] += t * (self.coupling @ X[self.n:])
         return out
 
     def generator(self) -> np.ndarray:
@@ -153,20 +151,21 @@ class WaterWaveOperators:
         return (p, np.sqrt(lam.astype(complex)), V / S[:, None], Vh * S[None, :],
                 V * S[:, None], Vh / S[None, :])
 
-    def exact_prop(self, t: float) -> np.ndarray:
-        """e^{t G} of generator(): the blocks in (xi, v) order are
-        S^-1 V c V^* S, S^-1 V (mu s) V^* S^-1, -S V (s/mu) V^* S and
-        S V c V^* S^-1, with c = cos(mu t), s = sin(mu t) and s/mu = t at
-        mu = 0 (see normal_modes); the identity on the modes with omega = 0."""
+    def exact_prop(self, t: float, X: np.ndarray | None = None) -> np.ndarray:
+        """e^{t G} X of generator() for a (2n, m) block X, or e^{t G} when X
+        is None: with u = V^* S X_xi and v = V^* S^-1 X_v on the modes p,
+        xi_p becomes S^-1 V (c u + mu s v) and v_p becomes
+        S V (c v - (s/mu) u), with c = cos(mu t), s = sin(mu t) and s/mu = t
+        at mu = 0 (see normal_modes); the modes with omega = 0 stay."""
         p, mu, xl, xr, yl, yr = self.normal_modes
         c, s = np.cos(mu * t), np.sin(mu * t)
         s_mu = np.divide(s, mu, out=np.full_like(s, t), where=mu != 0)
         q = p + self.n
-        out = np.eye(2 * self.n, dtype=complex)
-        out[np.ix_(p, p)] = (xl * c) @ xr
-        out[np.ix_(p, q)] = (xl * (mu * s)) @ yr
-        out[np.ix_(q, p)] = -(yl * s_mu) @ xr
-        out[np.ix_(q, q)] = (yl * c) @ yr
+        X = np.eye(2 * self.n, dtype=complex) if X is None else X
+        u, v = xr @ X[p], yr @ X[q]
+        out = X.astype(complex)
+        out[p] = xl @ (c[:, None] * u + (mu * s)[:, None] * v)
+        out[q] = yl @ (c[:, None] * v - s_mu[:, None] * u)
         return out
 
     def system(self, schemes) -> flows.SplitSystem:
@@ -245,10 +244,10 @@ def waterwave_noloss_study(model: WaterWaveModel, schemes, periods, tau_list,
     # uniformly in K on the probed time window
     out["stability_bounds"] = {s: [] for s in s_list}
     for ops_k in level_ops.values():
-        props = [ops_k.exact_prop(t) for t in (0.25, 0.5, 1.0)]
         for s, bounds in out["stability_bounds"].items():
             bounds.append(flows.propagator_norm_bound(
-                props, ops_k.sampler(s, flows.N_SAMPLES // 2, seed), ops_k.weights(s)))
+                ops_k.exact_prop, (0.25, 0.5, 1.0),
+                ops_k.sampler(s, flows.N_SAMPLES // 2, seed), ops_k.weights(s)))
     for s, bounds in out["stability_bounds"].items():
         if max(bounds) > 1.1 * bounds[0]:
             warnings.warn(f"propagator norm bound at s={s} not stable across "
@@ -313,19 +312,22 @@ class PreconditionedSchroedinger:
         """The resonant generator A + Z."""
         return self.A + self.Z
 
-    def exact_prop(self, tau: float) -> np.ndarray:
-        return flows.exact_flow(self.H, tau)
+    def exact_prop(self, tau: float, X: np.ndarray | None = None) -> np.ndarray:
+        return flows.exact_flow(self.H, tau, X)
 
-    def block_diag_prop(self, tau: float) -> np.ndarray:
-        return flows.exact_flow(self.resonant, tau)
+    def block_diag_prop(self, tau: float, X: np.ndarray | None = None) -> np.ndarray:
+        return flows.exact_flow(self.resonant, tau, X)
 
-    def smoothing_prop(self, tau: float) -> np.ndarray:
-        return flows.exact_flow(self.R, tau)
+    def smoothing_prop(self, tau: float, X: np.ndarray | None = None) -> np.ndarray:
+        return flows.exact_flow(self.R, tau, X)
 
-    def preconditioned_prop(self, tau: float) -> np.ndarray:
+    def preconditioned_prop(self, tau: float,
+                            X: np.ndarray | None = None) -> np.ndarray:
+        """e^{-i self.X} (Lie step of the resonant and smoothing flows)
+        e^{i self.X} applied to the block X, or its matrix when X is None."""
+        Y = self.exp_x_plus if X is None else self.exp_x_plus @ X
         return self.exp_x_minus @ flows.compose(
-            flows.LIE, self.block_diag_prop, self.smoothing_prop, tau) @ \
-            self.exp_x_plus
+            flows.LIE, self.block_diag_prop, self.smoothing_prop, tau, Y)
 
 
 def resonant_mask(block) -> np.ndarray:

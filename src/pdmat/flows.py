@@ -5,12 +5,16 @@ fits see only the splitting error: ``exact_flow`` reads the generator's
 structure, exponentiating an exactly diagonal generator entrywise and any
 other through its Hermitian eigendecomposition (a generator that is neither
 raises), and the water-wave study brings its own Hermitian normal-mode flow
-(``experiments.WaterWaveOperators.exact_prop``).  Local-error tables fit
-the step-size order; the loss scan takes the error-to-data ratio over a
-grid of extra-regularity exponents and certifies the smallest one for which
-it is multiplicatively stable as the block refines.  Both measure one-step
-errors of a ``SplitSystem``: the exact flow of one refinement level, the
-split steps approximating it by name, and its h^s weights and rough data.
+(``experiments.WaterWaveOperators.exact_prop``).  Every flow is a callable
+``f(t, X=None)``: it applies e^{tG} to an (n, m) block X of column vectors,
+or returns the matrix when X is None, so measurements on data never build
+an n x n matrix.  Local-error tables apply each step to the stacked data
+and fit the step-size order; the loss scan takes the error-to-data ratio
+over a grid of extra-regularity exponents and certifies the smallest one
+for which it is multiplicatively stable as the block refines, which needs
+the error matrix itself.  Both measure one-step errors of a
+``SplitSystem``: the exact flow of one refinement level, the split steps
+approximating it by name, and its h^s weights and rough data.
 """
 
 from __future__ import annotations
@@ -41,16 +45,19 @@ def _eigh_cached(A: OpMatrix):
     return np.linalg.eigh(A.entries)
 
 
-def exact_flow(G: OpMatrix, t: float) -> np.ndarray:
-    """Propagator e^{i t G}: entrywise when G is exactly diagonal (a
-    tolerance would drop off-diagonal entries), else from its Hermitian
-    eigendecomposition, which raises ValueError for a non-Hermitian G."""
+def exact_flow(G: OpMatrix, t: float, X: np.ndarray | None = None) -> np.ndarray:
+    """e^{i t G} X for an (n, m) block X, or the propagator when X is None:
+    entrywise when G is exactly diagonal (a tolerance would drop off-diagonal
+    entries), else from its Hermitian eigendecomposition, which raises
+    ValueError for a non-Hermitian G."""
     if not np.isfinite(t):
         raise ValueError("t must be finite")
     if G.exactly_diagonal:
-        return np.diag(np.exp(1j * t * np.diag(G.entries)))
+        phase = np.exp(1j * t * np.diag(G.entries))
+        return np.diag(phase) if X is None else phase[:, None] * X
     w, V = _eigh_cached(G)
-    return (V * np.exp(1j * t * w)) @ V.conj().T
+    Vh = V.conj().T
+    return (V * np.exp(1j * t * w)) @ (Vh if X is None else Vh @ X)
 
 
 # ---------------------------------------------------------------------------
@@ -93,37 +100,35 @@ def composition_scheme(k: int) -> SplitScheme:
     raise ValueError(f"unsupported composition order {k}")
 
 
-def compose(scheme: SplitScheme, a, b, tau: float) -> np.ndarray:
-    """Matrix of one splitting step of size tau built from the sub-flows
-    ``a`` and ``b``, callables t -> propagator matrix.
+def compose(scheme: SplitScheme, a, b, tau: float,
+            X: np.ndarray | None = None) -> np.ndarray:
+    """One splitting step of size tau of the sub-flows ``a`` and ``b``
+    (callables f(t, X=None)) applied to the block X, or its matrix when X is
+    None: the sub-flows act right to left, and X goes to the first one.
 
     Ordering convention (matrices act on column vectors, so the right-most
-    factor acts first): Lie is a(tau) @ b(tau), so b acts first; Strang is
-    b(tau/2) @ a(tau) @ b(tau/2), with b's half steps outside; composition
+    factor acts first): Lie is a(tau) b(tau), so b acts first; Strang is
+    b(tau/2) a(tau) b(tau/2), with b's half steps outside; composition
     chains Strang steps of size g*tau, the first coefficient acting first.
     """
-    def strang(dt):
-        half = b(dt / 2)
-        return half @ a(dt) @ half
-
     if scheme.kind == "lie":
-        return a(tau) @ b(tau)
-    if scheme.kind == "strang":
-        return strang(tau)
-    out = strang(scheme.coefficients[0] * tau)
-    for g in scheme.coefficients[1:]:
-        out = strang(g * tau) @ out
-    return out
+        subflows = [(b, tau), (a, tau)]
+    else:
+        subflows = [(f, t) for g in scheme.coefficients
+                    for f, t in ((b, g * tau / 2), (a, g * tau), (b, g * tau / 2))]
+    for f, t in subflows:
+        X = f(t, X)
+    return X
 
 
-def split_step(scheme: SplitScheme, A: OpMatrix, B: OpMatrix,
-               tau: float) -> np.ndarray:
-    """Matrix of one splitting step of size tau of the exact flows of the
-    generators A and B."""
+def split_step(scheme: SplitScheme, A: OpMatrix, B: OpMatrix, tau: float,
+               X: np.ndarray | None = None) -> np.ndarray:
+    """One splitting step of size tau of the exact flows of the generators A
+    and B, applied to the block X, or its matrix when X is None."""
     if abs(tau) > TAU_MAX:
         raise ValueError(f"|tau| must be at most {TAU_MAX}")
     core._check_same_block(A, B)
-    return compose(scheme, partial(exact_flow, A), partial(exact_flow, B), tau)
+    return compose(scheme, partial(exact_flow, A), partial(exact_flow, B), tau, X)
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +165,9 @@ def fit_loglog(xs, ys, drop=None) -> FitResult | None:
 class SplitSystem:
     """One refinement level of a split evolution: ``exact`` is its exact flow
     and ``steps`` maps each split step's name to the step approximating it,
-    all callables tau -> matrix; ``weights(s)`` gives the h^s weights and
-    ``sampler(regularity, n, seed)`` n rough data vectors of its state space,
-    one per row."""
+    all flows f(tau, X=None) as ``compose`` takes them; ``weights(s)`` gives
+    the h^s weights and ``sampler(regularity, n, seed)`` n rough data vectors
+    of its state space, one per row."""
 
     label: object
     exact: object
@@ -195,23 +200,32 @@ def error_table(system: SplitSystem, tau_list, cases) -> dict:
     """One table per (step name, s) for the (s, weights, xs) cases: the sup
     over the data vectors xs of ||weights * (step(tau) - exact(tau)) x|| per
     step size, with a log-log slope over the points above the roundoff floor,
-    FLOOR_FACTOR * eps times the largest weighted datum.  exact(tau) is built
-    once for every step and each error matrix once for every case; both are
-    dropped before the next step size."""
+    FLOOR_FACTOR * eps times the largest weighted datum.  Every case's data
+    are stacked as the columns of one block X, and exact(tau, X) is applied
+    once for every step and step(tau, X) once for every case; no matrix is
+    built."""
     if len({s for s, _, _ in cases}) < len(cases):
         raise ValueError("error table cases must have distinct s")
-    floors = [FLOOR_FACTOR * np.finfo(float).eps * max(
-        float(np.linalg.norm(weights * x)) for x in xs) for _, weights, xs in cases]
+    data = [np.asarray(xs) for _, _, xs in cases]
+    X = np.concatenate(data).T
+    W = np.concatenate([np.repeat(weights[:, None], len(xs), axis=1)
+                        for (_, weights, _), xs in zip(cases, data)], axis=1)
+    starts = np.cumsum([0] + [len(xs) for xs in data[:-1]])
+
+    def case_sups(Y):
+        """Per case, the largest weighted norm of its columns of Y."""
+        return np.maximum.reduceat(np.linalg.norm(W * Y, axis=0), starts)
+
+    floors = FLOOR_FACTOR * np.finfo(float).eps * case_sups(X)
     rows = {(name, s): [] for name in system.steps for s, _, _ in cases}
     for tau in tau_list:
-        exact = system.exact(tau)
+        exact = system.exact(tau, X)
         for name, step in system.steps.items():
-            E = step(tau) - exact
-            for (s, weights, xs), floor in zip(cases, floors):
-                err = max(float(np.linalg.norm(weights * (E @ x))) for x in xs)
+            errs = case_sups(step(tau, X) - exact)
+            for (s, _, _), err, floor in zip(cases, errs, floors):
                 rows[name, s].append({"scheme": name, "level": system.label,
-                                      "tau": tau, "s": s, "error": err,
-                                      "floored": err <= floor})
+                                      "tau": tau, "s": s, "error": float(err),
+                                      "floored": bool(err <= floor)})
     return {key: LocalErrorTable(out, fit_loglog(
         [r["tau"] for r in out], [max(r["error"], 1e-300) for r in out],
         drop=[r["floored"] for r in out])) for key, out in rows.items()}
@@ -302,12 +316,10 @@ def loss_scan(systems, s: float, sigma_grid=None, seed: int = 0,
 # propagator norm stability
 
 
-def propagator_norm_bound(props, samples, weights) -> float:
-    """Measured sup over the propagators P and the data of
-    ||weights * P x|| / ||weights * x||."""
-    worst = 0.0
-    for P in props:
-        for x in samples:
-            worst = max(worst, float(np.linalg.norm(weights * (P @ x))) /
-                        float(np.linalg.norm(weights * x)))
-    return worst
+def propagator_norm_bound(flow, times, samples, weights) -> float:
+    """Measured sup over the times t and the data x (one per row of samples)
+    of ||weights * flow(t, x)|| / ||weights * x||."""
+    X = np.asarray(samples).T
+    den = np.linalg.norm(weights[:, None] * X, axis=0)
+    return max(float(np.max(np.linalg.norm(weights[:, None] * flow(t, X), axis=0)
+                            / den)) for t in times)

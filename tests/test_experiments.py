@@ -129,43 +129,66 @@ def test_waterwave_stvenant_warns():
 
 
 def test_waterwave_study_builds_each_step_once_per_scheme(monkeypatch):
-    builds, n_tables = [], []
-    table = flows.error_table
+    # the table applies each step once per tau to the data; a step's matrix
+    # is built once per level for the loss scan and once per scheme at
+    # K_ref for the symplectic and energy checks, and never twice
+    applied, built = [], []
+    system = experiments.WaterWaveOperators.system
 
-    def counted(system, tau_list, cases):
-        steps = {name: lambda tau, name=name, step=step:
-                 builds.append((name, tau)) or step(tau)
-                 for name, step in system.steps.items()}
-        tables = table(dataclasses.replace(system, steps=steps), tau_list, cases)
-        n_tables.append(len(tables))
-        return tables
-    monkeypatch.setattr(flows, "error_table", counted)
+    def counted(ops, schemes):
+        split = system(ops, schemes)
+
+        def step(name, fn):
+            return lambda tau, X=None: (built if X is None else applied).append(
+                (ops.model.label, ops.block.size, name, tau)) or fn(tau, X)
+        return dataclasses.replace(split, steps={
+            name: step(name, fn) for name, fn in split.steps.items()})
+    monkeypatch.setattr(experiments.WaterWaveOperators, "system", counted)
     tau_list = flows.default_tau_list()
     res = experiments.waterwave_noloss_study(
         experiments.waterwave_model("waterwave"), ["lie", "strang"], (16, 32),
         tau_list, (1.0, 2.0, 3.0), seed=SEED)
-    assert builds == [(name, tau) for tau in tau_list for name in ("lie", "strang")]
-    assert n_tables == [2 * 3]
+    assert applied == [("waterwave", 32, name, tau) for tau in tau_list
+                       for name in ("lie", "strang")]
+    assert len(built) == len(set(built))
+    assert Counter(built) == Counter(
+        [("waterwave", K, name, flows.TAU_STAR) for K in (16, 32)
+         for name in ("lie", "strang")] +
+        [("waterwave", 32, name, tau_list[0]) for name in ("lie", "strang")] +
+        [("b0", 16, "strang", tau_list[0])])
     assert len(res["error_rows"]) == 2 * 3 * len(tau_list)
 
 
 def test_waterwave_study_builds_each_exact_propagator_once(monkeypatch):
-    # K_ref: 3 norm-check times, 7 table steps and the loss step; every other
-    # K: the 3 norm-check times and the loss step; the flat bottom: 1
-    calls = []
+    # matrices: the loss step at every K, and the flat bottom's one step;
+    # applications to data: the 3 norm-check times for each of the 3 s at
+    # every K, and the 7 table steps at K_ref
+    applied, built = [], []
     exact_prop = experiments.WaterWaveOperators.exact_prop
 
-    def counted(ops, t):
-        calls.append((ops.model.label, ops.block.size, t))
-        return exact_prop(ops, t)
+    def counted(ops, t, X=None):
+        (built if X is None else applied).append((ops.model.label, ops.block.size, t))
+        return exact_prop(ops, t, X)
     monkeypatch.setattr(experiments.WaterWaveOperators, "exact_prop", counted)
+    tau_list = flows.default_tau_list()
     experiments.waterwave_noloss_study(
         experiments.waterwave_model("waterwave"), ["lie", "strang"], (32, 64, 128),
-        flows.default_tau_list(), (1.0, 2.0, 3.0), seed=SEED)
-    assert len(calls) == len(set(calls))
-    assert Counter((label, K) for label, K, _ in calls) == {
-        ("waterwave", 128): 11, ("waterwave", 64): 4, ("waterwave", 32): 4,
-        ("b0", 32): 1}
+        tau_list, (1.0, 2.0, 3.0), seed=SEED)
+    assert built == [("waterwave", K, flows.TAU_STAR) for K in (32, 64, 128)] + \
+        [("b0", 32, tau_list[0])]
+    norm_checks = [("waterwave", K, t) for K in (32, 64, 128) for _ in range(3)
+                   for t in (0.25, 0.5, 1.0)]
+    assert applied == norm_checks + [("waterwave", 128, tau) for tau in tau_list]
+
+
+@pytest.mark.parametrize("flow", ["rotation_prop", "coupling_prop", "exact_prop"])
+def test_waterwave_flow_applied_to_a_block_matches_its_matrix(ww_ops, flow):
+    f = getattr(ww_ops, flow)
+    X = ww_ops.sampler(1.0, 4, SEED).T
+    for t in (0.0, flows.TAU_STAR, 0.5):
+        Y = f(t, X)
+        assert Y.shape == X.shape
+        assert np.max(np.abs(Y - f(t) @ X)) <= 1e-13 * np.max(np.abs(X))
 
 
 def test_waterwave_sampler_rows_concatenate_xi_and_v_draws(ww_ops):
@@ -391,6 +414,17 @@ def test_complex_potential_rejected():
     bad = lambda *k: 1j * operators.cos_coeff(*k)
     with pytest.raises(ValueError):
         experiments.schroedinger_assemble(bad, 8)
+
+
+@pytest.mark.parametrize("flow", ["exact_prop", "block_diag_prop",
+                                  "smoothing_prop", "preconditioned_prop"])
+def test_schroedinger_flow_applied_to_a_block_matches_its_matrix(schro_model, flow):
+    f = getattr(schro_model, flow)
+    X = core.rough_samples(schro_model.block, 1.0, 4, SEED).T
+    for tau in (0.0, flows.TAU_STAR, 0.5):
+        Y = f(tau, X)
+        assert Y.shape == X.shape
+        assert np.max(np.abs(Y - f(tau) @ X)) <= 1e-13 * np.max(np.abs(X))
 
 
 def test_exact_prop_reuses_one_eigendecomposition():

@@ -107,26 +107,66 @@ def test_exact_flow_rejects_non_hermitian_generator():
         flows.exact_flow(OpMatrix(block, shear), 0.1)
 
 
+@pytest.mark.parametrize("generator", ["diagonal", "hermitian"])
+def test_exact_flow_applied_to_a_block_matches_its_matrix(generator):
+    A, B = schrodinger_pair(16)
+    G = A if generator == "diagonal" else A + B
+    assert G.exactly_diagonal == (generator == "diagonal")
+    X = core.rough_samples(A.block, 1.0, 5, SEED).T
+    for t in (0.0, 0.05, 1.0):
+        Y = flows.exact_flow(G, t, X)
+        assert Y.shape == X.shape
+        assert np.max(np.abs(Y - flows.exact_flow(G, t) @ X)) <= \
+            1e-13 * np.max(np.abs(X))
+
+
 # ---------------------------------------------------------------------------
 # split steps
 
 
-def test_compose_ordering_convention():
-    def a(t):   # shear: does not commute with b
-        return np.array([[1.0, t], [0.0, 1.0]], dtype=complex)
+def matrix_flow(matrix):
+    """The flow f(t, X=None) of the matrix-valued t -> matrix(t)."""
+    return lambda t, X=None: matrix(t) if X is None else matrix(t) @ X
 
-    def b(t):
-        return np.array([[math.cos(t), math.sin(t)],
-                         [-math.sin(t), math.cos(t)]], dtype=complex)
-    tau = 0.3
+
+# shear: does not commute with the rotation
+shear_flow = matrix_flow(lambda t: np.array([[1.0, t], [0.0, 1.0]], dtype=complex))
+rotation_flow = matrix_flow(lambda t: np.array([[math.cos(t), math.sin(t)],
+                                                [-math.sin(t), math.cos(t)]],
+                                               dtype=complex))
+
+
+def test_compose_ordering_convention():
+    a, b, tau = shear_flow, rotation_flow, 0.3
     assert np.array_equal(flows.compose(flows.LIE, a, b, tau), a(tau) @ b(tau))
     assert np.array_equal(flows.compose(flows.STRANG, a, b, tau),
-                          b(tau / 2) @ a(tau) @ b(tau / 2))
+                          b(tau / 2) @ (a(tau) @ b(tau / 2)))
     scheme = flows.composition_scheme(4)
-    expected = np.eye(2, dtype=complex)
+    expected = None
     for g in scheme.coefficients:
-        expected = flows.compose(flows.STRANG, a, b, g * tau) @ expected
+        expected = flows.compose(flows.STRANG, a, b, g * tau, expected)
     assert np.array_equal(flows.compose(scheme, a, b, tau), expected)
+
+
+@pytest.mark.parametrize("scheme", [flows.LIE, flows.STRANG,
+                                    flows.composition_scheme(4)],
+                         ids=["lie", "strang", "triple_jump"])
+def test_compose_applied_to_a_block_matches_its_matrix(scheme):
+    X = np.random.default_rng(SEED).standard_normal((2, 3)) + 0j
+    P = flows.compose(scheme, shear_flow, rotation_flow, 0.3)
+    Y = flows.compose(scheme, shear_flow, rotation_flow, 0.3, X)
+    assert np.max(np.abs(Y - P @ X)) <= 1e-14 * np.max(np.abs(X))
+
+
+@pytest.mark.parametrize("scheme", [flows.LIE, flows.STRANG,
+                                    flows.composition_scheme(4)],
+                         ids=["lie", "strang", "triple_jump"])
+def test_split_step_applied_to_a_block_matches_its_matrix(scheme):
+    A, B = schrodinger_pair(12)
+    X = core.rough_samples(A.block, 1.0, 4, SEED).T
+    Y = flows.split_step(scheme, A, B, 0.05, X)
+    assert np.max(np.abs(Y - flows.split_step(scheme, A, B, 0.05) @ X)) <= \
+        1e-13 * np.max(np.abs(X))
 
 
 def test_split_step_identity_at_zero():
@@ -239,8 +279,8 @@ def test_periodic_and_truncated_measurements_agree():
 
 
 def per_s_error_table(step, exact, tau_list, s, weights, xs):
-    """The one-s error table, which builds every E again for each s, as the
-    oracle of the shared-E table."""
+    """The one-s error table, which builds every step(tau) - exact(tau) as a
+    matrix for each s, as the oracle of the applied, shared-data table."""
     ref = max(float(np.linalg.norm(weights * x)) for x in xs)
     floor = flows.FLOOR_FACTOR * np.finfo(float).eps * ref
     rows = []
@@ -251,23 +291,30 @@ def per_s_error_table(step, exact, tau_list, s, weights, xs):
     fit = flows.fit_loglog([r["tau"] for r in rows],
                            [max(r["error"], 1e-300) for r in rows],
                            drop=[r["floored"] for r in rows])
-    return flows.LocalErrorTable(rows, fit)
+    return flows.LocalErrorTable(rows, fit), floor
 
 
 def assert_matches_per_s_oracle(tables, label, steps, exact, tau_list, cases):
-    """One table per (step, s) in that order, each equal row for row and fit
-    for fit to the oracle of the reference step steps[name] and flow exact,
-    which the caller builds apart from the system under test, its rows
+    """One table per (step, s) in that order, each matching the oracle of the
+    reference step steps[name] and flow exact, which the caller builds apart
+    from the system under test: every error within a tenth of the case's
+    roundoff floor, the same floored flags, and slopes within 1e-6; its rows
     labelled with the step and the level."""
     assert list(tables) == [(name, case[0]) for name in steps for case in cases]
     for name, step in steps.items():
         for case in cases:
             tab = tables[name, case[0]]
-            want = per_s_error_table(step, exact, tau_list, *case)
-            assert [{k: r[k] for k in ("tau", "s", "error", "floored")}
-                    for r in tab.rows] == want.rows
+            want, floor = per_s_error_table(step, exact, tau_list, *case)
+            assert [{k: r[k] for k in ("tau", "s", "floored")} for r in tab.rows] == \
+                [{k: r[k] for k in ("tau", "s", "floored")} for r in want.rows]
+            assert max(abs(r["error"] - w["error"])
+                       for r, w in zip(tab.rows, want.rows)) <= 0.1 * floor
             assert {(r["scheme"], r["level"]) for r in tab.rows} == {(name, label)}
-            assert tab.fit == want.fit
+            assert (tab.fit is None) == (want.fit is None)
+            if want.fit is not None:
+                assert (tab.fit.n_points, tab.fit.n_dropped) == \
+                    (want.fit.n_points, want.fit.n_dropped)
+                assert tab.fit.slope == pytest.approx(want.fit.slope, abs=1e-6)
 
 
 def waterwave_cases(K, s_list):
@@ -328,11 +375,8 @@ def test_single_s_error_table_matches_per_s_oracle():
 def test_error_table_floors_each_case_by_its_own_data():
     # the error tau^4 sits on the lowest mode only, while the roundoff floor
     # grows with the weight 10^(4s) of the highest mode
-    def step(tau):
-        return np.diag([tau ** 4, 0.0, 0.0, 0.0])
-
-    def exact(tau):
-        return np.zeros((4, 4))
+    step = matrix_flow(lambda tau: np.diag([tau ** 4, 0.0, 0.0, 0.0]))
+    exact = matrix_flow(lambda tau: np.zeros((4, 4)))
     system = flows.SplitSystem("toy", exact, {"toy": step}, None, None)
     tau_list = flows.default_tau_list()
     cases = [(s, np.array([1.0, 1.0, 1.0, 10.0 ** (4 * s)]), [np.ones(4)])
@@ -353,26 +397,44 @@ def test_error_table_rejects_a_repeated_s():
         flows.error_table(system, (0.1,), cases)
 
 
+def counted_system(system, calls):
+    """The system with its exact flow and steps recording (name, tau, X)."""
+    def counted(name, fn):
+        return lambda tau, X=None: calls.append((name, tau, X)) or fn(tau, X)
+    return replace(system, exact=counted("exact", system.exact),
+                   steps={name: counted(name, step)
+                          for name, step in system.steps.items()})
+
+
 def test_error_table_builds_each_step_once_for_every_s():
     # every step and the exact flow once per tau, for every s and every step
     A, B = schrodinger_pair(8)
-    built = []
-    scalar = flows.scalar_system(8, A, B, (flows.LIE, flows.STRANG))
-
-    def counted(name, fn):
-        return lambda tau: built.append((name, tau)) or fn(tau)
-    system = flows.SplitSystem(
-        8, counted("exact", scalar.exact),
-        {name: counted(name, step) for name, step in scalar.steps.items()},
-        scalar.weights, scalar.sampler)
+    calls = []
+    system = counted_system(flows.scalar_system(8, A, B, (flows.LIE, flows.STRANG)),
+                            calls)
     tau_list = flows.default_tau_list()
     cases = [(s, core.sobolev_weights(A.block, s),
               core.rough_samples(A.block, s + 3.0, 4, SEED))
              for s in (0.0, 1.0, 2.0)]
     tables = flows.error_table(system, tau_list, cases)
-    assert built == [(name, tau) for tau in tau_list
-                     for name in ("exact", "lie", "strang")]
+    assert [(name, tau) for name, tau, _ in calls] == \
+        [(name, tau) for tau in tau_list for name in ("exact", "lie", "strang")]
     assert [tab.rows[0]["s"] for tab in tables.values()] == [0.0, 1.0, 2.0] * 2
+
+
+@pytest.mark.parametrize("schemes", [(flows.LIE,), (flows.LIE, flows.STRANG)],
+                         ids=["lie", "lie_strang"])
+def test_error_table_applies_every_flow_to_the_stacked_data(schemes):
+    # no step or exact flow is ever asked for its matrix: each one acts on
+    # the block of every case's samples, stacked case by case as columns
+    ops, cases = waterwave_cases(16, (1.0, 2.0, 3.0))
+    calls = []
+    flows.error_table(counted_system(ops.system(schemes), calls), (0.1, 0.05), cases)
+    X = np.concatenate([xs for _, _, xs in cases]).T
+    assert len(calls) == 2 * (1 + len(schemes))
+    for _, _, data in calls:
+        assert data is not None
+        assert np.array_equal(data, X)
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +451,20 @@ def test_propagator_norms_stable_across_refinement():
         samples = core.rough_samples(A.block, s, 5, SEED)
         w = core.sobolev_weights(A.block, s)
         bounds.append(flows.propagator_norm_bound(
-            [flows.exact_flow(A + B, t) for t in (0.25, 0.5, 1.0)], samples, w))
+            partial(flows.exact_flow, A + B), (0.25, 0.5, 1.0), samples, w))
     assert all(b <= 1.1 * bounds[0] for b in bounds)
+
+
+def test_propagator_norm_bound_matches_the_matrix_per_sample():
+    A, B = schrodinger_pair(16)
+    samples = core.rough_samples(A.block, 2.0, 5, SEED)
+    w = core.sobolev_weights(A.block, 2.0)
+    times = (0.25, 0.5, 1.0)
+    want = max(np.linalg.norm(w * (flows.exact_flow(A + B, t) @ x)) /
+               np.linalg.norm(w * x) for t in times for x in samples)
+    got = flows.propagator_norm_bound(partial(flows.exact_flow, A + B), times,
+                                      samples, w)
+    assert got == pytest.approx(want, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
