@@ -1,8 +1,7 @@
 """Apply each listed mutant to a temporary copy of the project and run only
 the test that must kill it.
 
-    python scripts/mutants.py                      # every mutant in mutants.json
-    python scripts/mutants.py --list FILE NAME ... # only the named mutants
+    python scripts/mutants.py    # every mutant in scripts/mutants.json
 
 A mutant is a JSON object with a ``name``, a ``file`` relative to the
 project root, the ``old`` text it replaces (which must occur exactly once in
@@ -18,7 +17,6 @@ named test fails unmutated, else 0.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import shutil
@@ -65,19 +63,9 @@ def check(copy: Path, mutant: dict) -> str:
         path.write_text(text)
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    ap.add_argument("--list", default=str(ROOT / "scripts" / "mutants.json"),
-                    help="JSON list of mutants")
-    args = ap.parse_args(argv)
-    with open(args.list) as fh:
+def main() -> int:
+    with open(ROOT / "scripts" / "mutants.json") as fh:
         mutants = json.load(fh)
-    unknown = set(args.names) - {m["name"] for m in mutants}
-    if unknown:
-        ap.error(f"unknown mutants {sorted(unknown)}")
-    if args.names:
-        mutants = [m for m in mutants if m["name"] in args.names]
     with tempfile.TemporaryDirectory(prefix="pdmat-mutants-") as tmp:
         copy = Path(tmp)
         copy_project(copy)
