@@ -97,16 +97,16 @@ class WaterWaveOperators:
     def n(self) -> int:
         return self.block.n
 
-    def rotation_prop(self, t: float, X: np.ndarray | None = None) -> np.ndarray:
-        # per frequency, the 2x2 rotation of (xi_k, v_k) by omega_k t
+    def rotation_prop(self, t: float, X: np.ndarray) -> np.ndarray:
+        """The rotation flow applied to a (2n, m) block X: per frequency, the
+        2x2 rotation of (xi_k, v_k) by omega_k t."""
         c, s = np.cos(self.omega * t)[:, None], np.sin(self.omega * t)[:, None]
-        X = np.eye(2 * self.n, dtype=complex) if X is None else X
         xi, v = X[:self.n], X[self.n:]
         return np.concatenate([c * xi + s * v, c * v - s * xi])
 
-    def coupling_prop(self, t: float, X: np.ndarray | None = None) -> np.ndarray:
-        # the coupling generator is nilpotent of degree 2: e^{tS} = I + tS
-        X = np.eye(2 * self.n, dtype=complex) if X is None else X
+    def coupling_prop(self, t: float, X: np.ndarray) -> np.ndarray:
+        """The coupling flow applied to a (2n, m) block X: the coupling
+        generator S is nilpotent of degree 2, so e^{tS} = I + tS."""
         out = X.astype(complex)
         out[:self.n] += t * (self.coupling @ X[self.n:])
         return out
@@ -151,17 +151,16 @@ class WaterWaveOperators:
         return (p, np.sqrt(lam.astype(complex)), V / S[:, None], Vh * S[None, :],
                 V * S[:, None], Vh / S[None, :])
 
-    def exact_prop(self, t: float, X: np.ndarray | None = None) -> np.ndarray:
-        """e^{t G} X of generator() for a (2n, m) block X, or e^{t G} when X
-        is None: with u = V^* S X_xi and v = V^* S^-1 X_v on the modes p,
-        xi_p becomes S^-1 V (c u + mu s v) and v_p becomes
-        S V (c v - (s/mu) u), with c = cos(mu t), s = sin(mu t) and s/mu = t
-        at mu = 0 (see normal_modes); the modes with omega = 0 stay."""
+    def exact_prop(self, t: float, X: np.ndarray) -> np.ndarray:
+        """e^{t G} X of generator() for a (2n, m) block X: with
+        u = V^* S X_xi and v = V^* S^-1 X_v on the modes p, xi_p becomes
+        S^-1 V (c u + mu s v) and v_p becomes S V (c v - (s/mu) u), with
+        c = cos(mu t), s = sin(mu t) and s/mu = t at mu = 0 (see
+        normal_modes); the modes with omega = 0 stay."""
         p, mu, xl, xr, yl, yr = self.normal_modes
         c, s = np.cos(mu * t), np.sin(mu * t)
         s_mu = np.divide(s, mu, out=np.full_like(s, t), where=mu != 0)
         q = p + self.n
-        X = np.eye(2 * self.n, dtype=complex) if X is None else X
         u, v = xr @ X[p], yr @ X[q]
         out = X.astype(complex)
         out[p] = xl @ (c[:, None] * u + (mu * s)[:, None] * v)
@@ -264,14 +263,17 @@ def waterwave_noloss_study(model: WaterWaveModel, schemes, periods, tau_list,
     out["symplectic_defect"], out["energy_drift"] = {}, {}
     x0 = ops.sampler(max(s_list), 1, seed)[0]
     e0 = ops.energy(x0)
+    eye = np.eye(2 * ops.n, dtype=complex)
     for name, step in system.steps.items():
-        P = step(tau_list[0])
+        P = step(tau_list[0], eye)
         out["symplectic_defect"][name] = operators.symplectic_defect(P)
         out["energy_drift"][name] = abs(ops.energy(P @ x0) - e0) / max(abs(e0), 1e-300)
     flat = WaterWaveModel(mu=model.mu, b_coeffs=lambda *k: 0.0, label="b0",
                           stvenant=model.stvenant)
-    flat_sys = waterwave_assemble(flat, min(periods)).system((flows.STRANG,))
-    E0 = flat_sys.steps["strang"](tau_list[0]) - flat_sys.exact(tau_list[0])
+    flat_ops = waterwave_assemble(flat, min(periods))
+    flat_sys = flat_ops.system((flows.STRANG,))
+    eye = np.eye(2 * flat_ops.n, dtype=complex)
+    E0 = flat_sys.steps["strang"](tau_list[0], eye) - flat_sys.exact(tau_list[0], eye)
     out["b0_control"] = float(np.max(np.abs(E0)))
     return out
 
@@ -312,22 +314,21 @@ class PreconditionedSchroedinger:
         """The resonant generator A + Z."""
         return self.A + self.Z
 
-    def exact_prop(self, tau: float, X: np.ndarray | None = None) -> np.ndarray:
+    def exact_prop(self, tau: float, X: np.ndarray) -> np.ndarray:
         return flows.exact_flow(self.H, tau, X)
 
-    def block_diag_prop(self, tau: float, X: np.ndarray | None = None) -> np.ndarray:
+    def block_diag_prop(self, tau: float, X: np.ndarray) -> np.ndarray:
         return flows.exact_flow(self.resonant, tau, X)
 
-    def smoothing_prop(self, tau: float, X: np.ndarray | None = None) -> np.ndarray:
+    def smoothing_prop(self, tau: float, X: np.ndarray) -> np.ndarray:
         return flows.exact_flow(self.R, tau, X)
 
-    def preconditioned_prop(self, tau: float,
-                            X: np.ndarray | None = None) -> np.ndarray:
+    def preconditioned_prop(self, tau: float, X: np.ndarray) -> np.ndarray:
         """e^{-i self.X} (Lie step of the resonant and smoothing flows)
-        e^{i self.X} applied to the block X, or its matrix when X is None."""
-        Y = self.exp_x_plus if X is None else self.exp_x_plus @ X
+        e^{i self.X} applied to the block X."""
         return self.exp_x_minus @ flows.compose(
-            flows.LIE, self.block_diag_prop, self.smoothing_prop, tau, Y)
+            flows.LIE, self.block_diag_prop, self.smoothing_prop, tau,
+            self.exp_x_plus @ X)
 
 
 def resonant_mask(block) -> np.ndarray:
@@ -390,8 +391,8 @@ def off_resonant_identity_defect(model: PreconditionedSchroedinger) -> float:
 def telescoping_defect(model: PreconditionedSchroedinger, tau: float,
                        n_steps: int) -> float:
     """The conjugation commutes with iterating the inner step exactly."""
-    inner = flows.compose(flows.LIE, model.block_diag_prop,
-                          model.smoothing_prop, tau)
+    inner = flows.compose(flows.LIE, model.block_diag_prop, model.smoothing_prop,
+                          tau, np.eye(model.block.n, dtype=complex))
     lhs = np.linalg.matrix_power(model.exp_x_minus @ inner @ model.exp_x_plus,
                                  n_steps)
     rhs = model.exp_x_minus @ np.linalg.matrix_power(inner, n_steps) @ \

@@ -6,9 +6,9 @@ structure, exponentiating an exactly diagonal generator entrywise and any
 other through its Hermitian eigendecomposition (a generator that is neither
 raises), and the water-wave study brings its own Hermitian normal-mode flow
 (``experiments.WaterWaveOperators.exact_prop``).  Every flow is a callable
-``f(t, X=None)``: it applies e^{tG} to an (n, m) block X of column vectors,
-or returns the matrix when X is None, so measurements on data never build
-an n x n matrix.  Local-error tables apply each step to the stacked data
+``f(t, X)`` that applies e^{tG} to an (n, m) block X of column vectors; its
+matrix is the flow applied to the identity, which only the operator
+measurements build.  Local-error tables apply each step to the stacked data
 and fit the step-size order; the loss scan takes the error-to-data ratio
 over a grid of extra-regularity exponents and certifies the smallest one
 for which it is multiplicatively stable as the block refines, which needs
@@ -19,7 +19,7 @@ approximating it by name, and its h^s weights and rough data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
@@ -45,19 +45,17 @@ def _eigh_cached(A: OpMatrix):
     return np.linalg.eigh(A.entries)
 
 
-def exact_flow(G: OpMatrix, t: float, X: np.ndarray | None = None) -> np.ndarray:
-    """e^{i t G} X for an (n, m) block X, or the propagator when X is None:
-    entrywise when G is exactly diagonal (a tolerance would drop off-diagonal
-    entries), else from its Hermitian eigendecomposition, which raises
-    ValueError for a non-Hermitian G."""
+def exact_flow(G: OpMatrix, t: float, X: np.ndarray) -> np.ndarray:
+    """e^{i t G} X for an (n, m) block X: entrywise when G is exactly
+    diagonal (a tolerance would drop off-diagonal entries), else from its
+    Hermitian eigendecomposition, which raises ValueError for a
+    non-Hermitian G."""
     if not np.isfinite(t):
         raise ValueError("t must be finite")
     if G.exactly_diagonal:
-        phase = np.exp(1j * t * np.diag(G.entries))
-        return np.diag(phase) if X is None else phase[:, None] * X
+        return np.exp(1j * t * np.diag(G.entries))[:, None] * X
     w, V = _eigh_cached(G)
-    Vh = V.conj().T
-    return (V * np.exp(1j * t * w)) @ (Vh if X is None else Vh @ X)
+    return (V * np.exp(1j * t * w)) @ (V.conj().T @ X)
 
 
 # ---------------------------------------------------------------------------
@@ -100,11 +98,10 @@ def composition_scheme(k: int) -> SplitScheme:
     raise ValueError(f"unsupported composition order {k}")
 
 
-def compose(scheme: SplitScheme, a, b, tau: float,
-            X: np.ndarray | None = None) -> np.ndarray:
+def compose(scheme: SplitScheme, a, b, tau: float, X: np.ndarray) -> np.ndarray:
     """One splitting step of size tau of the sub-flows ``a`` and ``b``
-    (callables f(t, X=None)) applied to the block X, or its matrix when X is
-    None: the sub-flows act right to left, and X goes to the first one.
+    (callables f(t, X)) applied to the block X: the sub-flows act right to
+    left, and X goes to the first one; X = I gives the step's matrix.
 
     Ordering convention (matrices act on column vectors, so the right-most
     factor acts first): Lie is a(tau) b(tau), so b acts first; Strang is
@@ -122,9 +119,9 @@ def compose(scheme: SplitScheme, a, b, tau: float,
 
 
 def split_step(scheme: SplitScheme, A: OpMatrix, B: OpMatrix, tau: float,
-               X: np.ndarray | None = None) -> np.ndarray:
+               X: np.ndarray) -> np.ndarray:
     """One splitting step of size tau of the exact flows of the generators A
-    and B, applied to the block X, or its matrix when X is None."""
+    and B, applied to the block X."""
     if abs(tau) > TAU_MAX:
         raise ValueError(f"|tau| must be at most {TAU_MAX}")
     core._check_same_block(A, B)
@@ -165,9 +162,9 @@ def fit_loglog(xs, ys, drop=None) -> FitResult | None:
 class SplitSystem:
     """One refinement level of a split evolution: ``exact`` is its exact flow
     and ``steps`` maps each split step's name to the step approximating it,
-    all flows f(tau, X=None) as ``compose`` takes them; ``weights(s)`` gives
-    the h^s weights and ``sampler(regularity, n, seed)`` n rough data vectors
-    of its state space, one per row."""
+    all flows f(tau, X) as ``compose`` takes them; ``weights(s)`` gives the
+    h^s weights and ``sampler(regularity, n, seed)`` n rough data vectors of
+    its state space, one per row."""
 
     label: object
     exact: object
@@ -239,9 +236,7 @@ def error_table(system: SplitSystem, tau_list, cases) -> dict:
 class LossReport:
     sigma_hat: float
     certified: bool
-    levels: tuple
-    stability: dict             # sigma -> list of per-level sup ratios
-    rows: list = field(default_factory=list)  # dicts: scheme, level, s, sigma, norm_ratio
+    rows: list                  # dicts: scheme, level, s, sigma, norm_ratio
 
 
 def default_sigma_grid(hi: float = 2.0):
@@ -266,9 +261,10 @@ def loss_scan(systems, s: float, sigma_grid=None, seed: int = 0,
     """One LossReport per step name of the systems, one system per refinement
     level: the smallest extra regularity sigma on the grid for which the ratio
     sup_x ||E x||_s / ||x||_{s+sigma} is stable across the levels, with E the
-    step's one-step error at TAU_STAR (exact(TAU_STAR) is built once per level
-    for every step, and each level's weights and data once per sigma for
-    every step that reaches it).
+    step's one-step error at TAU_STAR as a matrix, the flows applied to the
+    identity of the level's state space (exact(TAU_STAR, I) is built once per
+    level for every step, and each level's weights and data once per sigma
+    for every step that reaches it).
 
     The data family joins N_SAMPLES rough spread samples drawn at regularity
     s+sigma with every unit frequency vector (weighted column ratios): a
@@ -285,13 +281,14 @@ def loss_scan(systems, s: float, sigma_grid=None, seed: int = 0,
     labels = [system.label for system in systems]
     errors = []
     for system in systems:
-        exact = system.exact(TAU_STAR)
-        errors.append({name: step(TAU_STAR) - exact
+        eye = np.eye(system.weights(s).size, dtype=complex)
+        exact = system.exact(TAU_STAR, eye)
+        errors.append({name: step(TAU_STAR, eye) - exact
                        for name, step in system.steps.items()})
     data: dict = {}     # (level, sigma) -> weights and samples, drawn once
     reports = {}
     for name in systems[0].steps:
-        stability: dict = {}
+        rows = []
         sigma_hat, certified = sigma_grid[-1], False
         for sigma in sigma_grid:
             for i, system in enumerate(systems):
@@ -299,16 +296,13 @@ def loss_scan(systems, s: float, sigma_grid=None, seed: int = 0,
                     data[i, sigma] = (system.weights(s), system.weights(s + sigma),
                                       system.sampler(s + sigma, N_SAMPLES, seed))
             vals = [_ratio_sup(E[name], *data[i, sigma]) for i, E in enumerate(errors)]
-            stability[sigma] = vals
+            rows += [{"scheme": name, "level": label, "s": s, "sigma": sigma,
+                      "norm_ratio": v} for label, v in zip(labels, vals)]
             if max(vals) <= NOISE_FLOOR or \
                     core._stable_family(vals, labels, stability_factor):
                 sigma_hat, certified = sigma, True
                 break
-        rows = [{"scheme": name, "level": label, "s": s, "sigma": sigma,
-                 "norm_ratio": v}
-                for sigma, vals in stability.items() for label, v in zip(labels, vals)]
-        reports[name] = LossReport(sigma_hat, certified, tuple(labels), stability,
-                                   rows)
+        reports[name] = LossReport(sigma_hat, certified, rows)
     return reports
 
 

@@ -55,8 +55,6 @@ def _jsonable(obj):
             return "inf" if obj > 0 else "-inf"
         if math.isnan(obj):
             return "nan"
-    if hasattr(obj, "__dataclass_fields__"):
-        return {k: _jsonable(getattr(obj, k)) for k in obj.__dataclass_fields__}
     return obj
 
 

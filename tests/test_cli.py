@@ -157,7 +157,7 @@ def test_readme_key_table_lists_exactly_the_config_fields():
 
 def test_stability_warning_keeps_waterwave_gates(monkeypatch):
     fit = flows.FitResult(3.0, 0.0, 0.0, 7)
-    loss = flows.LossReport(0.0, True, (0.0,), (32, 64, 128), {0.0: [1.0]})
+    loss = flows.LossReport(0.0, True, [])
 
     def study(model, schemes, *args, **kwargs):
         warnings.warn("propagator norm bound at s=1 not stable across "
@@ -177,7 +177,7 @@ def test_uncertified_schroedinger_loss_fails_at_the_target_sigma(monkeypatch):
     # both scans stop at their target sigma but are not certified
     def study(*args, **kwargs):
         def loss(sigma):
-            return flows.LossReport(sigma, False, (0.0, 1.0), (16, 32), {})
+            return flows.LossReport(sigma, False, [])
         return {"homological_defect": 0.0, "off_resonant_defect": 0.0,
                 "telescoping_defect": 0.0, "remainder_order": -3.0,
                 "loss_preconditioned": loss(0.0), "loss_baseline": loss(1.0),

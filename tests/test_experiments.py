@@ -32,6 +32,16 @@ def schro_model():
     return experiments.schroedinger_assemble(operators.two_cos_coeff, 32)
 
 
+def ww_eye(ops):
+    """The identity of a water-wave state space (xi, v): a flow applied to it
+    is the flow's matrix."""
+    return np.eye(2 * ops.n, dtype=complex)
+
+
+def is_identity(X) -> bool:
+    return np.array_equal(X, np.eye(len(X)))
+
+
 def coupling_entry_formula(ops, n_idx: int, m_idx: int) -> complex:
     """Closed-form coupling entry: gain * omega^{-1/2} at both ends, the
     topography coefficient at the index difference, and i*k factors."""
@@ -53,9 +63,10 @@ def test_flat_bottom_splitting_is_exact():
     model = experiments.WaterWaveModel(1.0, lambda *k: 0.0, "b0")
     ops = experiments.waterwave_assemble(model, 32)
     assert np.max(np.abs(ops.coupling)) == 0.0
+    I = ww_eye(ops)
     for scheme in (flows.LIE, flows.STRANG):
-        E = flows.compose(scheme, ops.coupling_prop, ops.rotation_prop, 0.1) - \
-            ops.exact_prop(0.1)
+        E = flows.compose(scheme, ops.coupling_prop, ops.rotation_prop, 0.1, I) - \
+            ops.exact_prop(0.1, I)
         assert np.max(np.abs(E)) < 1e-12
 
 
@@ -86,7 +97,7 @@ def test_rotation_flow_is_isometry(ww_ops):
     for s in (0.5, 2.0):
         w = ww_ops.weights(s)
         for t in (0.3, 1.0):
-            P = ww_ops.rotation_prop(t)
+            P = ww_ops.rotation_prop(t, ww_eye(ww_ops))
             for x in ww_ops.sampler(s, 3, SEED):
                 assert np.linalg.norm(w * (P @ x)) == pytest.approx(
                     np.linalg.norm(w * x), rel=1e-12)
@@ -94,7 +105,8 @@ def test_rotation_flow_is_isometry(ww_ops):
 
 def test_split_steps_preserve_canonical_form(ww_ops):
     for scheme in (flows.LIE, flows.STRANG):
-        P = flows.compose(scheme, ww_ops.coupling_prop, ww_ops.rotation_prop, 0.05)
+        P = flows.compose(scheme, ww_ops.coupling_prop, ww_ops.rotation_prop, 0.05,
+                          ww_eye(ww_ops))
         assert operators.symplectic_defect(P) <= 1e-10
 
 
@@ -130,8 +142,9 @@ def test_waterwave_stvenant_warns():
 
 def test_waterwave_study_builds_each_step_once_per_scheme(monkeypatch):
     # the table applies each step once per tau to the data; a step's matrix
-    # is built once per level for the loss scan and once per scheme at
-    # K_ref for the symplectic and energy checks, and never twice
+    # (the step applied to the identity) is built once per level for the
+    # loss scan and once per scheme at K_ref for the symplectic and energy
+    # checks, and never twice
     applied, built = [], []
     system = experiments.WaterWaveOperators.system
 
@@ -139,7 +152,7 @@ def test_waterwave_study_builds_each_step_once_per_scheme(monkeypatch):
         split = system(ops, schemes)
 
         def step(name, fn):
-            return lambda tau, X=None: (built if X is None else applied).append(
+            return lambda tau, X: (built if is_identity(X) else applied).append(
                 (ops.model.label, ops.block.size, name, tau)) or fn(tau, X)
         return dataclasses.replace(split, steps={
             name: step(name, fn) for name, fn in split.steps.items()})
@@ -160,14 +173,14 @@ def test_waterwave_study_builds_each_step_once_per_scheme(monkeypatch):
 
 
 def test_waterwave_study_builds_each_exact_propagator_once(monkeypatch):
-    # matrices: the loss step at every K, and the flat bottom's one step;
-    # applications to data: the 3 norm-check times for each of the 3 s at
-    # every K, and the 7 table steps at K_ref
+    # matrices (applications to the identity): the loss step at every K, and
+    # the flat bottom's one step; applications to data: the 3 norm-check
+    # times for each of the 3 s at every K, and the 7 table steps at K_ref
     applied, built = [], []
     exact_prop = experiments.WaterWaveOperators.exact_prop
 
-    def counted(ops, t, X=None):
-        (built if X is None else applied).append((ops.model.label, ops.block.size, t))
+    def counted(ops, t, X):
+        (built if is_identity(X) else applied).append((ops.model.label, ops.block.size, t))
         return exact_prop(ops, t, X)
     monkeypatch.setattr(experiments.WaterWaveOperators, "exact_prop", counted)
     tau_list = flows.default_tau_list()
@@ -188,7 +201,7 @@ def test_waterwave_flow_applied_to_a_block_matches_its_matrix(ww_ops, flow):
     for t in (0.0, flows.TAU_STAR, 0.5):
         Y = f(t, X)
         assert Y.shape == X.shape
-        assert np.max(np.abs(Y - f(t) @ X)) <= 1e-13 * np.max(np.abs(X))
+        assert np.max(np.abs(Y - f(t, ww_eye(ww_ops)) @ X)) <= 1e-13 * np.max(np.abs(X))
 
 
 def test_waterwave_sampler_rows_concatenate_xi_and_v_draws(ww_ops):
@@ -204,7 +217,7 @@ def test_waterwave_energy_measured(ww_ops):
     x = ww_ops.sampler(2.0, 1, SEED)[0]
     e0 = ww_ops.energy(x)
     assert math.isfinite(e0) and e0 > 0
-    exact = ww_ops.exact_prop(0.5)
+    exact = ww_ops.exact_prop(0.5, ww_eye(ww_ops))
     assert ww_ops.energy(exact @ x) == pytest.approx(e0, rel=1e-8)
 
 
@@ -220,7 +233,7 @@ def _assert_exact_prop_matches_expm(ops):
     G = ops.generator()
     for t in (flows.TAU_STAR, 0.1, 0.5, 1.0):
         ref = scipy.linalg.expm(t * G)
-        err = np.max(np.abs(ops.exact_prop(t) - ref))
+        err = np.max(np.abs(ops.exact_prop(t, ww_eye(ops)) - ref))
         assert err <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -229,11 +242,12 @@ def test_waterwave_exact_prop_reuses_one_eigendecomposition(monkeypatch):
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
-    first = ops.exact_prop(0.01)
+    I = ww_eye(ops)
+    first = ops.exact_prop(0.01, I)
     for t in (0.01, 0.02, 0.04):
-        ops.exact_prop(t)
+        ops.exact_prop(t, I)
     assert len(calls) == 1
-    assert np.array_equal(ops.exact_prop(0.01), first)
+    assert np.array_equal(ops.exact_prop(0.01, I), first)
 
 
 def _with_coupling(ops, coupling):
@@ -245,7 +259,7 @@ def test_waterwave_exact_prop_rejects_non_hermitian_coupling(ww_ops):
     C = ww_ops.coupling.copy()
     C[1, 2] += 1e-6
     with pytest.raises(ValueError, match="waterwave: coupling is not Hermitian"):
-        _with_coupling(ww_ops, C).exact_prop(0.1)
+        _with_coupling(ww_ops, C).exact_prop(0.1, ww_eye(ww_ops))
 
 
 def test_waterwave_exact_prop_rejects_coupling_on_zero_mode(ww_ops):
@@ -254,7 +268,7 @@ def test_waterwave_exact_prop_rejects_coupling_on_zero_mode(ww_ops):
     C[p0, 1] = C[1, p0] = 0.5
     with pytest.raises(ValueError, match="waterwave: coupling reaches a mode "
                                          r"with omega = 0 \(max entry 0.5\)"):
-        _with_coupling(ww_ops, C).exact_prop(0.1)
+        _with_coupling(ww_ops, C).exact_prop(0.1, ww_eye(ww_ops))
 
 
 @pytest.mark.parametrize("model", [
@@ -357,7 +371,7 @@ def test_block_diag_prop_matches_per_pair_flow(potential, tol):
     model = experiments.schroedinger_assemble(
         getattr(operators, f"{potential}_coeff"), 8)
     for tau in (0.03, 0.5):
-        err = np.max(np.abs(model.block_diag_prop(tau) -
+        err = np.max(np.abs(model.block_diag_prop(tau, np.eye(model.block.n)) -
                             per_pair_resonant_flow(model, tau)))
         assert err <= tol
 
@@ -369,7 +383,7 @@ def test_remainder_flow_at_large_radius(potential, radius):
     model = experiments.schroedinger_assemble(
         getattr(operators, f"{potential}_coeff"), radius)
     assert core.is_hermitian(model.R)
-    model.smoothing_prop(0.01)
+    model.smoothing_prop(0.01, np.eye(model.block.n))
 
 
 def test_remainder_is_two_smoothing():
@@ -424,17 +438,19 @@ def test_schroedinger_flow_applied_to_a_block_matches_its_matrix(schro_model, fl
     for tau in (0.0, flows.TAU_STAR, 0.5):
         Y = f(tau, X)
         assert Y.shape == X.shape
-        assert np.max(np.abs(Y - f(tau) @ X)) <= 1e-13 * np.max(np.abs(X))
+        P = f(tau, np.eye(schro_model.block.n))
+        assert np.max(np.abs(Y - P @ X)) <= 1e-13 * np.max(np.abs(X))
 
 
 def test_exact_prop_reuses_one_eigendecomposition():
     model = experiments.schroedinger_assemble(operators.two_cos_coeff, 8)
     misses = flows._eigh_cached.cache_info().misses
-    first = model.exact_prop(0.01)
+    I = np.eye(model.block.n)
+    first = model.exact_prop(0.01, I)
     for tau in (0.01, 0.02, 0.04):
-        model.exact_prop(tau)
+        model.exact_prop(tau, I)
     assert flows._eigh_cached.cache_info().misses == misses + 1
-    assert np.array_equal(model.exact_prop(0.01), first)
+    assert np.array_equal(model.exact_prop(0.01, I), first)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,12 @@ def unitarity_defect(P):
     return float(np.max(np.abs(P @ P.conj().T - np.eye(P.shape[0]))))
 
 
+def eye(n):
+    """The identity of an n-dimensional state space: a flow applied to it is
+    the flow's matrix."""
+    return np.eye(n, dtype=complex)
+
+
 def random_hermitian(block, rng, scale):
     X = rng.standard_normal((block.n, block.n)) + \
         1j * rng.standard_normal((block.n, block.n))
@@ -40,13 +46,13 @@ def random_hermitian(block, rng, scale):
 
 def test_exact_flow_identity_at_zero():
     A, _ = schrodinger_pair(8)
-    P = flows.exact_flow(A, 0.0)
+    P = flows.exact_flow(A, 0.0, eye(A.block.n))
     assert np.max(np.abs(P - np.eye(A.block.n))) == 0.0
 
 
 def test_exact_flow_diagonal_signs_at_pi():
     A, _ = schrodinger_pair(8)
-    P = flows.exact_flow(A, math.pi)
+    P = flows.exact_flow(A, math.pi, eye(A.block.n))
     diag = np.diag(P)
     np.testing.assert_allclose(np.abs(diag), 1.0, atol=1e-14)
     idx = A.block.indices()[:, 0]
@@ -57,7 +63,7 @@ def test_exact_flow_diagonal_signs_at_pi():
 def test_exact_flow_unitary_for_hermitian_sum():
     A, B = schrodinger_pair(16)
     for t in (0.1, 0.5, 1.0):
-        P = flows.exact_flow(A + B, t)
+        P = flows.exact_flow(A + B, t, eye(A.block.n))
         assert unitarity_defect(P) <= 1e-10
         x = core.rough_samples(A.block, 1.0, 1, SEED)[0]
         assert np.linalg.norm(P @ x) == pytest.approx(np.linalg.norm(x), rel=1e-10)
@@ -75,7 +81,7 @@ def test_exact_flow_nearly_diagonal_hermitian_keeps_off_diagonal():
     assert core.is_diagonal(G, 1e-12)
     for t in (1.0, 10.0):
         ref = scipy.linalg.expm(1j * t * G.entries)
-        assert np.max(np.abs(flows.exact_flow(G, t) - ref)) <= 1e-12
+        assert np.max(np.abs(flows.exact_flow(G, t, eye(block.n)) - ref)) <= 1e-12
         entrywise = np.diag(np.exp(1j * t * np.diag(G.entries)))
         assert np.max(np.abs(entrywise - ref)) > 1e-12
 
@@ -89,11 +95,12 @@ def test_exact_flow_scans_each_generator_once(monkeypatch):
 
     monkeypatch.setattr(core, "is_diagonal", counted)
     A, B = schrodinger_pair(8)
+    I = eye(A.block.n)
     for G in (A, A + B):
-        first = flows.exact_flow(G, 0.3)
+        first = flows.exact_flow(G, 0.3, I)
         for t in (0.1, 0.2, 0.3):
-            flows.exact_flow(G, t)
-        assert np.array_equal(flows.exact_flow(G, 0.3), first)
+            flows.exact_flow(G, t, I)
+        assert np.array_equal(flows.exact_flow(G, 0.3, I), first)
     assert [G.exactly_diagonal for G in scans] == [True, False]
     assert len(scans) == 2
 
@@ -104,7 +111,7 @@ def test_exact_flow_rejects_non_hermitian_generator():
     shear[0, 1] = 1.0
     with pytest.raises(ValueError, match=r"Hermitian scan: n = 17, relative "
                                          r"defect 0\.0625 > tolerance 1e-12"):
-        flows.exact_flow(OpMatrix(block, shear), 0.1)
+        flows.exact_flow(OpMatrix(block, shear), 0.1, eye(block.n))
 
 
 @pytest.mark.parametrize("generator", ["diagonal", "hermitian"])
@@ -116,7 +123,7 @@ def test_exact_flow_applied_to_a_block_matches_its_matrix(generator):
     for t in (0.0, 0.05, 1.0):
         Y = flows.exact_flow(G, t, X)
         assert Y.shape == X.shape
-        assert np.max(np.abs(Y - flows.exact_flow(G, t) @ X)) <= \
+        assert np.max(np.abs(Y - flows.exact_flow(G, t, eye(G.block.n)) @ X)) <= \
             1e-13 * np.max(np.abs(X))
 
 
@@ -125,8 +132,8 @@ def test_exact_flow_applied_to_a_block_matches_its_matrix(generator):
 
 
 def matrix_flow(matrix):
-    """The flow f(t, X=None) of the matrix-valued t -> matrix(t)."""
-    return lambda t, X=None: matrix(t) if X is None else matrix(t) @ X
+    """The flow f(t, X) of the matrix-valued t -> matrix(t)."""
+    return lambda t, X: matrix(t) @ X
 
 
 # shear: does not commute with the rotation
@@ -137,15 +144,16 @@ rotation_flow = matrix_flow(lambda t: np.array([[math.cos(t), math.sin(t)],
 
 
 def test_compose_ordering_convention():
-    a, b, tau = shear_flow, rotation_flow, 0.3
-    assert np.array_equal(flows.compose(flows.LIE, a, b, tau), a(tau) @ b(tau))
-    assert np.array_equal(flows.compose(flows.STRANG, a, b, tau),
-                          b(tau / 2) @ (a(tau) @ b(tau / 2)))
+    a, b, tau, I = shear_flow, rotation_flow, 0.3, eye(2)
+    assert np.array_equal(flows.compose(flows.LIE, a, b, tau, I),
+                          a(tau, I) @ b(tau, I))
+    assert np.array_equal(flows.compose(flows.STRANG, a, b, tau, I),
+                          b(tau / 2, I) @ (a(tau, I) @ b(tau / 2, I)))
     scheme = flows.composition_scheme(4)
-    expected = None
+    expected = I
     for g in scheme.coefficients:
         expected = flows.compose(flows.STRANG, a, b, g * tau, expected)
-    assert np.array_equal(flows.compose(scheme, a, b, tau), expected)
+    assert np.array_equal(flows.compose(scheme, a, b, tau, I), expected)
 
 
 @pytest.mark.parametrize("scheme", [flows.LIE, flows.STRANG,
@@ -153,7 +161,7 @@ def test_compose_ordering_convention():
                          ids=["lie", "strang", "triple_jump"])
 def test_compose_applied_to_a_block_matches_its_matrix(scheme):
     X = np.random.default_rng(SEED).standard_normal((2, 3)) + 0j
-    P = flows.compose(scheme, shear_flow, rotation_flow, 0.3)
+    P = flows.compose(scheme, shear_flow, rotation_flow, 0.3, eye(2))
     Y = flows.compose(scheme, shear_flow, rotation_flow, 0.3, X)
     assert np.max(np.abs(Y - P @ X)) <= 1e-14 * np.max(np.abs(X))
 
@@ -165,14 +173,14 @@ def test_split_step_applied_to_a_block_matches_its_matrix(scheme):
     A, B = schrodinger_pair(12)
     X = core.rough_samples(A.block, 1.0, 4, SEED).T
     Y = flows.split_step(scheme, A, B, 0.05, X)
-    assert np.max(np.abs(Y - flows.split_step(scheme, A, B, 0.05) @ X)) <= \
-        1e-13 * np.max(np.abs(X))
+    P = flows.split_step(scheme, A, B, 0.05, eye(A.block.n))
+    assert np.max(np.abs(Y - P @ X)) <= 1e-13 * np.max(np.abs(X))
 
 
 def test_split_step_identity_at_zero():
     A, B = schrodinger_pair(8)
     for scheme in (flows.LIE, flows.STRANG, flows.composition_scheme(4)):
-        P = flows.split_step(scheme, A, B, 0.0)
+        P = flows.split_step(scheme, A, B, 0.0, eye(A.block.n))
         assert np.max(np.abs(P - np.eye(A.block.n))) < 1e-14
 
 
@@ -180,15 +188,16 @@ def test_split_step_exact_for_commuting_generators():
     block = truncated_block(1, 8)
     A = operators.fourier_multiplier(lambda x: x * x, block)
     B = operators.fourier_multiplier(lambda x: abs(x), block)
+    I = eye(block.n)
     for tau in (0.5, 0.05):
-        E = flows.split_step(flows.LIE, A, B, tau) - flows.exact_flow(A + B, tau)
+        E = flows.split_step(flows.LIE, A, B, tau, I) - flows.exact_flow(A + B, tau, I)
         assert np.max(np.abs(E)) <= 1e-12
 
 
 def test_split_step_rejects_large_tau():
     A, B = schrodinger_pair(8)
     with pytest.raises(ValueError):
-        flows.split_step(flows.LIE, A, B, 0.7)
+        flows.split_step(flows.LIE, A, B, 0.7, eye(A.block.n))
 
 
 def test_lie_step_error_scales_quadratically():
@@ -196,9 +205,9 @@ def test_lie_step_error_scales_quadratically():
     A = operators.fourier_multiplier(lambda x: x * x, periodic_block(1, K))
     B = spectral.mult_matrix_from_samples(spectral.sample(K, np.cos), K)
     x = core.rough_samples(A.block, 3.0, 1, SEED)[0]
-    errs = []
+    errs, I = [], eye(K)
     for tau in (0.01, 0.005):
-        E = flows.split_step(flows.LIE, A, B, tau) - flows.exact_flow(A + B, tau)
+        E = flows.split_step(flows.LIE, A, B, tau, I) - flows.exact_flow(A + B, tau, I)
         errs.append(np.linalg.norm(E @ x))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
 
@@ -280,12 +289,13 @@ def test_periodic_and_truncated_measurements_agree():
 
 def per_s_error_table(step, exact, tau_list, s, weights, xs):
     """The one-s error table, which builds every step(tau) - exact(tau) as a
-    matrix for each s, as the oracle of the applied, shared-data table."""
+    matrix (the flows applied to the identity) for each s, as the oracle of
+    the applied, shared-data table."""
     ref = max(float(np.linalg.norm(weights * x)) for x in xs)
     floor = flows.FLOOR_FACTOR * np.finfo(float).eps * ref
-    rows = []
+    rows, I = [], eye(len(weights))
     for tau in tau_list:
-        E = step(tau) - exact(tau)
+        E = step(tau, I) - exact(tau, I)
         err = max(float(np.linalg.norm(weights * (E @ x))) for x in xs)
         rows.append({"tau": tau, "s": s, "error": err, "floored": err <= floor})
     fit = flows.fit_loglog([r["tau"] for r in rows],
@@ -400,7 +410,7 @@ def test_error_table_rejects_a_repeated_s():
 def counted_system(system, calls):
     """The system with its exact flow and steps recording (name, tau, X)."""
     def counted(name, fn):
-        return lambda tau, X=None: calls.append((name, tau, X)) or fn(tau, X)
+        return lambda tau, X: calls.append((name, tau, X)) or fn(tau, X)
     return replace(system, exact=counted("exact", system.exact),
                    steps={name: counted(name, step)
                           for name, step in system.steps.items()})
@@ -460,7 +470,7 @@ def test_propagator_norm_bound_matches_the_matrix_per_sample():
     samples = core.rough_samples(A.block, 2.0, 5, SEED)
     w = core.sobolev_weights(A.block, 2.0)
     times = (0.25, 0.5, 1.0)
-    want = max(np.linalg.norm(w * (flows.exact_flow(A + B, t) @ x)) /
+    want = max(np.linalg.norm(w * (flows.exact_flow(A + B, t, eye(A.block.n)) @ x)) /
                np.linalg.norm(w * x) for t in times for x in samples)
     got = flows.propagator_norm_bound(partial(flows.exact_flow, A + B), times,
                                       samples, w)
@@ -506,8 +516,8 @@ def test_loss_scan_reports_each_step_as_a_scan_of_it_alone():
     for system in scalar_systems(schrodinger_pair, (16, 32, 64),
                                  (flows.LIE, flows.STRANG)):
         exact = system.exact
-        systems.append(replace(system, exact=lambda tau, e=exact, M=system.label:
-                               built.append((M, tau)) or e(tau)))
+        systems.append(replace(system, exact=lambda tau, X, e=exact, M=system.label:
+                               built.append((M, tau)) or e(tau, X)))
     both = flows.loss_scan(systems, s=2.0, seed=3)
     assert built == [(M, flows.TAU_STAR) for M in (16, 32, 64)]
     assert list(both) == ["lie", "strang"]
@@ -515,9 +525,8 @@ def test_loss_scan_reports_each_step_as_a_scan_of_it_alone():
         alone, = flows.loss_scan(
             [replace(system, steps={name: system.steps[name]}) for system in systems],
             s=2.0, seed=3).values()
-        assert (rep.sigma_hat, rep.certified, rep.stability, rep.levels) == \
-            (alone.sigma_hat, alone.certified, alone.stability, alone.levels)
-        assert rep.rows == alone.rows
+        assert (rep.sigma_hat, rep.certified, rep.rows) == \
+            (alone.sigma_hat, alone.certified, alone.rows)
         assert {r["scheme"] for r in rep.rows} == {name}
 
 
@@ -534,15 +543,16 @@ def test_loss_scan_draws_each_level_data_once_for_every_step():
         systems.append(replace(system, sampler=lambda reg, n, seed, f=system.sampler,
                                K=K: drawn.append((K, reg)) or f(reg, n, seed)))
     both = flows.loss_scan(systems, s=2.0, seed=3)
-    sigmas = [list(rep.stability) for rep in both.values()]
+    sigmas = [list(dict.fromkeys(r["sigma"] for r in rep.rows))
+              for rep in both.values()]
     assert sigmas == [sigmas[0]] * 2
     assert drawn == [(K, 2.0 + sigma) for sigma in sigmas[0] for K in (16, 32, 64)]
     for name, rep in both.items():
         alone, = flows.loss_scan(
             [replace(system, steps={name: system.steps[name]}) for system in systems],
             s=2.0, seed=3).values()
-        assert (rep.sigma_hat, rep.certified, rep.stability, rep.rows) == \
-            (alone.sigma_hat, alone.certified, alone.stability, alone.rows)
+        assert (rep.sigma_hat, rep.certified, rep.rows) == \
+            (alone.sigma_hat, alone.certified, alone.rows)
 
 
 def test_loss_scan_sentinel_when_uncertified():
@@ -554,8 +564,8 @@ def test_loss_scan_sentinel_when_uncertified():
             block = truncated_block(1, M)
             E = operators.fourier_multiplier(lambda x: x * x, block).entries
             out.append(flows.SplitSystem(
-                M, lambda tau, n=block.n: np.zeros((n, n)),
-                {"full_order": lambda tau, E=E: E},
+                M, lambda tau, X: np.zeros_like(X),
+                {"full_order": lambda tau, X, E=E: E @ X},
                 lambda s, b=block: core.sobolev_weights(b, s),
                 partial(core.rough_samples, block)))
         return out

@@ -40,10 +40,6 @@ KEEP = {
 KEEP_MEMBERS = {
     "experiments.WaterWaveOperators.generator":    # the benchmark's reference check
         "tests/test_experiments.py::test_waterwave_exact_prop_matches_dense_expm",
-    "flows.LossReport.levels":
-        "tests/test_flows.py::test_loss_scan_reports_each_step_as_a_scan_of_it_alone",
-    "flows.LossReport.stability":
-        "tests/test_flows.py::test_loss_scan_draws_each_level_data_once_for_every_step",
     "operators.SymbolSpec.declared_order":
         "tests/test_operators.py::test_symbol_difference_growth_probe",
 }
