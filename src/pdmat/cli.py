@@ -1,9 +1,9 @@
 """Batch experiment driver: parse a config, run sweeps, write artifacts.
 
-Not interactive: one invocation runs one experiment from a flat key = value
-config file and leaves results.csv, fits.json and manifest.json in the output
-directory; ``report`` renders pass/fail lines and plot-ready data from a
-finished run.  Exit status is nonzero when any acceptance check of the
+Not interactive: one invocation runs one experiment from a TOML config file
+of top-level keys and leaves results.csv, fits.json and manifest.json in the
+output directory; ``report`` renders pass/fail lines and plot-ready data from
+a finished run.  Exit status is nonzero when any acceptance check of the
 requested suite fails.
 """
 
@@ -12,8 +12,10 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 import time
+import tomllib
 import traceback
 import warnings as _warnings
 from dataclasses import dataclass, asdict
@@ -169,69 +171,37 @@ def _is_number(v) -> bool:
 
 
 _LIST_FIELDS = {"probes", "M_list", "K_list", "s_list"}
-_STR_FIELDS = {"experiment", "output_dir"}
 
 
-def _parse_scalar(token: str):
-    token = token.strip()
-    if token.startswith('"') and token.endswith('"'):
-        return token[1:-1]
-    if token in ("true", "false"):
-        return token == "true"
-    try:
-        return int(token)
-    except ValueError:
-        pass
-    try:
-        return float(token)
-    except ValueError:
-        return token
-
-
-def _strip_comment(line: str) -> str:
-    """The line up to the first # outside double quotes."""
-    quoted = False
-    for i, ch in enumerate(line):
-        if ch == '"':
-            quoted = not quoted
-        elif ch == "#" and not quoted:
-            return line[:i]
-    return line
+def _repeated_key(text: str):
+    """The message naming the first key set twice in text, or None."""
+    first: dict = {}
+    for ln, line in enumerate(text.splitlines(), start=1):
+        key = re.match(r"\s*(\w+)\s*=", line)
+        if key and first.setdefault(key[1], ln) != ln:
+            return (f"line {ln}: repeated key {key[1]!r} "
+                    f"(first set on line {first[key[1]]})")
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Flat key = value lines; arrays in brackets; # comments outside quotes."""
-    values: dict = {}
-    lines: dict = {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {ln}: expected key = value, got {raw!r}")
-        key, _, rhs = line.partition("=")
-        key, rhs = key.strip(), rhs.strip()
+    """A TOML document of top-level keys, each a field of ExperimentConfig,
+    read by ``tomllib``.  An unknown key is rejected by name, a list field
+    also takes a single value, experiment is required and output_dir must be
+    a string.  Every error, malformed TOML included, is a ConfigError."""
+    try:
+        values = tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        # tomllib rejects a repeated key without naming it
+        raise ConfigError(_repeated_key(text) or f"not valid TOML: {exc}") from None
+    for key, value in values.items():
         if key not in ExperimentConfig.__dataclass_fields__:
-            raise ConfigError(f"line {ln}: unknown key {key!r}")
-        if key in lines:
-            raise ConfigError(f"line {ln}: repeated key {key!r} "
-                              f"(first set on line {lines[key]})")
-        lines[key] = ln
-        if rhs.startswith("["):
-            if not rhs.endswith("]"):
-                raise ConfigError(f"line {ln}: unterminated array for {key!r}")
-            items = [t for t in rhs[1:-1].split(",") if t.strip()]
-            values[key] = tuple(_parse_scalar(t) for t in items)
-        else:
-            values[key] = _parse_scalar(rhs)
+            raise ConfigError(f"unknown key {key!r}")
+        if key in _LIST_FIELDS:
+            values[key] = tuple(value) if isinstance(value, list) else (value,)
     if "experiment" not in values:
         raise ConfigError("experiment is required")
-    for key in _LIST_FIELDS & set(values):
-        if not isinstance(values[key], tuple):
-            values[key] = (values[key],)
-    for key in _STR_FIELDS & set(values):
-        if not isinstance(values[key], str):
-            raise ConfigError(f"{key} must be a string")
+    if not isinstance(values.get("output_dir", ""), str):
+        raise ConfigError("output_dir must be a string")
     return ExperimentConfig(**values).validate()
 
 
@@ -433,7 +403,7 @@ def run_sobolev_growth(cfg: ExperimentConfig):
     models = [experiments.growth_model(probe) for probe in probes]
     periods = _study_periods(cfg.K_list)
     results = experiments.sobolev_growth_study(
-        [(model, periods[:2] if model.rho < 0 else periods, True)
+        [(model, periods[:2] if model.rho < 0 else periods)
          for model in models], cfg.horizon, [s for s in cfg.s_list if s > 0],
         delta=cfg.delta, seed=cfg.seed)
     for probe, model, res in zip(probes, models, results):
@@ -453,8 +423,7 @@ def run_sobolev_growth(cfg: ExperimentConfig):
                 bound = s / (1.0 - model.rho) + 0.1
                 fits[f"{probe}_exponent_s{s:g}_K{K}"] = exp
                 gates[f"{probe}_exponent_s{s:g}_K{K}"] = _gate(exp, bound)
-        if "richardson" in res:
-            fits[f"{probe}_richardson"] = res["richardson"]
+        fits[f"{probe}_richardson"] = res["richardson"]
     return rows, fits, gates
 
 
@@ -536,19 +505,19 @@ def run(cfg: ExperimentConfig, outdir) -> int:
             status, tb = f"failed: {exc}", traceback.format_exc()
     warns = list(dict.fromkeys(str(w.message) for w in caught))
     # runtime gates measure wall-clock time, so gates go to the manifest only
-    passes = {name: gate["ok"] for name, gate in gates.items()}
     reporting.write_csv(os.path.join(outdir, "results.csv"),
                         CSV_COLUMNS[cfg.experiment], rows, cfg.experiment)
     reporting.write_json(os.path.join(outdir, "fits.json"), fits)
-    reporting.write_manifest(outdir, cfg.experiment, asdict(cfg), passes,
+    reporting.write_manifest(outdir, cfg.experiment, asdict(cfg),
+                             {name: gate["ok"] for name, gate in gates.items()},
                              status, __version__, warnings=warns, gates=gates,
                              traceback=tb)
     if status != "ok":
         print(f"FAILED {cfg.experiment}: {status}", file=sys.stderr)
         return 1
-    for name in sorted(passes):
-        print(f"{'PASS' if passes[name] else 'FAIL'} {cfg.experiment}.{name}")
-    return 0 if all(passes.values()) else 1
+    for name, gate in sorted(gates.items()):
+        print(f"{'PASS' if gate['ok'] else 'FAIL'} {cfg.experiment}.{name}")
+    return 0 if all(gate["ok"] for gate in gates.values()) else 1
 
 
 def _number(value) -> str:
@@ -607,7 +576,7 @@ def main(argv=None) -> int:
             f"  {name}: {', '.join(cols)}" for name, cols in CSV_COLUMNS.items()))
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="run one experiment from a config file")
-    p_run.add_argument("config", help="flat key = value config path")
+    p_run.add_argument("config", help="TOML config path")
     p_run.add_argument("--output", default=None,
                        help="output directory (default from config, then "
                             "PDMAT_OUTPUT_DIR, then ./pdmat-out)")

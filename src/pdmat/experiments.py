@@ -591,34 +591,32 @@ def _trajectories(jobs) -> list:
 
 def sobolev_growth_study(studies, horizon: float, s_list, delta: float = 1e-2,
                          seed: int = 0) -> list[dict]:
-    """One result per (model, periods, richardson) study of the list, in order:
+    """One result per (model, periods) study of the list, in order:
     conservation drift, bound ratios on the validity window, the fitted growth
     exponent of the h^s norms against the time bracket, and the step-halving
-    check where asked.  Every study's trajectories run in one
-    ``_trajectories`` pool, sized by the cores, longest first."""
+    (Richardson) check on the coarsest period.  Every study's trajectories
+    run in one ``_trajectories`` pool, sized by the cores, longest first."""
     s_all = sorted(set(list(s_list) + [0.0]))
-    jobs, counts = [], []
-    for model, periods, richardson in studies:
+    jobs = []
+    for model, periods in studies:
         # one draw on the finest block, projected to each coarser one, so the
         # cross-K stability measures the dynamics and not data variance
         big = periodic_block(1, max(periods))
         x_big = core.rough_samples(big, max(s_all), 1, seed)[0]
-        own = [(model, K, horizon, s_all, delta, seed + K,
-                x_big[core._positions(big, periodic_block(1, K).indices())[0]])
-               for K in periods]
-        if richardson:
-            own += [(model, min(periods), min(2.0, horizon), s_all, step,
-                     seed + min(periods)) for step in (delta / 2, delta)]
-        jobs += own
-        counts.append(len(own))
+        jobs += [(model, K, horizon, s_all, delta, seed + K,
+                  x_big[core._positions(big, periodic_block(1, K).indices())[0]])
+                 for K in periods]
+        jobs += [(model, min(periods), min(2.0, horizon), s_all, step,
+                  seed + min(periods)) for step in (delta / 2, delta)]
     trajs = iter(_trajectories(jobs))
-    return [_growth_result(model, horizon, s_list, periods, delta, richardson,
-                           [next(trajs) for _ in range(n)])
-            for (model, periods, richardson), n in zip(studies, counts)]
+    # each study's periods, then its Richardson pair
+    return [_growth_result(model, horizon, s_list, periods, delta,
+                           [next(trajs) for _ in range(len(periods) + 2)])
+            for model, periods in studies]
 
 
 def _growth_result(model: GrowthModel, horizon: float, s_list, periods,
-                   delta: float, richardson: bool, trajs) -> dict:
+                   delta: float, trajs) -> dict:
     out: dict = {"model": model.label, "ratio": {},
                  "conservation": {}, "exponent": {}, "rows": []}
     common_valid = min(min(model.validity_horizon(K) for K in periods), horizon)
@@ -644,9 +642,8 @@ def _growth_result(model: GrowthModel, horizon: float, s_list, periods,
                                 "ratio_max": out["ratio"][(s, K)]["max_common"],
                                 "exponent": fit.slope,
                                 "conservation": out["conservation"][K]})
-    if richardson:
-        fine, coarse = (tr["final_state"] for tr in trajs[-2:])
-        out["richardson"] = float(np.linalg.norm(fine - coarse) / np.linalg.norm(coarse))
+    fine, coarse = (tr["final_state"] for tr in trajs[-2:])
+    out["richardson"] = float(np.linalg.norm(fine - coarse) / np.linalg.norm(coarse))
     return out
 
 

@@ -87,6 +87,7 @@ def write_manifest(outdir, experiment: str, config: dict, passes: dict,
         "config": _jsonable(config),
         "code_version": code_version,
         "files": files,
+        # each gate's ok again, as cli.run derives it; only perfbench reads it
         "passes": _jsonable(passes),
         "gates": _jsonable(gates or {}),
         "status": status,

@@ -8,6 +8,7 @@ factor 2.0, loss grids at step 0.25 with stability factor 1.5, fit bands of
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
 import re
@@ -207,8 +208,8 @@ def test_criterion_10_normal_form_preconditioner():
 
 def test_criterion_11_sobolev_growth():
     rho0, rhom1 = experiments.sobolev_growth_study(
-        [(experiments.growth_model("growth_rho0"), (32, 64, 128), True),
-         (experiments.growth_model("growth_rhom1"), (32, 64), False)],
+        [(experiments.growth_model("growth_rho0"), (32, 64, 128)),
+         (experiments.growth_model("growth_rhom1"), (32, 64))],
         50.0, (1.0, 2.0), seed=SEED)
     ok = all(v <= 1e-8 for v in rho0["conservation"].values())
     spans = []
@@ -243,9 +244,17 @@ def test_criterion_12_young_inequality():
 
 
 # ---------------------------------------------------------------------------
-# the CLI gates of the shipped configs hold the same bounds
+# the shipped configs: their CLI gates hold the same bounds, and their
+# outputs match the golden digests
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
+GOLDEN = ROOT / "scripts" / "golden_digests.json"
+
+_spec = importlib.util.spec_from_file_location("seed_sweep",
+                                               ROOT / "scripts" / "seed_sweep.py")
+seed_sweep = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(seed_sweep)
 
 # (criterion, config, gate name pattern, gates it matches, bound): the bounds
 # written in the criteria above.  Criterion 2 has no CLI gate.
@@ -281,14 +290,16 @@ ACCEPTANCE_GATES = [
 
 @pytest.fixture(scope="module")
 def shipped_runs(tmp_path_factory):
-    """{config: (manifest gates, fits)} of one run of each shipped config
-    that an acceptance criterion covers."""
+    """{config: (manifest gates, fits, (seed, output digest))} of one run of
+    each shipped config that an acceptance criterion covers."""
     runs = {}
     for stem in sorted({config for _, config, _, _, _ in ACCEPTANCE_GATES}):
         outdir = tmp_path_factory.mktemp(stem)
-        cli.run(cli.load_config(CONFIGS / f"{stem}.cfg"), outdir)
+        cfg = cli.load_config(CONFIGS / f"{stem}.cfg")
+        cli.run(cfg, outdir)
         runs[stem] = (reporting.read_manifest(outdir)["gates"],
-                      json.loads((outdir / "fits.json").read_text()))
+                      json.loads((outdir / "fits.json").read_text()),
+                      (cfg.seed, seed_sweep.output_digest(str(outdir))))
     return runs
 
 
@@ -300,8 +311,22 @@ def test_cli_gates_hold_the_acceptance_bounds(shipped_runs):
         assert len(matched) == count, (criterion, config, pattern, sorted(matched))
         assert matched == dict.fromkeys(matched, bound), (criterion, config, matched)
     # criterion 11's ratio bound is relative: max over K <= 1.2 min over K
-    gates, fits = shipped_runs["sobolev_growth"]
+    gates, fits, _ = shipped_runs["sobolev_growth"]
     for s in (1, 2):
         gate = gates[f"growth_rho0_ratio_stable_s{s}"]
         span = fits[f"growth_rho0_ratio_span_s{s}"]
         assert gate["bound"] == pytest.approx(1.2 * gate["measured"] / span, rel=1e-12)
+
+
+def test_shipped_outputs_match_the_golden_digests(shipped_runs):
+    """results.csv and fits.json of every shipped run are bit-identical to
+    the digests recorded for its seed, in the environment they were recorded
+    in; elsewhere the digests cannot be expected to hold."""
+    golden = json.loads(GOLDEN.read_text())
+    here = seed_sweep.environment()
+    if here != golden["environment"]:
+        pytest.skip(f"digests recorded in {golden['environment']}, "
+                    f"this is {here}")
+    assert len(shipped_runs) == len(golden["digests"])
+    for stem, (_, _, (seed, digest)) in shipped_runs.items():
+        assert digest == golden["digests"][stem][str(seed)], (stem, seed)

@@ -36,6 +36,39 @@ output_dir = "runs/#3"  # the third run
     assert cfg.probes == ("waterwave",)
 
 
+def test_parse_config_wraps_a_single_value_of_a_list_field():
+    cfg = cli.parse_config('experiment = "waterwave"\nprobes = "waterwave"\n'
+                           "s_list = 2.0")
+    assert cfg.probes == ("waterwave",)
+    assert cfg.s_list == (2.0,)
+
+
+def test_parse_config_reads_escapes_and_multiline_arrays():
+    cfg = cli.parse_config('''experiment = "waterwave"
+output_dir = "runs/\\"quoted\\""
+K_list = [
+    32,
+    64,  # the finest level
+]
+''')
+    assert cfg.output_dir == 'runs/"quoted"'
+    assert cfg.K_list == (32, 64)
+
+
+@pytest.mark.parametrize("text", [
+    'experiment = "waterwave"\nK_list = [32, 64',
+    "experiment = waterwave",
+    'experiment = "waterwave"\nhorizon = .5',
+    'experiment = "waterwave"\nseed = 01',
+])
+def test_malformed_toml_is_a_config_error(text, tmp_path, capsys):
+    with pytest.raises(cli.ConfigError, match="not valid TOML"):
+        cli.parse_config(text)
+    (tmp_path / "bad.cfg").write_text(text)
+    assert cli.main(["run", str(tmp_path / "bad.cfg")]) == 2
+    assert capsys.readouterr().err.startswith("config error: not valid TOML")
+
+
 def test_parse_config_requires_experiment():
     with pytest.raises(cli.ConfigError, match="experiment"):
         cli.parse_config("seed = 1")

@@ -460,7 +460,7 @@ def test_exact_prop_reuses_one_eigendecomposition():
 def test_diagonal_only_growth_is_isometric():
     model = experiments.GrowthModel(rho=0.0, label="free")
     model.perturbation_base = lambda block: np.zeros((block.n, block.n))
-    res, = experiments.sobolev_growth_study([(model, (16,), False)], 5.0, (1.0,),
+    res, = experiments.sobolev_growth_study([(model, (16,))], 5.0, (1.0,),
                                             seed=SEED)
     assert res["ratio"][(1.0, 16)]["max_valid"] <= 1.0 + 1e-12
     assert res["conservation"][16] <= 1e-10
@@ -573,7 +573,7 @@ def test_growth_rejects_structure_it_cannot_step():
 
 def test_growth_rho0_bounded_and_conservative():
     model = experiments.growth_model("growth_rho0")
-    res, = experiments.sobolev_growth_study([(model, (16, 32), True)], 10.0,
+    res, = experiments.sobolev_growth_study([(model, (16, 32))], 10.0,
                                             (1.0, 2.0), seed=SEED)
     assert all(v <= 1e-8 for v in res["conservation"].values())
     for s in (1.0, 2.0):
@@ -585,7 +585,7 @@ def test_growth_rho0_bounded_and_conservative():
 
 def test_growth_rhom1_exponent_bounded():
     model = experiments.growth_model("growth_rhom1")
-    res, = experiments.sobolev_growth_study([(model, (32,), False)], 20.0,
+    res, = experiments.sobolev_growth_study([(model, (32,))], 20.0,
                                             (1.0, 2.0), seed=SEED)
     for s in (1.0, 2.0):
         assert res["exponent"][(s, 32)] <= s / 2.0 + 0.1
@@ -609,7 +609,7 @@ def test_growth_pool_matches_serial_bit_for_bit(cores):
         cores(n)
         trajs[n] = experiments._trajectories(jobs)
         studies[n], = experiments.sobolev_growth_study(
-            [(model, (16, 32), True)], 4.0, (1.0, 2.0), seed=SEED)
+            [(model, (16, 32))], 4.0, (1.0, 2.0), seed=SEED)
     for pooled, serial in zip(trajs[2], trajs[1]):
         assert np.array_equal(pooled["times"], serial["times"])
         assert np.array_equal(pooled["final_state"], serial["final_state"])
@@ -648,13 +648,13 @@ def test_growth_step_failure_in_a_pool_child_raises_linalg_error(cores,
     with pytest.raises(np.linalg.LinAlgError,
                        match=r"growth_rho0: stevd failed at step 0 \(info 1\)"):
         experiments.sobolev_growth_study(
-            [(experiments.growth_model("growth_rho0"), (16, 32), True)], 2.0, (1.0,),
+            [(experiments.growth_model("growth_rho0"), (16, 32))], 2.0, (1.0,),
             seed=SEED)
 
 
 def test_growth_studies_in_one_pool_match_each_study_alone(cores):
-    studies = [(experiments.growth_model("growth_rho0"), (16, 32), True),
-               (experiments.growth_model("growth_rhom1"), (16,), False)]
+    studies = [(experiments.growth_model("growth_rho0"), (16, 32)),
+               (experiments.growth_model("growth_rhom1"), (16,))]
     results = {}
     for n in (2, 1):
         cores(n)
@@ -664,7 +664,7 @@ def test_growth_studies_in_one_pool_match_each_study_alone(cores):
                                                   seed=SEED)[0]
                  for study in studies]
         assert together == alone
-        assert "richardson" in together[0] and "richardson" not in together[1]
+        assert "richardson" in together[0] and "richardson" in together[1]
         results[n] = together
     assert results[2] == results[1]
 
@@ -690,7 +690,7 @@ a = np.random.default_rng(0).standard_normal((512, 512))
 a @ a
 experiments._usable_cores = lambda: 2
 res, = experiments.sobolev_growth_study(
-    [(experiments.growth_model("growth_rho0"), (16, 32), True)], 2.0, (1.0,), seed=1)
+    [(experiments.growth_model("growth_rho0"), (16, 32))], 2.0, (1.0,), seed=1)
 print(res["richardson"])
 """
 
