@@ -4,7 +4,9 @@ Not interactive: one invocation runs one experiment from a TOML config file
 of top-level keys and leaves results.csv, fits.json and manifest.json in the
 output directory; ``report`` renders pass/fail lines and plot-ready data from
 a finished run.  Exit status is nonzero when any acceptance check of the
-requested suite fails.
+requested suite fails.  Each experiment is one record of EXPERIMENTS: its
+runner, its results.csv columns and the config keys it reads; a config that
+sets any other key is rejected.
 """
 
 from __future__ import annotations
@@ -30,27 +32,6 @@ class ConfigError(ValueError):
     pass
 
 
-EXPERIMENTS = ("order_gain", "approx_rates", "splitting_orders", "loss_scan",
-               "waterwave", "schroedinger_precond", "sobolev_growth",
-               "invariants_suite")
-
-CSV_COLUMNS = {
-    "order_gain": ("probe", "level", "alpha", "decay", "order", "seminorm"),
-    "approx_rates": ("probe", "K", "s", "s_prime", "error", "fitted_rate"),
-    "splitting_orders": ("probe", "scheme", "level", "tau", "s", "sigma",
-                         "error", "norm_ratio"),
-    "loss_scan": ("probe", "scheme", "level", "tau", "s", "sigma", "error",
-                  "norm_ratio"),
-    "waterwave": ("probe", "scheme", "level", "tau", "s", "sigma", "error",
-                  "norm_ratio"),
-    "schroedinger_precond": ("probe", "scheme", "level", "tau", "s", "sigma",
-                             "error", "norm_ratio"),
-    "sobolev_growth": ("probe", "level", "s", "ratio_max", "exponent",
-                       "conservation"),
-    "invariants_suite": ("invariant", "probe", "measured", "bound", "status"),
-}
-
-
 # Gate bounds used by more than one runner.  They are fixed here rather than
 # read from the config, so that no config can set the bound its own gates are
 # judged by; a bound used at one gate is written there.  Sample counts and
@@ -59,21 +40,6 @@ FIT_BAND = 0.25         # |fitted slope or rate - theory| at every slope gate
 ALGEBRA_TOL = 1e-12     # identities that hold exactly up to roundoff
 UNITARY_TOL = 1e-10     # symplectic and telescoping defects of one step
 TAU_LIST = flows.default_tau_list()
-
-# experiments whose gates compare refinement levels, and the grids that hold
-# those levels; a single level makes such a gate unable to fail
-_REFINED_GRIDS = {"order_gain": ("M_list",), "schroedinger_precond": ("M_list",),
-                  "loss_scan": ("M_list", "K_list"), "waterwave": ("K_list",)}
-
-
-# the runners that take probes, with the model factory that accepts each name
-_PROBE_MODELS = {"waterwave": experiments.waterwave_model,
-                 "sobolev_growth": experiments.growth_model}
-# smallest radius a runner can build: order certification takes second
-# differences, and the preconditioner is assembled from radius 4 on
-_MIN_RADIUS = {"order_gain": 3, "schroedinger_precond": 4}
-# runners that keep only the s > 0 entries of s_list
-_POSITIVE_S = ("waterwave", "schroedinger_precond", "sobolev_growth")
 
 
 def _study_periods(K_list) -> tuple:
@@ -85,8 +51,9 @@ def _study_periods(K_list) -> tuple:
 @dataclass
 class ExperimentConfig:
     """What one batch run sweeps: experiment, probes, grids, seed, output
-    directory, and the growth horizon and step.  Gate bounds are module
-    constants and cannot be set from a config."""
+    directory, and the growth horizon and step.  An experiment reads
+    COMMON_KEYS and the keys of its EXPERIMENTS record and ignores the other
+    fields.  Gate bounds are module constants, not fields."""
 
     experiment: str
     probes: tuple = ()
@@ -99,21 +66,15 @@ class ExperimentConfig:
     delta: float = 0.01
 
     def validate(self):
-        if self.experiment not in EXPERIMENTS:
-            raise ConfigError(f"experiment must be one of {EXPERIMENTS}, "
-                              f"got {self.experiment!r}")
-        model = _PROBE_MODELS.get(self.experiment)
-        if self.probes and model is None:
-            raise ConfigError(f"probes: {self.experiment} takes no probes")
-        for probe in self.probes:
+        spec = _record(self.experiment)
+        for probe in self.probes if spec.probe_model else ():
             try:
-                model(probe)
+                spec.probe_model(probe)
             except KeyError:
                 raise ConfigError(f"probes: {probe!r} is not a {self.experiment} "
                                   "probe (see pdmat list-probes)") from None
         for name in ("M_list", "K_list", "s_list"):
-            values = getattr(self, name)
-            if not values:
+            if not getattr(self, name):
                 raise ConfigError(f"{name} must be nonempty")
         for name in ("M_list", "K_list"):
             values = getattr(self, name)
@@ -127,14 +88,13 @@ class ExperimentConfig:
         for name in ("probes", "s_list"):
             if len(set(getattr(self, name))) < len(getattr(self, name)):
                 raise ConfigError(f"{name} entries must not repeat")
-        if self.experiment in _POSITIVE_S and not any(s > 0 for s in self.s_list):
+        if spec.positive_s and not any(s > 0 for s in self.s_list):
             raise ConfigError(f"s_list needs a positive entry for {self.experiment}, "
                               "which runs only the s > 0 ones")
-        min_radius = _MIN_RADIUS.get(self.experiment, 1)
-        if self.M_list[0] < min_radius:
-            raise ConfigError(f"M_list entries must be at least {min_radius} "
+        if self.M_list[0] < spec.min_radius:
+            raise ConfigError(f"M_list entries must be at least {spec.min_radius} "
                               f"for {self.experiment}")
-        for name in _REFINED_GRIDS.get(self.experiment, ()):
+        for name in spec.refined:
             if len(getattr(self, name)) < 2:
                 raise ConfigError(f"{name} must have at least 2 entries for "
                                   f"{self.experiment} (refinement levels)")
@@ -148,8 +108,7 @@ class ExperimentConfig:
             if not _is_number(getattr(self, name)) or getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be a positive finite number")
         # the growth exponent is fitted on the steps at t >= 1 and needs two
-        if self.experiment == "sobolev_growth" and \
-                (round(self.horizon / self.delta) - 1) * self.delta < 1.0:
+        if (round(self.horizon / self.delta) - 1) * self.delta < 1.0:
             raise ConfigError(f"horizon {self.horizon:g} leaves fewer than two "
                               f"steps of delta {self.delta:g} at t >= 1 for "
                               "sobolev_growth (it needs 1 + delta or more)")
@@ -170,9 +129,6 @@ def _is_number(v) -> bool:
     return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
 
 
-_LIST_FIELDS = {"probes", "M_list", "K_list", "s_list"}
-
-
 def _repeated_key(text: str):
     """The message naming the first key set twice in text, or None."""
     first: dict = {}
@@ -184,10 +140,11 @@ def _repeated_key(text: str):
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """A TOML document of top-level keys, each a field of ExperimentConfig,
-    read by ``tomllib``.  An unknown key is rejected by name, a list field
-    also takes a single value, experiment is required and output_dir must be
-    a string.  Every error, malformed TOML included, is a ConfigError."""
+    """A TOML document of top-level keys, read by ``tomllib``, each a field
+    of ExperimentConfig that the experiment reads (see EXPERIMENTS); any
+    other key is rejected by name.  A list field also takes a single value,
+    experiment is required and output_dir must be a string.  Every error,
+    malformed TOML included, is a ConfigError."""
     try:
         values = tomllib.loads(text)
     except tomllib.TOMLDecodeError as exc:
@@ -196,18 +153,29 @@ def parse_config(text: str) -> ExperimentConfig:
     for key, value in values.items():
         if key not in ExperimentConfig.__dataclass_fields__:
             raise ConfigError(f"unknown key {key!r}")
-        if key in _LIST_FIELDS:
+        if key in ("probes", "M_list", "K_list", "s_list"):
             values[key] = tuple(value) if isinstance(value, list) else (value,)
     if "experiment" not in values:
         raise ConfigError("experiment is required")
+    reads = COMMON_KEYS + _record(values["experiment"]).keys
+    for key in values:
+        if key not in reads:
+            raise ConfigError(f"key {key!r} is not read by {values['experiment']} "
+                              f"(it reads {', '.join(reads)})")
     if not isinstance(values.get("output_dir", ""), str):
         raise ConfigError("output_dir must be a string")
     return ExperimentConfig(**values).validate()
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        return parse_config(fh.read())
+    """parse_config of the file at path; TOML is UTF-8, so a file that is not
+    is a ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"not UTF-8: {exc}") from None
+    return parse_config(text)
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +201,11 @@ def _band(fit, target):
         k: getattr(fit, k, None) for k in ("residual", "n_points", "n_dropped")}
 
 
+def _sigma_gate(rep, target):
+    """Equality gate of a loss scan's sigma; an uncertified scan fails it."""
+    return _gate(rep.sigma_hat if rep.certified else None, target, "==")
+
+
 def _schrodinger_builder(M):
     block = core.truncated_block(1, M)
     A = operators.fourier_multiplier(lambda x: x * x, block)
@@ -253,14 +226,10 @@ def run_order_gain(cfg: ExperimentConfig):
     for label, fam in (("product", prod_fam), ("commutator", comm_fam)):
         est = core.estimate_order(fam)
         fits[label] = {"r_hat": est.r_hat}
-        for i_r, r in enumerate(est.order_grid):
-            for i_a, alpha in enumerate(est.alpha_grid):
-                for i_n, decay in enumerate(est.decay_grid):
-                    for i_m, M in enumerate(est.sizes):
-                        rows.append({"probe": label, "level": M,
-                                     "alpha": alpha[0], "decay": decay,
-                                     "order": r,
-                                     "seminorm": float(est.max_ratios[i_r, i_a, i_n, i_m])})
+        for (i_r, i_a, i_n, i_m), seminorm in np.ndenumerate(est.max_ratios):
+            rows.append({"probe": label, "level": est.sizes[i_m],
+                         "alpha": est.alpha_grid[i_a][0], "decay": est.decay_grid[i_n],
+                         "order": est.order_grid[i_r], "seminorm": float(seminorm)})
     gates = {
         "product_order_is_2": _gate(fits["product"]["r_hat"], 2.0, "=="),
         "commutator_order_le_1": _gate(fits["commutator"]["r_hat"], 1.0),
@@ -271,8 +240,7 @@ def run_order_gain(cfg: ExperimentConfig):
 
 def run_approx_rates(cfg: ExperimentConfig):
     periods = _study_periods(cfg.K_list)
-    master = max(periods)
-    block = core.truncated_block(1, master)
+    block = core.truncated_block(1, max(periods))
     s = 2.0
     fd_limit = operators.fourier_multiplier(lambda x: 1j * x, block)
     fd = periodic.approx_error(
@@ -286,10 +254,8 @@ def run_approx_rates(cfg: ExperimentConfig):
     rows = fd.rows + mult.rows
     fits = {"fd_rate": fd.decay_rate, "fd_residual": fd.residual,
             "mult_rate": mult.decay_rate, "mult_residual": mult.residual}
-    gates = {
-        "fd_rate_near_1": _gate(abs(fd.decay_rate - 1.0), FIT_BAND),
-        "mult_rate_near_2": _gate(abs(mult.decay_rate - 2.0), FIT_BAND),
-    }
+    gates = {"fd_rate_near_1": _gate(abs(fd.decay_rate - 1.0), FIT_BAND),
+             "mult_rate_near_2": _gate(abs(mult.decay_rate - 2.0), FIT_BAND)}
     return rows, fits, gates
 
 
@@ -303,10 +269,8 @@ def run_splitting_orders(cfg: ExperimentConfig):
     rows, fits, gates = [], {}, {}
     for (scheme, s), tab in tables.items():
         label, target = f"{scheme}_s{s:g}", {"lie": 2.0, "strang": 3.0}[scheme]
-        fits[label] = {"slope": tab.fit.slope if tab.fit else None,
-                       "intercept": tab.fit.intercept if tab.fit else None,
-                       "residual": tab.fit.residual if tab.fit else None,
-                       "target": target}
+        fits[label] = {k: getattr(tab.fit, k, None)
+                       for k in ("slope", "intercept", "residual")} | {"target": target}
         gates[f"{label}_slope"] = _band(tab.fit, target)
         rows.extend({"probe": "schrodinger", **r} for r in tab.rows)
     gates["runtime_lt_120s"] = _gate(time.monotonic() - t0, 120.0, "<")
@@ -326,8 +290,7 @@ def run_loss_scan(cfg: ExperimentConfig):
         rep = flows.loss_scan(systems, 2.0, seed=cfg.seed)[scheme.kind]
         name = f"{scheme.kind}_{probe}"
         fits[name] = {"sigma_hat": rep.sigma_hat, "certified": rep.certified}
-        gates[f"{name}_sigma_{target:g}"] = \
-            _gate(rep.sigma_hat if rep.certified else None, target, "==")
+        gates[f"{name}_sigma_{target:g}"] = _sigma_gate(rep, target)
         rows.extend({"probe": probe, **r} for r in rep.rows)
     return rows, fits, gates
 
@@ -353,8 +316,7 @@ def run_waterwave(cfg: ExperimentConfig):
             fits[f"{model.label}_{scheme}_sigma"] = {"sigma_hat": rep.sigma_hat,
                                                      "certified": rep.certified}
             if asserted:
-                gates[f"{model.label}_{scheme}_no_loss"] = \
-                    _gate(rep.sigma_hat if rep.certified else None, 0.0, "==")
+                gates[f"{model.label}_{scheme}_no_loss"] = _sigma_gate(rep, 0.0)
         for scheme, defect in res["symplectic_defect"].items():
             fits[f"{model.label}_{scheme}_symplectic_defect"] = defect
             gates[f"{model.label}_{scheme}_symplectic"] = _gate(defect, UNITARY_TOL)
@@ -376,7 +338,6 @@ def run_schroedinger_precond(cfg: ExperimentConfig):
     pre, base = res["loss_preconditioned"], res["loss_baseline"]
     fits = {
         "homological_defect": res["homological_defect"],
-        "off_resonant_defect": res["off_resonant_defect"],
         "telescoping_defect": res["telescoping_defect"],
         "remainder_order": res["remainder_order"],
         "sigma_hat_preconditioned": pre.sigma_hat,
@@ -386,10 +347,8 @@ def run_schroedinger_precond(cfg: ExperimentConfig):
         "homological_identity": _gate(res["homological_defect"], ALGEBRA_TOL),
         "remainder_order_le_m2": _gate(res["remainder_order"], -2.0),
         "telescoping": _gate(res["telescoping_defect"], UNITARY_TOL),
-        "preconditioned_no_loss": _gate(pre.sigma_hat if pre.certified else None,
-                                        0.0, "=="),
-        "baseline_loses_one": _gate(base.sigma_hat if base.certified else None,
-                                    1.0, "=="),
+        "preconditioned_no_loss": _sigma_gate(pre, 0.0),
+        "baseline_loses_one": _sigma_gate(base, 1.0),
     }
     for s, fit in res["slopes"].items():
         fits[f"precond_slope_s{s:g}"] = fit.slope
@@ -407,8 +366,7 @@ def run_sobolev_growth(cfg: ExperimentConfig):
          for model in models], cfg.horizon, [s for s in cfg.s_list if s > 0],
         delta=cfg.delta, seed=cfg.seed)
     for probe, model, res in zip(probes, models, results):
-        for r in res["rows"]:
-            rows.append({"probe": probe, **r})
+        rows.extend({"probe": probe, **r} for r in res["rows"])
         worst_drift = max(res["conservation"].values())
         fits[f"{probe}_conservation"] = worst_drift
         gates[f"{probe}_l2_conservation"] = _gate(worst_drift, 1e-8)
@@ -476,16 +434,59 @@ def run_invariants_suite(cfg: ExperimentConfig):
     return rows, {}, gates
 
 
-RUNNERS = {
-    "order_gain": run_order_gain,
-    "approx_rates": run_approx_rates,
-    "splitting_orders": run_splitting_orders,
-    "loss_scan": run_loss_scan,
-    "waterwave": run_waterwave,
-    "schroedinger_precond": run_schroedinger_precond,
-    "sobolev_growth": run_sobolev_growth,
-    "invariants_suite": run_invariants_suite,
+_SPLIT_COLUMNS = ("probe", "scheme", "level", "tau", "s", "sigma", "error",
+                  "norm_ratio")
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment: its runner, its results.csv columns, the config keys
+    it reads besides COMMON_KEYS, and the facts its config validation needs."""
+
+    runner: object                # cfg -> (rows, fits, gates)
+    columns: tuple
+    keys: tuple = ()
+    refined: tuple = ()           # grids of the levels its gates compare
+    probe_model: object = None    # builds the model of each of its probe names
+    min_radius: int = 1           # smallest radius it can build
+    positive_s: bool = False      # runs only the s > 0 entries of s_list
+
+
+COMMON_KEYS = ("experiment", "seed", "output_dir")   # read by every experiment
+EXPERIMENTS = {
+    "order_gain": Experiment(
+        run_order_gain, ("probe", "level", "alpha", "decay", "order", "seminorm"),
+        ("M_list",), refined=("M_list",), min_radius=3),  # second differences
+    "approx_rates": Experiment(
+        run_approx_rates, ("probe", "K", "s", "s_prime", "error", "fitted_rate"),
+        ("K_list",)),
+    "splitting_orders": Experiment(run_splitting_orders, _SPLIT_COLUMNS,
+                                   ("M_list", "s_list")),
+    "loss_scan": Experiment(run_loss_scan, _SPLIT_COLUMNS, ("M_list", "K_list"),
+                            refined=("M_list", "K_list")),
+    "waterwave": Experiment(
+        run_waterwave, _SPLIT_COLUMNS, ("probes", "K_list", "s_list"),
+        refined=("K_list",), probe_model=experiments.waterwave_model,
+        positive_s=True),
+    "schroedinger_precond": Experiment(
+        run_schroedinger_precond, _SPLIT_COLUMNS, ("M_list", "s_list"),
+        refined=("M_list",), min_radius=4, positive_s=True),  # built from 4 on
+    "sobolev_growth": Experiment(
+        run_sobolev_growth, ("probe", "level", "s", "ratio_max", "exponent",
+                             "conservation"),
+        ("probes", "K_list", "s_list", "horizon", "delta"),
+        probe_model=experiments.growth_model, positive_s=True),
+    "invariants_suite": Experiment(
+        run_invariants_suite, ("invariant", "probe", "measured", "bound", "status")),
 }
+
+
+def _record(name) -> Experiment:
+    """The record of experiment name; any other value is a ConfigError."""
+    if name not in tuple(EXPERIMENTS):
+        raise ConfigError(f"experiment must be one of {tuple(EXPERIMENTS)}, "
+                          f"got {name!r}")
+    return EXPERIMENTS[name]
 
 
 # ---------------------------------------------------------------------------
@@ -499,14 +500,14 @@ def run(cfg: ExperimentConfig, outdir) -> int:
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
         try:
-            rows, fits, gates = RUNNERS[cfg.experiment](cfg)
+            rows, fits, gates = EXPERIMENTS[cfg.experiment].runner(cfg)
         except Exception as exc:  # job marked failed, manifest still written
             rows, fits, gates = [], {}, {}
             status, tb = f"failed: {exc}", traceback.format_exc()
     warns = list(dict.fromkeys(str(w.message) for w in caught))
     # runtime gates measure wall-clock time, so gates go to the manifest only
     reporting.write_csv(os.path.join(outdir, "results.csv"),
-                        CSV_COLUMNS[cfg.experiment], rows, cfg.experiment)
+                        EXPERIMENTS[cfg.experiment].columns, rows, cfg.experiment)
     reporting.write_json(os.path.join(outdir, "fits.json"), fits)
     reporting.write_manifest(outdir, cfg.experiment, asdict(cfg),
                              {name: gate["ok"] for name, gate in gates.items()},
@@ -527,8 +528,7 @@ def _number(value) -> str:
 
 def report(outdir) -> int:
     manifest = reporting.read_manifest(outdir)
-    experiment = manifest["experiment"]
-    print(f"experiment: {experiment}  code: {manifest['code_version']}  "
+    print(f"experiment: {manifest['experiment']}  code: {manifest['code_version']}  "
           f"status: {manifest['status']}")
     all_ok = manifest["status"] == "ok"
     for name, gate in sorted(manifest["gates"].items()):
@@ -542,16 +542,14 @@ def report(outdir) -> int:
     for row in rows:
         if row.get("tau") and row.get("error"):
             key = (row.get("probe", ""), row.get("scheme", ""), row.get("s", ""))
-            series.setdefault(key, []).append((float(row["tau"]),
-                                               float(row["error"])))
+            series.setdefault(key, []).append((float(row["tau"]), float(row["error"])))
     for (probe, scheme, s), pts in sorted(series.items()):
         if len(pts) < 2:
             continue
         label = "_".join(p for p in (probe, scheme, f"s{s}") if p and p != "s")
         pts.sort(reverse=True)
         reporting.write_loglog_dat(os.path.join(outdir, f"{label}.dat"),
-                                   [p[0] for p in pts], [p[1] for p in pts],
-                                   label)
+                                   [p[0] for p in pts], [p[1] for p in pts], label)
     return 0 if all_ok else 1
 
 
@@ -573,7 +571,8 @@ def main(argv=None) -> int:
         description="Batch driver for the operator-calculus experiment suite.",
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog="results.csv columns per experiment:\n" + "\n".join(
-            f"  {name}: {', '.join(cols)}" for name, cols in CSV_COLUMNS.items()))
+            f"  {name}: {', '.join(spec.columns)}"
+            for name, spec in EXPERIMENTS.items()))
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="run one experiment from a config file")
     p_run.add_argument("config", help="TOML config path")

@@ -45,21 +45,24 @@ from .core import OpMatrix, periodic_block, truncated_block
 
 @dataclass(eq=False)
 class WaterWaveModel:
-    """Linearized water waves over topography b(x), depth parameter mu > 0.
+    """Linearized water waves over topography b(x), depth parameter mu >= 0.
 
-    mu -> 0 ("stvenant" variant) turns the dispersion into |k| and the depth
-    gain into 1; the coupling block is then order 1 and the no-loss theory
-    does not apply (a warning is recorded).
+    mu = 0 (the "stvenant" shallow-water limit) turns the dispersion into |k|
+    and the depth gain into 1; the coupling block is then order 1 and the
+    no-loss theory does not apply (a warning is recorded).
     """
 
     mu: float = 1.0
     b_coeffs: object = operators.cos_coeff
     label: str = "waterwave"
-    stvenant: bool = False
 
     def __post_init__(self):
-        if not self.stvenant and self.mu <= 0:
-            raise ValueError("mu must be positive")
+        if self.mu < 0:
+            raise ValueError("mu must be nonnegative")
+
+    @property
+    def stvenant(self) -> bool:
+        return self.mu == 0
 
     def dispersion(self, k: np.ndarray) -> np.ndarray:
         k = np.abs(k.astype(float))
@@ -268,8 +271,7 @@ def waterwave_noloss_study(model: WaterWaveModel, schemes, periods, tau_list,
         P = step(tau_list[0], eye)
         out["symplectic_defect"][name] = operators.symplectic_defect(P)
         out["energy_drift"][name] = abs(ops.energy(P @ x0) - e0) / max(abs(e0), 1e-300)
-    flat = WaterWaveModel(mu=model.mu, b_coeffs=lambda *k: 0.0, label="b0",
-                          stvenant=model.stvenant)
+    flat = WaterWaveModel(mu=model.mu, b_coeffs=lambda *k: 0.0, label="b0")
     flat_ops = waterwave_assemble(flat, min(periods))
     flat_sys = flat_ops.system((flows.STRANG,))
     eye = np.eye(2 * flat_ops.n, dtype=complex)
@@ -382,12 +384,6 @@ def homological_defect(model: PreconditionedSchroedinger) -> float:
     return float(np.max(np.abs(lhs - model.A.entries - model.Z.entries)))
 
 
-def off_resonant_identity_defect(model: PreconditionedSchroedinger) -> float:
-    """Max entry of i[X, A] + B away from the resonant pairs m = +-n."""
-    comb = 1j * core.commutator(model.X, model.A).entries + model.B.entries
-    return float(np.max(np.abs(np.where(resonant_mask(model.block), 0.0, comb))))
-
-
 def telescoping_defect(model: PreconditionedSchroedinger, tau: float,
                        n_steps: int) -> float:
     """The conjugation commutes with iterating the inner step exactly."""
@@ -434,7 +430,6 @@ def preconditioned_lie_study(v_coeffs, tau_list, s_list, radii,
     M_ref = max(radii)
     model = assemble(M_ref)
     out["homological_defect"] = homological_defect(model)
-    out["off_resonant_defect"] = off_resonant_identity_defect(model)
     out["telescoping_defect"] = telescoping_defect(model, 0.01, 10)
     out["remainder_order"] = core.estimate_order(
         smoothing_remainder_family(assemble, radii)).r_hat
@@ -672,7 +667,7 @@ def waterwave_model(name: str, seed: int = 7) -> WaterWaveModel:
         # resolves the same profile and no aliasing transient pollutes scans
         return WaterWaveModel(1.0, operators.rough_even_coeff(seed, cutoff=15), name)
     if name == "waterwave_stvenant":
-        return WaterWaveModel(0.0, operators.cos_coeff, name, stvenant=True)
+        return WaterWaveModel(0.0, operators.cos_coeff, name)
     raise KeyError(f"unknown water-wave probe {name!r}")
 
 

@@ -21,19 +21,19 @@ from pdmat import cli, experiments, flows, reporting
 def test_parse_config_scalars_and_arrays():
     cfg = cli.parse_config("""
 # a comment
-experiment = "waterwave"
-M_list = [8, 16]
+experiment = "sobolev_growth"
+K_list = [32, 64]
 seed = 7
 horizon = 25.5
-probes = ["waterwave"]
+probes = ["growth_rho0"]
 output_dir = "runs/#3"  # the third run
 """)
-    assert cfg.experiment == "waterwave"
+    assert cfg.experiment == "sobolev_growth"
     assert cfg.output_dir == "runs/#3"
-    assert cfg.M_list == (8, 16)
+    assert cfg.K_list == (32, 64)
     assert cfg.seed == 7
     assert cfg.horizon == 25.5
-    assert cfg.probes == ("waterwave",)
+    assert cfg.probes == ("growth_rho0",)
 
 
 def test_parse_config_wraps_a_single_value_of_a_list_field():
@@ -69,6 +69,15 @@ def test_malformed_toml_is_a_config_error(text, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: not valid TOML")
 
 
+def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b'experiment = "order_gain"  # caf\xff\n')
+    with pytest.raises(cli.ConfigError, match="not UTF-8"):
+        cli.load_config(path)
+    assert cli.main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: not UTF-8")
+
+
 def test_parse_config_requires_experiment():
     with pytest.raises(cli.ConfigError, match="experiment"):
         cli.parse_config("seed = 1")
@@ -85,8 +94,8 @@ def test_empty_tau_list_rejected_by_name():
 
 
 def test_invalid_values_rejected():
-    with pytest.raises(cli.ConfigError, match="K_list"):
-        cli.parse_config('experiment = "order_gain"\nK_list = [8, 7]')
+    with pytest.raises(cli.ConfigError, match="K_list must be strictly increasing"):
+        cli.parse_config('experiment = "approx_rates"\nK_list = [8, 7]')
     with pytest.raises(cli.ConfigError, match="experiment"):
         cli.parse_config('experiment = "nope"')
     with pytest.raises(cli.ConfigError, match="unknown key 'workers'"):
@@ -120,8 +129,54 @@ def test_invalid_values_rejected():
     ("seed = 1\nseed = 2", "line 3: repeated key 'seed'"),
 ])
 def test_bad_config_values_rejected_by_name(line, key):
+    # each value rule is checked on an experiment that reads the key
+    experiment = {"M_list": "order_gain", "horizon": "sobolev_growth",
+                  "delta": "sobolev_growth"}.get(line.split()[0], "waterwave")
     with pytest.raises(cli.ConfigError, match=key):
-        cli.parse_config(f'experiment = "waterwave"\n{line}')
+        cli.parse_config(f'experiment = "{experiment}"\n{line}')
+
+
+# the keys each experiment reads besides experiment, seed and output_dir
+READS = {
+    "order_gain": {"M_list"},
+    "approx_rates": {"K_list"},
+    "splitting_orders": {"M_list", "s_list"},
+    "loss_scan": {"M_list", "K_list"},
+    "waterwave": {"probes", "K_list", "s_list"},
+    "schroedinger_precond": {"M_list", "s_list"},
+    "sobolev_growth": {"probes", "K_list", "s_list", "horizon", "delta"},
+    "invariants_suite": set(),
+}
+# a value of each key that an experiment reading it accepts
+GOOD_VALUES = {"probes": '["growth_rho0"]', "M_list": "[8, 16]",
+               "K_list": "[32, 64]", "s_list": "[1.0]", "horizon": "2.0",
+               "delta": "0.01"}
+UNREAD = [(experiment, key) for experiment, keys in READS.items()
+          for key in GOOD_VALUES if key not in keys]
+
+
+def test_each_experiment_reads_the_keys_of_its_record():
+    assert {name: set(spec.keys) for name, spec in cli.EXPERIMENTS.items()} == READS
+    assert cli.COMMON_KEYS == ("experiment", "seed", "output_dir")
+    # 8 settable keys (all but experiment) for each of 8 experiments
+    assert len(UNREAD) == 8 * 8 - 32
+
+
+@pytest.mark.parametrize("experiment,key", UNREAD)
+def test_a_key_the_experiment_does_not_read_is_rejected_by_name(experiment, key):
+    with pytest.raises(cli.ConfigError) as exc:
+        cli.parse_config(f'experiment = "{experiment}"\n{key} = {GOOD_VALUES[key]}')
+    assert str(exc.value).startswith(f"key {key!r} is not read by {experiment} ")
+
+
+@pytest.mark.parametrize("experiment", READS)
+def test_every_key_an_experiment_reads_is_accepted(experiment):
+    probes = '["waterwave"]' if experiment == "waterwave" else GOOD_VALUES["probes"]
+    values = GOOD_VALUES | {"probes": probes}
+    cfg = cli.parse_config("\n".join(
+        [f'experiment = "{experiment}"', "seed = 3", 'output_dir = "out"'] +
+        [f"{key} = {values[key]}" for key in sorted(READS[experiment])]))
+    assert (cfg.seed, cfg.output_dir) == (3, "out")
 
 
 @pytest.mark.parametrize("experiment,line,key", [
@@ -182,10 +237,16 @@ def test_shipped_config_loads_and_validates(path):
 
 def test_readme_key_table_lists_exactly_the_config_fields():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
-    keys = re.findall(r"^\| `(\w+)` \|", readme, flags=re.MULTILINE)
+    table = re.findall(r"^\| `(\w+)` \| (.*?) \|", readme, flags=re.MULTILINE)
     fields = [f.name for f in dataclasses.fields(cli.ExperimentConfig)]
-    assert keys == fields
-    assert f"exactly these {len(fields)} keys" in readme
+    assert [key for key, _ in table] == fields
+    assert f"these {len(fields)} keys, each read by the experiments" in readme
+    # the "read by" column names the experiments whose record reads the key
+    for key, read_by in table:
+        readers = {name for name, spec in cli.EXPERIMENTS.items()
+                   if key in cli.COMMON_KEYS + spec.keys}
+        assert (set(cli.EXPERIMENTS) if read_by == "all" else
+                set(re.findall(r"`(\w+)`", read_by))) == readers, key
 
 
 def test_stability_warning_keeps_waterwave_gates(monkeypatch):
@@ -211,8 +272,8 @@ def test_uncertified_schroedinger_loss_fails_at_the_target_sigma(monkeypatch):
     def study(*args, **kwargs):
         def loss(sigma):
             return flows.LossReport(sigma, False, [])
-        return {"homological_defect": 0.0, "off_resonant_defect": 0.0,
-                "telescoping_defect": 0.0, "remainder_order": -3.0,
+        return {"homological_defect": 0.0, "telescoping_defect": 0.0,
+                "remainder_order": -3.0,
                 "loss_preconditioned": loss(0.0), "loss_baseline": loss(1.0),
                 "slopes": {}}
     monkeypatch.setattr(experiments, "preconditioned_lie_study", study)
@@ -430,7 +491,8 @@ def test_failed_job_marked_in_manifest(tmp_path, monkeypatch):
     def boom(_cfg):
         warnings.warn("synthetic warning before the failure")
         raise ArithmeticError("synthetic numerical failure")
-    monkeypatch.setitem(cli.RUNNERS, "order_gain", boom)
+    monkeypatch.setitem(cli.EXPERIMENTS, "order_gain", dataclasses.replace(
+        cli.EXPERIMENTS["order_gain"], runner=boom))
     rc = cli.run(cfg, tmp_path)
     assert rc == 1
     manifest = reporting.read_manifest(tmp_path)

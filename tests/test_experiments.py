@@ -132,6 +132,14 @@ def test_waterwave_rough_bottom_no_loss():
     assert rep.sigma_hat == 0.0 and rep.certified
 
 
+def test_stvenant_is_the_mu_zero_model():
+    assert experiments.waterwave_model("waterwave_stvenant").stvenant
+    assert experiments.WaterWaveModel(0.0).stvenant
+    assert not experiments.WaterWaveModel(0.1).stvenant
+    with pytest.raises(ValueError, match="mu must be nonnegative"):
+        experiments.WaterWaveModel(-0.1)
+
+
 def test_waterwave_stvenant_warns():
     model = experiments.waterwave_model("waterwave_stvenant")
     with pytest.warns(UserWarning) as caught:
@@ -308,7 +316,6 @@ def test_change_of_variable_entry_hand_check(schro_model):
 
 def test_homological_identity(schro_model):
     assert experiments.homological_defect(schro_model) <= 1e-12 * 32 ** 2
-    assert experiments.off_resonant_identity_defect(schro_model) <= 1e-12 * 32 ** 2
 
 
 def test_resonant_part_structure():

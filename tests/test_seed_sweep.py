@@ -4,6 +4,7 @@ seed range."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -48,14 +49,15 @@ def test_every_gate_counted_over_the_seeds(tmp_path, capsys):
 
 
 def test_a_run_that_stops_fails_every_gate_at_its_seed(monkeypatch, capsys):
-    runner = cli.RUNNERS["approx_rates"]
+    record = cli.EXPERIMENTS["approx_rates"]
 
     def flaky(cfg):
         if cfg.seed == 2:
             raise RuntimeError("boom")
-        return runner(cfg)
+        return record.runner(cfg)
 
-    monkeypatch.setitem(cli.RUNNERS, "approx_rates", flaky)
+    monkeypatch.setitem(cli.EXPERIMENTS, "approx_rates",
+                        dataclasses.replace(record, runner=flaky))
     assert seed_sweep.main([CONFIG, "--seeds", "1-3"]) == 1
     out = capsys.readouterr().out.splitlines()[1:]
     assert len(out) == 6
@@ -65,16 +67,17 @@ def test_a_run_that_stops_fails_every_gate_at_its_seed(monkeypatch, capsys):
 
 def test_gate_lines_give_the_margin_distribution_over_the_seeds(tmp_path, monkeypatch,
                                                                capsys):
-    runner = cli.RUNNERS["approx_rates"]
+    record = cli.EXPERIMENTS["approx_rates"]
 
     def with_probe(cfg):
-        rows, fits, gates = runner(cfg)
+        rows, fits, gates = record.runner(cfg)
         margin = {1: 0.5, 2: -0.25, 3: 2.0, 4: -0.25}[cfg.seed]
         gates["probe"] = {"measured": 1.0 - margin, "bound": 1.0,
                           "margin": margin, "ok": margin >= 0}
         return rows, fits, gates
 
-    monkeypatch.setitem(cli.RUNNERS, "approx_rates", with_probe)
+    monkeypatch.setitem(cli.EXPERIMENTS, "approx_rates",
+                        dataclasses.replace(record, runner=with_probe))
     assert seed_sweep.main([CONFIG, "--seeds", "1-4"]) == 1
     out = capsys.readouterr().out.splitlines()
     lines = {line.split()[0]: line for line in out[1:5]}
