@@ -2,11 +2,12 @@
 
 Not interactive: one invocation runs one experiment from a TOML config file
 of top-level keys and leaves results.csv, fits.json and manifest.json in the
-output directory; ``report`` renders pass/fail lines and plot-ready data from
-a finished run.  Exit status is nonzero when any acceptance check of the
-requested suite fails.  Each experiment is one record of EXPERIMENTS: its
+directory given by --output; ``report`` renders pass/fail lines and plot-ready
+data from a finished run.  Exit status is nonzero when any acceptance check of
+the requested suite fails.  Each experiment is one record of EXPERIMENTS: its
 runner, its results.csv columns and the config keys it reads; a config that
-sets any other key is rejected.
+sets any other key is rejected.  Every grid runs as given, and the manifest
+records exactly the keys the experiment read.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import time
 import tomllib
 import traceback
 import warnings as _warnings
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,26 +43,19 @@ UNITARY_TOL = 1e-10     # symplectic and telescoping defects of one step
 TAU_LIST = flows.default_tau_list()
 
 
-def _study_periods(K_list) -> tuple:
-    """Periods of the approximation and growth studies: those at least 32,
-    or every period when none is."""
-    return tuple(k for k in K_list if k >= 32) or tuple(K_list)
-
-
 @dataclass
 class ExperimentConfig:
-    """What one batch run sweeps: experiment, probes, grids, seed, output
-    directory, and the growth horizon and step.  An experiment reads
-    COMMON_KEYS and the keys of its EXPERIMENTS record and ignores the other
+    """What one batch run sweeps: experiment, probes, grids, seed, and the
+    growth horizon and step.  An experiment reads COMMON_KEYS and the keys of
+    its EXPERIMENTS record, every entry of each grid, and ignores the other
     fields.  Gate bounds are module constants, not fields."""
 
     experiment: str
     probes: tuple = ()
     M_list: tuple = (16, 32, 64)
-    K_list: tuple = (16, 32, 64, 128)
+    K_list: tuple = (32, 64, 128)
     s_list: tuple = (0.0, 1.0, 2.0)
     seed: int = 1
-    output_dir: str = ""
     horizon: float = 50.0
     delta: float = 0.01
 
@@ -98,10 +92,6 @@ class ExperimentConfig:
             if len(getattr(self, name)) < 2:
                 raise ConfigError(f"{name} must have at least 2 entries for "
                                   f"{self.experiment} (refinement levels)")
-        if self.experiment in ("approx_rates", "sobolev_growth") and \
-                len(_study_periods(self.K_list)) < 2:
-            raise ConfigError(f"K_list must give {self.experiment} at least 2 "
-                              "periods (entries >= 32, or all when none is)")
         if any(k % 2 or k < 4 for k in self.K_list):
             raise ConfigError("K_list entries must be even and at least 4")
         for name in ("horizon", "delta"):
@@ -142,9 +132,9 @@ def _repeated_key(text: str):
 def parse_config(text: str) -> ExperimentConfig:
     """A TOML document of top-level keys, read by ``tomllib``, each a field
     of ExperimentConfig that the experiment reads (see EXPERIMENTS); any
-    other key is rejected by name.  A list field also takes a single value,
-    experiment is required and output_dir must be a string.  Every error,
-    malformed TOML included, is a ConfigError."""
+    other key is rejected by name.  A list field also takes a single value
+    and experiment is required.  Every error, malformed TOML included, is a
+    ConfigError."""
     try:
         values = tomllib.loads(text)
     except tomllib.TOMLDecodeError as exc:
@@ -162,8 +152,6 @@ def parse_config(text: str) -> ExperimentConfig:
         if key not in reads:
             raise ConfigError(f"key {key!r} is not read by {values['experiment']} "
                               f"(it reads {', '.join(reads)})")
-    if not isinstance(values.get("output_dir", ""), str):
-        raise ConfigError("output_dir must be a string")
     return ExperimentConfig(**values).validate()
 
 
@@ -206,10 +194,10 @@ def _sigma_gate(rep, target):
     return _gate(rep.sigma_hat if rep.certified else None, target, "==")
 
 
-def _schrodinger_builder(M):
+def _schrodinger_builder(M, potential):
     block = core.truncated_block(1, M)
     A = operators.fourier_multiplier(lambda x: x * x, block)
-    B = operators.toeplitz_potential(operators.two_cos_coeff, block)
+    B = operators.toeplitz_potential(potential, block)
     return A, B
 
 
@@ -217,9 +205,7 @@ def run_order_gain(cfg: ExperimentConfig):
     t0 = time.monotonic()
     prod_fam, comm_fam = [], []
     for M in cfg.M_list:
-        block = core.truncated_block(1, M)
-        A = operators.fourier_multiplier(lambda x: x * x, block)
-        B = operators.toeplitz_potential(operators.cos_coeff, block)
+        A, B = _schrodinger_builder(M, operators.cos_coeff)
         prod_fam.append(core.matmul(A, B))
         comm_fam.append(core.commutator(A, B))
     rows, fits = [], {}
@@ -239,17 +225,16 @@ def run_order_gain(cfg: ExperimentConfig):
 
 
 def run_approx_rates(cfg: ExperimentConfig):
-    periods = _study_periods(cfg.K_list)
-    block = core.truncated_block(1, max(periods))
+    block = core.truncated_block(1, max(cfg.K_list))
     s = 2.0
     fd_limit = operators.fourier_multiplier(lambda x: 1j * x, block)
     fd = periodic.approx_error(
-        fd_limit, [spectral.fd_symbol(1, 1, k) for k in periods],
+        fd_limit, [spectral.fd_symbol(1, 1, k) for k in cfg.K_list],
         s=s, s_prime=s, data_s=s + 2.0, seed=cfg.seed, probe="fd")
     mult_limit = operators.toeplitz_potential(operators.exp_decay_coeff, block)
     mult = periodic.approx_error(
         mult_limit, [spectral.mult_matrix_from_coeffs(operators.exp_decay_coeff, k)
-                     for k in periods],
+                     for k in cfg.K_list],
         s=4.0, s_prime=2.0, data_s=4.0, seed=cfg.seed, probe="mult")
     rows = fd.rows + mult.rows
     fits = {"fd_rate": fd.decay_rate, "fd_residual": fd.residual,
@@ -262,7 +247,8 @@ def run_approx_rates(cfg: ExperimentConfig):
 def run_splitting_orders(cfg: ExperimentConfig):
     t0 = time.monotonic()
     M = max(cfg.M_list)
-    system = flows.scalar_system(M, *_schrodinger_builder(M), (flows.LIE, flows.STRANG))
+    system = flows.scalar_system(M, *_schrodinger_builder(M, operators.two_cos_coeff),
+                                 (flows.LIE, flows.STRANG))
     tables = flows.error_table(system, TAU_LIST, [
         (s, system.weights(s), system.sampler(s + 3.0, flows.N_SAMPLES, cfg.seed))
         for s in cfg.s_list])
@@ -282,11 +268,12 @@ def run_loss_scan(cfg: ExperimentConfig):
     rows, fits, gates = [], {}, {}
     for probe, scheme, systems, target in (
             ("schrodinger", flows.LIE,
-             [flows.scalar_system(M, *_schrodinger_builder(M), (flows.LIE,))
+             [flows.scalar_system(M, *_schrodinger_builder(M, operators.two_cos_coeff),
+                                  (flows.LIE,))
               for M in cfg.M_list], 1.0),
             ("waterwave", flows.STRANG,
              [experiments.waterwave_assemble(model, K).system((flows.STRANG,))
-              for K in cfg.K_list[-3:]], 0.0)):
+              for K in cfg.K_list], 0.0)):
         rep = flows.loss_scan(systems, 2.0, seed=cfg.seed)[scheme.kind]
         name = f"{scheme.kind}_{probe}"
         fits[name] = {"sigma_hat": rep.sigma_hat, "certified": rep.certified}
@@ -301,7 +288,7 @@ def run_waterwave(cfg: ExperimentConfig):
     for probe in probes:
         model = experiments.waterwave_model(probe, seed=cfg.seed)
         res = experiments.waterwave_noloss_study(
-            model, ["lie", "strang"], cfg.K_list[-3:], TAU_LIST,
+            model, ["lie", "strang"], cfg.K_list, TAU_LIST,
             [s for s in cfg.s_list if s > 0], seed=cfg.seed)
         # only the documented order warning (St-Venant) voids the theory
         # bands; the propagator-norm stability message stays a warning
@@ -360,9 +347,8 @@ def run_sobolev_growth(cfg: ExperimentConfig):
     probes = cfg.probes or ("growth_rho0", "growth_rhom1")
     rows, fits, gates = [], {}, {}
     models = [experiments.growth_model(probe) for probe in probes]
-    periods = _study_periods(cfg.K_list)
     results = experiments.sobolev_growth_study(
-        [(model, periods[:2] if model.rho < 0 else periods)
+        [(model, cfg.K_list[:2] if model.rho < 0 else cfg.K_list)
          for model in models], cfg.horizon, [s for s in cfg.s_list if s > 0],
         delta=cfg.delta, seed=cfg.seed)
     for probe, model, res in zip(probes, models, results):
@@ -452,14 +438,14 @@ class Experiment:
     positive_s: bool = False      # runs only the s > 0 entries of s_list
 
 
-COMMON_KEYS = ("experiment", "seed", "output_dir")   # read by every experiment
+COMMON_KEYS = ("experiment", "seed")   # read by every experiment
 EXPERIMENTS = {
     "order_gain": Experiment(
         run_order_gain, ("probe", "level", "alpha", "decay", "order", "seminorm"),
         ("M_list",), refined=("M_list",), min_radius=3),  # second differences
     "approx_rates": Experiment(
         run_approx_rates, ("probe", "K", "s", "s_prime", "error", "fitted_rate"),
-        ("K_list",)),
+        ("K_list",), refined=("K_list",)),
     "splitting_orders": Experiment(run_splitting_orders, _SPLIT_COLUMNS,
                                    ("M_list", "s_list")),
     "loss_scan": Experiment(run_loss_scan, _SPLIT_COLUMNS, ("M_list", "K_list"),
@@ -474,7 +460,7 @@ EXPERIMENTS = {
     "sobolev_growth": Experiment(
         run_sobolev_growth, ("probe", "level", "s", "ratio_max", "exponent",
                              "conservation"),
-        ("probes", "K_list", "s_list", "horizon", "delta"),
+        ("probes", "K_list", "s_list", "horizon", "delta"), refined=("K_list",),
         probe_model=experiments.growth_model, positive_s=True),
     "invariants_suite": Experiment(
         run_invariants_suite, ("invariant", "probe", "measured", "bound", "status")),
@@ -495,21 +481,23 @@ def _record(name) -> Experiment:
 
 def run(cfg: ExperimentConfig, outdir) -> int:
     cfg.validate()
+    spec = EXPERIMENTS[cfg.experiment]
     os.makedirs(outdir, exist_ok=True)
     status, tb = "ok", None
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
         try:
-            rows, fits, gates = EXPERIMENTS[cfg.experiment].runner(cfg)
+            rows, fits, gates = spec.runner(cfg)
         except Exception as exc:  # job marked failed, manifest still written
             rows, fits, gates = [], {}, {}
             status, tb = f"failed: {exc}", traceback.format_exc()
     warns = list(dict.fromkeys(str(w.message) for w in caught))
     # runtime gates measure wall-clock time, so gates go to the manifest only
-    reporting.write_csv(os.path.join(outdir, "results.csv"),
-                        EXPERIMENTS[cfg.experiment].columns, rows, cfg.experiment)
+    reporting.write_csv(os.path.join(outdir, "results.csv"), spec.columns, rows,
+                        cfg.experiment)
     reporting.write_json(os.path.join(outdir, "fits.json"), fits)
-    reporting.write_manifest(outdir, cfg.experiment, asdict(cfg),
+    read = {key: getattr(cfg, key) for key in COMMON_KEYS + spec.keys}
+    reporting.write_manifest(outdir, cfg.experiment, read,
                              {name: gate["ok"] for name, gate in gates.items()},
                              status, __version__, warnings=warns, gates=gates,
                              traceback=tb)
@@ -576,9 +564,8 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="run one experiment from a config file")
     p_run.add_argument("config", help="TOML config path")
-    p_run.add_argument("--output", default=None,
-                       help="output directory (default from config, then "
-                            "PDMAT_OUTPUT_DIR, then ./pdmat-out)")
+    p_run.add_argument("--output", default="pdmat-out",
+                       help="output directory (default ./pdmat-out)")
     p_rep = sub.add_parser("report", help="summarize a finished run directory")
     p_rep.add_argument("results_dir")
     sub.add_parser("list-probes", help="list experiments, probes and catalogs")
@@ -588,7 +575,7 @@ def main(argv=None) -> int:
     if args.command == "report":
         try:
             return report(args.results_dir)
-        except FileNotFoundError as exc:
+        except (FileNotFoundError, ValueError) as exc:  # missing or broken manifest
             print(f"error: {exc}", file=sys.stderr)
             return 2
     try:
@@ -596,9 +583,7 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    outdir = args.output or cfg.output_dir or \
-        os.environ.get("PDMAT_OUTPUT_DIR") or "pdmat-out"
-    return run(cfg, outdir)
+    return run(cfg, args.output)
 
 
 if __name__ == "__main__":

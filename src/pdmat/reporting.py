@@ -99,11 +99,16 @@ def write_manifest(outdir, experiment: str, config: dict, passes: dict,
 
 
 def read_manifest(outdir) -> dict:
+    """The manifest of a run directory; FileNotFoundError when it has none,
+    ValueError when its manifest.json is not JSON."""
     path = os.path.join(outdir, "manifest.json")
     if not os.path.exists(path):
         raise FileNotFoundError(f"no manifest.json in {outdir}")
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path} is not valid JSON: {exc}") from None
 
 
 def write_loglog_dat(path, xs, ys, label: str):

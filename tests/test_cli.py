@@ -9,6 +9,8 @@ import os
 import re
 import subprocess
 import sys
+import tomllib
+import types
 import warnings
 from pathlib import Path
 
@@ -21,19 +23,20 @@ from pdmat import cli, experiments, flows, reporting
 def test_parse_config_scalars_and_arrays():
     cfg = cli.parse_config("""
 # a comment
-experiment = "sobolev_growth"
+experiment = "sobolev_growth"  # the #3 run
 K_list = [32, 64]
 seed = 7
 horizon = 25.5
-probes = ["growth_rho0"]
-output_dir = "runs/#3"  # the third run
+probes = ["growth_rho0"]  # one "probe"
 """)
     assert cfg.experiment == "sobolev_growth"
-    assert cfg.output_dir == "runs/#3"
     assert cfg.K_list == (32, 64)
     assert cfg.seed == 7
     assert cfg.horizon == 25.5
     assert cfg.probes == ("growth_rho0",)
+    # a # inside a string is part of it, and the comment after it is dropped
+    with pytest.raises(cli.ConfigError, match="got 'runs/#3'$"):
+        cli.parse_config('experiment = "runs/#3"  # the third run')
 
 
 def test_parse_config_wraps_a_single_value_of_a_list_field():
@@ -44,15 +47,21 @@ def test_parse_config_wraps_a_single_value_of_a_list_field():
 
 
 def test_parse_config_reads_escapes_and_multiline_arrays():
-    cfg = cli.parse_config('''experiment = "waterwave"
-output_dir = "runs/\\"quoted\\""
+    cfg = cli.parse_config('''experiment = "water\\u0077ave"
+probes = [
+    "water\\u0077ave",
+    "waterwave_rough",  # the rough bottom
+]
 K_list = [
     32,
     64,  # the finest level
 ]
 ''')
-    assert cfg.output_dir == 'runs/"quoted"'
+    assert cfg.experiment == "waterwave"
+    assert cfg.probes == ("waterwave", "waterwave_rough")
     assert cfg.K_list == (32, 64)
+    with pytest.raises(cli.ConfigError, match=re.escape("""'water"wave"'""")):
+        cli.parse_config('experiment = "waterwave"\nprobes = "water\\"wave\\""')
 
 
 @pytest.mark.parametrize("text", [
@@ -136,7 +145,7 @@ def test_bad_config_values_rejected_by_name(line, key):
         cli.parse_config(f'experiment = "{experiment}"\n{line}')
 
 
-# the keys each experiment reads besides experiment, seed and output_dir
+# the keys each experiment reads besides experiment and seed
 READS = {
     "order_gain": {"M_list"},
     "approx_rates": {"K_list"},
@@ -157,9 +166,9 @@ UNREAD = [(experiment, key) for experiment, keys in READS.items()
 
 def test_each_experiment_reads_the_keys_of_its_record():
     assert {name: set(spec.keys) for name, spec in cli.EXPERIMENTS.items()} == READS
-    assert cli.COMMON_KEYS == ("experiment", "seed", "output_dir")
-    # 8 settable keys (all but experiment) for each of 8 experiments
-    assert len(UNREAD) == 8 * 8 - 32
+    assert cli.COMMON_KEYS == ("experiment", "seed")
+    # 7 settable keys (all but experiment) for each of 8 experiments
+    assert len(UNREAD) == 7 * 8 - 24
 
 
 @pytest.mark.parametrize("experiment,key", UNREAD)
@@ -174,9 +183,9 @@ def test_every_key_an_experiment_reads_is_accepted(experiment):
     probes = '["waterwave"]' if experiment == "waterwave" else GOOD_VALUES["probes"]
     values = GOOD_VALUES | {"probes": probes}
     cfg = cli.parse_config("\n".join(
-        [f'experiment = "{experiment}"', "seed = 3", 'output_dir = "out"'] +
+        [f'experiment = "{experiment}"', "seed = 3"] +
         [f"{key} = {values[key]}" for key in sorted(READS[experiment])]))
-    assert (cfg.seed, cfg.output_dir) == (3, "out")
+    assert cfg.seed == 3
 
 
 @pytest.mark.parametrize("experiment,line,key", [
@@ -208,8 +217,7 @@ def test_single_radius_rejected_for_order_certification(experiment):
     ("loss_scan", "K_list = [32]", "K_list"),
     ("waterwave", "K_list = [32]", "K_list"),
     ("sobolev_growth", "K_list = [32]", "K_list"),
-    ("sobolev_growth", "K_list = [16, 32]", "K_list"),
-    ("approx_rates", "K_list = [16, 64]", "K_list"),
+    ("approx_rates", "K_list = [32]", "K_list"),
 ])
 def test_single_refinement_level_rejected_by_name(experiment, line, key):
     with pytest.raises(cli.ConfigError, match=key):
@@ -237,34 +245,87 @@ def test_shipped_config_loads_and_validates(path):
 
 def test_readme_key_table_lists_exactly_the_config_fields():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
-    table = re.findall(r"^\| `(\w+)` \| (.*?) \|", readme, flags=re.MULTILINE)
-    fields = [f.name for f in dataclasses.fields(cli.ExperimentConfig)]
-    assert [key for key, _ in table] == fields
+    table = re.findall(r"^\| `(\w+)` \| (.*?) \| .*? \| (.*?) \|$", readme,
+                       flags=re.MULTILINE)
+    fields = dataclasses.fields(cli.ExperimentConfig)
+    assert [key for key, _, _ in table] == [f.name for f in fields]
     assert f"these {len(fields)} keys, each read by the experiments" in readme
-    # the "read by" column names the experiments whose record reads the key
-    for key, read_by in table:
+    for (key, read_by, default), field in zip(table, fields):
+        # the "read by" column names the experiments whose record reads the key
         readers = {name for name, spec in cli.EXPERIMENTS.items()
                    if key in cli.COMMON_KEYS + spec.keys}
         assert (set(cli.EXPERIMENTS) if read_by == "all" else
                 set(re.findall(r"`(\w+)`", read_by))) == readers, key
+        # the "default" column is the field's default, written as TOML
+        if field.default is dataclasses.MISSING:
+            assert default == "required", key
+            continue
+        value = tomllib.loads(f"v = {default.strip('`')}")["v"]
+        assert repr(tuple(value) if isinstance(value, list) else value) == \
+            repr(field.default), key
+
+
+def _passing_waterwave_study():
+    """What waterwave_noloss_study returns for one Strang slope that holds."""
+    return {"slopes": {("strang", 1.0): flows.FitResult(3.0, 0.0, 0.0, 7)},
+            "loss": {"strang": flows.LossReport(0.0, True, [])},
+            "symplectic_defect": {"strang": 0.0}, "energy_drift": {"strang": 0.0},
+            "b0_control": 0.0}
 
 
 def test_stability_warning_keeps_waterwave_gates(monkeypatch):
-    fit = flows.FitResult(3.0, 0.0, 0.0, 7)
-    loss = flows.LossReport(0.0, True, [])
-
     def study(model, schemes, *args, **kwargs):
         warnings.warn("propagator norm bound at s=1 not stable across "
                       "periods: [1.0, 1.2]")
-        return {"slopes": {("strang", 1.0): fit}, "loss": {"strang": loss},
-                "symplectic_defect": {"strang": 0.0},
-                "energy_drift": {"strang": 0.0}, "b0_control": 0.0}
+        return _passing_waterwave_study()
     monkeypatch.setattr(experiments, "waterwave_noloss_study", study)
     cfg = cli.parse_config('experiment = "waterwave"\ns_list = [1.0]')
     with pytest.warns(UserWarning, match="propagator norm bound at s=1"):
         _, _, gates = cli.run_waterwave(cfg)
     assert gates["waterwave_strang_s1_slope"]["ok"]
     assert gates["waterwave_strang_no_loss"]["ok"]
+
+
+def test_approx_rates_runs_every_period_given(tmp_path):
+    cfg = cli.parse_config('experiment = "approx_rates"\nK_list = [16, 32]')
+    cli.run(cfg, tmp_path)
+    _, _, rows = reporting.read_csv(tmp_path / "results.csv")
+    for probe in ("fd", "mult"):
+        assert sorted({int(r["K"]) for r in rows if r["probe"] == probe}) == [16, 32]
+
+
+@pytest.mark.parametrize("experiment", ["loss_scan", "waterwave"])
+def test_every_period_reaches_the_study(experiment, monkeypatch):
+    periods = []
+
+    def assemble(model, K):
+        periods.append(K)
+        return types.SimpleNamespace(system=lambda schemes: None)
+
+    def study(model, schemes, K_list, *args, **kwargs):
+        periods.extend(K_list)
+        return _passing_waterwave_study()
+    loss = flows.LossReport(0.0, True, [])
+    monkeypatch.setattr(experiments, "waterwave_assemble", assemble)
+    monkeypatch.setattr(experiments, "waterwave_noloss_study", study)
+    monkeypatch.setattr(flows, "loss_scan",
+                        lambda *args, **kwargs: {"lie": loss, "strang": loss})
+    cli.EXPERIMENTS[experiment].runner(cli.parse_config(
+        f'experiment = "{experiment}"\nK_list = [8, 16, 32, 64]'))
+    assert periods == [8, 16, 32, 64]
+
+
+@pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+def test_manifest_config_lists_the_keys_the_experiment_reads(experiment, tmp_path,
+                                                             monkeypatch):
+    spec = cli.EXPERIMENTS[experiment]
+    monkeypatch.setitem(cli.EXPERIMENTS, experiment, dataclasses.replace(
+        spec, runner=lambda cfg: ([], {}, {})))
+    cfg = cli.parse_config(f'experiment = "{experiment}"\nseed = 5')
+    cli.run(cfg, tmp_path)
+    config = reporting.read_manifest(tmp_path)["config"]
+    assert set(config) == set(cli.COMMON_KEYS + spec.keys)
+    assert config["experiment"] == experiment and config["seed"] == 5
 
 
 def test_uncertified_schroedinger_loss_fails_at_the_target_sigma(monkeypatch):
@@ -444,6 +505,16 @@ def test_report_missing_dir_errors(tmp_path):
         cli.report(tmp_path / "nope")
 
 
+def test_report_on_a_missing_or_broken_manifest_is_an_error(tmp_path, capsys):
+    # status 2, not the 1 of a failed gate
+    assert cli.main(["report", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: no manifest.json")
+    (tmp_path / "manifest.json").write_text('{"experiment": "order_g')
+    assert cli.main(["report", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "manifest.json is not valid JSON" in err
+
+
 def test_report_writes_dat_files(tmp_path, capsys):
     cfg = cli.parse_config(
         'experiment = "splitting_orders"\nM_list = [16]\ns_list = [1.0]\nseed = 2\n')
@@ -462,9 +533,11 @@ def test_main_entry_points(tmp_path, capsys, monkeypatch):
     assert "waterwave" in out and "schrodinger" in out
     cfg_path = tmp_path / "c.cfg"
     cfg_path.write_text('experiment = "order_gain"\nM_list = [8, 16]\n')
-    monkeypatch.setenv("PDMAT_OUTPUT_DIR", str(tmp_path / "envout"))
+    assert cli.main(["run", str(cfg_path), "--output", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "manifest.json").exists()
+    monkeypatch.chdir(tmp_path)
     assert cli.main(["run", str(cfg_path)]) == 0
-    assert (tmp_path / "envout" / "manifest.json").exists()
+    assert (tmp_path / "pdmat-out" / "manifest.json").exists()
     assert cli.main(["run", str(tmp_path / "missing.cfg")]) == 2
 
 
