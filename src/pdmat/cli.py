@@ -194,18 +194,11 @@ def _sigma_gate(rep, target):
     return _gate(rep.sigma_hat if rep.certified else None, target, "==")
 
 
-def _schrodinger_builder(M, potential):
-    block = core.truncated_block(1, M)
-    A = operators.fourier_multiplier(lambda x: x * x, block)
-    B = operators.toeplitz_potential(potential, block)
-    return A, B
-
-
 def run_order_gain(cfg: ExperimentConfig):
     t0 = time.monotonic()
     prod_fam, comm_fam = [], []
     for M in cfg.M_list:
-        A, B = _schrodinger_builder(M, operators.cos_coeff)
+        A, B = experiments.schroedinger_pair(operators.cos_coeff, M)
         prod_fam.append(core.matmul(A, B))
         comm_fam.append(core.commutator(A, B))
     rows, fits = [], {}
@@ -247,8 +240,8 @@ def run_approx_rates(cfg: ExperimentConfig):
 def run_splitting_orders(cfg: ExperimentConfig):
     t0 = time.monotonic()
     M = max(cfg.M_list)
-    system = flows.scalar_system(M, *_schrodinger_builder(M, operators.two_cos_coeff),
-                                 (flows.LIE, flows.STRANG))
+    A, B = experiments.schroedinger_pair(operators.two_cos_coeff, M)
+    system = flows.scalar_system(M, A, B, (flows.LIE, flows.STRANG))
     tables = flows.error_table(system, TAU_LIST, [
         (s, system.weights(s), system.sampler(s + 3.0, flows.N_SAMPLES, cfg.seed))
         for s in cfg.s_list])
@@ -268,8 +261,8 @@ def run_loss_scan(cfg: ExperimentConfig):
     rows, fits, gates = [], {}, {}
     for probe, scheme, systems, target in (
             ("schrodinger", flows.LIE,
-             [flows.scalar_system(M, *_schrodinger_builder(M, operators.two_cos_coeff),
-                                  (flows.LIE,))
+             [flows.scalar_system(M, *experiments.schroedinger_pair(
+                 operators.two_cos_coeff, M), (flows.LIE,))
               for M in cfg.M_list], 1.0),
             ("waterwave", flows.STRANG,
              [experiments.waterwave_assemble(model, K).system((flows.STRANG,))
@@ -548,8 +541,6 @@ def list_probes() -> int:
     print("probes:")
     for name, desc in experiments.PROBES.items():
         print(f"  {name}: {desc}")
-    print("symbols: " + " ".join(operators.symbol_table()))
-    print("potentials: " + " ".join(operators.potential_table()))
     return 0
 
 
@@ -568,7 +559,7 @@ def main(argv=None) -> int:
                        help="output directory (default ./pdmat-out)")
     p_rep = sub.add_parser("report", help="summarize a finished run directory")
     p_rep.add_argument("results_dir")
-    sub.add_parser("list-probes", help="list experiments, probes and catalogs")
+    sub.add_parser("list-probes", help="list experiments and probes")
     args = parser.parse_args(argv)
     if args.command == "list-probes":
         return list_probes()

@@ -7,7 +7,9 @@ matrix over the active index set, plus a definedness mask: in truncated mode,
 diagonal shifts lose boundary rows and columns, and weighted sups only run
 over entries whose full shift stencil stayed inside the block.  A vector is
 a flat complex array over the same index order; its h^s norm is the l2 norm
-of its product with :func:`sobolev_weights`.
+of its product with :func:`sobolev_weights`.  A translation-invariant matrix,
+whose entry (m, n) depends only on m - n, is one table over
+:func:`difference_block` gathered by :func:`toeplitz`.
 
 The weighted sups computed by :func:`seminorm` quantify the order of an
 operator (growth of entries and of their iterated diagonal differences along
@@ -186,32 +188,11 @@ def sobolev_weights(block: IndexBlock, s: float) -> np.ndarray:
     return (1.0 + block._l1_sizes) ** s
 
 
-def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, inverse) for the rows of the integer array keys (..., d),
-    flattened in row-major order: ``first`` holds the position where each
-    distinct row first appears, in order of appearance, and inverse[p] is the
-    index into ``first`` of the distinct row at position p."""
-    flat = keys.reshape(-1, keys.shape[-1])
-    lo = flat.min(axis=0)
-    code = np.ravel_multi_index(tuple((flat - lo).T), flat.max(axis=0) - lo + 1)
-    n = code.size
-    earliest = np.full(code.max() + 1, n)
-    np.minimum.at(earliest, code, np.arange(n))
-    # codes that no row has keep the sentinel n, which the mark drops
-    opens = np.zeros(n + 1, dtype=bool)
-    opens[earliest] = True
-    first = np.flatnonzero(opens[:n])
-    rank = np.empty(code.max() + 1, dtype=np.intp)
-    rank[code[first]] = np.arange(first.size)
-    return first, rank[code]
-
-
-def _per_distinct(rule, rows: np.ndarray, inverse: np.ndarray) -> np.ndarray:
-    """rule(*row) for each of the distinct rows (r, d), in order, gathered
-    by ``inverse`` (from _distinct_rows) into a flat complex array.  With the
-    rows in order of first appearance, a rule that draws values lazily
-    (``operators.rough_even_coeff``) draws them as an entry loop would."""
-    return np.array([rule(*row) for row in rows], dtype=complex)[inverse]
+def difference_block(block: IndexBlock) -> IndexBlock:
+    """Block of the differences m - n of two indices of ``block``: the
+    truncated block of radius 2M, or the periodic block itself, where
+    differences wrap mod K."""
+    return truncated_block(block.d, 2 * block.size) if block.mode == TRUNCATED else block
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +296,15 @@ def diagonal_matrix(block: IndexBlock, diag) -> OpMatrix:
     if d.shape != (block.n,):
         raise ValueError(f"diagonal must have shape ({block.n},)")
     return OpMatrix(block, np.diag(d))
+
+
+def toeplitz(block: IndexBlock, values: np.ndarray) -> OpMatrix:
+    """Translation-invariant matrix: entry(m, n) = values[m - n], with one
+    value per index of difference_block(block), in canonical order."""
+    idx = block.indices()
+    pos, _ = _positions(difference_block(block),
+                        (idx[:, None, :] - idx[None, :, :]).reshape(-1, block.d))
+    return OpMatrix(block, values[pos].reshape(block.n, block.n))
 
 
 def is_diagonal(A: OpMatrix, tol: float = 1e-12) -> bool:

@@ -339,6 +339,14 @@ def resonant_mask(block) -> np.ndarray:
     return a[:, None] == a[None, :]
 
 
+def schroedinger_pair(potential, radius: int) -> tuple[OpMatrix, OpMatrix]:
+    """A (squared frequencies k^2) and B (Toeplitz potential) on the 1d
+    block of the radius."""
+    block = truncated_block(1, radius)
+    return (core.diagonal_matrix(block, block.indices()[:, 0].astype(float) ** 2),
+            operators.toeplitz_potential(potential, block))
+
+
 def schroedinger_assemble(v_coeffs, radius: int) -> PreconditionedSchroedinger:
     """Build A (squared frequencies), B (potential), the Hermitian change of
     variable X = B / (i(m^2 - n^2)) off the resonant pairs, the resonant part
@@ -350,8 +358,7 @@ def schroedinger_assemble(v_coeffs, radius: int) -> PreconditionedSchroedinger:
     for k in range(0, 2 * radius + 1):
         if abs(np.conj(v_coeffs(-k)) - v_coeffs(k)) > 1e-12:
             raise ValueError("potential must be real (conjugate-even coefficients)")
-    A = core.diagonal_matrix(block, (idx.astype(float)) ** 2)
-    B = operators.toeplitz_potential(v_coeffs, block)
+    A, B = schroedinger_pair(v_coeffs, radius)
     H = A + B
     n = block.n
     resonant = resonant_mask(block)

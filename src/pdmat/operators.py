@@ -2,13 +2,16 @@
 
 Symbols with a declared order, diagonal symbol multipliers, Toeplitz
 multiplication operators built from Fourier coefficients, and the defect of a
-propagator from preserving the canonical symplectic form.
+propagator from preserving the canonical symplectic form.  A coefficient rule
+is pure: its value depends on k alone, so the Toeplitz matrix evaluates it
+once per difference and gathers the table with ``core.toeplitz``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -32,21 +35,16 @@ class SymbolSpec:
         return self.evaluator(*x)
 
 
-def symbol_table(power: float = 1.0) -> dict:
-    """Built-in symbols by name, for code and tests (no config key selects
-    one); ``pdmat list-probes`` prints the names."""
-    return {
+def symbol_catalog(name: str, power: float = 1.0) -> SymbolSpec:
+    """Built-in symbol by name, for code and tests (no config key selects
+    one)."""
+    table = {
         "one": SymbolSpec(lambda *x: 1.0, 0.0),
         "laplacian": SymbolSpec(lambda *x: sum(c * c for c in x), 2.0),
         "first_derivative": SymbolSpec(lambda *x: 1j * x[0], 1.0),
         "bracket_power": SymbolSpec(
             lambda *x: (1.0 + sum(c * c for c in x)) ** (power / 2.0), power),
     }
-
-
-def symbol_catalog(name: str, power: float = 1.0) -> SymbolSpec:
-    """Built-in symbol by name."""
-    table = symbol_table(power)
     if name not in table:
         raise KeyError(f"unknown symbol {name!r}; known: {sorted(table)}")
     return table[name]
@@ -55,13 +53,6 @@ def symbol_catalog(name: str, power: float = 1.0) -> SymbolSpec:
 def cos_coeff(*k) -> float:
     """Coefficients of cos(x_1): 1/2 at k_1 = +-1 (other axes zero)."""
     return 0.5 if abs(k[0]) == 1 and all(c == 0 for c in k[1:]) else 0.0
-
-
-def sin_coeff(*k) -> complex:
-    """Coefficients of sin(x_1)."""
-    if abs(k[0]) == 1 and all(c == 0 for c in k[1:]):
-        return -0.5j if k[0] == 1 else 0.5j
-    return 0.0
 
 
 def two_cos_coeff(*k) -> float:
@@ -76,29 +67,16 @@ def exp_decay_coeff(*k) -> float:
 
 def rough_even_coeff(seed: int = 7, cutoff: int = 32):
     """Random real even coefficients, uniform in [-1, 1] with no decay up to
-    the cutoff and zero beyond: a rough truncated profile."""
-    rng = np.random.default_rng(seed)
-    cache: dict = {}
+    the cutoff and zero beyond: a rough truncated profile.  The first call in
+    d dimensions draws the whole table of shape (cutoff + 1,)*d from the seed,
+    read by |k|, so a value depends on k alone."""
+    table = cache(lambda d: np.random.default_rng(seed).uniform(
+        -1.0, 1.0, size=(cutoff + 1,) * d))
 
     def coeff(*k):
         key = tuple(abs(int(c)) for c in k)
-        if max(key) > cutoff:
-            return 0.0
-        if key not in cache:
-            cache[key] = float(rng.uniform(-1.0, 1.0))
-        return cache[key]
+        return 0.0 if max(key) > cutoff else float(table(len(key))[key])
     return coeff
-
-
-def potential_table() -> dict:
-    """Fourier-coefficient rules for the built-in potentials, by name."""
-    return {
-        "cos": cos_coeff,
-        "sin": sin_coeff,
-        "two_cos": two_cos_coeff,
-        "exp_decay": exp_decay_coeff,
-        "rough_even": rough_even_coeff(),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -115,20 +93,13 @@ def fourier_multiplier(phi, block: IndexBlock) -> OpMatrix:
 
 
 def toeplitz_potential(coeff_fn, block: IndexBlock) -> OpMatrix:
-    """Toeplitz matrix of Fourier coefficients: entry(m, n) = coeff(m - n).
-
-    coeff_fn is called once per distinct difference m - n, in the order in
-    which the differences first appear in row-major order over (m, n), and
-    its values are gathered into the matrix.
-    """
+    """Toeplitz matrix of Fourier coefficients: entry(m, n) = coeff(m - n),
+    with coeff_fn called once per difference."""
     if block.mode != core.TRUNCATED:
         raise ValueError("toeplitz_potential builds the truncated-side matrix; "
                          "use spectral.mult_matrix_from_coeffs on periodic blocks")
-    idx = block.indices()
-    diff = idx[:, None, :] - idx[None, :, :]
-    first, inverse = core._distinct_rows(diff)
-    ent = core._per_distinct(coeff_fn, diff.reshape(-1, block.d)[first], inverse)
-    return OpMatrix(block, ent.reshape(block.n, block.n))
+    diffs = core.difference_block(block).indices()
+    return core.toeplitz(block, np.array([coeff_fn(*k) for k in diffs], dtype=complex))
 
 
 # ---------------------------------------------------------------------------

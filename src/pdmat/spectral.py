@@ -12,6 +12,8 @@ transform pair is
 so K^{d/2} F is unitary.  :func:`dft` applies F by FFT; :func:`dft_matrix`
 and :func:`idft_matrix` are the dense matrices of the pair.  A spectral
 multiplier phi(a) on a periodic block is ``operators.fourier_multiplier``.
+The finite differences and multiplication operators are translation
+invariant: each is one table over the residues, gathered by ``core.toeplitz``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import itertools
 import numpy as np
 
 from . import core
-from .core import IndexBlock, OpMatrix, periodic_block, representative
+from .core import IndexBlock, OpMatrix, periodic_block
 
 # alias sums of mult_matrix_from_coeffs stop after the first shell whose
 # largest term is below ALIAS_TAIL_TOL, and after ALIAS_MAX_SHELLS at most
@@ -59,25 +61,21 @@ def idft_matrix(block: IndexBlock) -> np.ndarray:
 
 
 def fd_matrix(j: int, sign: int, period: int, d: int = 1) -> OpMatrix:
-    """Grid-side circulant of the forward/backward difference with 1/h scale."""
+    """Grid-side circulant of the forward/backward difference with 1/h scale:
+    sign (u_{a+sign e_j} - u_a) / h, a two-entry stencil at m - n = 0 and
+    m - n = -sign e_j."""
     block = periodic_block(d, period)
     if not 1 <= j <= d:
         raise ValueError(f"axis j must be in 1..{d}")
-    h = 2 * np.pi / period
-    idx = block.indices().copy()
-    idx[:, j - 1] += sign
-    pos, _ = core._positions(block, idx)
-    n = block.n
-    ent = np.zeros((n, n), dtype=complex)
-    if sign == 1:        # (u_{a+e_j} - u_a) / h
-        ent[np.arange(n), pos] += 1.0 / h
-        ent[np.arange(n), np.arange(n)] -= 1.0 / h
-    elif sign == -1:     # (u_a - u_{a-e_j}) / h
-        ent[np.arange(n), np.arange(n)] += 1.0 / h
-        ent[np.arange(n), pos] -= 1.0 / h
-    else:
+    if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    return OpMatrix(block, ent)
+    h = 2 * np.pi / period
+    step = np.zeros(d, dtype=np.int64)
+    step[j - 1] = -sign
+    stencil = np.zeros(block.n, dtype=complex)
+    stencil[block.origin()] = -sign / h
+    stencil[core._positions(block, step)[0]] = sign / h
+    return core.toeplitz(block, stencil)
 
 
 def fd_symbol(j: int, sign: int, period: int, d: int = 1) -> OpMatrix:
@@ -106,44 +104,27 @@ def mult_matrix_from_samples(v: np.ndarray, period: int, d: int = 1) -> OpMatrix
     entries are the discrete Fourier coefficients of v at the wrapped
     difference.  Non-finite values leave non-finite entries, which OpMatrix
     rejects."""
-    block = periodic_block(d, period)
-    vhat = dft(v, period, d)
-    idx = block.indices()
-    diff = representative(period, idx[:, None, :] - idx[None, :, :])
-    pos, _ = core._positions(block, diff.reshape(-1, d))
-    return OpMatrix(block, vhat[pos].reshape(block.n, block.n))
+    return core.toeplitz(periodic_block(d, period), dft(v, period, d))
 
 
 def mult_matrix_from_coeffs(coeff_fn, period: int, d: int = 1) -> OpMatrix:
     """Fourier-side multiplication matrix from exact coefficients, folded as
-    the alias sum over coeff(diff + l K); shells are added until negligible
-    (ALIAS_TAIL_TOL, ALIAS_MAX_SHELLS).
-
-    For each alias offset l (shell by shell, offsets in lexicographic order)
-    coeff_fn is called once per distinct diff + l K, in the order in which
-    those first appear in row-major order over the entries, and its values
-    are gathered.  Adding l K maps distinct differences to distinct values in
-    the same order of first appearance, so the differences are grouped once
-    and every offset reuses the grouping.
-    """
+    the alias sum over coeff(a + l K) for each residue a; shells are added
+    until negligible (ALIAS_TAIL_TOL, ALIAS_MAX_SHELLS), offsets l in
+    lexicographic order within a shell, and the residue table is gathered by
+    the wrapped difference."""
     block = periodic_block(d, period)
-    # allocated before the grouping's temporaries, so that freeing them
-    # leaves no hole in the heap below the result
-    ent = np.zeros((block.n, block.n), dtype=complex)
-    idx = block.indices()
-    diff = representative(period, idx[:, None, :] - idx[None, :, :])
-    first, inverse = core._distinct_rows(diff)
-    rows = diff.reshape(-1, d)[first]
+    residues = block.indices()
+    table = np.zeros(block.n, dtype=complex)
     for shell in range(ALIAS_MAX_SHELLS):
         added = 0.0
         for l in itertools.product(range(-shell, shell + 1), repeat=d):
             if max(abs(c) for c in l) != shell:
                 continue
-            term = core._per_distinct(
-                coeff_fn, rows + period * np.asarray(l, dtype=np.int64),
-                inverse).reshape(block.n, block.n)
-            ent += term
+            term = np.array([coeff_fn(*a) for a in residues + period * np.asarray(l)],
+                            dtype=complex)
+            table += term
             added = max(added, float(np.max(np.abs(term))))
         if shell and added < ALIAS_TAIL_TOL:
             break
-    return OpMatrix(block, ent)
+    return core.toeplitz(block, table)

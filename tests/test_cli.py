@@ -531,6 +531,8 @@ def test_main_entry_points(tmp_path, capsys, monkeypatch):
     assert cli.main(["list-probes"]) == 0
     out = capsys.readouterr().out
     assert "waterwave" in out and "schrodinger" in out
+    assert [line for line in out.splitlines() if not line.startswith("  ")] == [
+        "experiments:", "probes:"]
     cfg_path = tmp_path / "c.cfg"
     cfg_path.write_text('experiment = "order_gain"\nM_list = [8, 16]\n')
     assert cli.main(["run", str(cfg_path), "--output", str(tmp_path / "out")]) == 0

@@ -42,6 +42,11 @@ def is_identity(X) -> bool:
     return np.array_equal(X, np.eye(len(X)))
 
 
+def sin_coeff(k) -> complex:
+    """Coefficients of sin(x): a real potential whose coefficients are not."""
+    return (-0.5j if k == 1 else 0.5j) if abs(k) == 1 else 0.0
+
+
 def coupling_entry_formula(ops, n_idx: int, m_idx: int) -> complex:
     """Closed-form coupling entry: gain * omega^{-1/2} at both ends, the
     topography coefficient at the index difference, and i*k factors."""
@@ -363,10 +368,11 @@ def per_pair_resonant_flow(model, tau):
 
 
 @pytest.mark.parametrize("radius", [8, 32])
-@pytest.mark.parametrize("potential", ["two_cos", "sin", "exp_decay"])
+@pytest.mark.parametrize("potential", [operators.two_cos_coeff, sin_coeff,
+                                       operators.exp_decay_coeff],
+                         ids=["two_cos", "sin", "exp_decay"])
 def test_change_of_variable_matches_entry_loop(potential, radius):
-    model = experiments.schroedinger_assemble(
-        getattr(operators, f"{potential}_coeff"), radius)
+    model = experiments.schroedinger_assemble(potential, radius)
     X, Z = loop_change_of_variable(model)
     assert np.array_equal(model.X.entries, X)
     assert np.array_equal(model.Z.entries, Z)
@@ -431,7 +437,7 @@ def test_preconditioned_study_orders_and_loss():
 def test_complex_potential_rejected():
     # sin has conjugate-even coefficients (a real potential) and must pass;
     # a genuinely complex potential must not
-    experiments.schroedinger_assemble(operators.sin_coeff, 8)
+    experiments.schroedinger_assemble(sin_coeff, 8)
     bad = lambda *k: 1j * operators.cos_coeff(*k)
     with pytest.raises(ValueError):
         experiments.schroedinger_assemble(bad, 8)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -16,6 +17,13 @@ SEED = 1789
 
 # ---------------------------------------------------------------------------
 # oracles: the parity class, symbol differences, symplectic block flows
+
+
+def sin_coeff(*k) -> complex:
+    """Coefficients of sin(x_1): a real potential outside the parity class."""
+    if abs(k[0]) == 1 and all(c == 0 for c in k[1:]):
+        return -0.5j if k[0] == 1 else 0.5j
+    return 0.0
 
 
 def dirichlet_check(A, tol=1e-12):
@@ -116,11 +124,22 @@ def entrywise_toeplitz(coeff, block):
 @pytest.mark.parametrize("d,M", [(1, 12), (2, 4)])
 def test_toeplitz_potential_matches_entrywise(d, M):
     block = truncated_block(d, M)
-    for make in (lambda: operators.exp_decay_coeff, lambda: operators.sin_coeff,
+    for make in (lambda: operators.exp_decay_coeff, lambda: sin_coeff,
                  lambda: operators.rough_even_coeff(SEED, cutoff=5)):
-        # a fresh lazily drawn rule on each side pins down the call order
+        # a fresh rule on each side; a rule's values depend on k alone
         B = operators.toeplitz_potential(make(), block)
         assert np.array_equal(B.entries, entrywise_toeplitz(make(), block))
+
+
+def test_rough_even_coeff_is_a_function_of_k():
+    for d in (1, 2):
+        keys = list(itertools.product(range(-2, 9), repeat=d))
+        forward, backward = (operators.rough_even_coeff(SEED, cutoff=6) for _ in "fb")
+        values = [forward(*k) for k in keys]
+        assert [backward(*k) for k in reversed(keys)][::-1] == values
+        # one value per |k| up to the cutoff, and zero beyond it
+        assert len(set(values)) == 7 ** d + 1
+        assert [forward(*(-c for c in k)) for k in keys] == values
 
 
 def test_toeplitz_potential_calls_rule_once_per_difference():
@@ -199,7 +218,7 @@ def test_dirichlet_identity_and_even_potential():
     assert dirichlet_check(
         operators.toeplitz_potential(operators.cos_coeff, block))
     assert not dirichlet_check(
-        operators.toeplitz_potential(operators.sin_coeff, block))
+        operators.toeplitz_potential(sin_coeff, block))
 
 
 def test_parity_class_preserves_odd_sequences():
