@@ -709,8 +709,9 @@ print(res["richardson"])
 
 
 def test_growth_pool_forks_after_blas_threads_start():
+    # pdmat's default is one BLAS thread; a caller's count of 2 starts helpers
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", FORK_AFTER_BLAS], env=env,
                           capture_output=True, text=True, timeout=120)

@@ -332,6 +332,15 @@ def test_symplectic_flow_wave_system():
         assert defect <= 1e-8
 
 
+@pytest.mark.parametrize("n", [4, 64, 128])
+def test_symplectic_defect_equals_the_dense_formula(n):
+    # P^T J by a signed block swap gives the floats of the dense P.T @ J @ P
+    rng = np.random.default_rng(SEED + n)
+    P = rng.standard_normal((2 * n, 2 * n)) + 1j * rng.standard_normal((2 * n, 2 * n))
+    J = operators.canonical_form(n)
+    assert operators.symplectic_defect(P) == float(np.max(np.abs(P.T @ J @ P - J)))
+
+
 def test_catalog_lookup_errors():
     with pytest.raises(KeyError):
         operators.symbol_catalog("no_such_symbol")
