@@ -63,14 +63,15 @@ def output_digest(outdir: str) -> str:
 
 def environment() -> dict:
     """What a digest depends on besides the code: numpy, scipy, the BLAS
-    numpy was built with, the BLAS thread count (OPENBLAS_NUM_THREADS, as
-    pdmat set or kept it), and the processors this process may use."""
+    numpy was built with, and the BLAS thread count (OPENBLAS_NUM_THREADS, as
+    pdmat set or kept it).  The processor count is not in it: the growth pool
+    returns its results in submission order, each from one BLAS thread, so
+    the outputs are the same on any number of cores."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"numpy": np.__version__,
             "scipy": importlib.metadata.version("scipy"),
             "blas": f"{blas['name']} {blas.get('version', '')}".strip(),
-            "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
-            "nproc": len(os.sched_getaffinity(0))}
+            "blas_threads": os.environ["OPENBLAS_NUM_THREADS"]}
 
 
 def record(path: str, digests: dict) -> list:

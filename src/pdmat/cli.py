@@ -35,12 +35,12 @@ class ConfigError(ValueError):
 
 # Gate bounds used by more than one runner.  They are fixed here rather than
 # read from the config, so that no config can set the bound its own gates are
-# judged by; a bound used at one gate is written there.  Sample counts and
-# the loss step are the library's (flows.N_SAMPLES, flows.TAU_STAR).
+# judged by; a bound used at one gate is written there.  Sample counts, step
+# sizes and grids are the library's (flows.N_SAMPLES, flows.TAU_LIST,
+# flows.TAU_STAR, flows.SIGMA_GRID, core.ORDER_GRID).
 FIT_BAND = 0.25         # |fitted slope or rate - theory| at every slope gate
 ALGEBRA_TOL = 1e-12     # identities that hold exactly up to roundoff
 UNITARY_TOL = 1e-10     # symplectic and telescoping defects of one step
-TAU_LIST = flows.default_tau_list()
 
 
 @dataclass
@@ -62,11 +62,9 @@ class ExperimentConfig:
     def validate(self):
         spec = _record(self.experiment)
         for probe in self.probes if spec.probe_model else ():
-            try:
-                spec.probe_model(probe)
-            except KeyError:
+            if not _accepts(spec, probe):
                 raise ConfigError(f"probes: {probe!r} is not a {self.experiment} "
-                                  "probe (see pdmat list-probes)") from None
+                                  "probe (see pdmat list-probes)")
         for name in ("M_list", "K_list", "s_list"):
             if not getattr(self, name):
                 raise ConfigError(f"{name} must be nonempty")
@@ -97,8 +95,12 @@ class ExperimentConfig:
         for name in ("horizon", "delta"):
             if not _is_number(getattr(self, name)) or getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be a positive finite number")
+        steps = self.horizon / self.delta
+        if not math.isfinite(steps):
+            raise ConfigError(f"horizon {self.horizon:g} over delta {self.delta:g} "
+                              "is not a finite number of steps")
         # the growth exponent is fitted on the steps at t >= 1 and needs two
-        if (round(self.horizon / self.delta) - 1) * self.delta < 1.0:
+        if (round(steps) - 1) * self.delta < 1.0:
             raise ConfigError(f"horizon {self.horizon:g} leaves fewer than two "
                               f"steps of delta {self.delta:g} at t >= 1 for "
                               "sobolev_growth (it needs 1 + delta or more)")
@@ -107,6 +109,15 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
         return self
+
+
+def _accepts(spec, probe: str) -> bool:
+    """Whether the probe_model of the experiment record spec builds probe."""
+    try:
+        spec.probe_model(probe)
+    except KeyError:
+        return False
+    return True
 
 
 def _is_int(v) -> bool:
@@ -242,7 +253,7 @@ def run_splitting_orders(cfg: ExperimentConfig):
     M = max(cfg.M_list)
     A, B = experiments.schroedinger_pair(operators.two_cos_coeff, M)
     system = flows.scalar_system(M, A, B, (flows.LIE, flows.STRANG))
-    tables = flows.error_table(system, TAU_LIST, [
+    tables = flows.error_table(system, [
         (s, system.weights(s), system.sampler(s + 3.0, flows.N_SAMPLES, cfg.seed))
         for s in cfg.s_list])
     rows, fits, gates = [], {}, {}
@@ -281,8 +292,7 @@ def run_waterwave(cfg: ExperimentConfig):
     for probe in probes:
         model = experiments.waterwave_model(probe, seed=cfg.seed)
         res = experiments.waterwave_noloss_study(
-            model, ["lie", "strang"], cfg.K_list, TAU_LIST,
-            [s for s in cfg.s_list if s > 0], seed=cfg.seed)
+            model, cfg.K_list, [s for s in cfg.s_list if s > 0], seed=cfg.seed)
         # only the documented order warning (St-Venant) voids the theory
         # bands; the propagator-norm stability message stays a warning
         asserted = model.order_warning() is None
@@ -301,7 +311,7 @@ def run_waterwave(cfg: ExperimentConfig):
             fits[f"{model.label}_{scheme}_symplectic_defect"] = defect
             gates[f"{model.label}_{scheme}_symplectic"] = _gate(defect, UNITARY_TOL)
             rows.append({"probe": model.label, "scheme": scheme,
-                         "level": max(cfg.K_list), "tau": TAU_LIST[0],
+                         "level": max(cfg.K_list), "tau": flows.TAU_LIST[0],
                          "error": defect, "sigma": "", "s": "",
                          "norm_ratio": res["energy_drift"][scheme]})
         gates[f"{model.label}_flat_bottom_exact"] = \
@@ -312,7 +322,6 @@ def run_waterwave(cfg: ExperimentConfig):
 
 def run_schroedinger_precond(cfg: ExperimentConfig):
     res = experiments.preconditioned_lie_study(
-        operators.two_cos_coeff, TAU_LIST,
         [s for s in cfg.s_list if s > 0], cfg.M_list, seed=cfg.seed)
     rows = [{"probe": "schrodinger", **r} for r in res.get("error_rows", [])]
     pre, base = res["loss_preconditioned"], res["loss_baseline"]
@@ -535,12 +544,13 @@ def report(outdir) -> int:
 
 
 def list_probes() -> int:
+    """Each experiment, with the probes its config's probes key takes."""
     print("experiments:")
-    for name in EXPERIMENTS:
+    for name, spec in EXPERIMENTS.items():
         print(f"  {name}")
-    print("probes:")
-    for name, desc in experiments.PROBES.items():
-        print(f"  {name}: {desc}")
+        for probe, desc in experiments.PROBES.items():
+            if spec.probe_model and _accepts(spec, probe):
+                print(f"    {probe}: {desc}")
     return 0
 
 

@@ -44,6 +44,11 @@ GRID_STEP = 0.25        # step of the order and loss grids
 # largest log-log growth exponent of a stable seminorm sequence: half the
 # grid step, so that a deficit of one grid step is rejected
 GROWTH_TOL = GRID_STEP / 2
+ORDER_GRID = tuple(GRID_STEP * j for j in range(-12, 13))   # candidate orders -3..3
+ORDER_THETA = 2.0       # a stable seminorm sequence stays within this factor
+# difference multi-indices alpha of the order scan, by dimension d
+ALPHA_GRIDS = {1: ((0,), (1,), (-1,), (2,)),
+               2: ((0, 0), (1, 0), (0, 1), (-1, 0), (0, -1))}
 
 
 # ---------------------------------------------------------------------------
@@ -523,18 +528,15 @@ def _stable_family(values, sizes, theta: float) -> bool:
     return transient
 
 
-def default_order_grid(lo: float = -3.0, hi: float = 3.0):
-    return tuple(np.round(np.arange(lo, hi + GRID_STEP / 2, GRID_STEP), 6))
-
-
-def estimate_order(family, alpha_grid=None, decay_grid=(0, 2, 4, 8),
-                   order_grid=None, theta: float = 2.0) -> OrderEstimate:
+def estimate_order(family, decay_grid=(0, 2, 4, 8),
+                   order_grid=ORDER_GRID) -> OrderEstimate:
     """Certify the effective order of a family built at increasing M (or K).
 
-    A grid order r is certified for one probe (alpha, decay) when the
-    seminorm sequence across the family (a) stays within factor theta of its
-    first value and (b) shows a fitted log-log growth exponent at most
-    GROWTH_TOL (see _stable_family).  r_hat is the smallest r certified for
+    A grid order r is certified for one probe (alpha, decay), alpha from
+    ALPHA_GRIDS[d] and decay from decay_grid, when the seminorm sequence
+    across the family (a) stays within factor ORDER_THETA of its first value
+    and (b) shows a fitted log-log growth exponent at most GROWTH_TOL (see
+    _stable_family).  r_hat is the smallest r of order_grid certified for
     every probe.
 
     The family needs at least 2 members.  Per member and alpha, one pass
@@ -547,17 +549,11 @@ def estimate_order(family, alpha_grid=None, decay_grid=(0, 2, 4, 8),
     if len(family) < 2:
         raise ValueError("family must have at least 2 members, got "
                          f"{len(family)}")
-    d = family[0].block.d
     sizes = tuple(A.block.size for A in family)
     if sorted(sizes) != list(sizes) or len(set(sizes)) != len(sizes):
         raise ValueError("family must be built at strictly increasing sizes")
-    if alpha_grid is None:
-        alpha_grid = ((0,), (1,), (-1,), (2,)) if d == 1 else \
-            ((0, 0), (1, 0), (0, 1), (-1, 0), (0, -1))
-    alpha_grid = tuple(tuple(a) for a in alpha_grid)
+    alpha_grid = ALPHA_GRIDS[family[0].block.d]
     decay_grid = tuple(int(n) for n in decay_grid)
-    if order_grid is None:
-        order_grid = default_order_grid()
     order_grid = tuple(float(r) for r in order_grid)
 
     n_r, n_a, n_n, n_m = len(order_grid), len(alpha_grid), len(decay_grid), len(family)
@@ -573,7 +569,7 @@ def estimate_order(family, alpha_grid=None, decay_grid=(0, 2, 4, 8),
                 ratios[:, i_a, i_n, i_m] = np.max(env / powers[la], axis=1)
     certified = np.zeros((n_r, n_a, n_n), dtype=bool)
     for idx in np.ndindex(n_r, n_a, n_n):
-        certified[idx] = _stable_family(ratios[idx], sizes, theta)
+        certified[idx] = _stable_family(ratios[idx], sizes, ORDER_THETA)
     r_hat = next((r for r, c in zip(order_grid, certified) if c.all()), math.inf)
     return OrderEstimate(r_hat, order_grid, alpha_grid, decay_grid, sizes,
                          ratios, certified)

@@ -222,13 +222,14 @@ def waterwave_assemble(model: WaterWaveModel, period: int) -> WaterWaveOperators
     return WaterWaveOperators(model, block, omega, coupling, mult, d)
 
 
-def waterwave_noloss_study(model: WaterWaveModel, schemes, periods, tau_list,
-                           s_list, seed: int = 0) -> dict:
+def waterwave_noloss_study(model: WaterWaveModel, periods, s_list,
+                           seed: int = 0) -> dict:
     """Order slopes, loss scan, per-step symplectic defect and energy drift
-    for the split water-wave system, with flows.N_SAMPLES data vectors per
-    error sup and loss levels at flows.TAU_STAR.  The order warning of the
-    model, an indefinite energy and unstable propagator norms are reported
-    through warnings.warn."""
+    of the Lie and Strang steps of the split water-wave system, with
+    flows.N_SAMPLES data vectors per error sup, steps flows.TAU_LIST and loss
+    levels at flows.TAU_STAR.  The order warning of the model, an indefinite
+    energy and unstable propagator norms are reported through
+    warnings.warn."""
     out: dict = {"model": model.label}
     warn = model.order_warning()
     if warn:
@@ -254,11 +255,10 @@ def waterwave_noloss_study(model: WaterWaveModel, schemes, periods, tau_list,
         if max(bounds) > 1.1 * bounds[0]:
             warnings.warn(f"propagator norm bound at s={s} not stable across "
                           f"periods: {bounds}")
-    scheme_map = {"lie": flows.LIE, "strang": flows.STRANG}
-    systems = {K: ops_k.system([scheme_map[name] for name in schemes])
+    systems = {K: ops_k.system((flows.LIE, flows.STRANG))
                for K, ops_k in level_ops.items()}
     ops, system = level_ops[max(periods)], systems[max(periods)]
-    tables = flows.error_table(system, tau_list, [
+    tables = flows.error_table(system, [
         (s, ops.weights(s), ops.sampler(s, flows.N_SAMPLES, seed)) for s in s_list])
     out["slopes"] = {key: tab.fit for key, tab in tables.items()}
     out["error_rows"] = [r for tab in tables.values() for r in tab.rows]
@@ -266,16 +266,16 @@ def waterwave_noloss_study(model: WaterWaveModel, schemes, periods, tau_list,
     out["symplectic_defect"], out["energy_drift"] = {}, {}
     x0 = ops.sampler(max(s_list), 1, seed)[0]
     e0 = ops.energy(x0)
-    eye = np.eye(2 * ops.n, dtype=complex)
+    eye, tau = np.eye(2 * ops.n, dtype=complex), flows.TAU_LIST[0]
     for name, step in system.steps.items():
-        P = step(tau_list[0], eye)
+        P = step(tau, eye)
         out["symplectic_defect"][name] = operators.symplectic_defect(P)
         out["energy_drift"][name] = abs(ops.energy(P @ x0) - e0) / max(abs(e0), 1e-300)
     flat = WaterWaveModel(mu=model.mu, b_coeffs=lambda *k: 0.0, label="b0")
     flat_ops = waterwave_assemble(flat, min(periods))
     flat_sys = flat_ops.system((flows.STRANG,))
     eye = np.eye(2 * flat_ops.n, dtype=complex)
-    E0 = flat_sys.steps["strang"](tau_list[0], eye) - flat_sys.exact(tau_list[0], eye)
+    E0 = flat_sys.steps["strang"](tau, eye) - flat_sys.exact(tau, eye)
     out["b0_control"] = float(np.max(np.abs(E0)))
     return out
 
@@ -391,15 +391,13 @@ def homological_defect(model: PreconditionedSchroedinger) -> float:
     return float(np.max(np.abs(lhs - model.A.entries - model.Z.entries)))
 
 
-def telescoping_defect(model: PreconditionedSchroedinger, tau: float,
-                       n_steps: int) -> float:
-    """The conjugation commutes with iterating the inner step exactly."""
+def telescoping_defect(model: PreconditionedSchroedinger) -> float:
+    """The conjugation commutes with iterating the inner step exactly: ten
+    steps of size 0.01."""
     inner = flows.compose(flows.LIE, model.block_diag_prop, model.smoothing_prop,
-                          tau, np.eye(model.block.n, dtype=complex))
-    lhs = np.linalg.matrix_power(model.exp_x_minus @ inner @ model.exp_x_plus,
-                                 n_steps)
-    rhs = model.exp_x_minus @ np.linalg.matrix_power(inner, n_steps) @ \
-        model.exp_x_plus
+                          0.01, np.eye(model.block.n, dtype=complex))
+    lhs = np.linalg.matrix_power(model.exp_x_minus @ inner @ model.exp_x_plus, 10)
+    rhs = model.exp_x_minus @ np.linalg.matrix_power(inner, 10) @ model.exp_x_plus
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -425,19 +423,18 @@ def smoothing_remainder_family(assemble, radii) -> list[OpMatrix]:
     return fam
 
 
-def preconditioned_lie_study(v_coeffs, tau_list, s_list, radii,
-                             seed: int = 0) -> dict:
-    """Local-order fit and loss scan of the pre/post-processed Lie step, with
-    the plain Lie baseline for contrast, with flows.N_SAMPLES data vectors
-    per error sup and loss levels at flows.TAU_STAR.  Each radius is
-    assembled once, in the order of first use, by a memo that lives as long
-    as this call."""
-    assemble = cache(partial(schroedinger_assemble, v_coeffs))
+def preconditioned_lie_study(s_list, radii, seed: int = 0) -> dict:
+    """Local-order fit and loss scan of the pre/post-processed Lie step for
+    the potential 2 cos x, with the plain Lie baseline for contrast, with
+    flows.N_SAMPLES data vectors per error sup, steps flows.TAU_LIST and loss
+    levels at flows.TAU_STAR.  Each radius is assembled once, in the order of
+    first use, by a memo that lives as long as this call."""
+    assemble = cache(partial(schroedinger_assemble, operators.two_cos_coeff))
     out: dict = {}
     M_ref = max(radii)
     model = assemble(M_ref)
     out["homological_defect"] = homological_defect(model)
-    out["telescoping_defect"] = telescoping_defect(model, 0.01, 10)
+    out["telescoping_defect"] = telescoping_defect(model)
     out["remainder_order"] = core.estimate_order(
         smoothing_remainder_family(assemble, radii)).r_hat
 
@@ -452,7 +449,7 @@ def preconditioned_lie_study(v_coeffs, tau_list, s_list, radii,
     systems = {M: system(M) for M in radii}
     ref = systems[M_ref]
     tables = flows.error_table(
-        replace(ref, steps={"precond_lie": ref.steps["precond_lie"]}), tau_list,
+        replace(ref, steps={"precond_lie": ref.steps["precond_lie"]}),
         [(s, ref.weights(s), ref.sampler(s + 3.0, flows.N_SAMPLES, seed))
          for s in s_list])
     out["slopes"] = {s: tab.fit for (_, s), tab in tables.items()}
@@ -654,7 +651,6 @@ def _growth_result(model: GrowthModel, horizon: float, s_list, periods,
 
 
 PROBES = {
-    "schrodinger": "squared-frequency diagonal plus 2cos(x) potential, d=1",
     "waterwave": "water waves, mu=1, b=cos(x)",
     "waterwave_mu01": "water waves, mu=0.1, b=cos(x)",
     "waterwave_rough": "water waves, mu=1, bounded random even topography",

@@ -9,12 +9,14 @@ raises), and the water-wave study brings its own Hermitian normal-mode flow
 ``f(t, X)`` that applies e^{tG} to an (n, m) block X of column vectors; its
 matrix is the flow applied to the identity, which only the operator
 measurements build.  Local-error tables apply each step to the stacked data
-and fit the step-size order; the loss scan takes the error-to-data ratio
-over a grid of extra-regularity exponents and certifies the smallest one
-for which it is multiplicatively stable as the block refines, which needs
-the error matrix itself.  Both measure one-step errors of a
-``SplitSystem``: the exact flow of one refinement level, the split steps
-approximating it by name, and its h^s weights and rough data.
+at the step sizes TAU_LIST and fit the step-size order; the loss scan takes
+the error-to-data ratio over the extra-regularity exponents SIGMA_GRID and
+certifies the smallest one for which it is multiplicatively stable (within
+LOSS_THETA) as the block refines, which needs the error matrix itself.
+Both measure one-step errors of a ``SplitSystem``: the exact flow of one
+refinement level, the split steps approximating it by name, and its h^s
+weights and rough data.  Every run uses these grids, so they are module
+constants, not arguments.
 """
 
 from __future__ import annotations
@@ -31,7 +33,10 @@ TRIPLE_JUMP_GAMMA = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 TAU_MAX = 0.5           # largest step size a splitting step accepts
 FLOOR_FACTOR = 100.0    # roundoff floor of error tables, in eps times the data
 TAU_STAR = 0.005        # reference step size of a loss level's error matrix
+TAU_LIST = tuple(0.1 * 2.0 ** (-j) for j in range(7))   # steps of every error table
 N_SAMPLES = 6           # rough data vectors in each error sup
+SIGMA_GRID = tuple(core.GRID_STEP * j for j in range(9))  # loss candidates 0..2
+LOSS_THETA = 1.5        # a stable loss ratio sequence stays within this factor
 NOISE_FLOOR = 1e-11     # loss ratios at or below this certify at once
 HERMITIAN_TOL = 1e-12   # relative defect a generator's eigendecomposition accepts
 
@@ -189,18 +194,14 @@ class LocalErrorTable:
     fit: FitResult | None       # slope of log error vs log tau
 
 
-def default_tau_list(base: float = 0.1, count: int = 7):
-    return tuple(base * 2.0 ** (-j) for j in range(count))
-
-
-def error_table(system: SplitSystem, tau_list, cases) -> dict:
+def error_table(system: SplitSystem, cases) -> dict:
     """One table per (step name, s) for the (s, weights, xs) cases: the sup
     over the data vectors xs of ||weights * (step(tau) - exact(tau)) x|| per
-    step size, with a log-log slope over the points above the roundoff floor,
-    FLOOR_FACTOR * eps times the largest weighted datum.  Every case's data
-    are stacked as the columns of one block X, and exact(tau, X) is applied
-    once for every step and step(tau, X) once for every case; no matrix is
-    built."""
+    step size tau of TAU_LIST, with a log-log slope over the points above the
+    roundoff floor, FLOOR_FACTOR * eps times the largest weighted datum.
+    Every case's data are stacked as the columns of one block X, and
+    exact(tau, X) is applied once for every step and step(tau, X) once for
+    every case; no matrix is built."""
     if len({s for s, _, _ in cases}) < len(cases):
         raise ValueError("error table cases must have distinct s")
     data = [np.asarray(xs) for _, _, xs in cases]
@@ -215,7 +216,7 @@ def error_table(system: SplitSystem, tau_list, cases) -> dict:
 
     floors = FLOOR_FACTOR * np.finfo(float).eps * case_sups(X)
     rows = {(name, s): [] for name in system.steps for s, _, _ in cases}
-    for tau in tau_list:
+    for tau in TAU_LIST:
         exact = system.exact(tau, X)
         for name, step in system.steps.items():
             errs = case_sups(step(tau, X) - exact)
@@ -239,11 +240,6 @@ class LossReport:
     rows: list                  # dicts: scheme, level, s, sigma, norm_ratio
 
 
-def default_sigma_grid(hi: float = 2.0):
-    step = core.GRID_STEP
-    return tuple(np.round(np.arange(0.0, hi + step / 2, step), 6))
-
-
 def _ratio_sup(E: np.ndarray, w_out: np.ndarray, w_in: np.ndarray, xs) -> float:
     """sup_x ||w_out * (E x)|| / ||w_in * x|| over every unit frequency vector
     (the weighted column norms of E) and over the data vectors xs."""
@@ -256,11 +252,11 @@ def _ratio_sup(E: np.ndarray, w_out: np.ndarray, w_in: np.ndarray, xs) -> float:
     return worst
 
 
-def loss_scan(systems, s: float, sigma_grid=None, seed: int = 0,
-              stability_factor: float = 1.5) -> dict:
+def loss_scan(systems, s: float, seed: int = 0) -> dict:
     """One LossReport per step name of the systems, one system per refinement
-    level: the smallest extra regularity sigma on the grid for which the ratio
-    sup_x ||E x||_s / ||x||_{s+sigma} is stable across the levels, with E the
+    level: the smallest extra regularity sigma of SIGMA_GRID for which the
+    ratio sup_x ||E x||_s / ||x||_{s+sigma} is stable across the levels
+    (within factor LOSS_THETA, see core._stable_family), with E the
     step's one-step error at TAU_STAR as a matrix, the flows applied to the
     identity of the level's state space (exact(TAU_STAR, I) is built once per
     level for every step, and each level's weights and data once per sigma
@@ -275,9 +271,6 @@ def loss_scan(systems, s: float, sigma_grid=None, seed: int = 0,
     """
     if len(systems) < 2:
         raise ValueError(f"loss scan needs at least 2 levels, got {len(systems)}")
-    if sigma_grid is None:
-        sigma_grid = default_sigma_grid()
-    sigma_grid = tuple(float(v) for v in sigma_grid)
     labels = [system.label for system in systems]
     errors = []
     for system in systems:
@@ -289,8 +282,8 @@ def loss_scan(systems, s: float, sigma_grid=None, seed: int = 0,
     reports = {}
     for name in systems[0].steps:
         rows = []
-        sigma_hat, certified = sigma_grid[-1], False
-        for sigma in sigma_grid:
+        sigma_hat, certified = SIGMA_GRID[-1], False
+        for sigma in SIGMA_GRID:
             for i, system in enumerate(systems):
                 if (i, sigma) not in data:
                     data[i, sigma] = (system.weights(s), system.weights(s + sigma),
@@ -299,7 +292,7 @@ def loss_scan(systems, s: float, sigma_grid=None, seed: int = 0,
             rows += [{"scheme": name, "level": label, "s": s, "sigma": sigma,
                       "norm_ratio": v} for label, v in zip(labels, vals)]
             if max(vals) <= NOISE_FLOOR or \
-                    core._stable_family(vals, labels, stability_factor):
+                    core._stable_family(vals, labels, LOSS_THETA):
                 sigma_hat, certified = sigma, True
                 break
         reports[name] = LossReport(sigma_hat, certified, rows)

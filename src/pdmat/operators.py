@@ -1,16 +1,17 @@
 """Operator constructors on truncated blocks.
 
-Symbols with a declared order, diagonal symbol multipliers, Toeplitz
-multiplication operators built from Fourier coefficients, and the defect of a
-propagator from preserving the canonical symplectic form.  A coefficient rule
-is pure: its value depends on k alone, so the Toeplitz matrix evaluates it
-once per difference and gathers the table with ``core.toeplitz``.
+Built-in symbols, diagonal symbol multipliers, Toeplitz multiplication
+operators built from Fourier coefficients, and the defect of a propagator
+from preserving the canonical symplectic form.  A symbol is a plain callable
+on d floats, and its order is what ``core.estimate_order`` certifies.  A
+coefficient rule is pure: its value depends on k alone, so the Toeplitz
+matrix evaluates it once per difference and gathers the table with
+``core.toeplitz``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -23,27 +24,15 @@ from .core import IndexBlock, OpMatrix
 # symbols
 
 
-@dataclass(frozen=True)
-class SymbolSpec:
-    """Symbol evaluator with a declared order (metadata only; certified order
-    always comes from the refinement scan)."""
-
-    evaluator: object          # callable on d floats -> complex
-    declared_order: float
-
-    def __call__(self, *x) -> complex:
-        return self.evaluator(*x)
-
-
-def symbol_catalog(name: str, power: float = 1.0) -> SymbolSpec:
-    """Built-in symbol by name, for code and tests (no config key selects
-    one)."""
+def symbol_catalog(name: str):
+    """Built-in symbol by name, a callable on d floats, for code and tests (no
+    config key selects one): "one", "laplacian" |x|^2, "first_derivative"
+    i x_1, and "bracket_power" <x>^(1/2) = (1 + |x|^2)^(1/4), of order 1/2."""
     table = {
-        "one": SymbolSpec(lambda *x: 1.0, 0.0),
-        "laplacian": SymbolSpec(lambda *x: sum(c * c for c in x), 2.0),
-        "first_derivative": SymbolSpec(lambda *x: 1j * x[0], 1.0),
-        "bracket_power": SymbolSpec(
-            lambda *x: (1.0 + sum(c * c for c in x)) ** (power / 2.0), power),
+        "one": lambda *x: 1.0,
+        "laplacian": lambda *x: sum(c * c for c in x),
+        "first_derivative": lambda *x: 1j * x[0],
+        "bracket_power": lambda *x: (1.0 + sum(c * c for c in x)) ** 0.25,
     }
     if name not in table:
         raise KeyError(f"unknown symbol {name!r}; known: {sorted(table)}")

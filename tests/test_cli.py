@@ -87,6 +87,16 @@ def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: not UTF-8")
 
 
+def test_a_step_count_that_overflows_is_a_config_error(tmp_path, capsys):
+    # horizon / delta = 1e318 is no float, and round() of it raised
+    text = 'experiment = "sobolev_growth"\nhorizon = 1e308\ndelta = 1e-10\n'
+    with pytest.raises(cli.ConfigError, match="horizon 1e[+]308 over delta 1e-10"):
+        cli.parse_config(text)
+    (tmp_path / "overflow.cfg").write_text(text)
+    assert cli.main(["run", str(tmp_path / "overflow.cfg")]) == 2
+    assert capsys.readouterr().err.startswith("config error: horizon")
+
+
 def test_parse_config_requires_experiment():
     with pytest.raises(cli.ConfigError, match="experiment"):
         cli.parse_config("seed = 1")
@@ -226,7 +236,7 @@ def test_single_refinement_level_rejected_by_name(experiment, line, key):
 
 @pytest.mark.parametrize("line", [
     "fit_band = 100.0", "algebra_tol = 1.0", "unitary_tol = 1.0",
-    "stability_factor = 100.0", "order_theta = 100.0", "growth_tol = 10.0",
+    "loss_theta = 100.0", "order_theta = 100.0", "growth_tol = 10.0",
     "tau_star = 0.01", "mu = 0.5",
 ])
 def test_gate_bounds_cannot_be_set_from_config(line):
@@ -274,7 +284,7 @@ def _passing_waterwave_study():
 
 
 def test_stability_warning_keeps_waterwave_gates(monkeypatch):
-    def study(model, schemes, *args, **kwargs):
+    def study(model, *args, **kwargs):
         warnings.warn("propagator norm bound at s=1 not stable across "
                       "periods: [1.0, 1.2]")
         return _passing_waterwave_study()
@@ -302,7 +312,7 @@ def test_every_period_reaches_the_study(experiment, monkeypatch):
         periods.append(K)
         return types.SimpleNamespace(system=lambda schemes: None)
 
-    def study(model, schemes, K_list, *args, **kwargs):
+    def study(model, K_list, *args, **kwargs):
         periods.extend(K_list)
         return _passing_waterwave_study()
     loss = flows.LossReport(0.0, True, [])
@@ -386,7 +396,7 @@ def test_manifest_slope_gates_match_the_fits(tmp_path):
     for label in ("lie_s0", "lie_s1", "strang_s0", "strang_s1"):
         gate = gates[f"{label}_slope"]
         assert gate["residual"] == fits[label]["residual"]
-        assert gate["n_points"] + gate["n_dropped"] == len(cli.TAU_LIST)
+        assert gate["n_points"] + gate["n_dropped"] == len(flows.TAU_LIST)
 
 
 @pytest.mark.parametrize("cfg_text,band", [
@@ -530,9 +540,9 @@ def test_report_writes_dat_files(tmp_path, capsys):
 def test_main_entry_points(tmp_path, capsys, monkeypatch):
     assert cli.main(["list-probes"]) == 0
     out = capsys.readouterr().out
-    assert "waterwave" in out and "schrodinger" in out
+    assert "waterwave_rough" in out and "schrodinger" not in out
     assert [line for line in out.splitlines() if not line.startswith("  ")] == [
-        "experiments:", "probes:"]
+        "experiments:"]
     cfg_path = tmp_path / "c.cfg"
     cfg_path.write_text('experiment = "order_gain"\nM_list = [8, 16]\n')
     assert cli.main(["run", str(cfg_path), "--output", str(tmp_path / "out")]) == 0
@@ -541,6 +551,24 @@ def test_main_entry_points(tmp_path, capsys, monkeypatch):
     assert cli.main(["run", str(cfg_path)]) == 0
     assert (tmp_path / "pdmat-out" / "manifest.json").exists()
     assert cli.main(["run", str(tmp_path / "missing.cfg")]) == 2
+
+
+def test_every_listed_probe_parses_in_a_config_of_its_experiment(capsys):
+    assert cli.main(["list-probes"]) == 0
+    listed, experiment = {}, None
+    for line in capsys.readouterr().out.splitlines()[1:]:
+        if line.startswith("    "):
+            listed[experiment].append(line.split(":")[0].strip())
+        else:
+            experiment = line.strip()
+            listed[experiment] = []
+    assert list(listed) == list(cli.EXPERIMENTS)
+    assert sorted(p for probes in listed.values() for p in probes) == \
+        sorted(experiments.PROBES)
+    for experiment, probes in listed.items():
+        for probe in probes:
+            cfg = cli.parse_config(f'experiment = "{experiment}"\nprobes = ["{probe}"]')
+            assert cfg.probes == (probe,)
 
 
 @pytest.mark.parametrize("seed,warned", [(4, True), (1, False)])

@@ -507,8 +507,7 @@ def test_estimate_order_2d_square_symbol():
         idx = block.indices()
         fam.append(core.diagonal_matrix(
             block, (idx[:, 0] ** 2 + idx[:, 1] ** 2).astype(complex)))
-    est = core.estimate_order(fam, decay_grid=(0, 2),
-                              order_grid=core.default_order_grid(0.0, 3.0))
+    est = core.estimate_order(fam, decay_grid=(0, 2))
     assert est.r_hat == 2.0
 
 
@@ -557,27 +556,38 @@ def entrywise_order_scan(family, alpha_grid, decay_grid, order_grid):
     return out
 
 
-def stable_table(ratios, sizes, theta=2.0):
+def stable_table(ratios, sizes):
     """Multiplicative stability of each (order, alpha, decay) row of a
     seminorm table across the family."""
-    return np.array([[[core._stable_family(ratios[i_r, i_a, i_n], sizes, theta)
+    return np.array([[[core._stable_family(ratios[i_r, i_a, i_n], sizes,
+                                           core.ORDER_THETA)
                        for i_n in range(ratios.shape[2])]
                       for i_a in range(ratios.shape[1])]
                      for i_r in range(ratios.shape[0])])
 
 
+def seminorm_scan(family, alpha_grid, decay_grid, order_grid):
+    """The same table as the order scans, one core.seminorm per entry."""
+    return np.array([[[[core.seminorm(A, core.SeminormSpec(alpha, decay, r))
+                        for A in family] for decay in decay_grid]
+                      for alpha in alpha_grid] for r in order_grid])
+
+
 @pytest.mark.parametrize("case", ["truncated_1d", "periodic_1d", "truncated_2d"])
 def test_estimate_order_matches_entrywise_scan(case):
+    # estimate_order probes ALPHA_GRIDS[d]; the differences outside it (a
+    # second backward one, a mixed one) are checked through core.seminorm
+    # against the same oracle
     rng = np.random.default_rng(RNG_SEED + 11)
     if case == "truncated_1d":
         fam = [core.commutator(diag_from(truncated_block(1, M), lambda m: m * m),
                                toeplitz_from(truncated_block(1, M),
                                              lambda k: math.exp(-abs(k))))
                for M in (6, 10, 16)]
-        alpha_grid = ((0,), (1,), (-1,), (2,))
+        probes = ()
     elif case == "periodic_1d":
         fam = [random_periodic(periodic_block(1, K), rng) for K in (8, 12, 16)]
-        alpha_grid = ((0,), (1,), (-2,))
+        probes = ((-2,),)
     else:
         fam = []
         for M in (3, 4, 5):
@@ -586,16 +596,22 @@ def test_estimate_order_matches_entrywise_scan(case):
             fam.append(core.diagonal_matrix(
                 block, (idx[:, 0] ** 2 + idx[:, 1] ** 2).astype(complex)) +
                 OpMatrix(block, 1e-3 * rng.standard_normal((block.n, block.n))))
-        alpha_grid = ((0, 0), (1, 0), (0, -1), (1, 1))
+        probes = ((1, 1),)
+    alpha_grid = core.ALPHA_GRIDS[fam[0].block.d]
     decay_grid = (0, 2, 5)
-    order_grid = core.default_order_grid(-1.0, 3.0)
-    est = core.estimate_order(fam, alpha_grid, decay_grid, order_grid)
+    order_grid = core.ORDER_GRID
+    est = core.estimate_order(fam, decay_grid)
     oracle = entrywise_order_scan(fam, alpha_grid, decay_grid, order_grid)
+    assert est.alpha_grid == alpha_grid and est.order_grid == order_grid
     assert np.array_equal(est.max_ratios, oracle)
     certified = stable_table(oracle, est.sizes)
     assert np.array_equal(est.certified, certified)
     full = [r for r, c in zip(order_grid, certified) if c.all()]
     assert est.r_hat == (full[0] if full else math.inf)
+    if probes:
+        assert np.array_equal(
+            seminorm_scan(fam, probes, decay_grid, order_grid),
+            entrywise_order_scan(fam, probes, decay_grid, order_grid))
 
 
 def envelope_order_scan(family, alpha_grid, decay_grid, order_grid):
@@ -640,15 +656,18 @@ def test_estimate_order_matches_envelope_oracle(case):
         l1 = np.abs(block.indices()).sum(axis=1)
         fam.append(core.diagonal_matrix(block, (l1 ** 2).astype(complex)) +
                    OpMatrix(block, 1e-3 * rng.standard_normal((block.n, block.n))))
-    alpha_grid = ((0,), (1,), (-1,), (2,)) if d == 1 else \
-        ((0, 0), (1, 0), (0, -1), (-1, 1))
-    decay_grid = (0, 2, 4, 8)
-    order_grid = core.default_order_grid(-1.0, 3.0)
-    est = core.estimate_order(fam, alpha_grid, decay_grid, order_grid)
-    oracle = envelope_order_scan(fam, alpha_grid, decay_grid, order_grid)
+    alpha_grid, decay_grid = core.ALPHA_GRIDS[d], (0, 2, 4, 8)
+    est = core.estimate_order(fam)
+    oracle = envelope_order_scan(fam, alpha_grid, decay_grid, core.ORDER_GRID)
     assert np.array_equal(est.max_ratios, oracle)
     certified = stable_table(oracle, est.sizes)
     assert np.array_equal(est.certified, certified)
+    if d == 2:
+        # a mixed difference, outside ALPHA_GRIDS, through core.seminorm
+        probe = ((-1, 1),)
+        assert np.array_equal(
+            seminorm_scan(fam, probe, decay_grid, core.ORDER_GRID),
+            envelope_order_scan(fam, probe, decay_grid, core.ORDER_GRID))
 
 
 def laplacian_cos_2d(M):

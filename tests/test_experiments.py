@@ -119,9 +119,7 @@ def test_waterwave_strang_slope_and_no_loss():
     model = experiments.waterwave_model("waterwave")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        res = experiments.waterwave_noloss_study(
-            model, ["strang"], (32, 64), (0.1, 0.05, 0.025, 0.0125), (2.0,),
-            seed=SEED)
+        res = experiments.waterwave_noloss_study(model, (32, 64), (2.0,), seed=SEED)
     assert res["slopes"][("strang", 2.0)].slope == pytest.approx(3.0, abs=0.25)
     assert res["loss"]["strang"].sigma_hat == 0.0
     assert res["b0_control"] <= 1e-12
@@ -148,8 +146,7 @@ def test_stvenant_is_the_mu_zero_model():
 def test_waterwave_stvenant_warns():
     model = experiments.waterwave_model("waterwave_stvenant")
     with pytest.warns(UserWarning) as caught:
-        experiments.waterwave_noloss_study(
-            model, ["lie"], (16, 32), (0.1, 0.05), (1.0,), seed=SEED)
+        experiments.waterwave_noloss_study(model, (16, 32), (1.0,), seed=SEED)
     assert model.order_warning() in [str(w.message) for w in caught]
 
 
@@ -170,10 +167,9 @@ def test_waterwave_study_builds_each_step_once_per_scheme(monkeypatch):
         return dataclasses.replace(split, steps={
             name: step(name, fn) for name, fn in split.steps.items()})
     monkeypatch.setattr(experiments.WaterWaveOperators, "system", counted)
-    tau_list = flows.default_tau_list()
+    tau_list = flows.TAU_LIST
     res = experiments.waterwave_noloss_study(
-        experiments.waterwave_model("waterwave"), ["lie", "strang"], (16, 32),
-        tau_list, (1.0, 2.0, 3.0), seed=SEED)
+        experiments.waterwave_model("waterwave"), (16, 32), (1.0, 2.0, 3.0), seed=SEED)
     assert applied == [("waterwave", 32, name, tau) for tau in tau_list
                        for name in ("lie", "strang")]
     assert len(built) == len(set(built))
@@ -196,10 +192,10 @@ def test_waterwave_study_builds_each_exact_propagator_once(monkeypatch):
         (built if is_identity(X) else applied).append((ops.model.label, ops.block.size, t))
         return exact_prop(ops, t, X)
     monkeypatch.setattr(experiments.WaterWaveOperators, "exact_prop", counted)
-    tau_list = flows.default_tau_list()
+    tau_list = flows.TAU_LIST
     experiments.waterwave_noloss_study(
-        experiments.waterwave_model("waterwave"), ["lie", "strang"], (32, 64, 128),
-        tau_list, (1.0, 2.0, 3.0), seed=SEED)
+        experiments.waterwave_model("waterwave"), (32, 64, 128), (1.0, 2.0, 3.0),
+        seed=SEED)
     assert built == [("waterwave", K, flows.TAU_STAR) for K in (32, 64, 128)] + \
         [("b0", 32, tau_list[0])]
     norm_checks = [("waterwave", K, t) for K in (32, 64, 128) for _ in range(3)
@@ -406,7 +402,7 @@ def test_remainder_is_two_smoothing():
 
 
 def test_telescoping_identity(schro_model):
-    assert experiments.telescoping_defect(schro_model, 0.01, 10) <= 1e-10
+    assert experiments.telescoping_defect(schro_model) <= 1e-10
 
 
 def test_preconditioned_study_assembles_each_radius_once(monkeypatch):
@@ -417,17 +413,13 @@ def test_preconditioned_study_assembles_each_radius_once(monkeypatch):
         built.append(radius)
         return assemble(v_coeffs, radius)
     monkeypatch.setattr(experiments, "schroedinger_assemble", counting)
-    experiments.preconditioned_lie_study(
-        operators.two_cos_coeff, flows.default_tau_list()[:3], (2.0,), (8, 12, 16),
-        seed=SEED)
+    experiments.preconditioned_lie_study((2.0,), (8, 12, 16), seed=SEED)
     # M_ref, then the margin-2 remainder radii, then the remaining level
     assert built == [16, 24, 32, 8, 12]
 
 
 def test_preconditioned_study_orders_and_loss():
-    res = experiments.preconditioned_lie_study(
-        operators.two_cos_coeff, flows.default_tau_list(), (2.0,), (16, 32, 64),
-        seed=SEED)
+    res = experiments.preconditioned_lie_study((2.0,), (16, 32, 64), seed=SEED)
     assert res["slopes"][2.0].slope == pytest.approx(2.0, abs=0.25)
     assert res["loss_preconditioned"].sigma_hat == 0.0
     assert res["loss_baseline"].sigma_hat == 1.0
@@ -725,7 +717,15 @@ def test_validity_horizon():
 
 
 def test_probe_registry():
-    assert "schrodinger" in experiments.PROBES
+    # every listed probe builds a model, so some config's probes key takes it
+    def builds(model, name):
+        try:
+            model(name)
+        except KeyError:
+            return False
+        return True
+    assert all(builds(experiments.waterwave_model, name) or
+               builds(experiments.growth_model, name) for name in experiments.PROBES)
     assert experiments.waterwave_model("waterwave").mu == 1.0
     with pytest.raises(KeyError):
         experiments.waterwave_model("nope")

@@ -227,11 +227,11 @@ def test_composition_scheme_mapping():
         flows.composition_scheme(3)
 
 
-def scalar_tables(A, B, schemes, tau_list, cases) -> dict:
+def scalar_tables(A, B, schemes, cases) -> dict:
     """Error tables of the scalar split system of A and B, one per (step,
     s) for the (s, samples) cases."""
     system = flows.scalar_system(A.block.size, A, B, schemes)
-    return flows.error_table(system, tau_list, [
+    return flows.error_table(system, [
         (s, system.weights(s), samples) for s, samples in cases])
 
 
@@ -242,7 +242,7 @@ def test_fourth_order_composition_local_order():
     B = random_hermitian(block, rng, 2.0)
     samples = core.rough_samples(block, 2.0, 4, 11)
     tab = scalar_tables(A, B, (flows.composition_scheme(4),),
-                        flows.default_tau_list(), [(0.0, samples)])["composition", 0.0]
+                        [(0.0, samples)])["composition", 0.0]
     assert 4.6 <= tab.fit.slope <= 5.4
     assert tab.fit.n_dropped >= 1  # smallest steps hit the roundoff floor
 
@@ -255,8 +255,7 @@ def test_error_table_zero_generator_flagged():
     A, _ = schrodinger_pair(8)
     zero = 0.0 * core.identity(A.block)
     samples = core.rough_samples(A.block, 2.0, 3, SEED)
-    tab, = scalar_tables(A, zero, (flows.LIE,), flows.default_tau_list(),
-                         [(0.0, samples)]).values()
+    tab, = scalar_tables(A, zero, (flows.LIE,), [(0.0, samples)]).values()
     assert all(r["error"] <= 1e-12 for r in tab.rows)
     assert tab.fit is None
 
@@ -265,36 +264,37 @@ def test_error_table_zero_generator_flagged():
 def test_lie_and_strang_slopes(s):
     A, B = schrodinger_pair(32)
     samples = core.rough_samples(A.block, s + 3.0, 5, SEED)
-    tables = scalar_tables(A, B, (flows.LIE, flows.STRANG), flows.default_tau_list(),
-                           [(s, samples)])
+    tables = scalar_tables(A, B, (flows.LIE, flows.STRANG), [(s, samples)])
     assert tables["lie", s].fit.slope == pytest.approx(2.0, abs=0.25)
     assert tables["strang", s].fit.slope == pytest.approx(3.0, abs=0.25)
 
 
 def test_periodic_and_truncated_measurements_agree():
-    # band-limited potential: same Lie error on both sides within 10%
+    # band-limited potential: same Lie error on both sides within 10%, at
+    # every step size
     K, s = 32, 1.0
     pa = operators.fourier_multiplier(lambda x: x * x, periodic_block(1, K))
     pb = spectral.mult_matrix_from_samples(spectral.sample(K, np.cos), K)
     tb = truncated_block(1, K // 2)
     ta = operators.fourier_multiplier(lambda x: x * x, tb)
     tpot = operators.toeplitz_potential(operators.cos_coeff, tb)
-    per, = scalar_tables(pa, pb, (flows.LIE,), (0.01,),
+    per, = scalar_tables(pa, pb, (flows.LIE,),
                          [(s, core.rough_samples(pa.block, s, 6, 21))]).values()
-    tru, = scalar_tables(ta, tpot, (flows.LIE,), (0.01,),
+    tru, = scalar_tables(ta, tpot, (flows.LIE,),
                          [(s, core.rough_samples(tb, s, 6, 21))]).values()
-    ep, et = per.rows[0]["error"], tru.rows[0]["error"]
-    assert abs(ep - et) <= 0.10 * max(ep, et)
+    for p_row, t_row in zip(per.rows, tru.rows, strict=True):
+        ep, et = p_row["error"], t_row["error"]
+        assert abs(ep - et) <= 0.10 * max(ep, et)
 
 
-def per_s_error_table(step, exact, tau_list, s, weights, xs):
+def per_s_error_table(step, exact, s, weights, xs):
     """The one-s error table, which builds every step(tau) - exact(tau) as a
     matrix (the flows applied to the identity) for each s, as the oracle of
     the applied, shared-data table."""
     ref = max(float(np.linalg.norm(weights * x)) for x in xs)
     floor = flows.FLOOR_FACTOR * np.finfo(float).eps * ref
     rows, I = [], eye(len(weights))
-    for tau in tau_list:
+    for tau in flows.TAU_LIST:
         E = step(tau, I) - exact(tau, I)
         err = max(float(np.linalg.norm(weights * (E @ x))) for x in xs)
         rows.append({"tau": tau, "s": s, "error": err, "floored": err <= floor})
@@ -304,7 +304,7 @@ def per_s_error_table(step, exact, tau_list, s, weights, xs):
     return flows.LocalErrorTable(rows, fit), floor
 
 
-def assert_matches_per_s_oracle(tables, label, steps, exact, tau_list, cases):
+def assert_matches_per_s_oracle(tables, label, steps, exact, cases):
     """One table per (step, s) in that order, each matching the oracle of the
     reference step steps[name] and flow exact, which the caller builds apart
     from the system under test: every error within a tenth of the case's
@@ -314,7 +314,7 @@ def assert_matches_per_s_oracle(tables, label, steps, exact, tau_list, cases):
     for name, step in steps.items():
         for case in cases:
             tab = tables[name, case[0]]
-            want, floor = per_s_error_table(step, exact, tau_list, *case)
+            want, floor = per_s_error_table(step, exact, *case)
             assert [{k: r[k] for k in ("tau", "s", "floored")} for r in tab.rows] == \
                 [{k: r[k] for k in ("tau", "s", "floored")} for r in want.rows]
             assert max(abs(r["error"] - w["error"])
@@ -343,12 +343,10 @@ def waterwave_oracle(ops, schemes):
 @pytest.mark.parametrize("scheme", [flows.LIE, flows.STRANG], ids=["lie", "strang"])
 def test_waterwave_error_tables_match_per_s_oracle(scheme):
     ops, cases = waterwave_cases(32, (1.0, 2.0, 3.0))
-    tau_list = flows.default_tau_list()
-    tables = flows.error_table(ops.system((scheme,)), tau_list, cases)
-    assert_matches_per_s_oracle(tables, 32, *waterwave_oracle(ops, (scheme,)),
-                                tau_list, cases)
+    tables = flows.error_table(ops.system((scheme,)), cases)
+    assert_matches_per_s_oracle(tables, 32, *waterwave_oracle(ops, (scheme,)), cases)
     assert [r["s"] for tab in tables.values() for r in tab.rows] == \
-        [s for s in (1.0, 2.0, 3.0) for _ in tau_list]
+        [s for s in (1.0, 2.0, 3.0) for _ in flows.TAU_LIST]
 
 
 @pytest.mark.parametrize("scheme", [flows.LIE, flows.STRANG], ids=["lie", "strang"])
@@ -358,28 +356,24 @@ def test_scalar_error_tables_match_per_s_oracle(scheme):
     cases = [(s, core.sobolev_weights(A.block, s),
               core.rough_samples(A.block, s + 3.0, flows.N_SAMPLES, SEED))
              for s in (0.0, 1.0, 2.0)]
-    tau_list = flows.default_tau_list()
-    tables = flows.error_table(system, tau_list, cases)
+    tables = flows.error_table(system, cases)
     assert_matches_per_s_oracle(
         tables, 16, {scheme.kind: partial(flows.split_step, scheme, A, B)},
-        partial(flows.exact_flow, A + B), tau_list, cases)
+        partial(flows.exact_flow, A + B), cases)
 
 
 def test_two_step_error_tables_match_per_s_oracle():
     ops, cases = waterwave_cases(32, (1.0, 2.0))
     schemes = (flows.LIE, flows.STRANG)
-    tau_list = flows.default_tau_list(0.1, 5)
-    tables = flows.error_table(ops.system(schemes), tau_list, cases)
-    assert_matches_per_s_oracle(tables, 32, *waterwave_oracle(ops, schemes),
-                                tau_list, cases)
+    tables = flows.error_table(ops.system(schemes), cases)
+    assert_matches_per_s_oracle(tables, 32, *waterwave_oracle(ops, schemes), cases)
 
 
 def test_single_s_error_table_matches_per_s_oracle():
     ops, cases = waterwave_cases(32, (2.0,))
-    tau_list = flows.default_tau_list(0.1, 5)
-    tables = flows.error_table(ops.system((flows.STRANG,)), tau_list, cases)
+    tables = flows.error_table(ops.system((flows.STRANG,)), cases)
     assert_matches_per_s_oracle(tables, 32, *waterwave_oracle(ops, (flows.STRANG,)),
-                                tau_list, cases)
+                                cases)
 
 
 def test_error_table_floors_each_case_by_its_own_data():
@@ -388,11 +382,10 @@ def test_error_table_floors_each_case_by_its_own_data():
     step = matrix_flow(lambda tau: np.diag([tau ** 4, 0.0, 0.0, 0.0]))
     exact = matrix_flow(lambda tau: np.zeros((4, 4)))
     system = flows.SplitSystem("toy", exact, {"toy": step}, None, None)
-    tau_list = flows.default_tau_list()
     cases = [(s, np.array([1.0, 1.0, 1.0, 10.0 ** (4 * s)]), [np.ones(4)])
              for s in (0.0, 1.0, 2.0)]
-    tables = flows.error_table(system, tau_list, cases)
-    assert_matches_per_s_oracle(tables, "toy", {"toy": step}, exact, tau_list, cases)
+    tables = flows.error_table(system, cases)
+    assert_matches_per_s_oracle(tables, "toy", {"toy": step}, exact, cases)
     tables = list(tables.values())
     assert [sum(r["floored"] for r in tab.rows) for tab in tables] == [0, 2, 5]
     assert [tab.fit.n_dropped for tab in tables[:2]] == [0, 2]
@@ -404,7 +397,7 @@ def test_error_table_rejects_a_repeated_s():
     system = flows.SplitSystem("toy", np.zeros, {"toy": np.zeros}, None, None)
     cases = [(1.0, np.ones(2), [np.ones(2)]), (1.0, np.ones(2), [np.ones(2)])]
     with pytest.raises(ValueError, match="distinct s"):
-        flows.error_table(system, (0.1,), cases)
+        flows.error_table(system, cases)
 
 
 def counted_system(system, calls):
@@ -422,13 +415,12 @@ def test_error_table_builds_each_step_once_for_every_s():
     calls = []
     system = counted_system(flows.scalar_system(8, A, B, (flows.LIE, flows.STRANG)),
                             calls)
-    tau_list = flows.default_tau_list()
     cases = [(s, core.sobolev_weights(A.block, s),
               core.rough_samples(A.block, s + 3.0, 4, SEED))
              for s in (0.0, 1.0, 2.0)]
-    tables = flows.error_table(system, tau_list, cases)
+    tables = flows.error_table(system, cases)
     assert [(name, tau) for name, tau, _ in calls] == \
-        [(name, tau) for tau in tau_list for name in ("exact", "lie", "strang")]
+        [(name, tau) for tau in flows.TAU_LIST for name in ("exact", "lie", "strang")]
     assert [tab.rows[0]["s"] for tab in tables.values()] == [0.0, 1.0, 2.0] * 2
 
 
@@ -439,9 +431,9 @@ def test_error_table_applies_every_flow_to_the_stacked_data(schemes):
     # the block of every case's samples, stacked case by case as columns
     ops, cases = waterwave_cases(16, (1.0, 2.0, 3.0))
     calls = []
-    flows.error_table(counted_system(ops.system(schemes), calls), (0.1, 0.05), cases)
+    flows.error_table(counted_system(ops.system(schemes), calls), cases)
     X = np.concatenate([xs for _, _, xs in cases]).T
-    assert len(calls) == 2 * (1 + len(schemes))
+    assert len(calls) == len(flows.TAU_LIST) * (1 + len(schemes))
     for _, _, data in calls:
         assert data is not None
         assert np.array_equal(data, X)
@@ -504,7 +496,7 @@ def test_loss_scan_lie_schrodinger_one_derivative():
 def test_loss_scan_strang_schrodinger_upper_bound():
     rep = flows.loss_scan(
         scalar_systems(schrodinger_pair, (16, 32, 64), (flows.STRANG,)), s=2.0,
-        sigma_grid=flows.default_sigma_grid(2.5), seed=3)["strang"]
+        seed=3)["strang"]
     assert rep.certified and rep.sigma_hat <= 2.0
 
 
@@ -556,21 +548,21 @@ def test_loss_scan_draws_each_level_data_once_for_every_step():
 
 
 def test_loss_scan_sentinel_when_uncertified():
-    # a genuinely unstable artificial family: error operator growing like the
-    # full order of the generator at every level
+    # a genuinely unstable artificial family: an error operator of order 3,
+    # one more than the largest sigma of the grid can absorb
     def systems():
         out = []
         for M in (8, 16, 32):
             block = truncated_block(1, M)
-            E = operators.fourier_multiplier(lambda x: x * x, block).entries
+            E = operators.fourier_multiplier(lambda x: x ** 3, block).entries
             out.append(flows.SplitSystem(
                 M, lambda tau, X: np.zeros_like(X),
                 {"full_order": lambda tau, X, E=E: E @ X},
                 lambda s, b=block: core.sobolev_weights(b, s),
                 partial(core.rough_samples, block)))
         return out
-    rep = flows.loss_scan(systems(), s=0.0, sigma_grid=(0.0, 0.25, 0.5))["full_order"]
-    assert not rep.certified and rep.sigma_hat == 0.5
+    rep = flows.loss_scan(systems(), s=0.0)["full_order"]
+    assert not rep.certified and rep.sigma_hat == flows.SIGMA_GRID[-1] == 2.0
 
 
 def test_loss_scan_rejects_single_level():

@@ -46,14 +46,14 @@ def is_odd(block, x, tol=1e-12):
     return bool(np.max(np.abs(x + x[pos])) <= tol * scale)
 
 
-def symbol_difference_growth(spec, alpha, radius):
+def symbol_difference_growth(symbol, order, alpha, radius):
     """Max of |finite difference of order alpha of the symbol|
-    (1+|x|)^(alpha - r) over integer points, r the declared order."""
+    (1+|x|)^(alpha - order) over integer points."""
     worst = 0.0
     for m in range(-radius, radius + 1):
-        val = sum((-1) ** (alpha - j) * math.comb(alpha, j) * spec(float(m + j))
+        val = sum((-1) ** (alpha - j) * math.comb(alpha, j) * symbol(float(m + j))
                   for j in range(alpha + 1))
-        worst = max(worst, abs(val) * (1.0 + abs(m)) ** (alpha - spec.declared_order))
+        worst = max(worst, abs(val) * (1.0 + abs(m)) ** (alpha - order))
     return worst
 
 
@@ -98,8 +98,8 @@ def test_fourier_multiplier_rejects_nonfinite():
 
 
 def test_half_order_symbol_certifies_on_quarter_grid():
-    spec = operators.symbol_catalog("bracket_power", power=0.5)
-    fam = [operators.fourier_multiplier(spec, truncated_block(1, M))
+    symbol = operators.symbol_catalog("bracket_power")
+    fam = [operators.fourier_multiplier(symbol, truncated_block(1, M))
            for M in (16, 32, 64)]
     assert core.estimate_order(fam).r_hat == 0.5
 
@@ -279,11 +279,11 @@ def test_diagonal_toeplitz_commutator_entry_formula():
 
 
 def test_symbol_difference_growth_probe():
-    # finite differences of a declared-order symbol stay bounded in the
+    # finite differences of the order-1/2 symbol stay bounded in the
     # derivative-normalized scale
-    spec = operators.symbol_catalog("bracket_power", power=0.5)
+    symbol = operators.symbol_catalog("bracket_power")
     for alpha in (1, 2):
-        assert symbol_difference_growth(spec, alpha, 64) < 4.0
+        assert symbol_difference_growth(symbol, 0.5, alpha, 64) < 4.0
 
 
 # ---------------------------------------------------------------------------
