@@ -41,6 +41,7 @@ class ConfigError(ValueError):
 FIT_BAND = 0.25         # |fitted slope or rate - theory| at every slope gate
 ALGEBRA_TOL = 1e-12     # identities that hold exactly up to roundoff
 UNITARY_TOL = 1e-10     # symplectic and telescoping defects of one step
+MAX_STEPS = 10 ** 6     # most growth steps horizon / delta may ask for
 
 
 @dataclass
@@ -96,9 +97,10 @@ class ExperimentConfig:
             if not _is_number(getattr(self, name)) or getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be a positive finite number")
         steps = self.horizon / self.delta
-        if not math.isfinite(steps):
+        # also catches a quotient that overflows to inf
+        if not steps <= MAX_STEPS:
             raise ConfigError(f"horizon {self.horizon:g} over delta {self.delta:g} "
-                              "is not a finite number of steps")
+                              f"is {steps:.7g} steps, more than {MAX_STEPS}")
         # the growth exponent is fitted on the steps at t >= 1 and needs two
         if (round(steps) - 1) * self.delta < 1.0:
             raise ConfigError(f"horizon {self.horizon:g} leaves fewer than two "
@@ -389,10 +391,10 @@ def run_invariants_suite(cfg: ExperimentConfig):
             record("bracket_inequalities", f"d{d}_K{K}", int(ok), 1, "==")
     for period, d in ((16, 1), (64, 1), (128, 1), (8, 2), (16, 2)):
         block = core.periodic_block(d, period)
-        Q = period ** (d / 2) * spectral.dft_matrix(block)
+        F, Finv = spectral.dft_matrix(block), spectral.idft_matrix(block)
+        Q = period ** (d / 2) * F
         defect = float(np.max(np.abs(Q.conj().T @ Q - np.eye(block.n))))
         record("dft_unitarity", f"d{d}_K{period}", defect, ALGEBRA_TOL)
-        F, Finv = spectral.dft_matrix(block), spectral.idft_matrix(block)
         worst = 0.0
         for j in range(1, d + 1):
             for sign in (1, -1):
@@ -409,15 +411,8 @@ def run_invariants_suite(cfg: ExperimentConfig):
         record("alias_identity", f"K{K}", diff, 1e-10)
     rng = np.random.default_rng(cfg.seed)
     for p, q, r in ((1, 1, 1), (2, 1, 2), (2, 2, math.inf)):
-        violations = 0
-        for _ in range(1000):
-            nx, ny = rng.integers(1, 12, size=2)
-            x = rng.standard_normal(nx) + 1j * rng.standard_normal(nx)
-            y = rng.standard_normal(ny) + 1j * rng.standard_normal(ny)
-            lhs = core.lp_norm(core.convolve(x, y), r)
-            rhs = core.lp_norm(x, p) * core.lp_norm(y, q)
-            if lhs > rhs * (1 + 1e-12):
-                violations += 1
+        ratios = core.young_ratios(rng, p, q, r, 1000)
+        violations = int(np.count_nonzero(ratios > 1 + 1e-12))
         record("young_inequality", f"p{p}_q{q}_r{r}", violations, 0, "==")
     return rows, {}, gates
 

@@ -9,13 +9,18 @@ over entries whose full shift stencil stayed inside the block.  A vector is
 a flat complex array over the same index order; its h^s norm is the l2 norm
 of its product with :func:`sobolev_weights`.  A translation-invariant matrix,
 whose entry (m, n) depends only on m - n, is one table over
-:func:`difference_block` gathered by :func:`toeplitz`.
+:func:`difference_block` gathered by :func:`toeplitz`.  Index arithmetic over
+position pairs goes one axis at a time: the position of m - n and the (size,
+dist) bins below are axis sums of one (side, side) table per axis, so no
+(n^2, d) array of differences is built.
 
 The weighted sups computed by :func:`seminorm` quantify the order of an
 operator (growth of entries and of their iterated diagonal differences along
 the diagonal, decay away from it).  :func:`estimate_order` turns them into a
 falsifiable certification: an order value is accepted when the seminorms stay
-multiplicatively stable as the block is refined.
+multiplicatively stable as the block is refined.  One array pass over the
+table of seminorm sequences decides every (order, alpha, decay) cell, with one
+least-squares fit for all the slopes.
 
 The weight (1+dist)^decay / (1+size)^(order-|alpha|) reads a position pair
 only through size = |m|+|n| and dist, and a block has few distinct (size,
@@ -120,22 +125,23 @@ class IndexBlock:
         row-major, binned by size(m, n) = |m|+|n| and dist(m, n), which is
         |m-n| (truncated) or the bracket norm of m-n (periodic).  ``order``
         sorts the pairs by (size, dist), ``starts`` opens each bin in that
-        order, and size[b], dist[b] are the ints of bin b."""
-        idx = self._indices
-        diff = idx[:, None, :] - idx[None, :, :]
+        order, and size[b], dist[b] are the ints of bin b.  Both are sums over
+        the axes, so the sort key is the axis sum of one (side, side) table."""
+        a = np.asarray(self.axis_range, dtype=np.int64)
+        gap = a[:, None] - a[None, :]
         if self.mode == PERIODIC:
-            diff = representative(self.size, diff)
-        dist = np.abs(diff).sum(axis=2).ravel()
-        l1 = np.abs(idx).sum(axis=1)
-        span = dist.max() + 1
-        key = (l1[:, None] + l1[None, :]).ravel() * span + dist
+            gap = representative(self.size, gap)
+        gap = np.abs(gap)
+        span = self.d * int(gap.max()) + 1      # above every dist
+        key = _axis_sum([(np.abs(a)[:, None] + np.abs(a)[None, :]) * span + gap]
+                        * self.d).ravel()
         # the smallest unsigned type makes the stable sort a radix sort
         order = np.argsort(key.astype(np.min_scalar_type(key.max())), kind="stable")
         key = key[order]
         starts = np.flatnonzero(np.diff(key, prepend=-1))
         out = (order, starts, *np.divmod(key[starts], span))
-        for a in out:
-            a.setflags(write=False)
+        for arr in out:
+            arr.setflags(write=False)
         return out
 
     def origin(self) -> int:
@@ -174,6 +180,17 @@ def _positions(block: IndexBlock, idx: np.ndarray) -> tuple[np.ndarray, np.ndarr
     for k in range(1, block.d):
         pos = pos * side + off[:, k]
     return pos, valid
+
+
+def _axis_sum(tables) -> np.ndarray:
+    """(n, n) array over the position pairs (m, n) of a d-axis block in
+    canonical order, whose entry is the sum over axes k of tables[k][m_k, n_k],
+    each table (side, side) over the axis range."""
+    out = tables[0]
+    for t in tables[1:]:
+        out = (out[:, None, :, None] + t[None, :, None, :]).reshape(
+            out.shape[0] * t.shape[0], -1)
+    return out
 
 
 def representative(period: int, a) -> np.ndarray:
@@ -305,11 +322,15 @@ def diagonal_matrix(block: IndexBlock, diag) -> OpMatrix:
 
 def toeplitz(block: IndexBlock, values: np.ndarray) -> OpMatrix:
     """Translation-invariant matrix: entry(m, n) = values[m - n], with one
-    value per index of difference_block(block), in canonical order."""
-    idx = block.indices()
-    pos, _ = _positions(difference_block(block),
-                        (idx[:, None, :] - idx[None, :, :]).reshape(-1, block.d))
-    return OpMatrix(block, values[pos].reshape(block.n, block.n))
+    value per index of difference_block(block), in canonical order.  The
+    position of m - n has digit (m_k - n_k) per axis k, shifted into the
+    difference block's range and wrapped mod its side (periodic mode), so it
+    is the axis sum of one (side, side) table per axis."""
+    diff = difference_block(block)
+    a = np.asarray(block.axis_range, dtype=np.int64)
+    digits = (a[:, None] - a[None, :] - diff.axis_range.start) % diff.side
+    pos = _axis_sum([digits * diff.side ** (block.d - 1 - k) for k in range(block.d)])
+    return OpMatrix(block, values[pos])
 
 
 def is_diagonal(A: OpMatrix, tol: float = 1e-12) -> bool:
@@ -502,30 +523,35 @@ class OrderEstimate:
     certified: np.ndarray
 
 
-def _stable_family(values, sizes, theta: float) -> bool:
-    """Multiplicative stability of a seminorm sequence across refinement.
+def _stable_rows(values, sizes, theta: float) -> np.ndarray:
+    """Multiplicative stability of each row of a table of seminorm sequences
+    across refinement (one column per family member, at the given sizes).
 
-    Requires boundedness within factor theta of the first value, and a growth
-    trend consistent with an order deficit below GROWTH_TOL: either the fitted
+    A row is stable when it is all within _TINY of zero, or, with some entry
+    that small, when its max is at most 1e-12.  Otherwise it needs
+    boundedness within factor theta of its first value, and a growth trend
+    consistent with an order deficit below GROWTH_TOL: either the fitted
     log-log slope stays under GROWTH_TOL, or the per-step growth exponents are
     non-increasing (a dying transient, typical of sups converging from below)
     with the final one under GROWTH_TOL.  A genuine power-law deficit keeps a
-    constant per-step exponent equal to the deficit and is rejected.
+    constant per-step exponent equal to the deficit and is rejected.  One
+    least-squares fit with a column per row gives every slope; logs are taken
+    only of the rows that reach it, which have no zero.
     """
     v = np.asarray(values, dtype=float)
-    if np.all(v <= _TINY):
-        return True
-    if np.any(v <= _TINY):
-        return bool(np.max(v) <= 1e-12)
-    if np.max(v) > theta * v[0]:
-        return False
-    logs = np.log(np.asarray(sizes, float))
-    slope = np.polyfit(logs, np.log(v), 1)[0]
-    if slope <= GROWTH_TOL:
-        return True
-    g = np.diff(np.log(v)) / np.diff(logs)
-    transient = bool(np.all(np.diff(g) <= 1e-9)) and g[-1] <= GROWTH_TOL
-    return transient
+    some_tiny = np.any(v <= _TINY, axis=1)
+    vmax = np.max(v, axis=1)
+    # all entries <= _TINY implies max <= 1e-12
+    stable = some_tiny & (vmax <= 1e-12)
+    fit = ~some_tiny & ~(vmax > theta * v[:, 0])
+    if fit.any():
+        logs = np.log(np.asarray(sizes, float))
+        logv = np.log(v[fit])
+        slope = np.polyfit(logs, logv.T, 1)[0]
+        g = np.diff(logv, axis=1) / np.diff(logs)
+        transient = np.all(np.diff(g, axis=1) <= 1e-9, axis=1) & (g[:, -1] <= GROWTH_TOL)
+        stable[fit] = (slope <= GROWTH_TOL) | transient
+    return stable
 
 
 def estimate_order(family, decay_grid=(0, 2, 4, 8),
@@ -536,7 +562,7 @@ def estimate_order(family, decay_grid=(0, 2, 4, 8),
     ALPHA_GRIDS[d] and decay from decay_grid, when the seminorm sequence
     across the family (a) stays within factor ORDER_THETA of its first value
     and (b) shows a fitted log-log growth exponent at most GROWTH_TOL (see
-    _stable_family).  r_hat is the smallest r of order_grid certified for
+    _stable_rows).  r_hat is the smallest r of order_grid certified for
     every probe.
 
     The family needs at least 2 members.  Per member and alpha, one pass
@@ -567,36 +593,64 @@ def estimate_order(family, decay_grid=(0, 2, 4, 8),
             for i_n, decay in enumerate(decay_grid):
                 env = _size_envelope(bin_max, A.block, decay)
                 ratios[:, i_a, i_n, i_m] = np.max(env / powers[la], axis=1)
-    certified = np.zeros((n_r, n_a, n_n), dtype=bool)
-    for idx in np.ndindex(n_r, n_a, n_n):
-        certified[idx] = _stable_family(ratios[idx], sizes, ORDER_THETA)
+    certified = _stable_rows(ratios.reshape(-1, n_m), sizes,
+                             ORDER_THETA).reshape(n_r, n_a, n_n)
     r_hat = next((r for r, c in zip(order_grid, certified) if c.all()), math.inf)
     return OrderEstimate(r_hat, order_grid, alpha_grid, decay_grid, sizes,
                          ratios, certified)
 
 
 # ---------------------------------------------------------------------------
-# convolution
+# Young's convolution inequality
 
 
-def convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Full discrete convolution of finitely supported sequences (1d or 2d)."""
-    x = np.asarray(x)
-    y = np.asarray(y)
-    if x.ndim != y.ndim or x.ndim not in (1, 2):
-        raise ValueError("sequences must both be 1d or both 2d")
-    if x.ndim == 1:
-        return np.convolve(x, y)
-    out = np.zeros((len(x) + len(y) - 1, x.shape[1] + y.shape[1] - 1),
-                   dtype=np.result_type(x, y))
-    for i, j in itertools.product(range(len(x)), range(len(y))):
-        out[i + j] += np.convolve(x[i], y[j])
-    return out
+YOUNG_WIDTH = 11        # longest sequence of the Young check
 
 
-def lp_norm(x: np.ndarray, p: float) -> float:
-    a = np.abs(np.asarray(x)).ravel()
+def young_ratios(rng: np.random.Generator, p: float, q: float, r: float,
+                 n_pairs: int) -> np.ndarray:
+    """||x * y||_r / (||x||_p ||y||_q) for n_pairs random complex sequences
+    x, y of lengths 1..YOUNG_WIDTH (see _young_pairs), which Young's
+    inequality bounds by 1 when 1/p + 1/q = 1 + 1/r.  The full convolutions
+    of all pairs come from YOUNG_WIDTH shifted multiply-adds of the padded
+    rows; zeros change no norm."""
+    x, y = _young_pairs(rng, n_pairs)
+    conv = np.zeros((n_pairs, 2 * YOUNG_WIDTH - 1), dtype=complex)
+    for k in range(YOUNG_WIDTH):
+        conv[:, k:k + YOUNG_WIDTH] += x[:, k:k + 1] * y
+    return _row_norms(conv, r) / (_row_norms(x, p) * _row_norms(y, q))
+
+
+def _young_pairs(rng: np.random.Generator, n_pairs: int) -> tuple:
+    """(x, y), each (n_pairs, YOUNG_WIDTH), one random pair per row,
+    zero-padded.  Per pair, the draws are the lengths (nx, ny) =
+    rng.integers(1, YOUNG_WIDTH + 1, 2), then one standard normal block split
+    into Re x, Im x, Re y, Im y: the stream of four separate draws.  The
+    blocks are placed into the rows after the draws, all at once."""
+    lengths = np.empty((n_pairs, 2), dtype=np.int64)
+    blocks = []
+    for i in range(n_pairs):
+        nx, ny = lengths[i] = rng.integers(1, YOUNG_WIDTH + 1, size=2)
+        blocks.append(rng.standard_normal(2 * (nx + ny)))
+    z = np.concatenate(blocks)
+    nx, ny = lengths.T
+    start = np.cumsum(2 * (nx + ny)) - 2 * (nx + ny)
+    col = np.arange(YOUNG_WIDTH)
+
+    def part(offset, n):
+        """Row i holds z[offset[i]:offset[i] + n[i]], zero-padded."""
+        keep = col < n[:, None]
+        out = np.zeros((n_pairs, YOUNG_WIDTH))
+        out[keep] = z[(offset[:, None] + col)[keep]]
+        return out
+
+    return (part(start, nx) + 1j * part(start + nx, nx),
+            part(start + 2 * nx, ny) + 1j * part(start + 2 * nx + ny, ny))
+
+
+def _row_norms(a: np.ndarray, p: float) -> np.ndarray:
+    """l^p norm of each row of a."""
+    a = np.abs(a)
     if p == math.inf:
-        return float(a.max()) if a.size else 0.0
-    return float((a ** p).sum() ** (1.0 / p))
-
+        return a.max(axis=1)
+    return (a ** p).sum(axis=1) ** (1.0 / p)

@@ -256,7 +256,7 @@ def loss_scan(systems, s: float, seed: int = 0) -> dict:
     """One LossReport per step name of the systems, one system per refinement
     level: the smallest extra regularity sigma of SIGMA_GRID for which the
     ratio sup_x ||E x||_s / ||x||_{s+sigma} is stable across the levels
-    (within factor LOSS_THETA, see core._stable_family), with E the
+    (within factor LOSS_THETA, see core._stable_rows), with E the
     step's one-step error at TAU_STAR as a matrix, the flows applied to the
     identity of the level's state space (exact(TAU_STAR, I) is built once per
     level for every step, and each level's weights and data once per sigma
@@ -292,7 +292,7 @@ def loss_scan(systems, s: float, seed: int = 0) -> dict:
             rows += [{"scheme": name, "level": label, "s": s, "sigma": sigma,
                       "norm_ratio": v} for label, v in zip(labels, vals)]
             if max(vals) <= NOISE_FLOOR or \
-                    core._stable_family(vals, labels, LOSS_THETA):
+                    core._stable_rows([vals], labels, LOSS_THETA)[0]:
                 sigma_hat, certified = sigma, True
                 break
         reports[name] = LossReport(sigma_hat, certified, rows)

@@ -26,10 +26,9 @@ from .core import IndexBlock, OpMatrix
 
 def symbol_catalog(name: str):
     """Built-in symbol by name, a callable on d floats, for code and tests (no
-    config key selects one): "one", "laplacian" |x|^2, "first_derivative"
-    i x_1, and "bracket_power" <x>^(1/2) = (1 + |x|^2)^(1/4), of order 1/2."""
+    config key selects one): "laplacian" |x|^2, "first_derivative" i x_1,
+    and "bracket_power" <x>^(1/2) = (1 + |x|^2)^(1/4), of order 1/2."""
     table = {
-        "one": lambda *x: 1.0,
         "laplacian": lambda *x: sum(c * c for c in x),
         "first_derivative": lambda *x: 1j * x[0],
         "bracket_power": lambda *x: (1.0 + sum(c * c for c in x)) ** 0.25,

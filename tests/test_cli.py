@@ -97,6 +97,21 @@ def test_a_step_count_that_overflows_is_a_config_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: horizon")
 
 
+def test_a_step_count_over_the_ceiling_is_a_config_error(tmp_path, capsys):
+    # 1e305 steps is a finite float, but no run could size or loop over it
+    text = 'experiment = "sobolev_growth"\nhorizon = 1e300\ndelta = 1e-5\n'
+    with pytest.raises(cli.ConfigError,
+                       match="horizon 1e[+]300 over delta 1e-05 is 1e[+]305 steps"):
+        cli.parse_config(text)
+    (tmp_path / "huge.cfg").write_text(text)
+    assert cli.main(["run", str(tmp_path / "huge.cfg")]) == 2
+    assert capsys.readouterr().err.startswith("config error: horizon")
+    assert 5000 <= cli.MAX_STEPS   # the shipped run takes 5,000 steps
+    at_ceiling = cli.parse_config('experiment = "sobolev_growth"\n'
+                                  f"horizon = {cli.MAX_STEPS / 2}\ndelta = 0.5\n")
+    assert at_ceiling.horizon / at_ceiling.delta == cli.MAX_STEPS
+
+
 def test_parse_config_requires_experiment():
     with pytest.raises(cli.ConfigError, match="experiment"):
         cli.parse_config("seed = 1")

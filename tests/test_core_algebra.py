@@ -8,6 +8,7 @@ closed-form entries).
 from __future__ import annotations
 
 import math
+from functools import cache, partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -70,6 +71,54 @@ def test_periodic_wrap_arithmetic():
     assert core.representative(8, -5) == 3
     assert core.bracket_norm(8, [7]) == 1
     np.testing.assert_array_equal(core.representative(8, np.array([[4, -5]])), [[-4, 3]])
+
+
+def position_gather_toeplitz(block, values):
+    """Oracle for core.toeplitz: the (n^2, d) differences m - n, located in
+    the difference block through its index arithmetic."""
+    idx = block.indices()
+    pos, _ = core._positions(core.difference_block(block),
+                             (idx[:, None, :] - idx[None, :, :]).reshape(-1, block.d))
+    return values[pos].reshape(block.n, block.n)
+
+
+def pairwise_bins(block):
+    """Oracle for IndexBlock._pair_bins from the (n, n, d) differences."""
+    idx = block.indices()
+    diff = idx[:, None, :] - idx[None, :, :]
+    if block.mode == core.PERIODIC:
+        diff = core.representative(block.size, diff)
+    dist = np.abs(diff).sum(axis=2).ravel()
+    l1 = np.abs(idx).sum(axis=1)
+    span = dist.max() + 1
+    key = (l1[:, None] + l1[None, :]).ravel() * span + dist
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    return (order, starts, *np.divmod(key[starts], span))
+
+
+BLOCKS = [truncated_block(1, 1), truncated_block(1, 7), periodic_block(1, 4),
+          periodic_block(1, 10), truncated_block(2, 1), truncated_block(2, 4),
+          periodic_block(2, 4), periodic_block(2, 6)]
+
+
+def block_id(block):
+    return f"{block.mode}_d{block.d}_{block.size}"
+
+
+@pytest.mark.parametrize("block", BLOCKS, ids=block_id)
+def test_toeplitz_matches_the_position_gather(block):
+    n = core.difference_block(block).n
+    values = np.array([1, 1j]) @ np.random.default_rng(RNG_SEED).standard_normal((2, n))
+    assert np.array_equal(core.toeplitz(block, values).entries,
+                          position_gather_toeplitz(block, values))
+
+
+@pytest.mark.parametrize("block", BLOCKS, ids=block_id)
+def test_pair_bins_match_the_pairwise_differences(block):
+    for got, want in zip(block._pair_bins, pairwise_bins(block), strict=True):
+        assert np.array_equal(got, want)
 
 
 def test_sobolev_norm_matches_direct_sum():
@@ -556,11 +605,30 @@ def entrywise_order_scan(family, alpha_grid, decay_grid, order_grid):
     return out
 
 
+def stable_family(values, sizes, theta):
+    """Scalar oracle of core._stable_rows for one seminorm sequence: tests in
+    turn for all tiny, some tiny, growth past theta times the first value, the
+    fitted log-log slope, and the non-increasing transient."""
+    v = np.asarray(values, dtype=float)
+    if np.all(v <= core._TINY):
+        return True
+    if np.any(v <= core._TINY):
+        return bool(np.max(v) <= 1e-12)
+    if np.max(v) > theta * v[0]:
+        return False
+    logs = np.log(np.asarray(sizes, float))
+    slope = np.polyfit(logs, np.log(v), 1)[0]
+    if slope <= core.GROWTH_TOL:
+        return True
+    g = np.diff(np.log(v)) / np.diff(logs)
+    return bool(np.all(np.diff(g) <= 1e-9)) and g[-1] <= core.GROWTH_TOL
+
+
 def stable_table(ratios, sizes):
     """Multiplicative stability of each (order, alpha, decay) row of a
     seminorm table across the family."""
-    return np.array([[[core._stable_family(ratios[i_r, i_a, i_n], sizes,
-                                           core.ORDER_THETA)
+    return np.array([[[stable_family(ratios[i_r, i_a, i_n], sizes,
+                                     core.ORDER_THETA)
                        for i_n in range(ratios.shape[2])]
                       for i_a in range(ratios.shape[1])]
                      for i_r in range(ratios.shape[0])])
@@ -612,6 +680,98 @@ def test_estimate_order_matches_entrywise_scan(case):
         assert np.array_equal(
             seminorm_scan(fam, probes, decay_grid, order_grid),
             entrywise_order_scan(fam, probes, decay_grid, order_grid))
+
+
+def shipped_families(name):
+    """The families the shipped runs and the benchmark certify: order_gain's
+    product and commutator, the preconditioner's remainder, and the 2-d
+    laplacian and cos(x_1) product and commutator."""
+    if name == "remainder":
+        assemble = cache(partial(experiments.schroedinger_assemble,
+                                 operators.two_cos_coeff))
+        return experiments.smoothing_remainder_family(assemble, (16, 32, 64))
+    if name.startswith("order_gain"):
+        pairs = [experiments.schroedinger_pair(operators.cos_coeff, M)
+                 for M in (16, 32, 64)]
+    else:
+        pairs = [laplacian_cos_2d(M) for M in (4, 8, 12)]
+    product = name.endswith("product")
+    return [core.matmul(A, B) if product else core.commutator(A, B)
+            for A, B in pairs]
+
+
+@pytest.mark.parametrize("name", ["order_gain_product", "order_gain_commutator",
+                                  "remainder", "cert_2d_product",
+                                  "cert_2d_commutator"])
+def test_certification_matches_the_scalar_oracle_on_shipped_families(name):
+    est = core.estimate_order(shipped_families(name))
+    assert np.array_equal(est.certified, stable_table(est.max_ratios, est.sizes))
+
+
+def stable_row_cases(theta):
+    """(sizes, rows): seminorm sequences of kinds that sit on an edge of the
+    stability test: all zero or tiny, partly zero, a max of exactly theta
+    times the first value, a power law within an ulp of GROWTH_TOL, a dying
+    transient, or any positive sequence."""
+    finite = dict(allow_nan=False, allow_infinity=False)
+    scale = st.floats(1e-6, 1e6, **finite)
+    zero = st.sampled_from([0.0, 1e-301, core._TINY])
+    small = st.sampled_from([1e-13, 1e-12, 2e-12])
+
+    def row(kind, sizes, a, b):
+        n, s = len(sizes), np.asarray(sizes, float)
+        if kind == "zero":
+            return st.lists(zero, min_size=n, max_size=n)
+        if kind == "partly_zero":
+            return st.lists(st.one_of(zero, small, scale), min_size=n, max_size=n)
+        if kind == "tie":
+            return st.just([a] + [a * (1 + b * (theta - 1))] * (n - 2) + [theta * a])
+        if kind == "power":
+            return st.just(list(a * s ** (core.GROWTH_TOL * (1 + (b - 0.5) * 1e-15))))
+        if kind == "transient":
+            return st.just(list(a * s ** (3 * b * core.GROWTH_TOL) * (1 - b / s)))
+        return st.lists(scale, min_size=n, max_size=n)
+
+    kinds = st.sampled_from(["zero", "partly_zero", "tie", "power", "transient",
+                             "any"])
+    sizes = st.lists(st.integers(2, 400), min_size=2, max_size=5,
+                     unique=True).map(sorted)
+    return sizes.flatmap(lambda sz: st.tuples(st.just(sz), st.lists(
+        st.tuples(kinds, scale, st.floats(0, 1, **finite)).flatmap(
+            lambda k: row(k[0], sz, *k[1:])), min_size=1, max_size=12)))
+
+
+def test_stable_rows_decide_each_edge():
+    at_tol = [1.0, 1.0346999954950749, 1.1892071150027212]  # exponents rising
+    assert np.polyfit(np.log([16.0, 32.0, 64.0]), np.log(at_tol), 1)[0] == \
+        core.GROWTH_TOL
+    above_tol = at_tol[:2] + [np.nextafter(at_tol[2], 2.0)]
+    cases = [
+        ((16, 32, 64), at_tol, True),           # slope exactly GROWTH_TOL
+        ((16, 32, 64), above_tol, False),       # one ulp over, no transient
+        ((2, 4, 2 ** 20), [1.0, 2.0, 2.0], True),   # at theta, dying transient
+        ((2, 4, 2 ** 20), [1.0, 2.0, np.nextafter(2.0, 3.0)], False),
+        ((2, 4, 8), [0.0, 0.0, 1e-301], True),
+        ((2, 4, 8), [0.0, 1e-12, 0.0], True),
+        ((2, 4, 8), [0.0, 2e-12, 0.0], False),
+    ]
+    for sizes, row, want in cases:
+        assert core._stable_rows([row], sizes, core.ORDER_THETA).tolist() == [want]
+        assert stable_family(row, sizes, core.ORDER_THETA) is want
+
+
+@pytest.mark.parametrize("theta", [core.ORDER_THETA, 1.5])
+def test_stable_rows_match_the_scalar_oracle(theta):
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(stable_row_cases(theta))
+    def check(case):
+        sizes, rows = case
+        table = np.array(rows, dtype=float)
+        got = core._stable_rows(table, sizes, theta)
+        assert got.dtype == bool
+        assert got.tolist() == [stable_family(v, sizes, theta) for v in table]
+
+    check()
 
 
 def envelope_order_scan(family, alpha_grid, decay_grid, order_grid):
@@ -820,35 +980,78 @@ def test_is_diagonal_rejects_non_finite_diagonal():
 # convolution and Young's inequality
 
 
+def convolve(x, y):
+    """Full discrete convolution of finitely supported sequences (1d or 2d):
+    the per-pair oracle of core.young_ratios."""
+    x, y = np.asarray(x), np.asarray(y)
+    if x.ndim == 1:
+        return np.convolve(x, y)
+    out = np.zeros((len(x) + len(y) - 1, x.shape[1] + y.shape[1] - 1),
+                   dtype=np.result_type(x, y))
+    for i in range(len(x)):
+        for j in range(len(y)):
+            out[i + j] += np.convolve(x[i], y[j])
+    return out
+
+
+def lp_norm(x, p):
+    a = np.abs(np.asarray(x)).ravel()
+    if p == math.inf:
+        return float(a.max()) if a.size else 0.0
+    return float((a ** p).sum() ** (1.0 / p))
+
+
+def four_draw_pairs(rng, n_pairs):
+    """The pairs of the Young check drawn one part at a time: the lengths,
+    then Re x, Im x, Re y and Im y."""
+    pairs = []
+    for _ in range(n_pairs):
+        nx, ny = rng.integers(1, 12, size=2)
+        x = rng.standard_normal(nx) + 1j * rng.standard_normal(nx)
+        y = rng.standard_normal(ny) + 1j * rng.standard_normal(ny)
+        pairs.append((x, y))
+    return pairs
+
+
 def test_convolve_identities():
     x = np.array([1.0, 2.0, 3.0])
     d0 = np.array([1.0])
-    np.testing.assert_array_equal(core.convolve(x, d0), x)
+    np.testing.assert_array_equal(convolve(x, d0), x)
     da = np.zeros(4); da[1] = 1.0   # delta at offset 1
     db = np.zeros(5); db[2] = 1.0   # delta at offset 2
-    z = core.convolve(da, db)
+    z = convolve(da, db)
     assert z[3] == 1.0 and np.count_nonzero(z) == 1
     x2 = np.arange(6.0).reshape(2, 3)
     d2 = np.zeros((3, 2)); d2[1, 1] = 1.0   # delta at offset (1, 1)
-    z2 = core.convolve(x2, d2)
+    z2 = convolve(x2, d2)
     assert z2.shape == (4, 4)
     np.testing.assert_array_equal(z2[1:3, 1:4], x2)
     assert np.count_nonzero(z2) == np.count_nonzero(x2)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_young_pairs_are_the_four_draw_stream(seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    x, y = core._young_pairs(rng, 200)
+    for i, (xr, yr) in enumerate(four_draw_pairs(ref_rng, 200)):
+        assert np.array_equal(x[i, :len(xr)], xr) and not x[i, len(xr):].any()
+        assert np.array_equal(y[i, :len(yr)], yr) and not y[i, len(yr):].any()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("p,q,r", [(1, 1, 1), (2, 1, 2), (2, 2, math.inf)])
+def test_young_ratios_match_the_per_pair_oracle(seed, p, q, r):
+    ratios = core.young_ratios(np.random.default_rng(seed), p, q, r, 300)
+    oracle = [lp_norm(convolve(x, y), r) / (lp_norm(x, p) * lp_norm(y, q))
+              for x, y in four_draw_pairs(np.random.default_rng(seed), 300)]
+    np.testing.assert_allclose(ratios, oracle, rtol=1e-13, atol=0)
+
+
 @pytest.mark.parametrize("p,q,r", [(1, 1, 1), (2, 1, 2), (2, 2, math.inf)])
 def test_young_inequality_seeded(p, q, r):
-    rng = np.random.default_rng(RNG_SEED)
-    violations = 0
-    for _ in range(1000):
-        nx, ny = rng.integers(1, 12, size=2)
-        x = rng.standard_normal(nx) + 1j * rng.standard_normal(nx)
-        y = rng.standard_normal(ny) + 1j * rng.standard_normal(ny)
-        lhs = core.lp_norm(core.convolve(x, y), r)
-        rhs = core.lp_norm(x, p) * core.lp_norm(y, q)
-        if lhs > rhs * (1 + 1e-12):
-            violations += 1
-    assert violations == 0
+    ratios = core.young_ratios(np.random.default_rng(RNG_SEED), p, q, r, 1000)
+    assert np.count_nonzero(ratios > 1 + 1e-12) == 0
 
 
 def test_young_inequality_2d():
@@ -856,7 +1059,6 @@ def test_young_inequality_2d():
     for _ in range(50):
         x = rng.standard_normal((3, 4))
         y = rng.standard_normal((2, 5))
-        lhs = core.lp_norm(core.convolve(x, y), 1)
-        rhs = core.lp_norm(x, 1) * core.lp_norm(y, 1)
+        lhs = lp_norm(convolve(x, y), 1)
+        rhs = lp_norm(x, 1) * lp_norm(y, 1)
         assert lhs <= rhs * (1 + 1e-12)
-
