@@ -411,7 +411,7 @@ def run_invariants_suite(cfg: ExperimentConfig):
         record("alias_identity", f"K{K}", diff, 1e-10)
     rng = np.random.default_rng(cfg.seed)
     for p, q, r in ((1, 1, 1), (2, 1, 2), (2, 2, math.inf)):
-        ratios = core.young_ratios(rng, p, q, r, 1000)
+        ratios = core.young_ratios(rng, p, q, r)
         violations = int(np.count_nonzero(ratios > 1 + 1e-12))
         record("young_inequality", f"p{p}_q{q}_r{r}", violations, 0, "==")
     return rows, {}, gates

@@ -605,47 +605,36 @@ def estimate_order(family, decay_grid=(0, 2, 4, 8),
 
 
 YOUNG_WIDTH = 11        # longest sequence of the Young check
+YOUNG_PAIRS = 1000      # random pairs per exponent triple of the Young check
 
 
-def young_ratios(rng: np.random.Generator, p: float, q: float, r: float,
-                 n_pairs: int) -> np.ndarray:
-    """||x * y||_r / (||x||_p ||y||_q) for n_pairs random complex sequences
-    x, y of lengths 1..YOUNG_WIDTH (see _young_pairs), which Young's
-    inequality bounds by 1 when 1/p + 1/q = 1 + 1/r.  The full convolutions
-    of all pairs come from YOUNG_WIDTH shifted multiply-adds of the padded
-    rows; zeros change no norm."""
-    x, y = _young_pairs(rng, n_pairs)
-    conv = np.zeros((n_pairs, 2 * YOUNG_WIDTH - 1), dtype=complex)
+def young_ratios(rng: np.random.Generator, p: float, q: float,
+                 r: float) -> np.ndarray:
+    """||x * y||_r / (||x||_p ||y||_q) for YOUNG_PAIRS random complex
+    sequences x, y of lengths 1..YOUNG_WIDTH (see _young_pairs), which
+    Young's inequality bounds by 1 when 1/p + 1/q = 1 + 1/r.  The full
+    convolutions of all pairs come from YOUNG_WIDTH shifted multiply-adds of
+    the padded rows; zeros change no norm."""
+    x, y = _young_pairs(rng)
+    conv = np.zeros((YOUNG_PAIRS, 2 * YOUNG_WIDTH - 1), dtype=complex)
     for k in range(YOUNG_WIDTH):
         conv[:, k:k + YOUNG_WIDTH] += x[:, k:k + 1] * y
     return _row_norms(conv, r) / (_row_norms(x, p) * _row_norms(y, q))
 
 
-def _young_pairs(rng: np.random.Generator, n_pairs: int) -> tuple:
-    """(x, y), each (n_pairs, YOUNG_WIDTH), one random pair per row,
+def _young_pairs(rng: np.random.Generator) -> tuple:
+    """(x, y), each (YOUNG_PAIRS, YOUNG_WIDTH), one random pair per row,
     zero-padded.  Per pair, the draws are the lengths (nx, ny) =
     rng.integers(1, YOUNG_WIDTH + 1, 2), then one standard normal block split
-    into Re x, Im x, Re y, Im y: the stream of four separate draws.  The
-    blocks are placed into the rows after the draws, all at once."""
-    lengths = np.empty((n_pairs, 2), dtype=np.int64)
-    blocks = []
-    for i in range(n_pairs):
-        nx, ny = lengths[i] = rng.integers(1, YOUNG_WIDTH + 1, size=2)
-        blocks.append(rng.standard_normal(2 * (nx + ny)))
-    z = np.concatenate(blocks)
-    nx, ny = lengths.T
-    start = np.cumsum(2 * (nx + ny)) - 2 * (nx + ny)
-    col = np.arange(YOUNG_WIDTH)
-
-    def part(offset, n):
-        """Row i holds z[offset[i]:offset[i] + n[i]], zero-padded."""
-        keep = col < n[:, None]
-        out = np.zeros((n_pairs, YOUNG_WIDTH))
-        out[keep] = z[(offset[:, None] + col)[keep]]
-        return out
-
-    return (part(start, nx) + 1j * part(start + nx, nx),
-            part(start + 2 * nx, ny) + 1j * part(start + 2 * nx + ny, ny))
+    into Re x, Im x, Re y, Im y: the stream of four separate draws."""
+    x = np.zeros((YOUNG_PAIRS, YOUNG_WIDTH), dtype=complex)
+    y = np.zeros((YOUNG_PAIRS, YOUNG_WIDTH), dtype=complex)
+    for i in range(YOUNG_PAIRS):
+        nx, ny = rng.integers(1, YOUNG_WIDTH + 1, size=2)
+        b = rng.standard_normal(2 * (nx + ny))
+        x[i, :nx] = b[:nx] + 1j * b[nx:2 * nx]
+        y[i, :ny] = b[2 * nx:2 * nx + ny] + 1j * b[2 * nx + ny:]
+    return x, y
 
 
 def _row_norms(a: np.ndarray, p: float) -> np.ndarray:

@@ -235,7 +235,7 @@ def test_criterion_12_young_inequality():
     violations = 0
     for p, q, r in ((1, 1, 1), (2, 1, 2), (2, 2, math.inf)):
         violations += int(np.count_nonzero(
-            core.young_ratios(rng, p, q, r, 1000) > 1 + 1e-12))
+            core.young_ratios(rng, p, q, r) > 1 + 1e-12))
     announce(12, "Young convolution inequality", violations == 0,
              f"violations={violations}/3000")
 

@@ -708,6 +708,21 @@ def test_certification_matches_the_scalar_oracle_on_shipped_families(name):
     assert np.array_equal(est.certified, stable_table(est.max_ratios, est.sizes))
 
 
+@pytest.mark.parametrize("name", ["order_gain_product", "order_gain_commutator",
+                                  "remainder", "cert_2d_product",
+                                  "cert_2d_commutator"])
+def test_one_fit_gives_the_per_row_slopes_on_shipped_families(name):
+    """A least-squares fit with one column per row need not round each
+    column as a one-column fit does; on the shipped families it does."""
+    est = core.estimate_order(shipped_families(name))
+    v = est.max_ratios.reshape(-1, len(est.sizes))
+    logs = np.log(np.asarray(est.sizes, float))
+    logv = np.log(v[np.all(v > core._TINY, axis=1)])
+    slopes = np.polyfit(logs, logv.T, 1)[0]
+    assert len(logv) and np.array_equal(
+        slopes, [np.polyfit(logs, row, 1)[0] for row in logv])
+
+
 def stable_row_cases(theta):
     """(sizes, rows): seminorm sequences of kinds that sit on an edge of the
     stability test: all zero or tiny, partly zero, a max of exactly theta
@@ -1032,8 +1047,8 @@ def test_convolve_identities():
 @pytest.mark.parametrize("seed", range(5))
 def test_young_pairs_are_the_four_draw_stream(seed):
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    x, y = core._young_pairs(rng, 200)
-    for i, (xr, yr) in enumerate(four_draw_pairs(ref_rng, 200)):
+    x, y = core._young_pairs(rng)
+    for i, (xr, yr) in enumerate(four_draw_pairs(ref_rng, core.YOUNG_PAIRS)):
         assert np.array_equal(x[i, :len(xr)], xr) and not x[i, len(xr):].any()
         assert np.array_equal(y[i, :len(yr)], yr) and not y[i, len(yr):].any()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -1042,15 +1057,16 @@ def test_young_pairs_are_the_four_draw_stream(seed):
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("p,q,r", [(1, 1, 1), (2, 1, 2), (2, 2, math.inf)])
 def test_young_ratios_match_the_per_pair_oracle(seed, p, q, r):
-    ratios = core.young_ratios(np.random.default_rng(seed), p, q, r, 300)
+    ratios = core.young_ratios(np.random.default_rng(seed), p, q, r)
     oracle = [lp_norm(convolve(x, y), r) / (lp_norm(x, p) * lp_norm(y, q))
-              for x, y in four_draw_pairs(np.random.default_rng(seed), 300)]
+              for x, y in four_draw_pairs(np.random.default_rng(seed),
+                                     core.YOUNG_PAIRS)]
     np.testing.assert_allclose(ratios, oracle, rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("p,q,r", [(1, 1, 1), (2, 1, 2), (2, 2, math.inf)])
 def test_young_inequality_seeded(p, q, r):
-    ratios = core.young_ratios(np.random.default_rng(RNG_SEED), p, q, r, 1000)
+    ratios = core.young_ratios(np.random.default_rng(RNG_SEED), p, q, r)
     assert np.count_nonzero(ratios > 1 + 1e-12) == 0
 
 
