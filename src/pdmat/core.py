@@ -2,12 +2,12 @@
 
 The index geometry lives in :class:`IndexBlock`: either a symmetric truncated
 block {-M..M}^d of Z^d, or the cyclic group Z_K^d with representatives taken
-in {-K/2..K/2-1}^d (K even).  :class:`OpMatrix` stores one dense complex
-matrix over the active index set, plus a definedness mask: in truncated mode,
-diagonal shifts lose boundary rows and columns, and weighted sups only run
-over entries whose full shift stencil stayed inside the block.  A vector is
-a flat complex array over the same index order; its h^s norm is the l2 norm
-of its product with :func:`sobolev_weights`.  A translation-invariant matrix,
+in {-K/2..K/2-1}^d (K even).  :class:`OpMatrix` is one dense complex matrix
+over the active index set.  In truncated mode, a diagonal difference is taken
+on the interior where its full shift stencil stays inside the block and reads
+0 off it, so weighted sups run over interior entries only.  A vector is a
+flat complex array over the same index order; its h^s norm is the l2 norm of
+its product with :func:`sobolev_weights`.  A translation-invariant matrix,
 whose entry (m, n) depends only on m - n, is one table over
 :func:`difference_block` gathered by :func:`toeplitz`.  Index arithmetic over
 position pairs goes one axis at a time: the position of m - n and the (size,
@@ -24,8 +24,8 @@ least-squares fit for all the slopes.
 
 The weight (1+dist)^decay / (1+size)^(order-|alpha|) reads a position pair
 only through size = |m|+|n| and dist, and a block has few distinct (size,
-dist) bins.  So every sup takes the max of |D| over the defined entries of each
-bin once per (alpha, member), multiplies it by (1+dist)^decay per decay and
+dist) bins.  So every sup takes the max of |D| over the entries of each bin
+once per (alpha, member), multiplies it by (1+dist)^decay per decay and
 folds it onto sizes, then divides by (1+size)^(order-|alpha|) per order.
 Multiplication and division by a positive constant are monotone under IEEE
 rounding, so the max of the products is the product of the max: the result
@@ -243,16 +243,11 @@ def rough_samples(block: IndexBlock, s: float, n_samples: int, seed: int,
 
 @dataclass(frozen=True, eq=False)
 class OpMatrix:
-    """Dense complex matrix over a block.
-
-    ``defined`` is None when every entry is meaningful; after truncated-mode
-    shifts it marks the surviving interior.  Instances are immutable values;
-    all operations return new matrices.
-    """
+    """Dense complex matrix over a block.  Instances are immutable values;
+    all operations return new matrices."""
 
     block: IndexBlock
     entries: np.ndarray
-    defined: np.ndarray | None = None
 
     def __post_init__(self):
         e = np.ascontiguousarray(self.entries, dtype=complex)
@@ -263,16 +258,6 @@ class OpMatrix:
             raise ValueError("entries must be finite")
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
-        if self.defined is not None:
-            m = np.ascontiguousarray(self.defined, dtype=bool)
-            if m.shape != (n, n):
-                raise ValueError("mask shape mismatch")
-            m.setflags(write=False)
-            object.__setattr__(self, "defined", m)
-
-    @property
-    def fully_defined(self) -> bool:
-        return self.defined is None or bool(self.defined.all())
 
     @cached_property
     def exactly_diagonal(self) -> bool:  # scanned once per matrix
@@ -280,16 +265,14 @@ class OpMatrix:
 
     def __add__(self, other: "OpMatrix") -> "OpMatrix":
         _check_same_block(self, other)
-        return OpMatrix(self.block, self.entries + other.entries,
-                        _combine_masks(self.defined, other.defined))
+        return OpMatrix(self.block, self.entries + other.entries)
 
     def __sub__(self, other: "OpMatrix") -> "OpMatrix":
         _check_same_block(self, other)
-        return OpMatrix(self.block, self.entries - other.entries,
-                        _combine_masks(self.defined, other.defined))
+        return OpMatrix(self.block, self.entries - other.entries)
 
     def __mul__(self, scalar) -> "OpMatrix":
-        return OpMatrix(self.block, scalar * self.entries, self.defined)
+        return OpMatrix(self.block, scalar * self.entries)
 
     __rmul__ = __mul__
 
@@ -303,10 +286,6 @@ class OpMatrix:
 def _check_same_block(a: OpMatrix, b: OpMatrix):
     if a.block != b.block:
         raise ValueError(f"block mismatch: {a.block} vs {b.block}")
-
-
-def _combine_masks(a, b):
-    return b if a is None else (a if b is None else a & b)
 
 
 def identity(block: IndexBlock) -> OpMatrix:
@@ -358,61 +337,73 @@ def is_hermitian(A: OpMatrix, tol: float = 1e-12) -> bool:
 def shift(A: OpMatrix, j: int, sign: int) -> OpMatrix:
     """Both-indices diagonal shift: B(m, n) = A(m + sign*e_j, n + sign*e_j).
 
-    Periodic mode wraps; truncated mode marks rows/columns whose source index
-    left the block as undefined.
+    Periodic mode wraps; truncated mode reads 0 where the source index left
+    the block.
     """
     block = A.block
     if not 1 <= j <= block.d:
         raise ValueError(f"axis j must be in 1..{block.d}")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    return OpMatrix(block, *_shift_arrays(block, A.entries, A.defined, j, sign))
-
-
-def _shift_arrays(block: IndexBlock, entries: np.ndarray, mask, j: int,
-                  sign: int) -> tuple:
-    """(entries, mask) of :func:`shift` on the (side,)*2d view, where axes j-1
-    and d+j-1 move together.  Periodic mode rolls them; truncated mode copies
-    the surviving window into zeros, defined where the source was."""
-    d, n, shape = block.d, block.n, (block.side,) * (2 * block.d)
-    axes = (j - 1, d + j - 1)
+    d, n = block.d, block.n
+    view = A.entries.reshape((block.side,) * (2 * d))
     if block.mode == PERIODIC:
-        return tuple(None if a is None else
-                     np.roll(a.reshape(shape), (-sign, -sign), axes).reshape(n, n)
-                     for a in (entries, mask))
-    src, dst = [slice(None)] * (2 * d), [slice(None)] * (2 * d)
+        out = np.roll(view, (-sign, -sign), (j - 1, d + j - 1))
+    else:
+        ahead, here = _step_slices(d, j, sign)
+        out = np.zeros(view.shape, dtype=complex)
+        out[here] = view[ahead]
+    return OpMatrix(block, out.reshape(n, n))
+
+
+def _step_slices(d: int, j: int, sign: int) -> tuple:
+    """(ahead, here): index tuples into a (side,)*2d view whose entries at
+    ``ahead`` sit one step of sign*e_j past those at ``here``, with axes j-1
+    and d+j-1 (axis j of m and of n) moving together."""
+    ahead, here = [slice(None)] * (2 * d), [slice(None)] * (2 * d)
     head, tail = slice(None, -1), slice(1, None)
-    for ax in axes:
-        src[ax], dst[ax] = (tail, head) if sign > 0 else (head, tail)
-    src, dst = tuple(src), tuple(dst)
-    window = np.zeros(shape, dtype=bool)
-    window[dst] = True if mask is None else mask.reshape(shape)[src]
-    out = np.zeros(shape, dtype=complex)
-    np.copyto(out[dst], entries.reshape(shape)[src], where=window[dst])
-    return out.reshape(n, n), window.reshape(n, n)
+    for ax in (j - 1, d + j - 1):
+        ahead[ax], here[ax] = (tail, head) if sign > 0 else (head, tail)
+    return tuple(ahead), tuple(here)
 
 
 def delta(A: OpMatrix, alpha) -> OpMatrix:
     """Iterated diagonal difference: per axis, alpha_j >= 0 composes the
-    forward difference shift(.,j,+1) - id, alpha_j <= 0 the backward one."""
+    forward difference shift(.,j,+1) - id, alpha_j <= 0 the backward one.
+
+    Periodic mode wraps.  Truncated mode takes each unit step on the overlap
+    of the two shifted slices of the (side,)*2d view, so the array shrinks by
+    one along axis j of m and of n, and puts the survivors into zeros once,
+    at the interior box.  The result is exactly 0 off its interior, where
+    the stencil leaves the block, so apply it once with the full alpha
+    rather than iterating it.
+    """
     block = A.block
     alpha = _normalize_alpha(block.d, alpha)
-    if block.mode == TRUNCATED and _l1(alpha) >= block.size:
+    if not any(alpha):
+        return A
+    d, side, n = block.d, block.side, block.n
+    view = A.entries.reshape((side,) * (2 * d))
+    if block.mode == PERIODIC:
+        for j, a in enumerate(alpha, start=1):
+            sign = 1 if a >= 0 else -1
+            for _ in range(abs(a)):
+                view = np.roll(view, (-sign, -sign), (j - 1, d + j - 1)) - view
+        return OpMatrix(block, view.reshape(n, n))
+    if _l1(alpha) >= block.size:
         raise ValueError("|alpha| >= radius leaves an empty interior")
-    out, mask = A.entries, A.defined
+    box = [slice(None)] * (2 * d)
     for j, a in enumerate(alpha, start=1):
-        sign = 1 if a >= 0 else -1
+        ahead, here = _step_slices(d, j, 1 if a >= 0 else -1)
         for _ in range(abs(a)):
-            shifted, shifted_mask = _shift_arrays(block, out, mask, j, sign)
-            out, mask = shifted - out, _combine_masks(shifted_mask, mask)
-    return A if out is A.entries else OpMatrix(block, out, mask)
+            view = view[ahead] - view[here]
+        box[j - 1] = box[d + j - 1] = slice(max(-a, 0), side - max(a, 0))
+    out = np.zeros((side,) * (2 * d), dtype=complex)
+    out[tuple(box)] = view
+    return OpMatrix(block, out.reshape(n, n))
 
 
 def _normalize_alpha(d: int, alpha) -> tuple[int, ...]:
-    if isinstance(alpha, (int, np.integer)):
-        if d != 1:
-            raise ValueError("scalar alpha only allowed for d=1")
-        alpha = (int(alpha),)
     alpha = tuple(int(a) for a in np.atleast_1d(alpha))
     if len(alpha) != d:
         raise ValueError(f"alpha must have {d} components")
@@ -439,17 +430,11 @@ class SeminormSpec:
 
 
 def _bin_maxima(A: OpMatrix, alpha) -> np.ndarray:
-    """Max of |delta(A, alpha)| over the defined entries of each (size, dist)
-    bin of the block (see IndexBlock._pair_bins).  Bins with no defined entry
-    read 0, which leaves every sup of the nonnegative ratios unchanged."""
-    D = delta(A, alpha)
-    absval = np.abs(D.entries)
-    if D.defined is not None:
-        if not D.defined.any():
-            raise ValueError("empty interior: no defined entries")
-        absval[~D.defined] = 0.0
+    """Max of |delta(A, alpha)| over each (size, dist) bin of the block (see
+    IndexBlock._pair_bins).  Off the truncated interior the difference is 0,
+    which leaves every sup of the nonnegative ratios unchanged."""
     order, starts = A.block._pair_bins[:2]
-    return np.maximum.reduceat(absval.ravel()[order], starts)
+    return np.maximum.reduceat(np.abs(delta(A, alpha).entries).ravel()[order], starts)
 
 
 def _size_envelope(bin_max: np.ndarray, block: IndexBlock, decay: int) -> np.ndarray:
@@ -465,7 +450,8 @@ def seminorm(A: OpMatrix, spec: SeminormSpec) -> float:
     """Weighted sup of the |spec.alpha|-th diagonal difference of A.
 
     The weight is (1+dist)^decay / (1+size)^(order-|alpha|) with dist and
-    size in the block's arithmetic; the sup runs over the defined interior.
+    size in the block's arithmetic; the sup runs over the interior of the
+    difference (see delta).
     """
     env = _size_envelope(_bin_maxima(A, spec.alpha), A.block, spec.decay)
     return float(np.max(env / (1.0 + np.arange(env.size))
@@ -480,8 +466,6 @@ def matmul(A: OpMatrix, B: OpMatrix) -> OpMatrix:
     """Finite matrix product over the active index set (the truncation stands
     in for the infinite sum; off-diagonal decay makes the tail negligible)."""
     _check_same_block(A, B)
-    if not (A.fully_defined and B.fully_defined):
-        raise ValueError("matmul requires fully defined matrices")
     # a real diagonal factor scales rows or columns: every other term of the
     # dense product is an exact zero, so the result is the same bit for bit
     if _real_diagonal(A):
@@ -611,30 +595,19 @@ YOUNG_PAIRS = 1000      # random pairs per exponent triple of the Young check
 def young_ratios(rng: np.random.Generator, p: float, q: float,
                  r: float) -> np.ndarray:
     """||x * y||_r / (||x||_p ||y||_q) for YOUNG_PAIRS random complex
-    sequences x, y of lengths 1..YOUNG_WIDTH (see _young_pairs), which
-    Young's inequality bounds by 1 when 1/p + 1/q = 1 + 1/r.  The full
+    sequences x, y of lengths 1..YOUNG_WIDTH, which Young's inequality bounds
+    by 1 when 1/p + 1/q = 1 + 1/r.  One draw gives the lengths of every x and
+    y, one standard normal draw their real and imaginary parts as
+    (YOUNG_PAIRS, YOUNG_WIDTH) rows, zeroed past each length.  The full
     convolutions of all pairs come from YOUNG_WIDTH shifted multiply-adds of
     the padded rows; zeros change no norm."""
-    x, y = _young_pairs(rng)
+    lengths = rng.integers(1, YOUNG_WIDTH + 1, size=(2, YOUNG_PAIRS, 1))
+    parts = rng.standard_normal((2, 2, YOUNG_PAIRS, YOUNG_WIDTH))
+    x, y = (parts[:, 0] + 1j * parts[:, 1]) * (np.arange(YOUNG_WIDTH) < lengths)
     conv = np.zeros((YOUNG_PAIRS, 2 * YOUNG_WIDTH - 1), dtype=complex)
     for k in range(YOUNG_WIDTH):
         conv[:, k:k + YOUNG_WIDTH] += x[:, k:k + 1] * y
     return _row_norms(conv, r) / (_row_norms(x, p) * _row_norms(y, q))
-
-
-def _young_pairs(rng: np.random.Generator) -> tuple:
-    """(x, y), each (YOUNG_PAIRS, YOUNG_WIDTH), one random pair per row,
-    zero-padded.  Per pair, the draws are the lengths (nx, ny) =
-    rng.integers(1, YOUNG_WIDTH + 1, 2), then one standard normal block split
-    into Re x, Im x, Re y, Im y: the stream of four separate draws."""
-    x = np.zeros((YOUNG_PAIRS, YOUNG_WIDTH), dtype=complex)
-    y = np.zeros((YOUNG_PAIRS, YOUNG_WIDTH), dtype=complex)
-    for i in range(YOUNG_PAIRS):
-        nx, ny = rng.integers(1, YOUNG_WIDTH + 1, size=2)
-        b = rng.standard_normal(2 * (nx + ny))
-        x[i, :nx] = b[:nx] + 1j * b[nx:2 * nx]
-        y[i, :ny] = b[2 * nx:2 * nx + ny] + 1j * b[2 * nx + ny:]
-    return x, y
 
 
 def _row_norms(a: np.ndarray, p: float) -> np.ndarray:

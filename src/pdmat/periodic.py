@@ -143,8 +143,8 @@ def approx_error(A_limit: OpMatrix, family, s: float, s_prime: float,
     """
     if not family:
         raise ValueError("approx_error needs a nonempty family of periodic matrices")
-    if A_limit.block.mode != TRUNCATED or not A_limit.fully_defined:
-        raise ValueError("A_limit must be a fully defined truncated matrix")
+    if A_limit.block.mode != TRUNCATED:
+        raise ValueError("A_limit must be a truncated matrix")
     master = A_limit.block.size
     if master < max(A.block.size for A in family) // 2:
         raise ValueError("master block must cover every embedded period")

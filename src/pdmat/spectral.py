@@ -33,9 +33,11 @@ ALIAS_MAX_SHELLS = 64
 
 def sample(period: int, fn, d: int = 1) -> np.ndarray:
     """Values of a 2pi-periodic function at the grid points x_a = 2 pi a / K,
-    flat in centered order."""
-    xs = periodic_block(d, period).indices() * (2 * np.pi / period)
-    return np.array([fn(*x) for x in xs], dtype=complex)
+    flat in centered order.  ``fn`` takes d arrays, one coordinate of every
+    grid point each, and is called once; a constant result is broadcast."""
+    block = periodic_block(d, period)
+    xs = block.indices().T * (2 * np.pi / period)
+    return np.broadcast_to(np.asarray(fn(*xs), dtype=complex), (block.n,)).copy()
 
 
 def dft(u: np.ndarray, period: int, d: int = 1) -> np.ndarray:

@@ -164,7 +164,9 @@ def test_rough_samples_rows_match_per_row_draws(block, zero_mean):
 def test_shift_identity_unchanged_on_interior():
     A = core.identity(truncated_block(1, 6))
     B = core.shift(A, 1, 1)
-    assert np.max(np.abs(np.where(B.defined, B.entries - A.entries, 0))) == 0.0
+    # the source of the last row and column left the block
+    assert np.array_equal(B.entries[:-1, :-1], A.entries[:-1, :-1])
+    assert not B.entries[-1].any() and not B.entries[:, -1].any()
 
 
 def test_shift_diagonal_by_definition():
@@ -173,8 +175,8 @@ def test_shift_diagonal_by_definition():
     B = core.shift(A, 1, 1)
     for m in range(-6, 6):
         p = core._positions(block, [[m]])[0][0]
-        assert B.defined[p, p]
         assert B.entries[p, p] == m + 1
+    assert B.entries[-1, -1] == 0.0
 
 
 def test_shift_toeplitz_invariant():
@@ -182,7 +184,8 @@ def test_shift_toeplitz_invariant():
     A = toeplitz_from(block, lambda k: 1.0 / (1 + k * k))
     for sign in (1, -1):
         B = core.shift(A, 1, sign)
-        diff = np.where(B.defined, B.entries - A.entries, 0.0)
+        inner = slice(None, -1) if sign > 0 else slice(1, None)
+        diff = B.entries[inner, inner] - A.entries[inner, inner]
         assert np.max(np.abs(diff)) < 1e-15
 
 
@@ -192,7 +195,6 @@ def test_shift_periodic_wraps():
     B = core.shift(A, 1, 1)
     p = core._positions(block, [[3]])[0][0]  # 3 + 1 wraps to -4
     assert B.entries[p, p] == -4.0
-    assert B.defined is None
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +212,8 @@ def test_delta_toeplitz_vanishes_on_interior():
     block = truncated_block(1, 8)
     B = toeplitz_from(block, cos_coeff)
     for alpha in [(1,), (-1,)]:
-        D = core.delta(B, alpha)
-        assert np.max(np.abs(np.where(D.defined, D.entries, 0.0))) == 0.0
+        # 0 on the interior by invariance, and 0 off it by construction
+        assert not core.delta(B, alpha).entries.any()
 
 
 def test_delta_squares_forward_difference():
@@ -240,12 +242,16 @@ def test_delta_2d_mixed_axes():
     expected = (f(1, 0) - f(0, 0)) - (f(1, -1) - f(0, -1))
     p = core._positions(block, [[0, 0]])[0][0]
     assert D.entries[p, p] == expected
+    with pytest.raises(ValueError, match="2 components"):
+        core.delta(A, 1)
 
 
 def brute_delta(block, entries, alpha):
     """Independent reference for the iterated difference: per active pair,
-    evaluate the full stencil directly from the original entries; pairs whose
-    stencil leaves a truncated block are undefined (None)."""
+    evaluate the full stencil directly from the original entries, peeling
+    the last axis off first, so the subtractions nest as core.delta nests
+    them.  Returns the values, 0 off the interior, and the interior: the
+    pairs whose stencil stays inside a truncated block."""
     idx = block.indices()
     lookup = {tuple(v): i for i, v in enumerate(idx)}
 
@@ -258,7 +264,8 @@ def brute_delta(block, entries, alpha):
         return entries[lookup[m], lookup[n]]
 
     def diff(m, n, remaining):
-        for j, a in enumerate(remaining):
+        for j in reversed(range(block.d)):
+            a = remaining[j]
             if a != 0:
                 step = np.zeros(block.d, dtype=int)
                 step[j] = 1 if a > 0 else -1
@@ -272,14 +279,14 @@ def brute_delta(block, entries, alpha):
         return fetch(m, n)
 
     out = np.zeros((block.n, block.n), dtype=complex)
-    defined = np.zeros((block.n, block.n), dtype=bool)
+    interior = np.zeros((block.n, block.n), dtype=bool)
     for i, m in enumerate(idx):
         for j, n in enumerate(idx):
             val = diff(tuple(m), tuple(n), list(alpha))
             if val is not None:
                 out[i, j] = val
-                defined[i, j] = True
-    return out, defined
+                interior[i, j] = True
+    return out, interior
 
 
 @pytest.mark.parametrize("mode,alpha", [
@@ -292,63 +299,52 @@ def test_delta_matches_brute_force_oracle_2d(mode, alpha):
     A = OpMatrix(block, rng.standard_normal((block.n, block.n))
                  + 1j * rng.standard_normal((block.n, block.n)))
     D = core.delta(A, alpha)
-    ref, ref_defined = brute_delta(block, A.entries, alpha)
-    got_defined = np.ones((block.n, block.n), bool) if D.defined is None else D.defined
-    np.testing.assert_array_equal(got_defined, ref_defined)
-    np.testing.assert_allclose(np.where(got_defined, D.entries, 0.0),
-                               np.where(ref_defined, ref, 0.0), atol=1e-12)
+    ref, interior = brute_delta(block, A.entries, alpha)
+    assert np.array_equal(D.entries[interior], ref[interior])
+    assert not D.entries[~interior].any()
 
 
 def gather_shift(A, j, sign):
     """Oracle for core.shift that gathers every entry from its source
-    position, through the index arithmetic of the block."""
+    position, through the index arithmetic of the block; a source outside a
+    truncated block reads 0."""
     block = A.block
     idx = block.indices().copy()
     idx[:, j - 1] += sign
     pos, valid = core._positions(block, idx)
-    entries = A.entries[np.ix_(pos, pos)]
-    if block.mode == core.PERIODIC:
-        mask = None if A.defined is None else A.defined[np.ix_(pos, pos)]
-    else:
-        mask = np.outer(valid, valid)
-        if A.defined is not None:
-            mask = mask & A.defined[np.ix_(pos, pos)]
-        entries = np.where(mask, entries, 0.0)
-    return OpMatrix(block, entries, mask)
+    return OpMatrix(block, np.where(np.outer(valid, valid),
+                                    A.entries[np.ix_(pos, pos)], 0.0))
 
 
 def gather_delta(A, alpha):
+    """Oracle for core.delta: gathered differences iterated on the whole
+    matrix, then 0 off the interior, the pairs (m, n) with m + alpha and
+    n + alpha both inside the block."""
     out = A
     for j, a in enumerate(alpha, start=1):
         for _ in range(abs(a)):
             out = gather_shift(out, j, 1 if a >= 0 else -1) - out
-    return out
+    inside = core._positions(A.block, A.block.indices() + np.array(alpha))[1]
+    return OpMatrix(A.block, np.where(np.outer(inside, inside), out.entries, 0.0))
 
 
-def assert_same_matrix(got, ref):
-    assert np.array_equal(got.entries, ref.entries)
-    assert (got.defined is None) == (ref.defined is None)
-    if ref.defined is not None:
-        assert np.array_equal(got.defined, ref.defined)
-
-
-@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
 @pytest.mark.parametrize("block,alphas", [
     (truncated_block(1, 5), [(2,), (-1,)]),
     (periodic_block(1, 8), [(2,), (-1,)]),
     (truncated_block(2, 3), [(1, -1), (-1, 0)]),
     (periodic_block(2, 6), [(1, -1), (-1, 0)]),
 ], ids=["truncated_1d", "periodic_1d", "truncated_2d", "periodic_2d"])
-def test_shift_and_delta_match_gather_oracle(block, alphas, masked):
+def test_shift_and_delta_match_gather_oracle(block, alphas):
     rng = np.random.default_rng(RNG_SEED + 3)
     n = block.n
-    A = OpMatrix(block, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
-                 rng.uniform(size=(n, n)) < 0.8 if masked else None)
+    A = OpMatrix(block, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     for j in range(1, block.d + 1):
         for sign in (1, -1):
-            assert_same_matrix(core.shift(A, j, sign), gather_shift(A, j, sign))
+            assert np.array_equal(core.shift(A, j, sign).entries,
+                                  gather_shift(A, j, sign).entries)
     for alpha in alphas:
-        assert_same_matrix(core.delta(A, alpha), gather_delta(A, alpha))
+        assert np.array_equal(core.delta(A, alpha).entries,
+                              gather_delta(A, alpha).entries)
 
 
 def test_seminorm_matches_brute_force_on_random_matrix():
@@ -396,15 +392,6 @@ def test_seminorm_square_symbol_brute_force_oracle():
     assert val == pytest.approx(oracle, rel=1e-14)
     assert val == pytest.approx(4096 / 16641, rel=1e-14)
     assert val < 1.0
-
-
-def test_seminorm_empty_interior_raises():
-    block = truncated_block(1, 3)
-    A = core.identity(block)
-    D = core.delta(A, (2,))
-    masked = OpMatrix(block, D.entries, np.zeros((block.n, block.n), dtype=bool))
-    with pytest.raises(ValueError, match="empty interior"):
-        core.seminorm(masked, SeminormSpec((0,), 0, 0.0))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -577,7 +564,8 @@ def test_estimate_order_rejects_single_member_family():
 def entrywise_order_scan(family, alpha_grid, decay_grid, order_grid):
     """Seminorm table of an order scan evaluated over every entry:
     |D| (1+dist)^decay / (1+size)^(r-|alpha|), dist and size read per entry
-    from the indices, sup over the defined entries.  The two powers are taken
+    from the indices, sup over the interior (the pairs (m, n) with m + alpha
+    and n + alpha inside the block).  The two powers are taken
     on whole arrays, as the library takes them: vectorized and scalar pow may
     differ in the last place."""
     out = np.zeros((len(order_grid), len(alpha_grid), len(decay_grid), len(family)))
@@ -596,12 +584,13 @@ def entrywise_order_scan(family, alpha_grid, decay_grid, order_grid):
                 size[i, j] = np.abs(idx[i]).sum() + np.abs(idx[j]).sum()
         for i_a, alpha in enumerate(alpha_grid):
             D = core.delta(A, alpha)
-            defined = np.ones((n, n), bool) if D.defined is None else D.defined
+            inside = core._positions(block, idx + np.array(alpha))[1]
+            interior = np.outer(inside, inside)
             for i_n, decay in enumerate(decay_grid):
                 for i_r, r in enumerate(order_grid):
                     ratio = np.abs(D.entries) * (1.0 + dist) ** decay / \
                         (1.0 + size) ** (r - sum(abs(a) for a in alpha))
-                    out[i_r, i_a, i_n, i_m] = ratio[defined].max()
+                    out[i_r, i_a, i_n, i_m] = ratio[interior].max()
     return out
 
 
@@ -791,7 +780,7 @@ def test_stable_rows_match_the_scalar_oracle(theta):
 
 def envelope_order_scan(family, alpha_grid, decay_grid, order_grid):
     """Seminorm table of an order scan by one size envelope per decay: the
-    n x n matrix |D| (1+dist)^decay over the defined entries, its max for
+    n x n matrix |D| (1+dist)^decay, 0 off the interior, its max for
     each size |m|+|n|, divided per order by (1+size)^(r-|alpha|)."""
     out = np.zeros((len(order_grid), len(alpha_grid), len(decay_grid), len(family)))
     for i_m, A in enumerate(family):
@@ -806,8 +795,6 @@ def envelope_order_scan(family, alpha_grid, decay_grid, order_grid):
         for i_a, alpha in enumerate(alpha_grid):
             D = gather_delta(A, alpha)
             absval = np.abs(D.entries)
-            if D.defined is not None:
-                absval = np.where(D.defined, absval, 0.0)
             for i_n, decay in enumerate(decay_grid):
                 env = np.zeros(size.max() + 1)
                 np.maximum.at(env, size, (absval * (1.0 + dist) ** decay).ravel())
@@ -1016,15 +1003,16 @@ def lp_norm(x, p):
     return float((a ** p).sum() ** (1.0 / p))
 
 
-def four_draw_pairs(rng, n_pairs):
-    """The pairs of the Young check drawn one part at a time: the lengths,
-    then Re x, Im x, Re y and Im y."""
+def young_pairs(rng):
+    """The (x, y) pairs of the Young check, unpadded: one draw of the
+    lengths of every x and y, then one standard normal draw of their real
+    and imaginary parts, each row cut at its length."""
+    lengths = rng.integers(1, 12, size=(2, core.YOUNG_PAIRS, 1))
+    parts = rng.standard_normal((2, 2, core.YOUNG_PAIRS, 11))
     pairs = []
-    for _ in range(n_pairs):
-        nx, ny = rng.integers(1, 12, size=2)
-        x = rng.standard_normal(nx) + 1j * rng.standard_normal(nx)
-        y = rng.standard_normal(ny) + 1j * rng.standard_normal(ny)
-        pairs.append((x, y))
+    for i in range(core.YOUNG_PAIRS):
+        x, y = (parts[k, 0, i] + 1j * parts[k, 1, i] for k in (0, 1))
+        pairs.append((x[:lengths[0, i, 0]], y[:lengths[1, i, 0]]))
     return pairs
 
 
@@ -1045,22 +1033,11 @@ def test_convolve_identities():
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_young_pairs_are_the_four_draw_stream(seed):
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    x, y = core._young_pairs(rng)
-    for i, (xr, yr) in enumerate(four_draw_pairs(ref_rng, core.YOUNG_PAIRS)):
-        assert np.array_equal(x[i, :len(xr)], xr) and not x[i, len(xr):].any()
-        assert np.array_equal(y[i, :len(yr)], yr) and not y[i, len(yr):].any()
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
-
-
-@pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("p,q,r", [(1, 1, 1), (2, 1, 2), (2, 2, math.inf)])
 def test_young_ratios_match_the_per_pair_oracle(seed, p, q, r):
     ratios = core.young_ratios(np.random.default_rng(seed), p, q, r)
     oracle = [lp_norm(convolve(x, y), r) / (lp_norm(x, p) * lp_norm(y, q))
-              for x, y in four_draw_pairs(np.random.default_rng(seed),
-                                     core.YOUNG_PAIRS)]
+              for x, y in young_pairs(np.random.default_rng(seed))]
     np.testing.assert_allclose(ratios, oracle, rtol=1e-13, atol=0)
 
 

@@ -182,8 +182,8 @@ def test_mult_matrix_two_paths_agree():
     # grid-sample transform vs alias-summed exact coefficients
     K = 16
     def v_fn(x):
-        ks = np.arange(-60, 61)
-        return np.sum(np.exp(-np.abs(ks)) * np.exp(1j * ks * x))
+        ks = np.arange(-60, 61)[:, None]
+        return np.sum(np.exp(-np.abs(ks)) * np.exp(1j * ks * x), axis=0)
     M_samples = spectral.mult_matrix_from_samples(spectral.sample(K, v_fn), K)
     M_coeffs = spectral.mult_matrix_from_coeffs(operators.exp_decay_coeff, K)
     assert np.max(np.abs(M_samples.entries - M_coeffs.entries)) < 1e-12
@@ -234,6 +234,22 @@ def test_mult_grid_and_conjugation():
     M = spectral.mult_matrix_from_samples(vc, K)
     conj = idft(M.entries @ spectral.dft(u, K), K)
     assert np.max(np.abs(direct - conj)) < 1e-12 * np.max(np.abs(direct))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_sample_calls_fn_once_on_the_grid_arrays(d):
+    K, calls = 8, []
+
+    def fn(*xs):
+        calls.append(xs)
+        return sum(xs) + 1j * xs[0] ** 2
+
+    u = spectral.sample(K, fn, d)
+    xs = periodic_block(d, K).indices() * (2 * np.pi / K)
+    assert len(calls) == 1 and [x.shape for x in calls[0]] == [(K ** d,)] * d
+    np.testing.assert_array_equal(u, [sum(x) + 1j * x[0] ** 2 for x in xs])
+    const = spectral.sample(K, lambda *xs: 3.0, d)
+    assert const.shape == (K ** d,) and (const == 3.0).all()
 
 
 # ---------------------------------------------------------------------------
