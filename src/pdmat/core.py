@@ -30,6 +30,10 @@ folds it onto sizes, then divides by (1+size)^(order-|alpha|) per order.
 Multiplication and division by a positive constant are monotone under IEEE
 rounding, so the max of the products is the product of the max: the result
 equals the entrywise sup bit for bit, at one O(n^2) pass per (alpha, member).
+Each pair's bin is looked up from its (size, dist) key, not sorted, and
+kept as one small unsigned id per pair.  A scan over a truncated family
+takes each axis's forward difference once, on its unpadded interior, and
+reads the backward difference from the same magnitudes one step on.
 """
 
 from __future__ import annotations
@@ -121,25 +125,29 @@ class IndexBlock:
 
     @cached_property
     def _pair_bins(self) -> tuple:
-        """(order, starts, size, dist): the n^2 position pairs, flattened
-        row-major, binned by size(m, n) = |m|+|n| and dist(m, n), which is
-        |m-n| (truncated) or the bracket norm of m-n (periodic).  ``order``
-        sorts the pairs by (size, dist), ``starts`` opens each bin in that
-        order, and size[b], dist[b] are the ints of bin b.  Both are sums over
-        the axes, so the sort key is the axis sum of one (side, side) table."""
+        """(bin_id, size, dist): the n^2 position pairs, flattened row-major,
+        binned by size(m, n) = |m|+|n| and dist(m, n), which is |m-n|
+        (truncated) or the bracket norm of m-n (periodic).  bin_id[p] is the
+        bin of pair p, in the narrowest unsigned type that holds every bin;
+        the bins run in (size, dist) order, and size[b], dist[b] are the ints
+        of bin b.  Both are sums over the axes, so the key size * span + dist
+        is the axis sum of one (side, side) table, and a lookup table over
+        the keys present maps each key to its bin."""
         a = np.asarray(self.axis_range, dtype=np.int64)
         gap = a[:, None] - a[None, :]
         if self.mode == PERIODIC:
             gap = representative(self.size, gap)
         gap = np.abs(gap)
         span = self.d * int(gap.max()) + 1      # above every dist
-        key = _axis_sum([(np.abs(a)[:, None] + np.abs(a)[None, :]) * span + gap]
-                        * self.d).ravel()
-        # the smallest unsigned type makes the stable sort a radix sort
-        order = np.argsort(key.astype(np.min_scalar_type(key.max())), kind="stable")
-        key = key[order]
-        starts = np.flatnonzero(np.diff(key, prepend=-1))
-        out = (order, starts, *np.divmod(key[starts], span))
+        table = (np.abs(a)[:, None] + np.abs(a)[None, :]) * span + gap
+        table = table.astype(np.min_scalar_type(self.d * int(table.max())))
+        key = _axis_sum([table] * self.d).ravel()
+        present = np.zeros(int(key.max()) + 1, dtype=bool)
+        present[key] = True
+        keys = np.flatnonzero(present)
+        lookup = np.zeros(present.size, dtype=np.min_scalar_type(len(keys) - 1))
+        lookup[keys] = np.arange(len(keys))
+        out = (lookup[key], *np.divmod(keys, span))
         for arr in out:
             arr.setflags(write=False)
         return out
@@ -390,17 +398,27 @@ def delta(A: OpMatrix, alpha) -> OpMatrix:
             for _ in range(abs(a)):
                 view = np.roll(view, (-sign, -sign), (j - 1, d + j - 1)) - view
         return OpMatrix(block, view.reshape(n, n))
-    if _l1(alpha) >= block.size:
-        raise ValueError("|alpha| >= radius leaves an empty interior")
-    box = [slice(None)] * (2 * d)
+    box = _interior_box(block, alpha)
     for j, a in enumerate(alpha, start=1):
         ahead, here = _step_slices(d, j, 1 if a >= 0 else -1)
         for _ in range(abs(a)):
             view = view[ahead] - view[here]
-        box[j - 1] = box[d + j - 1] = slice(max(-a, 0), side - max(a, 0))
     out = np.zeros((side,) * (2 * d), dtype=complex)
-    out[tuple(box)] = view
+    out[box] = view
     return OpMatrix(block, out.reshape(n, n))
+
+
+def _interior_box(block: IndexBlock, alpha: tuple) -> tuple:
+    """Index tuple into the (side,)*2d view of a truncated block: the pairs
+    (m, n) with m + alpha and n + alpha inside the block, where the stencil
+    of delta(., alpha) stays inside it."""
+    if _l1(alpha) >= block.size:
+        raise ValueError("|alpha| >= radius leaves an empty interior")
+    d, side = block.d, block.side
+    box = [slice(None)] * (2 * d)
+    for j, a in enumerate(alpha):
+        box[j] = box[d + j] = slice(max(-a, 0), side - max(a, 0))
+    return tuple(box)
 
 
 def _normalize_alpha(d: int, alpha) -> tuple[int, ...]:
@@ -429,18 +447,49 @@ class SeminormSpec:
             raise ValueError("decay exponent must be >= 0")
 
 
-def _bin_maxima(A: OpMatrix, alpha) -> np.ndarray:
-    """Max of |delta(A, alpha)| over each (size, dist) bin of the block (see
-    IndexBlock._pair_bins).  Off the truncated interior the difference is 0,
-    which leaves every sup of the nonnegative ratios unchanged."""
-    order, starts = A.block._pair_bins[:2]
-    return np.maximum.reduceat(np.abs(delta(A, alpha).entries).ravel()[order], starts)
+def _box_maxima(block: IndexBlock, mag: np.ndarray, box: tuple) -> np.ndarray:
+    """Max of mag, which holds |D| at the box of the (side,)*2d view, over
+    each (size, dist) bin of the block (see IndexBlock._pair_bins).  Every
+    bin starts at 0 and mag >= 0, so the entries off the box count as 0."""
+    bin_id, size, _ = block._pair_bins
+    ids = bin_id.reshape((block.side,) * (2 * block.d))[box]
+    out = np.zeros(len(size))
+    np.maximum.at(out, ids.ravel(), mag.ravel())
+    return out
+
+
+def _bin_maxima(A: OpMatrix, alphas) -> list:
+    """Max of |delta(A, alpha)| over each (size, dist) bin of the block, for
+    each alpha of alphas.  Off the truncated interior the difference is 0,
+    which leaves every sup of the nonnegative ratios unchanged, so only the
+    interior is binned.  In truncated mode the forward differences along
+    each axis e_j are taken once, one axis at a time, for every alpha along
+    it: a backward difference of k steps is (-1)^k times the forward one k
+    steps on, since fl(a - b) = -fl(b - a), so -k e_j bins the magnitudes of
+    k e_j at its own interior box.
+    """
+    block = A.block
+    out = {}
+    view = A.entries.reshape((block.side,) * (2 * block.d))
+    for j in range(block.d) if block.mode == TRUNCATED else ():
+        along = {alpha: abs(alpha[j]) for alpha in alphas
+                 if alpha[j] and _l1(alpha) == abs(alpha[j])}
+        ahead, here = _step_slices(block.d, j + 1, 1)
+        diff = view
+        for k in range(1, max(along.values(), default=0) + 1):
+            diff = diff[ahead] - diff[here]
+            mag = np.abs(diff)
+            for alpha in [alpha for alpha, steps in along.items() if steps == k]:
+                out[alpha] = _box_maxima(block, mag, _interior_box(block, alpha))
+    for alpha in set(alphas) - set(out):
+        out[alpha] = _box_maxima(block, np.abs(delta(A, alpha).entries), ())
+    return [out[alpha] for alpha in alphas]
 
 
 def _size_envelope(bin_max: np.ndarray, block: IndexBlock, decay: int) -> np.ndarray:
     """env[s] = max of |D| (1+dist)^decay over the entries with |m|+|n| = s,
     from the bin maxima, bit for bit (see the module docstring)."""
-    _, _, size, dist = block._pair_bins
+    _, size, dist = block._pair_bins
     env = np.zeros(int(size[-1]) + 1)
     np.maximum.at(env, size, bin_max * (1.0 + dist) ** decay)
     return env
@@ -453,9 +502,10 @@ def seminorm(A: OpMatrix, spec: SeminormSpec) -> float:
     size in the block's arithmetic; the sup runs over the interior of the
     difference (see delta).
     """
-    env = _size_envelope(_bin_maxima(A, spec.alpha), A.block, spec.decay)
+    alpha = _normalize_alpha(A.block.d, spec.alpha)
+    env = _size_envelope(_bin_maxima(A, [alpha])[0], A.block, spec.decay)
     return float(np.max(env / (1.0 + np.arange(env.size))
-                        ** (spec.order - _l1(spec.alpha))))
+                        ** (spec.order - _l1(alpha))))
 
 
 # ---------------------------------------------------------------------------
@@ -569,11 +619,12 @@ def estimate_order(family, decay_grid=(0, 2, 4, 8),
     n_r, n_a, n_n, n_m = len(order_grid), len(alpha_grid), len(decay_grid), len(family)
     ratios = np.zeros((n_r, n_a, n_n, n_m))
     for i_m, A in enumerate(family):
-        s = 1.0 + np.arange(A.block._pair_bins[2][-1] + 1)   # all sizes
+        s = 1.0 + np.arange(A.block._pair_bins[1][-1] + 1)   # all sizes
         powers = {la: np.array([s ** (r - la) for r in order_grid])
                   for la in {_l1(alpha) for alpha in alpha_grid}}
-        for i_a, alpha in enumerate(alpha_grid):
-            bin_max, la = _bin_maxima(A, alpha), _l1(alpha)
+        for i_a, (alpha, bin_max) in enumerate(zip(alpha_grid,
+                                                    _bin_maxima(A, alpha_grid))):
+            la = _l1(alpha)
             for i_n, decay in enumerate(decay_grid):
                 env = _size_envelope(bin_max, A.block, decay)
                 ratios[:, i_a, i_n, i_m] = np.max(env / powers[la], axis=1)

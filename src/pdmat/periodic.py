@@ -26,18 +26,33 @@ from .core import (OpMatrix, SeminormSpec, PERIODIC, TRUNCATED, bracket_norm,
 
 # ---------------------------------------------------------------------------
 # bracket-norm inequalities (exact integer arithmetic)
-PAIR_BLOCK = 1 << 17  # entries of each pair-bracket block, 1 MiB of int64
+PAIR_BLOCK = 1 << 17  # entries of each pair-bracket block
 
 
 def _all_residues(period: int, d: int) -> np.ndarray:
     return np.array(list(itertools.product(range(period), repeat=d)), dtype=np.int64)
 
 
+def _bracket_type(period: int, d: int) -> np.dtype:
+    """Narrowest integer type that holds every value the checks form.  Each
+    bracket they read, and the extreme [a] of the Peetre check, is at most
+    B = d * max(largest 1d bracket, K/2), and each value at most
+    2(1 + 2B)^2, which is 2(1 + dK)^2 for the bracket norm."""
+    top = int(bracket_norm(period, np.arange(period)[:, None]).max())
+    return np.min_scalar_type(2 * (1 + 2 * d * max(top, period // 2)) ** 2)
+
+
+def _residue_brackets(period: int, d: int) -> np.ndarray:
+    return bracket_norm(period, _all_residues(period, d)).astype(_bracket_type(period, d))
+
+
 def _pair_brackets(period: int, d: int, sign: int):
     """(rows, P) for blocks of residues r, P[i, c] = [sign*r_i + c] for all c
-    in order: outer sums of 1d brackets, at most PAIR_BLOCK entries each."""
+    in order: outer sums of 1d brackets in the checks' integer type, at most
+    PAIR_BLOCK entries each."""
     idx = _all_residues(period, d)
-    table = bracket_norm(period, np.arange(-period, 2 * period)[:, None])
+    table = bracket_norm(period, np.arange(-period, 2 * period)[:, None]).astype(
+        _bracket_type(period, d))
     near = table[period + sign * idx[:, :, None] + np.arange(period)]
     step = max(1, PAIR_BLOCK // len(idx))
     for lo in range(0, len(idx), step):
@@ -49,7 +64,7 @@ def _pair_brackets(period: int, d: int, sign: int):
 
 def bracket_triangle_holds(period: int, d: int) -> bool:
     """Exhaustive check of [a+b] <= [a]+[b] over Z_K^d x Z_K^d."""
-    br = bracket_norm(period, _all_residues(period, d))
+    br = _residue_brackets(period, d)
     return not any(np.any(rab > br[a, None] + br)
                    for a, rab in _pair_brackets(period, d, 1))
 
@@ -62,7 +77,7 @@ def bracket_peetre_holds(period: int, d: int) -> bool:
     attainable bracket values t in {0, d*K/2}.  This is an exact reduction
     covering every index triple without enumerating K^(3d) of them.
     """
-    br = bracket_norm(period, _all_residues(period, d))
+    br = _residue_brackets(period, d)
     return not any(np.any(1 + ra + br > 2 * (1 + ra + br[b, None]) * (1 + rcb))
                    for b, rcb in _pair_brackets(period, d, -1)
                    for ra in (0, d * (period // 2)))

@@ -83,7 +83,9 @@ def position_gather_toeplitz(block, values):
 
 
 def pairwise_bins(block):
-    """Oracle for IndexBlock._pair_bins from the (n, n, d) differences."""
+    """Oracle for IndexBlock._pair_bins from the (n, n, d) differences:
+    (bin of each pair, size and dist of each bin), with the bins in the
+    order of a sort of the (size, dist) keys."""
     idx = block.indices()
     diff = idx[:, None, :] - idx[None, :, :]
     if block.mode == core.PERIODIC:
@@ -93,9 +95,10 @@ def pairwise_bins(block):
     span = dist.max() + 1
     key = (l1[:, None] + l1[None, :]).ravel() * span + dist
     order = np.argsort(key, kind="stable")
-    key = key[order]
-    starts = np.flatnonzero(np.diff(key, prepend=-1))
-    return (order, starts, *np.divmod(key[starts], span))
+    opens = np.diff(key[order], prepend=-1) != 0    # first pair of each bin
+    bin_id = np.empty_like(key)
+    bin_id[order] = np.cumsum(opens) - 1
+    return (bin_id, *np.divmod(key[order][opens], span))
 
 
 BLOCKS = [truncated_block(1, 1), truncated_block(1, 7), periodic_block(1, 4),
@@ -630,7 +633,8 @@ def seminorm_scan(family, alpha_grid, decay_grid, order_grid):
                       for alpha in alpha_grid] for r in order_grid])
 
 
-@pytest.mark.parametrize("case", ["truncated_1d", "periodic_1d", "truncated_2d"])
+@pytest.mark.parametrize("case", ["truncated_1d", "periodic_1d", "truncated_2d",
+                                  "periodic_2d"])
 def test_estimate_order_matches_entrywise_scan(case):
     # estimate_order probes ALPHA_GRIDS[d]; the differences outside it (a
     # second backward one, a mixed one) are checked through core.seminorm
@@ -645,6 +649,9 @@ def test_estimate_order_matches_entrywise_scan(case):
     elif case == "periodic_1d":
         fam = [random_periodic(periodic_block(1, K), rng) for K in (8, 12, 16)]
         probes = ((-2,),)
+    elif case == "periodic_2d":
+        fam = [random_periodic(periodic_block(2, K), rng) for K in (4, 6, 8)]
+        probes = ((0, -2),)
     else:
         fam = []
         for M in (3, 4, 5):
@@ -669,6 +676,63 @@ def test_estimate_order_matches_entrywise_scan(case):
         assert np.array_equal(
             seminorm_scan(fam, probes, decay_grid, order_grid),
             entrywise_order_scan(fam, probes, decay_grid, order_grid))
+
+
+def random_family(mode, d, sizes, integer, seed):
+    """Random members at the given sizes; small integer entries make exact
+    ties and zero differences likely."""
+    rng = np.random.default_rng(seed)
+    fam = []
+    for size in sizes:
+        block = IndexBlock(d, mode, size)
+        if integer:
+            parts = rng.integers(-2, 3, size=(2, block.n, block.n))
+        else:
+            parts = rng.standard_normal((2, block.n, block.n))
+        fam.append(OpMatrix(block, parts[0] + 1j * parts[1]))
+    return fam
+
+
+@st.composite
+def small_families(draw):
+    """(mode, d, sizes, integer, seed) of a small random family: truncated
+    radii above the largest |alpha| of ALPHA_GRIDS[d], even periods."""
+    mode = draw(st.sampled_from([core.TRUNCATED, core.PERIODIC]))
+    d = draw(st.sampled_from([1, 2]))
+    if mode == core.TRUNCATED:
+        pool = range(3, 9) if d == 1 else range(2, 4)
+    else:
+        pool = range(4, 13, 2) if d == 1 else (4, 6)
+    sizes = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=3,
+                          unique=True).map(sorted))
+    return mode, d, sizes, draw(st.booleans()), draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_families())
+def test_estimate_order_matches_entrywise_scan_on_random_families(case):
+    """The scan's backward magnitudes, read from the forward differences one
+    step on (truncated) or through delta (periodic, wrapped), equal the
+    entrywise sups bit for bit."""
+    fam = random_family(*case)
+    decay_grid = (0, 2)
+    est = core.estimate_order(fam, decay_grid)
+    assert np.array_equal(est.max_ratios, entrywise_order_scan(
+        fam, core.ALPHA_GRIDS[case[1]], decay_grid, core.ORDER_GRID))
+
+
+def test_pair_bin_index_is_compact():
+    """The 2-d M = 12 block keeps one uint16 bin per position pair and no
+    n^2-sized int64 array."""
+    block = truncated_block(2, 12)
+    bin_id, size, dist = block._pair_bins
+    assert bin_id.dtype == np.uint16 and bin_id.shape == (block.n ** 2,)
+    assert size.shape == dist.shape == (int(bin_id.max()) + 1,)
+    cached = [v for value in vars(block).values()
+              for v in (value if isinstance(value, tuple) else (value,))
+              if isinstance(v, np.ndarray)]
+    assert any(v is bin_id for v in cached)
+    assert not [v for v in cached if v.size >= block.n ** 2 and v.dtype == np.int64]
 
 
 def shipped_families(name):

@@ -75,6 +75,23 @@ def test_blocked_bracket_checks_match_loops(period, d):
     assert periodic.bracket_peetre_holds(period, d) == peetre_loop(period, d)
 
 
+@pytest.mark.parametrize("period", [4, 8, 16, 32])
+@pytest.mark.parametrize("d", [1, 2])
+def test_bracket_checks_compute_in_the_narrowest_exact_type(period, d):
+    """Every (K, d) the invariants suite and the tests check: the checks'
+    integer type is that of 2(1 + dK)^2, and the largest value they form,
+    2(1 + dK/2 + max[b])(1 + max[c-b]) in int64, fits in it."""
+    dtype = periodic._bracket_type(period, d)
+    assert dtype == np.min_scalar_type(2 * (1 + d * period) ** 2)
+    top = int(periodic.bracket_norm(period, periodic._all_residues(period, d)).max())
+    assert 2 * (1 + d * (period // 2) + top) * (1 + top) <= np.iinfo(dtype).max
+    assert periodic._residue_brackets(period, d).dtype == dtype
+    for sign in (1, -1):
+        assert {P.dtype for _, P in periodic._pair_brackets(period, d, sign)} == {dtype}
+    if (period, d) == (32, 2):
+        assert dtype == np.uint16
+
+
 @pytest.mark.parametrize("entries", [64, 1000, 1 << 17])
 @pytest.mark.parametrize("d", [1, 2])
 def test_bracket_pair_blocks_match_direct_brackets(monkeypatch, d, entries):
