@@ -399,7 +399,8 @@ def run_invariants_suite(cfg: ExperimentConfig):
         for j in range(1, d + 1):
             for sign in (1, -1):
                 lhs = spectral.fd_matrix(j, sign, period, d).entries
-                rhs = Finv @ spectral.fd_symbol(j, sign, period, d).entries @ F
+                symbol = np.diagonal(spectral.fd_symbol(j, sign, period, d).entries)
+                rhs = Finv @ (symbol[:, None] * F)
                 worst = max(worst, float(np.max(np.abs(lhs - rhs))))
         record("fd_conjugation", f"d{d}_K{period}", worst, ALGEBRA_TOL)
     for K in (16, 32, 64):

@@ -14,7 +14,11 @@ naming the model.
 Schroedinger preconditioner: a bounded change of variable conjugates the
 stiff generator into a resonant part plus a Hermitian smoothing remainder,
 both flowed by flows.exact_flow, so a pre- and post-processed Lie step
-converges without loss of derivative, unlike the plain Lie baseline.
+converges without loss of derivative, unlike the plain Lie baseline.  For a
+one-band potential (2 cos x) the generator A + B and the change of variable
+X are Hermitian tridiagonal, so flows.hermitian_eigh factors them with a real
+orthogonal V, and e^{+-iX} come from the two real matrices V cos(w) V^T and
+V sin(w) V^T; a wider potential takes the dense path.
 
 Sobolev growth: for a diagonal generator plus a time-dependent Hermitian
 perturbation of order rho < 1, the h^s norms grow at most polynomially with
@@ -368,9 +372,16 @@ def schroedinger_assemble(v_coeffs, radius: int) -> PreconditionedSchroedinger:
                   out=np.zeros((n, n), dtype=complex))
     X *= -1j
     Z = np.where(resonant, B.entries, 0.0)
-    w, V = np.linalg.eigh(X)
-    exp_plus = (V * np.exp(1j * w)) @ V.conj().T
-    exp_minus = (V * np.exp(-1j * w)) @ V.conj().T
+    w, V, p = flows.hermitian_eigh(X)
+    if p is None:
+        exp_plus = (V * np.exp(1j * w)) @ V.conj().T
+        exp_minus = (V * np.exp(-1j * w)) @ V.conj().T
+    else:
+        # e^{+-iX} = (p p^H) * (C +- iS), with C and S real and shared
+        C, S = (V * np.cos(w)) @ V.T, (V * np.sin(w)) @ V.T
+        phases = np.outer(p, p.conj())
+        exp_plus = phases * (C + 1j * S)
+        exp_minus = phases * (C - 1j * S)
     R = exp_plus @ H.entries @ exp_minus
     R -= A.entries
     R -= Z

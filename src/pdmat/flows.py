@@ -5,10 +5,15 @@ fits see only the splitting error: ``exact_flow`` reads the generator's
 structure, exponentiating an exactly diagonal generator entrywise and any
 other through its Hermitian eigendecomposition (a generator that is neither
 raises), and the water-wave study brings its own Hermitian normal-mode flow
-(``experiments.WaterWaveOperators.exact_prop``).  Every flow is a callable
-``f(t, X)`` that applies e^{tG} to an (n, m) block X of column vectors; its
-matrix is the flow applied to the identity, which only the operator
-measurements build.  Local-error tables apply each step to the stacked data
+(``experiments.WaterWaveOperators.exact_prop``).  ``hermitian_eigh`` takes
+an exactly tridiagonal Hermitian matrix, such as a Schroedinger generator
+with a one-band potential, to a real symmetric one by a diagonal unitary
+phase and factors that with LAPACK ``stevd``, so its eigenvectors are real
+and its flow is two real matrix products; any other Hermitian matrix goes to
+the dense complex ``np.linalg.eigh``.  Every flow is a callable ``f(t, X)``
+that applies e^{tG} to an (n, m) block X of column vectors; its matrix is
+the flow applied to the identity, which only the operator measurements
+build.  Local-error tables apply each step to the stacked data
 at the step sizes TAU_LIST and fit the step-size order; the loss scan takes
 the error-to-data ratio over the extra-regularity exponents SIGMA_GRID and
 certifies the smallest one for which it is multiplicatively stable (within
@@ -41,26 +46,59 @@ NOISE_FLOOR = 1e-11     # loss ratios at or below this certify at once
 HERMITIAN_TOL = 1e-12   # relative defect a generator's eigendecomposition accepts
 
 
+def hermitian_eigh(H: np.ndarray):
+    """(w, V, p) with H = P V diag(w) V^H P^H for P = diag(p), reading the
+    lower triangle of the Hermitian H, as np.linalg.eigh does.  When H is
+    exactly tridiagonal (n >= 3 and no nonzero entry below the subdiagonal;
+    no tolerance), p holds the unit phases cumprod(off/|off|) of the
+    subdiagonal (1 where an entry is exactly 0, and p_0 = 1), which make
+    P^H H P real, and LAPACK ``stevd`` factors that from its diagonal and
+    |off|, so V is real; a nonzero ``info`` raises LinAlgError.  Otherwise
+    V comes from the dense np.linalg.eigh and p is None."""
+    n = len(H)
+    if n < 3 or np.tril(H, -2).any():
+        w, V = np.linalg.eigh(H)
+        return w, V, None
+    import scipy.linalg
+    off = np.diagonal(H, -1)
+    e = np.abs(off)
+    phase = np.ones(n, dtype=complex)
+    np.divide(off, e, out=phase[1:], where=e != 0)
+    d = np.ascontiguousarray(np.diagonal(H).real, dtype=float)
+    stevd, = scipy.linalg.get_lapack_funcs(("stevd",), (d, e))
+    w, V, info = stevd(d, e)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"stevd failed on n = {n} (info {info})")
+    return w, V, np.cumprod(phase)
+
+
 @lru_cache(maxsize=64)
 def _eigh_cached(A: OpMatrix):
     if not core.is_hermitian(A, HERMITIAN_TOL):
         raise ValueError(f"matrix fails the Hermitian scan: n = {A.block.n}, "
                          f"relative defect {core.hermitian_defect(A):.3g} > "
                          f"tolerance {HERMITIAN_TOL:g}")
-    return np.linalg.eigh(A.entries)
+    return hermitian_eigh(A.entries)
 
 
 def exact_flow(G: OpMatrix, t: float, X: np.ndarray) -> np.ndarray:
     """e^{i t G} X for an (n, m) block X: entrywise when G is exactly
     diagonal (a tolerance would drop off-diagonal entries), else from its
     Hermitian eigendecomposition, which raises ValueError for a
-    non-Hermitian G."""
+    non-Hermitian G.  A tridiagonal G applies its real factor V as
+    p * V(e^{itw} * V^T(conj(p) * X)), both products real matrices times
+    the (n, 2m) float view of a complex block."""
     if not np.isfinite(t):
         raise ValueError("t must be finite")
     if G.exactly_diagonal:
         return np.exp(1j * t * np.diag(G.entries))[:, None] * X
-    w, V = _eigh_cached(G)
-    return (V * np.exp(1j * t * w)) @ (V.conj().T @ X)
+    w, V, p = _eigh_cached(G)
+    if p is None:
+        return (V * np.exp(1j * t * w)) @ (V.conj().T @ X)
+    Y = np.multiply(p.conj()[:, None], X, order="C")
+    Y = (V.T @ Y.view(float)).view(complex)
+    Y *= np.exp(1j * t * w)[:, None]
+    return p[:, None] * (V @ Y.view(float)).view(complex)
 
 
 # ---------------------------------------------------------------------------

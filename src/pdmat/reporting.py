@@ -7,10 +7,15 @@ import json
 import math
 import os
 
+import numpy as np
+
 SCHEMA_VERSION = "pdmat-results-v1"
 
 
 def _fmt(value) -> str:
+    if isinstance(value, np.generic):
+        # a numpy scalar by its value: repr(np.float64(x)) keeps the type name
+        value = value.item()
     if isinstance(value, float):
         if math.isnan(value):
             return "nan"

@@ -446,6 +446,19 @@ def test_csv_round_trip(tmp_path):
     assert parsed[1]["b"] == ""
 
 
+def test_csv_writes_numpy_scalars_by_value(tmp_path):
+    # under numpy 2, repr(np.float64(0.5)) is "np.float64(0.5)"
+    path = tmp_path / "t.csv"
+    rows = [{"a": np.int64(3), "b": np.float64(0.5), "c": np.bool_(True)},
+            {"a": np.int64(-1), "b": np.float64("inf"), "c": np.bool_(False)},
+            {"a": 0, "b": np.float64("nan"), "c": False}]
+    reporting.write_csv(path, ("a", "b", "c"), rows, "unit")
+    _, _, parsed = reporting.read_csv(path)
+    assert parsed == [{"a": "3", "b": "0.5", "c": "True"},
+                      {"a": "-1", "b": "inf", "c": "False"},
+                      {"a": "0", "b": "nan", "c": "False"}]
+
+
 @pytest.mark.parametrize("cfg_text", [
     'experiment = "order_gain"\nseed = 1\nM_list = [8, 16, 32]\n',
     'experiment = "sobolev_growth"\nseed = 1\nK_list = [32, 64]\nhorizon = 2.0\n'],
@@ -498,10 +511,12 @@ def test_run_splitting_orders_small(tmp_path):
 
 def test_shipped_splitting_orders_factors_each_generator_once(monkeypatch):
     # B for the split flows and A + B for the exact flow, shared by both
-    # schemes; A is diagonal and flows entrywise
+    # schemes; A is diagonal and flows entrywise, and both tridiagonal
+    # generators factor through stevd, not np.linalg.eigh
     calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    factor = flows.hermitian_eigh
+    monkeypatch.setattr(flows, "hermitian_eigh",
+                        lambda a: calls.append(a.shape) or factor(a))
     cli.run_splitting_orders(cli.load_config(
         Path(__file__).parents[1] / "configs" / "splitting_orders.cfg"))
     assert calls == [(129, 129)] * 2

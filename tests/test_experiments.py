@@ -374,6 +374,18 @@ def test_change_of_variable_matches_entry_loop(potential, radius):
     assert np.array_equal(model.Z.entries, Z)
 
 
+@pytest.mark.parametrize("radius", [8, 32])
+@pytest.mark.parametrize("potential", ["two_cos", "exp_decay"])
+def test_change_of_variable_exponentials_match_expm(potential, radius):
+    # two_cos makes X tridiagonal (real factor, shared cos and sin products);
+    # exp_decay makes it dense
+    model = experiments.schroedinger_assemble(
+        getattr(operators, f"{potential}_coeff"), radius)
+    X = model.X.entries
+    for sign, got in ((1, model.exp_x_plus), (-1, model.exp_x_minus)):
+        assert np.max(np.abs(got - scipy.linalg.expm(sign * 1j * X))) <= 1e-14
+
+
 @pytest.mark.parametrize("potential, tol", [("two_cos", 0.0), ("exp_decay", 1e-12)])
 def test_block_diag_prop_matches_per_pair_flow(potential, tol):
     # exp_decay has even modes, so its resonant pairs are genuine 2x2 blocks

@@ -9,6 +9,7 @@ from functools import partial
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from pdmat import core, experiments, flows, operators, spectral
 from pdmat.core import OpMatrix, periodic_block, truncated_block
@@ -38,6 +39,21 @@ def random_hermitian(block, rng, scale):
         1j * rng.standard_normal((block.n, block.n))
     H = (X + X.conj().T) / 2
     return OpMatrix(block, scale * H / np.linalg.norm(H, 2))
+
+
+def random_tridiagonal(rng, n, zeros):
+    """A Hermitian tridiagonal matrix with a diagonal of scale n^2 and
+    complex subdiagonal entries, each exactly 0 with probability zeros."""
+    off = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
+    off[rng.random(n - 1) < zeros] = 0.0
+    H = np.diag(n * n * rng.uniform(-1.0, 1.0, n)).astype(complex)
+    H += np.diag(off, -1) + np.diag(off.conj(), 1)
+    return H
+
+
+def block_of(n):
+    """A block with n points: truncated for odd n, periodic for even n."""
+    return truncated_block(1, n // 2) if n % 2 else periodic_block(1, n)
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +128,54 @@ def test_exact_flow_rejects_non_hermitian_generator():
     with pytest.raises(ValueError, match=r"Hermitian scan: n = 17, relative "
                                          r"defect 0\.0625 > tolerance 1e-12"):
         flows.exact_flow(OpMatrix(block, shear), 0.1, eye(block.n))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 40), seed=st.integers(0, 2 ** 31 - 1),
+       zeros=st.sampled_from((0.0, 0.2, 0.5)), t=st.sampled_from((0.05, 1.0, 10.0)))
+def test_tridiagonal_factor_matches_dense_eigh(n, seed, zeros, t):
+    # the dense complex eigh is the oracle of the stevd factor: the
+    # reconstruction and the eigenvalues within 8n eps max|H|, and the flow
+    # within 8n eps (1 + t max|H|) of the dense formula
+    rng = np.random.default_rng(seed)
+    H = random_tridiagonal(rng, n, zeros)
+    hmax = float(np.max(np.abs(H)))
+    eps = np.finfo(float).eps
+    w, V, p = flows.hermitian_eigh(H)
+    wd, Vd = np.linalg.eigh(H)
+    assert (p is None) == (n < 3)
+    if p is not None:
+        assert V.dtype == np.float64 and np.all(np.abs(np.abs(p) - 1.0) <= 8 * n * eps)
+        V = p[:, None] * V
+    assert np.max(np.abs((V * w) @ V.conj().T - H)) <= 8 * n * eps * hmax
+    assert np.max(np.abs(w - wd)) <= 8 * n * eps * hmax
+    if n < 3:
+        return
+    X = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    dense = (Vd * np.exp(1j * t * wd)) @ (Vd.conj().T @ X)
+    got = flows.exact_flow(OpMatrix(block_of(n), H), t, X)
+    assert np.max(np.abs(got - dense)) <= \
+        8 * n * eps * (1.0 + t * hmax) * np.max(np.abs(X))
+
+
+def test_hermitian_eigh_factors_a_wider_band_densely():
+    # one entry two below the diagonal takes the dense path; stevd would
+    # read only the tridiagonal part
+    rng = np.random.default_rng(SEED)
+    for n in (3, 4, 17):
+        H = random_tridiagonal(rng, n, 0.0)
+        H[2, 0] = 0.5 - 0.25j
+        H[0, 2] = np.conj(H[2, 0])
+        w, V, p = flows.hermitian_eigh(H)
+        assert p is None
+        assert np.max(np.abs((V * w) @ V.conj().T - H)) <= 1e-12 * np.max(np.abs(H))
+
+
+def test_tridiagonal_generator_caches_a_real_factor():
+    A, B = schrodinger_pair(64)
+    w, V, p = flows._eigh_cached(A + B)
+    assert V.dtype == np.float64 and V.shape == (129, 129)
+    assert p.dtype == complex and w.dtype == np.float64
 
 
 @pytest.mark.parametrize("generator", ["diagonal", "hermitian"])
