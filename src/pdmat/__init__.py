@@ -9,8 +9,8 @@ core
     arrays), and order certification across refinement families (lists of
     matrices at increasing sizes).
 periodic
-    Bracket-norm inequalities, the family seminorm of a list of K-periodic
-    matrices, embedding into truncated blocks, approximation rates.
+    Bracket-norm inequalities for K-periodic matrices, embedding into
+    truncated blocks, approximation rates.
 spectral
     Discrete Fourier transform, finite-difference circulants and their
     diagonal Fourier forms, and multiplication matrices from grid samples or

@@ -318,14 +318,14 @@ def run_waterwave(cfg: ExperimentConfig):
                          "norm_ratio": res["energy_drift"][scheme]})
         gates[f"{model.label}_flat_bottom_exact"] = \
             _gate(res["b0_control"], ALGEBRA_TOL)
-        rows.extend({"probe": model.label, **r} for r in res.get("error_rows", []))
+        rows.extend({"probe": model.label, **r} for r in res["error_rows"])
     return rows, fits, gates
 
 
 def run_schroedinger_precond(cfg: ExperimentConfig):
     res = experiments.preconditioned_lie_study(
         [s for s in cfg.s_list if s > 0], cfg.M_list, seed=cfg.seed)
-    rows = [{"probe": "schrodinger", **r} for r in res.get("error_rows", [])]
+    rows = [{"probe": "schrodinger", **r} for r in res["error_rows"]]
     pre, base = res["loss_preconditioned"], res["loss_baseline"]
     fits = {
         "homological_defect": res["homological_defect"],
@@ -579,6 +579,11 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        os.makedirs(args.output, exist_ok=True)
+    except OSError as exc:  # a file, or a path that cannot be made
+        print(f"error: output directory {args.output}: {exc}", file=sys.stderr)
         return 2
     return run(cfg, args.output)
 

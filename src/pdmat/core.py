@@ -279,25 +279,10 @@ class OpMatrix:
         _check_same_block(self, other)
         return OpMatrix(self.block, self.entries - other.entries)
 
-    def __mul__(self, scalar) -> "OpMatrix":
-        return OpMatrix(self.block, scalar * self.entries)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "OpMatrix":
-        return self * (-1.0)
-
-    def __matmul__(self, other: "OpMatrix") -> "OpMatrix":
-        return matmul(self, other)
-
 
 def _check_same_block(a: OpMatrix, b: OpMatrix):
     if a.block != b.block:
         raise ValueError(f"block mismatch: {a.block} vs {b.block}")
-
-
-def identity(block: IndexBlock) -> OpMatrix:
-    return OpMatrix(block, np.eye(block.n, dtype=complex))
 
 
 def diagonal_matrix(block: IndexBlock, diag) -> OpMatrix:
@@ -342,28 +327,6 @@ def is_hermitian(A: OpMatrix, tol: float = 1e-12) -> bool:
 # difference calculus and seminorms
 
 
-def shift(A: OpMatrix, j: int, sign: int) -> OpMatrix:
-    """Both-indices diagonal shift: B(m, n) = A(m + sign*e_j, n + sign*e_j).
-
-    Periodic mode wraps; truncated mode reads 0 where the source index left
-    the block.
-    """
-    block = A.block
-    if not 1 <= j <= block.d:
-        raise ValueError(f"axis j must be in 1..{block.d}")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    d, n = block.d, block.n
-    view = A.entries.reshape((block.side,) * (2 * d))
-    if block.mode == PERIODIC:
-        out = np.roll(view, (-sign, -sign), (j - 1, d + j - 1))
-    else:
-        ahead, here = _step_slices(d, j, sign)
-        out = np.zeros(view.shape, dtype=complex)
-        out[here] = view[ahead]
-    return OpMatrix(block, out.reshape(n, n))
-
-
 def _step_slices(d: int, j: int, sign: int) -> tuple:
     """(ahead, here): index tuples into a (side,)*2d view whose entries at
     ``ahead`` sit one step of sign*e_j past those at ``here``, with axes j-1
@@ -377,7 +340,8 @@ def _step_slices(d: int, j: int, sign: int) -> tuple:
 
 def delta(A: OpMatrix, alpha) -> OpMatrix:
     """Iterated diagonal difference: per axis, alpha_j >= 0 composes the
-    forward difference shift(.,j,+1) - id, alpha_j <= 0 the backward one.
+    forward difference, A(m + e_j, n + e_j) - A(m, n), alpha_j <= 0 the
+    backward one.
 
     Periodic mode wraps.  Truncated mode takes each unit step on the overlap
     of the two shifted slices of the (side,)*2d view, so the array shrinks by

@@ -234,7 +234,7 @@ def waterwave_noloss_study(model: WaterWaveModel, periods, s_list,
     levels at flows.TAU_STAR.  The order warning of the model, an indefinite
     energy and unstable propagator norms are reported through
     warnings.warn."""
-    out: dict = {"model": model.label}
+    out: dict = {}
     warn = model.order_warning()
     if warn:
         warnings.warn(warn)
@@ -627,8 +627,7 @@ def sobolev_growth_study(studies, horizon: float, s_list, delta: float = 1e-2,
 
 def _growth_result(model: GrowthModel, horizon: float, s_list, periods,
                    delta: float, trajs) -> dict:
-    out: dict = {"model": model.label, "ratio": {},
-                 "conservation": {}, "exponent": {}, "rows": []}
+    out: dict = {"ratio": {}, "conservation": {}, "exponent": {}, "rows": []}
     common_valid = min(min(model.validity_horizon(K) for K in periods), horizon)
     for K, tr in zip(periods, trajs):
         t = tr["times"]

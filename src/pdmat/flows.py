@@ -34,7 +34,6 @@ import numpy as np
 from . import core
 from .core import OpMatrix
 
-TRIPLE_JUMP_GAMMA = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 TAU_MAX = 0.5           # largest step size a splitting step accepts
 FLOOR_FACTOR = 100.0    # roundoff floor of error tables, in eps times the data
 TAU_STAR = 0.005        # reference step size of a loss level's error matrix
@@ -126,19 +125,6 @@ class SplitScheme:
 
 LIE = SplitScheme("lie", (1.0,))
 STRANG = SplitScheme("strang", (1.0,))
-
-
-def composition_scheme(k: int) -> SplitScheme:
-    """Scheme of target order k: 1 is a single Lie step, 2 a Strang step, 4
-    the triple-jump chain of Strang steps with the standard real weights."""
-    if k == 1:
-        return LIE
-    if k == 2:
-        return STRANG
-    if k == 4:
-        g1 = TRIPLE_JUMP_GAMMA
-        return SplitScheme("composition", (g1, 1.0 - 2.0 * g1, g1))
-    raise ValueError(f"unsupported composition order {k}")
 
 
 def compose(scheme: SplitScheme, a, b, tau: float, X: np.ndarray) -> np.ndarray:

@@ -2,13 +2,13 @@
 
 A family is a list of K-periodic matrices at strictly increasing even
 periods, the list ``core.estimate_order`` certifies, and is the discrete
-stand-in for an operator class membership that must be uniform in K: the
-family seminorm (sup over the evaluated periods of the per-matrix weighted
-sup, taken with bracket norms) is the measurable surrogate.  Products and
-commutators of families are taken member by member.  Embedding a K-periodic
-matrix into a truncated block (entries kept on the representative box, zero
-outside) connects the two worlds and exposes the aliasing error of grid
-discretizations, which is measured by :func:`approx_error`.
+stand-in for an operator class membership that must be uniform in K: its
+order is certified when the per-matrix weighted sups, taken with bracket
+norms, stay stable as K grows.  Products and commutators of families are
+taken member by member.  Embedding a K-periodic matrix into a truncated
+block (entries kept on the representative box, zero outside) connects the
+two worlds and exposes the aliasing error of grid discretizations, which is
+measured by :func:`approx_error`.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core, flows
-from .core import (OpMatrix, SeminormSpec, PERIODIC, TRUNCATED, bracket_norm,
-                   truncated_block)
+from .core import OpMatrix, PERIODIC, TRUNCATED, bracket_norm, truncated_block
 
 
 # ---------------------------------------------------------------------------
@@ -81,17 +80,6 @@ def bracket_peetre_holds(period: int, d: int) -> bool:
     return not any(np.any(1 + ra + br > 2 * (1 + ra + br[b, None]) * (1 + rcb))
                    for b, rcb in _pair_brackets(period, d, -1)
                    for ra in (0, d * (period // 2)))
-
-
-# ---------------------------------------------------------------------------
-# families
-
-
-def dnorm(family, spec: SeminormSpec) -> float:
-    """Family seminorm: sup over the family's matrices, one per evaluated
-    period, of the per-K seminorm (finite-sample surrogate of the sup over
-    all K)."""
-    return max(core.seminorm(A, spec) for A in family)
 
 
 # ---------------------------------------------------------------------------

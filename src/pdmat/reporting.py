@@ -10,19 +10,16 @@ import os
 import numpy as np
 
 SCHEMA_VERSION = "pdmat-results-v1"
+MANIFEST_KEYS = ("experiment", "config", "code_version", "files", "passes",
+                 "gates", "status", "traceback", "warnings")
 
 
 def _fmt(value) -> str:
     if isinstance(value, np.generic):
         # a numpy scalar by its value: repr(np.float64(x)) keeps the type name
         value = value.item()
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return repr(value)
-    return str(value)
+    # repr writes nan, inf and -inf as they are
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def write_csv(path, columns, rows, experiment: str):
@@ -105,15 +102,22 @@ def write_manifest(outdir, experiment: str, config: dict, passes: dict,
 
 def read_manifest(outdir) -> dict:
     """The manifest of a run directory; FileNotFoundError when it has none,
-    ValueError when its manifest.json is not JSON."""
+    ValueError when its manifest.json is not JSON or not a run manifest (an
+    object with every key of MANIFEST_KEYS)."""
     path = os.path.join(outdir, "manifest.json")
     if not os.path.exists(path):
         raise FileNotFoundError(f"no manifest.json in {outdir}")
     with open(path) as fh:
         try:
-            return json.load(fh)
+            manifest = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path} is not a JSON object")
+    missing = [key for key in MANIFEST_KEYS if key not in manifest]
+    if missing:
+        raise ValueError(f"{path} is not a run manifest: no {', '.join(missing)}")
+    return manifest
 
 
 def write_loglog_dat(path, xs, ys, label: str):

@@ -295,7 +295,7 @@ def _passing_waterwave_study():
     return {"slopes": {("strang", 1.0): flows.FitResult(3.0, 0.0, 0.0, 7)},
             "loss": {"strang": flows.LossReport(0.0, True, [])},
             "symplectic_defect": {"strang": 0.0}, "energy_drift": {"strang": 0.0},
-            "b0_control": 0.0}
+            "b0_control": 0.0, "error_rows": []}
 
 
 def test_stability_warning_keeps_waterwave_gates(monkeypatch):
@@ -361,7 +361,7 @@ def test_uncertified_schroedinger_loss_fails_at_the_target_sigma(monkeypatch):
         return {"homological_defect": 0.0, "telescoping_defect": 0.0,
                 "remainder_order": -3.0,
                 "loss_preconditioned": loss(0.0), "loss_baseline": loss(1.0),
-                "slopes": {}}
+                "slopes": {}, "error_rows": []}
     monkeypatch.setattr(experiments, "preconditioned_lie_study", study)
     cfg = cli.parse_config('experiment = "schroedinger_precond"\ns_list = [2.0]')
     _, fits, gates = cli.run_schroedinger_precond(cfg)
@@ -451,12 +451,14 @@ def test_csv_writes_numpy_scalars_by_value(tmp_path):
     path = tmp_path / "t.csv"
     rows = [{"a": np.int64(3), "b": np.float64(0.5), "c": np.bool_(True)},
             {"a": np.int64(-1), "b": np.float64("inf"), "c": np.bool_(False)},
-            {"a": 0, "b": np.float64("nan"), "c": False}]
+            {"a": 0, "b": np.float64("nan"), "c": False},
+            {"a": -math.inf, "b": np.float64("-inf"), "c": ""}]
     reporting.write_csv(path, ("a", "b", "c"), rows, "unit")
     _, _, parsed = reporting.read_csv(path)
     assert parsed == [{"a": "3", "b": "0.5", "c": "True"},
                       {"a": "-1", "b": "inf", "c": "False"},
-                      {"a": "0", "b": "nan", "c": "False"}]
+                      {"a": "0", "b": "nan", "c": "False"},
+                      {"a": "-inf", "b": "-inf", "c": ""}]
 
 
 @pytest.mark.parametrize("cfg_text", [
@@ -491,6 +493,7 @@ def test_manifest_lists_all_files_with_hashes(tmp_path):
     cfg = cli.parse_config('experiment = "order_gain"\nM_list = [8, 16]\n')
     cli.run(cfg, tmp_path)
     manifest = reporting.read_manifest(tmp_path)
+    assert set(manifest) == set(reporting.MANIFEST_KEYS)
     assert set(manifest["files"]) == {"results.csv", "fits.json"}
     for name, digest in manifest["files"].items():
         assert digest == reporting.sha256_file(tmp_path / name)
@@ -553,6 +556,15 @@ def test_report_on_a_missing_or_broken_manifest_is_an_error(tmp_path, capsys):
     assert cli.main(["report", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "manifest.json is not valid JSON" in err
+    # valid JSON, but not a run manifest
+    (tmp_path / "manifest.json").write_text("[1, 2]")
+    assert cli.main(["report", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "manifest.json is not a JSON object" in err
+    (tmp_path / "manifest.json").write_text('{"experiment": "x"}')
+    assert cli.main(["report", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not a run manifest: no config, code_" in err
 
 
 def test_report_writes_dat_files(tmp_path, capsys):
@@ -581,6 +593,19 @@ def test_main_entry_points(tmp_path, capsys, monkeypatch):
     assert cli.main(["run", str(cfg_path)]) == 0
     assert (tmp_path / "pdmat-out" / "manifest.json").exists()
     assert cli.main(["run", str(tmp_path / "missing.cfg")]) == 2
+
+
+def test_run_into_an_output_path_that_cannot_be_a_directory_is_an_error(tmp_path,
+                                                                        capsys):
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text('experiment = "order_gain"\nM_list = [8, 16]\n')
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    # a file, and a directory that cannot be made under a file
+    for output in (taken, taken / "sub"):
+        assert cli.main(["run", str(cfg_path), "--output", str(output)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: output directory {output}: ")
+    assert taken.read_text() == ""
 
 
 def test_every_listed_probe_parses_in_a_config_of_its_experiment(capsys):

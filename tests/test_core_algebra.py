@@ -22,6 +22,11 @@ from pdmat.core import (IndexBlock, OpMatrix, SeminormSpec, periodic_block,
 RNG_SEED = 20260808
 
 
+def scaled_identity(block, c=1.0):
+    """c times the identity matrix over the block."""
+    return OpMatrix(block, c * np.eye(block.n))
+
+
 def axis(block):
     return block.indices()[:, 0]
 
@@ -161,12 +166,25 @@ def test_rough_samples_rows_match_per_row_draws(block, zero_mean):
 
 
 # ---------------------------------------------------------------------------
-# shift
+# shift (the oracle that the difference oracle and the Leibniz rules use)
+
+
+def gather_shift(A, j, sign):
+    """Both-indices diagonal shift B(m, n) = A(m + sign*e_j, n + sign*e_j),
+    each entry gathered from its source position through the index
+    arithmetic of the block: periodic mode wraps, and a source outside a
+    truncated block reads 0."""
+    block = A.block
+    idx = block.indices().copy()
+    idx[:, j - 1] += sign
+    pos, valid = core._positions(block, idx)
+    return OpMatrix(block, np.where(np.outer(valid, valid),
+                                    A.entries[np.ix_(pos, pos)], 0.0))
 
 
 def test_shift_identity_unchanged_on_interior():
-    A = core.identity(truncated_block(1, 6))
-    B = core.shift(A, 1, 1)
+    A = scaled_identity(truncated_block(1, 6))
+    B = gather_shift(A, 1, 1)
     # the source of the last row and column left the block
     assert np.array_equal(B.entries[:-1, :-1], A.entries[:-1, :-1])
     assert not B.entries[-1].any() and not B.entries[:, -1].any()
@@ -175,7 +193,7 @@ def test_shift_identity_unchanged_on_interior():
 def test_shift_diagonal_by_definition():
     block = truncated_block(1, 6)
     A = diag_from(block, lambda m: m)
-    B = core.shift(A, 1, 1)
+    B = gather_shift(A, 1, 1)
     for m in range(-6, 6):
         p = core._positions(block, [[m]])[0][0]
         assert B.entries[p, p] == m + 1
@@ -186,7 +204,7 @@ def test_shift_toeplitz_invariant():
     block = truncated_block(1, 8)
     A = toeplitz_from(block, lambda k: 1.0 / (1 + k * k))
     for sign in (1, -1):
-        B = core.shift(A, 1, sign)
+        B = gather_shift(A, 1, sign)
         inner = slice(None, -1) if sign > 0 else slice(1, None)
         diff = B.entries[inner, inner] - A.entries[inner, inner]
         assert np.max(np.abs(diff)) < 1e-15
@@ -195,7 +213,7 @@ def test_shift_toeplitz_invariant():
 def test_shift_periodic_wraps():
     block = periodic_block(1, 8)
     A = diag_from(block, lambda m: float(m))
-    B = core.shift(A, 1, 1)
+    B = gather_shift(A, 1, 1)
     p = core._positions(block, [[3]])[0][0]  # 3 + 1 wraps to -4
     assert B.entries[p, p] == -4.0
 
@@ -230,7 +248,7 @@ def test_delta_squares_forward_difference():
 
 def test_delta_rejects_alpha_as_large_as_radius():
     block = truncated_block(1, 2)
-    A = core.identity(block)
+    A = scaled_identity(block)
     with pytest.raises(ValueError):
         core.delta(A, (2,))
 
@@ -307,18 +325,6 @@ def test_delta_matches_brute_force_oracle_2d(mode, alpha):
     assert not D.entries[~interior].any()
 
 
-def gather_shift(A, j, sign):
-    """Oracle for core.shift that gathers every entry from its source
-    position, through the index arithmetic of the block; a source outside a
-    truncated block reads 0."""
-    block = A.block
-    idx = block.indices().copy()
-    idx[:, j - 1] += sign
-    pos, valid = core._positions(block, idx)
-    return OpMatrix(block, np.where(np.outer(valid, valid),
-                                    A.entries[np.ix_(pos, pos)], 0.0))
-
-
 def gather_delta(A, alpha):
     """Oracle for core.delta: gathered differences iterated on the whole
     matrix, then 0 off the interior, the pairs (m, n) with m + alpha and
@@ -341,10 +347,6 @@ def test_shift_and_delta_match_gather_oracle(block, alphas):
     rng = np.random.default_rng(RNG_SEED + 3)
     n = block.n
     A = OpMatrix(block, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    for j in range(1, block.d + 1):
-        for sign in (1, -1):
-            assert np.array_equal(core.shift(A, j, sign).entries,
-                                  gather_shift(A, j, sign).entries)
     for alpha in alphas:
         assert np.array_equal(core.delta(A, alpha).entries,
                               gather_delta(A, alpha).entries)
@@ -374,14 +376,15 @@ def test_seminorm_matches_brute_force_on_random_matrix():
 
 def test_seminorm_zero_matrix():
     block = truncated_block(1, 5)
-    zero = 0.0 * core.identity(block)
+    zero = scaled_identity(block, 0.0)
     assert core.seminorm(zero, SeminormSpec((0,), 3, 0.0)) == 0.0
 
 
 def test_seminorm_identity_attained_at_origin():
     block = truncated_block(1, 16)
     for decay in (0, 2, 8):
-        assert core.seminorm(core.identity(block), SeminormSpec((0,), decay, 0.0)) == 1.0
+        assert core.seminorm(scaled_identity(block),
+                             SeminormSpec((0,), decay, 0.0)) == 1.0
 
 
 def test_seminorm_square_symbol_brute_force_oracle():
@@ -415,7 +418,7 @@ def test_seminorm_triangle_inequality(seed):
 def test_matmul_identity_and_diagonals():
     block = truncated_block(1, 6)
     A = toeplitz_from(block, cos_coeff)
-    assert np.max(np.abs(core.matmul(A, core.identity(block)).entries - A.entries)) == 0.0
+    assert np.array_equal(core.matmul(A, scaled_identity(block)).entries, A.entries)
     D1 = diag_from(block, lambda m: m)
     D2 = diag_from(block, lambda m: 1.0 / (1 + m * m))
     P = core.matmul(D1, D2)
@@ -426,7 +429,8 @@ def test_matmul_identity_and_diagonals():
 
 def test_matmul_block_mismatch():
     with pytest.raises(ValueError):
-        core.matmul(core.identity(truncated_block(1, 4)), core.identity(truncated_block(1, 5)))
+        core.matmul(scaled_identity(truncated_block(1, 4)),
+                    scaled_identity(truncated_block(1, 5)))
 
 
 def test_toeplitz_product_matches_fft_of_pointwise_product():
@@ -516,7 +520,7 @@ def test_apply_operator_norm_bound_uniform_over_radii():
 
 
 def test_estimate_order_identity_family():
-    fam = [core.identity(truncated_block(1, M)) for M in (16, 32, 64)]
+    fam = [scaled_identity(truncated_block(1, M)) for M in (16, 32, 64)]
     assert core.estimate_order(fam).r_hat == 0.0
 
 
@@ -561,7 +565,7 @@ def test_estimate_order_sentinel_when_nothing_certifies():
 
 def test_estimate_order_rejects_single_member_family():
     with pytest.raises(ValueError, match="at least 2"):
-        core.estimate_order([core.identity(truncated_block(1, 8))])
+        core.estimate_order([scaled_identity(truncated_block(1, 8))])
 
 
 def entrywise_order_scan(family, alpha_grid, decay_grid, order_grid):
@@ -950,7 +954,7 @@ def test_product_difference_rule(seed):
     block, A, B = leibniz_case(seed)
     j = 1
     lhs = core.delta(core.matmul(A, B), (1,))
-    rhs = core.matmul(core.delta(A, (1,)), core.shift(B, j, 1)) + \
+    rhs = core.matmul(core.delta(A, (1,)), gather_shift(B, j, 1)) + \
         core.matmul(A, core.delta(B, (1,)))
     scale = max(1.0, np.max(np.abs(lhs.entries)))
     assert np.max(np.abs(lhs.entries - rhs.entries)) < 1e-12 * scale
@@ -971,7 +975,7 @@ def test_commutator_difference_rule(seed):
 def test_backward_product_difference_rule():
     block, A, B = leibniz_case(RNG_SEED)
     lhs = core.delta(core.matmul(A, B), (-1,))
-    rhs = core.matmul(core.delta(A, (-1,)), core.shift(B, 1, -1)) + \
+    rhs = core.matmul(core.delta(A, (-1,)), gather_shift(B, 1, -1)) + \
         core.matmul(A, core.delta(B, (-1,)))
     scale = max(1.0, np.max(np.abs(lhs.entries)))
     assert np.max(np.abs(lhs.entries - rhs.entries)) < 1e-12 * scale

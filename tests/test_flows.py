@@ -15,6 +15,9 @@ from pdmat import core, experiments, flows, operators, spectral
 from pdmat.core import OpMatrix, periodic_block, truncated_block
 
 SEED = 31415
+# the triple jump: three Strang steps with the standard real weights, order 4
+GAMMA = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+TRIPLE_JUMP = flows.SplitScheme("composition", (GAMMA, 1.0 - 2.0 * GAMMA, GAMMA))
 
 
 def schrodinger_pair(M):
@@ -213,15 +216,13 @@ def test_compose_ordering_convention():
                           a(tau, I) @ b(tau, I))
     assert np.array_equal(flows.compose(flows.STRANG, a, b, tau, I),
                           b(tau / 2, I) @ (a(tau, I) @ b(tau / 2, I)))
-    scheme = flows.composition_scheme(4)
     expected = I
-    for g in scheme.coefficients:
+    for g in TRIPLE_JUMP.coefficients:
         expected = flows.compose(flows.STRANG, a, b, g * tau, expected)
-    assert np.array_equal(flows.compose(scheme, a, b, tau, I), expected)
+    assert np.array_equal(flows.compose(TRIPLE_JUMP, a, b, tau, I), expected)
 
 
-@pytest.mark.parametrize("scheme", [flows.LIE, flows.STRANG,
-                                    flows.composition_scheme(4)],
+@pytest.mark.parametrize("scheme", [flows.LIE, flows.STRANG, TRIPLE_JUMP],
                          ids=["lie", "strang", "triple_jump"])
 def test_compose_applied_to_a_block_matches_its_matrix(scheme):
     X = np.random.default_rng(SEED).standard_normal((2, 3)) + 0j
@@ -230,8 +231,7 @@ def test_compose_applied_to_a_block_matches_its_matrix(scheme):
     assert np.max(np.abs(Y - P @ X)) <= 1e-14 * np.max(np.abs(X))
 
 
-@pytest.mark.parametrize("scheme", [flows.LIE, flows.STRANG,
-                                    flows.composition_scheme(4)],
+@pytest.mark.parametrize("scheme", [flows.LIE, flows.STRANG, TRIPLE_JUMP],
                          ids=["lie", "strang", "triple_jump"])
 def test_split_step_applied_to_a_block_matches_its_matrix(scheme):
     A, B = schrodinger_pair(12)
@@ -243,7 +243,7 @@ def test_split_step_applied_to_a_block_matches_its_matrix(scheme):
 
 def test_split_step_identity_at_zero():
     A, B = schrodinger_pair(8)
-    for scheme in (flows.LIE, flows.STRANG, flows.composition_scheme(4)):
+    for scheme in (flows.LIE, flows.STRANG, TRIPLE_JUMP):
         P = flows.split_step(scheme, A, B, 0.0, eye(A.block.n))
         assert np.max(np.abs(P - np.eye(A.block.n))) < 1e-14
 
@@ -280,17 +280,6 @@ def test_lie_step_error_scales_quadratically():
 # composition schemes
 
 
-def test_composition_scheme_mapping():
-    assert flows.composition_scheme(1).kind == "lie"
-    assert flows.composition_scheme(2).kind == "strang"
-    sch = flows.composition_scheme(4)
-    g1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-    assert sch.coefficients == (g1, 1.0 - 2.0 * g1, g1)
-    assert sum(sch.coefficients) == pytest.approx(1.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        flows.composition_scheme(3)
-
-
 def scalar_tables(A, B, schemes, cases) -> dict:
     """Error tables of the scalar split system of A and B, one per (step,
     s) for the (s, samples) cases."""
@@ -305,7 +294,7 @@ def test_fourth_order_composition_local_order():
     A = random_hermitian(block, rng, 2.0)
     B = random_hermitian(block, rng, 2.0)
     samples = core.rough_samples(block, 2.0, 4, 11)
-    tab = scalar_tables(A, B, (flows.composition_scheme(4),),
+    tab = scalar_tables(A, B, (TRIPLE_JUMP,),
                         [(0.0, samples)])["composition", 0.0]
     assert 4.6 <= tab.fit.slope <= 5.4
     assert tab.fit.n_dropped >= 1  # smallest steps hit the roundoff floor
@@ -317,7 +306,7 @@ def test_fourth_order_composition_local_order():
 
 def test_error_table_zero_generator_flagged():
     A, _ = schrodinger_pair(8)
-    zero = 0.0 * core.identity(A.block)
+    zero = OpMatrix(A.block, np.zeros((A.block.n, A.block.n)))
     samples = core.rough_samples(A.block, 2.0, 3, SEED)
     tab, = scalar_tables(A, zero, (flows.LIE,), [(0.0, samples)]).values()
     assert all(r["error"] <= 1e-12 for r in tab.rows)

@@ -26,6 +26,11 @@ def sin_coeff(*k) -> complex:
     return 0.0
 
 
+def scaled_identity(block, c=1.0):
+    """c times the identity matrix over the block."""
+    return core.OpMatrix(block, c * np.eye(block.n))
+
+
 def dirichlet_check(A, tol=1e-12):
     """True when entry(-m, -n) = entry(m, n) for every active pair."""
     pos, _ = core._positions(A.block, -A.block.indices())
@@ -214,7 +219,7 @@ def test_compose_certified_orders_match_declared():
 
 def test_dirichlet_identity_and_even_potential():
     block = truncated_block(1, 8)
-    assert dirichlet_check(core.identity(block))
+    assert dirichlet_check(scaled_identity(block))
     assert dirichlet_check(
         operators.toeplitz_potential(operators.cos_coeff, block))
     assert not dirichlet_check(
@@ -261,7 +266,7 @@ def test_hermitian_closure_under_scaled_bracket():
     block = truncated_block(1, 10)
     A = operators.fourier_multiplier(lambda x: x * x, block)
     B = operators.toeplitz_potential(operators.exp_decay_coeff, block)
-    assert core.is_hermitian(1j * core.commutator(A, B))
+    assert core.is_hermitian(core.OpMatrix(A.block, 1j * core.commutator(A, B).entries))
 
 
 def test_diagonal_toeplitz_commutator_entry_formula():
@@ -296,13 +301,13 @@ def test_symplectic_block_validation():
     skew = core.OpMatrix(block, np.triu(np.ones((block.n, block.n))) -
                          np.tril(np.ones((block.n, block.n))))
     with pytest.raises(ValueError):
-        symplectic_generator(0.0 * core.identity(block), skew, sym)
+        symplectic_generator(scaled_identity(block, 0.0), skew, sym)
 
 
 def test_symplectic_flow_identity_at_zero():
     block = truncated_block(1, 6)
-    S = symplectic_generator(0.0 * core.identity(block), core.identity(block),
-                             -1.0 * core.identity(block))
+    S = symplectic_generator(scaled_identity(block, 0.0), scaled_identity(block),
+                             scaled_identity(block, -1.0))
     prop, defect = symplectic_flow(S, 0.0)
     assert np.max(np.abs(prop - np.eye(2 * block.n))) == 0.0
     assert defect == 0.0
@@ -310,8 +315,8 @@ def test_symplectic_flow_identity_at_zero():
 
 def test_symplectic_flow_harmonic_rotation():
     block = truncated_block(1, 6)
-    S = symplectic_generator(0.0 * core.identity(block), core.identity(block),
-                             -1.0 * core.identity(block))
+    S = symplectic_generator(scaled_identity(block, 0.0), scaled_identity(block),
+                             scaled_identity(block, -1.0))
     t = 0.7
     prop, defect = symplectic_flow(S, t)
     n = block.n
@@ -326,7 +331,7 @@ def test_symplectic_flow_wave_system():
     block = truncated_block(1, M)
     lap = operators.fourier_multiplier(lambda x: -x * x, block)
     V = operators.toeplitz_potential(operators.cos_coeff, block)
-    S = symplectic_generator(0.0 * core.identity(block), lap + V, core.identity(block))
+    S = symplectic_generator(scaled_identity(block, 0.0), lap + V, scaled_identity(block))
     for t in (0.25, 0.5, 1.0):
         _, defect = symplectic_flow(S, t)
         assert defect <= 1e-8
