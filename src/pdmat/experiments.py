@@ -9,7 +9,10 @@ S (omega + coupling) S is Hermitian, and one eigendecomposition of it per
 assembled system gives the flow at every time as a rotation at the square
 roots of its eigenvalues (a growing mode where an eigenvalue is negative).
 That structure is checked first, and a failed check raises a ValueError
-naming the model.
+naming the model.  An even bottom (every shipped probe) has real Fourier
+coefficients, so the coupling and S (omega + coupling) S are real symmetric,
+the eigendecomposition is real, and every water-wave flow applies real
+matrices, to complex data through their float view (flows.real_product).
 
 Schroedinger preconditioner: a bounded change of variable conjugates the
 stiff generator into a resonant part plus a Hermitian smoothing remainder,
@@ -114,8 +117,8 @@ class WaterWaveOperators:
     def coupling_prop(self, t: float, X: np.ndarray) -> np.ndarray:
         """The coupling flow applied to a (2n, m) block X: the coupling
         generator S is nilpotent of degree 2, so e^{tS} = I + tS."""
-        out = X.astype(complex)
-        out[:self.n] += t * (self.coupling @ X[self.n:])
+        out = X.astype(np.result_type(X, self.coupling))
+        out[:self.n] += t * flows.real_product(self.coupling, X[self.n:])
         return out
 
     def generator(self) -> np.ndarray:
@@ -131,11 +134,12 @@ class WaterWaveOperators:
         """Factors of the exact flow from one Hermitian eigendecomposition.
 
         On the modes p where omega > 0, with S = omega^{1/2} and
-        A = omega + coupling, L = S A S = V diag(lam) V^* is Hermitian, and
-        the flow rotates at mu = sqrt(lam).  A negative lam (an indefinite
-        energy, as a rough bottom of large amplitude gives) makes mu
-        imaginary and the mode grow; the flow stays exact, since it needs only
-        cos(mu t), mu sin(mu t) and sin(mu t) / mu, which are entire in lam.
+        A = omega + coupling, L = S A S = V diag(lam) V^* is Hermitian (real
+        symmetric, with a real V, for an even bottom), and the flow rotates
+        at mu = sqrt(lam).  A negative lam (an indefinite energy, as a rough
+        bottom of large amplitude gives) makes mu imaginary and the mode grow;
+        the flow stays exact, since it needs only cos(mu t), mu sin(mu t) and
+        sin(mu t) / mu, which are entire in lam.
         Returns (p, mu, S^-1 V, V^* S, S V, V^* S^-1).  A ValueError names the
         model and the measured value when the coupling is not Hermitian or
         touches a mode with omega = 0."""
@@ -163,15 +167,19 @@ class WaterWaveOperators:
         u = V^* S X_xi and v = V^* S^-1 X_v on the modes p, xi_p becomes
         S^-1 V (c u + mu s v) and v_p becomes S V (c v - (s/mu) u), with
         c = cos(mu t), s = sin(mu t) and s/mu = t at mu = 0 (see
-        normal_modes); the modes with omega = 0 stay."""
+        normal_modes); the modes with omega = 0 stay.  c, mu s and s/mu are
+        real, a growing mode's too, since lam = mu^2 is; for an even bottom
+        V is real, so a real X flows in real arithmetic and a complex one
+        through its float view."""
         p, mu, xl, xr, yl, yr = self.normal_modes
         c, s = np.cos(mu * t), np.sin(mu * t)
         s_mu = np.divide(s, mu, out=np.full_like(s, t), where=mu != 0)
+        c, mu_s, s_mu = (z.real[:, None] for z in (c, mu * s, s_mu))
         q = p + self.n
-        u, v = xr @ X[p], yr @ X[q]
-        out = X.astype(complex)
-        out[p] = xl @ (c[:, None] * u + (mu * s)[:, None] * v)
-        out[q] = yl @ (c[:, None] * v - s_mu[:, None] * u)
+        u, v = flows.real_product(xr, X[p]), flows.real_product(yr, X[q])
+        out = X.astype(np.result_type(X, xl))
+        out[p] = flows.real_product(xl, c * u + mu_s * v)
+        out[q] = flows.real_product(yl, c * v - s_mu * u)
         return out
 
     def system(self, schemes) -> flows.SplitSystem:
@@ -220,10 +228,13 @@ def waterwave_assemble(model: WaterWaveModel, period: int) -> WaterWaveOperators
     inv_sqrt = np.zeros_like(omega)
     nz = omega > 0
     inv_sqrt[nz] = omega[nz] ** -0.5
-    d = 1j * k * gain * inv_sqrt
+    dr = k * gain * inv_sqrt
     mult = spectral.mult_matrix_from_coeffs(model.b_coeffs, period).entries
-    coupling = (d[:, None] * mult) * d[None, :]
-    return WaterWaveOperators(model, block, omega, coupling, mult, d)
+    if not mult.imag.any():
+        mult = mult.real
+    # (i dr) mult (i dr), real for a real mult
+    coupling = -((dr[:, None] * mult) * dr[None, :])
+    return WaterWaveOperators(model, block, omega, coupling, mult, 1j * dr)
 
 
 def waterwave_noloss_study(model: WaterWaveModel, periods, s_list,
@@ -249,13 +260,13 @@ def waterwave_noloss_study(model: WaterWaveModel, periods, s_list,
     # propagator-norm stability across periods comes before any error run:
     # the error analysis is vacuous if the flows themselves are not bounded
     # uniformly in K on the probed time window
-    out["stability_bounds"] = {s: [] for s in s_list}
+    stability_bounds = {s: [] for s in s_list}
     for ops_k in level_ops.values():
-        for s, bounds in out["stability_bounds"].items():
+        for s, bounds in stability_bounds.items():
             bounds.append(flows.propagator_norm_bound(
                 ops_k.exact_prop, (0.25, 0.5, 1.0),
                 ops_k.sampler(s, flows.N_SAMPLES // 2, seed), ops_k.weights(s)))
-    for s, bounds in out["stability_bounds"].items():
+    for s, bounds in stability_bounds.items():
         if max(bounds) > 1.1 * bounds[0]:
             warnings.warn(f"propagator norm bound at s={s} not stable across "
                           f"periods: {bounds}")
@@ -270,7 +281,7 @@ def waterwave_noloss_study(model: WaterWaveModel, periods, s_list,
     out["symplectic_defect"], out["energy_drift"] = {}, {}
     x0 = ops.sampler(max(s_list), 1, seed)[0]
     e0 = ops.energy(x0)
-    eye, tau = np.eye(2 * ops.n, dtype=complex), flows.TAU_LIST[0]
+    eye, tau = np.eye(2 * ops.n), flows.TAU_LIST[0]
     for name, step in system.steps.items():
         P = step(tau, eye)
         out["symplectic_defect"][name] = operators.symplectic_defect(P)
@@ -278,7 +289,7 @@ def waterwave_noloss_study(model: WaterWaveModel, periods, s_list,
     flat = WaterWaveModel(mu=model.mu, b_coeffs=lambda *k: 0.0, label="b0")
     flat_ops = waterwave_assemble(flat, min(periods))
     flat_sys = flat_ops.system((flows.STRANG,))
-    eye = np.eye(2 * flat_ops.n, dtype=complex)
+    eye = np.eye(2 * flat_ops.n)
     E0 = flat_sys.steps["strang"](tau, eye) - flat_sys.exact(tau, eye)
     out["b0_control"] = float(np.max(np.abs(E0)))
     return out

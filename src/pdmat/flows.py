@@ -10,7 +10,10 @@ an exactly tridiagonal Hermitian matrix, such as a Schroedinger generator
 with a one-band potential, to a real symmetric one by a diagonal unitary
 phase and factors that with LAPACK ``stevd``, so its eigenvectors are real
 and its flow is two real matrix products; any other Hermitian matrix goes to
-the dense complex ``np.linalg.eigh``.  Every flow is a callable ``f(t, X)``
+the dense complex ``np.linalg.eigh``.  ``real_product`` applies a real matrix
+to a complex block as one real product with the block's float view; the
+tridiagonal flows and the water-wave flows, whose matrices are real for an
+even bottom, go through it.  Every flow is a callable ``f(t, X)``
 that applies e^{tG} to an (n, m) block X of column vectors; its matrix is
 the flow applied to the identity, which only the operator measurements
 build.  Local-error tables apply each step to the stacked data
@@ -95,9 +98,18 @@ def exact_flow(G: OpMatrix, t: float, X: np.ndarray) -> np.ndarray:
     if p is None:
         return (V * np.exp(1j * t * w)) @ (V.conj().T @ X)
     Y = np.multiply(p.conj()[:, None], X, order="C")
-    Y = (V.T @ Y.view(float)).view(complex)
+    Y = real_product(V.T, Y)
     Y *= np.exp(1j * t * w)[:, None]
-    return p[:, None] * (V @ Y.view(float)).view(complex)
+    return p[:, None] * real_product(V, Y)
+
+
+def real_product(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """A @ X for an (n, m) block X; a real A times a complex X is one real
+    product with the (n, 2m) float view of X, which holds the real and
+    imaginary parts side by side, instead of a complex one."""
+    if np.isrealobj(A) and np.iscomplexobj(X):
+        return (A @ np.ascontiguousarray(X).view(float)).view(complex)
+    return A @ X
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +310,7 @@ def loss_scan(systems, s: float, seed: int = 0) -> dict:
     labels = [system.label for system in systems]
     errors = []
     for system in systems:
-        eye = np.eye(system.weights(s).size, dtype=complex)
+        eye = np.eye(system.weights(s).size)
         exact = system.exact(TAU_STAR, eye)
         errors.append({name: step(TAU_STAR, eye) - exact
                        for name, step in system.steps.items()})

@@ -123,8 +123,7 @@ def test_waterwave_strang_slope_and_no_loss():
     assert res["slopes"][("strang", 2.0)].slope == pytest.approx(3.0, abs=0.25)
     assert res["loss"]["strang"].sigma_hat == 0.0
     assert res["b0_control"] <= 1e-12
-    bounds = res["stability_bounds"][2.0]
-    assert max(bounds) <= 1.1 * bounds[0]
+    # no warning: in particular the propagator norm bounds are stable in K
     assert not [w for w in caught if issubclass(w.category, UserWarning)]
 
 
@@ -238,11 +237,11 @@ def test_waterwave_exact_prop_matches_dense_expm(probe, K):
         experiments.waterwave_assemble(experiments.waterwave_model(probe), K))
 
 
-def _assert_exact_prop_matches_expm(ops):
+def _assert_exact_prop_matches_expm(ops, dtype=complex):
     G = ops.generator()
     for t in (flows.TAU_STAR, 0.1, 0.5, 1.0):
         ref = scipy.linalg.expm(t * G)
-        err = np.max(np.abs(ops.exact_prop(t, ww_eye(ops)) - ref))
+        err = np.max(np.abs(ops.exact_prop(t, np.eye(2 * ops.n, dtype=dtype)) - ref))
         assert err <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -291,6 +290,38 @@ def test_waterwave_exact_prop_with_indefinite_energy_matches_dense_expm(model):
     mu = ops.normal_modes[1]
     assert np.min((mu ** 2).real) < 0
     _assert_exact_prop_matches_expm(ops)
+
+
+# a non-even bottom b = sin x: its multiplication matrix, coupling and
+# normal-mode factor V are complex Hermitian, where an even bottom's are real
+SIN_BOTTOM = experiments.WaterWaveModel(1.0, sin_coeff, "sin_bottom")
+
+
+@pytest.mark.parametrize("model, dtype", [
+    (experiments.waterwave_model("waterwave"), np.float64),
+    (experiments.waterwave_model("waterwave_rough"), np.float64),
+    (experiments.WaterWaveModel(1.0, lambda *k: 0.0, "b0"), np.float64),
+    (SIN_BOTTOM, np.complex128),
+], ids=["cos", "rough", "flat", "sin"])
+def test_coupling_is_the_complex_product_of_deriv_mult_deriv(model, dtype):
+    ops = experiments.waterwave_assemble(model, 32)
+    assert ops.coupling.dtype == ops.mult.dtype == dtype
+    d, M = ops.deriv, ops.mult.astype(complex)
+    np.testing.assert_array_equal(ops.coupling, (d[:, None] * M) * d[None, :])
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_waterwave_exact_prop_on_a_non_even_bottom_matches_dense_expm(dtype):
+    ops = experiments.waterwave_assemble(SIN_BOTTOM, 32)
+    assert np.iscomplexobj(ops.normal_modes[2])
+    _assert_exact_prop_matches_expm(ops, dtype)
+
+
+def test_waterwave_steps_of_an_even_bottom_stay_real(ww_ops):
+    eye = np.eye(2 * ww_ops.n)
+    for name, step in ww_ops.system((flows.LIE, flows.STRANG)).steps.items():
+        assert step(flows.TAU_LIST[0], eye).dtype == np.float64, name
+    assert ww_ops.exact_prop(0.1, eye).dtype == np.float64
 
 
 # ---------------------------------------------------------------------------
