@@ -2,8 +2,10 @@
 
 The index geometry lives in :class:`IndexBlock`: either a symmetric truncated
 block {-M..M}^d of Z^d, or the cyclic group Z_K^d with representatives taken
-in {-K/2..K/2-1}^d (K even).  :class:`OpMatrix` is one dense complex matrix
-over the active index set.  In truncated mode, a diagonal difference is taken
+in {-K/2..K/2-1}^d (K even).  :class:`OpMatrix` is one dense matrix over the
+active index set, stored as float64 when its data are real and as complex128
+when they are complex, so real operators and their products and commutators
+move half the bytes.  In truncated mode, a diagonal difference is taken
 on the interior where its full shift stencil stays inside the block and reads
 0 off it, so weighted sups run over interior entries only.  A vector is a
 flat complex array over the same index order; its h^s norm is the l2 norm of
@@ -251,14 +253,16 @@ def rough_samples(block: IndexBlock, s: float, n_samples: int, seed: int,
 
 @dataclass(frozen=True, eq=False)
 class OpMatrix:
-    """Dense complex matrix over a block.  Instances are immutable values;
-    all operations return new matrices."""
+    """Dense matrix over a block, stored in np.result_type(data, float): real
+    or integer data as float64, complex data as complex128.  Instances are
+    immutable values; all operations return new matrices."""
 
     block: IndexBlock
     entries: np.ndarray
 
     def __post_init__(self):
-        e = np.ascontiguousarray(self.entries, dtype=complex)
+        e = np.asarray(self.entries)
+        e = np.ascontiguousarray(e, dtype=np.result_type(e.dtype, float))
         n = self.block.n
         if e.shape != (n, n):
             raise ValueError(f"entries must have shape ({n}, {n})")
@@ -269,7 +273,12 @@ class OpMatrix:
 
     @cached_property
     def exactly_diagonal(self) -> bool:  # scanned once per matrix
-        return is_diagonal(self, 0.0)
+        """No nonzero entry off the diagonal.  Past the first entry, rows of
+        n + 1 flat entries each start off the diagonal and end on it, so the
+        first n of each row are exactly the off-diagonal entries: a strided
+        view, scanned with no temporary."""
+        n = self.block.n
+        return not self.entries.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].any()
 
     def __add__(self, other: "OpMatrix") -> "OpMatrix":
         _check_same_block(self, other)
@@ -286,7 +295,7 @@ def _check_same_block(a: OpMatrix, b: OpMatrix):
 
 
 def diagonal_matrix(block: IndexBlock, diag) -> OpMatrix:
-    d = np.asarray(diag, dtype=complex)
+    d = np.asarray(diag)
     if d.shape != (block.n,):
         raise ValueError(f"diagonal must have shape ({block.n},)")
     return OpMatrix(block, np.diag(d))
@@ -305,8 +314,9 @@ def toeplitz(block: IndexBlock, values: np.ndarray) -> OpMatrix:
     return OpMatrix(block, values[pos])
 
 
-def is_diagonal(A: OpMatrix, tol: float = 1e-12) -> bool:
-    """Off-diagonal |A_ij| <= tol * max(1, max |A|), and a finite diagonal."""
+def is_diagonal(A: OpMatrix, tol: float) -> bool:
+    """Off-diagonal |A_ij| <= tol * max(1, max |A|), and a finite diagonal.
+    At tol = 0 this is OpMatrix.exactly_diagonal, by way of |A|."""
     mag = np.abs(A.entries)
     bound = tol * max(1.0, np.max(mag))
     np.fill_diagonal(mag, 0.0)
@@ -367,7 +377,7 @@ def delta(A: OpMatrix, alpha) -> OpMatrix:
         ahead, here = _step_slices(d, j, 1 if a >= 0 else -1)
         for _ in range(abs(a)):
             view = view[ahead] - view[here]
-    out = np.zeros((side,) * (2 * d), dtype=complex)
+    out = np.zeros((side,) * (2 * d), dtype=A.entries.dtype)
     out[box] = view
     return OpMatrix(block, out.reshape(n, n))
 
@@ -445,6 +455,7 @@ def _bin_maxima(A: OpMatrix, alphas) -> list:
             mag = np.abs(diff)
             for alpha in [alpha for alpha, steps in along.items() if steps == k]:
                 out[alpha] = _box_maxima(block, mag, _interior_box(block, alpha))
+        diff = mag = None       # freed before the next axis takes its own
     for alpha in set(alphas) - set(out):
         out[alpha] = _box_maxima(block, np.abs(delta(A, alpha).entries), ())
     return [out[alpha] for alpha in alphas]
@@ -480,13 +491,18 @@ def matmul(A: OpMatrix, B: OpMatrix) -> OpMatrix:
     """Finite matrix product over the active index set (the truncation stands
     in for the infinite sum; off-diagonal decay makes the tail negligible)."""
     _check_same_block(A, B)
+    return OpMatrix(A.block, _product(A, B))
+
+
+def _product(A: OpMatrix, B: OpMatrix) -> np.ndarray:
+    """A @ B as a new array that nothing else holds."""
     # a real diagonal factor scales rows or columns: every other term of the
     # dense product is an exact zero, so the result is the same bit for bit
     if _real_diagonal(A):
-        return OpMatrix(A.block, np.diagonal(A.entries)[:, None] * B.entries)
+        return np.diagonal(A.entries)[:, None] * B.entries
     if _real_diagonal(B):
-        return OpMatrix(A.block, A.entries * np.diagonal(B.entries))
-    return OpMatrix(A.block, A.entries @ B.entries)
+        return A.entries * np.diagonal(B.entries)
+    return A.entries @ B.entries
 
 
 def _real_diagonal(A: OpMatrix) -> bool:
@@ -494,7 +510,14 @@ def _real_diagonal(A: OpMatrix) -> bool:
 
 
 def commutator(A: OpMatrix, B: OpMatrix) -> OpMatrix:
-    return matmul(A, B) - matmul(B, A)
+    """AB - BA, with BA subtracted in place from the AB it owns, so two n^2
+    arrays are alive at once and the result is validated once.  Both
+    products have the dtype np.result_type(A, B), and a non-finite
+    intermediate leaves a non-finite entry, which OpMatrix rejects."""
+    _check_same_block(A, B)
+    out = _product(A, B)
+    out -= _product(B, A)
+    return OpMatrix(A.block, out)
 
 
 # ---------------------------------------------------------------------------

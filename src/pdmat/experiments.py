@@ -378,9 +378,10 @@ def schroedinger_assemble(v_coeffs, radius: int) -> PreconditionedSchroedinger:
     n = block.n
     resonant = resonant_mask(block)
     sq = idx * idx
-    # B / (i d) = -i (B / d) bit for bit, and the integer d casts in buffers
+    # B / (i d) = -i (B / d) bit for bit, a complex division even for a real
+    # B, and the integer d casts in buffers
     X = np.divide(B.entries, sq[:, None] - sq[None, :], where=~resonant,
-                  out=np.zeros((n, n), dtype=complex))
+                  out=np.zeros((n, n), dtype=complex), dtype=complex)
     X *= -1j
     Z = np.where(resonant, B.entries, 0.0)
     w, V, p = flows.hermitian_eigh(X)

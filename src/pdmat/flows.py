@@ -10,21 +10,21 @@ an exactly tridiagonal Hermitian matrix, such as a Schroedinger generator
 with a one-band potential, to a real symmetric one by a diagonal unitary
 phase and factors that with LAPACK ``stevd``, so its eigenvectors are real
 and its flow is two real matrix products; any other Hermitian matrix goes to
-the dense complex ``np.linalg.eigh``.  ``real_product`` applies a real matrix
-to a complex block as one real product with the block's float view; the
-tridiagonal flows and the water-wave flows, whose matrices are real for an
-even bottom, go through it.  Every flow is a callable ``f(t, X)``
-that applies e^{tG} to an (n, m) block X of column vectors; its matrix is
-the flow applied to the identity, which only the operator measurements
-build.  Local-error tables apply each step to the stacked data
-at the step sizes TAU_LIST and fit the step-size order; the loss scan takes
-the error-to-data ratio over the extra-regularity exponents SIGMA_GRID and
-certifies the smallest one for which it is multiplicatively stable (within
-LOSS_THETA) as the block refines, which needs the error matrix itself.
-Both measure one-step errors of a ``SplitSystem``: the exact flow of one
-refinement level, the split steps approximating it by name, and its h^s
-weights and rough data.  Every run uses these grids, so they are module
-constants, not arguments.
+the dense ``np.linalg.eigh``, real for a real matrix.  ``real_product``
+applies a real matrix to a complex block as one real product with the
+block's float view; the tridiagonal flows and the water-wave flows, whose
+matrices are real for an even bottom, go through it.  Every flow is a
+callable ``f(t, X)`` that applies e^{tG} to an (n, m) block X of column
+vectors; its matrix is the flow applied to the identity, which only the
+operator measurements build.  Local-error tables apply each step to the
+stacked data at the step sizes TAU_LIST and fit the step-size order; the
+loss scan takes the error-to-data ratio over the extra-regularity exponents
+SIGMA_GRID and certifies the smallest one for which it is multiplicatively
+stable (within LOSS_THETA) as the block refines, which needs the error
+matrix itself.  Both measure one-step errors of a ``SplitSystem``: the exact
+flow of one refinement level, the split steps approximating it by name, and
+its h^s weights and rough data.  Every run uses these grids, so they are
+module constants, not arguments.
 """
 
 from __future__ import annotations
@@ -55,8 +55,9 @@ def hermitian_eigh(H: np.ndarray):
     no tolerance), p holds the unit phases cumprod(off/|off|) of the
     subdiagonal (1 where an entry is exactly 0, and p_0 = 1), which make
     P^H H P real, and LAPACK ``stevd`` factors that from its diagonal and
-    |off|, so V is real; a nonzero ``info`` raises LinAlgError.  Otherwise
-    V comes from the dense np.linalg.eigh and p is None."""
+    |off|, so V is real; the phases are complex divisions whatever the
+    dtype of H.  A nonzero ``info`` raises LinAlgError.  Otherwise V comes
+    from the dense np.linalg.eigh (real for a real H) and p is None."""
     n = len(H)
     if n < 3 or np.tril(H, -2).any():
         w, V = np.linalg.eigh(H)
@@ -65,7 +66,7 @@ def hermitian_eigh(H: np.ndarray):
     off = np.diagonal(H, -1)
     e = np.abs(off)
     phase = np.ones(n, dtype=complex)
-    np.divide(off, e, out=phase[1:], where=e != 0)
+    np.divide(off, e, out=phase[1:], where=e != 0, dtype=complex)
     d = np.ascontiguousarray(np.diagonal(H).real, dtype=float)
     stevd, = scipy.linalg.get_lapack_funcs(("stevd",), (d, e))
     w, V, info = stevd(d, e)

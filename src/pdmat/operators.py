@@ -72,9 +72,9 @@ def rough_even_coeff(seed: int = 7, cutoff: int = 32):
 
 
 def fourier_multiplier(phi, block: IndexBlock) -> OpMatrix:
-    """Diagonal matrix phi(m) over the active indices."""
-    vals = np.array([phi(*row) for row in block.indices().astype(float)],
-                    dtype=complex)
+    """Diagonal matrix phi(m) over the active indices, real when every
+    value of phi is real."""
+    vals = np.array([phi(*row) for row in block.indices().astype(float)])
     if not np.all(np.isfinite(vals)):
         raise ValueError("symbol returned a non-finite value on the block")
     return core.diagonal_matrix(block, vals)
@@ -82,12 +82,13 @@ def fourier_multiplier(phi, block: IndexBlock) -> OpMatrix:
 
 def toeplitz_potential(coeff_fn, block: IndexBlock) -> OpMatrix:
     """Toeplitz matrix of Fourier coefficients: entry(m, n) = coeff(m - n),
-    with coeff_fn called once per difference."""
+    with coeff_fn called once per difference; real when every coefficient
+    is real."""
     if block.mode != core.TRUNCATED:
         raise ValueError("toeplitz_potential builds the truncated-side matrix; "
                          "use spectral.mult_matrix_from_coeffs on periodic blocks")
     diffs = core.difference_block(block).indices()
-    return core.toeplitz(block, np.array([coeff_fn(*k) for k in diffs], dtype=complex))
+    return core.toeplitz(block, np.array([coeff_fn(*k) for k in diffs]))
 
 
 # ---------------------------------------------------------------------------

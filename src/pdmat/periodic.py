@@ -100,7 +100,7 @@ def embed(AK: OpMatrix, radius: int | None = None) -> OpMatrix:
     if radius < K // 2:
         raise ValueError("radius must cover the representative box")
     tblock = truncated_block(AK.block.d, radius)
-    entries = np.zeros((tblock.n, tblock.n), dtype=complex)
+    entries = np.zeros((tblock.n, tblock.n), dtype=AK.entries.dtype)
     pos, valid = core._positions(tblock, AK.block.indices())
     if not valid.all():
         raise AssertionError("representative box must fit in target block")

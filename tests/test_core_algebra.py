@@ -7,7 +7,9 @@ closed-form entries).
 
 from __future__ import annotations
 
+import itertools
 import math
+import tracemalloc
 from functools import cache, partial
 from types import SimpleNamespace
 
@@ -424,7 +426,7 @@ def test_matmul_identity_and_diagonals():
     P = core.matmul(D1, D2)
     np.testing.assert_allclose(np.diag(P.entries),
                                np.array([m / (1 + m * m) for m in axis(block)]))
-    assert core.is_diagonal(P)
+    assert core.is_diagonal(P, 1e-12)
 
 
 def test_matmul_block_mismatch():
@@ -938,6 +940,111 @@ def test_matmul_complex_diagonal_takes_the_dense_product():
     assert np.array_equal(core.matmul(D, B).entries, D.entries @ B.entries)
 
 
+def dense_pair(M):
+    """Two complex matrices with no diagonal factor, for the dense product."""
+    block = truncated_block(1, M)
+    rng = np.random.default_rng(RNG_SEED + M)
+    return random_periodic(block, rng), toeplitz_from(block, lambda j: 1.0 / (1 + j * j))
+
+
+@pytest.mark.parametrize("build,M", [
+    *[(square_cos_1d, M) for M in (16, 32, 64)],
+    *[(schroedinger_x_a, M) for M in (16, 32, 64)],
+    *[(laplacian_cos_2d, M) for M in (4, 8, 12)],
+    (dense_pair, 8),
+], ids=lambda v: getattr(v, "__name__", v))
+def test_commutator_is_the_difference_of_the_products(build, M):
+    """Subtracting BA in place from AB gives AB - BA bit for bit."""
+    A, B = build(M)
+    for P, Q in ((A, B), (B, A)):
+        C = core.commutator(P, Q)
+        want = core.matmul(P, Q).entries - core.matmul(Q, P).entries
+        assert C.entries.dtype == want.dtype and np.array_equal(C.entries, want)
+
+
+def test_commutator_holds_two_products_at_once():
+    """The 2-d M = 12 commutator of the benchmark keeps at most two real
+    n^2 arrays alive: its traced peak is 2 n^2 float64 entries plus ufunc
+    buffers."""
+    A, B = laplacian_cos_2d(12)
+    n = A.block.n
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        C = core.commutator(A, B)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert C.entries.dtype == np.float64
+    assert peak <= 2 * n * n * 8 + (1 << 17)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def test_commutator_rejects_a_non_finite_product():
+    block = truncated_block(1, 4)
+    big = OpMatrix(block, np.full((block.n, block.n), 1e300))
+    with pytest.raises(ValueError, match="finite"):
+        core.commutator(big, scaled_identity(block, 2.0) + big)
+
+
+# ---------------------------------------------------------------------------
+# storage dtype
+
+
+def test_entries_keep_the_dtype_of_their_data():
+    """Real and integer data are stored as float64 and complex data as
+    complex128, by every constructor and through the calculus."""
+    block = truncated_block(1, 4)
+    n = block.n
+    D = operators.fourier_multiplier(operators.symbol_catalog("laplacian"), block)
+    T = operators.toeplitz_potential(operators.cos_coeff, block)
+    S = operators.toeplitz_potential(sin_coeff, block)
+    real = [D, T, OpMatrix(block, np.eye(n)), OpMatrix(block, np.eye(n, dtype=int)),
+            OpMatrix(block, np.eye(n, dtype=bool)),
+            OpMatrix(block, np.eye(n, dtype=np.float32)),
+            core.diagonal_matrix(block, np.arange(n)),
+            core.diagonal_matrix(block, [1.0] * n),
+            operators.fourier_multiplier(lambda x: int(x) ** 2, block),
+            operators.toeplitz_potential(operators.exp_decay_coeff, block),
+            operators.toeplitz_potential(operators.rough_even_coeff(), block),
+            core.toeplitz(block, np.arange(core.difference_block(block).n)),
+            D + T, D - T, core.matmul(D, T), core.matmul(T, T),
+            core.commutator(D, T), core.delta(T, (1,)), core.delta(T, (-2,)),
+            core.delta(OpMatrix(periodic_block(1, 4), np.ones((4, 4))), (1,))]
+    cplx = [S, OpMatrix(block, np.eye(n, dtype=complex)),
+            OpMatrix(block, np.eye(n, dtype=np.complex64)),
+            core.diagonal_matrix(block, np.exp(1j * np.arange(n))),
+            operators.fourier_multiplier(operators.symbol_catalog("first_derivative"),
+                                         block),
+            D + S, core.matmul(S, D), core.commutator(D, S), core.delta(S, (1,))]
+    for A in real:
+        assert A.entries.dtype == np.float64
+    for A in cplx:
+        assert A.entries.dtype == np.complex128
+
+
+@pytest.mark.parametrize("name", ["order_gain_product", "order_gain_commutator",
+                                  "cert_2d_product", "cert_2d_commutator"])
+def test_real_and_complex_storage_certify_alike(name):
+    """A family certifies bit for bit alike whether its real operators are
+    stored as float64 or as complex128."""
+    if name.startswith("order_gain"):
+        pairs = [experiments.schroedinger_pair(operators.cos_coeff, M)
+                 for M in (16, 32, 64)]
+    else:
+        pairs = [laplacian_cos_2d(M) for M in (4, 8, 12)]
+    op = core.matmul if name.endswith("product") else core.commutator
+    real = [op(A, B) for A, B in pairs]
+    cplx = [op(*(OpMatrix(F.block, F.entries.astype(complex)) for F in pair))
+            for pair in pairs]
+    assert {F.entries.dtype for F in real} == {np.dtype(np.float64)}
+    assert {F.entries.dtype for F in cplx} == {np.dtype(np.complex128)}
+    est_real, est_cplx = core.estimate_order(real), core.estimate_order(cplx)
+    assert np.array_equal(est_real.max_ratios, est_cplx.max_ratios)
+    assert np.array_equal(est_real.certified, est_cplx.certified)
+    assert est_real.r_hat == est_cplx.r_hat
+
+
 # ---------------------------------------------------------------------------
 # algebraic identities (periodic mode, no boundary)
 
@@ -988,7 +1095,7 @@ def test_backward_product_difference_rule():
 def test_hermitian_scan_for_real_symbol():
     block = truncated_block(1, 12)
     assert core.is_hermitian(diag_from(block, lambda m: m * m))
-    assert core.is_diagonal(diag_from(block, lambda m: m))
+    assert core.is_diagonal(diag_from(block, lambda m: m), 1e-12)
 
 
 def is_diagonal_by_difference(A, tol=1e-12):
@@ -1044,6 +1151,44 @@ def test_is_diagonal_rejects_non_finite_diagonal():
     # an infinite off-diagonal entry sets its own scale when tol > 0
     assert core.is_diagonal(cases["inf_off_diagonal"], 1e-12)
     assert not core.is_diagonal(cases["inf_off_diagonal"], 0.0)
+
+
+def off_diagonal_cases(n, rng):
+    """(name, entries): real and complex n x n matrices that are diagonal,
+    zero, banded, dense, or diagonal but for one entry at each off-diagonal
+    position in turn (a -0.0, a subnormal, an imaginary unit)."""
+    diag = np.diag(rng.uniform(1.0, 2.0, n))
+    yield "diagonal", diag
+    yield "zero", np.zeros((n, n))
+    yield "negative_zero", np.where(np.eye(n, dtype=bool), diag, -0.0)
+    yield "banded", diag + np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
+    yield "dense", rng.standard_normal((n, n))
+    for i, j in itertools.product(range(n), repeat=2):
+        if i != j:
+            for value in (-0.0, 5e-324, 1.0, 1j):
+                e = diag.astype(type(value))
+                e[i, j] = value
+                yield f"{i},{j}={value!r}", e
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 9])
+def test_exactly_diagonal_matches_is_diagonal(n):
+    """The strided scan of exactly_diagonal gives the verdict of
+    is_diagonal(A, 0.0), which reads |A|, on finite entries of either dtype;
+    n = 1 and 2 have no block, so they go through the property's function."""
+    rng = np.random.default_rng(RNG_SEED)
+    block = {3: truncated_block(1, 1), 4: periodic_block(1, 4),
+             9: truncated_block(2, 1)}.get(n)
+    for name, e in off_diagonal_cases(n, rng):
+        for entries in (e, e.astype(complex)):
+            if block is None:
+                A = SimpleNamespace(block=SimpleNamespace(n=n), entries=entries)
+                got = OpMatrix.exactly_diagonal.func(A)
+            else:
+                A = OpMatrix(block, entries)
+                got = A.exactly_diagonal
+            assert got is core.is_diagonal(A, 0.0), (name, entries.dtype)
+            assert got is (not np.any(entries - np.diag(np.diag(entries)))), name
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 import pytest
@@ -106,13 +106,15 @@ def test_exact_flow_nearly_diagonal_hermitian_keeps_off_diagonal():
 
 
 def test_exact_flow_scans_each_generator_once(monkeypatch):
-    scans, scan = [], core.is_diagonal
+    scans, scan = [], OpMatrix.exactly_diagonal.func
 
-    def counted(A, tol=1e-12):
+    def counted(A):
         scans.append(A)
-        return scan(A, tol)
+        return scan(A)
 
-    monkeypatch.setattr(core, "is_diagonal", counted)
+    prop = cached_property(counted)
+    prop.__set_name__(OpMatrix, "exactly_diagonal")
+    monkeypatch.setattr(OpMatrix, "exactly_diagonal", prop)
     A, B = schrodinger_pair(8)
     I = eye(A.block.n)
     for G in (A, A + B):

@@ -93,7 +93,7 @@ def test_fourier_multiplier_basics():
     Q = operators.fourier_multiplier(operators.symbol_catalog("laplacian"), block)
     p, _ = core._positions(block, [[3]])
     assert Q.entries[p[0], p[0]] == 9.0
-    assert core.is_diagonal(Q)
+    assert core.is_diagonal(Q, 1e-12)
 
 
 def test_fourier_multiplier_rejects_nonfinite():
