@@ -19,7 +19,7 @@ operators
     Symbol and potential constructors on truncated blocks, and the
     symplectic defect of a propagator.
 flows
-    Reference propagators, Lie/Strang/composition splitting steps, and the
+    Reference propagators, the Lie and Strang splitting steps, and the
     split-system record that local error tables (with log-log order fits)
     and the derivative-loss scan both measure.
 experiments

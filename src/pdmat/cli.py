@@ -62,8 +62,8 @@ class ExperimentConfig:
 
     def validate(self):
         spec = _record(self.experiment)
-        for probe in self.probes if spec.probe_model else ():
-            if not _accepts(spec, probe):
+        for probe in self.probes if spec.probe_table else ():
+            if probe not in spec.probe_table:
                 raise ConfigError(f"probes: {probe!r} is not a {self.experiment} "
                                   "probe (see pdmat list-probes)")
         for name in ("M_list", "K_list", "s_list"):
@@ -111,15 +111,6 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
         return self
-
-
-def _accepts(spec, probe: str) -> bool:
-    """Whether the probe_model of the experiment record spec builds probe."""
-    try:
-        spec.probe_model(probe)
-    except KeyError:
-        return False
-    return True
 
 
 def _is_int(v) -> bool:
@@ -260,7 +251,7 @@ def run_splitting_orders(cfg: ExperimentConfig):
         for s in cfg.s_list])
     rows, fits, gates = [], {}, {}
     for (scheme, s), tab in tables.items():
-        label, target = f"{scheme}_s{s:g}", {"lie": 2.0, "strang": 3.0}[scheme]
+        label, target = f"{scheme}_s{s:g}", flows.LOCAL_ORDER[scheme]
         fits[label] = {k: getattr(tab.fit, k, None)
                        for k in ("slope", "intercept", "residual")} | {"target": target}
         gates[f"{label}_slope"] = _band(tab.fit, target)
@@ -280,8 +271,8 @@ def run_loss_scan(cfg: ExperimentConfig):
             ("waterwave", flows.STRANG,
              [experiments.waterwave_assemble(model, K).system((flows.STRANG,))
               for K in cfg.K_list], 0.0)):
-        rep = flows.loss_scan(systems, 2.0, seed=cfg.seed)[scheme.kind]
-        name = f"{scheme.kind}_{probe}"
+        rep = flows.loss_scan(systems, 2.0, seed=cfg.seed)[scheme]
+        name = f"{scheme}_{probe}"
         fits[name] = {"sigma_hat": rep.sigma_hat, "certified": rep.certified}
         gates[f"{name}_sigma_{target:g}"] = _sigma_gate(rep, target)
         rows.extend({"probe": probe, **r} for r in rep.rows)
@@ -300,9 +291,9 @@ def run_waterwave(cfg: ExperimentConfig):
         asserted = model.order_warning() is None
         for (scheme, s), fit in res["slopes"].items():
             key = f"{model.label}_{scheme}_s{s:g}"
-            target = 2.0 if scheme == "lie" else 3.0
+            target = flows.LOCAL_ORDER[scheme]
             fits[key] = {"slope": fit.slope if fit else None, "target": target}
-            if asserted and scheme == "strang":
+            if asserted and scheme == flows.STRANG:
                 gates[f"{key}_slope"] = _band(fit, target)
         for scheme, rep in res["loss"].items():
             fits[f"{model.label}_{scheme}_sigma"] = {"sigma_hat": rep.sigma_hat,
@@ -343,7 +334,7 @@ def run_schroedinger_precond(cfg: ExperimentConfig):
     }
     for s, fit in res["slopes"].items():
         fits[f"precond_slope_s{s:g}"] = fit.slope
-        gates[f"precond_slope_s{s:g}"] = _band(fit, 2.0)
+        gates[f"precond_slope_s{s:g}"] = _band(fit, flows.LOCAL_ORDER[flows.LIE])
     return rows, fits, gates
 
 
@@ -431,7 +422,7 @@ class Experiment:
     columns: tuple
     keys: tuple = ()
     refined: tuple = ()           # grids of the levels its gates compare
-    probe_model: object = None    # builds the model of each of its probe names
+    probe_table: dict = None      # its probe names (experiments.*_PROBES)
     min_radius: int = 1           # smallest radius it can build
     positive_s: bool = False      # runs only the s > 0 entries of s_list
 
@@ -450,7 +441,7 @@ EXPERIMENTS = {
                             refined=("M_list", "K_list")),
     "waterwave": Experiment(
         run_waterwave, _SPLIT_COLUMNS, ("probes", "K_list", "s_list"),
-        refined=("K_list",), probe_model=experiments.waterwave_model,
+        refined=("K_list",), probe_table=experiments.WATERWAVE_PROBES,
         positive_s=True),
     "schroedinger_precond": Experiment(
         run_schroedinger_precond, _SPLIT_COLUMNS, ("M_list", "s_list"),
@@ -459,7 +450,7 @@ EXPERIMENTS = {
         run_sobolev_growth, ("probe", "level", "s", "ratio_max", "exponent",
                              "conservation"),
         ("probes", "K_list", "s_list", "horizon", "delta"), refined=("K_list",),
-        probe_model=experiments.growth_model, positive_s=True),
+        probe_table=experiments.GROWTH_PROBES, positive_s=True),
     "invariants_suite": Experiment(
         run_invariants_suite, ("invariant", "probe", "measured", "bound", "status")),
 }
@@ -544,9 +535,8 @@ def list_probes() -> int:
     print("experiments:")
     for name, spec in EXPERIMENTS.items():
         print(f"  {name}")
-        for probe, desc in experiments.PROBES.items():
-            if spec.probe_model and _accepts(spec, probe):
-                print(f"    {probe}: {desc}")
+        for probe, (desc, *_) in (spec.probe_table or {}).items():
+            print(f"    {probe}: {desc}")
     return 0
 
 

@@ -183,13 +183,13 @@ class WaterWaveOperators:
         return out
 
     def system(self, schemes) -> flows.SplitSystem:
-        """The split system of this block, one step per scheme named by its
-        kind, with the coupling as the a flow and the rotation as the b flow
-        of flows.compose."""
+        """The split system of this block, one step per scheme name, with the
+        coupling as the a flow and the rotation as the b flow of
+        flows.compose."""
         return flows.SplitSystem(
             self.block.size, self.exact_prop,
-            {scheme.kind: partial(flows.compose, scheme, self.coupling_prop,
-                                  self.rotation_prop) for scheme in schemes},
+            {scheme: partial(flows.compose, scheme, self.coupling_prop,
+                             self.rotation_prop) for scheme in schemes},
             self.weights, self.sampler)
 
     def weights(self, s: float) -> np.ndarray:
@@ -290,7 +290,7 @@ def waterwave_noloss_study(model: WaterWaveModel, periods, s_list,
     flat_ops = waterwave_assemble(flat, min(periods))
     flat_sys = flat_ops.system((flows.STRANG,))
     eye = np.eye(2 * flat_ops.n)
-    E0 = flat_sys.steps["strang"](tau, eye) - flat_sys.exact(tau, eye)
+    E0 = flat_sys.steps[flows.STRANG](tau, eye) - flat_sys.exact(tau, eye)
     out["b0_control"] = float(np.max(np.abs(E0)))
     return out
 
@@ -311,10 +311,10 @@ class PreconditionedSchroedinger:
     dimension: A + B + i[X, A] = A + Z with Z supported on the resonant pairs
     {n, -n}.  R is the remainder e^{iX} H e^{-iX} - A - Z, made Hermitian
     from its lower triangle, since its roundoff eps |H| ~ eps M^2 fails the
-    Hermitian scan of its flow from M = 64 or 96 on.  H = A + B and the
-    resonant generator A + Z are built once, so their flows' factorizations
-    are cached; A + Z is diagonal, and flows entrywise, for a potential with
-    no modes at nonzero even frequencies (2cos x, sin x)."""
+    Hermitian scan of its flow from M = 64 or 96 on.  H = A + B, A + Z and
+    R are built once, so their flows' factorizations are cached; A + Z is
+    diagonal, and flows entrywise, for a potential with no modes at nonzero
+    even frequencies (2cos x, sin x)."""
 
     block: object
     A: OpMatrix
@@ -331,21 +331,11 @@ class PreconditionedSchroedinger:
         """The resonant generator A + Z."""
         return self.A + self.Z
 
-    def exact_prop(self, tau: float, X: np.ndarray) -> np.ndarray:
-        return flows.exact_flow(self.H, tau, X)
-
-    def block_diag_prop(self, tau: float, X: np.ndarray) -> np.ndarray:
-        return flows.exact_flow(self.resonant, tau, X)
-
-    def smoothing_prop(self, tau: float, X: np.ndarray) -> np.ndarray:
-        return flows.exact_flow(self.R, tau, X)
-
     def preconditioned_prop(self, tau: float, X: np.ndarray) -> np.ndarray:
-        """e^{-i self.X} (Lie step of the resonant and smoothing flows)
-        e^{i self.X} applied to the block X."""
-        return self.exp_x_minus @ flows.compose(
-            flows.LIE, self.block_diag_prop, self.smoothing_prop, tau,
-            self.exp_x_plus @ X)
+        """e^{-i self.X} (Lie step of the resonant generator and R, R's flow
+        acting first) e^{i self.X} applied to the block X."""
+        return self.exp_x_minus @ flows.split_step(
+            flows.LIE, self.resonant, self.R, tau, self.exp_x_plus @ X)
 
 
 def resonant_mask(block) -> np.ndarray:
@@ -417,8 +407,8 @@ def homological_defect(model: PreconditionedSchroedinger) -> float:
 def telescoping_defect(model: PreconditionedSchroedinger) -> float:
     """The conjugation commutes with iterating the inner step exactly: ten
     steps of size 0.01."""
-    inner = flows.compose(flows.LIE, model.block_diag_prop, model.smoothing_prop,
-                          0.01, np.eye(model.block.n, dtype=complex))
+    inner = flows.split_step(flows.LIE, model.resonant, model.R, 0.01,
+                             np.eye(model.block.n, dtype=complex))
     lhs = np.linalg.matrix_power(model.exp_x_minus @ inner @ model.exp_x_plus, 10)
     rhs = model.exp_x_minus @ np.linalg.matrix_power(inner, 10) @ model.exp_x_plus
     return float(np.max(np.abs(lhs - rhs)))
@@ -466,7 +456,7 @@ def preconditioned_lie_study(s_list, radii, seed: int = 0) -> dict:
         B, against the flow of the model's H = A + B."""
         level = assemble(M)
         lie = flows.scalar_system(M, level.A, level.B, (flows.LIE,))
-        return replace(lie, exact=level.exact_prop,
+        return replace(lie, exact=partial(flows.exact_flow, level.H),
                        steps={"precond_lie": level.preconditioned_prop, **lie.steps})
 
     systems = {M: system(M) for M in radii}
@@ -479,7 +469,7 @@ def preconditioned_lie_study(s_list, radii, seed: int = 0) -> dict:
     out["error_rows"] = [r for tab in tables.values() for r in tab.rows]
     reports = flows.loss_scan(list(systems.values()), s_list[0], seed=seed)
     out["loss_preconditioned"], out["loss_baseline"] = \
-        reports["precond_lie"], reports["lie"]
+        reports["precond_lie"], reports[flows.LIE]
     return out
 
 
@@ -669,36 +659,29 @@ def _growth_result(model: GrowthModel, horizon: float, s_list, periods,
 
 
 # ---------------------------------------------------------------------------
-# probe registry for the batch driver
+# probe registry for the batch driver: name -> (description, model parameters)
 
 
-PROBES = {
-    "waterwave": "water waves, mu=1, b=cos(x)",
-    "waterwave_mu01": "water waves, mu=0.1, b=cos(x)",
-    "waterwave_rough": "water waves, mu=1, bounded random even topography",
-    "waterwave_stvenant": "shallow-water limit (order warning: rho = r)",
-    "growth_rho0": "growth study, order-0 time-periodic perturbation",
-    "growth_rhom1": "growth study, order -1 smoothed perturbation",
+WATERWAVE_PROBES = {    # description, mu, rough bottom
+    "waterwave": ("water waves, mu=1, b=cos(x)", 1.0, False),
+    "waterwave_mu01": ("water waves, mu=0.1, b=cos(x)", 0.1, False),
+    "waterwave_rough": ("water waves, mu=1, bounded random even topography", 1.0, True),
+    "waterwave_stvenant": ("shallow-water limit (order warning: rho = r)", 0.0, False),
+}
+GROWTH_PROBES = {       # description, rho
+    "growth_rho0": ("growth study, order-0 time-periodic perturbation", 0.0),
+    "growth_rhom1": ("growth study, order -1 smoothed perturbation", -1.0),
 }
 
 
 def waterwave_model(name: str, seed: int = 7) -> WaterWaveModel:
-    if name == "waterwave":
-        return WaterWaveModel(1.0, operators.cos_coeff, name)
-    if name == "waterwave_mu01":
-        return WaterWaveModel(0.1, operators.cos_coeff, name)
-    if name == "waterwave_rough":
-        # cutoff below half the smallest probed period, so every level
-        # resolves the same profile and no aliasing transient pollutes scans
-        return WaterWaveModel(1.0, operators.rough_even_coeff(seed, cutoff=15), name)
-    if name == "waterwave_stvenant":
-        return WaterWaveModel(0.0, operators.cos_coeff, name)
-    raise KeyError(f"unknown water-wave probe {name!r}")
+    _, mu, rough = WATERWAVE_PROBES[name]
+    if not rough:
+        return WaterWaveModel(mu, operators.cos_coeff, name)
+    # cutoff below half the smallest probed period, so every level resolves
+    # the same profile and no aliasing transient pollutes scans
+    return WaterWaveModel(mu, operators.rough_even_coeff(seed, cutoff=15), name)
 
 
 def growth_model(name: str) -> GrowthModel:
-    if name == "growth_rho0":
-        return GrowthModel(rho=0.0, label=name)
-    if name == "growth_rhom1":
-        return GrowthModel(rho=-1.0, label=name)
-    raise KeyError(f"unknown growth probe {name!r}")
+    return GrowthModel(rho=GROWTH_PROBES[name][1], label=name)

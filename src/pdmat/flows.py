@@ -22,9 +22,10 @@ loss scan takes the error-to-data ratio over the extra-regularity exponents
 SIGMA_GRID and certifies the smallest one for which it is multiplicatively
 stable (within LOSS_THETA) as the block refines, which needs the error
 matrix itself.  Both measure one-step errors of a ``SplitSystem``: the exact
-flow of one refinement level, the split steps approximating it by name, and
-its h^s weights and rough data.  Every run uses these grids, so they are
-module constants, not arguments.
+flow of one refinement level, the split steps approximating it (each a
+name, LIE or STRANG, that ``compose`` applies), and its h^s weights and
+rough data.  Every run uses these grids, so they are module constants, not
+arguments.
 """
 
 from __future__ import annotations
@@ -114,56 +115,37 @@ def real_product(A: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# splitting schemes
+# splitting steps
 
 
-@dataclass(frozen=True)
-class SplitScheme:
-    """One-step composition pattern.
-
-    kind 'lie' is e^{cTA} e^{cTB}; 'strang' is e^{cTB/2} e^{cTA} e^{cTB/2};
-    'composition' chains Strang substeps with the listed coefficients (which
-    must sum to 1 so the slots cover one full step).
-    """
-
-    kind: str
-    coefficients: tuple = (1.0,)
-
-    def __post_init__(self):
-        if self.kind not in ("lie", "strang", "composition"):
-            raise ValueError(f"unknown scheme kind {self.kind!r}")
-        if abs(sum(self.coefficients) - 1.0) > 1e-12:
-            raise ValueError("composition coefficients must sum to 1")
+LIE = "lie"             # a(tau) b(tau)
+STRANG = "strang"       # b(tau/2) a(tau) b(tau/2)
+LOCAL_ORDER = {LIE: 2.0, STRANG: 3.0}   # theory slope of each step's local error
 
 
-LIE = SplitScheme("lie", (1.0,))
-STRANG = SplitScheme("strang", (1.0,))
-
-
-def compose(scheme: SplitScheme, a, b, tau: float, X: np.ndarray) -> np.ndarray:
-    """One splitting step of size tau of the sub-flows ``a`` and ``b``
-    (callables f(t, X)) applied to the block X: the sub-flows act right to
-    left, and X goes to the first one; X = I gives the step's matrix.
+def compose(scheme: str, a, b, tau: float, X: np.ndarray) -> np.ndarray:
+    """One splitting step of size tau, named LIE or STRANG, of the sub-flows
+    ``a`` and ``b`` (callables f(t, X)) applied to the block X: the sub-flows
+    act right to left, and X goes to the first one; X = I gives the step's
+    matrix.  Any other name raises ValueError.
 
     Ordering convention (matrices act on column vectors, so the right-most
     factor acts first): Lie is a(tau) b(tau), so b acts first; Strang is
-    b(tau/2) a(tau) b(tau/2), with b's half steps outside; composition
-    chains Strang steps of size g*tau, the first coefficient acting first.
+    b(tau/2) a(tau) b(tau/2), with b's half steps outside.
     """
-    if scheme.kind == "lie":
-        subflows = [(b, tau), (a, tau)]
-    else:
-        subflows = [(f, t) for g in scheme.coefficients
-                    for f, t in ((b, g * tau / 2), (a, g * tau), (b, g * tau / 2))]
+    if scheme not in LOCAL_ORDER:
+        raise ValueError(f"unknown split step {scheme!r}")
+    subflows = ((b, tau), (a, tau)) if scheme == LIE else \
+        ((b, tau / 2), (a, tau), (b, tau / 2))
     for f, t in subflows:
         X = f(t, X)
     return X
 
 
-def split_step(scheme: SplitScheme, A: OpMatrix, B: OpMatrix, tau: float,
+def split_step(scheme: str, A: OpMatrix, B: OpMatrix, tau: float,
                X: np.ndarray) -> np.ndarray:
-    """One splitting step of size tau of the exact flows of the generators A
-    and B, applied to the block X."""
+    """The step ``compose(scheme, ...)`` of size tau of the exact flows of the
+    generators A and B, applied to the block X."""
     if abs(tau) > TAU_MAX:
         raise ValueError(f"|tau| must be at most {TAU_MAX}")
     core._check_same_block(A, B)
@@ -217,11 +199,11 @@ class SplitSystem:
 
 def scalar_system(label, A: OpMatrix, B: OpMatrix, schemes) -> SplitSystem:
     """The split flows of A and B on their scalar block, one step per scheme
-    named by its kind, against the flow of A + B."""
+    name, against the flow of A + B."""
     block = A.block
     return SplitSystem(
         label, partial(exact_flow, A + B),
-        {scheme.kind: partial(split_step, scheme, A, B) for scheme in schemes},
+        {scheme: partial(split_step, scheme, A, B) for scheme in schemes},
         partial(core.sobolev_weights, block), partial(core.rough_samples, block))
 
 

@@ -477,7 +477,9 @@ def test_run_is_deterministic(tmp_path, monkeypatch, cfg_text):
 
 
 def test_importing_the_cli_loads_no_scipy_and_no_process_pool():
-    """scipy and the process pool modules load only when a growth study runs."""
+    """scipy and the process pool modules load only when a run needs them:
+    scipy.linalg for a stevd factor (flows.hermitian_eigh, growth_trajectory),
+    the pool for the growth study."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -619,7 +621,7 @@ def test_every_listed_probe_parses_in_a_config_of_its_experiment(capsys):
             listed[experiment] = []
     assert list(listed) == list(cli.EXPERIMENTS)
     assert sorted(p for probes in listed.values() for p in probes) == \
-        sorted(experiments.PROBES)
+        sorted([*experiments.WATERWAVE_PROBES, *experiments.GROWTH_PROBES])
     for experiment, probes in listed.items():
         for probe in probes:
             cfg = cli.parse_config(f'experiment = "{experiment}"\nprobes = ["{probe}"]')

@@ -423,8 +423,8 @@ def test_block_diag_prop_matches_per_pair_flow(potential, tol):
     model = experiments.schroedinger_assemble(
         getattr(operators, f"{potential}_coeff"), 8)
     for tau in (0.03, 0.5):
-        err = np.max(np.abs(model.block_diag_prop(tau, np.eye(model.block.n)) -
-                            per_pair_resonant_flow(model, tau)))
+        err = np.max(np.abs(flows.exact_flow(model.resonant, tau, np.eye(model.block.n))
+                            - per_pair_resonant_flow(model, tau)))
         assert err <= tol
 
 
@@ -435,7 +435,7 @@ def test_remainder_flow_at_large_radius(potential, radius):
     model = experiments.schroedinger_assemble(
         getattr(operators, f"{potential}_coeff"), radius)
     assert core.is_hermitian(model.R)
-    model.smoothing_prop(0.01, np.eye(model.block.n))
+    flows.exact_flow(model.R, 0.01, np.eye(model.block.n))
 
 
 def test_remainder_is_two_smoothing():
@@ -478,10 +478,15 @@ def test_complex_potential_rejected():
         experiments.schroedinger_assemble(bad, 8)
 
 
+# the study's flows: of H, of the resonant generator A + Z, of the remainder R,
+# and the preconditioned step
 @pytest.mark.parametrize("flow", ["exact_prop", "block_diag_prop",
                                   "smoothing_prop", "preconditioned_prop"])
 def test_schroedinger_flow_applied_to_a_block_matches_its_matrix(schro_model, flow):
-    f = getattr(schro_model, flow)
+    f = {"exact_prop": partial(flows.exact_flow, schro_model.H),
+         "block_diag_prop": partial(flows.exact_flow, schro_model.resonant),
+         "smoothing_prop": partial(flows.exact_flow, schro_model.R),
+         "preconditioned_prop": schro_model.preconditioned_prop}[flow]
     X = core.rough_samples(schro_model.block, 1.0, 4, SEED).T
     for tau in (0.0, flows.TAU_STAR, 0.5):
         Y = f(tau, X)
@@ -494,11 +499,11 @@ def test_exact_prop_reuses_one_eigendecomposition():
     model = experiments.schroedinger_assemble(operators.two_cos_coeff, 8)
     misses = flows._eigh_cached.cache_info().misses
     I = np.eye(model.block.n)
-    first = model.exact_prop(0.01, I)
+    first = flows.exact_flow(model.H, 0.01, I)
     for tau in (0.01, 0.02, 0.04):
-        model.exact_prop(tau, I)
+        flows.exact_flow(model.H, tau, I)
     assert flows._eigh_cached.cache_info().misses == misses + 1
-    assert np.array_equal(model.exact_prop(0.01, I), first)
+    assert np.array_equal(flows.exact_flow(model.H, 0.01, I), first)
 
 
 # ---------------------------------------------------------------------------
@@ -760,15 +765,15 @@ def test_validity_horizon():
 
 
 def test_probe_registry():
-    # every listed probe builds a model, so some config's probes key takes it
-    def builds(model, name):
-        try:
-            model(name)
-        except KeyError:
-            return False
-        return True
-    assert all(builds(experiments.waterwave_model, name) or
-               builds(experiments.growth_model, name) for name in experiments.PROBES)
+    # every probe of a table builds its family's model from the table's values
+    for name, (_, mu, rough) in experiments.WATERWAVE_PROBES.items():
+        model = experiments.waterwave_model(name)
+        assert (model.label, model.mu) == (name, mu)
+        assert (model.b_coeffs is operators.cos_coeff) != rough
+    for name, (_, rho) in experiments.GROWTH_PROBES.items():
+        model = experiments.growth_model(name)
+        assert (model.label, model.rho) == (name, rho)
+    assert not set(experiments.WATERWAVE_PROBES) & set(experiments.GROWTH_PROBES)
     assert experiments.waterwave_model("waterwave").mu == 1.0
     with pytest.raises(KeyError):
         experiments.waterwave_model("nope")

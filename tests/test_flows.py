@@ -17,7 +17,20 @@ from pdmat.core import OpMatrix, periodic_block, truncated_block
 SEED = 31415
 # the triple jump: three Strang steps with the standard real weights, order 4
 GAMMA = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-TRIPLE_JUMP = flows.SplitScheme("composition", (GAMMA, 1.0 - 2.0 * GAMMA, GAMMA))
+
+
+def triple_jump(a, b, tau, X):
+    """The triple jump of the sub-flows a and b applied to the block X: Strang
+    steps of size g tau for g = GAMMA, 1 - 2 GAMMA, GAMMA, in that order."""
+    for g in (GAMMA, 1.0 - 2.0 * GAMMA, GAMMA):
+        X = flows.compose(flows.STRANG, a, b, g * tau, X)
+    return X
+
+
+def triple_jump_step(A, B, tau, X):
+    """The triple jump of the exact flows of the generators A and B."""
+    return triple_jump(partial(flows.exact_flow, A), partial(flows.exact_flow, B),
+                       tau, X)
 
 
 def schrodinger_pair(M):
@@ -218,35 +231,46 @@ def test_compose_ordering_convention():
                           a(tau, I) @ b(tau, I))
     assert np.array_equal(flows.compose(flows.STRANG, a, b, tau, I),
                           b(tau / 2, I) @ (a(tau, I) @ b(tau / 2, I)))
-    expected = I
-    for g in TRIPLE_JUMP.coefficients:
-        expected = flows.compose(flows.STRANG, a, b, g * tau, expected)
-    assert np.array_equal(flows.compose(TRIPLE_JUMP, a, b, tau, I), expected)
 
 
-@pytest.mark.parametrize("scheme", [flows.LIE, flows.STRANG, TRIPLE_JUMP],
-                         ids=["lie", "strang", "triple_jump"])
-def test_compose_applied_to_a_block_matches_its_matrix(scheme):
+def test_unknown_split_step_name_is_rejected():
+    # without the check, every name but LIE would run a Strang step
+    A, B = schrodinger_pair(4)
+    with pytest.raises(ValueError, match="strnag"):
+        flows.compose("strnag", shear_flow, rotation_flow, 0.1, eye(2))
+    with pytest.raises(ValueError, match="strnag"):
+        flows.split_step("strnag", A, B, 0.1, eye(A.block.n))
+
+
+# the steps of two sub-flows a, b and of two generators A, B, by test id
+COMPOSE_STEPS = [partial(flows.compose, flows.LIE),
+                 partial(flows.compose, flows.STRANG), triple_jump]
+SPLIT_STEPS = [partial(flows.split_step, flows.LIE),
+               partial(flows.split_step, flows.STRANG), triple_jump_step]
+STEP_IDS = ["lie", "strang", "triple_jump"]
+
+
+@pytest.mark.parametrize("step", COMPOSE_STEPS, ids=STEP_IDS)
+def test_compose_applied_to_a_block_matches_its_matrix(step):
     X = np.random.default_rng(SEED).standard_normal((2, 3)) + 0j
-    P = flows.compose(scheme, shear_flow, rotation_flow, 0.3, eye(2))
-    Y = flows.compose(scheme, shear_flow, rotation_flow, 0.3, X)
+    P = step(shear_flow, rotation_flow, 0.3, eye(2))
+    Y = step(shear_flow, rotation_flow, 0.3, X)
     assert np.max(np.abs(Y - P @ X)) <= 1e-14 * np.max(np.abs(X))
 
 
-@pytest.mark.parametrize("scheme", [flows.LIE, flows.STRANG, TRIPLE_JUMP],
-                         ids=["lie", "strang", "triple_jump"])
-def test_split_step_applied_to_a_block_matches_its_matrix(scheme):
+@pytest.mark.parametrize("step", SPLIT_STEPS, ids=STEP_IDS)
+def test_split_step_applied_to_a_block_matches_its_matrix(step):
     A, B = schrodinger_pair(12)
     X = core.rough_samples(A.block, 1.0, 4, SEED).T
-    Y = flows.split_step(scheme, A, B, 0.05, X)
-    P = flows.split_step(scheme, A, B, 0.05, eye(A.block.n))
+    Y = step(A, B, 0.05, X)
+    P = step(A, B, 0.05, eye(A.block.n))
     assert np.max(np.abs(Y - P @ X)) <= 1e-13 * np.max(np.abs(X))
 
 
 def test_split_step_identity_at_zero():
     A, B = schrodinger_pair(8)
-    for scheme in (flows.LIE, flows.STRANG, TRIPLE_JUMP):
-        P = flows.split_step(scheme, A, B, 0.0, eye(A.block.n))
+    for step in SPLIT_STEPS:
+        P = step(A, B, 0.0, eye(A.block.n))
         assert np.max(np.abs(P - np.eye(A.block.n))) < 1e-14
 
 
@@ -279,7 +303,7 @@ def test_lie_step_error_scales_quadratically():
 
 
 # ---------------------------------------------------------------------------
-# composition schemes
+# a fourth-order step: the triple jump
 
 
 def scalar_tables(A, B, schemes, cases) -> dict:
@@ -296,8 +320,9 @@ def test_fourth_order_composition_local_order():
     A = random_hermitian(block, rng, 2.0)
     B = random_hermitian(block, rng, 2.0)
     samples = core.rough_samples(block, 2.0, 4, 11)
-    tab = scalar_tables(A, B, (TRIPLE_JUMP,),
-                        [(0.0, samples)])["composition", 0.0]
+    system = replace(flows.scalar_system(block.size, A, B, ()),
+                     steps={"triple_jump": partial(triple_jump_step, A, B)})
+    tab, = flows.error_table(system, [(0.0, system.weights(0.0), samples)]).values()
     assert 4.6 <= tab.fit.slope <= 5.4
     assert tab.fit.n_dropped >= 1  # smallest steps hit the roundoff floor
 
@@ -391,8 +416,8 @@ def waterwave_cases(K, s_list):
 def waterwave_oracle(ops, schemes):
     """Each scheme's composition of the coupling flow with the rotation, by
     name, and the exact propagator: the reference of ops.system(schemes)."""
-    return {scheme.kind: partial(flows.compose, scheme, ops.coupling_prop,
-                                 ops.rotation_prop) for scheme in schemes}, ops.exact_prop
+    return {scheme: partial(flows.compose, scheme, ops.coupling_prop,
+                            ops.rotation_prop) for scheme in schemes}, ops.exact_prop
 
 
 @pytest.mark.parametrize("scheme", [flows.LIE, flows.STRANG], ids=["lie", "strang"])
@@ -413,7 +438,7 @@ def test_scalar_error_tables_match_per_s_oracle(scheme):
              for s in (0.0, 1.0, 2.0)]
     tables = flows.error_table(system, cases)
     assert_matches_per_s_oracle(
-        tables, 16, {scheme.kind: partial(flows.split_step, scheme, A, B)},
+        tables, 16, {scheme: partial(flows.split_step, scheme, A, B)},
         partial(flows.exact_flow, A + B), cases)
 
 
