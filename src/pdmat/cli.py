@@ -480,6 +480,8 @@ def run(cfg: ExperimentConfig, outdir) -> int:
         except Exception as exc:  # job marked failed, manifest still written
             rows, fits, gates = [], {}, {}
             status, tb = f"failed: {exc}", traceback.format_exc()
+        finally:    # no generator or factor of this run is held into the next
+            flows._eigh_cached.cache_clear()
     warns = list(dict.fromkeys(str(w.message) for w in caught))
     # runtime gates measure wall-clock time, so gates go to the manifest only
     reporting.write_csv(os.path.join(outdir, "results.csv"), spec.columns, rows,

@@ -451,6 +451,7 @@ def _bin_maxima(A: OpMatrix, alphas) -> list:
         ahead, here = _step_slices(block.d, j + 1, 1)
         diff = view
         for k in range(1, max(along.values(), default=0) + 1):
+            mag = None          # freed before the next difference is taken
             diff = diff[ahead] - diff[here]
             mag = np.abs(diff)
             for alpha in [alpha for alpha, steps in along.items() if steps == k]:

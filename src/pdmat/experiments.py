@@ -21,7 +21,10 @@ converges without loss of derivative, unlike the plain Lie baseline.  For a
 one-band potential (2 cos x) the generator A + B and the change of variable
 X are Hermitian tridiagonal, so flows.hermitian_eigh factors them with a real
 orthogonal V, and e^{+-iX} come from the two real matrices V cos(w) V^T and
-V sin(w) V^T; a wider potential takes the dense path.
+V sin(w) V^T; a wider potential takes the dense path.  An even potential
+(real B, as 2 cos x) makes iX real antisymmetric, so e^{iX} is kept as one
+real rotation E, e^{-iX} is its transpose, the remainder E H E^T - A - Z is
+real symmetric with a real factor, and E and E^T act by real products.
 
 Sobolev growth: for a diagonal generator plus a time-dependent Hermitian
 perturbation of order rho < 1, the h^s norms grow at most polynomially with
@@ -314,7 +317,10 @@ class PreconditionedSchroedinger:
     Hermitian scan of its flow from M = 64 or 96 on.  H = A + B, A + Z and
     R are built once, so their flows' factorizations are cached; A + Z is
     diagonal, and flows entrywise, for a potential with no modes at nonzero
-    even frequencies (2cos x, sin x)."""
+    even frequencies (2cos x, sin x).  For an even potential (real B, such as
+    2cos x) iX is real antisymmetric: exp_x_plus = e^{iX} is one float64
+    matrix, exp_x_minus is its transpose, R is real symmetric and its
+    factor real, and the change of variable is applied by real products."""
 
     block: object
     A: OpMatrix
@@ -334,8 +340,9 @@ class PreconditionedSchroedinger:
     def preconditioned_prop(self, tau: float, X: np.ndarray) -> np.ndarray:
         """e^{-i self.X} (Lie step of the resonant generator and R, R's flow
         acting first) e^{i self.X} applied to the block X."""
-        return self.exp_x_minus @ flows.split_step(
-            flows.LIE, self.resonant, self.R, tau, self.exp_x_plus @ X)
+        return flows.real_product(self.exp_x_minus, flows.split_step(
+            flows.LIE, self.resonant, self.R, tau,
+            flows.real_product(self.exp_x_plus, X)))
 
 
 def resonant_mask(block) -> np.ndarray:
@@ -355,7 +362,8 @@ def schroedinger_pair(potential, radius: int) -> tuple[OpMatrix, OpMatrix]:
 def schroedinger_assemble(v_coeffs, radius: int) -> PreconditionedSchroedinger:
     """Build A (squared frequencies), B (potential), the Hermitian change of
     variable X = B / (i(m^2 - n^2)) off the resonant pairs, the resonant part
-    Z = B on them, and the Hermitian remainder R."""
+    Z = B on them, and the Hermitian remainder R; for a real B, e^{iX} and R
+    are float64 (see PreconditionedSchroedinger)."""
     if radius < 4:
         raise ValueError("radius must be at least 4")
     block = truncated_block(1, radius)
@@ -374,16 +382,28 @@ def schroedinger_assemble(v_coeffs, radius: int) -> PreconditionedSchroedinger:
                   out=np.zeros((n, n), dtype=complex), dtype=complex)
     X *= -1j
     Z = np.where(resonant, B.entries, 0.0)
+    # a real B makes iX = B / d real antisymmetric and e^{iX} a real rotation
+    real = np.isrealobj(B.entries)
     w, V, p = flows.hermitian_eigh(X)
     if p is None:
         exp_plus = (V * np.exp(1j * w)) @ V.conj().T
-        exp_minus = (V * np.exp(-1j * w)) @ V.conj().T
+        if real:
+            exp_plus = exp_plus.real.copy()
+        else:
+            exp_minus = (V * np.exp(-1j * w)) @ V.conj().T
     else:
-        # e^{+-iX} = (p p^H) * (C +- iS), with C and S real and shared
+        # e^{+-iX} = (p p^H) * (C +- iS), with C and S real and shared; for a
+        # real B the phases are powers of i, so every entry of p p^H is real
+        # or imaginary and the real part of e^{iX} is taken bit for bit
         C, S = (V * np.cos(w)) @ V.T, (V * np.sin(w)) @ V.T
         phases = np.outer(p, p.conj())
-        exp_plus = phases * (C + 1j * S)
-        exp_minus = phases * (C - 1j * S)
+        if real:
+            exp_plus = phases.real * C - phases.imag * S
+        else:
+            exp_plus = phases * (C + 1j * S)
+            exp_minus = phases * (C - 1j * S)
+    if real:
+        exp_minus = exp_plus.T
     R = exp_plus @ H.entries @ exp_minus
     R -= A.entries
     R -= Z
@@ -391,7 +411,8 @@ def schroedinger_assemble(v_coeffs, radius: int) -> PreconditionedSchroedinger:
     lower = np.tri(n, k=-1, dtype=bool)
     mirrored = R[lower]
     R.T[lower] = np.conjugate(mirrored, out=mirrored)
-    np.fill_diagonal(R.imag, 0.0)
+    if not real:
+        np.fill_diagonal(R.imag, 0.0)
     return PreconditionedSchroedinger(block, A, B, H, OpMatrix(block, X),
                                       OpMatrix(block, Z), OpMatrix(block, R),
                                       exp_plus, exp_minus)
@@ -409,8 +430,14 @@ def telescoping_defect(model: PreconditionedSchroedinger) -> float:
     steps of size 0.01."""
     inner = flows.split_step(flows.LIE, model.resonant, model.R, 0.01,
                              np.eye(model.block.n, dtype=complex))
-    lhs = np.linalg.matrix_power(model.exp_x_minus @ inner @ model.exp_x_plus, 10)
-    rhs = model.exp_x_minus @ np.linalg.matrix_power(inner, 10) @ model.exp_x_plus
+
+    def conjugated(Y):
+        """e^{-iX} Y e^{iX}, the right factor as (e^{iX}^T Y^T)^T."""
+        Y = flows.real_product(model.exp_x_minus, Y)
+        return flows.real_product(model.exp_x_plus.T, Y.T).T
+
+    lhs = np.linalg.matrix_power(conjugated(inner), 10)
+    rhs = conjugated(np.linalg.matrix_power(inner, 10))
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -455,9 +482,12 @@ def preconditioned_lie_study(s_list, radii, seed: int = 0) -> dict:
         """Radius M's preconditioned step, then the plain Lie step of A and
         B, against the flow of the model's H = A + B."""
         level = assemble(M)
-        lie = flows.scalar_system(M, level.A, level.B, (flows.LIE,))
-        return replace(lie, exact=partial(flows.exact_flow, level.H),
-                       steps={"precond_lie": level.preconditioned_prop, **lie.steps})
+        return flows.SplitSystem(
+            M, partial(flows.exact_flow, level.H),
+            {"precond_lie": level.preconditioned_prop,
+             flows.LIE: partial(flows.split_step, flows.LIE, level.A, level.B)},
+            partial(core.sobolev_weights, level.block),
+            partial(core.rough_samples, level.block))
 
     systems = {M: system(M) for M in radii}
     ref = systems[M_ref]

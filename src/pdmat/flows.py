@@ -10,10 +10,12 @@ an exactly tridiagonal Hermitian matrix, such as a Schroedinger generator
 with a one-band potential, to a real symmetric one by a diagonal unitary
 phase and factors that with LAPACK ``stevd``, so its eigenvectors are real
 and its flow is two real matrix products; any other Hermitian matrix goes to
-the dense ``np.linalg.eigh``, real for a real matrix.  ``real_product``
-applies a real matrix to a complex block as one real product with the
-block's float view; the tridiagonal flows and the water-wave flows, whose
-matrices are real for an even bottom, go through it.  Every flow is a
+the dense ``np.linalg.eigh``, real for a real matrix, whose real factor is
+applied by the same two real products.  ``real_product`` applies a real
+matrix to a complex block as one real product with the block's float view;
+the flows of every real factor, the water-wave flows, whose matrices are
+real for an even bottom, and the Schroedinger change of variable, real for
+an even potential, go through it.  Every flow is a
 callable ``f(t, X)`` that applies e^{tG} to an (n, m) block X of column
 vectors; its matrix is the flow applied to the identity, which only the
 operator measurements build.  Local-error tables apply each step to the
@@ -89,20 +91,21 @@ def exact_flow(G: OpMatrix, t: float, X: np.ndarray) -> np.ndarray:
     """e^{i t G} X for an (n, m) block X: entrywise when G is exactly
     diagonal (a tolerance would drop off-diagonal entries), else from its
     Hermitian eigendecomposition, which raises ValueError for a
-    non-Hermitian G.  A tridiagonal G applies its real factor V as
-    p * V(e^{itw} * V^T(conj(p) * X)), both products real matrices times
-    the (n, 2m) float view of a complex block."""
+    non-Hermitian G.  A real factor V (a real symmetric G, or a tridiagonal
+    one with its phases p) is applied as p * V(e^{itw} * V^T(conj(p) * X)),
+    both products real matrices times a real block or the (n, 2m) float view
+    of a complex one."""
     if not np.isfinite(t):
         raise ValueError("t must be finite")
     if G.exactly_diagonal:
         return np.exp(1j * t * np.diag(G.entries))[:, None] * X
     w, V, p = _eigh_cached(G)
-    if p is None:
+    if np.iscomplexobj(V):
         return (V * np.exp(1j * t * w)) @ (V.conj().T @ X)
-    Y = np.multiply(p.conj()[:, None], X, order="C")
-    Y = real_product(V.T, Y)
-    Y *= np.exp(1j * t * w)[:, None]
-    return p[:, None] * real_product(V, Y)
+    if p is not None:
+        X = np.multiply(p.conj()[:, None], X, order="C")
+    Y = real_product(V, real_product(V.T, X) * np.exp(1j * t * w)[:, None])
+    return Y if p is None else p[:, None] * Y
 
 
 def real_product(A: np.ndarray, X: np.ndarray) -> np.ndarray:

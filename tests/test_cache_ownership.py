@@ -7,7 +7,8 @@ WaterWaveOperators keeps its normal modes and no propagator, and takes no
 cache as a constructor argument: a study builds each propagator it needs once
 (tests/test_experiments.py counts them).  The one module-level
 cache left is flows._eigh_cached, whose cache_info() the benchmark's tracer
-reads.
+reads; cli.run empties it when its runner returns or raises, so no generator
+or factor of one run is held into the next.
 """
 
 from __future__ import annotations
@@ -18,7 +19,10 @@ import gc
 import weakref
 from pathlib import Path
 
-from pdmat import core, experiments, operators
+import numpy as np
+import pytest
+
+from pdmat import cli, core, experiments, flows, operators
 from pdmat.core import truncated_block
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pdmat"
@@ -68,3 +72,26 @@ def test_dropped_block_is_freed_after_order_certification():
 def test_no_constructor_takes_a_cache():
     assert [f.name for f in dataclasses.fields(experiments.WaterWaveOperators)
             if "cache" in f.name and f.init] == []
+
+
+@pytest.mark.parametrize("outcome", ["returns", "raises"])
+def test_run_leaves_no_factor_in_the_eigh_cache(outcome, tmp_path, monkeypatch):
+    cfg = cli.parse_config('experiment = "splitting_orders"\nM_list = [8, 16]\n')
+    spec = cli.EXPERIMENTS["splitting_orders"]
+    held = []
+
+    def runner(cfg):
+        if outcome == "returns":
+            out = spec.runner(cfg)
+        else:
+            model = experiments.schroedinger_assemble(operators.two_cos_coeff, 8)
+            flows.exact_flow(model.R, 0.01, np.eye(model.block.n))
+        held.append(flows._eigh_cached.cache_info().currsize)
+        if outcome == "raises":
+            raise ArithmeticError("synthetic failure after a factorization")
+        return out
+    monkeypatch.setitem(cli.EXPERIMENTS, "splitting_orders",
+                        dataclasses.replace(spec, runner=runner))
+    assert cli.run(cfg, tmp_path) == (0 if outcome == "returns" else 1)
+    assert held[0] > 0
+    assert flows._eigh_cached.cache_info().currsize == 0

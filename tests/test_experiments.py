@@ -417,6 +417,47 @@ def test_change_of_variable_exponentials_match_expm(potential, radius):
         assert np.max(np.abs(got - scipy.linalg.expm(sign * 1j * X))) <= 1e-14
 
 
+def complex_change_of_variable(model):
+    """(e^{iX}, e^{-iX}, R) as complex matrices, built from the tridiagonal
+    factor of X the way a complex B builds them: (p p^H) * (C +- iS), then
+    e^{iX} H e^{-iX} - A - Z mirrored from its lower triangle to exact
+    Hermitian symmetry with a real diagonal."""
+    w, V, p = flows.hermitian_eigh(model.X.entries)
+    C, S = (V * np.cos(w)) @ V.T, (V * np.sin(w)) @ V.T
+    phases = np.outer(p, p.conj())
+    plus, minus = phases * (C + 1j * S), phases * (C - 1j * S)
+    R = plus @ model.H.entries @ minus - model.A.entries - model.Z.entries
+    lower = np.tri(model.block.n, k=-1, dtype=bool)
+    R.T[lower] = R[lower].conj()
+    np.fill_diagonal(R.imag, 0.0)
+    return plus, minus, R
+
+
+@pytest.mark.parametrize("radius", [4, 8, 16, 32, 64, 128])
+def test_even_potential_change_of_variable_is_a_real_rotation(radius):
+    # 2cos x: every entry of p p^H is real or imaginary, so the float64
+    # e^{iX} is the real part of the complex construction bit for bit
+    model = experiments.schroedinger_assemble(operators.two_cos_coeff, radius)
+    E = model.exp_x_plus
+    assert E.dtype == np.float64
+    assert np.array_equal(E, complex_change_of_variable(model)[0].real)
+    assert np.max(np.abs(E @ E.T - np.eye(model.block.n))) <= 1e-13
+    assert np.array_equal(model.exp_x_minus, E.T)
+    R = model.R.entries
+    assert R.dtype == np.float64 and np.array_equal(R, R.T)
+
+
+@pytest.mark.parametrize("radius", [4, 32, 128])
+def test_odd_potential_keeps_the_complex_change_of_variable(radius):
+    # sin x has imaginary coefficients, so B and e^{+-iX} stay complex
+    model = experiments.schroedinger_assemble(sin_coeff, radius)
+    plus, minus, R = complex_change_of_variable(model)
+    for got, want in ((model.exp_x_plus, plus), (model.exp_x_minus, minus),
+                      (model.R.entries, R)):
+        assert got.dtype == complex
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+
 @pytest.mark.parametrize("potential, tol", [("two_cos", 0.0), ("exp_decay", 1e-12)])
 def test_block_diag_prop_matches_per_pair_flow(potential, tol):
     # exp_decay has even modes, so its resonant pairs are genuine 2x2 blocks

@@ -196,6 +196,24 @@ def test_tridiagonal_generator_caches_a_real_factor():
     assert p.dtype == complex and w.dtype == np.float64
 
 
+@pytest.mark.parametrize("data", ["complex_block", "real_identity"])
+def test_real_dense_factor_matches_the_complex_oracle(data):
+    # exp_decay makes A + B dense real symmetric: dsyevd gives a real V,
+    # applied by two real products; the oracle factors it as complex
+    H = experiments.schroedinger_assemble(operators.exp_decay_coeff, 8).H
+    w, V, p = flows._eigh_cached(H)
+    assert V.dtype == np.float64 and p is None
+    wd, Vd = np.linalg.eigh(H.entries.astype(complex))
+    rng = np.random.default_rng(SEED)
+    X = rng.standard_normal((H.block.n, 3)) + 1j * rng.standard_normal((H.block.n, 3)) \
+        if data == "complex_block" else np.eye(H.block.n)
+    for t in (0.0, 0.05, 0.5):
+        got = flows.exact_flow(H, t, X)
+        assert got.dtype == complex
+        assert np.max(np.abs(got - (Vd * np.exp(1j * t * wd)) @ (Vd.conj().T @ X))) \
+            <= 1e-13 * np.max(np.abs(X))
+
+
 @pytest.mark.parametrize("generator", ["diagonal", "hermitian"])
 def test_exact_flow_applied_to_a_block_matches_its_matrix(generator):
     A, B = schrodinger_pair(16)
