@@ -20,11 +20,11 @@ both flowed by flows.exact_flow, so a pre- and post-processed Lie step
 converges without loss of derivative, unlike the plain Lie baseline.  For a
 one-band potential (2 cos x) the generator A + B and the change of variable
 X are Hermitian tridiagonal, so flows.hermitian_eigh factors them with a real
-orthogonal V, and e^{+-iX} come from the two real matrices V cos(w) V^T and
-V sin(w) V^T; a wider potential takes the dense path.  An even potential
-(real B, as 2 cos x) makes iX real antisymmetric, so e^{iX} is kept as one
-real rotation E, e^{-iX} is its transpose, the remainder E H E^T - A - Z is
-real symmetric with a real factor, and E and E^T act by real products.
+orthogonal V, and e^{+-iX} are that flows.Factor's matrices at t = +-1; a
+wider potential takes the dense path.  An even potential (real B, as
+2 cos x) makes iX real antisymmetric, so e^{iX} is kept as one real
+rotation E, e^{-iX} is its transpose, the remainder E H E^T - A - Z is real
+symmetric with a real factor, and E and E^T act by real products.
 
 Sobolev growth: for a diagonal generator plus a time-dependent Hermitian
 perturbation of order rho < 1, the h^s norms grow at most polynomially with
@@ -32,7 +32,7 @@ exponent s/(1-rho); trajectories use exact frozen-coefficient steps so only
 that bound is measured, not integrator error. The generator is real,
 nearest-neighbour on Z_K and even under k -> -k, which is checked: in the
 basis of even, then odd, sequences it is one symmetric tridiagonal matrix,
-and each step diagonalizes that matrix exactly.
+and each step diagonalizes that matrix exactly (flows.Factor.tridiagonal).
 """
 
 from __future__ import annotations
@@ -382,28 +382,15 @@ def schroedinger_assemble(v_coeffs, radius: int) -> PreconditionedSchroedinger:
                   out=np.zeros((n, n), dtype=complex), dtype=complex)
     X *= -1j
     Z = np.where(resonant, B.entries, 0.0)
-    # a real B makes iX = B / d real antisymmetric and e^{iX} a real rotation
-    real = np.isrealobj(B.entries)
-    w, V, p = flows.hermitian_eigh(X)
-    if p is None:
-        exp_plus = (V * np.exp(1j * w)) @ V.conj().T
-        if real:
-            exp_plus = exp_plus.real.copy()
-        else:
-            exp_minus = (V * np.exp(-1j * w)) @ V.conj().T
-    else:
-        # e^{+-iX} = (p p^H) * (C +- iS), with C and S real and shared; for a
-        # real B the phases are powers of i, so every entry of p p^H is real
-        # or imaginary and the real part of e^{iX} is taken bit for bit
-        C, S = (V * np.cos(w)) @ V.T, (V * np.sin(w)) @ V.T
-        phases = np.outer(p, p.conj())
-        if real:
-            exp_plus = phases.real * C - phases.imag * S
-        else:
-            exp_plus = phases * (C + 1j * S)
-            exp_minus = phases * (C - 1j * S)
-    if real:
+    # a real B makes iX = B / d real antisymmetric: its phases are powers of
+    # i, so e^{iX} is a real rotation, and its real part is taken bit for bit
+    factor = flows.hermitian_eigh(X)
+    exp_plus = factor.exp(1.0)
+    if real := np.isrealobj(B.entries):
+        exp_plus = exp_plus.real.copy()
         exp_minus = exp_plus.T
+    else:
+        exp_minus = factor.exp(-1.0)
     R = exp_plus @ H.entries @ exp_minus
     R -= A.entries
     R -= Z
@@ -556,12 +543,11 @@ def growth_trajectory(model: GrowthModel, period: int, horizon: float,
     weights (even in k) stay diagonal. This needs a real ``perturbation_base``
     and an even ``phi``; a ValueError names the structure that fails.
 
-    Each step is one call of LAPACK ``stevd`` (divide and conquer), the
-    driver ``scipy.linalg.eigh_tridiagonal`` picks for a full spectrum; it
-    is resolved once per trajectory. Finiteness of the tridiagonal parts is
-    checked once, before the first step (|cos| <= 1 keeps every step's input
-    finite), and a nonzero ``info`` raises LinAlgError naming the step."""
-    import scipy.linalg
+    Each step is one ``flows.Factor.tridiagonal`` (LAPACK ``stevd``, as
+    ``scipy.linalg.eigh_tridiagonal`` picks for a full spectrum). Finiteness
+    of the tridiagonal parts is checked once, before the first step (|cos|
+    <= 1 keeps every step's input finite), and a nonzero ``info`` raises
+    LinAlgError naming the step."""
     block = periodic_block(1, period)
     Q, cols = _parity_basis(block)
     phi = np.array([model.phi(float(k)) for k in block.indices()[:, 0]])
@@ -583,7 +569,6 @@ def growth_trajectory(model: GrowthModel, period: int, horizon: float,
     a, b, e = np.diag(D), np.diag(T), np.diag(T, -1)
     if not all(np.isfinite(v).all() for v in (a, b, e)):
         raise ValueError(f"{model.label}: phi or perturbation_base is not finite")
-    stevd, = scipy.linalg.get_lapack_funcs(("stevd",), (a, e))
     W = np.stack([core.sobolev_weights(block, s)[cols, None] for s in s_list])
     n_steps = int(round(horizon / delta))
     norms = np.empty((len(s_list), n_steps + 1))
@@ -596,11 +581,12 @@ def growth_trajectory(model: GrowthModel, period: int, horizon: float,
     record(0)
     for j in range(n_steps):
         c = math.cos((j + 0.5) * delta)
-        w, V, info = stevd(a + c * b, c * e)
-        if info != 0:
-            raise np.linalg.LinAlgError(
-                f"{model.label}: stevd failed at step {j} (info {info})")
-        y = V @ (np.exp(1j * delta * w)[:, None] * (V.T @ y).view(complex)).view(float)
+        try:
+            factor = flows.Factor.tridiagonal(a + c * b, c * e, None)
+        except np.linalg.LinAlgError as err:
+            raise np.linalg.LinAlgError(f"{model.label}: " + str(err).replace(
+                "failed", f"failed at step {j}")) from err
+        y = factor.apply(delta, y.view(complex)).view(float)
         record(j + 1)
     return {"times": np.arange(n_steps + 1) * delta,
             "norms": dict(zip(s_list, norms)),

@@ -1,21 +1,13 @@
 """Reference propagators, splitting steps, and convergence measurements.
 
 The reference flow is exact at finite dimension up to roundoff, so order
-fits see only the splitting error: ``exact_flow`` reads the generator's
-structure, exponentiating an exactly diagonal generator entrywise and any
-other through its Hermitian eigendecomposition (a generator that is neither
-raises), and the water-wave study brings its own Hermitian normal-mode flow
-(``experiments.WaterWaveOperators.exact_prop``).  ``hermitian_eigh`` takes
-an exactly tridiagonal Hermitian matrix, such as a Schroedinger generator
-with a one-band potential, to a real symmetric one by a diagonal unitary
-phase and factors that with LAPACK ``stevd``, so its eigenvectors are real
-and its flow is two real matrix products; any other Hermitian matrix goes to
-the dense ``np.linalg.eigh``, real for a real matrix, whose real factor is
-applied by the same two real products.  ``real_product`` applies a real
-matrix to a complex block as one real product with the block's float view;
-the flows of every real factor, the water-wave flows, whose matrices are
-real for an even bottom, and the Schroedinger change of variable, real for
-an even potential, go through it.  Every flow is a
+fits see only the splitting error: ``exact_flow`` exponentiates an exactly
+diagonal generator entrywise and any other by the ``Factor`` of its
+Hermitian eigendecomposition (a generator that is neither raises), the one
+place that builds e^{itH} and, in ``Factor.tridiagonal``, calls LAPACK
+``stevd``; the water-wave study brings its own normal-mode flow.  A real
+factor acts by ``real_product``, a real matrix times the float view of a
+complex block.  Every flow is a
 callable ``f(t, X)`` that applies e^{tG} to an (n, m) block X of column
 vectors; its matrix is the flow applied to the identity, which only the
 operator measurements build.  Local-error tables apply each step to the
@@ -34,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,35 +44,65 @@ NOISE_FLOOR = 1e-11     # loss ratios at or below this certify at once
 HERMITIAN_TOL = 1e-12   # relative defect a generator's eigendecomposition accepts
 
 
-def hermitian_eigh(H: np.ndarray):
-    """(w, V, p) with H = P V diag(w) V^H P^H for P = diag(p), reading the
-    lower triangle of the Hermitian H, as np.linalg.eigh does.  When H is
-    exactly tridiagonal (n >= 3 and no nonzero entry below the subdiagonal;
-    no tolerance), p holds the unit phases cumprod(off/|off|) of the
-    subdiagonal (1 where an entry is exactly 0, and p_0 = 1), which make
-    P^H H P real, and LAPACK ``stevd`` factors that from its diagonal and
-    |off|, so V is real; the phases are complex divisions whatever the
-    dtype of H.  A nonzero ``info`` raises LinAlgError.  Otherwise V comes
-    from the dense np.linalg.eigh (real for a real H) and p is None."""
+class Factor(NamedTuple):
+    """H = P V diag(w) V^H P^H for P = diag(p) (P = I when p is None): the
+    Hermitian eigendecomposition every exact flow e^{itH} is built from."""
+
+    w: np.ndarray
+    V: np.ndarray
+    p: np.ndarray | None
+
+    @classmethod
+    def tridiagonal(cls, d, e, p) -> Factor:
+        """The factor, with phases p or None, of the real symmetric tridiagonal
+        matrix (d, e) by LAPACK ``stevd``; a nonzero ``info`` raises LinAlgError."""
+        import scipy.linalg
+        stevd, = scipy.linalg.get_lapack_funcs(("stevd",), (d, e))
+        w, V, info = stevd(d, e)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"stevd failed (info {info})")
+        return cls(w, V, p)
+
+    def apply(self, t: float, X: np.ndarray) -> np.ndarray:
+        """e^{itH} X for an (n, m) block X; a real V as p * V(e^{itw} *
+        V^T(conj(p) * X)), two ``real_product``s."""
+        V, p, ex = self.V, self.p, np.exp(1j * t * self.w)
+        if V.dtype.kind == "c":
+            return (V * ex) @ (V.conj().T @ X)
+        if p is not None:
+            X = np.multiply(p.conj()[:, None], X, order="C")
+        Y = real_product(V, ex[:, None] * real_product(V.T, X))
+        return Y if p is None else p[:, None] * Y
+
+    def exp(self, t: float) -> np.ndarray:
+        """The matrix e^{itH}: (V e^{itw}) V^H, or (p p^H) * (C + iS) with the
+        real C = V cos(tw) V^T and S = V sin(tw) V^T."""
+        w, V, p = self
+        if p is None:
+            return (V * np.exp(1j * t * w)) @ V.conj().T
+        C, S = (V * np.cos(t * w)) @ V.T, (V * np.sin(t * w)) @ V.T
+        return np.outer(p, p.conj()) * (C + 1j * S)
+
+
+def hermitian_eigh(H: np.ndarray) -> Factor:
+    """The Factor of the Hermitian H, read from its lower triangle as by
+    np.linalg.eigh, which factors it unless H is exactly tridiagonal (n >= 3,
+    no nonzero entry below the subdiagonal).  Then p = cumprod(off/|off|) of
+    the subdiagonal (1 where an entry is 0, p_0 = 1, complex divisions for
+    any dtype) makes P^H H P real, and ``Factor.tridiagonal`` factors it."""
     n = len(H)
     if n < 3 or np.tril(H, -2).any():
-        w, V = np.linalg.eigh(H)
-        return w, V, None
-    import scipy.linalg
+        return Factor(*np.linalg.eigh(H), None)
     off = np.diagonal(H, -1)
     e = np.abs(off)
     phase = np.ones(n, dtype=complex)
     np.divide(off, e, out=phase[1:], where=e != 0, dtype=complex)
     d = np.ascontiguousarray(np.diagonal(H).real, dtype=float)
-    stevd, = scipy.linalg.get_lapack_funcs(("stevd",), (d, e))
-    w, V, info = stevd(d, e)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"stevd failed on n = {n} (info {info})")
-    return w, V, np.cumprod(phase)
+    return Factor.tridiagonal(d, e, np.cumprod(phase))
 
 
 @lru_cache(maxsize=64)
-def _eigh_cached(A: OpMatrix):
+def _eigh_cached(A: OpMatrix) -> Factor:
     if not core.is_hermitian(A, HERMITIAN_TOL):
         raise ValueError(f"matrix fails the Hermitian scan: n = {A.block.n}, "
                          f"relative defect {core.hermitian_defect(A):.3g} > "
@@ -89,30 +112,20 @@ def _eigh_cached(A: OpMatrix):
 
 def exact_flow(G: OpMatrix, t: float, X: np.ndarray) -> np.ndarray:
     """e^{i t G} X for an (n, m) block X: entrywise when G is exactly
-    diagonal (a tolerance would drop off-diagonal entries), else from its
-    Hermitian eigendecomposition, which raises ValueError for a
-    non-Hermitian G.  A real factor V (a real symmetric G, or a tridiagonal
-    one with its phases p) is applied as p * V(e^{itw} * V^T(conj(p) * X)),
-    both products real matrices times a real block or the (n, 2m) float view
-    of a complex one."""
+    diagonal (a tolerance would drop off-diagonal entries), else by the
+    Factor of G, which raises ValueError for a non-Hermitian G."""
     if not np.isfinite(t):
         raise ValueError("t must be finite")
     if G.exactly_diagonal:
         return np.exp(1j * t * np.diag(G.entries))[:, None] * X
-    w, V, p = _eigh_cached(G)
-    if np.iscomplexobj(V):
-        return (V * np.exp(1j * t * w)) @ (V.conj().T @ X)
-    if p is not None:
-        X = np.multiply(p.conj()[:, None], X, order="C")
-    Y = real_product(V, real_product(V.T, X) * np.exp(1j * t * w)[:, None])
-    return Y if p is None else p[:, None] * Y
+    return _eigh_cached(G).apply(t, X)
 
 
 def real_product(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     """A @ X for an (n, m) block X; a real A times a complex X is one real
     product with the (n, 2m) float view of X, which holds the real and
     imaginary parts side by side, instead of a complex one."""
-    if np.isrealobj(A) and np.iscomplexobj(X):
+    if X.dtype.kind == "c" and A.dtype.kind != "c":
         return (A @ np.ascontiguousarray(X).view(float)).view(complex)
     return A @ X
 

@@ -478,8 +478,9 @@ def test_run_is_deterministic(tmp_path, monkeypatch, cfg_text):
 
 def test_importing_the_cli_loads_no_scipy_and_no_process_pool():
     """scipy and the process pool modules load only when a run needs them:
-    scipy.linalg for a stevd factor (flows.hermitian_eigh, growth_trajectory),
-    the pool for the growth study."""
+    scipy.linalg for a stevd factor (flows.Factor.tridiagonal, the one stevd
+    call, which flows.hermitian_eigh and growth_trajectory reach), the pool
+    for the growth study."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}

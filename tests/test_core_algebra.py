@@ -565,6 +565,23 @@ def test_estimate_order_sentinel_when_nothing_certifies():
     assert core.estimate_order(fam).r_hat == math.inf
 
 
+@pytest.mark.parametrize("potential", ["cos", "exp_decay", "rough_even"])
+def test_estimate_order_respects_reflection_adjoint_and_scaling(potential):
+    # m -> -m, A -> A^H and A -> 8A commute with the diagonal differences, so
+    # the seminorms stay the same bit for bit (8 times them for the scaling,
+    # a power of two) and so does the certified order
+    coeff = operators.rough_even_coeff(7, 15) if potential == "rough_even" \
+        else getattr(operators, f"{potential}_coeff")
+    family = [core.commutator(*experiments.schroedinger_pair(coeff, M))
+              for M in (16, 32, 64)]
+    base = core.estimate_order(family)
+    for image, factor in ((lambda e: e[::-1, ::-1], 1.0), (lambda e: e.conj().T, 1.0),
+                          (lambda e: 8.0 * e, 8.0)):
+        est = core.estimate_order([OpMatrix(A.block, image(A.entries)) for A in family])
+        assert np.array_equal(est.max_ratios, factor * base.max_ratios)
+        assert est.r_hat == base.r_hat
+
+
 def test_estimate_order_rejects_single_member_family():
     with pytest.raises(ValueError, match="at least 2"):
         core.estimate_order([scaled_identity(truncated_block(1, 8))])

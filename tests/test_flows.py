@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import ast
+import inspect
 import math
 from dataclasses import replace
 from functools import cached_property, partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,13 +156,15 @@ def test_exact_flow_rejects_non_hermitian_generator():
        zeros=st.sampled_from((0.0, 0.2, 0.5)), t=st.sampled_from((0.05, 1.0, 10.0)))
 def test_tridiagonal_factor_matches_dense_eigh(n, seed, zeros, t):
     # the dense complex eigh is the oracle of the stevd factor: the
-    # reconstruction and the eigenvalues within 8n eps max|H|, and the flow
-    # within 8n eps (1 + t max|H|) of the dense formula
+    # reconstruction and the eigenvalues within 8n eps max|H|, and the flow,
+    # its matrix Factor.exp and that matrix applied to X within
+    # 8n eps (1 + t max|H|) of the dense formula
     rng = np.random.default_rng(seed)
     H = random_tridiagonal(rng, n, zeros)
     hmax = float(np.max(np.abs(H)))
     eps = np.finfo(float).eps
-    w, V, p = flows.hermitian_eigh(H)
+    factor = flows.hermitian_eigh(H)
+    w, V, p = factor
     wd, Vd = np.linalg.eigh(H)
     assert (p is None) == (n < 3)
     if p is not None:
@@ -167,13 +172,17 @@ def test_tridiagonal_factor_matches_dense_eigh(n, seed, zeros, t):
         V = p[:, None] * V
     assert np.max(np.abs((V * w) @ V.conj().T - H)) <= 8 * n * eps * hmax
     assert np.max(np.abs(w - wd)) <= 8 * n * eps * hmax
+    tol = 8 * n * eps * (1.0 + t * hmax)
+    assert np.max(np.abs(factor.exp(t) - (Vd * np.exp(1j * t * wd)) @ Vd.conj().T)) \
+        <= tol
     if n < 3:
         return
     X = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
     dense = (Vd * np.exp(1j * t * wd)) @ (Vd.conj().T @ X)
     got = flows.exact_flow(OpMatrix(block_of(n), H), t, X)
-    assert np.max(np.abs(got - dense)) <= \
-        8 * n * eps * (1.0 + t * hmax) * np.max(np.abs(X))
+    assert np.max(np.abs(got - dense)) <= tol * np.max(np.abs(X))
+    assert np.max(np.abs(factor.apply(t, X) - factor.exp(t) @ X)) <= \
+        tol * np.max(np.abs(X))
 
 
 def test_hermitian_eigh_factors_a_wider_band_densely():
@@ -196,12 +205,36 @@ def test_tridiagonal_generator_caches_a_real_factor():
     assert p.dtype == complex and w.dtype == np.float64
 
 
+def test_tridiagonal_factor_failure_raises_linalg_error(monkeypatch):
+    def failing_stevd(d, e):
+        return np.zeros_like(d), np.eye(len(d)), 1
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs",
+                        lambda names, arrays: (failing_stevd,))
+    A, B = schrodinger_pair(8)
+    with pytest.raises(np.linalg.LinAlgError, match=r"stevd failed \(info 1\)"):
+        flows.exact_flow(A + B, 0.1, np.eye(A.block.n, dtype=complex))
+
+
+def test_factor_tridiagonal_is_the_one_lapack_resolver():
+    # every stevd call, and its info check, goes through Factor.tridiagonal
+    calls = [(path.name, node.lineno)
+             for path in sorted(Path(flows.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and "get_lapack_funcs" in (
+                 getattr(node.func, "attr", None), getattr(node.func, "id", None))]
+    body, start = inspect.getsourcelines(flows.Factor.tridiagonal)
+    assert len(calls) == 1 and calls[0][0] == "flows.py"
+    assert start <= calls[0][1] < start + len(body)
+
+
 @pytest.mark.parametrize("data", ["complex_block", "real_identity"])
 def test_real_dense_factor_matches_the_complex_oracle(data):
     # exp_decay makes A + B dense real symmetric: dsyevd gives a real V,
-    # applied by two real products; the oracle factors it as complex
+    # applied by two real products; the oracle factors it as complex, and
+    # Factor.exp and Factor.apply meet it and each other within 1e-13
     H = experiments.schroedinger_assemble(operators.exp_decay_coeff, 8).H
-    w, V, p = flows._eigh_cached(H)
+    factor = flows._eigh_cached(H)
+    w, V, p = factor
     assert V.dtype == np.float64 and p is None
     wd, Vd = np.linalg.eigh(H.entries.astype(complex))
     rng = np.random.default_rng(SEED)
@@ -212,6 +245,10 @@ def test_real_dense_factor_matches_the_complex_oracle(data):
         assert got.dtype == complex
         assert np.max(np.abs(got - (Vd * np.exp(1j * t * wd)) @ (Vd.conj().T @ X))) \
             <= 1e-13 * np.max(np.abs(X))
+        assert np.max(np.abs(factor.exp(t) - (Vd * np.exp(1j * t * wd)) @ Vd.conj().T)) \
+            <= 1e-13
+        assert np.max(np.abs(factor.apply(t, X) - factor.exp(t) @ X)) <= \
+            1e-13 * np.max(np.abs(X))
 
 
 @pytest.mark.parametrize("generator", ["diagonal", "hermitian"])
