@@ -11,8 +11,9 @@ must pass there, so a kill means the mutant, not a broken test.  One line per
 mutant says KILLED, SURVIVED or STALE (its old text is not found exactly
 once); a survivor is a gap in the tests to report, not a test to edit.
 The copy holds src, tests, configs, scripts and pyproject.toml, and is
-removed at the end.  The exit status is 1 when any mutant is not killed or a
-named test fails unmutated, else 0.
+removed at the end, also when SIGTERM stops the run, which kills the pytest
+run in progress and exits with status 143.  Otherwise the exit status is 1
+when any mutant is not killed or a named test fails unmutated, else 0.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -63,7 +65,14 @@ def check(copy: Path, mutant: dict) -> str:
         path.write_text(text)
 
 
+def stop(signum, frame):
+    """SIGTERM as SystemExit, so that subprocess.run kills its pytest child
+    and the temporary copy is removed on the way out."""
+    raise SystemExit(128 + signum)
+
+
 def main() -> int:
+    signal.signal(signal.SIGTERM, stop)
     with open(ROOT / "scripts" / "mutants.json") as fh:
         mutants = json.load(fh)
     with tempfile.TemporaryDirectory(prefix="pdmat-mutants-") as tmp:

@@ -33,9 +33,17 @@ Multiplication and division by a positive constant are monotone under IEEE
 rounding, so the max of the products is the product of the max: the result
 equals the entrywise sup bit for bit, at one O(n^2) pass per (alpha, member).
 Each pair's bin is looked up from its (size, dist) key, not sorted, and
-kept as one small unsigned id per pair.  A scan over a truncated family
-takes each axis's forward difference once, on its unpadded interior, and
-reads the backward difference from the same magnitudes one step on.
+kept as one small unsigned id per pair.  A scan takes the forward
+difference by |alpha| once for every alpha with the same |alpha|, and reads
+each backward difference from the same magnitudes |alpha_j| steps on.
+
+Memory stays bounded.  A scan takes, makes magnitudes of and bins the
+differences CHUNK_ENTRIES entries at a time (rows of m_1, with a halo of
+|alpha_1| rows), so past its inputs and the block's bin ids (n^2 small ints)
+it holds a few chunks.  A commutator with a real diagonal factor subtracts
+BA from the AB it returns by blocks of CHUNK_ENTRIES entries, so it holds
+one n^2 array of the result dtype, one block, and then the n^2 bools that
+validate it; only two dense factors make it hold a second n^2 array.
 """
 
 from __future__ import annotations
@@ -60,6 +68,9 @@ ORDER_THETA = 2.0       # a stable seminorm sequence stays within this factor
 # difference multi-indices alpha of the order scan, by dimension d
 ALPHA_GRIDS = {1: ((0,), (1,), (-1,), (2,)),
                2: ((0, 0), (1, 0), (0, 1), (-1, 0), (0, -1))}
+# entries of an n x n matrix that a diagonal difference or a diagonal
+# commutator works on at once
+CHUNK_ENTRIES = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -421,44 +432,84 @@ class SeminormSpec:
             raise ValueError("decay exponent must be >= 0")
 
 
-def _box_maxima(block: IndexBlock, mag: np.ndarray, box: tuple) -> np.ndarray:
-    """Max of mag, which holds |D| at the box of the (side,)*2d view, over
+def _window(arr: np.ndarray, ranges) -> np.ndarray:
+    """arr at the positions of one range per leading axis, taken mod the
+    axis length: a view where no range runs past the end, else a copy."""
+    for ax, r in enumerate(ranges):
+        if r.stop <= arr.shape[ax]:
+            arr = arr[(slice(None),) * ax + (slice(r.start, r.stop),)]
+        else:
+            arr = arr.take(r, axis=ax, mode="wrap")
+    return arr
+
+
+def _box_maxima(block: IndexBlock, mag: np.ndarray, box) -> np.ndarray:
+    """Max of mag, which holds |D| at the positions box of the (side,)*2d
+    view (one range per axis, wrapping mod side; () is the whole view), over
     each (size, dist) bin of the block (see IndexBlock._pair_bins).  Every
     bin starts at 0 and mag >= 0, so the entries off the box count as 0."""
     bin_id, size, _ = block._pair_bins
-    ids = bin_id.reshape((block.side,) * (2 * block.d))[box]
+    ids = _window(bin_id.reshape((block.side,) * (2 * block.d)), box)
     out = np.zeros(len(size))
     np.maximum.at(out, ids.ravel(), mag.ravel())
     return out
+
+
+def _frame(block: IndexBlock, alpha: tuple) -> list:
+    """Positions of delta(., alpha) along each axis of m (and of n), one
+    range per axis: the interior box (truncated), or every position counted
+    from max(-alpha_j, 0) (periodic).  The forward difference by |alpha|,
+    taken from position 0 on, holds the magnitudes of delta(., alpha) at
+    these positions."""
+    if block.mode == TRUNCATED:
+        return [range(s.start, s.stop) for s in _interior_box(block, alpha)[:block.d]]
+    return [range(max(-a, 0), max(-a, 0) + block.side) for a in alpha]
+
+
+def _forward_difference(view: np.ndarray, steps: tuple) -> np.ndarray:
+    """The forward difference by steps of a (.,)*2d view, one axis at a
+    time, each unit step on the overlap of the two shifted slices."""
+    for j, k in enumerate(steps, start=1):
+        ahead, here = _step_slices(len(steps), j, 1)
+        for _ in range(k):
+            view = view[ahead] - view[here]
+    return view
 
 
 def _bin_maxima(A: OpMatrix, alphas) -> list:
     """Max of |delta(A, alpha)| over each (size, dist) bin of the block, for
     each alpha of alphas.  Off the truncated interior the difference is 0,
     which leaves every sup of the nonnegative ratios unchanged, so only the
-    interior is binned.  In truncated mode the forward differences along
-    each axis e_j are taken once, one axis at a time, for every alpha along
-    it: a backward difference of k steps is (-1)^k times the forward one k
-    steps on, since fl(a - b) = -fl(b - a), so -k e_j bins the magnitudes of
-    k e_j at its own interior box.
+    interior is binned.  A backward difference of k steps is (-1)^k times
+    the forward one k steps on, since fl(a - b) = -fl(b - a), so every alpha
+    with the same |alpha| bins the magnitudes of one forward difference, each
+    at its own frame (see _frame; periodic frames wrap).
+
+    The difference is taken, made magnitudes and binned one chunk of
+    CHUNK_ENTRIES entries of the (side,)*2d view at a time, a chunk being
+    rows of the leading axis (m_1), read with a halo of |alpha_1| rows more.
+    So besides the block's bin ids, no array larger than a few chunks is
+    alive, and the maxima equal those of the whole difference bit for bit.
     """
     block = A.block
-    out = {}
     view = A.entries.reshape((block.side,) * (2 * block.d))
-    for j in range(block.d) if block.mode == TRUNCATED else ():
-        along = {alpha: abs(alpha[j]) for alpha in alphas
-                 if alpha[j] and _l1(alpha) == abs(alpha[j])}
-        ahead, here = _step_slices(block.d, j + 1, 1)
-        diff = view
-        for k in range(1, max(along.values(), default=0) + 1):
-            mag = None          # freed before the next difference is taken
-            diff = diff[ahead] - diff[here]
-            mag = np.abs(diff)
-            for alpha in [alpha for alpha, steps in along.items() if steps == k]:
-                out[alpha] = _box_maxima(block, mag, _interior_box(block, alpha))
-        diff = mag = None       # freed before the next axis takes its own
-    for alpha in set(alphas) - set(out):
-        out[alpha] = _box_maxima(block, np.abs(delta(A, alpha).entries), ())
+    rows = max(1, CHUNK_ENTRIES // (view.size // block.side))
+    out = {}
+    for steps in dict.fromkeys(tuple(map(abs, alpha)) for alpha in alphas):
+        frames = {alpha: _frame(block, alpha) for alpha in alphas
+                  if tuple(map(abs, alpha)) == steps}
+        length = [len(r) for r in next(iter(frames.values()))]
+        full = [range(n + k) for n, k in zip(length, steps)]
+        for alpha in frames:
+            out[alpha] = np.zeros(len(block._pair_bins[1]))
+        for start in range(0, length[0], rows):
+            stop = min(start + rows, length[0])
+            mag = np.abs(_forward_difference(_window(
+                view, [range(start, stop + steps[0]), *full[1:], *full]), steps))
+            for alpha, frame in frames.items():
+                box = [frame[0][start:stop], *frame[1:], *frame]
+                np.maximum(out[alpha], _box_maxima(block, mag, box), out=out[alpha])
+            mag = None          # freed before the next chunk is differenced
     return [out[alpha] for alpha in alphas]
 
 
@@ -495,15 +546,15 @@ def matmul(A: OpMatrix, B: OpMatrix) -> OpMatrix:
     return OpMatrix(A.block, _product(A, B))
 
 
-def _product(A: OpMatrix, B: OpMatrix) -> np.ndarray:
-    """A @ B as a new array that nothing else holds."""
+def _product(A: OpMatrix, B: OpMatrix, rows=slice(None)) -> np.ndarray:
+    """Rows of A @ B as a new array that nothing else holds."""
     # a real diagonal factor scales rows or columns: every other term of the
     # dense product is an exact zero, so the result is the same bit for bit
     if _real_diagonal(A):
-        return np.diagonal(A.entries)[:, None] * B.entries
+        return np.diagonal(A.entries)[rows, None] * B.entries[rows]
     if _real_diagonal(B):
-        return A.entries * np.diagonal(B.entries)
-    return A.entries @ B.entries
+        return A.entries[rows] * np.diagonal(B.entries)
+    return A.entries[rows] @ B.entries
 
 
 def _real_diagonal(A: OpMatrix) -> bool:
@@ -511,13 +562,21 @@ def _real_diagonal(A: OpMatrix) -> bool:
 
 
 def commutator(A: OpMatrix, B: OpMatrix) -> OpMatrix:
-    """AB - BA, with BA subtracted in place from the AB it owns, so two n^2
-    arrays are alive at once and the result is validated once.  Both
-    products have the dtype np.result_type(A, B), and a non-finite
-    intermediate leaves a non-finite entry, which OpMatrix rejects."""
+    """AB - BA, with BA subtracted in place from the AB it owns, and the
+    result validated once.  Both products have the dtype np.result_type(A,
+    B), and a non-finite intermediate leaves a non-finite entry, which
+    OpMatrix rejects.  With a real diagonal factor BA is entrywise, so it is
+    subtracted CHUNK_ENTRIES entries of rows at a time and one n^2 array is
+    alive; two dense factors hold both products, since a product taken by
+    blocks of rows need not round as the whole one does."""
     _check_same_block(A, B)
     out = _product(A, B)
-    out -= _product(B, A)
+    if _real_diagonal(A) or _real_diagonal(B):
+        step = max(1, CHUNK_ENTRIES // len(out))
+        for start in range(0, len(out), step):
+            out[start:start + step] -= _product(B, A, slice(start, start + step))
+    else:
+        out -= _product(B, A)
     return OpMatrix(A.block, out)
 
 

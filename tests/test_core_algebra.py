@@ -758,6 +758,62 @@ def test_pair_bin_index_is_compact():
     assert not [v for v in cached if v.size >= block.n ** 2 and v.dtype == np.int64]
 
 
+# every alpha of the order scans, a second backward step, and mixed ones
+CHUNK_ALPHAS = {1: (*core.ALPHA_GRIDS[1], (-2,)),
+                2: (*core.ALPHA_GRIDS[2], (1, 1), (-1, 1), (2, 0))}
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 40, 1000, core.CHUNK_ENTRIES])
+@pytest.mark.parametrize("block", [truncated_block(1, 5), periodic_block(1, 8),
+                                   truncated_block(2, 3), periodic_block(2, 6)],
+                         ids=lambda b: f"{b.mode}_d{b.d}_{b.size}")
+def test_chunked_kernels_match_the_whole_arrays(block, chunk, monkeypatch):
+    """Chunked bin maxima equal those of the whole difference, and the
+    diagonal commutator the difference of the dense products, bit for bit.
+    Chunks of 1 and 7 entries are one row each, so every row reads its halo;
+    40 and 1000 entries give several rows and a last partial chunk."""
+    monkeypatch.setattr(core, "CHUNK_ENTRIES", chunk)
+    rng = np.random.default_rng(RNG_SEED + 37)
+    real = rng.standard_normal((block.n, block.n))
+    D = core.diagonal_matrix(block, rng.standard_normal(block.n))
+    for A in (OpMatrix(block, real),
+              OpMatrix(block, real + 1j * rng.standard_normal(real.shape))):
+        alphas = CHUNK_ALPHAS[block.d]
+        for alpha, got in zip(alphas, core._bin_maxima(A, alphas)):
+            want = core._box_maxima(block, np.abs(core.delta(A, alpha).entries), ())
+            assert np.array_equal(got, want), alpha
+        for P, Q in ((D, A), (A, D)):
+            assert np.array_equal(core.commutator(P, Q).entries,
+                                  P.entries @ Q.entries - Q.entries @ P.entries)
+
+
+def test_estimate_order_works_in_chunks():
+    """Past its inputs and their bin ids, the scan of the 2-d M = 12 product
+    family allocates a few chunks, well under one n^2 array.
+
+    A chunk is `rows` rows of the leading axis plus a halo of one row (each
+    alpha of ALPHA_GRIDS[2] has |alpha_1| <= 1), of side^3 entries each, at 8
+    bytes (the family is real).  A difference step holds its input and
+    output and np.abs the difference and its magnitudes, so two chunk arrays
+    are alive at once; a third covers the bin ids (2 bytes an entry), numpy's
+    ufunc buffers and the scan's tables, whose size is set by the bins."""
+    family = [core.matmul(*laplacian_cos_2d(M)) for M in (4, 8, 12)]
+    for A in family:
+        A.block._pair_bins                  # part of the input, as in a run
+    side, n = family[-1].block.side, family[-1].block.n
+    rows = max(1, core.CHUNK_ENTRIES // side ** 3)
+    bound = 3 * (rows + 1) * side ** 3 * 8
+    assert bound < n * n * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        core.estimate_order(family)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
+
+
 def shipped_families(name):
     """The families the shipped runs and the benchmark certify: order_gain's
     product and commutator, the preconditioner's remainder, and the 2-d
@@ -979,21 +1035,27 @@ def test_commutator_is_the_difference_of_the_products(build, M):
         assert C.entries.dtype == want.dtype and np.array_equal(C.entries, want)
 
 
-def test_commutator_holds_two_products_at_once():
-    """The 2-d M = 12 commutator of the benchmark keeps at most two real
-    n^2 arrays alive: its traced peak is 2 n^2 float64 entries plus ufunc
-    buffers."""
+def test_diagonal_commutator_holds_one_product():
+    """The 2-d M = 12 commutator of the benchmark, a real diagonal and a
+    dense real factor, keeps one n^2 float64 array alive: the AB it returns.
+    BA comes a block of at most CHUNK_ENTRIES entries at a time, and a
+    product with the strided diagonal may buffer each of its three operands
+    (np.getbufsize() entries each).  The validation's n^2 bools come after
+    the last block is freed, and at n = 625 they take fewer bytes than one
+    block."""
     A, B = laplacian_cos_2d(12)
     n = A.block.n
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        C = core.commutator(A, B)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert C.entries.dtype == np.float64
-    assert peak <= 2 * n * n * 8 + (1 << 17)
+    assert n * n <= core.CHUNK_ENTRIES * 8
+    for P, Q in ((A, B), (B, A)):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            C = core.commutator(P, Q)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert C.entries.dtype == np.float64
+        assert peak <= (n * n + core.CHUNK_ENTRIES + 3 * np.getbufsize()) * 8
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -5,10 +5,13 @@ only in a full ``python scripts/mutants.py`` run."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -37,3 +40,31 @@ def test_every_mutant_test_node_is_collected():
     collected = done.stdout.splitlines()
     assert [n for n in nodes if not any(
         c == n or c.startswith(n + "[") for c in collected)] == []
+
+
+def test_sigterm_removes_the_copy_and_its_pytest_child(tmp_path):
+    """SIGTERM during the unmutated run ends scripts/mutants.py with status
+    143, its temporary copy removed and its pytest child gone.  The script
+    runs in a session of its own, so the child shares its process group, and
+    the group is empty exactly when no child is left."""
+    env = {**os.environ, "TMPDIR": str(tmp_path)}
+    env.pop("PYTHONDONTWRITEBYTECODE", None)    # the child's imports mark its start
+    proc = subprocess.Popen([sys.executable, str(ROOT / "scripts" / "mutants.py")],
+                            env=env, start_new_session=True,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while not list(tmp_path.glob("pdmat-mutants-*/src/pdmat/__pycache__")):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=60) == 143
+        assert list(tmp_path.glob("pdmat-mutants-*")) == []
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)

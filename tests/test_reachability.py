@@ -36,6 +36,8 @@ KEEP = {
         "tests/test_operators.py::test_catalog_lookup_errors",
     "core.is_diagonal":     # the oracle of OpMatrix.exactly_diagonal's scan
         "tests/test_core_algebra.py::test_exactly_diagonal_matches_is_diagonal",
+    "core.delta":   # the paper's diagonal difference, the oracle of the chunked scan
+        "tests/test_core_algebra.py::test_chunked_kernels_match_the_whole_arrays",
 }
 
 # public class members that nothing in src/pdmat reads, kept for the same
