@@ -15,12 +15,12 @@ results.csv followed by its fits.json, so two checkouts produce
 byte-identical outputs exactly when a diff of their sweep outputs is empty.
 
 ``--record FILE`` merges the digests of the sweep into a JSON file of golden
-digests, with the numpy and scipy versions, the BLAS, its thread count and
-the processor count they were made with, and refuses to merge into a file
-recorded with others (re-record into a new file instead); ``--check FILE``
-compares each digest with that file and prints one MISMATCH line naming the
-config and seed of each that differs (or is missing), followed by the
-recorded and the current environment.
+digests, with the numpy version, the BLAS, its thread count and the routine
+that factors tridiagonal matrices they were made with, and refuses to merge
+into a file recorded with others (re-record into a new file instead);
+``--check FILE`` compares each digest with that file and prints one MISMATCH
+line naming the config and seed of each that differs (or is missing),
+followed by the recorded and the current environment.
 The exit status is 1 when any gate failed, any run did not finish, any
 checked digest differs or a record was refused, else 0.
 """
@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
-import importlib.metadata
 import io
 import json
 import os
@@ -40,7 +39,7 @@ import tempfile
 
 import numpy as np
 
-from pdmat import cli, reporting
+from pdmat import _lapack, cli, reporting
 
 
 def parse_seeds(text: str) -> list:
@@ -62,16 +61,18 @@ def output_digest(outdir: str) -> str:
 
 
 def environment() -> dict:
-    """What a digest depends on besides the code: numpy, scipy, the BLAS
-    numpy was built with, and the BLAS thread count (OPENBLAS_NUM_THREADS, as
-    pdmat set or kept it).  The processor count is not in it: the growth pool
-    returns its results in submission order, each from one BLAS thread, so
-    the outputs are the same on any number of cores."""
+    """What a digest depends on besides the code: numpy, the BLAS numpy was
+    built with, the BLAS thread count (OPENBLAS_NUM_THREADS, as pdmat set or
+    kept it) and the routine that factors tridiagonal matrices (LAPACK
+    dstevd of numpy's OpenBLAS, or numpy.linalg.eigh).  The processor count
+    is not in it: the growth pool returns its results in submission order,
+    each from one BLAS thread, so the outputs are the same on any number of
+    cores."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"numpy": np.__version__,
-            "scipy": importlib.metadata.version("scipy"),
             "blas": f"{blas['name']} {blas.get('version', '')}".strip(),
-            "blas_threads": os.environ["OPENBLAS_NUM_THREADS"]}
+            "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
+            "tridiagonal": _lapack.TRIDIAGONAL_ROUTINE}
 
 
 def record(path: str, digests: dict) -> list:

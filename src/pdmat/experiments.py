@@ -609,7 +609,6 @@ def _trajectories(jobs) -> list:
     workers = min(_usable_cores(), len(jobs))
     if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
         return [growth_trajectory(*job) for job in jobs]
-    import scipy.linalg  # noqa: F401  (once here, not once per child)
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                              initializer=_JOBS.extend, initargs=(jobs,)) as pool:
         done = {i: pool.submit(_run_job, i) for i in sorted(

@@ -5,9 +5,10 @@ fits see only the splitting error: ``exact_flow`` exponentiates an exactly
 diagonal generator entrywise and any other by the ``Factor`` of its
 Hermitian eigendecomposition (a generator that is neither raises), the one
 place that builds e^{itH} and, in ``Factor.tridiagonal``, calls LAPACK
-``stevd``; the water-wave study brings its own normal-mode flow.  A real
-factor acts by ``real_product``, a real matrix times the float view of a
-complex block.  Every flow is a
+``stevd`` (``_lapack.stevd``, from numpy's OpenBLAS, or dense
+``np.linalg.eigh`` where numpy's LAPACK has none); the water-wave study
+brings its own normal-mode flow.  A real factor acts by ``real_product``, a
+real matrix times the float view of a complex block.  Every flow is a
 callable ``f(t, X)`` that applies e^{tG} to an (n, m) block X of column
 vectors; its matrix is the flow applied to the identity, which only the
 operator measurements build.  Local-error tables apply each step to the
@@ -30,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import core
+from . import _lapack, core
 from .core import OpMatrix
 
 TAU_MAX = 0.5           # largest step size a splitting step accepts
@@ -55,10 +56,12 @@ class Factor(NamedTuple):
     @classmethod
     def tridiagonal(cls, d, e, p) -> Factor:
         """The factor, with phases p or None, of the real symmetric tridiagonal
-        matrix (d, e) by LAPACK ``stevd``; a nonzero ``info`` raises LinAlgError."""
-        import scipy.linalg
-        stevd, = scipy.linalg.get_lapack_funcs(("stevd",), (d, e))
-        w, V, info = stevd(d, e)
+        matrix with diagonal d and subdiagonal e by LAPACK ``stevd`` of numpy's
+        OpenBLAS (a nonzero ``info`` raises LinAlgError), or by np.linalg.eigh
+        where that library has no such routine."""
+        if _lapack.DSTEVD is None:
+            return cls(*np.linalg.eigh(np.diag(d) + np.diag(e, -1)), p)
+        w, V, info = _lapack.stevd(d, e)
         if info != 0:
             raise np.linalg.LinAlgError(f"stevd failed (info {info})")
         return cls(w, V, p)

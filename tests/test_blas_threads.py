@@ -1,7 +1,8 @@
 """Every pdmat process runs OpenBLAS on one thread, whatever the import
 order; growth pool children inherit the count; an OPENBLAS_NUM_THREADS the
-caller set is kept.  Each case runs in a fresh interpreter and reads the
-count each mapped OpenBLAS reports; it skips where none is mapped."""
+caller set is kept; LAPACK dstevd comes from numpy's own OpenBLAS.  Each
+case runs in a fresh interpreter and reads the count each mapped OpenBLAS
+reports; it skips where none is mapped."""
 
 from __future__ import annotations
 
@@ -79,6 +80,18 @@ def test_every_mapped_openblas_runs_one_thread(order):
 def test_an_openblas_num_threads_the_caller_set_is_kept(order):
     counts = run(IMPORT_ORDERS[order] + "print(json.dumps(counts()))", threads="2")
     assert reported(counts) == {2}, counts
+
+
+@pytest.mark.parametrize("order", IMPORT_ORDERS)
+def test_dstevd_is_bound_from_numpys_own_openblas(order):
+    # numpy's wheel keeps its OpenBLAS in numpy.libs, beside numpy/; scipy's
+    # is in scipy.libs, and which of the two was mapped first does not matter
+    library, numpy_dir = run(IMPORT_ORDERS[order] + "import numpy\nfrom pdmat import _lapack\n"
+                             "print(json.dumps([_lapack.LIBRARY, os.path.dirname("
+                             "os.path.realpath(numpy.__file__))]))")
+    if library is None:
+        pytest.skip("numpy's library exports no dstevd")
+    assert library.startswith(numpy_dir), library
 
 
 def test_growth_pool_children_inherit_one_thread():

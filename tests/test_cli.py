@@ -476,20 +476,51 @@ def test_run_is_deterministic(tmp_path, monkeypatch, cfg_text):
         assert len({(out / name).read_bytes() for out in outs}) == 1
 
 
-def test_importing_the_cli_loads_no_scipy_and_no_process_pool():
-    """scipy and the process pool modules load only when a run needs them:
-    scipy.linalg for a stevd factor (flows.Factor.tridiagonal, the one stevd
-    call, which flows.hermitian_eigh and growth_trajectory reach), the pool
-    for the growth study."""
+def run_python(code: str) -> str:
+    """The last line the code prints, run in a fresh interpreter with pdmat's
+    src on the path."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = ("import sys, pdmat.cli; print(sorted(m for m in sys.modules if m.split('.')[0]"
-            " in ('scipy', 'multiprocessing', 'concurrent')))")
     done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip().splitlines()[-1]
+
+
+def test_importing_the_cli_loads_no_scipy_and_no_process_pool():
+    """The process pool modules load only when a growth study needs them, and
+    scipy never: LAPACK stevd comes from numpy's OpenBLAS (pdmat._lapack)."""
+    assert run_python(
+        "import sys, pdmat.cli; print(sorted(m for m in sys.modules if m.split('.')[0]"
+        " in ('scipy', 'multiprocessing', 'concurrent')))") == "[]"
+
+
+def test_flow_and_pooled_growth_runs_load_no_scipy(tmp_path):
+    """A splitting_orders run (stevd through flows.hermitian_eigh) and a
+    2-core sobolev_growth study (stevd in every pool child's growth steps)
+    leave no scipy module loaded, in the parent or in a child."""
+    code = f"""
+import os, sys
+from pdmat import cli, experiments
+experiments._usable_cores = lambda: 2
+trajectory = experiments.growth_trajectory
+experiments.growth_trajectory = lambda *job: {{
+    **trajectory(*job), "child": os.getpid(),
+    "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}}
+children = []
+_growth_result = experiments._growth_result
+experiments._growth_result = lambda *args: children.extend(args[-1]) or _growth_result(*args)
+assert cli.run(cli.parse_config('experiment = "splitting_orders"\\nM_list = [8, 16]\\n'),
+               {str(tmp_path / "flows")!r}) == 0
+assert cli.run(cli.parse_config('experiment = "sobolev_growth"\\nK_list = [16, 32]\\n'
+                                'horizon = 2.0\\n'), {str(tmp_path / "growth")!r}) == 0
+# two probes, each with two periods and a Richardson pair
+assert len(children) == 8 and os.getpid() not in {{tr["child"] for tr in children}}
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+      sorted({{m for tr in children for m in tr["scipy"]}}))
+"""
+    assert run_python(code) == "[] []"
 
 
 def test_manifest_lists_all_files_with_hashes(tmp_path):

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from pdmat import cli, core, experiments, flows, operators, periodic
+from pdmat import _lapack, cli, core, experiments, flows, operators, periodic
 
 SEED = 2718
 
@@ -637,10 +637,7 @@ def test_growth_step_bit_identical_to_eigh_tridiagonal(probe, period, delta):
 
 
 def test_growth_step_failure_raises_linalg_error(monkeypatch):
-    def failing_stevd(d, e):
-        return np.zeros_like(d), np.eye(len(d)), 1
-    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs",
-                        lambda names, arrays: (failing_stevd,))
+    monkeypatch.setattr(_lapack, "DSTEVD", lambda *args: 1)     # info 1
     with pytest.raises(np.linalg.LinAlgError, match="step 0"):
         experiments.growth_trajectory(experiments.growth_model("growth_rho0"),
                                       16, 0.1, (0.0,), 0.01, SEED)
@@ -731,13 +728,13 @@ def test_growth_pool_runs_lambdas_it_never_pickles(cores, monkeypatch):
         assert np.max(np.abs(tr["norms"][1.0] / tr["norms"][1.0][0] - 1)) <= 1e-12
 
 
+@pytest.mark.skipif(_lapack.DSTEVD is None, reason="numpy's library has no dstevd")
 def test_growth_step_failure_in_a_pool_child_raises_linalg_error(cores,
                                                                  monkeypatch):
-    def stevd(d, e):
-        return np.zeros_like(d), np.eye(len(d)), 1
-    lookup = scipy.linalg.get_lapack_funcs
-    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", lambda names, arrays: (
-        stevd,) if len(arrays[0]) == 32 else lookup(names, arrays))
+    # info 1 for the K = 32 tridiagonals (n is DSTEVD's third argument)
+    dstevd = _lapack.DSTEVD
+    monkeypatch.setattr(_lapack, "DSTEVD", lambda *args: 1 if args[2] == 32
+                        else dstevd(*args))
     cores(2)
     with pytest.raises(np.linalg.LinAlgError,
                        match=r"growth_rho0: stevd failed at step 0 \(info 1\)"):

@@ -14,7 +14,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from pdmat import core, experiments, flows, operators, spectral
+from pdmat import _lapack, core, experiments, flows, operators, spectral
 from pdmat.core import OpMatrix, periodic_block, truncated_block
 
 SEED = 31415
@@ -206,25 +206,68 @@ def test_tridiagonal_generator_caches_a_real_factor():
 
 
 def test_tridiagonal_factor_failure_raises_linalg_error(monkeypatch):
-    def failing_stevd(d, e):
-        return np.zeros_like(d), np.eye(len(d)), 1
-    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs",
-                        lambda names, arrays: (failing_stevd,))
+    monkeypatch.setattr(_lapack, "DSTEVD", lambda *args: 1)     # info 1
     A, B = schrodinger_pair(8)
     with pytest.raises(np.linalg.LinAlgError, match=r"stevd failed \(info 1\)"):
         flows.exact_flow(A + B, 0.1, np.eye(A.block.n, dtype=complex))
 
 
 def test_factor_tridiagonal_is_the_one_lapack_resolver():
-    # every stevd call, and its info check, goes through Factor.tridiagonal
-    calls = [(path.name, node.lineno)
-             for path in sorted(Path(flows.__file__).parent.glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text()))
-             if isinstance(node, ast.Call) and "get_lapack_funcs" in (
-                 getattr(node.func, "attr", None), getattr(node.func, "id", None))]
-    body, start = inspect.getsourcelines(flows.Factor.tridiagonal)
-    assert len(calls) == 1 and calls[0][0] == "flows.py"
-    assert start <= calls[0][1] < start + len(body)
+    # src/pdmat calls _lapack.stevd once, in Factor.tridiagonal, and the
+    # DSTEVD handle once, in _lapack.stevd; nothing looks LAPACK up elsewhere
+    def calls(name):
+        return [(path.name, node.lineno)
+                for path in sorted(Path(flows.__file__).parent.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Call) and name in (
+                    getattr(node.func, "attr", None), getattr(node.func, "id", None))]
+    for name, caller in (("stevd", flows.Factor.tridiagonal), ("DSTEVD", _lapack.stevd)):
+        body, start = inspect.getsourcelines(caller)
+        (path, line), = calls(name)
+        assert path == Path(inspect.getsourcefile(caller)).name
+        assert start <= line < start + len(body)
+    assert calls("get_lapack_funcs") == []
+
+
+def test_tridiagonal_factor_leaves_its_arguments_unchanged():
+    # dstevd overwrites d and e, so the binding hands it copies
+    rng = np.random.default_rng(SEED)
+    d, e = rng.standard_normal(33), rng.standard_normal(32)
+    d0, e0 = d.copy(), e.copy()
+    w, V, _ = flows.Factor.tridiagonal(d, e, None)
+    assert np.array_equal(d, d0) and np.array_equal(e, e0)
+    T = np.diag(d0) + np.diag(e0, -1) + np.diag(e0, 1)
+    assert np.max(np.abs((V * w) @ V.T - T)) <= 1e-13 * np.max(np.abs(T))
+
+
+def test_tridiagonal_factor_without_dstevd_falls_back_to_eigh(monkeypatch):
+    # with no dstevd in numpy's library, np.linalg.eigh factors the same
+    # matrix: eigenvalues within 1e-13 and the flow within 1e-12 of stevd's,
+    # and the growth step and the tridiagonal exact flow run on it
+    rng = np.random.default_rng(SEED)
+    A, B = schrodinger_pair(64)
+    H = (A + B).entries
+    d = np.ascontiguousarray(np.diagonal(H).real)
+    e = np.abs(np.diagonal(H, -1))
+    p = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, len(d)))
+    X = rng.standard_normal((len(d), 3)) + 1j * rng.standard_normal((len(d), 3))
+    small = schrodinger_pair(8)
+    ref = flows.Factor.tridiagonal(d, e, p)
+    flow = flows.exact_flow(small[0] + small[1], 0.1, eye(17))
+    flows._eigh_cached.cache_clear()
+    monkeypatch.setattr(_lapack, "DSTEVD", None)
+    got = flows.Factor.tridiagonal(d, e, p)
+    assert np.max(np.abs(got.w - ref.w)) <= 1e-13 * np.max(np.abs(ref.w))
+    assert np.max(np.abs(got.apply(0.3, X) - ref.apply(0.3, X))) <= \
+        1e-12 * np.max(np.abs(X))
+    try:
+        fallback = flows.exact_flow(small[0] + small[1], 0.1, eye(17))
+    finally:
+        flows._eigh_cached.cache_clear()
+    assert np.max(np.abs(fallback - flow)) <= 1e-12
+    tr = experiments.growth_trajectory(experiments.growth_model("growth_rho0"),
+                                       16, 0.1, (0.0, 1.0), 0.01, SEED)
+    assert np.max(np.abs(tr["norms"][0.0] / tr["norms"][0.0][0] - 1)) <= 1e-12
 
 
 @pytest.mark.parametrize("data", ["complex_block", "real_identity"])

@@ -116,7 +116,7 @@ def test_record_merges_digests_with_the_environment(tmp_path, capsys):
     assert seed_sweep.main([CONFIG, "--seeds", "3", "--record", str(golden)]) == 0
     recorded = json.loads(golden.read_text())
     assert list(recorded["digests"]["approx_rates"]) == ["1", "3"]
-    assert set(recorded["environment"]) == {"numpy", "scipy", "blas", "blas_threads"}
+    assert set(recorded["environment"]) == {"numpy", "blas", "blas_threads", "tridiagonal"}
     assert seed_sweep.main([CONFIG, "--seeds", "3", "--check", str(golden)]) == 0
     # digests made elsewhere are not merged under this environment's name
     recorded["environment"]["numpy"] = "0.0"
@@ -131,4 +131,4 @@ def test_golden_file_covers_every_config_at_seeds_1_and_17():
     stems = sorted(path.stem for path in (ROOT / "configs").glob("*.cfg"))
     assert sorted(golden["digests"]) == stems
     assert all(sorted(by_seed) == ["1", "17"] for by_seed in golden["digests"].values())
-    assert set(golden["environment"]) == {"numpy", "scipy", "blas", "blas_threads"}
+    assert set(golden["environment"]) == {"numpy", "blas", "blas_threads", "tridiagonal"}
