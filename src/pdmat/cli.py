@@ -227,13 +227,14 @@ def run_approx_rates(cfg: ExperimentConfig):
     fd_limit = operators.fourier_multiplier(lambda x: 1j * x, block)
     fd = periodic.approx_error(
         fd_limit, [spectral.fd_symbol(1, 1, k) for k in cfg.K_list],
-        s=s, s_prime=s, data_s=s + 2.0, seed=cfg.seed, probe="fd")
+        s=s, s_prime=s, data_s=s + 2.0, seed=cfg.seed)
     mult_limit = operators.toeplitz_potential(operators.exp_decay_coeff, block)
     mult = periodic.approx_error(
         mult_limit, [spectral.mult_matrix_from_coeffs(operators.exp_decay_coeff, k)
                      for k in cfg.K_list],
-        s=4.0, s_prime=2.0, data_s=4.0, seed=cfg.seed, probe="mult")
-    rows = fd.rows + mult.rows
+        s=4.0, s_prime=2.0, data_s=4.0, seed=cfg.seed)
+    rows = [{"probe": "fd", **r} for r in fd.rows] + \
+        [{"probe": "mult", **r} for r in mult.rows]
     fits = {"fd_rate": fd.decay_rate, "fd_residual": fd.residual,
             "mult_rate": mult.decay_rate, "mult_residual": mult.residual}
     gates = {"fd_rate_near_1": _gate(abs(fd.decay_rate - 1.0), FIT_BAND),
@@ -343,9 +344,9 @@ def run_sobolev_growth(cfg: ExperimentConfig):
     rows, fits, gates = [], {}, {}
     models = [experiments.growth_model(probe) for probe in probes]
     results = experiments.sobolev_growth_study(
-        [(model, cfg.K_list[:2] if model.rho < 0 else cfg.K_list)
-         for model in models], cfg.horizon, [s for s in cfg.s_list if s > 0],
-        delta=cfg.delta, seed=cfg.seed)
+        [(model, cfg.K_list[:experiments.GROWTH_PROBES[probe][2]])
+         for probe, model in zip(probes, models)], cfg.horizon,
+        [s for s in cfg.s_list if s > 0], delta=cfg.delta, seed=cfg.seed)
     for probe, model, res in zip(probes, models, results):
         rows.extend({"probe": probe, **r} for r in res["rows"])
         worst_drift = max(res["conservation"].values())
@@ -533,12 +534,15 @@ def report(outdir) -> int:
 
 
 def list_probes() -> int:
-    """Each experiment, with the probes its config's probes key takes."""
+    """Each experiment, with the probes its config's probes key takes; a
+    growth probe that runs only the leading periods of K_list says how many."""
     print("experiments:")
     for name, spec in EXPERIMENTS.items():
         print(f"  {name}")
         for probe, (desc, *_) in (spec.probe_table or {}).items():
-            print(f"    {probe}: {desc}")
+            periods = experiments.GROWTH_PROBES.get(probe, (None,) * 3)[2]
+            print(f"    {probe}: {desc}" + (
+                "" if periods is None else f" (first {periods} periods of K_list)"))
     return 0
 
 

@@ -417,21 +417,6 @@ def _l1(alpha) -> int:
     return int(sum(abs(a) for a in alpha))
 
 
-@dataclass(frozen=True)
-class SeminormSpec:
-    """Parameters of the weighted sup: difference multi-index, off-diagonal
-    decay exponent, and candidate order."""
-
-    alpha: tuple
-    decay: int
-    order: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", tuple(int(a) for a in np.atleast_1d(self.alpha)))
-        if self.decay < 0:
-            raise ValueError("decay exponent must be >= 0")
-
-
 def _window(arr: np.ndarray, ranges) -> np.ndarray:
     """arr at the positions of one range per leading axis, taken mod the
     axis length: a view where no range runs past the end, else a copy."""
@@ -522,17 +507,18 @@ def _size_envelope(bin_max: np.ndarray, block: IndexBlock, decay: int) -> np.nda
     return env
 
 
-def seminorm(A: OpMatrix, spec: SeminormSpec) -> float:
-    """Weighted sup of the |spec.alpha|-th diagonal difference of A.
+def seminorm(A: OpMatrix, alpha, decay: int, order: float) -> float:
+    """Weighted sup of the alpha-th diagonal difference of A.
 
     The weight is (1+dist)^decay / (1+size)^(order-|alpha|) with dist and
-    size in the block's arithmetic; the sup runs over the interior of the
-    difference (see delta).
+    size in the block's arithmetic and decay >= 0; the sup runs over the
+    interior of the difference (see delta).
     """
-    alpha = _normalize_alpha(A.block.d, spec.alpha)
-    env = _size_envelope(_bin_maxima(A, [alpha])[0], A.block, spec.decay)
-    return float(np.max(env / (1.0 + np.arange(env.size))
-                        ** (spec.order - _l1(alpha))))
+    if decay < 0:
+        raise ValueError("decay exponent must be >= 0")
+    alpha = _normalize_alpha(A.block.d, alpha)
+    env = _size_envelope(_bin_maxima(A, [alpha])[0], A.block, decay)
+    return float(np.max(env / (1.0 + np.arange(env.size)) ** (order - _l1(alpha))))
 
 
 # ---------------------------------------------------------------------------

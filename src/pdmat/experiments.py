@@ -683,9 +683,9 @@ WATERWAVE_PROBES = {    # description, mu, rough bottom
     "waterwave_rough": ("water waves, mu=1, bounded random even topography", 1.0, True),
     "waterwave_stvenant": ("shallow-water limit (order warning: rho = r)", 0.0, False),
 }
-GROWTH_PROBES = {       # description, rho
-    "growth_rho0": ("growth study, order-0 time-periodic perturbation", 0.0),
-    "growth_rhom1": ("growth study, order -1 smoothed perturbation", -1.0),
+GROWTH_PROBES = {       # description, rho, leading K_list periods run (None: all)
+    "growth_rho0": ("growth study, order-0 time-periodic perturbation", 0.0, None),
+    "growth_rhom1": ("growth study, order -1 smoothed perturbation", -1.0, 2),
 }
 
 

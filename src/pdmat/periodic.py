@@ -123,14 +123,13 @@ def restrict(A: OpMatrix, radius: int) -> OpMatrix:
 
 @dataclass(eq=False)
 class ApproxErrorTable:
-    rows: list              # dicts: probe, K, s, s_prime, error, fitted_rate
+    rows: list              # dicts: K, s, s_prime, error, fitted_rate
     decay_rate: float       # least-squares exponent of error ~ K^(-rate)
     residual: float
 
 
 def approx_error(A_limit: OpMatrix, family, s: float, s_prime: float,
-                 data_s: float | None = None, seed: int = 0,
-                 probe: str = "") -> ApproxErrorTable:
+                 data_s: float | None = None, seed: int = 0) -> ApproxErrorTable:
     """Measured operator distance sup_x ||(A_limit - embed(A^K)) x||_s' / ||x||_data
     per K-periodic matrix A^K of the family, K its block size, with a fitted
     decay exponent in K.
@@ -159,7 +158,7 @@ def approx_error(A_limit: OpMatrix, family, s: float, s_prime: float,
     rows = []
     for A in family:
         E = A_limit - embed(A, radius=master)
-        rows.append({"probe": probe, "K": A.block.size, "s": s, "s_prime": s_prime,
+        rows.append({"K": A.block.size, "s": s, "s_prime": s_prime,
                      "error": flows._ratio_sup(E.entries, w_out, w_data, xs)})
     fit = flows.fit_loglog([r["K"] for r in rows],
                            [max(r["error"], 1e-300) for r in rows])

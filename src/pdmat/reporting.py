@@ -2,48 +2,39 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
 import os
-
-import numpy as np
 
 SCHEMA_VERSION = "pdmat-results-v1"
 MANIFEST_KEYS = ("experiment", "config", "code_version", "files", "passes",
                  "gates", "status", "traceback", "warnings")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, np.generic):
-        # a numpy scalar by its value: repr(np.float64(x)) keeps the type name
-        value = value.item()
-    # repr writes nan, inf and -inf as they are
-    return repr(value) if isinstance(value, float) else str(value)
-
-
 def write_csv(path, columns, rows, experiment: str):
-    """Fixed-schema CSV: a version tag comment line, a header row, data rows.
-
-    Missing cells are written empty; floats use shortest round-trip repr so
-    identical runs produce identical bytes.
+    """Fixed-schema CSV: a version tag comment line, a header row, data rows,
+    each line ending in \\n.  ``csv`` writes None and a missing key as an
+    empty cell and every other value by ``str``, the shortest round-trip text
+    for floats and numpy scalars, so identical runs produce identical bytes;
+    a row whose only cell is empty is written ``""``.
     """
-    with open(path, "w") as fh:
+    with open(path, "w", newline="") as fh:
         fh.write(f"# schema: {SCHEMA_VERSION} experiment: {experiment}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row[c]) if c in row and row[c] is not None
-                              else "" for c in columns) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([row.get(c) for c in columns] for row in rows)
 
 
 def read_csv(path):
-    with open(path) as fh:
+    """(schema line, columns, rows) of a write_csv file, each row a dict of
+    its cells as text."""
+    with open(path, newline="") as fh:
         schema = fh.readline().strip()
-        columns = fh.readline().strip().split(",")
-        rows = []
-        for line in fh:
-            cells = line.rstrip("\n").split(",")
-            rows.append(dict(zip(columns, cells)))
+        reader = csv.reader(fh)
+        columns = next(reader)
+        rows = [dict(zip(columns, cells)) for cells in reader]
     return schema, columns, rows
 
 
@@ -66,14 +57,6 @@ def write_json(path, payload):
         fh.write("\n")
 
 
-def sha256_file(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def write_manifest(outdir, experiment: str, config: dict, passes: dict,
                    status: str, code_version: str, warnings=(), gates=None,
                    traceback: str | None = None):
@@ -81,9 +64,11 @@ def write_manifest(outdir, experiment: str, config: dict, passes: dict,
     traceback of a failed run, and each gate's record and its ``ok``."""
     files = {}
     for name in sorted(os.listdir(outdir)):
-        if name == "manifest.json" or not os.path.isfile(os.path.join(outdir, name)):
+        path = os.path.join(outdir, name)
+        if name == "manifest.json" or not os.path.isfile(path):
             continue
-        files[name] = sha256_file(os.path.join(outdir, name))
+        with open(path, "rb") as fh:
+            files[name] = hashlib.file_digest(fh, "sha256").hexdigest()
     payload = {
         "experiment": experiment,
         "config": _jsonable(config),

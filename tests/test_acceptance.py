@@ -113,12 +113,12 @@ def test_criterion_06_approximation_rates():
     fd = periodic.approx_error(
         operators.fourier_multiplier(lambda x: 1j * x, block),
         [spectral.fd_symbol(1, 1, k) for k in periods],
-        s=s, s_prime=s, data_s=s + 2.0, seed=SEED, probe="fd")
+        s=s, s_prime=s, data_s=s + 2.0, seed=SEED)
     mult = periodic.approx_error(
         operators.toeplitz_potential(operators.exp_decay_coeff, block),
         [spectral.mult_matrix_from_coeffs(operators.exp_decay_coeff, k)
          for k in periods],
-        s=4.0, s_prime=2.0, data_s=4.0, seed=SEED, probe="mult")
+        s=4.0, s_prime=2.0, data_s=4.0, seed=SEED)
     announce(6, "approximation rates",
              abs(fd.decay_rate - 1.0) <= 0.25 and abs(mult.decay_rate - 2.0) <= 0.25,
              f"fd_rate={fd.decay_rate:.3f} mult_rate={mult.decay_rate:.3f}")

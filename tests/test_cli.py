@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -461,6 +462,64 @@ def test_csv_writes_numpy_scalars_by_value(tmp_path):
                       {"a": "-inf", "b": "-inf", "c": ""}]
 
 
+def test_csv_bytes_are_the_documented_text(tmp_path):
+    """The exact bytes of a table: the schema line, the header, \\n line
+    ends, an empty cell for None, a missing key and "", each numpy scalar and
+    float by its shortest round-trip text; read_csv gives those cells back."""
+    path = tmp_path / "t.csv"
+    rows = [{"a": np.int64(-3), "b": np.float64(0.1), "c": np.bool_(True), "d": None},
+            {"a": 7, "b": math.inf, "c": "", "d": np.float64(-math.inf)},
+            {"a": -0.0, "b": np.float64(math.nan), "c": 1e-300},
+            {"b": 2.5, "c": False, "d": np.float64(-0.0)}]
+    reporting.write_csv(path, ("a", "b", "c", "d"), rows, "unit")
+    assert path.read_bytes() == (
+        b"# schema: pdmat-results-v1 experiment: unit\n"
+        b"a,b,c,d\n"
+        b"-3,0.1,True,\n"
+        b"7,inf,,-inf\n"
+        b"-0.0,nan,1e-300,\n"
+        b",2.5,False,-0.0\n")
+    schema, columns, parsed = reporting.read_csv(path)
+    assert schema == "# schema: pdmat-results-v1 experiment: unit"
+    assert columns == ["a", "b", "c", "d"]
+    assert parsed == [{"a": "-3", "b": "0.1", "c": "True", "d": ""},
+                      {"a": "7", "b": "inf", "c": "", "d": "-inf"},
+                      {"a": "-0.0", "b": "nan", "c": "1e-300", "d": ""},
+                      {"a": "", "b": "2.5", "c": "False", "d": "-0.0"}]
+
+
+def test_csv_one_column_empty_cell_is_quoted(tmp_path):
+    # csv quotes a lone empty cell, so that the row is not a blank line
+    path = tmp_path / "t.csv"
+    reporting.write_csv(path, ("a",), [{"a": None}, {"a": 1.0}], "unit")
+    assert path.read_bytes().splitlines()[2:] == [b'""', b"1.0"]
+    assert reporting.read_csv(path)[2] == [{"a": ""}, {"a": "1.0"}]
+
+
+@pytest.mark.parametrize("periods,levels", [(1, [8]), (3, [8, 16, 32]),
+                                            (None, [8, 16, 32])])
+def test_growth_probe_periods_come_from_the_registry(tmp_path, monkeypatch, capsys,
+                                                     periods, levels):
+    """The number of leading K_list periods that GROWTH_PROBES gives a probe
+    is the number its study runs, its exponent gates name those K, and
+    list-probes prints it.  The shipped registry gives growth_rhom1 two."""
+    desc, rho, shipped = experiments.GROWTH_PROBES["growth_rhom1"]
+    assert shipped == 2
+    monkeypatch.setitem(experiments.GROWTH_PROBES, "growth_rhom1", (desc, rho, periods))
+    assert cli.main(["list-probes"]) == 0
+    note = "" if periods is None else f" (first {periods} periods of K_list)"
+    assert f"    growth_rhom1: {desc}{note}\n" in capsys.readouterr().out
+    cfg = cli.parse_config('experiment = "sobolev_growth"\nprobes = ["growth_rhom1"]\n'
+                           'K_list = [8, 16, 32]\ns_list = [1.0]\nhorizon = 1.5\n'
+                           'delta = 0.05\n')
+    cli.run(cfg, tmp_path)
+    gates = reporting.read_manifest(tmp_path)["gates"]
+    assert sorted(name for name in gates if "_exponent_" in name) == \
+        sorted(f"growth_rhom1_exponent_s1_K{K}" for K in levels)
+    _, _, rows = reporting.read_csv(tmp_path / "results.csv")
+    assert sorted({int(r["level"]) for r in rows}) == levels
+
+
 @pytest.mark.parametrize("cfg_text", [
     'experiment = "order_gain"\nseed = 1\nM_list = [8, 16, 32]\n',
     'experiment = "sobolev_growth"\nseed = 1\nK_list = [32, 64]\nhorizon = 2.0\n'],
@@ -530,7 +589,7 @@ def test_manifest_lists_all_files_with_hashes(tmp_path):
     assert set(manifest) == set(reporting.MANIFEST_KEYS)
     assert set(manifest["files"]) == {"results.csv", "fits.json"}
     for name, digest in manifest["files"].items():
-        assert digest == reporting.sha256_file(tmp_path / name)
+        assert digest == hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
     assert manifest["config"]["seed"] == 1
     assert manifest["status"] == "ok"
 

@@ -18,8 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pdmat import core, experiments, operators
-from pdmat.core import (IndexBlock, OpMatrix, SeminormSpec, periodic_block,
-                        truncated_block)
+from pdmat.core import IndexBlock, OpMatrix, periodic_block, truncated_block
 
 RNG_SEED = 20260808
 
@@ -359,8 +358,7 @@ def test_seminorm_matches_brute_force_on_random_matrix():
     rng = np.random.default_rng(RNG_SEED + 5)
     A = OpMatrix(block, rng.standard_normal((block.n, block.n))
                  + 1j * rng.standard_normal((block.n, block.n)))
-    spec = SeminormSpec((1,), 3, 0.75)
-    D, _ = brute_delta(block, A.entries, spec.alpha)
+    D, _ = brute_delta(block, A.entries, (1,))
     idx = axis(block)
     worst = 0.0
     for i, m in enumerate(idx):
@@ -369,7 +367,7 @@ def test_seminorm_matches_brute_force_on_random_matrix():
             size = abs(int(m)) + abs(int(n))
             worst = max(worst, abs(D[i, j]) * (1 + dist) ** 3 /
                         (1 + size) ** (0.75 - 1))
-    assert core.seminorm(A, spec) == pytest.approx(worst, rel=1e-13)
+    assert core.seminorm(A, (1,), 3, 0.75) == pytest.approx(worst, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -379,24 +377,27 @@ def test_seminorm_matches_brute_force_on_random_matrix():
 def test_seminorm_zero_matrix():
     block = truncated_block(1, 5)
     zero = scaled_identity(block, 0.0)
-    assert core.seminorm(zero, SeminormSpec((0,), 3, 0.0)) == 0.0
+    assert core.seminorm(zero, (0,), 3, 0.0) == 0.0
+
+
+def test_seminorm_rejects_a_negative_decay():
+    with pytest.raises(ValueError, match="decay"):
+        core.seminorm(scaled_identity(truncated_block(1, 4)), (0,), -1, 0.0)
 
 
 def test_seminorm_identity_attained_at_origin():
     block = truncated_block(1, 16)
     for decay in (0, 2, 8):
-        assert core.seminorm(scaled_identity(block),
-                             SeminormSpec((0,), decay, 0.0)) == 1.0
+        assert core.seminorm(scaled_identity(block), (0,), decay, 0.0) == 1.0
 
 
 def test_seminorm_square_symbol_brute_force_oracle():
     M = 64
     block = truncated_block(1, M)
     A = diag_from(block, lambda m: m * m)
-    spec = SeminormSpec((0,), 0, 2.0)
     # independent scan over the definition
     oracle = max(m * m / (1 + 2 * abs(m)) ** 2 for m in range(-M, M + 1))
-    val = core.seminorm(A, spec)
+    val = core.seminorm(A, (0,), 0, 2.0)
     assert val == pytest.approx(oracle, rel=1e-14)
     assert val == pytest.approx(4096 / 16641, rel=1e-14)
     assert val < 1.0
@@ -409,8 +410,8 @@ def test_seminorm_triangle_inequality(seed):
     rng = np.random.default_rng(seed)
     A = random_periodic(block, rng)
     B = random_periodic(block, rng)
-    spec = SeminormSpec((1,), 2, 0.5)
-    assert core.seminorm(A + B, spec) <= core.seminorm(A, spec) + core.seminorm(B, spec) + 1e-12
+    spec = ((1,), 2, 0.5)
+    assert core.seminorm(A + B, *spec) <= core.seminorm(A, *spec) + core.seminorm(B, *spec) + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +508,7 @@ def test_apply_operator_norm_bound_uniform_over_radii():
     for M in (16, 32, 64):
         block = truncated_block(1, M)
         A = diag_from(block, lambda m: m * m) + toeplitz_from(block, cos_coeff)
-        sem = core.seminorm(A, SeminormSpec((0,), decay, r))
+        sem = core.seminorm(A, (0,), decay, r)
         w_out = core.sobolev_weights(block, s - r)
         w_in = core.sobolev_weights(block, s)
         worst = 0.0
@@ -651,7 +652,7 @@ def stable_table(ratios, sizes):
 
 def seminorm_scan(family, alpha_grid, decay_grid, order_grid):
     """The same table as the order scans, one core.seminorm per entry."""
-    return np.array([[[[core.seminorm(A, core.SeminormSpec(alpha, decay, r))
+    return np.array([[[[core.seminorm(A, alpha, decay, r)
                         for A in family] for decay in decay_grid]
                       for alpha in alpha_grid] for r in order_grid])
 

@@ -808,9 +808,10 @@ def test_probe_registry():
         model = experiments.waterwave_model(name)
         assert (model.label, model.mu) == (name, mu)
         assert (model.b_coeffs is operators.cos_coeff) != rough
-    for name, (_, rho) in experiments.GROWTH_PROBES.items():
+    for name, (_, rho, periods) in experiments.GROWTH_PROBES.items():
         model = experiments.growth_model(name)
         assert (model.label, model.rho) == (name, rho)
+        assert periods is None or (isinstance(periods, int) and periods >= 1)
     assert not set(experiments.WATERWAVE_PROBES) & set(experiments.GROWTH_PROBES)
     assert experiments.waterwave_model("waterwave").mu == 1.0
     with pytest.raises(KeyError):

@@ -144,7 +144,7 @@ def test_conjugation_identity(period, d, sign):
 
 def test_fd_symbol_family_first_difference_bounded():
     fam = [spectral.fd_symbol(1, 1, k) for k in (16, 32, 64, 128)]
-    vals = [core.seminorm(A, core.SeminormSpec((1,), 0, 1.0)) for A in fam]
+    vals = [core.seminorm(A, (1,), 0, 1.0) for A in fam]
     assert max(vals) <= 1.2  # |e^{ih} - 1| / h <= 1 plus wrap contribution
 
 
