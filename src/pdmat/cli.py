@@ -75,15 +75,13 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} entries must be integers")
             if any(a >= b for a, b in zip(values, values[1:])):
                 raise ConfigError(f"{name} must be strictly increasing")
-        if not all(_is_number(v) for v in self.s_list):
-            raise ConfigError("s_list entries must be finite numbers")
+        # the paper's estimates are on h^s, s >= 0
+        if not all(_is_number(v) and v >= 0 for v in self.s_list):
+            raise ConfigError("s_list entries must be finite nonnegative numbers")
         # a repeated entry would run twice and overwrite its own fits and gates
         for name in ("probes", "s_list"):
             if len(set(getattr(self, name))) < len(getattr(self, name)):
                 raise ConfigError(f"{name} entries must not repeat")
-        if spec.positive_s and not any(s > 0 for s in self.s_list):
-            raise ConfigError(f"s_list needs a positive entry for {self.experiment}, "
-                              "which runs only the s > 0 ones")
         if self.M_list[0] < spec.min_radius:
             raise ConfigError(f"M_list entries must be at least {spec.min_radius} "
                               f"for {self.experiment}")
@@ -244,9 +242,9 @@ def run_approx_rates(cfg: ExperimentConfig):
 
 def run_splitting_orders(cfg: ExperimentConfig):
     t0 = time.monotonic()
-    M = max(cfg.M_list)
-    A, B = experiments.schroedinger_pair(operators.two_cos_coeff, M)
-    system = flows.scalar_system(M, A, B, (flows.LIE, flows.STRANG))
+    # the fits compare step sizes on one block, so no radius grid is read
+    A, B = experiments.schroedinger_pair(operators.two_cos_coeff, 64)
+    system = flows.scalar_system(64, A, B, (flows.LIE, flows.STRANG))
     tables = flows.error_table(system, [
         (s, system.weights(s), system.sampler(s + 3.0, flows.N_SAMPLES, cfg.seed))
         for s in cfg.s_list])
@@ -285,8 +283,8 @@ def run_waterwave(cfg: ExperimentConfig):
     rows, fits, gates = [], {}, {}
     for probe in probes:
         model = experiments.waterwave_model(probe, seed=cfg.seed)
-        res = experiments.waterwave_noloss_study(
-            model, cfg.K_list, [s for s in cfg.s_list if s > 0], seed=cfg.seed)
+        res = experiments.waterwave_noloss_study(model, cfg.K_list, cfg.s_list,
+                                                 seed=cfg.seed)
         # only the documented order warning (St-Venant) voids the theory
         # bands; the propagator-norm stability message stays a warning
         asserted = model.order_warning() is None
@@ -315,8 +313,7 @@ def run_waterwave(cfg: ExperimentConfig):
 
 
 def run_schroedinger_precond(cfg: ExperimentConfig):
-    res = experiments.preconditioned_lie_study(
-        [s for s in cfg.s_list if s > 0], cfg.M_list, seed=cfg.seed)
+    res = experiments.preconditioned_lie_study(cfg.s_list, cfg.M_list, seed=cfg.seed)
     rows = [{"probe": "schrodinger", **r} for r in res["error_rows"]]
     pre, base = res["loss_preconditioned"], res["loss_baseline"]
     fits = {
@@ -345,8 +342,8 @@ def run_sobolev_growth(cfg: ExperimentConfig):
     models = [experiments.growth_model(probe) for probe in probes]
     results = experiments.sobolev_growth_study(
         [(model, cfg.K_list[:experiments.GROWTH_PROBES[probe][2]])
-         for probe, model in zip(probes, models)], cfg.horizon,
-        [s for s in cfg.s_list if s > 0], delta=cfg.delta, seed=cfg.seed)
+         for probe, model in zip(probes, models)], cfg.horizon, cfg.s_list,
+        delta=cfg.delta, seed=cfg.seed)
     for probe, model, res in zip(probes, models, results):
         rows.extend({"probe": probe, **r} for r in res["rows"])
         worst_drift = max(res["conservation"].values())
@@ -354,8 +351,7 @@ def run_sobolev_growth(cfg: ExperimentConfig):
         gates[f"{probe}_l2_conservation"] = _gate(worst_drift, 1e-8)
         if model.rho == 0.0:
             for s in {r["s"] for r in res["rows"]}:
-                cs = [res["ratio"][(s, K)]["max_common"]
-                      for K in res["conservation"]]
+                cs = [res["ratio"][(s, K)] for K in res["conservation"]]
                 fits[f"{probe}_ratio_span_s{s:g}"] = max(cs) / min(cs)
                 gates[f"{probe}_ratio_stable_s{s:g}"] = _gate(max(cs), 1.2 * min(cs))
         else:
@@ -425,7 +421,6 @@ class Experiment:
     refined: tuple = ()           # grids of the levels its gates compare
     probe_table: dict = None      # its probe names (experiments.*_PROBES)
     min_radius: int = 1           # smallest radius it can build
-    positive_s: bool = False      # runs only the s > 0 entries of s_list
 
 
 COMMON_KEYS = ("experiment", "seed")   # read by every experiment
@@ -436,22 +431,20 @@ EXPERIMENTS = {
     "approx_rates": Experiment(
         run_approx_rates, ("probe", "K", "s", "s_prime", "error", "fitted_rate"),
         ("K_list",), refined=("K_list",)),
-    "splitting_orders": Experiment(run_splitting_orders, _SPLIT_COLUMNS,
-                                   ("M_list", "s_list")),
+    "splitting_orders": Experiment(run_splitting_orders, _SPLIT_COLUMNS, ("s_list",)),
     "loss_scan": Experiment(run_loss_scan, _SPLIT_COLUMNS, ("M_list", "K_list"),
                             refined=("M_list", "K_list")),
     "waterwave": Experiment(
         run_waterwave, _SPLIT_COLUMNS, ("probes", "K_list", "s_list"),
-        refined=("K_list",), probe_table=experiments.WATERWAVE_PROBES,
-        positive_s=True),
+        refined=("K_list",), probe_table=experiments.WATERWAVE_PROBES),
     "schroedinger_precond": Experiment(
         run_schroedinger_precond, _SPLIT_COLUMNS, ("M_list", "s_list"),
-        refined=("M_list",), min_radius=4, positive_s=True),  # built from 4 on
+        refined=("M_list",), min_radius=4),  # built from 4 on
     "sobolev_growth": Experiment(
         run_sobolev_growth, ("probe", "level", "s", "ratio_max", "exponent",
                              "conservation"),
         ("probes", "K_list", "s_list", "horizon", "delta"), refined=("K_list",),
-        probe_table=experiments.GROWTH_PROBES, positive_s=True),
+        probe_table=experiments.GROWTH_PROBES),
     "invariants_suite": Experiment(
         run_invariants_suite, ("invariant", "probe", "measured", "bound", "status")),
 }

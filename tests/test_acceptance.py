@@ -216,7 +216,7 @@ def test_criterion_11_sobolev_growth():
     ok = all(v <= 1e-8 for v in rho0["conservation"].values())
     spans = []
     for s in (1.0, 2.0):
-        cs = [rho0["ratio"][(s, K)]["max_common"] for K in (32, 64, 128)]
+        cs = [rho0["ratio"][(s, K)] for K in (32, 64, 128)]
         spans.append(max(cs) / min(cs))
         ok &= max(cs) <= 1.2 * min(cs)
     ok &= all(v <= 1e-8 for v in rhom1["conservation"].values())

@@ -76,7 +76,7 @@ def test_no_constructor_takes_a_cache():
 
 @pytest.mark.parametrize("outcome", ["returns", "raises"])
 def test_run_leaves_no_factor_in_the_eigh_cache(outcome, tmp_path, monkeypatch):
-    cfg = cli.parse_config('experiment = "splitting_orders"\nM_list = [8, 16]\n')
+    cfg = cli.parse_config('experiment = "splitting_orders"\n')
     spec = cli.EXPERIMENTS["splitting_orders"]
     held = []
 

@@ -175,7 +175,7 @@ def test_bad_config_values_rejected_by_name(line, key):
 READS = {
     "order_gain": {"M_list"},
     "approx_rates": {"K_list"},
-    "splitting_orders": {"M_list", "s_list"},
+    "splitting_orders": {"s_list"},
     "loss_scan": {"M_list", "K_list"},
     "waterwave": {"probes", "K_list", "s_list"},
     "schroedinger_precond": {"M_list", "s_list"},
@@ -194,7 +194,7 @@ def test_each_experiment_reads_the_keys_of_its_record():
     assert {name: set(spec.keys) for name, spec in cli.EXPERIMENTS.items()} == READS
     assert cli.COMMON_KEYS == ("experiment", "seed")
     # 7 settable keys (all but experiment) for each of 8 experiments
-    assert len(UNREAD) == 7 * 8 - 24
+    assert len(UNREAD) == 7 * 8 - 23
 
 
 @pytest.mark.parametrize("experiment,key", UNREAD)
@@ -226,6 +226,7 @@ def test_every_key_an_experiment_reads_is_accepted(experiment):
     ("sobolev_growth", "s_list = [-1.0, 0.0]", "s_list"),
     ("waterwave", "s_list = [-1.0, 0.0]", "s_list"),
     ("schroedinger_precond", "s_list = [-1.0, 0.0]", "s_list"),
+    ("splitting_orders", "s_list = [-1.0, 0.0]", "s_list"),
 ])
 def test_values_an_experiment_cannot_run_rejected_by_name(experiment, line, key):
     with pytest.raises(cli.ConfigError, match=key):
@@ -341,6 +342,25 @@ def test_every_period_reaches_the_study(experiment, monkeypatch):
     assert periods == [8, 16, 32, 64]
 
 
+@pytest.mark.parametrize("experiment,lines,s0_gates", [
+    ("waterwave", 'probes = ["waterwave", "waterwave_rough"]\ns_list = [0, 1, 2, 3]',
+     ["waterwave_rough_strang_s0_slope", "waterwave_strang_s0_slope"]),
+    ("schroedinger_precond", "s_list = [0, 2]", ["precond_slope_s0"]),
+    ("sobolev_growth", "K_list = [8, 16, 32]\ns_list = [0, 1]\nhorizon = 1.5\n"
+     "delta = 0.05", ["growth_rho0_ratio_stable_s0", "growth_rhom1_exponent_s0_K16",
+                      "growth_rhom1_exponent_s0_K8"]),
+], ids=["waterwave", "schroedinger_precond", "sobolev_growth"])
+def test_an_s0_entry_runs_and_is_gated(experiment, lines, s0_gates, tmp_path):
+    """s = 0, the l2 norm, is a Sobolev index like any other: its rows are
+    written and its gates hold."""
+    cfg = cli.parse_config(f'experiment = "{experiment}"\n{lines}')
+    assert cli.run(cfg, tmp_path) == 0
+    gates = reporting.read_manifest(tmp_path)["gates"]
+    assert sorted(name for name in gates if "_s0" in name) == s0_gates
+    _, _, rows = reporting.read_csv(tmp_path / "results.csv")
+    assert {float(r["s"]) for r in rows if r["s"]} == set(cfg.s_list)
+
+
 @pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
 def test_manifest_config_lists_the_keys_the_experiment_reads(experiment, tmp_path,
                                                              monkeypatch):
@@ -404,8 +424,7 @@ def test_slope_gates_carry_the_fit_health():
 
 
 def test_manifest_slope_gates_match_the_fits(tmp_path):
-    cfg = cli.parse_config(
-        'experiment = "splitting_orders"\nM_list = [16]\ns_list = [0.0, 1.0]\n')
+    cfg = cli.parse_config('experiment = "splitting_orders"\ns_list = [0.0, 1.0]\n')
     cli.run(cfg, tmp_path)
     gates = reporting.read_manifest(tmp_path)["gates"]
     fits = json.loads((tmp_path / "fits.json").read_text())
@@ -417,8 +436,8 @@ def test_manifest_slope_gates_match_the_fits(tmp_path):
 
 @pytest.mark.parametrize("cfg_text,band", [
     ('experiment = "order_gain"\nM_list = [8, 16]\n', 0.25),
-    ('experiment = "splitting_orders"\nM_list = [16]\ns_list = [0.0, 1.0]\n',
-     0.001)], ids=["order_gain", "splitting_orders_broken_band"])
+    ('experiment = "splitting_orders"\ns_list = [0.0, 1.0]\n', 0.001)],
+    ids=["order_gain", "splitting_orders_broken_band"])
 def test_manifest_passes_are_the_gate_records_ok(tmp_path, monkeypatch,
                                                  cfg_text, band):
     monkeypatch.setattr(cli, "FIT_BAND", band)
@@ -570,7 +589,7 @@ experiments.growth_trajectory = lambda *job: {{
 children = []
 _growth_result = experiments._growth_result
 experiments._growth_result = lambda *args: children.extend(args[-1]) or _growth_result(*args)
-assert cli.run(cli.parse_config('experiment = "splitting_orders"\\nM_list = [8, 16]\\n'),
+assert cli.run(cli.parse_config('experiment = "splitting_orders"\\n'),
                {str(tmp_path / "flows")!r}) == 0
 assert cli.run(cli.parse_config('experiment = "sobolev_growth"\\nK_list = [16, 32]\\n'
                                 'horizon = 2.0\\n'), {str(tmp_path / "growth")!r}) == 0
@@ -595,9 +614,8 @@ def test_manifest_lists_all_files_with_hashes(tmp_path):
 
 
 def test_run_splitting_orders_small(tmp_path):
-    cfg = cli.parse_config(
-        'experiment = "splitting_orders"\nM_list = [16]\ns_list = [1.0]\n'
-        'seed = 2\n')
+    cfg = cli.parse_config('experiment = "splitting_orders"\ns_list = [1.0]\n'
+                           'seed = 2\n')
     rc = cli.run(cfg, tmp_path)
     assert rc == 0
     fits = json.loads((tmp_path / "fits.json").read_text())
@@ -621,8 +639,7 @@ def test_shipped_splitting_orders_factors_each_generator_once(monkeypatch):
 def test_broken_tolerance_fails_with_measured_slope(tmp_path, capsys,
                                                    monkeypatch):
     monkeypatch.setattr(cli, "FIT_BAND", 0.001)
-    cfg = cli.parse_config(
-        'experiment = "splitting_orders"\nM_list = [16]\ns_list = [1.0]\n')
+    cfg = cli.parse_config('experiment = "splitting_orders"\ns_list = [1.0]\n')
     rc = cli.run(cfg, tmp_path)
     assert rc == 1
     assert "FAIL" in capsys.readouterr().out
@@ -661,8 +678,8 @@ def test_report_on_a_missing_or_broken_manifest_is_an_error(tmp_path, capsys):
 
 
 def test_report_writes_dat_files(tmp_path, capsys):
-    cfg = cli.parse_config(
-        'experiment = "splitting_orders"\nM_list = [16]\ns_list = [1.0]\nseed = 2\n')
+    cfg = cli.parse_config('experiment = "splitting_orders"\ns_list = [1.0]\n'
+                           'seed = 2\n')
     cli.run(cfg, tmp_path)
     assert cli.report(tmp_path) == 0
     dats = [f for f in os.listdir(tmp_path) if f.endswith(".dat")]

@@ -566,15 +566,27 @@ def test_estimate_order_sentinel_when_nothing_certifies():
     assert core.estimate_order(fam).r_hat == math.inf
 
 
-@pytest.mark.parametrize("potential", ["cos", "exp_decay", "rough_even"])
+@pytest.mark.parametrize("potential", ["cos", "exp_decay", "rough_even", "cos_2d",
+                                       "exp_decay_2d"])
 def test_estimate_order_respects_reflection_adjoint_and_scaling(potential):
     # m -> -m, A -> A^H and A -> 8A commute with the diagonal differences, so
     # the seminorms stay the same bit for bit (8 times them for the scaling,
-    # a power of two) and so does the certified order
-    coeff = operators.rough_even_coeff(7, 15) if potential == "rough_even" \
-        else getattr(operators, f"{potential}_coeff")
-    family = [core.commutator(*experiments.schroedinger_pair(coeff, M))
-              for M in (16, 32, 64)]
+    # a power of two) and so does the certified order; the family is
+    # [|x|^2, B] at M = 16, 32, 64 in 1-d and M = 4, 8, 12 in 2-d
+    name, two_d, _ = potential.partition("_2d")
+    coeff = operators.rough_even_coeff(7, 15) if name == "rough_even" \
+        else getattr(operators, f"{name}_coeff")
+    if two_d:
+        laplacian = operators.symbol_catalog("laplacian")
+        family = [core.commutator(operators.fourier_multiplier(laplacian, block),
+                                  operators.toeplitz_potential(coeff, block))
+                  for block in (truncated_block(2, M) for M in (4, 8, 12))]
+    else:
+        family = [core.commutator(*experiments.schroedinger_pair(coeff, M))
+                  for M in (16, 32, 64)]
+    # reversing the index order of a box is m -> -m in every dimension
+    idx = family[0].block.indices()
+    assert np.array_equal(idx[::-1], -idx)
     base = core.estimate_order(family)
     for image, factor in ((lambda e: e[::-1, ::-1], 1.0), (lambda e: e.conj().T, 1.0),
                           (lambda e: 8.0 * e, 8.0)):
