@@ -61,53 +61,51 @@ class ExperimentConfig:
     delta: float = 0.01
 
     def validate(self):
+        """Check each key the experiment reads, and no other, by that key's
+        rules; every ConfigError names the key it rejects."""
         spec = _record(self.experiment)
-        for probe in self.probes if spec.probe_table else ():
-            if probe not in spec.probe_table:
-                raise ConfigError(f"probes: {probe!r} is not a {self.experiment} "
-                                  "probe (see pdmat list-probes)")
-        for name in ("M_list", "K_list", "s_list"):
-            if not getattr(self, name):
-                raise ConfigError(f"{name} must be nonempty")
-        for name in ("M_list", "K_list"):
-            values = getattr(self, name)
-            if not all(_is_int(v) for v in values):
-                raise ConfigError(f"{name} entries must be integers")
-            if any(a >= b for a, b in zip(values, values[1:])):
-                raise ConfigError(f"{name} must be strictly increasing")
-        # the paper's estimates are on h^s, s >= 0
-        if not all(_is_number(v) and v >= 0 for v in self.s_list):
-            raise ConfigError("s_list entries must be finite nonnegative numbers")
-        # a repeated entry would run twice and overwrite its own fits and gates
-        for name in ("probes", "s_list"):
-            if len(set(getattr(self, name))) < len(getattr(self, name)):
-                raise ConfigError(f"{name} entries must not repeat")
-        if self.M_list[0] < spec.min_radius:
-            raise ConfigError(f"M_list entries must be at least {spec.min_radius} "
-                              f"for {self.experiment}")
-        for name in spec.refined:
-            if len(getattr(self, name)) < 2:
-                raise ConfigError(f"{name} must have at least 2 entries for "
+        for key in spec.keys:
+            value = getattr(self, key)
+            for probe in value if key == "probes" else ():
+                if probe not in spec.probe_table:
+                    raise ConfigError(f"probes: {probe!r} is not a {self.experiment} "
+                                      "probe (see pdmat list-probes)")
+            if key in ("M_list", "K_list", "s_list") and not value:
+                raise ConfigError(f"{key} must be nonempty")
+            if key in ("M_list", "K_list"):
+                if not all(_is_int(v) for v in value):
+                    raise ConfigError(f"{key} entries must be integers")
+                if any(a >= b for a, b in zip(value, value[1:])):
+                    raise ConfigError(f"{key} must be strictly increasing")
+            # the paper's estimates are on h^s, s >= 0
+            if key == "s_list" and not all(_is_number(v) and v >= 0 for v in value):
+                raise ConfigError("s_list entries must be finite nonnegative numbers")
+            # a repeated entry would run twice and overwrite its own fits and gates
+            if key in ("probes", "s_list") and len(set(value)) < len(value):
+                raise ConfigError(f"{key} entries must not repeat")
+            if key == "M_list" and value[0] < spec.min_radius:
+                raise ConfigError(f"M_list entries must be at least {spec.min_radius} "
+                                  f"for {self.experiment}")
+            if key in spec.refined and len(value) < 2:
+                raise ConfigError(f"{key} must have at least 2 entries for "
                                   f"{self.experiment} (refinement levels)")
-        if any(k % 2 or k < 4 for k in self.K_list):
-            raise ConfigError("K_list entries must be even and at least 4")
-        for name in ("horizon", "delta"):
-            if not _is_number(getattr(self, name)) or getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be a positive finite number")
-        steps = self.horizon / self.delta
-        # also catches a quotient that overflows to inf
-        if not steps <= MAX_STEPS:
-            raise ConfigError(f"horizon {self.horizon:g} over delta {self.delta:g} "
-                              f"is {steps:.7g} steps, more than {MAX_STEPS}")
-        # the growth exponent is fitted on the steps at t >= 1 and needs two
-        if (round(steps) - 1) * self.delta < 1.0:
-            raise ConfigError(f"horizon {self.horizon:g} leaves fewer than two "
-                              f"steps of delta {self.delta:g} at t >= 1 for "
-                              "sobolev_growth (it needs 1 + delta or more)")
-        if not _is_int(self.seed):
-            raise ConfigError("seed must be an integer")
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
+            if key == "K_list" and any(k % 2 or k < 4 for k in value):
+                raise ConfigError("K_list entries must be even and at least 4")
+            if key in ("horizon", "delta") and not (_is_number(value) and value > 0):
+                raise ConfigError(f"{key} must be a positive finite number")
+            if key == "seed" and not (_is_int(value) and value >= 0):
+                raise ConfigError("seed must be a nonnegative integer")
+        if {"horizon", "delta"} <= set(spec.keys):
+            steps = self.horizon / self.delta
+            # also catches a quotient that overflows to inf
+            if not steps <= MAX_STEPS:
+                raise ConfigError(f"horizon {self.horizon:g} over delta {self.delta:g} "
+                                  f"is {steps:.7g} steps, more than {MAX_STEPS}")
+            # the growth exponent is fitted on the steps at t >= 1 and needs two
+            if (round(steps) - 1) * self.delta < 1.0:
+                raise ConfigError(f"horizon {self.horizon:g} leaves fewer than two "
+                                  f"steps of delta {self.delta:g} at t >= 1 for "
+                                  "sobolev_growth (it needs 1 + delta or more)")
         return self
 
 
@@ -225,12 +223,12 @@ def run_approx_rates(cfg: ExperimentConfig):
     fd_limit = operators.fourier_multiplier(lambda x: 1j * x, block)
     fd = periodic.approx_error(
         fd_limit, [spectral.fd_symbol(1, 1, k) for k in cfg.K_list],
-        s=s, s_prime=s, data_s=s + 2.0, seed=cfg.seed)
+        s=s, s_prime=s, data_s=s + 2.0)
     mult_limit = operators.toeplitz_potential(operators.exp_decay_coeff, block)
     mult = periodic.approx_error(
         mult_limit, [spectral.mult_matrix_from_coeffs(operators.exp_decay_coeff, k)
                      for k in cfg.K_list],
-        s=4.0, s_prime=2.0, data_s=4.0, seed=cfg.seed)
+        s=4.0, s_prime=2.0, data_s=4.0)
     rows = [{"probe": "fd", **r} for r in fd.rows] + \
         [{"probe": "mult", **r} for r in mult.rows]
     fits = {"fd_rate": fd.decay_rate, "fd_residual": fd.residual,
@@ -246,8 +244,8 @@ def run_splitting_orders(cfg: ExperimentConfig):
     A, B = experiments.schroedinger_pair(operators.two_cos_coeff, 64)
     system = flows.scalar_system(64, A, B, (flows.LIE, flows.STRANG))
     tables = flows.error_table(system, [
-        (s, system.weights(s), system.sampler(s + 3.0, flows.N_SAMPLES, cfg.seed))
-        for s in cfg.s_list])
+        (s, system.weights(s), core.rough_samples(A.block, s + 3.0, flows.N_SAMPLES,
+                                                  cfg.seed)) for s in cfg.s_list])
     rows, fits, gates = [], {}, {}
     for (scheme, s), tab in tables.items():
         label, target = f"{scheme}_s{s:g}", flows.LOCAL_ORDER[scheme]
@@ -270,7 +268,7 @@ def run_loss_scan(cfg: ExperimentConfig):
             ("waterwave", flows.STRANG,
              [experiments.waterwave_assemble(model, K).system((flows.STRANG,))
               for K in cfg.K_list], 0.0)):
-        rep = flows.loss_scan(systems, 2.0, seed=cfg.seed)[scheme]
+        rep = flows.loss_scan(systems, 2.0)[scheme]
         name = f"{scheme}_{probe}"
         fits[name] = {"sigma_hat": rep.sigma_hat, "certified": rep.certified}
         gates[f"{name}_sigma_{target:g}"] = _sigma_gate(rep, target)
@@ -423,7 +421,7 @@ class Experiment:
     min_radius: int = 1           # smallest radius it can build
 
 
-COMMON_KEYS = ("experiment", "seed")   # read by every experiment
+COMMON_KEYS = ("experiment",)   # read by every experiment
 EXPERIMENTS = {
     "order_gain": Experiment(
         run_order_gain, ("probe", "level", "alpha", "decay", "order", "seminorm"),
@@ -431,22 +429,25 @@ EXPERIMENTS = {
     "approx_rates": Experiment(
         run_approx_rates, ("probe", "K", "s", "s_prime", "error", "fitted_rate"),
         ("K_list",), refined=("K_list",)),
-    "splitting_orders": Experiment(run_splitting_orders, _SPLIT_COLUMNS, ("s_list",)),
+    "splitting_orders": Experiment(run_splitting_orders, _SPLIT_COLUMNS,
+                                   ("s_list", "seed")),
     "loss_scan": Experiment(run_loss_scan, _SPLIT_COLUMNS, ("M_list", "K_list"),
                             refined=("M_list", "K_list")),
     "waterwave": Experiment(
-        run_waterwave, _SPLIT_COLUMNS, ("probes", "K_list", "s_list"),
+        run_waterwave, _SPLIT_COLUMNS, ("probes", "K_list", "s_list", "seed"),
         refined=("K_list",), probe_table=experiments.WATERWAVE_PROBES),
     "schroedinger_precond": Experiment(
-        run_schroedinger_precond, _SPLIT_COLUMNS, ("M_list", "s_list"),
+        run_schroedinger_precond, _SPLIT_COLUMNS, ("M_list", "s_list", "seed"),
         refined=("M_list",), min_radius=4),  # built from 4 on
     "sobolev_growth": Experiment(
         run_sobolev_growth, ("probe", "level", "s", "ratio_max", "exponent",
                              "conservation"),
-        ("probes", "K_list", "s_list", "horizon", "delta"), refined=("K_list",),
+        ("probes", "K_list", "s_list", "horizon", "delta", "seed"),
+        refined=("K_list",),
         probe_table=experiments.GROWTH_PROBES),
     "invariants_suite": Experiment(
-        run_invariants_suite, ("invariant", "probe", "measured", "bound", "status")),
+        run_invariants_suite, ("invariant", "probe", "measured", "bound", "status"),
+        ("seed",)),
 }
 
 

@@ -247,8 +247,8 @@ def rough_samples(block: IndexBlock, s: float, n_samples: int, seed: int,
     """Seeded near-extremal h^s data, one sample per row of an (n_samples, n)
     array: |x_k| = (1+|k|)^(-s-0.51), random phases.
 
-    Such x lies in h^s but in no h^(s+e) for e > 0.01, which makes loss
-    detection sharp when these vectors feed the sup in an error estimate.
+    Such x lies in h^s but in no h^(s+e) for e > 0.01, so an error sup over
+    these vectors credits them with no more regularity than s.
     """
     rng = np.random.default_rng(seed)
     amp = (1.0 + block._l1_sizes) ** (-s - 0.51)

@@ -191,7 +191,7 @@ class WaterWaveOperators:
             self.block.size, self.exact_prop,
             {scheme: partial(flows.compose, scheme, self.coupling_prop,
                              self.rotation_prop) for scheme in schemes},
-            self.weights, self.sampler)
+            self.weights)
 
     def weights(self, s: float) -> np.ndarray:
         w = core.sobolev_weights(self.block, s)
@@ -240,9 +240,9 @@ def waterwave_noloss_study(model: WaterWaveModel, periods, s_list,
                            seed: int = 0) -> dict:
     """Order slopes, loss scan, per-step symplectic defect and energy drift
     of the Lie and Strang steps of the split water-wave system, with
-    flows.N_SAMPLES data vectors per error sup, steps flows.TAU_LIST and loss
-    levels at flows.TAU_STAR.  The order warning of the model, an indefinite
-    energy and unstable propagator norms are reported through
+    flows.N_SAMPLES data vectors per error-table case, steps flows.TAU_LIST
+    and loss levels at flows.TAU_STAR.  The order warning of the model, an
+    indefinite energy and unstable propagator norms are reported through
     warnings.warn."""
     out: dict = {}
     warn = model.order_warning()
@@ -276,7 +276,7 @@ def waterwave_noloss_study(model: WaterWaveModel, periods, s_list,
         (s, ops.weights(s), ops.sampler(s, flows.N_SAMPLES, seed)) for s in s_list])
     out["slopes"] = {key: tab.fit for key, tab in tables.items()}
     out["error_rows"] = [r for tab in tables.values() for r in tab.rows]
-    out["loss"] = flows.loss_scan(list(systems.values()), s_list[0], seed=seed)
+    out["loss"] = flows.loss_scan(list(systems.values()), s_list[0])
     out["symplectic_defect"], out["energy_drift"] = {}, {}
     x0 = ops.sampler(max(s_list), 1, seed)[0]
     e0 = ops.energy(x0)
@@ -449,9 +449,9 @@ def smoothing_remainder_family(assemble, radii) -> list[OpMatrix]:
 def preconditioned_lie_study(s_list, radii, seed: int = 0) -> dict:
     """Local-order fit and loss scan of the pre/post-processed Lie step for
     the potential 2 cos x, with the plain Lie baseline for contrast, with
-    flows.N_SAMPLES data vectors per error sup, steps flows.TAU_LIST and loss
-    levels at flows.TAU_STAR.  Each radius is assembled once, in the order of
-    first use, by a memo that lives as long as this call."""
+    flows.N_SAMPLES data vectors per error-table case, steps flows.TAU_LIST
+    and loss levels at flows.TAU_STAR.  Each radius is assembled once, in the
+    order of first use, by a memo that lives as long as this call."""
     assemble = cache(partial(schroedinger_assemble, operators.two_cos_coeff))
     out: dict = {}
     M_ref = max(radii)
@@ -469,18 +469,18 @@ def preconditioned_lie_study(s_list, radii, seed: int = 0) -> dict:
             M, partial(flows.exact_flow, level.H),
             {"precond_lie": level.preconditioned_prop,
              flows.LIE: partial(flows.split_step, flows.LIE, level.A, level.B)},
-            partial(core.sobolev_weights, level.block),
-            partial(core.rough_samples, level.block))
+            partial(core.sobolev_weights, level.block))
 
     systems = {M: system(M) for M in radii}
     ref = systems[M_ref]
     tables = flows.error_table(
         replace(ref, steps={"precond_lie": ref.steps["precond_lie"]}),
-        [(s, ref.weights(s), ref.sampler(s + 3.0, flows.N_SAMPLES, seed))
+        [(s, ref.weights(s), core.rough_samples(model.block, s + 3.0,
+                                                flows.N_SAMPLES, seed))
          for s in s_list])
     out["slopes"] = {s: tab.fit for (_, s), tab in tables.items()}
     out["error_rows"] = [r for tab in tables.values() for r in tab.rows]
-    reports = flows.loss_scan(list(systems.values()), s_list[0], seed=seed)
+    reports = flows.loss_scan(list(systems.values()), s_list[0])
     out["loss_preconditioned"], out["loss_baseline"] = \
         reports["precond_lie"], reports[flows.LIE]
     return out

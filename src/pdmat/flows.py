@@ -18,9 +18,8 @@ SIGMA_GRID and certifies the smallest one for which it is multiplicatively
 stable (within LOSS_THETA) as the block refines, which needs the error
 matrix itself.  Both measure one-step errors of a ``SplitSystem``: the exact
 flow of one refinement level, the split steps approximating it (each a
-name, LIE or STRANG, that ``compose`` applies), and its h^s weights and
-rough data.  Every run uses these grids, so they are module constants, not
-arguments.
+name, LIE or STRANG, that ``compose`` applies), and its h^s weights.  Every
+run uses these grids, so they are module constants, not arguments.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ TAU_MAX = 0.5           # largest step size a splitting step accepts
 FLOOR_FACTOR = 100.0    # roundoff floor of error tables, in eps times the data
 TAU_STAR = 0.005        # reference step size of a loss level's error matrix
 TAU_LIST = tuple(0.1 * 2.0 ** (-j) for j in range(7))   # steps of every error table
-N_SAMPLES = 6           # rough data vectors in each error sup
+N_SAMPLES = 6           # rough data vectors of each error-table case
 SIGMA_GRID = tuple(core.GRID_STEP * j for j in range(9))  # loss candidates 0..2
 LOSS_THETA = 1.5        # a stable loss ratio sequence stays within this factor
 NOISE_FLOOR = 1e-11     # loss ratios at or below this certify at once
@@ -206,24 +205,21 @@ class SplitSystem:
     """One refinement level of a split evolution: ``exact`` is its exact flow
     and ``steps`` maps each split step's name to the step approximating it,
     all flows f(tau, X) as ``compose`` takes them; ``weights(s)`` gives the
-    h^s weights and ``sampler(regularity, n, seed)`` n rough data vectors of
-    its state space, one per row."""
+    h^s weights of its state space."""
 
     label: object
     exact: object
     steps: dict
     weights: object
-    sampler: object
 
 
 def scalar_system(label, A: OpMatrix, B: OpMatrix, schemes) -> SplitSystem:
     """The split flows of A and B on their scalar block, one step per scheme
     name, against the flow of A + B."""
-    block = A.block
     return SplitSystem(
         label, partial(exact_flow, A + B),
         {scheme: partial(split_step, scheme, A, B) for scheme in schemes},
-        partial(core.sobolev_weights, block), partial(core.rough_samples, block))
+        partial(core.sobolev_weights, A.block))
 
 
 @dataclass(eq=False)
@@ -278,34 +274,27 @@ class LossReport:
     rows: list                  # dicts: scheme, level, s, sigma, norm_ratio
 
 
-def _ratio_sup(E: np.ndarray, w_out: np.ndarray, w_in: np.ndarray, xs) -> float:
-    """sup_x ||w_out * (E x)|| / ||w_in * x|| over every unit frequency vector
-    (the weighted column norms of E) and over the data vectors xs."""
+def _ratio_sup(E: np.ndarray, w_out: np.ndarray, w_in: np.ndarray) -> float:
+    """The largest ratio ||w_out * (E x)|| / ||w_in * x|| over the unit
+    frequency vectors x: the largest weighted column norm of E."""
     cols = np.sqrt(((w_out[:, None] * np.abs(E)) ** 2).sum(axis=0))
-    worst = float(np.max(cols / w_in))
-    for x in xs:
-        num = float(np.linalg.norm(w_out * (E @ x)))
-        den = float(np.linalg.norm(w_in * x))
-        worst = max(worst, num / den)
-    return worst
+    return float(np.max(cols / w_in))
 
 
-def loss_scan(systems, s: float, seed: int = 0) -> dict:
+def loss_scan(systems, s: float) -> dict:
     """One LossReport per step name of the systems, one system per refinement
     level: the smallest extra regularity sigma of SIGMA_GRID for which the
     ratio sup_x ||E x||_s / ||x||_{s+sigma} is stable across the levels
     (within factor LOSS_THETA, see core._stable_rows), with E the
     step's one-step error at TAU_STAR as a matrix, the flows applied to the
     identity of the level's state space (exact(TAU_STAR, I) is built once per
-    level for every step, and each level's weights and data once per sigma
-    for every step that reaches it).
+    level for every step).
 
-    The data family joins N_SAMPLES rough spread samples drawn at regularity
-    s+sigma with every unit frequency vector (weighted column ratios): a
-    genuine loss makes the concentrated ratios grow across levels and rejects
-    too-small candidates, while the grid maximum is reported (uncertified)
-    when nothing stabilizes.  Stability needs a refinement, so at least 2
-    levels.
+    The sup is taken over the unit frequency vectors (``_ratio_sup``): a
+    genuine loss makes these concentrated ratios grow across levels and
+    rejects too-small candidates, while the grid maximum is reported
+    (uncertified) when nothing stabilizes.  Stability needs a refinement, so
+    at least 2 levels.
     """
     if len(systems) < 2:
         raise ValueError(f"loss scan needs at least 2 levels, got {len(systems)}")
@@ -316,17 +305,13 @@ def loss_scan(systems, s: float, seed: int = 0) -> dict:
         exact = system.exact(TAU_STAR, eye)
         errors.append({name: step(TAU_STAR, eye) - exact
                        for name, step in system.steps.items()})
-    data: dict = {}     # (level, sigma) -> weights and samples, drawn once
     reports = {}
     for name in systems[0].steps:
         rows = []
         sigma_hat, certified = SIGMA_GRID[-1], False
         for sigma in SIGMA_GRID:
-            for i, system in enumerate(systems):
-                if (i, sigma) not in data:
-                    data[i, sigma] = (system.weights(s), system.weights(s + sigma),
-                                      system.sampler(s + sigma, N_SAMPLES, seed))
-            vals = [_ratio_sup(E[name], *data[i, sigma]) for i, E in enumerate(errors)]
+            vals = [_ratio_sup(E[name], system.weights(s), system.weights(s + sigma))
+                    for system, E in zip(systems, errors)]
             rows += [{"scheme": name, "level": label, "s": s, "sigma": sigma,
                       "norm_ratio": v} for label, v in zip(labels, vals)]
             if max(vals) <= NOISE_FLOOR or \

@@ -129,19 +129,19 @@ class ApproxErrorTable:
 
 
 def approx_error(A_limit: OpMatrix, family, s: float, s_prime: float,
-                 data_s: float | None = None, seed: int = 0) -> ApproxErrorTable:
+                 data_s: float | None = None) -> ApproxErrorTable:
     """Measured operator distance sup_x ||(A_limit - embed(A^K)) x||_s' / ||x||_data
     per K-periodic matrix A^K of the family, K its block size, with a fitted
     decay exponent in K.
 
     ``A_limit`` lives on a master truncated block covering every embedded
-    period; the same data family (regularity ``data_s``, default s) is used
-    for all K so the rows are comparable.  The family joins flows.N_SAMPLES
-    rough spread-out samples with every unit frequency vector: for these
-    near-diagonal error operators the concentrated vectors realize the
-    operator-norm ratio, which is what carries the sharp loss rates.  The
-    embedded matrix is zero beyond the representative box, so the spectral
-    tail contributes at every period.
+    period; the same data weights (regularity ``data_s``, default s) are used
+    for all K so the rows are comparable.  The sup is taken over the unit
+    frequency vectors (``flows._ratio_sup``): for these near-diagonal error
+    operators the concentrated vectors realize the operator-norm ratio,
+    which is what carries the sharp loss rates.  The embedded matrix is zero
+    beyond the representative box, so the spectral tail contributes at every
+    period.
     """
     if not family:
         raise ValueError("approx_error needs a nonempty family of periodic matrices")
@@ -152,14 +152,13 @@ def approx_error(A_limit: OpMatrix, family, s: float, s_prime: float,
         raise ValueError("master block must cover every embedded period")
     if data_s is None:
         data_s = s
-    xs = core.rough_samples(A_limit.block, data_s, flows.N_SAMPLES, seed)
     w_out = core.sobolev_weights(A_limit.block, s_prime)
     w_data = core.sobolev_weights(A_limit.block, data_s)
     rows = []
     for A in family:
         E = A_limit - embed(A, radius=master)
         rows.append({"K": A.block.size, "s": s, "s_prime": s_prime,
-                     "error": flows._ratio_sup(E.entries, w_out, w_data, xs)})
+                     "error": flows._ratio_sup(E.entries, w_out, w_data)})
     fit = flows.fit_loglog([r["K"] for r in rows],
                            [max(r["error"], 1e-300) for r in rows])
     rate, residual = (math.nan, math.nan) if fit is None else (-fit.slope, fit.residual)

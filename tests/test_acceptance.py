@@ -113,12 +113,12 @@ def test_criterion_06_approximation_rates():
     fd = periodic.approx_error(
         operators.fourier_multiplier(lambda x: 1j * x, block),
         [spectral.fd_symbol(1, 1, k) for k in periods],
-        s=s, s_prime=s, data_s=s + 2.0, seed=SEED)
+        s=s, s_prime=s, data_s=s + 2.0)
     mult = periodic.approx_error(
         operators.toeplitz_potential(operators.exp_decay_coeff, block),
         [spectral.mult_matrix_from_coeffs(operators.exp_decay_coeff, k)
          for k in periods],
-        s=4.0, s_prime=2.0, data_s=4.0, seed=SEED)
+        s=4.0, s_prime=2.0, data_s=4.0)
     announce(6, "approximation rates",
              abs(fd.decay_rate - 1.0) <= 0.25 and abs(mult.decay_rate - 2.0) <= 0.25,
              f"fd_rate={fd.decay_rate:.3f} mult_rate={mult.decay_rate:.3f}")
@@ -155,11 +155,11 @@ def test_criterion_08_derivative_loss():
                 operators.toeplitz_potential(operators.two_cos_coeff, block))
     lie = flows.loss_scan(
         [flows.scalar_system(M, *schrodinger(M), (flows.LIE,)) for M in (16, 32, 64)],
-        2.0, seed=SEED)["lie"]
+        2.0)["lie"]
     model = experiments.waterwave_model("waterwave")
     ww = flows.loss_scan(
         [experiments.waterwave_assemble(model, K).system((flows.STRANG,))
-         for K in (32, 64, 128)], 2.0, seed=SEED)["strang"]
+         for K in (32, 64, 128)], 2.0)["strang"]
     announce(8, "derivative loss exponents",
              lie.certified and lie.sigma_hat == 1.0 and
              ww.certified and ww.sigma_hat == 0.0,
@@ -179,7 +179,7 @@ def test_criterion_09_waterwave_no_loss():
         slope = res["slopes"][("strang", s)].slope
         ok &= abs(slope - 3.0) <= 0.25
         details.append(f"strang_s{s:g}={slope:.3f}")
-        rep = flows.loss_scan(systems, s, seed=SEED)["strang"]
+        rep = flows.loss_scan(systems, s)["strang"]
         sigmas.append(rep.sigma_hat)
         ok &= rep.certified and rep.sigma_hat == 0.0
     defect = max(res["symplectic_defect"].values())

@@ -146,6 +146,7 @@ def test_invalid_values_rejected():
     ("n_samples = 0", "n_samples"),
     ("sigma_max = -0.5", "sigma_max"),
     ("seed = true", "seed"),
+    ("seed = -1", "seed must be a nonnegative integer"),
     ("workers = true", "workers"),
     ('probes = ["waterwave_typo"]', "probes"),
     ('probes = ["growth_rho0"]', "probes"),
@@ -171,30 +172,31 @@ def test_bad_config_values_rejected_by_name(line, key):
         cli.parse_config(f'experiment = "{experiment}"\n{line}')
 
 
-# the keys each experiment reads besides experiment and seed
+# the keys each experiment reads besides experiment; seed only where a run
+# draws from it
 READS = {
     "order_gain": {"M_list"},
     "approx_rates": {"K_list"},
-    "splitting_orders": {"s_list"},
+    "splitting_orders": {"s_list", "seed"},
     "loss_scan": {"M_list", "K_list"},
-    "waterwave": {"probes", "K_list", "s_list"},
-    "schroedinger_precond": {"M_list", "s_list"},
-    "sobolev_growth": {"probes", "K_list", "s_list", "horizon", "delta"},
-    "invariants_suite": set(),
+    "waterwave": {"probes", "K_list", "s_list", "seed"},
+    "schroedinger_precond": {"M_list", "s_list", "seed"},
+    "sobolev_growth": {"probes", "K_list", "s_list", "horizon", "delta", "seed"},
+    "invariants_suite": {"seed"},
 }
 # a value of each key that an experiment reading it accepts
 GOOD_VALUES = {"probes": '["growth_rho0"]', "M_list": "[8, 16]",
                "K_list": "[32, 64]", "s_list": "[1.0]", "horizon": "2.0",
-               "delta": "0.01"}
+               "delta": "0.01", "seed": "3"}
 UNREAD = [(experiment, key) for experiment, keys in READS.items()
           for key in GOOD_VALUES if key not in keys]
 
 
 def test_each_experiment_reads_the_keys_of_its_record():
     assert {name: set(spec.keys) for name, spec in cli.EXPERIMENTS.items()} == READS
-    assert cli.COMMON_KEYS == ("experiment", "seed")
+    assert cli.COMMON_KEYS == ("experiment",)
     # 7 settable keys (all but experiment) for each of 8 experiments
-    assert len(UNREAD) == 7 * 8 - 23
+    assert len(UNREAD) == 7 * 8 - 20
 
 
 @pytest.mark.parametrize("experiment,key", UNREAD)
@@ -209,9 +211,9 @@ def test_every_key_an_experiment_reads_is_accepted(experiment):
     probes = '["waterwave"]' if experiment == "waterwave" else GOOD_VALUES["probes"]
     values = GOOD_VALUES | {"probes": probes}
     cfg = cli.parse_config("\n".join(
-        [f'experiment = "{experiment}"', "seed = 3"] +
+        [f'experiment = "{experiment}"'] +
         [f"{key} = {values[key]}" for key in sorted(READS[experiment])]))
-    assert cfg.seed == 3
+    assert cfg.seed == (3 if "seed" in READS[experiment] else 1)
 
 
 @pytest.mark.parametrize("experiment,line,key", [
@@ -367,11 +369,13 @@ def test_manifest_config_lists_the_keys_the_experiment_reads(experiment, tmp_pat
     spec = cli.EXPERIMENTS[experiment]
     monkeypatch.setitem(cli.EXPERIMENTS, experiment, dataclasses.replace(
         spec, runner=lambda cfg: ([], {}, {})))
-    cfg = cli.parse_config(f'experiment = "{experiment}"\nseed = 5')
+    seeded = "seed" in spec.keys
+    cfg = cli.parse_config(f'experiment = "{experiment}"' + "\nseed = 5" * seeded)
     cli.run(cfg, tmp_path)
     config = reporting.read_manifest(tmp_path)["config"]
     assert set(config) == set(cli.COMMON_KEYS + spec.keys)
-    assert config["experiment"] == experiment and config["seed"] == 5
+    assert config["experiment"] == experiment
+    assert config.get("seed") == (5 if seeded else None)
 
 
 def test_uncertified_schroedinger_loss_fails_at_the_target_sigma(monkeypatch):
@@ -540,7 +544,7 @@ def test_growth_probe_periods_come_from_the_registry(tmp_path, monkeypatch, caps
 
 
 @pytest.mark.parametrize("cfg_text", [
-    'experiment = "order_gain"\nseed = 1\nM_list = [8, 16, 32]\n',
+    'experiment = "order_gain"\nM_list = [8, 16, 32]\n',
     'experiment = "sobolev_growth"\nseed = 1\nK_list = [32, 64]\nhorizon = 2.0\n'],
     ids=["order_gain", "sobolev_growth"])
 def test_run_is_deterministic(tmp_path, monkeypatch, cfg_text):
@@ -609,7 +613,7 @@ def test_manifest_lists_all_files_with_hashes(tmp_path):
     assert set(manifest["files"]) == {"results.csv", "fits.json"}
     for name, digest in manifest["files"].items():
         assert digest == hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-    assert manifest["config"]["seed"] == 1
+    assert manifest["config"] == {"experiment": "order_gain", "M_list": [8, 16]}
     assert manifest["status"] == "ok"
 
 

@@ -241,7 +241,7 @@ def test_approx_error_zero_for_self():
     fam = mult_cos_family((K,))
     master = K // 2
     A_limit = periodic.embed(fam[0], radius=master)
-    table = periodic.approx_error(A_limit, fam, s=2.0, s_prime=2.0, seed=3)
+    table = periodic.approx_error(A_limit, fam, s=2.0, s_prime=2.0)
     assert table.rows[0]["error"] == 0.0
 
 
@@ -260,8 +260,7 @@ def test_finite_difference_rate_one_with_two_extra_derivatives():
     master = max(periods)
     block = truncated_block(1, master)
     A_limit = operators.fourier_multiplier(lambda x: 1j * x, block)
-    table = periodic.approx_error(A_limit, fam, s=s, s_prime=s, data_s=s + 2.0,
-                                  seed=11)
+    table = periodic.approx_error(A_limit, fam, s=s, s_prime=s, data_s=s + 2.0)
     assert [r["K"] for r in table.rows] == list(periods)
     assert table.decay_rate == pytest.approx(1.0, abs=0.25)
 
@@ -273,8 +272,7 @@ def test_periodic_multiplier_rate_matches_gap_minus_order():
            for k in periods]
     block = truncated_block(1, max(periods))
     A_limit = operators.fourier_multiplier(lambda x: 1j * x, block)
-    table = periodic.approx_error(A_limit, fam, s=4.0, s_prime=2.0, data_s=4.0,
-                                  seed=13)
+    table = periodic.approx_error(A_limit, fam, s=4.0, s_prime=2.0, data_s=4.0)
     assert table.decay_rate == pytest.approx(1.0, abs=0.25)
 
 
@@ -287,8 +285,7 @@ def test_multiplication_rate_matches_regularity_gap():
     master = max(periods)
     block = truncated_block(1, master)
     A_limit = operators.toeplitz_potential(operators.exp_decay_coeff, block)
-    table = periodic.approx_error(A_limit, fam, s=4.0, s_prime=2.0, data_s=4.0,
-                                  seed=12)
+    table = periodic.approx_error(A_limit, fam, s=4.0, s_prime=2.0, data_s=4.0)
     assert table.decay_rate == pytest.approx(2.0, abs=0.25)
 
 
